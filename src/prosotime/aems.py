@@ -29,6 +29,7 @@ __all__ = [
     "aems",
     "fit_polynomial",
     "detect_zones",
+    "shape_zones",
     "zscore",
     "spectrum_to_csv",
     "spectrum_to_dict",
@@ -276,31 +277,24 @@ def _local_extrema(y):
     return maxima, minima
 
 
-def detect_zones(spec: Spectrum, min_prominence=0.1, min_separation_hz=0.0,
-                 smooth_degree=9):
-    """Frequency zones: peaks of the polynomial-smoothed spectrum.
+def shape_zones(spec: Spectrum, min_prominence=0.1, min_separation_hz=0.0):
+    """The spectrum's shape fit and the frequency zones read off it.
 
-    The spectrum shape is taken from a degree-9 polynomial fit; strict local
-    maxima of that shape whose prominence reaches min_prominence times the
-    shape maximum become zones. Zone bounds sit at the flanking local minima
-    (or spectrum edges) and the zone center is the raw-magnitude argmax
-    inside the bounds. Zones come back ordered by descending prominence.
+    The shape is a least-squares polynomial of degree min(9, bins - 1); strict
+    local maxima of that shape whose prominence reaches min_prominence times
+    the raw magnitude maximum become zones. Zone bounds sit at the flanking
+    local minima (or spectrum edges) and the zone center is the raw-magnitude
+    argmax inside the bounds. Zones come back ordered by descending
+    prominence. Returns (fit, zones).
     """
-    if len(spec) == 0:
-        raise DegenerateInputError("empty spectrum")
     freqs = spec.freqs
     mags = spec.magnitudes
-    if len(spec) < 3:
-        return []
-    degree = min(smooth_degree, len(spec) - 1)
-    shape = fit_polynomial(freqs, mags, degree).evaluate(freqs)
-
+    fit = fit_polynomial(freqs, mags, min(9, len(spec) - 1))
+    shape = fit.evaluate(freqs)
     maxima, minima = _local_extrema(shape)
-    if not maxima:
-        return []
     top = float(np.max(mags))
     if top <= 0:
-        return []
+        return fit, []
 
     zones = []
     for m in maxima:
@@ -328,7 +322,12 @@ def detect_zones(spec: Spectrum, min_prominence=0.1, min_separation_hz=0.0,
             if all(abs(z.center_hz - k.center_hz) >= min_separation_hz for k in kept):
                 kept.append(z)
         zones = kept
-    return zones
+    return fit, zones
+
+
+def detect_zones(spec: Spectrum, min_prominence=0.1, min_separation_hz=0.0):
+    """Frequency zones of the spectrum; see shape_zones."""
+    return shape_zones(spec, min_prominence, min_separation_hz)[1]
 
 
 def zscore(values) -> np.ndarray:

@@ -9,6 +9,7 @@ byte-identical artifacts — and writes only beneath the output directory
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .aems import aems as run_aems
-from .aems import detect_zones, fit_polynomial, spectrum_to_csv, spectrum_to_dict, zscore
+from .aems import shape_zones, spectrum_to_csv
 from .annot import AnnotationDoc, durations, parse_csv_annotation, parse_textgrid
 from .audio import read_wav, synthesize_am
 from .errors import AnalysisError, DegenerateInputError
@@ -86,15 +87,13 @@ def _zone_dicts(zones) -> list[dict]:
     ]
 
 
-def _spectrum_artifacts(sink: _Sink, stem: str, spec, zones) -> dict:
+def _spectrum_artifacts(sink: _Sink, stem: str, spec, fit, zones) -> dict:
     """Shared spectrum emission: CSV, line plot and heatmap; returns poly info."""
-    degree = min(9, max(1, len(spec) - 1))
-    fit = fit_polynomial(spec.freqs, spec.magnitudes, degree)
     sink.put("csv", f"{stem}.spectrum.csv", spectrum_to_csv(spec))
     sink.put("svg", f"{stem}.spectrum.svg", svg_spectrum(spec, fit, zones))
     if len(spec) >= 2:
         sink.put("svg", f"{stem}.heatmap.svg", svg_heatmap(spec))
-    return {"poly_degree": degree, "poly_coeffs": list(fit.coeffs), "poly_rmse": fit.rmse}
+    return {"poly_degree": fit.degree, "poly_coeffs": list(fit.coeffs), "poly_rmse": fit.rmse}
 
 
 def _load_annotation(path: str) -> AnnotationDoc:
@@ -127,7 +126,7 @@ def _cmd_calibrate(args, sink: _Sink) -> dict:
     params = {"carrier_hz": 200.0, "mod_hz": 5.0, "depth": 1.0, "dur_s": 2.0, "rate": 16000}
     wave = synthesize_am(**params)
     spec = run_aems(wave, cutoff_hz=20.0)
-    zones = detect_zones(spec)
+    fit, zones = shape_zones(spec)
     mags = spec.magnitudes
     peak_bin = int(np.argmax(mags))
     harmonic_bin = int(round(10.0 / spec.resolution_hz))
@@ -144,7 +143,7 @@ def _cmd_calibrate(args, sink: _Sink) -> dict:
         "zones": _zone_dicts(zones),
         "pass": bool(ok),
     }
-    report.update(_spectrum_artifacts(sink, "calibrate", spec, zones))
+    report.update(_spectrum_artifacts(sink, "calibrate", spec, fit, zones))
     sink.put("json", "calibrate.json", _dumps(report))
     print(f"peak_hz={peak_hz} harmonic_hz={report['harmonic_hz']} pass={str(ok).lower()}")
     return report
@@ -159,7 +158,7 @@ def _cmd_aems(args, sink: _Sink) -> dict:
         env_rate=args.env_rate,
         smooth_ms=args.smooth_ms,
     )
-    zones = detect_zones(
+    fit, zones = shape_zones(
         spec, min_prominence=args.min_prominence, min_separation_hz=args.min_separation_hz
     )
     stem = _stem(args.wav)
@@ -173,7 +172,7 @@ def _cmd_aems(args, sink: _Sink) -> dict:
         "zones": _zone_dicts(zones),
         "dominant_hz": zones[0].center_hz if zones else None,
     }
-    report.update(_spectrum_artifacts(sink, stem, spec, zones))
+    report.update(_spectrum_artifacts(sink, stem, spec, fit, zones))
     sink.put("json", f"{stem}.aems.json", _dumps(report))
     dom = report["dominant_hz"]
     print(f"bins={len(spec)} resolution_hz={spec.resolution_hz} dominant_hz={dom}")
@@ -267,14 +266,7 @@ def _cmd_spectree(args, sink: _Sink) -> dict:
 
 def _cmd_tone_gen(args, sink: _Sink) -> dict:
     params = TerracingParams(
-        p_h0=args.p_h0,
-        p_l0=args.p_l0,
-        k_usw=args.k_usw,
-        k_dd=args.k_dd,
-        k_dst=args.k_dst,
-        k_ter=args.k_ter,
-        floor_hz=args.floor_hz,
-        ceiling_hz=args.ceiling_hz,
+        **{f.name: getattr(args, f.name) for f in dataclasses.fields(TerracingParams)}
     )
     lexical = args.tones.split()
     phonetic = transduce_tones(args.tones)
@@ -284,16 +276,7 @@ def _cmd_tone_gen(args, sink: _Sink) -> dict:
         "lexical": lexical,
         "phonetic": list(phonetic),
         "targets": [{"label": lab, "hz": hz} for lab, hz in targets.items],
-        "params": {
-            "p_h0": params.p_h0,
-            "p_l0": params.p_l0,
-            "k_usw": params.k_usw,
-            "k_dd": params.k_dd,
-            "k_dst": params.k_dst,
-            "k_ter": params.k_ter,
-            "floor_hz": params.floor_hz,
-            "ceiling_hz": params.ceiling_hz,
-        },
+        "params": dataclasses.asdict(params),
         "tone_dur_ms": args.tone_dur_ms,
     }
     if len(targets):
@@ -323,6 +306,8 @@ def _cmd_intonation(args, sink: _Sink) -> dict:
         }
         print(f"accepted={str(bool(accepted)).lower()}")
     else:
+        if args.max_len < 0:
+            raise _UsageError(f"--max-len must be >= 0, got {args.max_len}")
         strings = enumerate_strings(fsm, args.max_len)
         report = {
             "subcommand": "intonation",
@@ -403,7 +388,6 @@ def _cmd_contour_fit(args, sink: _Sink) -> dict:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="reserved; all analyses are deterministic")
     common.add_argument("--json", action="store_true", help="print the JSON report to stdout")
     common.add_argument("--out-dir", default=None, help=f"output directory (default ${OUT_DIR_ENV} or ./prosotime_out)")
     common.add_argument("--formats", default="json,csv,svg", help="comma list from json,csv,svg")

@@ -9,6 +9,11 @@ pitch action) whose six arcs encode initial highs/lows, upsweep, downdrift,
 downstep and upstep; a two-register multiplicative model turns the emitted
 actions into pitch targets in Hz.
 
+Machines are deterministic on every tape and have no empty arcs.  The
+constructor checks this and compiles each tape once into a
+(state, symbol) -> arc table, so recognition, enumeration and transduction
+are plain table walks.
+
 Note on iteration: stretches of same-type accents are common in real
 intonation but the grammar does not constrain accent choice within a group;
 it accepts any accent sequence.
@@ -16,9 +21,8 @@ it accepts any accent sequence.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable
 
 from .errors import AlphabetError, DegenerateInputError, ParameterError
 from .pitch import F0Track
@@ -52,12 +56,11 @@ PITCH_ACCENTS = ("H*", "L*", "H*+L", "H+L*", "L*+H", "L+H*")
 
 @dataclass(frozen=True)
 class Transition:
-    """One arc: per-tape labels (None = empty on that tape) and an optional action."""
+    """One arc with one label per tape."""
 
     src: str
     dst: str
-    labels: tuple[str | None, ...]
-    action: str | None = None
+    labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -65,13 +68,16 @@ class Transition:
 
 @dataclass(frozen=True)
 class MultiTapeFSM:
-    """A finite-state machine reading/writing a fixed number of tapes."""
+    """A deterministic finite-state machine reading/writing a fixed number of tapes."""
 
     states: frozenset[str]
     start: str
     finals: frozenset[str]
     n_tapes: int
     transitions: tuple[Transition, ...]
+    # per tape: (state, symbol) -> arc, and the sorted symbols
+    _arcs: tuple[dict[tuple[str, str], Transition], ...] = field(init=False, repr=False, compare=False)
+    _alphabets: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "states", frozenset(self.states))
@@ -83,6 +89,7 @@ class MultiTapeFSM:
             raise ParameterError("final states must be a subset of states")
         if self.n_tapes < 1:
             raise ParameterError("machines need at least one tape")
+        arcs = tuple({} for _ in range(self.n_tapes))
         for t in self.transitions:
             if t.src not in self.states or t.dst not in self.states:
                 raise ParameterError(f"transition {t} references unknown states")
@@ -90,79 +97,73 @@ class MultiTapeFSM:
                 raise ParameterError(
                     f"transition {t} has {len(t.labels)} labels for {self.n_tapes} tapes"
                 )
+            for tape, label in enumerate(t.labels):
+                if label is None:
+                    raise ParameterError(f"transition {t} has an empty label on tape {tape}")
+                if (t.src, label) in arcs[tape]:
+                    raise ParameterError(
+                        f"transition {t} makes tape {tape} nondeterministic at {t.src!r}"
+                    )
+                arcs[tape][(t.src, label)] = t
+        object.__setattr__(self, "_arcs", arcs)
+        object.__setattr__(
+            self, "_alphabets", tuple(tuple(sorted({s for _, s in a})) for a in arcs)
+        )
 
     def alphabet(self, tape: int = 0) -> tuple[str, ...]:
-        """Sorted distinct non-empty symbols on one tape."""
+        """Sorted distinct symbols on one tape."""
         self._check_tape(tape)
-        return tuple(sorted({t.labels[tape] for t in self.transitions if t.labels[tape] is not None}))
+        return self._alphabets[tape]
 
     def _check_tape(self, tape: int) -> None:
         if not 0 <= tape < self.n_tapes:
             raise ParameterError(f"tape {tape} out of range for {self.n_tapes}-tape machine")
 
 
-def _closure(fsm: MultiTapeFSM, states: set[str], tape: int) -> set[str]:
-    """States reachable via arcs that are empty on the given tape."""
-    out = set(states)
-    stack = list(states)
-    while stack:
-        s = stack.pop()
-        for t in fsm.transitions:
-            if t.src == s and t.labels[tape] is None and t.dst not in out:
-                out.add(t.dst)
-                stack.append(t.dst)
-    return out
-
-
-def _step(fsm: MultiTapeFSM, states: set[str], symbol: str, tape: int) -> set[str]:
-    nxt = {t.dst for t in fsm.transitions if t.src in states and t.labels[tape] == symbol}
-    return _closure(fsm, nxt, tape)
-
-
 def recognize(fsm: MultiTapeFSM, symbols: Iterable[str] | str, tape: int = 0) -> bool:
-    """True iff some start-to-final path spells the input on the given tape.
+    """True iff the start-to-final path spells the input on the given tape.
 
-    Arcs empty on that tape are skipped freely.  Unknown symbols raise
-    AlphabetError.
+    Unknown symbols raise AlphabetError.
     """
-    fsm._check_tape(tape)
+    alphabet = fsm.alphabet(tape)
     seq = symbols.split() if isinstance(symbols, str) else list(symbols)
-    alphabet = set(fsm.alphabet(tape))
+    known = set(alphabet)
     for sym in seq:
-        if sym not in alphabet:
-            raise AlphabetError(f"symbol {sym!r} not in tape-{tape} alphabet {sorted(alphabet)}")
-    current = _closure(fsm, {fsm.start}, tape)
+        if sym not in known:
+            raise AlphabetError(f"symbol {sym!r} not in tape-{tape} alphabet {list(alphabet)}")
+    table = fsm._arcs[tape]
+    state = fsm.start
     for sym in seq:
-        current = _step(fsm, current, sym, tape)
-        if not current:
+        arc = table.get((state, sym))
+        if arc is None:
             return False
-    return bool(current & fsm.finals)
+        state = arc.dst
+    return state in fsm.finals
 
 
 def enumerate_strings(fsm: MultiTapeFSM, max_len: int, tape: int = 0) -> list[str]:
     """All accepted strings of length <= max_len on one tape, lexicographically.
 
     Symbols within a string are joined by single spaces; ordering is
-    lexicographic over the symbol sequences.
+    lexicographic over the symbol sequences, which a preorder walk taking
+    symbols in sorted order yields directly.
     """
     if max_len < 0:
         raise ParameterError(f"max_len must be >= 0, got {max_len}")
-    fsm._check_tape(tape)
     alphabet = fsm.alphabet(tape)
-    accepted: list[tuple[str, ...]] = []
-
-    def explore(states: set[str], prefix: tuple[str, ...]) -> None:
-        if states & fsm.finals:
-            accepted.append(prefix)
-        if len(prefix) == max_len:
-            return
-        for sym in alphabet:
-            nxt = _step(fsm, states, sym, tape)
-            if nxt:
-                explore(nxt, prefix + (sym,))
-
-    explore(_closure(fsm, {fsm.start}, tape), ())
-    return [" ".join(seq) for seq in sorted(accepted)]
+    table = fsm._arcs[tape]
+    accepted: list[str] = []
+    stack: list[tuple[str, tuple[str, ...]]] = [(fsm.start, ())]
+    while stack:
+        state, prefix = stack.pop()
+        if state in fsm.finals:
+            accepted.append(" ".join(prefix))
+        if len(prefix) < max_len:
+            for sym in reversed(alphabet):  # pushed last-first, popped in order
+                arc = table.get((state, sym))
+                if arc is not None:
+                    stack.append((arc.dst, prefix + (sym,)))
+    return accepted
 
 
 # ---------------------------------------------------------------------------
@@ -304,17 +305,16 @@ def build_terracing() -> MultiTapeFSM:
         ("H", "L", "L", "!l", "downstep"),
         ("L", "H", "H", "^h", "upstep"),
     )
-    transitions = tuple(
-        Transition(src, dst, (lex, phon, act), action=act)
-        for src, dst, lex, phon, act in arcs
-    )
     return MultiTapeFSM(
         states=frozenset({"0", "H", "L"}),
         start="0",
         finals=frozenset({"H", "L"}),
         n_tapes=3,
-        transitions=transitions,
+        transitions=tuple(Transition(src, dst, labels) for src, dst, *labels in arcs),
     )
+
+
+_TERRACING = build_terracing()
 
 
 def transduce_tones(lexical: ToneSequence | str | Iterable[str]) -> tuple[str, ...]:
@@ -329,18 +329,14 @@ def transduce_tones(lexical: ToneSequence | str | Iterable[str]) -> tuple[str, .
         tones = lexical
     else:
         tones = ToneSequence(tuple(lexical))
-    fsm = build_terracing()
-    by_src_symbol = {(t.src, t.labels[0]): t for t in fsm.transitions}
-    state = fsm.start
+    table = _TERRACING._arcs[0]
+    state = _TERRACING.start
     out: list[str] = []
     for tone in tones.symbols:
-        arc = by_src_symbol[(state, tone)]
+        arc = table[(state, tone)]
         out.append(arc.labels[1])
         state = arc.dst
     return tuple(out)
-
-
-_PHONETIC_LABELS = ("hc", "lc", "h", "l", "!l", "^h")
 
 
 def realize_pitch(
@@ -356,7 +352,7 @@ def realize_pitch(
     """
     seq = labels.split() if isinstance(labels, str) else list(labels)
     for lab in seq:
-        if lab not in _PHONETIC_LABELS:
+        if lab not in _TERRACING.alphabet(1):
             raise AlphabetError(f"unknown phonetic label {lab!r}")
 
     def clamp(x: float) -> float:
@@ -419,12 +415,7 @@ def fsm_to_dict(fsm: MultiTapeFSM) -> dict:
         "finals": sorted(fsm.finals),
         "tapes": fsm.n_tapes,
         "transitions": [
-            {
-                "from": t.src,
-                "to": t.dst,
-                "labels": list(t.labels),
-                **({"action": t.action} if t.action is not None else {}),
-            }
+            {"from": t.src, "to": t.dst, "labels": list(t.labels)}
             for t in fsm.transitions
         ],
     }

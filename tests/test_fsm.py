@@ -8,10 +8,12 @@ import pytest
 
 from prosotime import (
     AlphabetError,
+    MultiTapeFSM,
     ParameterError,
     PitchTargetSequence,
     TerracingParams,
     ToneSequence,
+    Transition,
     build_pierrehumbert,
     build_terracing,
     enumerate_strings,
@@ -113,6 +115,44 @@ class TestIntonationGrammar:
             assert got == oracle_accepts(tokens), tokens
             hits += got
         assert hits > 0  # the accepting region was actually sampled
+
+
+class TestCompiledMachine:
+    @staticmethod
+    def machine(*arcs):
+        return MultiTapeFSM(
+            states=frozenset({"a", "b"}), start="a", finals=frozenset({"b"}), n_tapes=2,
+            transitions=tuple(Transition(src, dst, labels) for src, dst, labels in arcs),
+        )
+
+    def test_deterministic_machine_accepted(self):
+        fsm = self.machine(("a", "b", ("x", "y")), ("b", "b", ("x", "y")))
+        assert fsm.alphabet(1) == ("y",)
+        assert recognize(fsm, "y y", tape=1)
+
+    def test_empty_label_rejected(self):
+        with pytest.raises(ParameterError):
+            self.machine(("a", "b", ("x", None)))
+
+    def test_duplicate_source_label_rejected(self):
+        with pytest.raises(ParameterError):
+            self.machine(("a", "b", ("x", "y")), ("a", "a", ("x", "z")))
+        with pytest.raises(ParameterError):  # deterministic on tape 0, not on tape 1
+            self.machine(("a", "b", ("x", "y")), ("a", "a", ("z", "y")))
+
+    def test_enumeration_complete_against_oracle(self):
+        expect = [
+            " ".join(tokens)
+            for n in range(6)
+            for tokens in itertools.product(PIERREHUMBERT_ALPHABET, repeat=n)
+            if oracle_accepts(tokens)
+        ]
+        assert enumerate_strings(build_pierrehumbert(), 5) == sorted(
+            expect, key=str.split
+        )
+
+    def test_enumeration_count_at_seven(self):
+        assert len(enumerate_strings(build_pierrehumbert(), 7)) == 19920
 
 
 class TestMachineShape:

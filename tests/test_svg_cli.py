@@ -17,6 +17,7 @@ from prosotime import (
     induce_time_tree,
     quadrant_analysis,
     realize_pitch,
+    synthesize_am,
     synthesize_contour,
     transduce_tones,
     write_wav_pcm16,
@@ -145,6 +146,19 @@ class TestCliAems:
                     "--formats", "json"]) == 0
         assert sorted(p.name for p in out.iterdir()) == ["am.aems.json"]
 
+    def test_one_bin_spectrum_fits_degree_zero(self, tmp_path, capsys):
+        # 0.15 s at 16 kHz: 15 envelope samples, 6.7 Hz resolution, so the
+        # default 5 Hz cutoff keeps only the DC bin
+        wav = tmp_path / "short.wav"
+        write_wav_pcm16(wav, synthesize_am(200.0, 5.0, 1.0, 0.15, 16000))
+        code = run(["aems", str(wav), "--json", "--out-dir", str(tmp_path)])
+        assert code == 0
+        rep = report_from(capsys)
+        jsonschema.validate(rep, load_schema("aems"))
+        assert rep["n_bins"] == 1
+        assert rep["poly_degree"] == 0
+        assert rep["zones"] == []
+
     def test_byte_deterministic_artifacts(self, am_wav_path, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
@@ -260,6 +274,10 @@ class TestCliIntonation:
 
     def test_unknown_symbol_exits_one(self, tmp_path):
         assert run(["intonation", "check", "%H X* H- H%", "--out-dir", str(tmp_path)]) == 1
+
+    def test_negative_max_len_is_usage_error(self, tmp_path, capsys):
+        assert run(["intonation", "enum", "--max-len", "-1", "--out-dir", str(tmp_path)]) == 2
+        assert "--max-len" in capsys.readouterr().err
 
 
 class TestCliF0AndContour:
