@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import re
 import sys
@@ -22,7 +23,7 @@ from .aems import aems as run_aems
 from .aems import shape_zones, spectrum_to_csv
 from .annot import AnnotationDoc, durations, parse_csv_annotation, parse_textgrid
 from .audio import read_wav, synthesize_am
-from .errors import AnalysisError, DegenerateInputError
+from .errors import AnalysisError, DegenerateInputError, ParseError
 from .fsm import (
     TerracingParams,
     build_pierrehumbert,
@@ -57,6 +58,25 @@ def _dumps(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a float other than nan and +-inf."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite float > 0."""
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    return value
+
+
 def _stem(path: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "_", Path(path).stem) or "input"
 
@@ -67,7 +87,6 @@ class _Sink:
     def __init__(self, out_dir: Path, formats: set[str]):
         self.out_dir = out_dir
         self.formats = formats
-        self.written: list[str] = []
 
     def put(self, fmt: str, name: str, text: str) -> None:
         if fmt not in self.formats:
@@ -77,7 +96,6 @@ class _Sink:
         if self.out_dir.resolve() not in target.parents:
             raise AnalysisError(f"refusing to write outside output directory: {name}")
         target.write_text(text, encoding="utf-8")
-        self.written.append(str(target))
 
 
 def _zone_dicts(zones) -> list[dict]:
@@ -104,17 +122,21 @@ def _load_annotation(path: str) -> AnnotationDoc:
     return parse_csv_annotation(data, source=path)
 
 
-def _pick_tier(doc: AnnotationDoc, name: str | None):
-    if name is None:
+def _tier_durations(args):
+    """The --tier tier (default: the first) of args.annot and its durations."""
+    doc = _load_annotation(args.annot)
+    if args.tier is None:
         if not doc.tiers:
             raise DegenerateInputError(f"{doc.source}: no interval tiers")
-        return doc.tiers[0]
-    try:
-        return doc.tier(name)
-    except KeyError:
-        raise AnalysisError(
-            f"{doc.source}: no tier named {name!r} (have {list(doc.tier_names)})"
-        ) from None
+        tier = doc.tiers[0]
+    else:
+        try:
+            tier = doc.tier(args.tier)
+        except KeyError:
+            raise AnalysisError(
+                f"{doc.source}: no tier named {args.tier!r} (have {list(doc.tier_names)})"
+            ) from None
+    return tier, durations(tier) if args.exclude is None else durations(tier, set(args.exclude))
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +202,7 @@ def _cmd_aems(args, sink: _Sink) -> dict:
 
 
 def _cmd_metrics(args, sink: _Sink) -> dict:
-    doc = _load_annotation(args.annot)
-    tier = _pick_tier(doc, args.tier)
-    exclude = set(args.exclude) if args.exclude is not None else None
-    seq = durations(tier) if exclude is None else durations(tier, exclude)
+    tier, seq = _tier_durations(args)
     if len(seq) < 2:
         raise DegenerateInputError(
             f"tier {tier.name!r} leaves {len(seq)} usable durations; need >= 2"
@@ -216,52 +235,44 @@ def _tree_params(args) -> TreeParams:
     return TreeParams(relation=args.relation, polarity=args.polarity, arity=args.arity)
 
 
+def _tree_artifacts(sink: _Sink, name: str, tree, report: dict) -> dict:
+    """Shared tree emission: sexpr and node table into the JSON report, SVG drawing."""
+    report.update(sexpr=to_sexpr(tree), **tree_to_dict(tree))
+    sink.put("json", f"{name}.json", _dumps(report))
+    sink.put("svg", f"{name}.svg", svg_timetree(tree))
+    print(report["sexpr"])
+    return report
+
+
 def _cmd_timetree(args, sink: _Sink) -> dict:
-    doc = _load_annotation(args.annot)
-    tier = _pick_tier(doc, args.tier)
-    exclude = set(args.exclude) if args.exclude is not None else None
-    seq = durations(tier) if exclude is None else durations(tier, exclude)
+    tier, seq = _tier_durations(args)
     if len(seq) == 0:
         raise DegenerateInputError(f"tier {tier.name!r} has no usable durations")
     params = _tree_params(args)
-    tree = induce_time_tree(seq, params)
-    sexpr = to_sexpr(tree)
-    stem = _stem(args.annot)
     report = {
         "subcommand": "timetree",
         "input": args.annot,
         "tier": tier.name,
         "params": {"relation": params.relation, "polarity": params.polarity, "arity": params.arity},
         "n": len(seq),
-        "sexpr": sexpr,
-        "tree": tree_to_dict(tree),
     }
-    sink.put("json", f"{stem}.timetree.json", _dumps(report))
-    sink.put("svg", f"{stem}.timetree.svg", svg_timetree(tree))
-    print(sexpr)
-    return report
+    tree = induce_time_tree(seq, params)
+    return _tree_artifacts(sink, f"{_stem(args.annot)}.timetree", tree, report)
 
 
 def _cmd_spectree(args, sink: _Sink) -> dict:
     wave = read_wav(args.wav)
     spec = run_aems(wave, cutoff_hz=args.cutoff_hz)
     params = _tree_params(args)
-    tree = induce_spectral_hierarchy(spec, params)
-    sexpr = to_sexpr(tree)
-    stem = _stem(args.wav)
     report = {
         "subcommand": "spectree",
         "input": args.wav,
         "aems_params": dict(spec.params),
         "params": {"relation": params.relation, "polarity": "higher", "arity": params.arity},
         "n_bins": len(spec),
-        "sexpr": sexpr,
-        "tree": tree_to_dict(tree),
     }
-    sink.put("json", f"{stem}.spectree.json", _dumps(report))
-    sink.put("svg", f"{stem}.spectree.svg", svg_timetree(tree))
-    print(sexpr)
-    return report
+    tree = induce_spectral_hierarchy(spec, params)
+    return _tree_artifacts(sink, f"{_stem(args.wav)}.spectree", tree, report)
 
 
 def _cmd_tone_gen(args, sink: _Sink) -> dict:
@@ -323,27 +334,15 @@ def _cmd_intonation(args, sink: _Sink) -> dict:
 
 def _cmd_f0(args, sink: _Sink) -> dict:
     wave = read_wav(args.wav)
-    track = estimate_f0_autocorr(
-        wave,
-        fmin=args.fmin,
-        fmax=args.fmax,
-        frame_ms=args.frame_ms,
-        hop_ms=args.hop_ms,
-        voicing_ratio=args.voicing_ratio,
-    )
+    params = {k: getattr(args, k) for k in ("fmin", "fmax", "frame_ms", "hop_ms", "voicing_ratio")}
+    track = estimate_f0_autocorr(wave, **params)
     ipus = segment_ipus(wave)
     _, voiced = track.voiced_frames()
     stem = _stem(args.wav)
     report = {
         "subcommand": "f0",
         "input": args.wav,
-        "params": {
-            "fmin": args.fmin,
-            "fmax": args.fmax,
-            "frame_ms": args.frame_ms,
-            "hop_ms": args.hop_ms,
-            "voicing_ratio": args.voicing_ratio,
-        },
+        "params": params,
         "n_frames": len(track),
         "voiced_frames": track.voiced_count,
         "hop_s": track.hop_s,
@@ -361,7 +360,11 @@ def _cmd_f0(args, sink: _Sink) -> dict:
 
 
 def _cmd_contour_fit(args, sink: _Sink) -> dict:
-    track = parse_f0_csv(Path(args.f0csv).read_text(encoding="utf-8"))
+    try:
+        text = Path(args.f0csv).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{args.f0csv}: not UTF-8 text", offset=exc.start) from None
+    track = parse_f0_csv(text)
     domain = None
     if args.start_s is not None or args.end_s is not None:
         if args.start_s is None or args.end_s is None:
@@ -415,12 +418,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("aems", parents=[common], help="amplitude envelope modulation spectrum of a wav file")
     p.add_argument("wav")
-    p.add_argument("--cutoff-hz", type=float, default=5.0, help="spectrum cutoff; 5, 20 and 1 are the usual presets")
-    p.add_argument("--window-ms", type=float, default=20.0)
+    p.add_argument("--cutoff-hz", type=_positive_float, default=5.0, help="spectrum cutoff; 5, 20 and 1 are the usual presets")
+    p.add_argument("--window-ms", type=_positive_float, default=20.0)
     p.add_argument("--env-rate", type=int, default=100)
-    p.add_argument("--smooth-ms", type=float, default=50.0)
-    p.add_argument("--min-prominence", type=float, default=0.1)
-    p.add_argument("--min-separation-hz", type=float, default=0.0)
+    p.add_argument("--smooth-ms", type=_positive_float, default=50.0)
+    p.add_argument("--min-prominence", type=_finite_float, default=0.1)
+    p.add_argument("--min-separation-hz", type=_finite_float, default=0.0)
     p.set_defaults(func=_cmd_aems)
 
     p = sub.add_parser("metrics", parents=[common, annot_flags], help="duration dispersion metrics over an annotation tier")
@@ -433,20 +436,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectree", parents=[common, tree_flags], help="hierarchical segmentation of a wav's modulation spectrum")
     p.add_argument("wav")
-    p.add_argument("--cutoff-hz", type=float, default=5.0)
+    p.add_argument("--cutoff-hz", type=_positive_float, default=5.0)
     p.set_defaults(func=_cmd_spectree)
 
     p = sub.add_parser("tone-gen", parents=[common], help="terracing transduction and pitch realization of an H/L tone string")
     p.add_argument("tones", help="whitespace-separated lexical tones, e.g. 'H L H L H'")
-    p.add_argument("--p-h0", type=float, default=170.0)
-    p.add_argument("--p-l0", type=float, default=110.0)
-    p.add_argument("--k-usw", type=float, default=1.02)
-    p.add_argument("--k-dd", type=float, default=0.98)
-    p.add_argument("--k-dst", type=float, default=0.70)
-    p.add_argument("--k-ter", type=float, default=0.90)
-    p.add_argument("--floor-hz", type=float, default=60.0)
-    p.add_argument("--ceiling-hz", type=float, default=400.0)
-    p.add_argument("--tone-dur-ms", type=float, default=150.0)
+    p.add_argument("--p-h0", type=_finite_float, default=170.0)
+    p.add_argument("--p-l0", type=_finite_float, default=110.0)
+    p.add_argument("--k-usw", type=_finite_float, default=1.02)
+    p.add_argument("--k-dd", type=_finite_float, default=0.98)
+    p.add_argument("--k-dst", type=_finite_float, default=0.70)
+    p.add_argument("--k-ter", type=_finite_float, default=0.90)
+    p.add_argument("--floor-hz", type=_finite_float, default=60.0)
+    p.add_argument("--ceiling-hz", type=_finite_float, default=400.0)
+    p.add_argument("--tone-dur-ms", type=_positive_float, default=150.0)
     p.set_defaults(func=_cmd_tone_gen)
 
     p = sub.add_parser("intonation", parents=[common], help="check or enumerate intonation tone strings")
@@ -457,18 +460,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("f0", parents=[common], help="autocorrelation F0 track of a wav file")
     p.add_argument("wav")
-    p.add_argument("--fmin", type=float, default=60.0)
-    p.add_argument("--fmax", type=float, default=500.0)
-    p.add_argument("--frame-ms", type=float, default=40.0)
-    p.add_argument("--hop-ms", type=float, default=10.0)
-    p.add_argument("--voicing-ratio", type=float, default=0.3)
+    p.add_argument("--fmin", type=_positive_float, default=60.0)
+    p.add_argument("--fmax", type=_positive_float, default=500.0)
+    p.add_argument("--frame-ms", type=_positive_float, default=40.0)
+    p.add_argument("--hop-ms", type=_positive_float, default=10.0)
+    p.add_argument("--voicing-ratio", type=_finite_float, default=0.3)
     p.set_defaults(func=_cmd_f0)
 
     p = sub.add_parser("contour-fit", parents=[common], help="polynomial contour model over an F0 CSV track")
     p.add_argument("f0csv")
     p.add_argument("--degree", type=int, default=3)
-    p.add_argument("--start-s", type=float, default=None, help="domain start (with --end-s)")
-    p.add_argument("--end-s", type=float, default=None, help="domain end (with --start-s)")
+    p.add_argument("--start-s", type=_finite_float, default=None, help="domain start (with --end-s)")
+    p.add_argument("--end-s", type=_finite_float, default=None, help="domain end (with --start-s)")
     p.set_defaults(func=_cmd_contour_fit)
 
     return parser
@@ -494,10 +497,7 @@ def run(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AnalysisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (AnalysisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -222,27 +222,29 @@ def svg_f0_track(
     return _document(width, height, body, "F0 track with polynomial contour models")
 
 
-def _tree_depth(tree: TimeTree) -> int:
-    if tree.is_leaf:
-        return 0
-    return 1 + max(_tree_depth(c) for c in tree.children)
-
-
 def svg_timetree(tree: TimeTree, width: float = 640.0, height: float = 360.0) -> str:
-    """Node-link rendering: leaves across the bottom, marks at every node."""
-    leaves = tree.leaves()
-    n = len(leaves)
-    depth = max(1, _tree_depth(tree))
+    """Node-link rendering: leaves across the bottom, marks at every node.
+
+    Nodes are drawn in postorder; an internal node sits above the mean x of
+    its children.
+    """
+    leaf_levels = [level for node, level, entering in tree.walk() if entering and node.is_leaf]
+    depth = max(1, max(leaf_levels))
     px, py, pw, ph = 30.0, 30.0, width - 60.0, height - 90.0
-    slot = pw / n
+    slot = pw / len(leaf_levels)
 
     body: list[str] = []
-
-    def place(node: TimeTree, level: int, next_leaf: list[int]) -> float:
+    child_xs: list[list[float]] = [[]]  # x of the finished children of each open node
+    next_leaf = 0
+    for node, level, entering in tree.walk():
+        if entering:
+            child_xs.append([])
+            continue
+        xs = child_xs.pop()
         y = py + ph * (level / depth)
         if node.is_leaf:
-            x = px + (next_leaf[0] + 0.5) * slot
-            next_leaf[0] += 1
+            x = px + (next_leaf + 0.5) * slot
+            next_leaf += 1
             body.append(
                 f'<text x="{_fmt(x)}" y="{_fmt(py + ph + 20)}" font-family="sans-serif" '
                 f'font-size="12" text-anchor="middle" fill="{_FG}">{_escape(node.label or "")}</text>'
@@ -252,10 +254,9 @@ def svg_timetree(tree: TimeTree, width: float = 640.0, height: float = 360.0) ->
                 f'stroke="{_GRID}" stroke-width="1"/>'
             )
         else:
-            child_xs = [place(c, level + 1, next_leaf) for c in node.children]
-            x = sum(child_xs) / len(child_xs)
+            x = sum(xs) / len(xs)
             child_y = py + ph * ((level + 1) / depth)
-            for cx in child_xs:
+            for cx in xs:
                 body.append(
                     f'<line x1="{_fmt(x)}" y1="{_fmt(y)}" x2="{_fmt(cx)}" y2="{_fmt(child_y)}" '
                     f'stroke="{_FG}" stroke-width="1.2"/>'
@@ -268,9 +269,8 @@ def svg_timetree(tree: TimeTree, width: float = 640.0, height: float = 360.0) ->
             f'<text x="{_fmt(x)}" y="{_fmt(y + 4)}" font-family="sans-serif" font-size="11" '
             f'font-weight="{weight}" text-anchor="middle" fill="{_FG}">{_escape(node.mark)}</text>'
         )
-        return x
+        child_xs[-1].append(x)
 
-    place(tree, 0, [0])
     return _document(width, height, body, "metrical time tree")
 
 

@@ -14,8 +14,8 @@ hierarchical segmentation of a spectrum into dominance regions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterable, Iterator
 
 import math
 
@@ -77,17 +77,25 @@ class TimeTree:
     def is_leaf(self) -> bool:
         return not self.children
 
-    @property
-    def s_child(self) -> TimeTree:
-        if self.is_leaf:
-            raise ParameterError("leaves have no strong child")
-        return next(c for c in self.children if c.mark == "s")
+    def walk(self) -> Iterator[tuple[TimeTree, int, bool]]:
+        """Depth-first (node, level, entering) events, left to right.
+
+        Every node is visited twice, entering before its children and leaving
+        after them, so preorder and postorder consumers share one walk.  The
+        walk keeps an explicit stack: tree depth is not bounded by Python's
+        recursion limit.
+        """
+        stack: list[tuple[TimeTree, int, bool]] = [(self, 0, True)]
+        while stack:
+            node, level, entering = stack.pop()
+            yield node, level, entering
+            if entering:
+                stack.append((node, level, False))
+                stack.extend((c, level + 1, True) for c in reversed(node.children))
 
     def leaves(self) -> tuple[TimeTree, ...]:
         """The fringe of the tree, left to right."""
-        if self.is_leaf:
-            return (self,)
-        return tuple(leaf for c in self.children for leaf in c.leaves())
+        return tuple(node for node, _, entering in self.walk() if entering and node.is_leaf)
 
 
 @dataclass(frozen=True)
@@ -107,68 +115,6 @@ class TreeParams:
             raise ParameterError(f"arity must be one of {_ARITIES}, got {self.arity!r}")
 
 
-def _strength(node: TimeTree, polarity: str) -> float:
-    """Comparable strength of a work item under the polarity convention."""
-    return node.value if polarity == "higher" else -node.value
-
-
-def _join(group: Sequence[TimeTree], relation: str) -> TimeTree:
-    """Join a group of adjacent items into one marked node.
-
-    Iambic puts the strong child last, trochaic first; the node inherits the
-    strong child's value.  Marks on the incoming items are overwritten (they
-    were provisional).
-    """
-    s_index = len(group) - 1 if relation == "iambic" else 0
-    children = tuple(
-        replace(node, mark="s" if k == s_index else "w") for k, node in enumerate(group)
-    )
-    return TimeTree(mark="w", value=group[s_index].value, children=children)
-
-
-def _pass_binary(items: list[TimeTree], relation: str, polarity: str) -> tuple[list[TimeTree], bool]:
-    """One greedy left-to-right pass of pairwise joins; items join at most once."""
-    out: list[TimeTree] = []
-    joined = False
-    i = 0
-    while i < len(items):
-        if i + 1 < len(items):
-            a, b = _strength(items[i], polarity), _strength(items[i + 1], polarity)
-            hold = a < b if relation == "iambic" else a > b
-            if hold:
-                out.append(_join(items[i : i + 2], relation))
-                joined = True
-                i += 2
-                continue
-        out.append(items[i])
-        i += 1
-    return out, joined
-
-
-def _pass_nary(items: list[TimeTree], relation: str, polarity: str) -> tuple[list[TimeTree], bool]:
-    """One pass joining maximal strictly monotone runs (length >= 2) as one node."""
-    out: list[TimeTree] = []
-    joined = False
-    i = 0
-    n = len(items)
-    while i < n:
-        j = i
-        while j + 1 < n:
-            a, b = _strength(items[j], polarity), _strength(items[j + 1], polarity)
-            hold = a < b if relation == "iambic" else a > b
-            if not hold:
-                break
-            j += 1
-        if j > i:
-            out.append(_join(items[i : j + 1], relation))
-            joined = True
-            i = j + 1
-        else:
-            out.append(items[i])
-            i += 1
-    return out, joined
-
-
 def induce_time_tree(
     seq: DurationSequence | Iterable[tuple[str, float]],
     params: TreeParams = TreeParams(),
@@ -176,32 +122,66 @@ def induce_time_tree(
     """Induce a time tree over a labeled value sequence.
 
     Bottom-up greedy passes join adjacent items wherever the relation holds
-    under the polarity-derived strength; ties never join.  Roots left over
+    under the polarity-derived strength; ties never join.  Each pass scans
+    left to right and joins a maximal run of items over which the relation
+    holds pairwise, capped at two items for binary arity.  Roots left over
     when no more joins are possible are adjoined under a single "r" node
     with the strongest of them strong.
+
+    Induction runs on flat per-node lists indexed by node id; children always
+    get smaller ids than their parent, so the TimeTree objects are built once
+    at the end, in id order.
     """
     pairs = list(seq.items if isinstance(seq, DurationSequence) else seq)
     if not pairs:
         raise DegenerateInputError("cannot induce a tree over an empty sequence")
 
-    items = [TimeTree(mark="w", value=value, label=str(label)) for label, value in pairs]
-    do_pass = _pass_binary if params.arity == "binary" else _pass_nary
+    labels: list[str | None] = [str(label) for label, _ in pairs]
+    values = [float(value) for _, value in pairs]
+    marks = ["w"] * len(pairs)
+    kids: list[tuple[int, ...]] = [()] * len(pairs)
+    sign = 1.0 if params.polarity == "higher" else -1.0
+    iambic = params.relation == "iambic"
+    cap = 2 if params.arity == "binary" else len(pairs)
 
-    while len(items) > 1:
-        items, joined = do_pass(items, params.relation, params.polarity)
-        if not joined:
-            break
+    def join(group: list[int], s_index: int, mark: str) -> int:
+        """Add a node over group (marking its children) and return its id."""
+        for k, node in enumerate(group):
+            marks[node] = "s" if k == s_index else "w"
+        labels.append(None)
+        values.append(values[group[s_index]])
+        marks.append(mark)
+        kids.append(tuple(group))
+        return len(values) - 1
+
+    items, joined = list(range(len(pairs))), True
+    while len(items) > 1 and joined:
+        out: list[int] = []
+        joined, i, n = False, 0, len(items)
+        while i < n:
+            j = i
+            while j + 1 < n and j + 1 - i < cap:
+                a, b = sign * values[items[j]], sign * values[items[j + 1]]
+                if not (a < b if iambic else a > b):
+                    break
+                j += 1
+            if j > i:
+                out.append(join(items[i : j + 1], j - i if iambic else 0, "w"))
+                joined = True
+            else:
+                out.append(items[i])
+            i = j + 1
+        items = out
 
     if len(items) == 1:
-        return replace(items[0], mark="r")
+        marks[items[0]] = "r"
+    else:  # several unjoinable roots: adjoin them, strongest (leftmost on ties) strong
+        join(items, max(range(len(items)), key=lambda k: sign * values[items[k]]), "r")
 
-    # several unjoinable roots: adjoin them, strongest (leftmost on ties) strong
-    strengths = [_strength(node, params.polarity) for node in items]
-    s_index = strengths.index(max(strengths))
-    children = tuple(
-        replace(node, mark="s" if k == s_index else "w") for k, node in enumerate(items)
-    )
-    return TimeTree(mark="r", value=items[s_index].value, children=children)
+    nodes: list[TimeTree] = []
+    for mark, value, label, children in zip(marks, values, labels, kids):
+        nodes.append(TimeTree(mark, value, label, tuple(nodes[k] for k in children)))
+    return nodes[-1]  # the last join, or the lone leaf
 
 
 def induce_spectral_hierarchy(spec: Spectrum, params: TreeParams = TreeParams()) -> TimeTree:
@@ -224,17 +204,33 @@ def to_sexpr(tree: TimeTree) -> str:
 
     A bare root leaf prints as its label alone.
     """
-    if tree.is_leaf:
-        return tree.label if tree.mark == "r" else f"({tree.mark} {tree.label})"
-    inner = " ".join(to_sexpr(c) for c in tree.children)
-    return f"({tree.mark} {inner})"
+    if tree.is_leaf and tree.mark == "r":
+        return tree.label
+    parts: list[str] = []
+    for node, level, entering in tree.walk():
+        if entering:
+            gap = " " if level else ""
+            parts.append(f"{gap}({node.mark} {node.label})" if node.is_leaf else f"{gap}({node.mark}")
+        elif not node.is_leaf:
+            parts.append(")")
+    return "".join(parts)
 
 
 def tree_to_dict(tree: TimeTree) -> dict:
-    """JSON-ready dict form: {mark, value, label?} for leaves, {mark, value, children} inside."""
-    node: dict = {"mark": tree.mark, "value": tree.value}
-    if tree.is_leaf:
-        node["label"] = tree.label
-    else:
-        node["children"] = [tree_to_dict(c) for c in tree.children]
-    return node
+    """JSON-ready flat form: {"nodes": [...]}, one row per node in s-expression order.
+
+    Each row is {mark, value, parent} plus the label on leaves; parent is the
+    row index of the parent node, None at the root.
+    """
+    rows: list[dict] = []
+    path: list[int] = []  # row index of the current node's ancestors, by level
+    for node, level, entering in tree.walk():
+        if not entering:
+            continue
+        del path[level:]
+        row: dict = {"mark": node.mark, "value": node.value, "parent": path[-1] if path else None}
+        if node.is_leaf:
+            row["label"] = node.label
+        path.append(len(rows))
+        rows.append(row)
+    return {"nodes": rows}

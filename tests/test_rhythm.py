@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prosotime import (
     DegenerateInputError,
@@ -54,6 +56,19 @@ class TestPim:
     def test_nonpositive_rejected(self):
         with pytest.raises(ParameterError):
             pim([1.0, 0.0])
+
+    def test_constant_is_exactly_zero(self):
+        for n in range(2, 40):
+            assert pim([0.4] * n) == 0.0
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.lists(st.floats(1e-3, 1e3, allow_nan=False), min_size=2, max_size=60))
+    def test_matches_brute_force(self, xs):
+        logs = np.log(np.asarray(xs))
+        brute = float(np.sum(np.abs(logs[:, None] - logs[None, :])))
+        got = pim(xs)
+        assert got >= 0.0
+        assert got == pytest.approx(brute, rel=1e-12, abs=1e-12)
 
 
 class TestPfd:

@@ -1,6 +1,8 @@
 """SVG renderers and the batch command-line interface."""
 
+import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from prosotime import (
+    TreeParams,
     aems,
     detect_zones,
     estimate_f0_autocorr,
@@ -84,6 +87,16 @@ class TestSvgRenderers:
         svg = svg_timetree(tree)
         for word in ("miss", "jones", "came", "home"):
             assert word in svg
+
+    @pytest.mark.parametrize("seq, digest", [
+        ([("miss", 3.0), ("jones", 2.0), ("came", 3.0), ("home", 1.0)],
+         "d8a803fc3a485dc912c9ee40fdad06938abec5747e818f956ca75a2bae78bd45"),
+        ([("i0", 1.0), ("i1", 2.0), ("i2", 3.0), ("i3", 4.0), ("i4", 5.0), ("i5", 0.0)],
+         "f9ddc5148784af8efb738e1ccbc2fa0d2871e5398e3ef984e02bc4fad2d54825"),
+    ])
+    def test_timetree_svg_bytes_pinned(self, seq, digest):
+        svg = svg_timetree(induce_time_tree(seq, TreeParams("iambic", "lower")))
+        assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
     def test_quadrant_svg_labels_counts(self):
         stats = quadrant_analysis([1, 1, 5, 5, 1, 1, 5, 5])
@@ -229,6 +242,37 @@ class TestCliTimetree:
         jsonschema.validate(rep, load_schema("spectree"))
         assert rep["params"]["polarity"] == "higher"
 
+    def test_spectree_nodes_label_every_bin(self, am_wav_path, tmp_path, capsys):
+        assert run(["spectree", str(am_wav_path), "--json", "--out-dir", str(tmp_path)]) == 0
+        rep = report_from(capsys)
+        nodes = rep["nodes"]
+        assert nodes[0]["parent"] is None and nodes[0]["mark"] == "r"
+        labels = [node["label"] for node in nodes if "label" in node]
+        assert len(labels) == rep["n_bins"]
+        assert labels == re.findall(r"\([sw] ([^()\s]+)\)", rep["sexpr"])
+        assert all(node["parent"] < k for k, node in enumerate(nodes) if k)
+
+    def test_deep_rising_chain(self, tmp_path, capsys):
+        # rising durations closed by the shortest: a right-branching tree of depth n
+        n = 1500
+        durs = [0.001 * (k + 2) for k in range(n - 1)] + [0.001]
+        rows, t = ["tier,label,start_s,end_s"], 0.0
+        for k, d in enumerate(durs):
+            rows.append(f"words,c{k},{t!r},{t + d!r}")
+            t += d
+        csv_path = tmp_path / "chain.csv"
+        csv_path.write_text("\n".join(rows) + "\n")
+        code = run(["timetree", str(csv_path), "--polarity", "lower", "--formats", "json,svg",
+                    "--out-dir", str(tmp_path)])
+        assert code == 0
+        sexpr = capsys.readouterr().out.strip()
+        assert sexpr.endswith(f"(s c{n - 1})" + ")" * (n - 1))
+        rep = json.loads((tmp_path / "chain.timetree.json").read_text())
+        jsonschema.validate(rep, load_schema("timetree"))
+        assert rep["sexpr"] == sexpr
+        assert len(rep["nodes"]) == 2 * n - 1
+        assert (tmp_path / "chain.timetree.svg").exists()
+
 
 class TestCliToneGen:
     def test_report_schema(self, tmp_path, capsys):
@@ -314,10 +358,32 @@ class TestCliF0AndContour:
                     "--start-s", "0.0", "--out-dir", str(tmp_path)])
         assert code == 2
 
+    def test_contour_fit_on_binary_file_is_parse_error(self, am_wav_path, tmp_path, capsys):
+        code = run(["contour-fit", str(am_wav_path), "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert "not UTF-8" in capsys.readouterr().err
+
 
 class TestCliPlumbing:
     def test_unknown_subcommand_exits_two(self, tmp_path):
         assert run(["frobnicate", "--out-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["aems", "{wav}", "--cutoff-hz", "nan"],
+        ["spectree", "{wav}", "--cutoff-hz", "nan"],
+        ["aems", "{wav}", "--window-ms", "inf"],
+        ["tone-gen", "H L H", "--tone-dur-ms", "inf"],
+        ["f0", "{wav}", "--hop-ms", "0"],
+        ["aems", "{wav}", "--smooth-ms", "-5"],
+        ["contour-fit", "{wav}", "--start-s", "nan", "--end-s", "1"],
+    ])
+    def test_bad_float_flags_are_usage_errors(self, argv, am_wav_path, tmp_path, capsys):
+        argv = [a.format(wav=am_wav_path) for a in argv]
+        out = tmp_path / "out"
+        assert run(argv + ["--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "error: argument --" in err
+        assert not out.exists()
 
     def test_env_var_sets_out_dir(self, am_wav_path, tmp_path, monkeypatch):
         target = tmp_path / "from_env"

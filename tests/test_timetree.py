@@ -1,7 +1,11 @@
 """Metrical tree induction from labeled durations and from spectra."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prosotime import (
     DegenerateInputError,
@@ -182,11 +186,134 @@ def _strong_path_leaves(tree):
 class TestSerialization:
     def test_dict_shape(self):
         tree = induce_time_tree([("a", 1.0), ("b", 2.0)], TreeParams("iambic", "higher"))
-        d = tree_to_dict(tree)
-        assert d["mark"] == "r"
-        assert len(d["children"]) == 2
-        assert d["children"][0] == {"mark": "w", "value": 1.0, "label": "a"}
+        assert tree_to_dict(tree) == {
+            "nodes": [
+                {"mark": "r", "value": 2.0, "parent": None},
+                {"mark": "w", "value": 1.0, "parent": 0, "label": "a"},
+                {"mark": "s", "value": 2.0, "parent": 0, "label": "b"},
+            ]
+        }
+
+    def test_nodes_follow_sexpr_order(self):
+        seq = [("miss", 3.0), ("jones", 2.0), ("came", 3.0), ("home", 1.0)]
+        nodes = tree_to_dict(induce_time_tree(seq, IAMBIC_LOWER))["nodes"]
+        assert [(n["mark"], n["parent"], n.get("label")) for n in nodes] == [
+            ("r", None, None),
+            ("w", 0, None), ("w", 1, "miss"), ("s", 1, "jones"),
+            ("s", 0, None), ("w", 4, "came"), ("s", 4, "home"),
+        ]
+
+    def test_single_leaf_is_one_row(self):
+        assert tree_to_dict(induce_time_tree([("x", 1.5)])) == {
+            "nodes": [{"mark": "r", "value": 1.5, "parent": None, "label": "x"}]
+        }
 
     def test_sexpr_deterministic(self):
         seq = [("a", 1.0), ("b", 2.0), ("c", 1.5)]
         assert to_sexpr(induce_time_tree(seq)) == to_sexpr(induce_time_tree(seq))
+
+
+# ---------------------------------------------------------------------------
+# oracle: the former pass-based induction and recursive serializers
+# ---------------------------------------------------------------------------
+
+
+def _oracle_strength(node, polarity):
+    return node.value if polarity == "higher" else -node.value
+
+
+def _oracle_join(group, relation):
+    s_index = len(group) - 1 if relation == "iambic" else 0
+    children = tuple(
+        TimeTree("s" if k == s_index else "w", node.value, node.label, node.children)
+        for k, node in enumerate(group)
+    )
+    return TimeTree(mark="w", value=group[s_index].value, children=children)
+
+
+def _oracle_pass(items, relation, polarity, arity):
+    """One greedy left-to-right pass: pairs (binary) or maximal monotone runs (nary)."""
+    out, joined, i, n = [], False, 0, len(items)
+    while i < n:
+        j = i
+        while j + 1 < n and (arity == "nary" or j == i):
+            a, b = _oracle_strength(items[j], polarity), _oracle_strength(items[j + 1], polarity)
+            if not (a < b if relation == "iambic" else a > b):
+                break
+            j += 1
+        if j > i:
+            out.append(_oracle_join(items[i : j + 1], relation))
+            joined = True
+        else:
+            out.append(items[i])
+        i = j + 1
+    return out, joined
+
+
+def _oracle_induce(pairs, params):
+    items = [TimeTree("w", value, str(label)) for label, value in pairs]
+    while len(items) > 1:
+        items, joined = _oracle_pass(items, params.relation, params.polarity, params.arity)
+        if not joined:
+            break
+    if len(items) == 1:
+        only = items[0]
+        return TimeTree("r", only.value, only.label, only.children)
+    strengths = [_oracle_strength(node, params.polarity) for node in items]
+    s_index = strengths.index(max(strengths))
+    children = tuple(
+        TimeTree("s" if k == s_index else "w", node.value, node.label, node.children)
+        for k, node in enumerate(items)
+    )
+    return TimeTree("r", items[s_index].value, children=children)
+
+
+def _oracle_sexpr(tree):
+    if tree.is_leaf:
+        return tree.label if tree.mark == "r" else f"({tree.mark} {tree.label})"
+    return f"({tree.mark} {' '.join(_oracle_sexpr(c) for c in tree.children)})"
+
+
+def _oracle_preorder(tree):
+    rows = [(tree.mark, tree.value, tree.label)]
+    for child in tree.children:
+        rows.extend(_oracle_preorder(child))
+    return rows
+
+
+_TIE_HEAVY = st.lists(st.sampled_from([0.5, 1.0, 1.0, 2.0, 3.0]), min_size=1, max_size=24)
+_SPREAD = st.lists(st.floats(0.01, 5.0, allow_nan=False), min_size=1, max_size=24)
+
+
+class TestInductionOracle:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        values=st.one_of(_TIE_HEAVY, _SPREAD),
+        relation=st.sampled_from(["iambic", "trochaic"]),
+        polarity=st.sampled_from(["higher", "lower"]),
+        arity=st.sampled_from(["binary", "nary"]),
+    )
+    def test_matches_pass_based_induction(self, values, relation, polarity, arity):
+        params = TreeParams(relation, polarity, arity)
+        pairs = [(f"u{i}", v) for i, v in enumerate(values)]
+        got, want = induce_time_tree(pairs, params), _oracle_induce(pairs, params)
+        assert to_sexpr(got) == _oracle_sexpr(want) == _oracle_sexpr(got)
+        rows = tree_to_dict(got)["nodes"]
+        assert [(r["mark"], r["value"], r.get("label")) for r in rows] == _oracle_preorder(want)
+
+
+class TestStackSafety:
+    DEPTH = 50_000
+
+    def test_deep_right_branching_tree(self):
+        node = TimeTree("s", 1.0, label=f"x{self.DEPTH}")
+        for k in range(self.DEPTH - 1, 0, -1):
+            node = TimeTree("s", 1.0, children=(TimeTree("w", 2.0, label=f"x{k}"), node))
+        tree = TimeTree("r", 1.0, children=(TimeTree("w", 2.0, label="x0"), node))
+        assert to_sexpr(tree).endswith(f"(s x{self.DEPTH})" + ")" * self.DEPTH)
+        assert len(tree.leaves()) == self.DEPTH + 1
+        text = json.dumps(tree_to_dict(tree), indent=2)
+        assert len(json.loads(text)["nodes"]) == 2 * self.DEPTH + 1
+        from prosotime.svgplot import svg_timetree
+
+        assert svg_timetree(tree).count("<circle") == 2 * self.DEPTH + 1
