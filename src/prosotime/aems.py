@@ -129,6 +129,10 @@ def extract_envelope_peaks(rectified: Waveform, window_ms=20.0, env_rate=100) ->
     """
     if window_ms <= 0 or env_rate <= 0:
         raise ParameterError("window_ms and env_rate must be positive")
+    if env_rate > rectified.rate:
+        raise ParameterError(
+            f"env_rate {env_rate} exceeds the audio rate {rectified.rate}"
+        )
     x = rectified.samples
     win = max(2, int(round(window_ms * rectified.rate / 1000.0)))
     if len(x) < win:

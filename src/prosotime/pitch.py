@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .aems import PolyFit, fit_polynomial
 from .audio import Waveform
@@ -49,17 +50,25 @@ class F0Track:
             raise ParameterError(
                 f"{len(times)} times vs {len(f0)} f0 values"
             )
-        if self.hop_s <= 0:
-            raise ParameterError(f"hop_s must be > 0, got {self.hop_s}")
-        for a, b in zip(times, times[1:]):
-            if not math.isclose(b - a, self.hop_s, rel_tol=1e-6, abs_tol=1e-9):
+        h = self.hop_s
+        if not (math.isfinite(h) and h > 0):
+            raise ParameterError(f"hop_s must be finite and > 0, got {h}")
+        # a step within max(1e-6 * h, 1e-9) of h passes math.isclose below;
+        # only the others (normally none) are checked one by one
+        dev = np.diff(np.fromiter(times, float, len(times)))
+        dev -= h
+        np.abs(dev, out=dev)  # |step - h|, in place: tracks can be long
+        for i in np.flatnonzero(~(dev <= max(1e-6 * h, 1e-9))).tolist():
+            step = times[i + 1] - times[i]
+            if not math.isclose(step, h, rel_tol=1e-6, abs_tol=1e-9):
                 raise ParameterError(
-                    f"frame times must advance uniformly by hop_s={self.hop_s}, "
-                    f"got step {b - a} at t={a}"
+                    f"frame times must advance uniformly by hop_s={h}, "
+                    f"got step {step} at t={times[i]}"
                 )
-        for v in f0:
-            if v is not None and not (math.isfinite(v) and v > 0):
-                raise ParameterError(f"voiced f0 must be finite and > 0, got {v}")
+        values = np.array(f0, dtype=float)  # None -> NaN
+        for i in np.flatnonzero(~(np.isfinite(values) & (values > 0))).tolist():
+            if f0[i] is not None:
+                raise ParameterError(f"voiced f0 must be finite and > 0, got {f0[i]}")
 
     def __len__(self) -> int:
         return len(self.times_s)
@@ -118,10 +127,7 @@ class PolyContourModel:
 # ---------------------------------------------------------------------------
 
 
-def _frame_starts(n: int, frame_len: int, hop_len: int) -> range:
-    if n < frame_len:
-        return range(0)
-    return range(0, n - frame_len + 1, hop_len)
+_BLOCK_FRAMES = 128  # frames per batched FFT: bounds the working set to a few MB
 
 
 def estimate_f0_autocorr(
@@ -137,10 +143,13 @@ def estimate_f0_autocorr(
     A frame is voiced when its peak normalized autocorrelation reaches
     voicing_ratio and its RMS is at least 1% of the whole track's RMS; the
     best lag is refined by parabolic interpolation and the result clamped
-    into [fmin, fmax].
+    into [fmin, fmax].  Frames are processed in fixed blocks, so memory stays
+    bounded on long recordings.
     """
     if not 0 < fmin < fmax:
         raise ParameterError(f"need 0 < fmin < fmax, got {fmin}, {fmax}")
+    if not 0.0 <= voicing_ratio <= 1.0:
+        raise ParameterError(f"voicing_ratio must lie in [0, 1], got {voicing_ratio}")
     if wave.rate < 4 * fmax:
         raise ParameterError(
             f"sample rate {wave.rate} too low for fmax={fmax} (need >= {4 * fmax})"
@@ -157,56 +166,60 @@ def estimate_f0_autocorr(
 
     x = wave.samples
     track_rms = float(np.sqrt(np.mean(x**2))) if len(x) else 0.0
-    hop_s = hop_len / rate
+    if len(x) >= frame_len:
+        frames = sliding_window_view(x, frame_len)[::hop_len]
+    else:
+        frames = np.empty((0, frame_len))
+    # smallest power of two >= frame_len + lag_max + 2: no circular wrap
+    nfft = 1 << (frame_len + lag_max + 1).bit_length()
+    lags = np.arange(lag_min, lag_max + 1)
+    width = len(lags)
+    f0 = np.empty(len(frames))
+    voiced = np.empty(len(frames), dtype=bool)
+    for lo in range(0, len(frames), _BLOCK_FRAMES):
+        blk = slice(lo, lo + _BLOCK_FRAMES)
+        block = frames[blk]
+        rows = np.arange(len(block))
+        sq = block**2
+        rms = np.sqrt(np.mean(sq, axis=1))
 
-    times: list[float] = []
-    f0: list[float | None] = []
-    for start in _frame_starts(len(x), frame_len, hop_len):
-        frame = x[start : start + frame_len]
-        times.append((start + frame_len / 2) / rate)
-
-        rms = float(np.sqrt(np.mean(frame**2)))
-        if track_rms == 0.0 or rms < 0.01 * track_rms:
-            f0.append(None)
-            continue
-
-        # autocorrelation numerator via FFT, energy-normalized per lag
-        n = len(frame)
-        spec = np.fft.rfft(frame, 2 * n)
-        ac = np.fft.irfft(spec * np.conj(spec))[: lag_max + 2].real
-        csq = np.cumsum(frame**2)
-        lags = np.arange(lag_min, lag_max + 1)
-        e_head = csq[n - lags - 1]
-        e_tail = csq[-1] - csq[lags - 1]
+        # autocorrelation numerators via FFT, energy-normalized per lag
+        spec = np.fft.rfft(block, nfft, axis=1)
+        ac = np.fft.irfft(spec * np.conj(spec), nfft, axis=1)[:, lag_min : lag_max + 1]
+        csq = np.cumsum(sq, axis=1)
+        e_head = csq[:, frame_len - lags - 1]
+        e_tail = csq[:, -1:] - csq[:, lags - 1]
         denom = np.sqrt(e_head * e_tail)
         with np.errstate(invalid="ignore", divide="ignore"):
-            ncc = np.where(denom > 0, ac[lag_min : lag_max + 1] / denom, 0.0)
+            ncc = np.where(denom > 0, ac / denom, 0.0)
 
-        best = int(np.argmax(ncc))
-        peak_val = float(ncc[best])
-        if peak_val < voicing_ratio:
-            f0.append(None)
-            continue
+        best = np.argmax(ncc, axis=1)
+        peak = ncc[rows, best]
+        voiced[blk] = ~(
+            (track_rms == 0.0) | (rms < 0.01 * track_rms) | (peak < voicing_ratio)
+        )
 
         # octave guard: a lag of 2T correlates nearly as well as the true
         # period T, so among near-tied local maxima the shortest lag wins
-        interior = (
-            (ncc[1:-1] > ncc[:-2]) & (ncc[1:-1] >= ncc[2:]) & (ncc[1:-1] >= 0.95 * peak_val)
-        )
-        near_ties = np.nonzero(interior)[0] + 1
-        if len(near_ties):
-            best = int(near_ties[0])
+        ties = np.zeros(ncc.shape, dtype=bool)
+        mid = ncc[:, 1:-1]
+        ties[:, 1:-1] = (mid > ncc[:, :-2]) & (mid >= ncc[:, 2:]) & (mid >= 0.95 * peak[:, None])
+        best = np.where(ties.any(axis=1), np.argmax(ties, axis=1), best)
 
-        lag = float(lags[best])
-        if 0 < best < len(ncc) - 1:
-            y0, y1, y2 = ncc[best - 1], ncc[best], ncc[best + 1]
-            denom2 = y0 - 2 * y1 + y2
-            if denom2 < 0:  # proper maximum
-                lag += 0.5 * (y0 - y2) / denom2
-        hz = rate / lag
-        f0.append(min(max(hz, fmin), fmax))
+        # parabolic refinement where the best lag is a proper interior maximum
+        y0, y1, y2 = ncc[rows, best - 1], ncc[rows, best], ncc[rows, (best + 1) % width]
+        curv = y0 - 2 * y1 + y2
+        refine = (best > 0) & (best < width - 1) & (curv < 0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            lag = lags[best] + np.where(refine, 0.5 * (y0 - y2) / curv, 0.0)
+        f0[blk] = np.clip(rate / lag, fmin, fmax)
 
-    return F0Track(times_s=tuple(times), f0_hz=tuple(f0), hop_s=hop_s)
+    times = (np.arange(len(frames)) * hop_len + frame_len / 2) / rate
+    return F0Track(
+        times_s=times.tolist(),
+        f0_hz=np.where(voiced, f0, None).tolist(),
+        hop_s=hop_len / rate,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -240,38 +253,17 @@ def segment_ipus(
         db = 20.0 * np.log10(rms / peak)
     speech = db >= silence_db
 
-    # bridge interior silent gaps shorter than the pause threshold
-    min_pause_frames = max(1, round(min_pause_ms / 10.0))
-    bridged = speech.copy()
-    i = 0
-    while i < n_frames:
-        if not speech[i]:
-            j = i
-            while j < n_frames and not speech[j]:
-                j += 1
-            interior = i > 0 and j < n_frames
-            if interior and (j - i) < min_pause_frames:
-                bridged[i:j] = True
-            i = j
-        else:
-            i += 1
+    # speech runs [starts[k], ends[k]); interior gaps shorter than the pause
+    # threshold are bridged by merging the runs on either side
+    edges = np.flatnonzero(np.diff(speech, prepend=False, append=False))
+    starts, ends = edges[::2], edges[1::2]
+    split = starts[1:] - ends[:-1] >= max(1, round(min_pause_ms / 10.0))
+    starts = np.concatenate((starts[:1], starts[1:][split]))
+    ends = np.concatenate((ends[:-1][split], ends[-1:]))
 
     frame_s = frame_len / wave.rate
-    ipus: list[IPU] = []
-    i = 0
-    while i < n_frames:
-        if bridged[i]:
-            j = i
-            while j < n_frames and bridged[j]:
-                j += 1
-            start_s = i * frame_s
-            end_s = j * frame_s
-            if (end_s - start_s) * 1000.0 >= min_ipu_ms:
-                ipus.append(IPU(start_s=start_s, end_s=end_s))
-            i = j
-        else:
-            i += 1
-    return ipus
+    ipus = [IPU(i * frame_s, j * frame_s) for i, j in zip(starts.tolist(), ends.tolist())]
+    return [u for u in ipus if (u.end_s - u.start_s) * 1000.0 >= min_ipu_ms]
 
 
 # ---------------------------------------------------------------------------

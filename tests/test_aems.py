@@ -69,6 +69,12 @@ class TestEnvelopeExtraction:
         with pytest.raises(ParameterError):
             extract_envelope_peaks(rectify_full_wave(am_wave), window_ms=0.0)
 
+    def test_env_rate_above_audio_rate_rejected(self, am_wave):
+        rect = rectify_full_wave(am_wave)
+        with pytest.raises(ParameterError, match="env_rate"):
+            extract_envelope_peaks(rect, env_rate=100_000)
+        assert len(extract_envelope_peaks(rect, env_rate=rect.rate).values) == len(rect)
+
 
 class TestSmoothing:
     def test_mean_preserved(self):

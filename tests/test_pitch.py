@@ -1,7 +1,12 @@
 """F0 estimation, pause segmentation, and polynomial contour models."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prosotime import (
     DegenerateInputError,
@@ -18,7 +23,7 @@ from prosotime import (
     synthesize_contour,
     transduce_tones,
 )
-from prosotime.pitch import contour_model_to_dict, f0_track_to_csv
+from prosotime.pitch import _BLOCK_FRAMES, contour_model_to_dict, f0_track_to_csv
 
 
 def _sine(freq, dur_s, rate=16000, amp=0.8):
@@ -95,6 +100,38 @@ class TestTrackContainer:
     def test_nonpositive_f0_rejected(self):
         with pytest.raises(ParameterError):
             F0Track((0.0, 0.01), (100.0, -5.0), 0.01)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        hop=st.floats(1e-4, 1.0),
+        jitter=st.lists(
+            st.tuples(st.floats(-3e-6, 3e-6), st.floats(-3e-9, 3e-9)), min_size=1, max_size=8
+        ),
+    )
+    def test_hop_check_is_math_isclose(self, hop, jitter):
+        times = [0.0]
+        for rel, ab in jitter:
+            times.append(times[-1] + hop * (1 + rel) + ab)
+        want = None
+        for a, b in zip(times, times[1:]):
+            if not math.isclose(b - a, hop, rel_tol=1e-6, abs_tol=1e-9):
+                want = f"got step {b - a} at t={a}"
+                break
+        if want is None:
+            F0Track(times, [100.0] * len(times), hop)
+        else:
+            with pytest.raises(ParameterError) as exc:
+                F0Track(times, [100.0] * len(times), hop)
+            assert str(exc.value).endswith(want)
+
+    @pytest.mark.parametrize("hop", [float("nan"), float("inf"), 0.0])
+    def test_non_finite_or_zero_hop_rejected(self, hop):
+        with pytest.raises(ParameterError, match="hop_s"):
+            F0Track((0.0,), (100.0,), hop)
+
+    def test_first_bad_f0_reported(self):
+        with pytest.raises(ParameterError, match="got nan"):
+            F0Track((0.0, 0.01, 0.02), (None, float("nan"), -1.0), 0.01)
 
     def test_voiced_frames_filters_nones(self):
         track = F0Track((0.0, 0.01, 0.02), (100.0, None, 120.0), 0.01)
@@ -208,3 +245,211 @@ class TestCsvRoundTrip:
         assert d["degree"] == 1
         assert len(d["coeffs"]) == 2
         assert d["voiced_frame_count"] == model.voiced_frame_count
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: the former per-frame tracker and loop segmenter
+# ---------------------------------------------------------------------------
+
+
+def _loop_f0(wave, fmin=60.0, fmax=500.0, frame_ms=40.0, hop_ms=10.0, voicing_ratio=0.3):
+    """One frame at a time: 2n-point FFT, cumsum and octave guard per frame."""
+    rate = wave.rate
+    frame_len = max(2, round(frame_ms * rate / 1000.0))
+    hop_len = max(1, round(hop_ms * rate / 1000.0))
+    lag_min = max(1, math.ceil(rate / fmax))
+    lag_max = min(frame_len - 2, math.floor(rate / fmin))
+    x = wave.samples
+    track_rms = float(np.sqrt(np.mean(x**2))) if len(x) else 0.0
+    starts = range(0, len(x) - frame_len + 1, hop_len) if len(x) >= frame_len else range(0)
+    times, f0 = [], []
+    for start in starts:
+        frame = x[start : start + frame_len]
+        times.append((start + frame_len / 2) / rate)
+        rms = float(np.sqrt(np.mean(frame**2)))
+        if track_rms == 0.0 or rms < 0.01 * track_rms:
+            f0.append(None)
+            continue
+        n = len(frame)
+        spec = np.fft.rfft(frame, 2 * n)
+        ac = np.fft.irfft(spec * np.conj(spec))[: lag_max + 2].real
+        csq = np.cumsum(frame**2)
+        lags = np.arange(lag_min, lag_max + 1)
+        denom = np.sqrt(csq[n - lags - 1] * (csq[-1] - csq[lags - 1]))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ncc = np.where(denom > 0, ac[lag_min : lag_max + 1] / denom, 0.0)
+        best = int(np.argmax(ncc))
+        peak_val = float(ncc[best])
+        if peak_val < voicing_ratio:
+            f0.append(None)
+            continue
+        interior = (
+            (ncc[1:-1] > ncc[:-2]) & (ncc[1:-1] >= ncc[2:]) & (ncc[1:-1] >= 0.95 * peak_val)
+        )
+        near_ties = np.nonzero(interior)[0] + 1
+        if len(near_ties):
+            best = int(near_ties[0])
+        lag = float(lags[best])
+        if 0 < best < len(ncc) - 1:
+            y0, y1, y2 = ncc[best - 1], ncc[best], ncc[best + 1]
+            denom2 = y0 - 2 * y1 + y2
+            if denom2 < 0:
+                lag += 0.5 * (y0 - y2) / denom2
+        f0.append(min(max(rate / lag, fmin), fmax))
+    return times, f0
+
+
+def _loop_ipus(wave, silence_db=-40.0, min_pause_ms=200.0, min_ipu_ms=100.0):
+    """Run finding with while loops: bridge short interior gaps, then collect."""
+    frame_len = max(1, round(0.010 * wave.rate))
+    x = wave.samples
+    n_frames = len(x) // frame_len
+    if n_frames == 0:
+        return []
+    rms = np.sqrt(np.mean(x[: n_frames * frame_len].reshape(n_frames, frame_len) ** 2, axis=1))
+    peak = float(np.max(rms))
+    if peak <= 0:
+        return []
+    with np.errstate(divide="ignore"):
+        speech = 20.0 * np.log10(rms / peak) >= silence_db
+    min_pause_frames = max(1, round(min_pause_ms / 10.0))
+    bridged = speech.copy()
+    i = 0
+    while i < n_frames:
+        if not speech[i]:
+            j = i
+            while j < n_frames and not speech[j]:
+                j += 1
+            if i > 0 and j < n_frames and (j - i) < min_pause_frames:
+                bridged[i:j] = True
+            i = j
+        else:
+            i += 1
+    frame_s = frame_len / wave.rate
+    ipus = []
+    i = 0
+    while i < n_frames:
+        if bridged[i]:
+            j = i
+            while j < n_frames and bridged[j]:
+                j += 1
+            if (j * frame_s - i * frame_s) * 1000.0 >= min_ipu_ms:
+                ipus.append(IPU(start_s=i * frame_s, end_s=j * frame_s))
+            i = j
+        else:
+            i += 1
+    return ipus
+
+
+def _assert_matches_loop(wave, **params):
+    track = estimate_f0_autocorr(wave, **params)
+    times, f0 = _loop_f0(wave, **params)
+    assert list(track.times_s) == times
+    assert [v is None for v in track.f0_hz] == [v is None for v in f0]
+    diffs = [abs(a - b) for a, b in zip(track.f0_hz, f0) if a is not None]
+    assert max(diffs, default=0.0) <= 1e-9
+    return track
+
+
+def _test_signal(seed, kind, dur_s, rate, gaps):
+    """Noise, a sine or a chirp of dur_s, with silent or quiet stretches cut in."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(max(1, int(dur_s * rate))) / rate
+    f = rng.uniform(70.0, 400.0)
+    if kind == "noise":
+        x = rng.uniform(-1.0, 1.0, len(t))
+    elif kind == "sine":
+        x = np.sin(2 * np.pi * f * t + rng.uniform(0, 2 * np.pi))
+    else:
+        x = np.sin(2 * np.pi * (f * t + rng.uniform(-60.0, 60.0) * t**2))
+    x = rng.uniform(0.05, 0.9) * x
+    for _ in range(gaps):
+        a = int(rng.integers(0, len(t)))
+        x[a : a + int(rng.integers(1, rate // 5))] *= rng.choice([0.0, 10 ** rng.uniform(-3, -1)])
+    return Waveform(x, rate)
+
+
+class TestBatchedTrackerOracle:
+    @pytest.mark.parametrize("fixture", ["sine_200", "am_wave"])
+    def test_fixtures_match_loop(self, fixture, request):
+        _assert_matches_loop(request.getfixturevalue(fixture))
+
+    def test_shipped_signals_match_loop(self):
+        rate = 16000
+        t = np.arange(2 * rate) / rate
+        chirp = Waveform(0.8 * np.sin(2 * np.pi * (100 * t + 25 * t**2)), rate)
+        for wave in (chirp, _sine(80.0, 1.0), _concat(_sine(150.0, 0.5), _silence(0.5))):
+            assert _assert_matches_loop(wave).voiced_count > 0
+        _assert_matches_loop(_silence(1.0))
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["noise", "sine", "chirp"]),
+        dur_s=st.floats(0.0, 0.6),
+        rate=st.sampled_from([8000, 11025, 16000]),
+        gaps=st.integers(0, 3),
+        frame_ms=st.floats(5.0, 60.0),
+        hop_ms=st.floats(0.5, 25.0),
+        fmin=st.floats(40.0, 200.0),
+        fmax=st.floats(250.0, 1000.0),
+        voicing_ratio=st.floats(0.1, 0.9),
+    )
+    def test_random_signals_match_loop(
+        self, seed, kind, dur_s, rate, gaps, frame_ms, hop_ms, fmin, fmax, voicing_ratio
+    ):
+        wave = _test_signal(seed, kind, dur_s, rate, gaps)
+        _assert_matches_loop(wave, fmin=fmin, fmax=fmax, frame_ms=frame_ms, hop_ms=hop_ms,
+                             voicing_ratio=voicing_ratio)
+
+    @pytest.mark.parametrize("n_frames", [0, 1, _BLOCK_FRAMES - 1, _BLOCK_FRAMES, _BLOCK_FRAMES + 1])
+    def test_block_edges(self, n_frames):
+        frame_len, hop_len = 640, 160  # defaults at 16 kHz
+        n = frame_len - 1 if n_frames == 0 else frame_len + (n_frames - 1) * hop_len
+        wave = _test_signal(n_frames, "chirp", n / 16000, 16000, gaps=2)
+        track = _assert_matches_loop(wave)
+        assert len(track) == n_frames
+
+    def test_peak_memory_is_bounded(self):
+        rate = 16000
+        t = np.arange(120 * rate) / rate
+        wave = Waveform(0.5 * np.sin(2 * np.pi * (120 * t + 0.2 * t**2)), rate)
+        tracemalloc.start()
+        try:
+            track = estimate_f0_autocorr(wave)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(track) == 11997
+        assert peak < wave.samples.nbytes + 16 * 2**20
+
+
+class TestParameterRanges:
+    @pytest.mark.parametrize("ratio", [5.0, -1.0, float("nan")])
+    def test_voicing_ratio_outside_unit_interval_rejected(self, sine_200, ratio):
+        with pytest.raises(ParameterError, match="voicing_ratio"):
+            estimate_f0_autocorr(sine_200, voicing_ratio=ratio)
+
+    @pytest.mark.parametrize("ratio", [0.0, 1.0])
+    def test_voicing_ratio_bounds_accepted(self, sine_200, ratio):
+        assert len(estimate_f0_autocorr(sine_200, voicing_ratio=ratio)) > 0
+
+
+# speech-frame patterns: runs of speech/silence, as (is_speech, frames) pairs
+_RUNS = st.lists(st.tuples(st.booleans(), st.integers(1, 40)), min_size=1, max_size=12)
+
+
+class TestSegmentationOracle:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        runs=st.one_of(_RUNS, st.just([(False, 30)]), st.just([(True, 30)])),
+        min_pause_ms=st.sampled_from([10.0, 50.0, 200.0, 400.0]),
+        min_ipu_ms=st.sampled_from([0.0, 30.0, 100.0]),
+    )
+    def test_matches_loop_segmentation(self, runs, min_pause_ms, min_ipu_ms):
+        rate, frame_len = 8000, 80
+        levels = np.concatenate([np.full(n, 0.5 if on else 0.0) for on, n in runs])
+        x = np.repeat(levels, frame_len) * np.sign(np.sin(np.arange(len(levels) * frame_len)))
+        wave = Waveform(x, rate)
+        params = dict(min_pause_ms=min_pause_ms, min_ipu_ms=min_ipu_ms)
+        assert segment_ipus(wave, **params) == _loop_ipus(wave, **params)

@@ -385,6 +385,17 @@ class TestCliPlumbing:
         assert "Traceback" not in err and "error: argument --" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["f0", "{wav}", "--voicing-ratio", "5"],
+        ["f0", "{wav}", "--voicing-ratio", "-1"],
+        ["aems", "{wav}", "--env-rate", "100000"],
+    ])
+    def test_out_of_range_parameters_exit_one(self, argv, am_wav_path, tmp_path, capsys):
+        argv = [a.format(wav=am_wav_path) for a in argv]
+        assert run(argv + ["--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and ("voicing_ratio" in err or "env_rate" in err)
+
     def test_env_var_sets_out_dir(self, am_wav_path, tmp_path, monkeypatch):
         target = tmp_path / "from_env"
         monkeypatch.setenv("PROSOTIME_OUT_DIR", str(target))
