@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import Polynomial
 
 from .audio import Waveform
@@ -49,8 +48,8 @@ class Envelope:
             raise DegenerateInputError("envelope needs a non-empty 1-D array")
         if self.rate <= 0:
             raise ParameterError("envelope rate must be positive")
-        if np.min(arr) < -1e-12:
-            raise ParameterError("envelope values must be non-negative")
+        if not (arr.min() >= -1e-12 and arr.max() < np.inf):
+            raise ParameterError("envelope values must be finite and non-negative")
         arr = np.maximum(arr, 0.0)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
@@ -72,8 +71,8 @@ class Spectrum:
         arr = np.asarray(self.magnitudes, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise DegenerateInputError("spectrum needs a non-empty magnitude array")
-        if np.min(arr) < 0:
-            raise ParameterError("spectrum magnitudes must be non-negative")
+        if not (arr.min() >= 0 and arr.max() < np.inf):
+            raise ParameterError("spectrum magnitudes must be finite and non-negative")
         arr.setflags(write=False)
         object.__setattr__(self, "magnitudes", arr)
 
@@ -117,7 +116,33 @@ class PolyFit:
 
 def rectify_full_wave(wave: Waveform) -> Waveform:
     """Replace every sample by its absolute value."""
-    return Waveform(np.abs(wave.samples), wave.rate)
+    rect = np.abs(wave.samples)
+    rect.setflags(write=False)  # fresh, so Waveform need not copy it
+    return Waveform(rect, wave.rate)
+
+
+def _window_peaks(x, win):
+    """Distinct indices of the first maximum of each window x[k*hop : k*hop + win].
+
+    hop = win // 2, so a window is blocks k and k+1 of width hop, plus the
+    sample after them when win is odd. The first maximum among those parts,
+    taken in that order, is the window's argmax, and every sample is read
+    once instead of twice.
+    """
+    hop = win // 2
+    n_blocks = (len(x) - win) // hop + 2
+    blocks = x[: n_blocks * hop].reshape(n_blocks, hop)
+    block_max = blocks.max(axis=1)
+    # argmax would copy read-only samples; the first hit of the maximum is the same
+    block_idx = np.argmax(blocks == block_max[:, None], axis=1)
+    block_idx += np.arange(0, n_blocks * hop, hop)
+    peak_idx = np.where(block_max[1:] > block_max[:-1], block_idx[1:], block_idx[:-1])
+    if win % 2:
+        after = np.arange(2, n_blocks + 1) * hop
+        beats = x[after] > np.maximum(block_max[:-1], block_max[1:])
+        peak_idx = np.where(beats, after, peak_idx)
+    # elected indices never decrease, and neighbouring windows may share one
+    return peak_idx[np.diff(peak_idx, prepend=-1) > 0]
 
 
 def extract_envelope_peaks(rectified: Waveform, window_ms=20.0, env_rate=100) -> Envelope:
@@ -139,12 +164,7 @@ def extract_envelope_peaks(rectified: Waveform, window_ms=20.0, env_rate=100) ->
         raise DegenerateInputError(
             f"signal of {len(x)} samples is shorter than one {window_ms} ms window"
         )
-    hop = max(1, win // 2)
-    frames = sliding_window_view(x, win)[::hop]
-    starts = np.arange(frames.shape[0]) * hop
-    peak_idx = starts + np.argmax(frames, axis=1)
-    # one window may elect the same sample twice
-    peak_idx = np.unique(peak_idx)
+    peak_idx = _window_peaks(x, win)
     peak_t = peak_idx / rectified.rate
     peak_v = x[peak_idx]
 

@@ -26,7 +26,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Waveform:
-    """Mono sampled signal with amplitudes in [-1, 1]."""
+    """Mono sampled signal with amplitudes in [-1, 1].
+
+    Samples must be finite and lie within [-1, 1]; values up to 1e-12
+    outside it are taken as rounding error and clipped, which makes a new
+    array. Otherwise a writeable array is copied, so the waveform never
+    aliases an array its caller can still change, and an array that is
+    already read-only is kept as it is. `samples` is read-only.
+    """
 
     samples: np.ndarray
     rate: int
@@ -37,9 +44,14 @@ class Waveform:
             raise DegenerateInputError("waveform needs a non-empty 1-D sample array")
         if int(self.rate) <= 0:
             raise ParameterError(f"sample rate must be positive, got {self.rate}")
-        if np.max(np.abs(arr)) > 1.0 + 1e-12:
-            raise ParameterError("waveform samples must lie within [-1, 1]")
-        arr = np.clip(arr, -1.0, 1.0)
+        lo, hi = arr.min(), arr.max()
+        # NaN fails both comparisons
+        if not (lo >= -1.0 - 1e-12 and hi <= 1.0 + 1e-12):
+            raise ParameterError("waveform samples must be finite and lie within [-1, 1]")
+        if lo < -1.0 or hi > 1.0:
+            arr = np.clip(arr, -1.0, 1.0)
+        elif arr.flags.writeable:
+            arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
         object.__setattr__(self, "rate", int(self.rate))
@@ -52,20 +64,25 @@ class Waveform:
         return len(self.samples)
 
 
-# WAVE format tags we accept: 1 = integer PCM, 3 = IEEE float.
+# WAVE format tags we accept: 1 = integer PCM, 3 = IEEE float. Tag 0xFFFE
+# (WAVE_FORMAT_EXTENSIBLE) carries the real tag in the first two bytes of its
+# sub-format GUID; the other 14 bytes are the fixed KSDATAFORMAT tail.
 _WAVE_PCM = 1
 _WAVE_IEEE_FLOAT = 3
+_WAVE_EXTENSIBLE = 0xFFFE
+_KSDATAFORMAT_TAIL = bytes.fromhex("000000001000800000aa00389b71")
 
 
 def read_wav(path) -> Waveform:
     """Read a RIFF/WAVE file into a mono Waveform.
 
-    Accepts PCM 8/16-bit and IEEE float-32 data with 1 or 2 channels.
-    Stereo is downmixed by the per-sample arithmetic mean; integer samples
-    are scaled by 1/2^(bits-1).
+    Accepts PCM 8/16/24/32-bit and IEEE float-32 data with 1 or 2 channels,
+    plain or in WAVE_FORMAT_EXTENSIBLE form. Stereo is downmixed by the
+    per-sample arithmetic mean; integer samples are scaled by 1/2^(bits-1)
+    and float samples are clipped to [-1, 1].
     """
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = memoryview(fh.read())
 
     if len(data) < 12:
         raise ParseError("file too short for a RIFF header", offset=len(data))
@@ -78,7 +95,7 @@ def read_wav(path) -> Waveform:
     payload = None
     pos = 12
     while pos + 8 <= len(data):
-        cid = data[pos : pos + 4]
+        cid = bytes(data[pos : pos + 4])
         (size,) = struct.unpack_from("<I", data, pos + 4)
         body_start = pos + 8
         if body_start + size > len(data):
@@ -90,6 +107,12 @@ def read_wav(path) -> Waveform:
             if size < 16:
                 raise ParseError("fmt chunk shorter than 16 bytes", offset=pos)
             fmt = struct.unpack_from("<HHIIHH", data, body_start)
+            if fmt[0] == _WAVE_EXTENSIBLE:
+                if size < 40:
+                    raise ParseError("extensible fmt chunk shorter than 40 bytes", offset=pos)
+                if data[body_start + 26 : body_start + 40] != _KSDATAFORMAT_TAIL:
+                    raise FormatError("`fmt ` chunk: unknown extensible sub-format GUID")
+                fmt = struct.unpack_from("<H", data, body_start + 24) + fmt[1:]
         elif cid == b"data":
             payload = data[body_start : body_start + size]
         pos = body_start + size + (size & 1)  # chunks are word-aligned
@@ -102,25 +125,42 @@ def read_wav(path) -> Waveform:
     audio_format, channels, rate, _byte_rate, _block_align, bits = fmt
     if channels not in (1, 2):
         raise FormatError(f"`fmt ` chunk: unsupported channel count {channels}")
-    if audio_format == _WAVE_PCM and bits == 16:
-        raw = np.frombuffer(payload[: len(payload) // 2 * 2], dtype="<i2")
-        samples = raw.astype(np.float64) / 32768.0
-    elif audio_format == _WAVE_PCM and bits == 8:
-        raw = np.frombuffer(payload, dtype=np.uint8)
-        samples = (raw.astype(np.float64) - 128.0) / 128.0
-    elif audio_format == _WAVE_IEEE_FLOAT and bits == 32:
-        raw = np.frombuffer(payload[: len(payload) // 4 * 4], dtype="<f4")
-        samples = np.clip(raw.astype(np.float64), -1.0, 1.0)
-    else:
+    if not (audio_format == _WAVE_PCM and bits in (8, 16, 24, 32)
+            or audio_format == _WAVE_IEEE_FLOAT and bits == 32):
         raise FormatError(
             f"`fmt ` chunk: unsupported codec (format tag {audio_format}, "
-            f"{bits}-bit); only PCM 8/16-bit and IEEE float-32 are read"
+            f"{bits}-bit); only PCM 8/16/24/32-bit and IEEE float-32 are read"
         )
-
-    if channels == 2:
-        samples = samples[: len(samples) // 2 * 2].reshape(-1, 2).mean(axis=1)
-    if len(samples) == 0:
+    count = len(payload) // (bits // 8 * channels) * channels  # whole frames only
+    if count == 0:
         raise ParseError("data chunk contains no samples", offset=len(data))
+    if bits == 24:
+        # widen each 3-byte sample into the top three bytes of an int32
+        wide = np.zeros((count, 4), dtype=np.uint8)
+        wide[:, 1:] = np.frombuffer(payload, np.uint8, count * 3).reshape(count, 3)
+        raw = wide.view("<i4")[:, 0]
+    elif audio_format == _WAVE_IEEE_FLOAT:
+        raw = np.frombuffer(payload, "<f4", count)
+    else:
+        raw = np.frombuffer(payload, {8: "u1", 16: "<i2", 32: "<i4"}[bits], count)
+
+    def channel(c):
+        """Channel c as a fresh float64 array within [-1, 1]."""
+        col = raw[c::channels]
+        if audio_format == _WAVE_IEEE_FLOAT:
+            return np.clip(col, -1.0, 1.0, out=np.empty(len(col)))
+        out = col * 2.0 ** (1 - 8 * col.itemsize)  # a power of two: exact
+        if bits == 8:
+            out -= 1.0  # unsigned: 128 is silence
+        return out
+
+    samples = channel(0)
+    if channels == 2:
+        # the mean sums from +0.0, so -0.0 and -0.0 give +0.0
+        samples += 0.0
+        samples += channel(1)
+        samples *= 0.5
+    samples.setflags(write=False)
     return Waveform(samples, rate)
 
 

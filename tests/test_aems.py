@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from prosotime import (
     DegenerateInputError,
@@ -19,7 +22,7 @@ from prosotime import (
     synthesize_am,
     zscore,
 )
-from prosotime.aems import spectrum_to_csv, spectrum_to_dict
+from prosotime.aems import _window_peaks, spectrum_to_csv, spectrum_to_dict
 
 
 def naive_dft_magnitudes(values, rate, cutoff_hz, zero_mean=True):
@@ -37,6 +40,77 @@ def naive_dft_magnitudes(values, rate, cutoff_hz, zero_mean=True):
             acc += x[m] * np.exp(-2j * np.pi * k * m / n)
         mags[k] = abs(acc)
     return res, mags
+
+
+def sliding_window_peaks(x, win):
+    """The former peak picker: argmax over each half-overlapping window view."""
+    hop = max(1, win // 2)
+    frames = sliding_window_view(x, win)[::hop]
+    starts = np.arange(frames.shape[0]) * hop
+    return np.unique(starts + np.argmax(frames, axis=1))
+
+
+def sliding_window_envelope(rectified, window_ms=20.0, env_rate=100):
+    """The former extract_envelope_peaks, past its parameter checks."""
+    x = rectified.samples
+    win = max(2, int(round(window_ms * rectified.rate / 1000.0)))
+    peak_idx = sliding_window_peaks(x, win)
+    n_env = max(1, int(round(len(x) * env_rate / rectified.rate)))
+    grid = np.arange(n_env) / env_rate
+    return np.interp(grid, peak_idx / rectified.rate, x[peak_idx])
+
+
+def _peak_signal(kind, n, win, rng):
+    """Non-negative test signal; "coarse" and "runs" are full of exact ties."""
+    if kind == "uniform":
+        return rng.uniform(0.0, 1.0, n)
+    if kind == "coarse":
+        return rng.integers(0, 3, n) / 2.0
+    if kind == "runs":
+        return np.repeat(rng.integers(0, 4, n) / 3.0, rng.integers(1, 2 * win + 2, n))[:n]
+    return np.full(n, 0.25)  # constant
+
+
+@st.composite
+def _peak_cases(draw):
+    win = draw(st.integers(2, 41))
+    hop = win // 2
+    if draw(st.booleans()):
+        n = draw(st.sampled_from([win, win + hop - 1, win + hop, win + hop + 1]))
+    else:
+        n = draw(st.integers(win, 700))
+    kind = draw(st.sampled_from(["uniform", "coarse", "runs", "constant"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _peak_signal(kind, n, win, rng), win
+
+
+class TestBlockPeakOracle:
+    """Block-max peak picking elects exactly the former sliding-window argmax."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(_peak_cases())
+    def test_same_indices_as_sliding_windows(self, case):
+        x, win = case
+        assert np.array_equal(_window_peaks(x, win), sliding_window_peaks(x, win))
+
+    @pytest.mark.parametrize("kind", ["uniform", "coarse", "runs", "constant"])
+    @pytest.mark.parametrize("win", [2, 3, 4, 5, 320, 321])
+    def test_edge_lengths(self, kind, win):
+        hop = win // 2
+        rng = np.random.default_rng(win)
+        for n in (win, win + hop - 1, win + hop, win + hop + 1, 7 * win + 3):
+            x = _peak_signal(kind, n, win, rng)
+            assert np.array_equal(_window_peaks(x, win), sliding_window_peaks(x, win))
+
+    @pytest.mark.parametrize("window_ms", [20.0, 20.07])  # win 320 and 321 at 16 kHz
+    def test_envelope_bytes_match(self, am_wave, window_ms):
+        rng = np.random.default_rng(31)
+        noisy = Waveform(0.5 * am_wave.samples + 0.4 * rng.uniform(-1, 1, len(am_wave)), 16000)
+        quantized = Waveform(np.round(am_wave.samples * 8) / 8, 16000)
+        for wave in (am_wave, noisy, quantized):
+            rect = rectify_full_wave(wave)
+            env = extract_envelope_peaks(rect, window_ms=window_ms)
+            assert env.values.tobytes() == sliding_window_envelope(rect, window_ms).tobytes()
 
 
 class TestRectify:
@@ -74,6 +148,18 @@ class TestEnvelopeExtraction:
         with pytest.raises(ParameterError, match="env_rate"):
             extract_envelope_peaks(rect, env_rate=100_000)
         assert len(extract_envelope_peaks(rect, env_rate=rect.rate).values) == len(rect)
+
+
+class TestFiniteChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_envelope_rejects_non_finite(self, bad):
+        with pytest.raises(ParameterError, match="finite"):
+            Envelope(np.array([0.1, bad, 0.2]), 100)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_spectrum_rejects_non_finite(self, bad):
+        with pytest.raises(ParameterError, match="finite"):
+            Spectrum(0.5, np.array([0.1, bad, 0.2]), 1.0)
 
 
 class TestSmoothing:

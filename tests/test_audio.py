@@ -1,17 +1,23 @@
 """Waveform container, RIFF reader/writer round-trips, and signal synthesis."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from prosotime import (
+    AnalysisError,
     DegenerateInputError,
     FormatError,
     ParameterError,
     ParseError,
     Waveform,
     read_wav,
+    aems,
     resample_linear,
     synthesize_am,
     write_wav_pcm16,
@@ -27,6 +33,47 @@ def _wav_bytes(payload, audio_format=1, channels=1, rate=8000, bits=16):
         b"data", len(payload),
     )
     return header + payload
+
+
+_KSDATAFORMAT_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+
+
+def _extensible_wav_bytes(payload, sub_format=1, channels=1, rate=8000, bits=16,
+                          guid_tail=_KSDATAFORMAT_TAIL):
+    """WAVE_FORMAT_EXTENSIBLE file: 40-byte fmt chunk, sub-format GUID at byte 24."""
+    block = channels * bits // 8
+    fmt = struct.pack("<HHIIHHHHI", 0xFFFE, channels, rate, rate * block, block, bits,
+                      22, bits, 0) + struct.pack("<H", sub_format) + guid_tail
+    body = struct.pack("<4sI", b"fmt ", len(fmt)) + fmt
+    body += struct.pack("<4sI", b"data", len(payload)) + payload
+    return struct.pack("<4sI4s", b"RIFF", 4 + len(body), b"WAVE") + body
+
+
+def _pcm24_bytes(ints):
+    """Little-endian 3-byte two's-complement samples."""
+    return np.asarray(ints, "<i4").view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+
+
+def _interleave(left, right):
+    out = np.empty(2 * len(left), dtype=left.dtype)
+    out[0::2], out[1::2] = left, right
+    return out
+
+
+def former_decode(payload, audio_format, channels, bits):
+    """The former read_wav sample decoding (PCM 8/16, float-32), kept as an oracle."""
+    if audio_format == 1 and bits == 16:
+        raw = np.frombuffer(payload[: len(payload) // 2 * 2], dtype="<i2")
+        samples = raw.astype(np.float64) / 32768.0
+    elif audio_format == 1 and bits == 8:
+        raw = np.frombuffer(payload, dtype=np.uint8)
+        samples = (raw.astype(np.float64) - 128.0) / 128.0
+    else:
+        raw = np.frombuffer(payload[: len(payload) // 4 * 4], dtype="<f4")
+        samples = np.clip(raw.astype(np.float64), -1.0, 1.0)
+    if channels == 2:
+        samples = samples[: len(samples) // 2 * 2].reshape(-1, 2).mean(axis=1)
+    return samples
 
 
 class TestWaveform:
@@ -55,6 +102,29 @@ class TestWaveform:
     def test_out_of_range_samples_rejected(self):
         with pytest.raises(ParameterError):
             Waveform(np.array([0.0, 1.5]), 8000)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        with pytest.raises(ParameterError, match="finite and lie within"):
+            Waveform(np.array([0.1, bad, 0.2]), 8000)
+
+    def test_rounding_slack_is_clipped(self):
+        arr = np.array([1.0 + 5e-13, -1.0 - 5e-13, 0.5])
+        w = Waveform(arr, 8000)
+        assert w.samples.tolist() == [1.0, -1.0, 0.5]
+        assert arr[0] > 1.0  # the caller's array is left alone
+
+    def test_writeable_input_is_copied(self):
+        arr = np.linspace(-0.5, 0.5, 100)
+        w = Waveform(arr, 8000)
+        arr[:] = 0.9
+        assert w.samples[0] == -0.5 and w.samples[-1] == 0.5
+        assert not np.shares_memory(w.samples, arr)
+
+    def test_read_only_input_is_kept(self):
+        arr = np.linspace(-0.5, 0.5, 100)
+        arr.setflags(write=False)
+        assert Waveform(arr, 8000).samples is arr
 
 
 class TestWavRoundTrip:
@@ -111,6 +181,156 @@ class TestWavRoundTrip:
         path.write_bytes(struct.pack("<4sI4s", b"RIFF", 4 + len(body), b"WAVE") + body)
         w = read_wav(path)
         assert len(w) == 2
+
+
+class TestDecodeOracle:
+    """Samples are bit-identical to the former decode (astype, divide, mean)."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_bit_identical_to_former_decode(self, tmp_path, data):
+        audio_format, bits, dtype, elements = data.draw(st.sampled_from([
+            (1, 8, np.uint8, None),
+            (1, 16, np.dtype("<i2"), None),
+            (3, 32, np.dtype("<f4"), st.floats(-1.5, 1.5, width=32)),
+        ]))
+        channels = data.draw(st.sampled_from([1, 2]))
+        raw = data.draw(arrays(dtype, st.integers(channels, 400), elements=elements))
+        payload = raw.tobytes() + data.draw(st.binary(max_size=3))  # stray tail bytes
+        path = tmp_path / "oracle.wav"
+        path.write_bytes(_wav_bytes(payload, audio_format, channels, bits=bits))
+        w = read_wav(path)
+        assert w.samples.tobytes() == former_decode(payload, audio_format, channels, bits).tobytes()
+
+    def test_negative_zero_and_clipping_kept(self, tmp_path):
+        vals = np.array([-0.0, 0.0, 1.5, -3.0, -0.0, -0.0], dtype="<f4")
+        for channels in (1, 2):
+            path = tmp_path / f"f{channels}.wav"
+            path.write_bytes(_wav_bytes(vals.tobytes(), audio_format=3, channels=channels, bits=32))
+            expect = former_decode(vals.tobytes(), 3, channels, 32)
+            assert read_wav(path).samples.tobytes() == expect.tobytes()
+
+
+class TestWideAndExtensibleFormats:
+    _INT24 = np.array([0, 1, -1, 2**23 - 1, -(2**23), 123456, -654321, 4096])
+    _INT32 = np.array([0, 1, -1, 2**31 - 1, -(2**31), 1234567890, -987654321, 65536])
+
+    def test_pcm24_mono_round_trip(self, tmp_path):
+        path = tmp_path / "p24.wav"
+        path.write_bytes(_wav_bytes(_pcm24_bytes(self._INT24), bits=24))
+        assert read_wav(path).samples.tolist() == (self._INT24 / 2.0**23).tolist()
+
+    def test_pcm32_mono_round_trip(self, tmp_path):
+        path = tmp_path / "p32.wav"
+        path.write_bytes(_wav_bytes(self._INT32.astype("<i4").tobytes(), bits=32))
+        assert read_wav(path).samples.tolist() == (self._INT32 / 2.0**31).tolist()
+
+    def test_pcm24_stereo_round_trip(self, tmp_path):
+        left, right = self._INT24, self._INT24[::-1].copy()
+        path = tmp_path / "p24s.wav"
+        path.write_bytes(_wav_bytes(_pcm24_bytes(_interleave(left, right)), channels=2, bits=24))
+        expect = (left / 2.0**23 + right / 2.0**23) / 2
+        assert read_wav(path).samples.tolist() == expect.tolist()
+
+    def test_pcm32_stereo_round_trip(self, tmp_path):
+        left, right = self._INT32, self._INT32[::-1].copy()
+        payload = _interleave(left, right).astype("<i4").tobytes()
+        path = tmp_path / "p32s.wav"
+        path.write_bytes(_wav_bytes(payload, channels=2, bits=32))
+        expect = (left / 2.0**31 + right / 2.0**31) / 2
+        assert read_wav(path).samples.tolist() == expect.tolist()
+
+    def test_pcm24_trailing_partial_sample_ignored(self, tmp_path):
+        path = tmp_path / "p24t.wav"
+        path.write_bytes(_wav_bytes(_pcm24_bytes([4096, -4096]) + b"\x01\x02", bits=24))
+        assert read_wav(path).samples.tolist() == [2.0**-11, -(2.0**-11)]
+
+    @pytest.mark.parametrize("sub_format,bits,payload", [
+        (1, 16, np.array([1000, -2000, 32767, -32768], "<i2").tobytes()),
+        (1, 24, _pcm24_bytes([1000, -2000, 2**23 - 1, -(2**23)])),
+        (1, 32, np.array([7, -2**31, 2**31 - 1, 0], "<i4").tobytes()),
+        (3, 32, np.array([0.25, -0.5, 1.0, -0.0], "<f4").tobytes()),
+    ])
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_extensible_reads_like_plain(self, tmp_path, sub_format, bits, payload, channels):
+        plain = tmp_path / "plain.wav"
+        plain.write_bytes(_wav_bytes(payload, sub_format, channels, bits=bits))
+        ext = tmp_path / "ext.wav"
+        ext.write_bytes(_extensible_wav_bytes(payload, sub_format, channels, bits=bits))
+        assert read_wav(ext).samples.tobytes() == read_wav(plain).samples.tobytes()
+
+    def test_unknown_extensible_sub_format_rejected(self, tmp_path):
+        path = tmp_path / "mp3.wav"
+        path.write_bytes(_extensible_wav_bytes(b"\x00" * 8, sub_format=0x55))
+        with pytest.raises(FormatError, match="format tag 85"):
+            read_wav(path)
+
+    def test_foreign_sub_format_guid_rejected(self, tmp_path):
+        path = tmp_path / "guid.wav"
+        path.write_bytes(_extensible_wav_bytes(b"\x00" * 8, guid_tail=b"\x00" * 14))
+        with pytest.raises(FormatError, match="sub-format"):
+            read_wav(path)
+
+    def test_short_extensible_fmt_chunk_rejected(self, tmp_path):
+        path = tmp_path / "short.wav"
+        path.write_bytes(_wav_bytes(b"\x00" * 8, audio_format=0xFFFE))
+        with pytest.raises(ParseError, match="40 bytes"):
+            read_wav(path)
+
+
+_VALID_WAVS = [
+    _wav_bytes(np.arange(-40, 40, dtype="<i2").tobytes() * 3),
+    _wav_bytes(np.arange(0, 96, dtype=np.uint8).tobytes(), channels=2, bits=8),
+    _wav_bytes(np.linspace(-1, 1, 48, dtype="<f4").tobytes(), audio_format=3, bits=32),
+    _extensible_wav_bytes(_pcm24_bytes(np.arange(-30, 30) * 1000), channels=2, bits=24),
+]
+
+
+class TestReadWavFuzz:
+    """Any byte string gives a Waveform or an AnalysisError, nothing else."""
+
+    @staticmethod
+    def _read(tmp_path, blob):
+        path = tmp_path / "fuzz.wav"
+        path.write_bytes(blob)
+        try:
+            assert isinstance(read_wav(path), Waveform)
+        except AnalysisError:
+            pass
+
+    @settings(max_examples=200, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.one_of(st.binary(max_size=200),
+                     st.binary(max_size=120).map(lambda b: b"RIFF\x00\x00\x00\x00WAVE" + b)))
+    def test_random_bytes(self, tmp_path, blob):
+        self._read(tmp_path, blob)
+
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(_VALID_WAVS),
+           st.lists(st.tuples(st.integers(0, 79), st.integers(0, 255)), max_size=6),
+           st.integers(0, 400))
+    def test_mutated_headers(self, tmp_path, blob, edits, keep):
+        mutated = bytearray(blob)
+        for pos, value in edits:
+            mutated[pos] = value
+        self._read(tmp_path, bytes(mutated[:keep]))
+
+
+class TestMemory:
+    def test_read_wav_and_aems_peak_bounded(self, tmp_path):
+        rng = np.random.default_rng(120)
+        path = tmp_path / "long.wav"
+        write_wav_pcm16(path, Waveform(rng.uniform(-0.5, 0.5, 120 * 16000), 16000))
+        tracemalloc.start()
+        try:
+            wave = read_wav(path)
+            aems(wave)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * wave.samples.nbytes
 
 
 class TestWavErrors:

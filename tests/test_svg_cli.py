@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -395,6 +396,19 @@ class TestCliPlumbing:
         assert run(argv + ["--out-dir", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err and ("voicing_ratio" in err or "env_rate" in err)
+
+    @pytest.mark.parametrize("cmd", ["aems", "f0"])
+    def test_nan_sample_in_float_wav_exits_one(self, cmd, tmp_path, capsys):
+        samples = (0.8 * np.sin(2 * np.pi * 150.0 * np.arange(16000) / 16000)).astype("<f4")
+        samples[8000] = np.nan
+        payload = samples.tobytes()
+        path = tmp_path / "nan.wav"
+        path.write_bytes(struct.pack(
+            "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(payload), b"WAVE", b"fmt ", 16,
+            3, 1, 16000, 64000, 4, 32, b"data", len(payload)) + payload)
+        assert run([cmd, str(path), "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "must be finite" in err
 
     def test_env_var_sets_out_dir(self, am_wav_path, tmp_path, monkeypatch):
         target = tmp_path / "from_env"
