@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .audio import Waveform
+from .audio import Waveform, _frozen_array, _positive
 from .errors import DegenerateInputError, ParameterError, SingularityError
 
 __all__ = [
@@ -43,16 +43,10 @@ class Envelope:
     rate: float
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise DegenerateInputError("envelope needs a non-empty 1-D array")
-        if self.rate <= 0:
-            raise ParameterError("envelope rate must be positive")
-        if not (arr.min() >= -1e-12 and arr.max() < np.inf):
-            raise ParameterError("envelope values must be finite and non-negative")
-        arr = np.maximum(arr, 0.0)
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        values = _frozen_array(self.values, "envelope values", "finite and non-negative",
+                               0.0, np.inf, 1e-12)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "rate", _positive(self.rate, "envelope rate"))
 
     def __len__(self):
         return len(self.values)
@@ -68,13 +62,10 @@ class Spectrum:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        arr = np.asarray(self.magnitudes, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise DegenerateInputError("spectrum needs a non-empty magnitude array")
-        if not (arr.min() >= 0 and arr.max() < np.inf):
-            raise ParameterError("spectrum magnitudes must be finite and non-negative")
-        arr.setflags(write=False)
-        object.__setattr__(self, "magnitudes", arr)
+        magnitudes = _frozen_array(self.magnitudes, "spectrum magnitudes",
+                                   "finite and non-negative", 0.0)
+        object.__setattr__(self, "magnitudes", magnitudes)
+        object.__setattr__(self, "resolution_hz", _positive(self.resolution_hz, "resolution_hz"))
 
     @property
     def freqs(self) -> np.ndarray:
@@ -152,8 +143,8 @@ def extract_envelope_peaks(rectified: Waveform, window_ms=20.0, env_rate=100) ->
     and linearly interpolated onto a uniform env_rate grid; leading and
     trailing gaps take the nearest peak value.
     """
-    if window_ms <= 0 or env_rate <= 0:
-        raise ParameterError("window_ms and env_rate must be positive")
+    _positive(window_ms, "window_ms")
+    _positive(env_rate, "env_rate")
     if env_rate > rectified.rate:
         raise ParameterError(
             f"env_rate {env_rate} exceeds the audio rate {rectified.rate}"
@@ -181,7 +172,7 @@ def smooth_envelope(env: Envelope, window_ms=50.0) -> Envelope:
     half-sample mirroring, which keeps the kernel doubly stochastic: the mean
     of the envelope is preserved to rounding error.
     """
-    win = int(round(window_ms * env.rate / 1000.0))
+    win = int(round(_positive(window_ms, "window_ms") * env.rate / 1000.0))
     if win < 1:
         raise ParameterError("smoothing window shorter than one envelope sample")
     win = min(win, len(env))
@@ -204,8 +195,7 @@ def dft_magnitude(env: Envelope, cutoff_hz, zero_mean=True) -> Spectrum:
     n = len(env)
     if n < 2:
         raise DegenerateInputError("need at least 2 envelope samples for a DFT")
-    if cutoff_hz <= 0:
-        raise ParameterError("cutoff_hz must be positive")
+    _positive(cutoff_hz, "cutoff_hz")
     if cutoff_hz > env.rate / 2 + 1e-9:
         raise ParameterError(
             f"cutoff {cutoff_hz} Hz exceeds the envelope Nyquist {env.rate / 2} Hz"

@@ -253,7 +253,7 @@ class _ValueStream:
 
     def next_count(self, what: str) -> tuple[int, int]:
         value, line_no = self.next_number(what)
-        if value < 0 or value != int(value):
+        if not (value >= 0 and value.is_integer()):  # NaN and inf fail too
             raise ParseError(f"expected a count for {what}, got {value!r}", line=line_no)
         return int(value), line_no
 
@@ -348,6 +348,15 @@ def parse_textgrid(text: str | bytes, source: str = "<textgrid>") -> AnnotationD
 _CSV_HEADER = ("tier", "label", "start_s", "end_s")
 
 
+def _csv_rows(text: str) -> Iterator[list[str]]:
+    """The CSV records of text; a record the csv module rejects is a ParseError."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
+
+
 def parse_csv_annotation(text: str | bytes, source: str = "<csv>") -> AnnotationDoc:
     """Parse the flat CSV annotation format (header tier,label,start_s,end_s).
 
@@ -355,8 +364,7 @@ def parse_csv_annotation(text: str | bytes, source: str = "<csv>") -> Annotation
     and validated against overlap.  Raises ParseError with a 1-based row
     number (the header is row 1) on malformed rows.
     """
-    doc_text = _decode_document(text)
-    reader = csv.reader(io.StringIO(doc_text))
+    reader = _csv_rows(_decode_document(text))
 
     try:
         header = next(reader)

@@ -8,8 +8,9 @@ formats outright.
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,37 +25,58 @@ __all__ = [
 ]
 
 
+def _positive(value, what, kind=float):
+    """kind(value), when that is finite and > 0; ParameterError otherwise."""
+    try:
+        v = kind(value)
+        ok = v > 0 and math.isfinite(v)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ParameterError(f"{what} must be finite and > 0, got {value}")
+    return v
+
+
+def _frozen_array(values, what, rule, lo=-np.inf, hi=np.inf, slack=0.0, *,
+                  empty_ok=False, nan_ok=False) -> np.ndarray:
+    """values as a read-only 1-D float64 array, finite and within [lo, hi].
+
+    One min() and one max() test the range; NaN fails it unless nan_ok.
+    Values within slack outside [lo, hi] are clipped into a new array;
+    otherwise a writeable array is copied, so that no caller can change the
+    result, and a read-only one is kept. A failure names the first bad value.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 1 or not (arr.size or empty_ok):
+        raise DegenerateInputError(f"{what} must form a non-empty 1-D array")
+    least, most = (np.fmin, np.fmax) if nan_ok else (np.minimum, np.maximum)
+    a, b = least.reduce(arr, initial=np.inf), most.reduce(arr, initial=-np.inf)
+    if not (lo - slack <= a and b <= hi + slack and -np.inf < a and b < np.inf):
+        ok = (lo - slack <= arr) & (arr <= hi + slack) & np.isfinite(arr) | nan_ok & np.isnan(arr)
+        raise ParameterError(f"{what} must be {rule}, got {arr[np.argmin(ok)]}")
+    if a < lo or b > hi:
+        arr = np.clip(arr, lo, hi)
+    elif arr.flags.writeable:
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class Waveform:
-    """Mono sampled signal with amplitudes in [-1, 1].
+    """Mono sampled signal with finite amplitudes in [-1, 1], held read-only.
 
-    Samples must be finite and lie within [-1, 1]; values up to 1e-12
-    outside it are taken as rounding error and clipped, which makes a new
-    array. Otherwise a writeable array is copied, so the waveform never
-    aliases an array its caller can still change, and an array that is
-    already read-only is kept as it is. `samples` is read-only.
+    Samples up to 1e-12 outside [-1, 1] are taken as rounding error and clipped.
     """
 
     samples: np.ndarray
     rate: int
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise DegenerateInputError("waveform needs a non-empty 1-D sample array")
-        if int(self.rate) <= 0:
-            raise ParameterError(f"sample rate must be positive, got {self.rate}")
-        lo, hi = arr.min(), arr.max()
-        # NaN fails both comparisons
-        if not (lo >= -1.0 - 1e-12 and hi <= 1.0 + 1e-12):
-            raise ParameterError("waveform samples must be finite and lie within [-1, 1]")
-        if lo < -1.0 or hi > 1.0:
-            arr = np.clip(arr, -1.0, 1.0)
-        elif arr.flags.writeable:
-            arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "samples", arr)
-        object.__setattr__(self, "rate", int(self.rate))
+        samples = _frozen_array(self.samples, "waveform samples",
+                                "finite and lie within [-1, 1]", -1.0, 1.0, 1e-12)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "rate", _positive(self.rate, "sample rate", int))
 
     @property
     def duration_s(self) -> float:
@@ -194,9 +216,7 @@ def synthesize_am(carrier_hz, mod_hz, depth, dur_s, rate) -> Waveform:
 
     x(t) = [(1 + depth*cos(2*pi*mod_hz*t)) / (1 + depth)] * sin(2*pi*carrier_hz*t)
     """
-    rate = int(rate)
-    if rate <= 0:
-        raise ParameterError("rate must be positive")
+    rate = _positive(rate, "rate", int)
     if not carrier_hz < rate / 2:
         raise ParameterError(
             f"carrier {carrier_hz} Hz violates Nyquist for rate {rate}"
@@ -215,9 +235,7 @@ def synthesize_am(carrier_hz, mod_hz, depth, dur_s, rate) -> Waveform:
 
 def resample_linear(wave: Waveform, new_rate) -> Waveform:
     """Resample by linear interpolation; duration kept within one period."""
-    new_rate = int(new_rate)
-    if new_rate <= 0:
-        raise ParameterError("new_rate must be positive")
+    new_rate = _positive(new_rate, "new_rate", int)
     if new_rate == wave.rate:
         return wave
     n_new = max(1, int(round(len(wave) * new_rate / wave.rate)))

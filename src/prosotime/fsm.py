@@ -404,7 +404,7 @@ def synthesize_contour(targets: PitchTargetSequence, tone_dur_ms: float = 150.0)
     per = max(1, round(tone_dur_ms / 1000.0 / hop_s))
     f0 = [hz for _, hz in targets.items for _ in range(per)]
     times = [k * hop_s for k in range(len(f0))]
-    return F0Track(times_s=tuple(times), f0_hz=tuple(f0), hop_s=hop_s)
+    return F0Track(times_s=times, f0_hz=f0, hop_s=hop_s)
 
 
 def fsm_to_dict(fsm: MultiTapeFSM) -> dict:

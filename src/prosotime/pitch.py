@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .aems import PolyFit, fit_polynomial
-from .audio import Waveform
+from .audio import Waveform, _frozen_array, _positive
 from .errors import DegenerateInputError, ParameterError, ParseError
 
 __all__ = [
@@ -35,55 +34,48 @@ __all__ = [
 
 @dataclass(frozen=True)
 class F0Track:
-    """Uniformly hopped F0 frames; None marks an unvoiced frame."""
+    """Uniformly hopped F0 frames as read-only float64 arrays; NaN (or None
+    on input) marks an unvoiced frame."""
 
-    times_s: tuple[float, ...]
-    f0_hz: tuple[float | None, ...]
+    times_s: np.ndarray
+    f0_hz: np.ndarray
     hop_s: float
 
     def __post_init__(self) -> None:
-        times = tuple(float(t) for t in self.times_s)
-        f0 = tuple(None if v is None else float(v) for v in self.f0_hz)
+        times = _frozen_array(self.times_s, "frame times", "finite", empty_ok=True)
+        # f0 >= the least positive float is f0 > 0
+        f0 = _frozen_array(self.f0_hz, "voiced f0", "finite and > 0",
+                           np.finfo(float).smallest_subnormal, empty_ok=True, nan_ok=True)
+        if len(times) != len(f0):
+            raise ParameterError(f"{len(times)} times vs {len(f0)} f0 values")
+        h = _positive(self.hop_s, "hop_s")
+        # math.isclose(step, h, rel_tol=1e-6, abs_tol=1e-9) for every step at
+        # once; like isclose, no infinite step is close to a finite h
+        with np.errstate(over="ignore"):
+            step = np.diff(times)
+        close = np.abs(step - h) <= np.maximum(1e-6 * np.maximum(np.abs(step), h), 1e-9)
+        close &= np.isfinite(step)
+        if not close.all():
+            i = int(np.argmin(close))
+            raise ParameterError(
+                f"frame times must advance uniformly by hop_s={h}, "
+                f"got step {float(step[i])} at t={float(times[i])}"
+            )
         object.__setattr__(self, "times_s", times)
         object.__setattr__(self, "f0_hz", f0)
-        if len(times) != len(f0):
-            raise ParameterError(
-                f"{len(times)} times vs {len(f0)} f0 values"
-            )
-        h = self.hop_s
-        if not (math.isfinite(h) and h > 0):
-            raise ParameterError(f"hop_s must be finite and > 0, got {h}")
-        # a step within max(1e-6 * h, 1e-9) of h passes math.isclose below;
-        # only the others (normally none) are checked one by one
-        dev = np.diff(np.fromiter(times, float, len(times)))
-        dev -= h
-        np.abs(dev, out=dev)  # |step - h|, in place: tracks can be long
-        for i in np.flatnonzero(~(dev <= max(1e-6 * h, 1e-9))).tolist():
-            step = times[i + 1] - times[i]
-            if not math.isclose(step, h, rel_tol=1e-6, abs_tol=1e-9):
-                raise ParameterError(
-                    f"frame times must advance uniformly by hop_s={h}, "
-                    f"got step {step} at t={times[i]}"
-                )
-        values = np.array(f0, dtype=float)  # None -> NaN
-        for i in np.flatnonzero(~(np.isfinite(values) & (values > 0))).tolist():
-            if f0[i] is not None:
-                raise ParameterError(f"voiced f0 must be finite and > 0, got {f0[i]}")
+        object.__setattr__(self, "hop_s", h)
 
     def __len__(self) -> int:
         return len(self.times_s)
 
     @property
     def voiced_count(self) -> int:
-        return sum(v is not None for v in self.f0_hz)
+        return int(np.count_nonzero(~np.isnan(self.f0_hz)))
 
     def voiced_frames(self) -> tuple[np.ndarray, np.ndarray]:
         """(times, f0) arrays of the voiced frames only."""
-        pairs = [(t, v) for t, v in zip(self.times_s, self.f0_hz) if v is not None]
-        if not pairs:
-            return np.empty(0), np.empty(0)
-        ts, vs = zip(*pairs)
-        return np.asarray(ts, dtype=float), np.asarray(vs, dtype=float)
+        voiced = ~np.isnan(self.f0_hz)
+        return self.times_s[voiced], self.f0_hz[voiced]
 
 
 @dataclass(frozen=True)
@@ -175,7 +167,6 @@ def estimate_f0_autocorr(
     lags = np.arange(lag_min, lag_max + 1)
     width = len(lags)
     f0 = np.empty(len(frames))
-    voiced = np.empty(len(frames), dtype=bool)
     for lo in range(0, len(frames), _BLOCK_FRAMES):
         blk = slice(lo, lo + _BLOCK_FRAMES)
         block = frames[blk]
@@ -195,9 +186,7 @@ def estimate_f0_autocorr(
 
         best = np.argmax(ncc, axis=1)
         peak = ncc[rows, best]
-        voiced[blk] = ~(
-            (track_rms == 0.0) | (rms < 0.01 * track_rms) | (peak < voicing_ratio)
-        )
+        unvoiced = (track_rms == 0.0) | (rms < 0.01 * track_rms) | (peak < voicing_ratio)
 
         # octave guard: a lag of 2T correlates nearly as well as the true
         # period T, so among near-tied local maxima the shortest lag wins
@@ -212,14 +201,10 @@ def estimate_f0_autocorr(
         refine = (best > 0) & (best < width - 1) & (curv < 0)
         with np.errstate(invalid="ignore", divide="ignore"):
             lag = lags[best] + np.where(refine, 0.5 * (y0 - y2) / curv, 0.0)
-        f0[blk] = np.clip(rate / lag, fmin, fmax)
+        f0[blk] = np.where(unvoiced, np.nan, np.clip(rate / lag, fmin, fmax))
 
     times = (np.arange(len(frames)) * hop_len + frame_len / 2) / rate
-    return F0Track(
-        times_s=times.tolist(),
-        f0_hz=np.where(voiced, f0, None).tolist(),
-        hop_s=hop_len / rate,
-    )
+    return F0Track(times_s=times, f0_hz=f0, hop_s=hop_len / rate)
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +286,8 @@ def fit_contour(track: F0Track, degree: int, domain: IPU | None = None) -> PolyC
 def f0_track_to_csv(track: F0Track) -> str:
     """CSV rendering `time_s,f0_hz`, empty f0 for unvoiced frames."""
     lines = ["time_s,f0_hz"]
-    for t, v in zip(track.times_s, track.f0_hz):
-        lines.append(f"{t!r}," + ("" if v is None else repr(v)))
+    for t, v in zip(track.times_s.tolist(), track.f0_hz.tolist()):
+        lines.append(f"{t!r}," + ("" if math.isnan(v) else repr(v)))
     return "\n".join(lines) + "\n"
 
 
@@ -312,35 +297,30 @@ def parse_f0_csv(text: str) -> F0Track:
     Accepts externally produced tracks as long as the frame times advance
     uniformly.  Raises ParseError with a row number on malformed rows.
     """
-    lines = [ln for ln in text.splitlines()]
+    lines = text.splitlines()
     if not lines or [p.strip() for p in lines[0].split(",")] != ["time_s", "f0_hz"]:
         raise ParseError("expected header time_s,f0_hz", row=1)
     times: list[float] = []
-    f0: list[float | None] = []
+    f0: list[float] = []
     for row_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
         if len(parts) != 2:
             raise ParseError(f"expected 2 fields, got {len(parts)}", row=row_no)
+        # an empty f0 marks an unvoiced frame, as NaN; no text may give NaN itself
+        f_raw = parts[1].strip()
         try:
-            times.append(float(parts[0]))
+            t, v = float(parts[0]), float(f_raw) if f_raw else math.nan
         except ValueError:
-            raise ParseError(f"non-numeric time {parts[0]!r}", row=row_no) from None
-        raw = parts[1].strip()
-        if not raw:
-            f0.append(None)
-        else:
-            try:
-                f0.append(float(raw))
-            except ValueError:
-                raise ParseError(f"non-numeric f0 {raw!r}", row=row_no) from None
-    if len(times) >= 2:
-        hop = times[1] - times[0]
-    else:
-        hop = 0.01
+            t = v = math.nan
+        if not (math.isfinite(t) and (math.isfinite(v) or not f_raw)):
+            raise ParseError(f"expected a finite time and f0, got {line!r}", row=row_no)
+        times.append(t)
+        f0.append(v)
+    hop = times[1] - times[0] if len(times) >= 2 else 0.01
     try:
-        return F0Track(times_s=tuple(times), f0_hz=tuple(f0), hop_s=hop)
+        return F0Track(times_s=times, f0_hz=f0, hop_s=hop)
     except ParameterError as exc:
         raise ParseError(str(exc)) from None
 

@@ -9,6 +9,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from prosotime import (
     DegenerateInputError,
     Envelope,
+    F0Track,
     ParameterError,
     Spectrum,
     Waveform,
@@ -160,6 +161,35 @@ class TestFiniteChecks:
     def test_spectrum_rejects_non_finite(self, bad):
         with pytest.raises(ParameterError, match="finite"):
             Spectrum(0.5, np.array([0.1, bad, 0.2]), 1.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: Waveform(np.zeros(4), float("nan")),
+        lambda: Waveform(np.zeros(4), float("inf")),
+        lambda: Envelope(np.ones(10), float("nan")),
+        lambda: Envelope(np.ones(10), float("inf")),
+        lambda: Spectrum(float("nan"), np.ones(3), 1.0),
+        lambda: Spectrum(0.0, np.ones(3), 1.0),
+        lambda: smooth_envelope(Envelope(np.ones(10), 100), float("nan")),
+        lambda: dft_magnitude(Envelope(np.ones(10), 100), float("nan")),
+        lambda: extract_envelope_peaks(Waveform(np.ones(400), 8000), float("nan")),
+        lambda: synthesize_am(200.0, 4.0, 0.5, 1.0, float("inf")),
+    ], ids=["wave-nan", "wave-inf", "env-nan", "env-inf", "spec-nan", "spec-zero",
+            "smooth-nan", "cutoff-nan", "window-nan", "synth-inf"])
+    def test_non_finite_or_zero_rate_rejected(self, make):
+        with pytest.raises(ParameterError, match="must be finite and > 0"):
+            make()
+
+    @pytest.mark.parametrize("make", [
+        lambda m: Waveform(m, 8000),
+        lambda m: Envelope(m, 100),
+        lambda m: Spectrum(0.5, m, 1.0),
+        lambda m: F0Track([0.0, 0.01, 0.02], m, 0.01),
+    ], ids=["waveform", "envelope", "spectrum", "f0track"])
+    def test_callers_array_stays_writeable(self, make):
+        m = np.full(3, 0.5)
+        make(m)
+        m[0] = 0.25  # raised "assignment destination is read-only" for Spectrum
+        assert m.flags.writeable
 
 
 class TestSmoothing:

@@ -43,9 +43,8 @@ def _concat(*waves):
 class TestF0Estimation:
     def test_steady_sine_recovered(self, sine_200):
         track = estimate_f0_autocorr(sine_200)
-        voiced = [f for f in track.f0_hz if f is not None]
-        assert len(voiced) == len(track.f0_hz)  # fully voiced
-        assert abs(float(np.median(voiced)) - 200.0) <= 2.0
+        assert not np.isnan(track.f0_hz).any()  # fully voiced
+        assert abs(float(np.median(track.f0_hz)) - 200.0) <= 2.0
 
     def test_silence_fully_unvoiced(self):
         track = estimate_f0_autocorr(_silence(1.0))
@@ -53,8 +52,8 @@ class TestF0Estimation:
 
     def test_low_frequency_sine(self):
         track = estimate_f0_autocorr(_sine(80.0, 1.0))
-        voiced = [f for f in track.f0_hz if f is not None]
-        assert voiced
+        voiced = track.f0_hz[~np.isnan(track.f0_hz)]
+        assert len(voiced)
         assert abs(float(np.median(voiced)) - 80.0) <= 2.0
 
     def test_chirp_tracks_rising_pitch(self):
@@ -74,8 +73,8 @@ class TestF0Estimation:
         track = estimate_f0_autocorr(_concat(_sine(150.0, 0.5), _silence(0.5)))
         times, values = track.voiced_frames()
         assert np.all(times < 0.6)
-        head = [f for t, f in zip(track.times_s, track.f0_hz) if t < 0.4]
-        assert all(f is not None for f in head)
+        head = track.f0_hz[track.times_s < 0.4]
+        assert len(head) and not np.isnan(head).any()
 
     def test_band_limits_respected(self):
         track = estimate_f0_autocorr(_sine(200.0, 0.5), fmin=60.0, fmax=500.0)
@@ -124,14 +123,42 @@ class TestTrackContainer:
                 F0Track(times, [100.0] * len(times), hop)
             assert str(exc.value).endswith(want)
 
+    def test_zero_f0_rejected(self):
+        with pytest.raises(ParameterError, match="got 0.0"):
+            F0Track((0.0, 0.01), (100.0, 0.0), 0.01)
+        assert F0Track((0.0,), (5e-324,), 0.01).voiced_count == 1  # the least positive float
+
+    def test_overflowing_step_rejected(self):
+        with pytest.raises(ParameterError, match="got step inf"):
+            F0Track((-1e308, 1e308), (100.0, 100.0), 1.0)
+
     @pytest.mark.parametrize("hop", [float("nan"), float("inf"), 0.0])
     def test_non_finite_or_zero_hop_rejected(self, hop):
         with pytest.raises(ParameterError, match="hop_s"):
             F0Track((0.0,), (100.0,), hop)
 
     def test_first_bad_f0_reported(self):
-        with pytest.raises(ParameterError, match="got nan"):
-            F0Track((0.0, 0.01, 0.02), (None, float("nan"), -1.0), 0.01)
+        with pytest.raises(ParameterError, match="got inf"):
+            F0Track((0.0, 0.01, 0.02), (None, float("inf"), -1.0), 0.01)
+
+    def test_nan_and_none_both_mark_unvoiced(self):
+        track = F0Track([0.0, 0.01, 0.02, 0.03], [100.0, None, float("nan"), 120.0], 0.01)
+        np.testing.assert_array_equal(np.isnan(track.f0_hz), [False, True, True, False])
+        assert track.voiced_count == 2
+        assert f0_track_to_csv(track).splitlines()[2:4] == ["0.01,", "0.02,"]
+
+    def test_arrays_are_read_only_float64_copies(self):
+        times, f0 = np.array([0.0, 0.01]), np.array([100.0, np.nan])
+        track = F0Track(times, f0, 0.01)
+        for arr in (track.times_s, track.f0_hz):
+            assert arr.dtype == np.float64 and not arr.flags.writeable
+        times[0] = f0[0] = 1.0  # the caller's arrays stay theirs
+        assert track.times_s[0] == 0.0 and track.f0_hz[0] == 100.0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), None])
+    def test_non_finite_frame_time_rejected(self, bad):
+        with pytest.raises(ParameterError, match="frame times must be finite"):
+            F0Track((bad,), (100.0,), 0.01)
 
     def test_voiced_frames_filters_nones(self):
         track = F0Track((0.0, 0.01, 0.02), (100.0, None, 120.0), 0.01)
@@ -222,8 +249,8 @@ class TestCsvRoundTrip:
         track = F0Track((0.0, 0.01, 0.02, 0.03), (100.0, None, 120.5, None), 0.01)
         text = f0_track_to_csv(track)
         back = parse_f0_csv(text)
-        assert back.times_s == track.times_s
-        assert back.f0_hz == track.f0_hz
+        np.testing.assert_array_equal(back.times_s, track.times_s)
+        np.testing.assert_array_equal(back.f0_hz, track.f0_hz)  # NaN matches NaN
         assert back.hop_s == pytest.approx(0.01)
 
     def test_header_shape(self):
@@ -232,6 +259,16 @@ class TestCsvRoundTrip:
         assert lines[0] == "time_s,f0_hz"
         assert lines[1] == "0.0,100.0"
         assert lines[2] == "0.01,"
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_f0_text_rejected(self, bad):
+        with pytest.raises(ParseError, match="finite"):
+            parse_f0_csv(f"time_s,f0_hz\n0.0,100\n0.01,{bad}\n")
+
+    @pytest.mark.parametrize("text", ["0.0,100\n0.01,nan\n", "0.0,100\nnan,100\n"])
+    def test_non_finite_text_reported_with_row(self, text):
+        with pytest.raises(ParseError, match=r"expected a finite time and f0, got '.*nan.*' \(row 3\)"):
+            parse_f0_csv("time_s,f0_hz\n" + text)
 
     def test_bad_row_reported(self):
         with pytest.raises(ParseError) as exc:
@@ -344,10 +381,11 @@ def _loop_ipus(wave, silence_db=-40.0, min_pause_ms=200.0, min_ipu_ms=100.0):
 def _assert_matches_loop(wave, **params):
     track = estimate_f0_autocorr(wave, **params)
     times, f0 = _loop_f0(wave, **params)
-    assert list(track.times_s) == times
-    assert [v is None for v in track.f0_hz] == [v is None for v in f0]
-    diffs = [abs(a - b) for a, b in zip(track.f0_hz, f0) if a is not None]
-    assert max(diffs, default=0.0) <= 1e-9
+    want = np.array(f0, dtype=float)  # None -> NaN
+    np.testing.assert_array_equal(track.times_s, times)
+    np.testing.assert_array_equal(np.isnan(track.f0_hz), np.isnan(want))
+    diffs = np.abs(track.f0_hz - want)[~np.isnan(want)]
+    assert diffs.max(initial=0.0) <= 1e-9
     return track
 
 

@@ -410,6 +410,31 @@ class TestCliPlumbing:
         err = capsys.readouterr().err
         assert "Traceback" not in err and "must be finite" in err
 
+    @pytest.mark.parametrize("time", ["nan", "inf"])
+    def test_one_frame_f0_csv_with_non_finite_time_exits_one(self, time, tmp_path, capsys):
+        path = tmp_path / "one.f0.csv"
+        path.write_text(f"time_s,f0_hz\n{time},100\n")
+        code = run(["contour-fit", str(path), "--degree", "0", "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "finite" in err and "row 2" in err
+
+    @pytest.mark.parametrize("name, text, where", [
+        ("g.TextGrid",
+         'File type = "ooTextFile"\nObject class = "TextGrid"\n\nxmin = 0\nxmax = 1\n'
+         'tiers? <exists>\nsize = 1\nitem []:\n    item [1]:\n        class = "IntervalTier"\n'
+         '        name = "w"\n        xmin = 0\n        xmax = 1\n        intervals: size = 1e400\n',
+         "line 14"),
+        ("bare_cr.csv", "tier,label,start_s,end_s\nw,a\rb,0,1\n", "line 2"),
+        ("huge_field.csv", "tier,label,start_s,end_s\nw," + "x" * 200_000 + ",0,1\n", "line 2"),
+    ], ids=["textgrid-count-1e400", "csv-bare-cr", "csv-field-limit"])
+    def test_malformed_annotation_exits_one(self, name, text, where, tmp_path, capsys):
+        path = tmp_path / name
+        path.write_bytes(text.encode())
+        assert run(["timetree", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and where in err
+
     def test_env_var_sets_out_dir(self, am_wav_path, tmp_path, monkeypatch):
         target = tmp_path / "from_env"
         monkeypatch.setenv("PROSOTIME_OUT_DIR", str(target))
