@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .audio import Waveform, _frozen_array, _positive
+from .audio import Waveform, _frozen_array, _ms_to_samples, _positive
 from .errors import DegenerateInputError, ParameterError, SingularityError
 
 __all__ = [
@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Envelope:
     """Non-negative amplitude envelope on a uniform time grid."""
 
@@ -52,7 +52,7 @@ class Envelope:
         return len(self.values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Magnitude spectrum truncated at cutoff_hz; bin k sits at k*resolution_hz."""
 
@@ -150,7 +150,7 @@ def extract_envelope_peaks(rectified: Waveform, window_ms=20.0, env_rate=100) ->
             f"env_rate {env_rate} exceeds the audio rate {rectified.rate}"
         )
     x = rectified.samples
-    win = max(2, int(round(window_ms * rectified.rate / 1000.0)))
+    win = max(2, _ms_to_samples(window_ms, rectified.rate, "window_ms"))
     if len(x) < win:
         raise DegenerateInputError(
             f"signal of {len(x)} samples is shorter than one {window_ms} ms window"
@@ -172,7 +172,7 @@ def smooth_envelope(env: Envelope, window_ms=50.0) -> Envelope:
     half-sample mirroring, which keeps the kernel doubly stochastic: the mean
     of the envelope is preserved to rounding error.
     """
-    win = int(round(_positive(window_ms, "window_ms") * env.rate / 1000.0))
+    win = _ms_to_samples(_positive(window_ms, "window_ms"), env.rate, "window_ms")
     if win < 1:
         raise ParameterError("smoothing window shorter than one envelope sample")
     win = min(win, len(env))

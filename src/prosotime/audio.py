@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,14 @@ def _positive(value, what, kind=float):
     return v
 
 
+def _ms_to_samples(ms, rate, what) -> int:
+    """round(ms * rate / 1000) samples; ParameterError beyond any array's length."""
+    n = ms * rate / 1000.0
+    if not abs(n) <= sys.maxsize:  # also nan and inf, which round() cannot take
+        raise ParameterError(f"{what}={ms} ms at rate {rate} exceeds the largest array")
+    return round(n)
+
+
 def _frozen_array(values, what, rule, lo=-np.inf, hi=np.inf, slack=0.0, *,
                   empty_ok=False, nan_ok=False) -> np.ndarray:
     """values as a read-only 1-D float64 array, finite and within [lo, hi].
@@ -62,7 +71,7 @@ def _frozen_array(values, what, rule, lo=-np.inf, hi=np.inf, slack=0.0, *,
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Waveform:
     """Mono sampled signal with finite amplitudes in [-1, 1], held read-only.
 

@@ -4,6 +4,10 @@ Every subcommand is deterministic — identical invocations produce
 byte-identical artifacts — and writes only beneath the output directory
 (--out-dir, else $PROSOTIME_OUT_DIR, else ./prosotime_out).  Exit codes:
 0 success, 1 analysis error, 2 usage error.
+
+Each handler imports the modules it runs, so a process loads numpy only for
+the subcommands that need it (aems, spectree, calibrate, f0, contour-fit,
+metrics and tone-gen).
 """
 
 from __future__ import annotations
@@ -16,35 +20,13 @@ import os
 import re
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .aems import aems as run_aems
-from .aems import shape_zones, spectrum_to_csv
-from .annot import AnnotationDoc, durations, parse_csv_annotation, parse_textgrid
-from .audio import read_wav, synthesize_am
 from .errors import AnalysisError, DegenerateInputError, ParseError
-from .fsm import (
-    TerracingParams,
-    build_pierrehumbert,
-    enumerate_strings,
-    realize_pitch,
-    recognize,
-    synthesize_contour,
-    transduce_tones,
-)
-from .pitch import (
-    IPU,
-    contour_model_to_dict,
-    estimate_f0_autocorr,
-    f0_track_to_csv,
-    fit_contour,
-    parse_f0_csv,
-    segment_ipus,
-)
-from .rhythm import metrics_report, quadrant_analysis, quadrant_to_csv
-from .svgplot import svg_f0_track, svg_heatmap, svg_quadrants, svg_spectrum, svg_timetree
-from .timetree import TreeParams, induce_spectral_hierarchy, induce_time_tree, to_sexpr, tree_to_dict
+
+if TYPE_CHECKING:
+    from .annot import AnnotationDoc
+    from .timetree import TreeParams
 
 OUT_DIR_ENV = "PROSOTIME_OUT_DIR"
 FORMATS = ("json", "csv", "svg")
@@ -107,6 +89,9 @@ def _zone_dicts(zones) -> list[dict]:
 
 def _spectrum_artifacts(sink: _Sink, stem: str, spec, fit, zones) -> dict:
     """Shared spectrum emission: CSV, line plot and heatmap; returns poly info."""
+    from .aems import spectrum_to_csv
+    from .svgplot import svg_heatmap, svg_spectrum
+
     sink.put("csv", f"{stem}.spectrum.csv", spectrum_to_csv(spec))
     sink.put("svg", f"{stem}.spectrum.svg", svg_spectrum(spec, fit, zones))
     if len(spec) >= 2:
@@ -115,6 +100,8 @@ def _spectrum_artifacts(sink: _Sink, stem: str, spec, fit, zones) -> dict:
 
 
 def _load_annotation(path: str) -> AnnotationDoc:
+    from .annot import parse_csv_annotation, parse_textgrid
+
     data = Path(path).read_bytes()
     head = data.lstrip(b"\xef\xbb\xbf\xff\xfe\x00")[:64]
     if path.lower().endswith((".textgrid", ".grid")) or head.startswith(b"File type"):
@@ -124,6 +111,8 @@ def _load_annotation(path: str) -> AnnotationDoc:
 
 def _tier_durations(args):
     """The --tier tier (default: the first) of args.annot and its durations."""
+    from .annot import durations
+
     doc = _load_annotation(args.annot)
     if args.tier is None:
         if not doc.tiers:
@@ -145,6 +134,11 @@ def _tier_durations(args):
 
 
 def _cmd_calibrate(args, sink: _Sink) -> dict:
+    import numpy as np
+
+    from .aems import aems as run_aems, shape_zones
+    from .audio import synthesize_am
+
     params = {"carrier_hz": 200.0, "mod_hz": 5.0, "depth": 1.0, "dur_s": 2.0, "rate": 16000}
     wave = synthesize_am(**params)
     spec = run_aems(wave, cutoff_hz=20.0)
@@ -172,6 +166,9 @@ def _cmd_calibrate(args, sink: _Sink) -> dict:
 
 
 def _cmd_aems(args, sink: _Sink) -> dict:
+    from .aems import aems as run_aems, shape_zones
+    from .audio import read_wav
+
     wave = read_wav(args.wav)
     spec = run_aems(
         wave,
@@ -202,6 +199,9 @@ def _cmd_aems(args, sink: _Sink) -> dict:
 
 
 def _cmd_metrics(args, sink: _Sink) -> dict:
+    from .rhythm import metrics_report, quadrant_analysis, quadrant_to_csv
+    from .svgplot import svg_quadrants
+
     tier, seq = _tier_durations(args)
     if len(seq) < 2:
         raise DegenerateInputError(
@@ -232,11 +232,16 @@ def _cmd_metrics(args, sink: _Sink) -> dict:
 
 
 def _tree_params(args) -> TreeParams:
+    from .timetree import TreeParams
+
     return TreeParams(relation=args.relation, polarity=args.polarity, arity=args.arity)
 
 
 def _tree_artifacts(sink: _Sink, name: str, tree, report: dict) -> dict:
     """Shared tree emission: sexpr and node table into the JSON report, SVG drawing."""
+    from .svgplot import svg_timetree
+    from .timetree import to_sexpr, tree_to_dict
+
     report.update(sexpr=to_sexpr(tree), **tree_to_dict(tree))
     sink.put("json", f"{name}.json", _dumps(report))
     sink.put("svg", f"{name}.svg", svg_timetree(tree))
@@ -245,6 +250,8 @@ def _tree_artifacts(sink: _Sink, name: str, tree, report: dict) -> dict:
 
 
 def _cmd_timetree(args, sink: _Sink) -> dict:
+    from .timetree import induce_time_tree
+
     tier, seq = _tier_durations(args)
     if len(seq) == 0:
         raise DegenerateInputError(f"tier {tier.name!r} has no usable durations")
@@ -261,6 +268,10 @@ def _cmd_timetree(args, sink: _Sink) -> dict:
 
 
 def _cmd_spectree(args, sink: _Sink) -> dict:
+    from .aems import aems as run_aems
+    from .audio import read_wav
+    from .timetree import induce_spectral_hierarchy
+
     wave = read_wav(args.wav)
     spec = run_aems(wave, cutoff_hz=args.cutoff_hz)
     params = _tree_params(args)
@@ -276,6 +287,10 @@ def _cmd_spectree(args, sink: _Sink) -> dict:
 
 
 def _cmd_tone_gen(args, sink: _Sink) -> dict:
+    from .fsm import TerracingParams, realize_pitch, synthesize_contour, transduce_tones
+    from .pitch import f0_track_to_csv
+    from .svgplot import svg_f0_track
+
     params = TerracingParams(
         **{f.name: getattr(args, f.name) for f in dataclasses.fields(TerracingParams)}
     )
@@ -304,6 +319,8 @@ def _cmd_tone_gen(args, sink: _Sink) -> dict:
 
 
 def _cmd_intonation(args, sink: _Sink) -> dict:
+    from .fsm import build_pierrehumbert, enumerate_strings, recognize
+
     fsm = build_pierrehumbert()
     if args.mode == "check":
         if args.string is None:
@@ -333,6 +350,12 @@ def _cmd_intonation(args, sink: _Sink) -> dict:
 
 
 def _cmd_f0(args, sink: _Sink) -> dict:
+    import numpy as np
+
+    from .audio import read_wav
+    from .pitch import estimate_f0_autocorr, f0_track_to_csv, segment_ipus
+    from .svgplot import svg_f0_track
+
     wave = read_wav(args.wav)
     params = {k: getattr(args, k) for k in ("fmin", "fmax", "frame_ms", "hop_ms", "voicing_ratio")}
     track = estimate_f0_autocorr(wave, **params)
@@ -360,6 +383,9 @@ def _cmd_f0(args, sink: _Sink) -> dict:
 
 
 def _cmd_contour_fit(args, sink: _Sink) -> dict:
+    from .pitch import IPU, contour_model_to_dict, fit_contour, parse_f0_csv
+    from .svgplot import svg_f0_track
+
     try:
         text = Path(args.f0csv).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:

@@ -22,10 +22,12 @@ it accepts any accent sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import AlphabetError, DegenerateInputError, ParameterError
-from .pitch import F0Track
+
+if TYPE_CHECKING:
+    from .pitch import F0Track
 
 __all__ = [
     "Transition",
@@ -396,6 +398,8 @@ def synthesize_contour(targets: PitchTargetSequence, tone_dur_ms: float = 150.0)
     Frame hop is 10 ms; each target contributes tone_dur_ms worth of voiced
     frames at its own frequency.
     """
+    from .pitch import F0Track  # loads numpy, which recognition and enumeration never need
+
     if len(targets) == 0:
         raise DegenerateInputError("cannot synthesize a contour from zero targets")
     if tone_dur_ms <= 0:

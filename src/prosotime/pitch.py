@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .aems import PolyFit, fit_polynomial
-from .audio import Waveform, _frozen_array, _positive
+from .audio import Waveform, _frozen_array, _ms_to_samples, _positive
 from .errors import DegenerateInputError, ParameterError, ParseError
 
 __all__ = [
@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class F0Track:
     """Uniformly hopped F0 frames as read-only float64 arrays; NaN (or None
     on input) marks an unvoiced frame."""
@@ -147,8 +147,8 @@ def estimate_f0_autocorr(
             f"sample rate {wave.rate} too low for fmax={fmax} (need >= {4 * fmax})"
         )
     rate = wave.rate
-    frame_len = max(2, round(frame_ms * rate / 1000.0))
-    hop_len = max(1, round(hop_ms * rate / 1000.0))
+    frame_len = max(2, _ms_to_samples(frame_ms, rate, "frame_ms"))
+    hop_len = max(1, _ms_to_samples(hop_ms, rate, "hop_ms"))
     lag_min = max(1, math.ceil(rate / fmax))
     lag_max = min(frame_len - 2, math.floor(rate / fmin))
     if lag_max <= lag_min:
@@ -158,10 +158,8 @@ def estimate_f0_autocorr(
 
     x = wave.samples
     track_rms = float(np.sqrt(np.mean(x**2))) if len(x) else 0.0
-    if len(x) >= frame_len:
-        frames = sliding_window_view(x, frame_len)[::hop_len]
-    else:
-        frames = np.empty((0, frame_len))
+    # no frames when the signal is shorter than one (x[:0] allocates nothing)
+    frames = sliding_window_view(x, frame_len)[::hop_len] if len(x) >= frame_len else x[:0]
     # smallest power of two >= frame_len + lag_max + 2: no circular wrap
     nfft = 1 << (frame_len + lag_max + 1).bit_length()
     lags = np.arange(lag_min, lag_max + 1)

@@ -5,18 +5,20 @@ timestamps, no generated ids, fixed decimal formatting throughout.  The
 heatmap maps z-scored magnitude linearly onto a blue-to-red gradient whose
 endpoints are fixed at rgb(0,0,255) and rgb(255,0,0); the mapping is stated
 in the document's metadata.
+
+Renderers import numpy and the analysis modules only when called, so that
+drawing a time tree loads neither.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
-
-from .aems import FrequencyZone, PolyFit, Spectrum, zscore
-from .pitch import F0Track, PolyContourModel
-from .rhythm import QuadrantStats, _classify
-from .timetree import TimeTree
+if TYPE_CHECKING:
+    from .aems import FrequencyZone, PolyFit, Spectrum
+    from .pitch import F0Track, PolyContourModel
+    from .rhythm import QuadrantStats
+    from .timetree import TimeTree
 
 __all__ = [
     "svg_spectrum",
@@ -115,6 +117,8 @@ def svg_spectrum(
     Zones draw as a translucent band between their bounds plus a vertical
     line at the center; an empty zone list draws none.
     """
+    import numpy as np
+
     freqs = spec.freqs
     mags = spec.magnitudes
     top = float(np.max(mags)) if len(mags) else 1.0
@@ -155,6 +159,10 @@ def svg_heatmap(spec: Spectrum, width: float = 640.0, height: float = 120.0) -> 
     The minimum z maps to pure blue, the maximum to pure red, linearly in
     between; a constant spectrum (zero span) renders entirely blue.
     """
+    import numpy as np
+
+    from .aems import zscore
+
     mags = np.asarray(spec.magnitudes, dtype=np.float64)
     degenerate = len(mags) < 2 or float(np.std(mags, ddof=1)) == 0.0
     z = np.zeros(len(mags)) if degenerate else zscore(mags)
@@ -197,6 +205,8 @@ def svg_f0_track(
     height: float = 360.0,
 ) -> str:
     """Voiced F0 frames as dots with fitted polynomial contours on top."""
+    import numpy as np
+
     ts, vs = track.voiced_frames()
     if len(ts):
         t_lo, t_hi = float(track.times_s[0]), float(track.times_s[-1])
@@ -276,6 +286,8 @@ def svg_timetree(tree: TimeTree, width: float = 640.0, height: float = 360.0) ->
 
 def svg_quadrants(stats: QuadrantStats, width: float = 420.0, height: float = 420.0) -> str:
     """Scatter of successive z-score pairs with quadrant counts in the corners."""
+    from .rhythm import _classify
+
     pts = stats.points
     extent = max([1.0] + [max(abs(a), abs(b)) for a, b in pts]) * 1.15
     frame = _Frame(-extent, extent, -extent, extent, 50, 20, width - 70, height - 70)

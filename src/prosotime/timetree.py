@@ -14,14 +14,15 @@ hierarchical segmentation of a spectrum into dominance regions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, Iterator
-
 import math
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .aems import Spectrum, zscore
 from .annot import DurationSequence
 from .errors import DegenerateInputError, ParameterError
+
+if TYPE_CHECKING:
+    from .aems import Spectrum
 
 __all__ = [
     "TimeTree",
@@ -192,6 +193,8 @@ def induce_spectral_hierarchy(spec: Spectrum, params: TreeParams = TreeParams())
     larger magnitude dominates).  Raises on constant spectra (zero
     variance).
     """
+    from .aems import zscore  # numpy; duration trees never load it
+
     if len(spec) == 0:
         raise DegenerateInputError("empty spectrum")
     z = zscore(spec.magnitudes)

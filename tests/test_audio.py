@@ -12,9 +12,12 @@ from hypothesis.extra.numpy import arrays
 from prosotime import (
     AnalysisError,
     DegenerateInputError,
+    Envelope,
+    F0Track,
     FormatError,
     ParameterError,
     ParseError,
+    Spectrum,
     Waveform,
     read_wav,
     aems,
@@ -125,6 +128,20 @@ class TestWaveform:
         arr = np.linspace(-0.5, 0.5, 100)
         arr.setflags(write=False)
         assert Waveform(arr, 8000).samples is arr
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Waveform(np.zeros(3), 8000),
+    lambda: Envelope(np.zeros(3), 100.0),
+    lambda: Spectrum(0.5, np.zeros(3), 1.0),
+    lambda: F0Track([0.0, 0.01, 0.02], [100.0, None, 120.0], 0.01),
+], ids=["Waveform", "Envelope", "Spectrum", "F0Track"])
+def test_array_containers_compare_and_hash_by_identity(make):
+    a, b = make(), make()
+    assert a == a and not a != a
+    assert a != b and not a == b  # equal contents, distinct objects
+    assert hash(a) == hash(a)
+    assert len({a, b, a}) == 2
 
 
 class TestWavRoundTrip:

@@ -1,0 +1,122 @@
+"""The package's import surface: lazy public names and the CLI's import budget.
+
+Every check runs in a fresh interpreter, because what a process has imported
+depends on everything imported before it.
+"""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    proc = subprocess.run([sys.executable, *args], env=ENV, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+class TestLazyPackage:
+    def test_import_loads_no_submodule(self):
+        _python("-c", """
+import sys
+import prosotime
+assert "numpy" not in sys.modules
+assert [m for m in sys.modules if m.startswith("prosotime.")] == []
+""")
+
+    def test_star_import_binds_every_name_from_its_home_module(self):
+        _python("-c", """
+import sys
+import prosotime
+from prosotime import *
+names = prosotime.__all__
+assert len(names) == len(set(names)) == 67, len(names)
+for name in names:
+    obj = globals()[name]
+    if name == "__version__":
+        assert obj == prosotime.__version__
+        continue
+    home = obj.__module__
+    assert home.startswith("prosotime."), (name, home)
+    assert getattr(sys.modules[home], name) is obj, name
+""")
+
+    @pytest.mark.parametrize("first", [
+        "import prosotime.aems",
+        "from prosotime.aems import spectrum_to_csv",
+        "import prosotime.rhythm",
+        "import prosotime.cli",
+        "from prosotime import aems",
+        "from prosotime import *",
+    ])
+    def test_aems_stays_the_function_whatever_is_imported_first(self, first):
+        _python("-c", f"""
+{first}
+import prosotime
+import prosotime.aems
+import prosotime.pitch
+from prosotime import aems
+from prosotime.aems import aems as home
+assert aems is home and prosotime.aems is home and callable(aems)
+""")
+
+    def test_dir_lists_all(self):
+        _python("-c", """
+import prosotime
+assert set(prosotime.__all__) <= set(dir(prosotime))
+""")
+
+    def test_unknown_attribute_raises_attribute_error(self):
+        _python("-c", """
+import prosotime
+assert not hasattr(prosotime, "no_such_name")
+try:
+    prosotime.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise SystemExit("no AttributeError")
+""")
+
+    def test_submodules_resolve_as_attributes(self):
+        _python("-c", """
+import prosotime
+assert callable(prosotime.fsm.fsm_to_dict)
+assert prosotime.errors.ParseError is prosotime.ParseError
+""")
+
+
+def _imported_modules(importtime_stderr: str) -> list[str]:
+    # lines read "import time: <self us> | <cumulative us> | <indent><module>"
+    return re.findall(r"^import time:\s+\d+ \|\s+\d+ \|\s*(\S+)$", importtime_stderr, re.M)
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (["--help"], "prosotime.errors"),
+    (["intonation", "check", "%H H* L- L%", "--out-dir", "{out}"], "prosotime.fsm"),
+    (["intonation", "enum", "--max-len", "2", "--out-dir", "{out}"], "prosotime.fsm"),
+    (["timetree", "{csv}", "--out-dir", "{out}"], "prosotime.svgplot"),
+    (["timetree", "{csv}", "--relation", "trochaic", "--arity", "nary", "--json",
+      "--out-dir", "{out}"], "prosotime.timetree"),
+], ids=["help", "intonation-check", "intonation-enum", "timetree", "timetree-nary"])
+def test_symbolic_subcommands_never_import_numpy(argv, loads, words_csv_path, tmp_path):
+    argv = [a.format(csv=words_csv_path, out=tmp_path / "out") for a in argv]
+    proc = _python("-X", "importtime", "-m", "prosotime.cli", *argv)
+    modules = _imported_modules(proc.stderr)
+    assert loads in modules
+    assert [m for m in modules if m.split(".")[0] == "numpy"] == []
+
+
+def test_numeric_subcommand_does_import_numpy(tmp_path):
+    # the guard above would pass vacuously if the parse found no numpy anywhere
+    proc = _python("-X", "importtime", "-m", "prosotime.cli", "calibrate",
+                   "--out-dir", str(tmp_path))
+    assert "numpy" in _imported_modules(proc.stderr)

@@ -397,6 +397,25 @@ class TestCliPlumbing:
         err = capsys.readouterr().err
         assert "Traceback" not in err and ("voicing_ratio" in err or "env_rate" in err)
 
+    @pytest.mark.parametrize("argv, name", [
+        (["aems", "{wav}", "--smooth-ms", "1e308"], "window_ms"),
+        (["aems", "{wav}", "--window-ms", "1e308"], "window_ms"),
+        (["f0", "{wav}", "--frame-ms", "1e308"], "frame_ms"),
+        (["f0", "{wav}", "--hop-ms", "1e308"], "hop_ms"),
+        (["f0", "{wav}", "--frame-ms", "1e300"], "frame_ms"),
+        (["f0", "{wav}", "--hop-ms", "1e300"], "hop_ms"),
+    ])
+    def test_window_beyond_any_array_exits_one(self, argv, name, am_wav_path, tmp_path, capsys):
+        argv = [a.format(wav=am_wav_path) for a in argv]
+        assert run(argv + ["--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and f"error: {name}=" in err
+
+    def test_frame_longer_than_the_signal_gives_an_empty_track(self, am_wav_path, tmp_path, capsys):
+        # 5.7e17 ms is 9.1e18 samples at 16 kHz: an int64, but no array of that width fits
+        assert run(["f0", str(am_wav_path), "--frame-ms", "5.7e17", "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.startswith("frames=0 voiced=0 ")
+
     @pytest.mark.parametrize("cmd", ["aems", "f0"])
     def test_nan_sample_in_float_wav_exits_one(self, cmd, tmp_path, capsys):
         samples = (0.8 * np.sin(2 * np.pi * 150.0 * np.arange(16000) / 16000)).astype("<f4")
