@@ -6,8 +6,8 @@ byte-identical artifacts — and writes only beneath the output directory
 0 success, 1 analysis error, 2 usage error.
 
 Each handler imports the modules it runs, so a process loads numpy only for
-the subcommands that need it (aems, spectree, calibrate, f0, contour-fit,
-metrics and tone-gen).
+the subcommands that need it (aems, spectree, calibrate, f0, contour-fit and
+tone-gen); metrics, timetree and intonation run on the standard library.
 """
 
 from __future__ import annotations
@@ -272,6 +272,8 @@ def _cmd_spectree(args, sink: _Sink) -> dict:
     from .audio import read_wav
     from .timetree import induce_spectral_hierarchy
 
+    if args.polarity != "higher":
+        raise _UsageError(f"spectree supports only --polarity higher, got {args.polarity!r}")
     wave = read_wav(args.wav)
     spec = run_aems(wave, cutoff_hz=args.cutoff_hz)
     params = _tree_params(args)
@@ -324,7 +326,7 @@ def _cmd_intonation(args, sink: _Sink) -> dict:
     fsm = build_pierrehumbert()
     if args.mode == "check":
         if args.string is None:
-            raise AnalysisError("intonation check needs a symbol string")
+            raise _UsageError("intonation check needs a symbol string")
         accepted = recognize(fsm, args.string)
         report = {
             "subcommand": "intonation",
@@ -334,6 +336,8 @@ def _cmd_intonation(args, sink: _Sink) -> dict:
         }
         print(f"accepted={str(bool(accepted)).lower()}")
     else:
+        if args.string is not None:
+            raise _UsageError(f"intonation enum takes no symbol string, got {args.string!r}")
         if args.max_len < 0:
             raise _UsageError(f"--max-len must be >= 0, got {args.max_len}")
         strings = enumerate_strings(fsm, args.max_len)

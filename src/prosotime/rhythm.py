@@ -5,16 +5,19 @@ PVI) measure how unevenly durations are spread without regard to order
 beyond adjacency; the quadrant analysis maps successive z-scored duration
 pairs into long/short quadrants to expose alternation patterns that the
 dispersion metrics factor out.
+
+A tier holds a few thousand durations at most, so everything here is plain
+Python over lists: `math.fsum` gives correctly rounded sums, which makes each
+metric independent of the order of its terms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+import math
+from collections import Counter
+from dataclasses import dataclass, field
+from typing import Iterable
 
-import numpy as np
-
-from .aems import zscore
 from .annot import DurationSequence
 from .errors import DegenerateInputError, ParameterError
 
@@ -31,17 +34,23 @@ __all__ = [
 ]
 
 
-def _as_values(xs: DurationSequence | Iterable[float]) -> np.ndarray:
-    """Coerce a DurationSequence or plain iterable to a 1-D float array."""
-    if isinstance(xs, DurationSequence):
-        values = np.asarray(xs.values, dtype=float)
-    else:
-        values = np.asarray(list(xs), dtype=float)
-    if values.ndim != 1:
-        raise ParameterError(f"expected a 1-D sequence, got shape {values.shape}")
-    if not np.all(np.isfinite(values)):
+def _as_values(xs: DurationSequence | Iterable[float]) -> list[float]:
+    """Coerce a DurationSequence or plain iterable of numbers to a list of floats."""
+    items = xs.values if isinstance(xs, DurationSequence) else xs
+    try:
+        values = [float(x) for x in items]
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"expected a 1-D sequence of numbers: {exc}") from None
+    if not all(map(math.isfinite, values)):
         raise ParameterError("durations must be finite")
     return values
+
+
+def _total(values: list[float]) -> float:
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        raise ParameterError("durations sum beyond the float range") from None
 
 
 def variance(xs: DurationSequence | Iterable[float]) -> float:
@@ -49,10 +58,11 @@ def variance(xs: DurationSequence | Iterable[float]) -> float:
     values = _as_values(xs)
     if len(values) < 2:
         raise DegenerateInputError(f"variance needs >= 2 items, got {len(values)}")
-    if np.ptp(values) == 0.0:
-        # constant input is exactly zero; np.var can leak an ulp of the mean
+    if max(values) == min(values):
+        # constant input is exactly zero; a rounded mean could leak an ulp
         return 0.0
-    return float(np.var(values, ddof=1))
+    mean = _total(values) / len(values)
+    return math.fsum((x - mean) * (x - mean) for x in values) / (len(values) - 1)
 
 
 def pim(xs: DurationSequence | Iterable[float]) -> float:
@@ -64,13 +74,14 @@ def pim(xs: DurationSequence | Iterable[float]) -> float:
     Summing non-negative gaps keeps constant input at exactly zero.
     """
     values = _as_values(xs)
-    if len(values) < 2:
-        raise DegenerateInputError(f"pim needs >= 2 items, got {len(values)}")
-    if np.any(values <= 0):
+    n = len(values)
+    if n < 2:
+        raise DegenerateInputError(f"pim needs >= 2 items, got {n}")
+    if min(values) <= 0:
         raise ParameterError("pim needs strictly positive durations")
-    k = np.arange(1, len(values))
-    gaps = np.diff(np.sort(np.log(values)))
-    return float(2.0 * np.sum(gaps * (k * (len(values) - k))))  # both orders counted
+    logs = sorted(map(math.log, values))
+    gaps = ((hi - lo) * (k * (n - k)) for k, (lo, hi) in enumerate(zip(logs, logs[1:]), 1))
+    return 2.0 * math.fsum(gaps)  # both orders counted
 
 
 def pfd(xs: DurationSequence | Iterable[float]) -> float:
@@ -78,12 +89,13 @@ def pfd(xs: DurationSequence | Iterable[float]) -> float:
     values = _as_values(xs)
     if len(values) == 0:
         raise DegenerateInputError("pfd needs a non-empty sequence")
-    total = float(np.sum(values))
+    total = _total(values)
     if total <= 0:
         raise ParameterError(f"pfd needs a positive total duration, got {total}")
-    if np.ptp(values) == 0.0:
+    if max(values) == min(values):
         return 0.0
-    return float(100.0 * np.sum(np.abs(values - values.mean())) / total)
+    mean = total / len(values)
+    return 100.0 * math.fsum(abs(x - mean) for x in values) / total
 
 
 def rpvi(xs: DurationSequence | Iterable[float]) -> float:
@@ -91,7 +103,7 @@ def rpvi(xs: DurationSequence | Iterable[float]) -> float:
     values = _as_values(xs)
     if len(values) < 2:
         raise DegenerateInputError(f"rpvi needs >= 2 items, got {len(values)}")
-    return float(np.mean(np.abs(np.diff(values))))
+    return math.fsum(abs(a - b) for a, b in zip(values, values[1:])) / (len(values) - 1)
 
 
 def npvi(xs: DurationSequence | Iterable[float]) -> float:
@@ -103,10 +115,10 @@ def npvi(xs: DurationSequence | Iterable[float]) -> float:
     values = _as_values(xs)
     if len(values) < 2:
         raise DegenerateInputError(f"npvi needs >= 2 items, got {len(values)}")
-    if np.any(values <= 0):
+    if min(values) <= 0:
         raise ParameterError("npvi needs strictly positive durations")
-    a, b = values[:-1], values[1:]
-    return float(100.0 * np.mean(np.abs(a - b) / ((a + b) / 2.0)))
+    terms = (abs(a - b) / ((a + b) / 2.0) for a, b in zip(values, values[1:]))
+    return 100.0 * math.fsum(terms) / (len(values) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +141,13 @@ def _classify(z_i: float, z_next: float) -> str:
     return "SL"
 
 
+def _count(name: str) -> property:
+    return property(lambda self: self.counts[name], doc=f"Number of {name} pairs.")
+
+
 @dataclass(frozen=True)
 class QuadrantStats:
-    """Counts of successive z-scored duration pairs per quadrant.
+    """Successive z-scored duration pairs and the quadrant of each.
 
     LL = both long (z > 0), SS = both short, LS = long then short,
     SL = short then long; pairs with a coordinate exactly at zero are
@@ -139,38 +155,27 @@ class QuadrantStats:
     present only when SS > 0.
     """
 
-    ll: int
-    ss: int
-    ls: int
-    sl: int
-    origin: int
-    index: float | None
     points: tuple[tuple[float, float], ...]
+    quadrants: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "points", tuple((float(a), float(b)) for a, b in self.points)
-        )
-        for name in ("ll", "ss", "ls", "sl", "origin"):
-            if getattr(self, name) < 0:
-                raise ParameterError(f"count {name} must be non-negative")
-        total = self.ll + self.ss + self.ls + self.sl + self.origin
-        if total != len(self.points):
-            raise ParameterError(
-                f"counts sum to {total} but there are {len(self.points)} pairs"
-            )
-        if (self.index is not None) != (self.ss > 0):
-            raise ParameterError("index must be present exactly when SS > 0")
+        points = tuple((float(a), float(b)) for a, b in self.points)
+        if not all(math.isfinite(a) and math.isfinite(b) for a, b in points):
+            raise ParameterError("quadrant points must be finite")
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "quadrants", tuple(_classify(a, b) for a, b in points))
 
     @property
     def counts(self) -> dict[str, int]:
-        return {
-            "LL": self.ll,
-            "SS": self.ss,
-            "LS": self.ls,
-            "SL": self.sl,
-            "origin": self.origin,
-        }
+        tally = Counter(self.quadrants)
+        return {name: tally[name] for name in _QUADRANT_NAMES}
+
+    @property
+    def index(self) -> float | None:
+        counts = self.counts
+        return counts["LL"] / counts["SS"] if counts["SS"] else None
+
+    ll, ss, ls, sl, origin = map(_count, _QUADRANT_NAMES)
 
 
 def quadrant_analysis(xs: DurationSequence | Iterable[float]) -> QuadrantStats:
@@ -184,21 +189,12 @@ def quadrant_analysis(xs: DurationSequence | Iterable[float]) -> QuadrantStats:
         raise DegenerateInputError(
             f"quadrant analysis needs >= 3 items, got {len(values)}"
         )
-    z = zscore(values)
-    points = tuple((float(a), float(b)) for a, b in zip(z[:-1], z[1:]))
-    tally = {name: 0 for name in _QUADRANT_NAMES}
-    for a, b in points:
-        tally[_classify(a, b)] += 1
-    index = tally["LL"] / tally["SS"] if tally["SS"] > 0 else None
-    return QuadrantStats(
-        ll=tally["LL"],
-        ss=tally["SS"],
-        ls=tally["LS"],
-        sl=tally["SL"],
-        origin=tally["origin"],
-        index=index,
-        points=points,
-    )
+    sd = math.sqrt(variance(values))
+    if sd == 0.0:
+        raise DegenerateInputError("z-scoring needs nonzero variance")
+    mean = _total(values) / len(values)
+    z = [(x - mean) / sd for x in values]
+    return QuadrantStats(tuple(zip(z, z[1:])))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +211,7 @@ def metrics_report(xs: DurationSequence | Iterable[float]) -> dict:
         "pfd": pfd(values),
         "rpvi": rpvi(values),
         "npvi": npvi(values),
-        "n": int(len(values)),
+        "n": len(values),
         "params": {
             "variance_ddof": 1,
             "pim_log": "natural",
@@ -228,6 +224,6 @@ def metrics_report(xs: DurationSequence | Iterable[float]) -> dict:
 def quadrant_to_csv(stats: QuadrantStats) -> str:
     """Scatter-plot CSV of the z-score pairs: z_i,z_next,quadrant."""
     lines = ["z_i,z_next,quadrant"]
-    for a, b in stats.points:
-        lines.append(f"{a!r},{b!r},{_classify(a, b)}")
+    for (a, b), quadrant in zip(stats.points, stats.quadrants):
+        lines.append(f"{a!r},{b!r},{quadrant}")
     return "\n".join(lines) + "\n"

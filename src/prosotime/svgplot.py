@@ -6,8 +6,9 @@ heatmap maps z-scored magnitude linearly onto a blue-to-red gradient whose
 endpoints are fixed at rgb(0,0,255) and rgb(255,0,0); the mapping is stated
 in the document's metadata.
 
-Renderers import numpy and the analysis modules only when called, so that
-drawing a time tree loads neither.
+The spectrum, heatmap and F0-track renderers import numpy (and the heatmap
+`aems.zscore`) only when called; the time-tree and quadrant renderers need
+only the standard library.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ _GRID = "#cccccc"
 _ACCENT = "#0055aa"
 _POLY = "#cc4400"
 _ZONE = "#22884466"  # translucent band fill
+_W, _H = 640.0, 360.0  # document size of every plot but the two below
+_HEATMAP_H = 120.0  # the heatmap is one 640-wide row
+_SQUARE = 420.0  # the quadrant scatter is square
 
 
 def _fmt(x: float) -> str:
@@ -109,8 +113,6 @@ def svg_spectrum(
     spec: Spectrum,
     fit: PolyFit | None = None,
     zones: Sequence[FrequencyZone] = (),
-    width: float = 640.0,
-    height: float = 360.0,
 ) -> str:
     """Spectrum magnitudes with an optional polynomial overlay and zone markers.
 
@@ -123,7 +125,7 @@ def svg_spectrum(
     mags = spec.magnitudes
     top = float(np.max(mags)) if len(mags) else 1.0
     frame = _Frame(float(freqs[0]), float(freqs[-1]) if len(freqs) > 1 else float(freqs[0]) + 1.0,
-                   0.0, top if top > 0 else 1.0, 50, 20, width - 70, height - 70)
+                   0.0, top if top > 0 else 1.0, 50, 20, _W - 70, _H - 70)
     body: list[str] = []
     for z in zones:
         x_lo, x_hi = frame.x(z.lo_hz), frame.x(z.hi_hz)
@@ -142,7 +144,7 @@ def svg_spectrum(
         ys = np.clip(fit.evaluate(xs), 0.0, top if top > 0 else 1.0)
         body.append(_polyline(xs, ys, frame, _POLY, 1.2))
     body.extend(_axes(frame, "frequency (Hz)", "magnitude"))
-    return _document(width, height, body, "envelope modulation spectrum")
+    return _document(_W, _H, body, "envelope modulation spectrum")
 
 
 def _blue_red(t: float) -> str:
@@ -153,7 +155,7 @@ def _blue_red(t: float) -> str:
     return f"rgb({r},0,{b})"
 
 
-def svg_heatmap(spec: Spectrum, width: float = 640.0, height: float = 120.0) -> str:
+def svg_heatmap(spec: Spectrum) -> str:
     """One-row heatmap of the z-scored spectrum on a blue-to-red scale.
 
     The minimum z maps to pure blue, the maximum to pure red, linearly in
@@ -169,7 +171,7 @@ def svg_heatmap(spec: Spectrum, width: float = 640.0, height: float = 120.0) -> 
     z_min, z_max = (float(np.min(z)), float(np.max(z))) if len(z) else (0.0, 0.0)
     span = z_max - z_min
     freqs = spec.freqs
-    px, py, pw, ph = 50.0, 16.0, width - 70.0, height - 52.0
+    px, py, pw, ph = 50.0, 16.0, _W - 70.0, _HEATMAP_H - 52.0
     cell_w = pw / max(1, len(z))
     body: list[str] = []
     for k, zv in enumerate(z):
@@ -195,15 +197,10 @@ def svg_heatmap(spec: Spectrum, width: float = 640.0, height: float = 120.0) -> 
         "z-scored magnitude heatmap; linear gradient from rgb(0,0,255) at min z "
         "to rgb(255,0,0) at max z"
     )
-    return _document(width, height, body, desc)
+    return _document(_W, _HEATMAP_H, body, desc)
 
 
-def svg_f0_track(
-    track: F0Track,
-    models: Sequence[PolyContourModel] = (),
-    width: float = 640.0,
-    height: float = 360.0,
-) -> str:
+def svg_f0_track(track: F0Track, models: Sequence[PolyContourModel] = ()) -> str:
     """Voiced F0 frames as dots with fitted polynomial contours on top."""
     import numpy as np
 
@@ -214,7 +211,7 @@ def svg_f0_track(
     else:
         t_lo, t_hi, v_lo, v_hi = 0.0, 1.0, 0.0, 1.0
     frame = _Frame(t_lo, t_hi if t_hi > t_lo else t_lo + 1.0, v_lo, v_hi if v_hi > v_lo else v_lo + 1.0,
-                   50, 20, width - 70, height - 70)
+                   50, 20, _W - 70, _H - 70)
     body = [
         f'<circle cx="{_fmt(frame.x(t))}" cy="{_fmt(frame.y(v))}" r="2" fill="{_ACCENT}"/>'
         for t, v in zip(ts, vs)
@@ -229,10 +226,10 @@ def svg_f0_track(
         ys = model.fit.evaluate(xs - origin)
         body.append(_polyline(xs, ys, frame, _POLY, 1.8))
     body.extend(_axes(frame, "time (s)", "F0 (Hz)"))
-    return _document(width, height, body, "F0 track with polynomial contour models")
+    return _document(_W, _H, body, "F0 track with polynomial contour models")
 
 
-def svg_timetree(tree: TimeTree, width: float = 640.0, height: float = 360.0) -> str:
+def svg_timetree(tree: TimeTree) -> str:
     """Node-link rendering: leaves across the bottom, marks at every node.
 
     Nodes are drawn in postorder; an internal node sits above the mean x of
@@ -240,7 +237,7 @@ def svg_timetree(tree: TimeTree, width: float = 640.0, height: float = 360.0) ->
     """
     leaf_levels = [level for node, level, entering in tree.walk() if entering and node.is_leaf]
     depth = max(1, max(leaf_levels))
-    px, py, pw, ph = 30.0, 30.0, width - 60.0, height - 90.0
+    px, py, pw, ph = 30.0, 30.0, _W - 60.0, _H - 90.0
     slot = pw / len(leaf_levels)
 
     body: list[str] = []
@@ -281,16 +278,14 @@ def svg_timetree(tree: TimeTree, width: float = 640.0, height: float = 360.0) ->
         )
         child_xs[-1].append(x)
 
-    return _document(width, height, body, "metrical time tree")
+    return _document(_W, _H, body, "metrical time tree")
 
 
-def svg_quadrants(stats: QuadrantStats, width: float = 420.0, height: float = 420.0) -> str:
+def svg_quadrants(stats: QuadrantStats) -> str:
     """Scatter of successive z-score pairs with quadrant counts in the corners."""
-    from .rhythm import _classify
-
     pts = stats.points
     extent = max([1.0] + [max(abs(a), abs(b)) for a, b in pts]) * 1.15
-    frame = _Frame(-extent, extent, -extent, extent, 50, 20, width - 70, height - 70)
+    frame = _Frame(-extent, extent, -extent, extent, 50, 20, _SQUARE - 70, _SQUARE - 70)
     body = [
         f'<line x1="{_fmt(frame.x(0))}" y1="{_fmt(frame.py)}" x2="{_fmt(frame.x(0))}" '
         f'y2="{_fmt(frame.py + frame.ph)}" stroke="{_GRID}" stroke-width="1"/>',
@@ -298,10 +293,10 @@ def svg_quadrants(stats: QuadrantStats, width: float = 420.0, height: float = 42
         f'y2="{_fmt(frame.y(0))}" stroke="{_GRID}" stroke-width="1"/>',
     ]
     colors = {"LL": "#cc4400", "SS": "#0055aa", "LS": "#228844", "SL": "#886600", "origin": "#555555"}
-    for a, b in pts:
+    for (a, b), quadrant in zip(pts, stats.quadrants):
         body.append(
             f'<circle cx="{_fmt(frame.x(a))}" cy="{_fmt(frame.y(b))}" r="3" '
-            f'fill="{colors[_classify(a, b)]}" fill-opacity="0.8"/>'
+            f'fill="{colors[quadrant]}" fill-opacity="0.8"/>'
         )
     corners = {
         "LL": (frame.px + frame.pw - 8, frame.py + 16, "end"),
@@ -309,10 +304,11 @@ def svg_quadrants(stats: QuadrantStats, width: float = 420.0, height: float = 42
         "LS": (frame.px + frame.pw - 8, frame.py + frame.ph - 8, "end"),
         "SL": (frame.px + 8, frame.py + 16, "start"),
     }
+    counts = stats.counts
     for name, (x, y, anchor) in corners.items():
         body.append(
             f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="sans-serif" font-size="12" '
-            f'text-anchor="{anchor}" fill="{colors[name]}">{name}={stats.counts[name]}</text>'
+            f'text-anchor="{anchor}" fill="{colors[name]}">{name}={counts[name]}</text>'
         )
     body.extend(_axes(frame, "z(i)", "z(i+1)"))
-    return _document(width, height, body, "duration z-score quadrant scatter")
+    return _document(_SQUARE, _SQUARE, body, "duration z-score quadrant scatter")

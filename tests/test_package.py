@@ -106,7 +106,8 @@ def _imported_modules(importtime_stderr: str) -> list[str]:
     (["timetree", "{csv}", "--out-dir", "{out}"], "prosotime.svgplot"),
     (["timetree", "{csv}", "--relation", "trochaic", "--arity", "nary", "--json",
       "--out-dir", "{out}"], "prosotime.timetree"),
-], ids=["help", "intonation-check", "intonation-enum", "timetree", "timetree-nary"])
+    (["metrics", "{csv}", "--out-dir", "{out}"], "prosotime.rhythm"),
+], ids=["help", "intonation-check", "intonation-enum", "timetree", "timetree-nary", "metrics"])
 def test_symbolic_subcommands_never_import_numpy(argv, loads, words_csv_path, tmp_path):
     argv = [a.format(csv=words_csv_path, out=tmp_path / "out") for a in argv]
     proc = _python("-X", "importtime", "-m", "prosotime.cli", *argv)

@@ -11,6 +11,7 @@ from prosotime import (
     DegenerateInputError,
     DurationSequence,
     ParameterError,
+    QuadrantStats,
     metrics_report,
     npvi,
     pfd,
@@ -20,6 +21,81 @@ from prosotime import (
     variance,
 )
 from prosotime.rhythm import quadrant_to_csv
+
+
+# ---------------------------------------------------------------------------
+# numpy reference: the array formulas the stdlib implementation replaced
+# ---------------------------------------------------------------------------
+
+
+def ref_metrics(xs) -> dict:
+    v = np.asarray(xs, dtype=float)
+    n = len(v)
+    constant = np.ptp(v) == 0.0
+    k = np.arange(1, n)
+    a, b = v[:-1], v[1:]
+    return {
+        "variance": 0.0 if constant else float(np.var(v, ddof=1)),
+        "pim": float(2.0 * np.sum(np.diff(np.sort(np.log(v))) * (k * (n - k)))),
+        "pfd": 0.0 if constant else float(100.0 * np.sum(np.abs(v - v.mean())) / np.sum(v)),
+        "rpvi": float(np.mean(np.abs(np.diff(v)))),
+        "npvi": float(100.0 * np.mean(np.abs(a - b) / ((a + b) / 2.0))),
+    }
+
+
+def ref_zscores(xs) -> np.ndarray:
+    v = np.asarray(xs, dtype=float)
+    return (v - v.mean()) / np.std(v, ddof=1)
+
+
+def ref_quadrants(z: np.ndarray) -> list[str]:
+    labels = []
+    for zi, zn in zip(z[:-1], z[1:]):
+        if zi == 0.0 or zn == 0.0:
+            labels.append("origin")
+        elif zi > 0 and zn > 0:
+            labels.append("LL")
+        elif zi < 0 and zn < 0:
+            labels.append("SS")
+        else:
+            labels.append("LS" if zi > 0 else "SL")
+    return labels
+
+
+_durations = st.floats(1e-3, 1e3, allow_nan=False)
+_sequences = st.one_of(
+    st.lists(_durations, min_size=2, max_size=80),
+    st.builds(lambda x, n: [x] * n, _durations, st.integers(2, 30)),  # constant runs
+    st.lists(st.integers(1, 5000).map(lambda ms: ms / 1000), min_size=2, max_size=80),
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_sequences, st.sampled_from(["list", "array", "DurationSequence"]))
+def test_matches_numpy_reference(xs, form):
+    arg = {
+        "list": xs,
+        "array": np.asarray(xs),
+        "DurationSequence": DurationSequence(tuple((f"u{i}", x) for i, x in enumerate(xs))),
+    }[form]
+    want = ref_metrics(xs)
+    got = metrics_report(arg)
+    for fn in (variance, pim, pfd, rpvi, npvi):
+        assert got[fn.__name__] == pytest.approx(want[fn.__name__], rel=1e-12), fn.__name__
+        assert fn(arg) == got[fn.__name__], fn.__name__
+    assert got["n"] == len(xs)
+
+    mean = math.fsum(xs) / len(xs)
+    if len(xs) < 3 or any(math.isclose(x, mean, rel_tol=1e-9) for x in xs):
+        return  # a pair on or within rounding of the mean may fall either side
+    stats = quadrant_analysis(arg)
+    z = ref_zscores(xs)
+    ulps = 1e-14 * max(xs) / np.std(xs, ddof=1)  # a few ulps of the data, in z units
+    assert np.max(np.abs(np.array(stats.points) - np.column_stack([z[:-1], z[1:]]))) <= ulps
+    labels = ref_quadrants(z)
+    assert list(stats.quadrants) == labels
+    assert stats.counts == {q: labels.count(q) for q in ("LL", "SS", "LS", "SL", "origin")}
+    assert stats.index == (labels.count("LL") / labels.count("SS") if "SS" in labels else None)
 
 
 class TestVariance:
@@ -150,9 +226,28 @@ class TestQuadrants:
         with pytest.raises(DegenerateInputError):
             quadrant_analysis([2, 2, 2, 2])
 
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_constant_run_with_inexact_mean_rejected(self, n):
+        # the rounded mean of n copies of 0.1 is not 0.1; its z-scores would be rounding noise
+        with pytest.raises(DegenerateInputError):
+            quadrant_analysis([0.1] * n)
+
     def test_too_short(self):
         with pytest.raises(DegenerateInputError):
             quadrant_analysis([1, 2])
+
+    def test_stats_derive_counts_from_points(self):
+        stats = QuadrantStats(((1.0, 2.0), (-1.0, -0.5), (0.5, -2.0), (-3.0, 1.0), (0.0, 1.0)))
+        assert stats.quadrants == ("LL", "SS", "LS", "SL", "origin")
+        assert (stats.ll, stats.ss, stats.ls, stats.sl, stats.origin) == (1, 1, 1, 1, 1)
+        assert stats.index == 1.0
+        assert QuadrantStats(((1.0, -1.0),)).index is None
+        assert stats == QuadrantStats(tuple(stats.points))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_stats_reject_non_finite_points(self, bad):
+        with pytest.raises(ParameterError):
+            QuadrantStats(((1.0, 2.0), (bad, 1.0)))
 
     def test_csv_output(self):
         stats = quadrant_analysis([1, 1, 5, 5, 1, 1, 5, 5])
@@ -160,6 +255,24 @@ class TestQuadrants:
         assert lines[0] == "z_i,z_next,quadrant"
         assert len(lines) == 8  # header + 7 pairs
         assert quadrant_to_csv(stats) == quadrant_to_csv(stats)
+
+
+class TestInput:
+    @pytest.mark.parametrize("xs", [[[1.0, 2.0], [3.0, 4.0]], np.ones((3, 2)), ["a", "b"]])
+    def test_not_a_sequence_of_numbers(self, xs):
+        for fn in (variance, pim, pfd, rpvi, npvi, quadrant_analysis):
+            with pytest.raises(ParameterError):
+                fn(xs)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        for fn in (variance, pim, pfd, rpvi, npvi, quadrant_analysis):
+            with pytest.raises(ParameterError):
+                fn([1.0, bad, 2.0])
+
+    def test_sum_beyond_float_range_rejected(self):
+        with pytest.raises(ParameterError):
+            variance([1e308, 1.5e308])
 
 
 class TestReport:

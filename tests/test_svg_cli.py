@@ -243,6 +243,13 @@ class TestCliTimetree:
         jsonschema.validate(rep, load_schema("spectree"))
         assert rep["params"]["polarity"] == "higher"
 
+    def test_spectree_lower_polarity_is_usage_error(self, am_wav_path, tmp_path, capsys):
+        code = run(["spectree", str(am_wav_path), "--polarity", "lower",
+                    "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "--polarity" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_spectree_nodes_label_every_bin(self, am_wav_path, tmp_path, capsys):
         assert run(["spectree", str(am_wav_path), "--json", "--out-dir", str(tmp_path)]) == 0
         rep = report_from(capsys)
@@ -323,6 +330,15 @@ class TestCliIntonation:
     def test_negative_max_len_is_usage_error(self, tmp_path, capsys):
         assert run(["intonation", "enum", "--max-len", "-1", "--out-dir", str(tmp_path)]) == 2
         assert "--max-len" in capsys.readouterr().err
+
+    def test_check_without_string_is_usage_error(self, tmp_path, capsys):
+        assert run(["intonation", "check", "--out-dir", str(tmp_path)]) == 2
+        assert "symbol string" in capsys.readouterr().err
+
+    def test_enum_with_string_is_usage_error(self, tmp_path, capsys):
+        assert run(["intonation", "enum", "%H H* L- L%", "--out-dir", str(tmp_path)]) == 2
+        assert "symbol string" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCliF0AndContour:
