@@ -42,6 +42,13 @@ def load_schema(name):
     return json.loads((SCHEMA_DIR / f"{name}.schema.json").read_text())
 
 
+PIN_MAGS = [0.1, 0.4, 1.3, 0.7, 0.2, 0.9, 0.5, 0.05, 0.3, 0.6, 0.15]
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def report_from(capsys):
     out = capsys.readouterr().out
     return json.loads(out[out.index("{\n"):])
@@ -98,6 +105,52 @@ class TestSvgRenderers:
     def test_timetree_svg_bytes_pinned(self, seq, digest):
         svg = svg_timetree(induce_time_tree(seq, TreeParams("iambic", "lower")))
         assert hashlib.sha256(svg.encode()).hexdigest() == digest
+
+    def test_spectrum_and_heatmap_svg_bytes_pinned(self):
+        from prosotime import FrequencyZone, PolyFit, Spectrum
+
+        spec = Spectrum(0.5, PIN_MAGS, 5.0, {})
+        fit = PolyFit(2, (0.2, 0.3, -0.05), (0.0, 5.0), 0.1, (0.5, 0.1, -0.3))
+        zones = (FrequencyZone(1.0, 0.5, 1.5, 0.9), FrequencyZone(2.5, 2.0, 3.25, 0.4))
+        one_bin = Spectrum(0.5, [2.0], 5.0, {})
+        constant = Spectrum(0.5, np.full(11, 3.0), 5.0, {})
+        cases = {
+            "spectrum_fit_zones": svg_spectrum(spec, fit=fit, zones=zones),
+            "spectrum_one_bin": svg_spectrum(one_bin, fit=fit),
+            "heatmap": svg_heatmap(spec),
+            "heatmap_constant": svg_heatmap(constant),
+            "heatmap_one_bin": svg_heatmap(one_bin),
+        }
+        assert {k: _sha(v) for k, v in cases.items()} == {
+            "spectrum_fit_zones": "444fc8d99c759da7bf38141bd846c08ac7fd67c261f4c511f314641e02e6a25f",
+            "spectrum_one_bin": "14454c09db11f4a22c7e08fa75891ab4960a76800bf13b1ff19a63c3529561c3",
+            "heatmap": "0c033fee0225310f237531e48623af1bbf8645495c06951713cdcde0dbf2da8e",
+            "heatmap_constant": "51eee08706d2310cb70853a04cf3980e734348bd4f8a7c873b84e1d9b90f5001",
+            "heatmap_one_bin": "ccdc54e0e7a91a51d616ec765904a162f7fc86782c9003f0d95ee59ed1b65ecc",
+        }
+
+    def test_f0_track_svg_bytes_pinned(self):
+        from prosotime import IPU, F0Track, PolyContourModel, PolyFit
+
+        times = [0.01 * k for k in range(12)]
+        f0 = [None, 180.0, 185.5, 190.25, None, None, 172.0, 168.5, 165.0, 161.75, None, None]
+        track = F0Track(times, f0, 0.01)
+        whole = PolyContourModel(PolyFit(1, (186.0, -200.0), (0.0, 0.08), 2.0, (178.0, -8.0)), None, 7)
+        part = PolyContourModel(PolyFit(2, (172.0, -250.0, 100.0), (0.0, 0.03), 0.5, (168.0, -5.0, 1.5)),
+                                IPU(0.06, 0.09), 4)
+        unvoiced = F0Track(times[:5], [None] * 5, 0.01)
+        cases = {
+            "models": svg_f0_track(track, models=(whole, part)),
+            "unvoiced": svg_f0_track(unvoiced),
+        }
+        assert {k: _sha(v) for k, v in cases.items()} == {
+            "models": "4384aad43f75bfdfbcba7d114b3898d5706b49cf855fb8b6550ba88cf4b0234f",
+            "unvoiced": "53992c4bd8e44d2a0c2a4255f93067c16d0a12316d3994df6c5bba6336ae9269",
+        }
+
+    def test_quadrant_svg_bytes_pinned(self):
+        svg = svg_quadrants(quadrant_analysis([1.0, 2.5, 1.5, 4.0, 0.5, 3.0, 2.0, 2.0, 6.0]))
+        assert _sha(svg) == "d4e6073f7519841c6e5ae14942c3e5f00dc1f82f7d2657b192615f280ae0f9ab"
 
     def test_quadrant_svg_labels_counts(self):
         stats = quadrant_analysis([1, 1, 5, 5, 1, 1, 5, 5])
