@@ -271,6 +271,11 @@ def fit_polynomial(xs, ys, degree) -> PolyFit:
         coeffs = np.pad(coeffs, (0, degree + 1 - len(coeffs)))
     else:
         coeffs = sol
+    if not np.isfinite(coeffs).all():
+        raise DegenerateInputError(
+            f"degree-{degree} coefficients in powers of x overflow the float range "
+            f"over the x span [{lo!r}, {hi!r}]"
+        )
     return PolyFit(
         degree=int(degree),
         coeffs=tuple(float(c) for c in coeffs),
@@ -357,7 +362,7 @@ def zscore(values) -> np.ndarray:
 
 def spectrum_to_csv(spec: Spectrum) -> str:
     lines = ["freq_hz,magnitude"]
-    for f, m in zip(spec.freqs, spec.magnitudes):
+    for f, m in zip(spec.freqs.tolist(), spec.magnitudes.tolist()):
         lines.append(f"{f!r},{m!r}")
     return "\n".join(lines) + "\n"
 

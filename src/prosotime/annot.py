@@ -159,14 +159,15 @@ def _decode_document(data: str | bytes) -> str:
     """Decode a document to text, honoring UTF-8/UTF-16 byte-order marks."""
     if isinstance(data, str):
         return data.lstrip("﻿")
+    name, codec = "UTF-8", "utf-8"
     if data.startswith(b"\xef\xbb\xbf"):
-        return data.decode("utf-8-sig")
-    if data.startswith(b"\xff\xfe") or data.startswith(b"\xfe\xff"):
-        return data.decode("utf-16")
+        codec = "utf-8-sig"
+    elif data.startswith(b"\xff\xfe") or data.startswith(b"\xfe\xff"):
+        name, codec = "UTF-16", "utf-16"
     try:
-        return data.decode("utf-8")
+        return data.decode(codec)
     except UnicodeDecodeError as exc:
-        raise ParseError(f"document is not valid UTF-8: {exc}") from None
+        raise ParseError(f"document is not valid {name}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,11 @@ class _UsageError(Exception):
 
 
 def _dumps(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """Strict JSON: a NaN or infinity in a report is an AnalysisError, not `Infinity`."""
+    try:
+        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise AnalysisError(f"report holds a non-finite number ({exc})") from None
 
 
 def _finite_float(text: str) -> float:
@@ -524,15 +528,14 @@ def run(argv: list[str] | None = None) -> int:
 
     try:
         report = args.func(args, sink)
+        if args.json:
+            print(_dumps(report), end="")
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (AnalysisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    if args.json:
-        print(_dumps(report), end="")
     return 0
 
 

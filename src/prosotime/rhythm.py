@@ -46,11 +46,14 @@ def _as_values(xs: DurationSequence | Iterable[float]) -> list[float]:
     return values
 
 
-def _total(values: list[float]) -> float:
+def _total(values: Iterable[float], what: str = "durations") -> float:
     try:
-        return math.fsum(values)
+        total = math.fsum(values)
     except OverflowError:
-        raise ParameterError("durations sum beyond the float range") from None
+        total = math.inf
+    if math.isinf(total):  # an infinite term (a square that overflowed) gives inf
+        raise ParameterError(f"{what} sum beyond the float range")
+    return total
 
 
 def variance(xs: DurationSequence | Iterable[float]) -> float:
@@ -62,7 +65,8 @@ def variance(xs: DurationSequence | Iterable[float]) -> float:
         # constant input is exactly zero; a rounded mean could leak an ulp
         return 0.0
     mean = _total(values) / len(values)
-    return math.fsum((x - mean) * (x - mean) for x in values) / (len(values) - 1)
+    squares = _total(((x - mean) * (x - mean) for x in values), "squared deviations of the durations")
+    return squares / (len(values) - 1)
 
 
 def pim(xs: DurationSequence | Iterable[float]) -> float:

@@ -13,6 +13,7 @@ only the standard library.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
@@ -40,7 +41,7 @@ _SQUARE = 420.0  # the quadrant scatter is square
 
 
 def _fmt(x: float) -> str:
-    return f"{float(x):.3f}"
+    return f"{x:.3f}"
 
 
 def _escape(text: str) -> str:
@@ -49,59 +50,78 @@ def _escape(text: str) -> str:
     )
 
 
+# The element writers take coordinates already formatted by _fmt, so that a
+# renderer formats each value once however many elements share it.
+
+
+def _text(x: str, y: str, content: str, size: int = 12, anchor: str = "middle", fill: str = _FG,
+          weight: str = "", transform: str = "") -> str:
+    """Sans-serif text; content must already be escaped."""
+    weight = f' font-weight="{weight}"' if weight else ""
+    transform = f' transform="{transform}"' if transform else ""
+    return (f'<text x="{x}" y="{y}" font-family="sans-serif" font-size="{size}"{weight} '
+            f'text-anchor="{anchor}" fill="{fill}"{transform}>{content}</text>')
+
+
+def _line(x1: str, y1: str, x2: str, y2: str, stroke: str, width: str) -> str:
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}" stroke-width="{width}"/>'
+
+
+def _rect(x: str, y: str, width: str, height: str, fill: str | None = None) -> str:
+    """A filled rectangle, or with no fill a 1-px outline in the foreground colour."""
+    paint = f'fill="{fill}"' if fill else f'fill="none" stroke="{_FG}" stroke-width="1"'
+    return f'<rect x="{x}" y="{y}" width="{width}" height="{height}" {paint}/>'
+
+
+def _circle(cx: str, cy: str, r: str, fill: str, extra: str = "") -> str:
+    return f'<circle cx="{cx}" cy="{cy}" r="{r}" fill="{fill}"{extra}/>'
+
+
 def _document(width: float, height: float, body: list[str], description: str) -> str:
+    w, h = _fmt(width), _fmt(height)
     head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_fmt(width)}" height="{_fmt(height)}" '
-        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">\n'
+        f'width="{w}" height="{h}" viewBox="0 0 {w} {h}">\n'
         f"<desc>{_escape(description)}</desc>\n"
-        f'<rect x="0" y="0" width="{_fmt(width)}" height="{_fmt(height)}" fill="#ffffff"/>\n'
+        f"{_rect('0', '0', w, h, '#ffffff')}\n"
     )
     return head + "\n".join(body) + "\n</svg>\n"
 
 
 class _Frame:
-    """Maps data coordinates into a pixel rectangle (y grows upward in data)."""
+    """Maps data coordinates into a pixel rectangle (y grows upward in data).
+
+    An empty range (x1 <= x0, and likewise for y) is widened to one unit.  A
+    range too far from zero for that to widen (|x0| >= 2**53) maps every value
+    to the left (or bottom) edge.
+    """
 
     def __init__(self, x0, x1, y0, y1, px, py, pw, ph):
+        x1 = x1 if x1 > x0 else x0 + 1.0
+        y1 = y1 if y1 > y0 else y0 + 1.0
         self.x0, self.x1, self.y0, self.y1 = x0, x1, y0, y1
         self.px, self.py, self.pw, self.ph = px, py, pw, ph
+        self.x_span = (x1 - x0) or math.inf
+        self.y_span = (y1 - y0) or math.inf
 
     def x(self, v: float) -> float:
-        span = self.x1 - self.x0
-        t = 0.0 if span == 0 else (v - self.x0) / span
-        return self.px + t * self.pw
+        return self.px + (v - self.x0) / self.x_span * self.pw
 
     def y(self, v: float) -> float:
-        span = self.y1 - self.y0
-        t = 0.0 if span == 0 else (v - self.y0) / span
-        return self.py + self.ph - t * self.ph
+        return self.py + self.ph - (v - self.y0) / self.y_span * self.ph
 
 
 def _axes(frame: _Frame, x_label: str, y_label: str) -> list[str]:
-    parts = [
-        f'<rect x="{_fmt(frame.px)}" y="{_fmt(frame.py)}" width="{_fmt(frame.pw)}" '
-        f'height="{_fmt(frame.ph)}" fill="none" stroke="{_FG}" stroke-width="1"/>',
-        f'<text x="{_fmt(frame.px + frame.pw / 2)}" y="{_fmt(frame.py + frame.ph + 30)}" '
-        f'font-family="sans-serif" font-size="12" text-anchor="middle" fill="{_FG}">'
-        f"{_escape(x_label)}</text>",
-        f'<text x="12" y="{_fmt(frame.py + frame.ph / 2)}" font-family="sans-serif" '
-        f'font-size="12" text-anchor="middle" fill="{_FG}" '
-        f'transform="rotate(-90 12 {_fmt(frame.py + frame.ph / 2)})">{_escape(y_label)}</text>',
+    bottom = frame.py + frame.ph
+    mid_y = _fmt(frame.py + frame.ph / 2)
+    tick_y, tick_x = _fmt(bottom + 14), _fmt(frame.px - 4)
+    return [
+        _rect(_fmt(frame.px), _fmt(frame.py), _fmt(frame.pw), _fmt(frame.ph)),
+        _text(_fmt(frame.px + frame.pw / 2), _fmt(bottom + 30), _escape(x_label)),
+        _text("12", mid_y, _escape(y_label), transform=f"rotate(-90 12 {mid_y})"),
+        *(_text(_fmt(frame.x(t)), tick_y, _fmt(t), 10) for t in (frame.x0, frame.x1)),
+        *(_text(tick_x, _fmt(frame.y(t) + 3), _fmt(t), 10, "end") for t in (frame.y0, frame.y1)),
     ]
-    for t in (frame.x0, frame.x1):
-        parts.append(
-            f'<text x="{_fmt(frame.x(t))}" y="{_fmt(frame.py + frame.ph + 14)}" '
-            f'font-family="sans-serif" font-size="10" text-anchor="middle" fill="{_FG}">'
-            f"{_fmt(t)}</text>"
-        )
-    for t in (frame.y0, frame.y1):
-        parts.append(
-            f'<text x="{_fmt(frame.px - 4)}" y="{_fmt(frame.y(t) + 3)}" '
-            f'font-family="sans-serif" font-size="10" text-anchor="end" fill="{_FG}">'
-            f"{_fmt(t)}</text>"
-        )
-    return parts
 
 
 def _polyline(xs: Iterable[float], ys: Iterable[float], frame: _Frame, color: str, width: float = 1.5) -> str:
@@ -121,28 +141,21 @@ def svg_spectrum(
     """
     import numpy as np
 
-    freqs = spec.freqs
-    mags = spec.magnitudes
-    top = float(np.max(mags)) if len(mags) else 1.0
-    frame = _Frame(float(freqs[0]), float(freqs[-1]) if len(freqs) > 1 else float(freqs[0]) + 1.0,
-                   0.0, top if top > 0 else 1.0, 50, 20, _W - 70, _H - 70)
+    freqs = spec.freqs.tolist()
+    mags = spec.magnitudes.tolist()
+    frame = _Frame(freqs[0], freqs[-1], 0.0, max(mags), 50, 20, _W - 70, _H - 70)
+    top, bottom, height = _fmt(frame.py), _fmt(frame.py + frame.ph), _fmt(frame.ph)
     body: list[str] = []
     for z in zones:
         x_lo, x_hi = frame.x(z.lo_hz), frame.x(z.hi_hz)
-        body.append(
-            f'<rect x="{_fmt(x_lo)}" y="{_fmt(frame.py)}" width="{_fmt(x_hi - x_lo)}" '
-            f'height="{_fmt(frame.ph)}" fill="{_ZONE}"/>'
-        )
-        body.append(
-            f'<line x1="{_fmt(frame.x(z.center_hz))}" y1="{_fmt(frame.py)}" '
-            f'x2="{_fmt(frame.x(z.center_hz))}" y2="{_fmt(frame.py + frame.ph)}" '
-            f'stroke="#228844" stroke-width="1.5"/>'
-        )
+        center = _fmt(frame.x(z.center_hz))
+        body.append(_rect(_fmt(x_lo), top, _fmt(x_hi - x_lo), height, _ZONE))
+        body.append(_line(center, top, center, bottom, "#228844", "1.5"))
     body.append(_polyline(freqs, mags, frame, _ACCENT))
     if fit is not None and len(freqs) > 1:
         xs = np.linspace(freqs[0], freqs[-1], 200)
-        ys = np.clip(fit.evaluate(xs), 0.0, top if top > 0 else 1.0)
-        body.append(_polyline(xs, ys, frame, _POLY, 1.2))
+        ys = np.clip(fit.evaluate(xs), 0.0, frame.y1)
+        body.append(_polyline(xs.tolist(), ys.tolist(), frame, _POLY, 1.2))
     body.extend(_axes(frame, "frequency (Hz)", "magnitude"))
     return _document(_W, _H, body, "envelope modulation spectrum")
 
@@ -159,40 +172,29 @@ def svg_heatmap(spec: Spectrum) -> str:
     """One-row heatmap of the z-scored spectrum on a blue-to-red scale.
 
     The minimum z maps to pure blue, the maximum to pure red, linearly in
-    between; a constant spectrum (zero span) renders entirely blue.
+    between; a constant or one-bin spectrum (no z-scores) renders entirely blue.
     """
-    import numpy as np
-
     from .aems import zscore
+    from .errors import DegenerateInputError
 
-    mags = np.asarray(spec.magnitudes, dtype=np.float64)
-    degenerate = len(mags) < 2 or float(np.std(mags, ddof=1)) == 0.0
-    z = np.zeros(len(mags)) if degenerate else zscore(mags)
-    z_min, z_max = (float(np.min(z)), float(np.max(z))) if len(z) else (0.0, 0.0)
+    try:
+        z = zscore(spec.magnitudes).tolist()
+    except DegenerateInputError:
+        z = [0.0] * len(spec)
+    z_min, z_max = min(z), max(z)
     span = z_max - z_min
-    freqs = spec.freqs
     px, py, pw, ph = 50.0, 16.0, _W - 70.0, _HEATMAP_H - 52.0
-    cell_w = pw / max(1, len(z))
+    cell_w = pw / len(z)
+    y, width, height = _fmt(py), _fmt(cell_w), _fmt(ph)
     body: list[str] = []
     for k, zv in enumerate(z):
-        t = 0.0 if span == 0 else (float(zv) - z_min) / span
-        body.append(
-            f'<rect x="{_fmt(px + k * cell_w)}" y="{_fmt(py)}" width="{_fmt(cell_w)}" '
-            f'height="{_fmt(ph)}" fill="{_blue_red(t)}"/>'
-        )
-    body.append(
-        f'<rect x="{_fmt(px)}" y="{_fmt(py)}" width="{_fmt(pw)}" height="{_fmt(ph)}" '
-        f'fill="none" stroke="{_FG}" stroke-width="1"/>'
-    )
-    for label, xpos in ((freqs[0], px), (freqs[-1], px + pw)) if len(freqs) else ():
-        body.append(
-            f'<text x="{_fmt(xpos)}" y="{_fmt(py + ph + 14)}" font-family="sans-serif" '
-            f'font-size="10" text-anchor="middle" fill="{_FG}">{_fmt(label)}</text>'
-        )
-    body.append(
-        f'<text x="{_fmt(px + pw / 2)}" y="{_fmt(py + ph + 30)}" font-family="sans-serif" '
-        f'font-size="12" text-anchor="middle" fill="{_FG}">frequency (Hz)</text>'
-    )
+        t = 0.0 if span == 0 else (zv - z_min) / span
+        body.append(_rect(_fmt(px + k * cell_w), y, width, height, _blue_red(t)))
+    body.append(_rect(_fmt(px), y, _fmt(pw), height))
+    tick_y = _fmt(py + ph + 14)
+    for label, xpos in zip(spec.freqs[[0, -1]].tolist(), (px, px + pw)):
+        body.append(_text(_fmt(xpos), tick_y, _fmt(label), 10))
+    body.append(_text(_fmt(px + pw / 2), _fmt(py + ph + 30), "frequency (Hz)"))
     desc = (
         "z-scored magnitude heatmap; linear gradient from rgb(0,0,255) at min z "
         "to rgb(255,0,0) at max z"
@@ -204,27 +206,18 @@ def svg_f0_track(track: F0Track, models: Sequence[PolyContourModel] = ()) -> str
     """Voiced F0 frames as dots with fitted polynomial contours on top."""
     import numpy as np
 
-    ts, vs = track.voiced_frames()
-    if len(ts):
-        t_lo, t_hi = float(track.times_s[0]), float(track.times_s[-1])
-        v_lo, v_hi = float(np.min(vs)) * 0.9, float(np.max(vs)) * 1.1
-    else:
-        t_lo, t_hi, v_lo, v_hi = 0.0, 1.0, 0.0, 1.0
-    frame = _Frame(t_lo, t_hi if t_hi > t_lo else t_lo + 1.0, v_lo, v_hi if v_hi > v_lo else v_lo + 1.0,
-                   50, 20, _W - 70, _H - 70)
-    body = [
-        f'<circle cx="{_fmt(frame.x(t))}" cy="{_fmt(frame.y(v))}" r="2" fill="{_ACCENT}"/>'
-        for t, v in zip(ts, vs)
-    ]
+    ts, vs = (a.tolist() for a in track.voiced_frames())
+    t_lo, t_hi, v_lo, v_hi = 0.0, 1.0, 0.0, 1.0
+    if ts:
+        t_lo, t_hi = track.times_s[[0, -1]].tolist()
+        v_lo, v_hi = min(vs) * 0.9, max(vs) * 1.1
+    frame = _Frame(t_lo, t_hi, v_lo, v_hi, 50, 20, _W - 70, _H - 70)
+    body = [_circle(_fmt(frame.x(t)), _fmt(frame.y(v)), "2", _ACCENT) for t, v in zip(ts, vs)]
     for model in models:
-        if model.domain is not None:
-            lo, hi = model.domain.start_s, model.domain.end_s
-            origin = model.domain.start_s
-        else:
-            lo, hi, origin = t_lo, t_hi, t_lo
+        lo, hi = (t_lo, t_hi) if model.domain is None else (model.domain.start_s, model.domain.end_s)
         xs = np.linspace(lo, hi, 100)
-        ys = model.fit.evaluate(xs - origin)
-        body.append(_polyline(xs, ys, frame, _POLY, 1.8))
+        ys = model.fit.evaluate(xs - lo)
+        body.append(_polyline(xs.tolist(), ys.tolist(), frame, _POLY, 1.8))
     body.extend(_axes(frame, "time (s)", "F0 (Hz)"))
     return _document(_W, _H, body, "F0 track with polynomial contour models")
 
@@ -239,44 +232,33 @@ def svg_timetree(tree: TimeTree) -> str:
     depth = max(1, max(leaf_levels))
     px, py, pw, ph = 30.0, 30.0, _W - 60.0, _H - 90.0
     slot = pw / len(leaf_levels)
+    label_y, tick_y = _fmt(py + ph + 20), _fmt(py + ph + 6)
+    ring = f' stroke="{_FG}" stroke-width="1"'
 
     body: list[str] = []
-    child_xs: list[list[float]] = [[]]  # x of the finished children of each open node
+    # (x, formatted x, formatted y) of the finished children of each open node
+    children: list[list[tuple[float, str, str]]] = [[]]
     next_leaf = 0
     for node, level, entering in tree.walk():
         if entering:
-            child_xs.append([])
+            children.append([])
             continue
-        xs = child_xs.pop()
+        kids = children.pop()
         y = py + ph * (level / depth)
         if node.is_leaf:
             x = px + (next_leaf + 0.5) * slot
             next_leaf += 1
-            body.append(
-                f'<text x="{_fmt(x)}" y="{_fmt(py + ph + 20)}" font-family="sans-serif" '
-                f'font-size="12" text-anchor="middle" fill="{_FG}">{_escape(node.label or "")}</text>'
-            )
-            body.append(
-                f'<line x1="{_fmt(x)}" y1="{_fmt(y)}" x2="{_fmt(x)}" y2="{_fmt(py + ph + 6)}" '
-                f'stroke="{_GRID}" stroke-width="1"/>'
-            )
+            fx, fy = _fmt(x), _fmt(y)
+            body.append(_text(fx, label_y, _escape(node.label)))
+            body.append(_line(fx, fy, fx, tick_y, _GRID, "1"))
         else:
-            x = sum(xs) / len(xs)
-            child_y = py + ph * ((level + 1) / depth)
-            for cx in xs:
-                body.append(
-                    f'<line x1="{_fmt(x)}" y1="{_fmt(y)}" x2="{_fmt(cx)}" y2="{_fmt(child_y)}" '
-                    f'stroke="{_FG}" stroke-width="1.2"/>'
-                )
+            x = sum(kid[0] for kid in kids) / len(kids)
+            fx, fy = _fmt(x), _fmt(y)
+            body.extend(_line(fx, fy, cx, cy, _FG, "1.2") for _, cx, cy in kids)
         weight = "bold" if node.mark in ("s", "r") else "normal"
-        body.append(
-            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="8" fill="#ffffff" stroke="{_FG}" stroke-width="1"/>'
-        )
-        body.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(y + 4)}" font-family="sans-serif" font-size="11" '
-            f'font-weight="{weight}" text-anchor="middle" fill="{_FG}">{_escape(node.mark)}</text>'
-        )
-        child_xs[-1].append(x)
+        body.append(_circle(fx, fy, "8", "#ffffff", ring))
+        body.append(_text(fx, _fmt(y + 4), _escape(node.mark), 11, weight=weight))
+        children[-1].append((x, fx, fy))
 
     return _document(_W, _H, body, "metrical time tree")
 
@@ -286,18 +268,14 @@ def svg_quadrants(stats: QuadrantStats) -> str:
     pts = stats.points
     extent = max([1.0] + [max(abs(a), abs(b)) for a, b in pts]) * 1.15
     frame = _Frame(-extent, extent, -extent, extent, 50, 20, _SQUARE - 70, _SQUARE - 70)
+    x0, y0 = _fmt(frame.x(0)), _fmt(frame.y(0))
     body = [
-        f'<line x1="{_fmt(frame.x(0))}" y1="{_fmt(frame.py)}" x2="{_fmt(frame.x(0))}" '
-        f'y2="{_fmt(frame.py + frame.ph)}" stroke="{_GRID}" stroke-width="1"/>',
-        f'<line x1="{_fmt(frame.px)}" y1="{_fmt(frame.y(0))}" x2="{_fmt(frame.px + frame.pw)}" '
-        f'y2="{_fmt(frame.y(0))}" stroke="{_GRID}" stroke-width="1"/>',
+        _line(x0, _fmt(frame.py), x0, _fmt(frame.py + frame.ph), _GRID, "1"),
+        _line(_fmt(frame.px), y0, _fmt(frame.px + frame.pw), y0, _GRID, "1"),
     ]
     colors = {"LL": "#cc4400", "SS": "#0055aa", "LS": "#228844", "SL": "#886600", "origin": "#555555"}
     for (a, b), quadrant in zip(pts, stats.quadrants):
-        body.append(
-            f'<circle cx="{_fmt(frame.x(a))}" cy="{_fmt(frame.y(b))}" r="3" '
-            f'fill="{colors[quadrant]}" fill-opacity="0.8"/>'
-        )
+        body.append(_circle(_fmt(frame.x(a)), _fmt(frame.y(b)), "3", colors[quadrant], ' fill-opacity="0.8"'))
     corners = {
         "LL": (frame.px + frame.pw - 8, frame.py + 16, "end"),
         "SS": (frame.px + 8, frame.py + frame.ph - 8, "start"),
@@ -306,9 +284,6 @@ def svg_quadrants(stats: QuadrantStats) -> str:
     }
     counts = stats.counts
     for name, (x, y, anchor) in corners.items():
-        body.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="sans-serif" font-size="12" '
-            f'text-anchor="{anchor}" fill="{colors[name]}">{name}={counts[name]}</text>'
-        )
+        body.append(_text(_fmt(x), _fmt(y), f"{name}={counts[name]}", anchor=anchor, fill=colors[name]))
     body.extend(_axes(frame, "z(i)", "z(i+1)"))
     return _document(_SQUARE, _SQUARE, body, "duration z-score quadrant scatter")

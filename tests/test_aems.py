@@ -307,6 +307,12 @@ class TestPolynomialFit:
         with pytest.raises(ParameterError):
             fit_polynomial([0.0, 1.0], [1.0, 2.0], -1)
 
+    def test_coefficients_beyond_float_range_rejected(self):
+        # fine in the scaled basis, but x**3 over a 1e-299 span needs a 1e+900 coefficient
+        xs = np.arange(10) * 1e-300
+        with pytest.raises(DegenerateInputError, match="overflow the float range"):
+            fit_polynomial(xs, 100.0 + np.arange(10), 3)
+
 
 def _spectrum_with_peaks(n_bins, res, peaks):
     """Low-magnitude noise floor plus spikes at the given (bin, magnitude) pairs."""
@@ -387,6 +393,13 @@ class TestSerialization:
         lines = spectrum_to_csv(spec).strip().split("\n")
         assert lines[0] == "freq_hz,magnitude"
         assert len(lines) == len(spec.magnitudes) + 1
+
+    def test_csv_rows_are_plain_decimals(self, am_wave):
+        spec = aems(am_wave, cutoff_hz=5.0)
+        rows = [line.split(",") for line in spectrum_to_csv(spec).splitlines()[1:]]
+        assert all(len(row) == 2 for row in rows)
+        assert [float(f) for f, _ in rows] == spec.freqs.tolist()
+        assert [float(m) for _, m in rows] == spec.magnitudes.tolist()
 
     def test_csv_is_deterministic(self, am_wave):
         spec = aems(am_wave, cutoff_hz=5.0)

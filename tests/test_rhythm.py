@@ -274,6 +274,12 @@ class TestInput:
         with pytest.raises(ParameterError):
             variance([1e308, 1.5e308])
 
+    @pytest.mark.parametrize("fn", [variance, quadrant_analysis])
+    def test_squares_beyond_float_range_rejected(self, fn):
+        # the sum is finite, but the squared deviations (about 1e399) are not
+        with pytest.raises(ParameterError, match="squared deviations"):
+            fn([1e200, 1e193, 1e200])
+
 
 class TestReport:
     def test_all_metrics_present(self):

@@ -139,13 +139,17 @@ class TestSvgRenderers:
         part = PolyContourModel(PolyFit(2, (172.0, -250.0, 100.0), (0.0, 0.03), 0.5, (168.0, -5.0, 1.5)),
                                 IPU(0.06, 0.09), 4)
         unvoiced = F0Track(times[:5], [None] * 5, 0.01)
+        # one frame so far from zero that widening its empty time range is a no-op
+        far = F0Track([1e17], [150.0], 0.01)
         cases = {
             "models": svg_f0_track(track, models=(whole, part)),
             "unvoiced": svg_f0_track(unvoiced),
+            "one_frame_far": svg_f0_track(far, models=(fit_contour(far, 0),)),
         }
         assert {k: _sha(v) for k, v in cases.items()} == {
             "models": "4384aad43f75bfdfbcba7d114b3898d5706b49cf855fb8b6550ba88cf4b0234f",
             "unvoiced": "53992c4bd8e44d2a0c2a4255f93067c16d0a12316d3994df6c5bba6336ae9269",
+            "one_frame_far": "084b5fb464e3ef73dd582231e595ad484d79619b18a521f57f323850ec5f3cb4",
         }
 
     def test_quadrant_svg_bytes_pinned(self):
@@ -522,6 +526,30 @@ class TestCliPlumbing:
         assert run(["timetree", str(path), "--out-dir", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err and where in err
+
+    @pytest.mark.parametrize("argv, name, text, what", [
+        (["metrics"], "big.csv",
+         "tier,label,start_s,end_s\nw,a,0,1e200\nw,b,1e200,1.0000001e200\nw,c,1.0000001e200,2e200\n",
+         "squared deviations"),
+        (["contour-fit", "--degree", "3"], "tiny.f0.csv",
+         "time_s,f0_hz\n" + "".join(f"{k * 1e-300!r},{100.0 + k}\n" for k in range(10)),
+         "overflow the float range"),
+    ], ids=["metrics-variance-overflow", "contour-fit-coefficient-overflow"])
+    def test_non_finite_results_exit_one(self, argv, name, text, what, tmp_path, capsys):
+        path = tmp_path / name
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert run([argv[0], str(path), *argv[1:], "--json", "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and what in err
+        assert not list(out.glob("*.json"))
+
+    def test_non_finite_report_value_is_an_analysis_error(self):
+        from prosotime import AnalysisError
+        from prosotime.cli import _dumps
+
+        with pytest.raises(AnalysisError, match="non-finite"):
+            _dumps({"variance": float("inf")})
 
     def test_env_var_sets_out_dir(self, am_wav_path, tmp_path, monkeypatch):
         target = tmp_path / "from_env"
