@@ -206,13 +206,15 @@ def svg_f0_track(track: F0Track, models: Sequence[PolyContourModel] = ()) -> str
     """Voiced F0 frames as dots with fitted polynomial contours on top."""
     import numpy as np
 
-    ts, vs = (a.tolist() for a in track.voiced_frames())
+    ts, vs = track.voiced_frames()
     t_lo, t_hi, v_lo, v_hi = 0.0, 1.0, 0.0, 1.0
-    if ts:
+    if len(ts):
         t_lo, t_hi = track.times_s[[0, -1]].tolist()
-        v_lo, v_hi = min(vs) * 0.9, max(vs) * 1.1
+        v_lo, v_hi = vs.min().item() * 0.9, vs.max().item() * 1.1
     frame = _Frame(t_lo, t_hi, v_lo, v_hi, 50, 20, _W - 70, _H - 70)
-    body = [_circle(_fmt(frame.x(t)), _fmt(frame.y(v)), "2", _ACCENT) for t, v in zip(ts, vs)]
+    # map(float, ...) rather than .tolist(): a track can have 10**5 frames
+    body = [_circle(_fmt(frame.x(t)), _fmt(frame.y(v)), "2", _ACCENT)
+            for t, v in zip(map(float, ts), map(float, vs))]
     for model in models:
         lo, hi = (t_lo, t_hi) if model.domain is None else (model.domain.start_s, model.domain.end_s)
         xs = np.linspace(lo, hi, 100)
