@@ -111,11 +111,6 @@ def _value_or_analysis_error(parse, data):
             pass
 
 
-def _text(data: bytes) -> str:
-    # parse_f0_csv takes text; latin-1 maps every byte string onto some text
-    return data.decode("latin-1")
-
-
 FUZZ = settings(max_examples=250, derandomize=True, deadline=None)
 
 
@@ -133,7 +128,8 @@ class TestParserFuzz:
     @FUZZ
     @given(data=st.one_of(F0_CSVS, RANDOM))
     def test_f0_csv(self, data):
-        _value_or_analysis_error(parse_f0_csv, _text(data))
+        # parse_f0_csv takes text; latin-1 maps every byte string onto some text
+        _value_or_analysis_error(parse_f0_csv, data.decode("latin-1"))
 
     def test_seeds_are_valid_documents(self):
         with pytest.warns(AnnotationWarning, match="point tier"):

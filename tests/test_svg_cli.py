@@ -42,9 +42,6 @@ def load_schema(name):
     return json.loads((SCHEMA_DIR / f"{name}.schema.json").read_text())
 
 
-PIN_MAGS = [0.1, 0.4, 1.3, 0.7, 0.2, 0.9, 0.5, 0.05, 0.3, 0.6, 0.15]
-
-
 def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -109,7 +106,7 @@ class TestSvgRenderers:
     def test_spectrum_and_heatmap_svg_bytes_pinned(self):
         from prosotime import FrequencyZone, PolyFit, Spectrum
 
-        spec = Spectrum(0.5, PIN_MAGS, 5.0, {})
+        spec = Spectrum(0.5, [0.1, 0.4, 1.3, 0.7, 0.2, 0.9, 0.5, 0.05, 0.3, 0.6, 0.15], 5.0, {})
         fit = PolyFit(2, (0.2, 0.3, -0.05), (0.0, 5.0), 0.1, (0.5, 0.1, -0.3))
         zones = (FrequencyZone(1.0, 0.5, 1.5, 0.9), FrequencyZone(2.5, 2.0, 3.25, 0.4))
         one_bin = Spectrum(0.5, [2.0], 5.0, {})
