@@ -150,7 +150,8 @@ def estimate_f0_autocorr(
     frame_len = max(2, _ms_to_samples(frame_ms, rate, "frame_ms"))
     hop_len = max(1, _ms_to_samples(hop_ms, rate, "hop_ms"))
     lag_min = max(1, math.ceil(rate / fmax))
-    lag_max = min(frame_len - 2, math.floor(rate / fmin))
+    # cap before the floor: rate / fmin is inf for a subnormal fmin
+    lag_max = math.floor(min(frame_len - 2, rate / fmin))
     if lag_max <= lag_min:
         raise ParameterError(
             f"frame of {frame_len} samples cannot hold lags up to {lag_max}"

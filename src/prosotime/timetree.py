@@ -3,10 +3,11 @@
 A time tree groups a valued sequence bottom-up: adjacent items are joined
 into strong/weak pairs wherever the chosen relation (iambic = weak before
 strong, trochaic = strong before weak) holds, the joined node inherits its
-strong child's value, and the passes repeat on the shrunken sequence until
-nothing more joins.  Every pass that runs performs at least one join, so at
-most n - 1 passes occur for n items (a strictly descending chain of
-strengths needs exactly that many).
+strong child's value, and greedy left-to-right passes repeat on the shrunken
+sequence until nothing more joins.  Values never change, so a pair that
+fails once fails for good: each pass after the first looks only at the pairs
+beside the nodes the pass before it made, and induction is linear in the
+number of items however many passes a sequence needs.
 
 The same machinery applied to z-scored spectrum magnitudes yields a
 hierarchical segmentation of a spectrum into dominance regions.
@@ -129,6 +130,10 @@ def induce_time_tree(
     when no more joins are possible are adjoined under a single "r" node
     with the strongest of them strong.
 
+    A joined node keeps its strong child's value, so after the first pass
+    only the pairs beside the nodes the previous pass made can hold; each
+    pass walks just those, over a doubly linked list of the current items.
+
     Induction runs on flat per-node lists indexed by node id; children always
     get smaller ids than their parent, so the TimeTree objects are built once
     at the end, in id order.
@@ -137,43 +142,68 @@ def induce_time_tree(
     if not pairs:
         raise DegenerateInputError("cannot induce a tree over an empty sequence")
 
+    n = len(pairs)
     labels: list[str | None] = [str(label) for label, _ in pairs]
     values = [float(value) for _, value in pairs]
-    marks = ["w"] * len(pairs)
-    kids: list[tuple[int, ...]] = [()] * len(pairs)
+    marks = ["w"] * n
+    kids: list[tuple[int, ...]] = [()] * n
+    prev, nxt = list(range(-1, n - 1)), list(range(1, n + 1))  # -1: no neighbour
+    nxt[-1] = -1
     sign = 1.0 if params.polarity == "higher" else -1.0
     iambic = params.relation == "iambic"
-    cap = 2 if params.arity == "binary" else len(pairs)
+    cap = 2 if params.arity == "binary" else n
+
+    def holds(left: int, right: int) -> bool:
+        a, b = sign * values[left], sign * values[right]
+        return a < b if iambic else a > b
 
     def join(group: list[int], s_index: int, mark: str) -> int:
-        """Add a node over group (marking its children) and return its id."""
+        """Add a node in place of group (marking its children) and return its id."""
         for k, node in enumerate(group):
             marks[node] = "s" if k == s_index else "w"
         labels.append(None)
         values.append(values[group[s_index]])
         marks.append(mark)
         kids.append(tuple(group))
-        return len(values) - 1
+        node, before, after = len(values) - 1, prev[group[0]], nxt[group[-1]]
+        prev.append(before)
+        nxt.append(after)
+        if before >= 0:
+            nxt[before] = node
+        if after >= 0:
+            prev[after] = node
+        return node
 
-    items, joined = list(range(len(pairs))), True
-    while len(items) > 1 and joined:
-        out: list[int] = []
-        joined, i, n = False, 0, len(items)
-        while i < n:
-            j = i
-            while j + 1 < n and j + 1 - i < cap:
-                a, b = sign * values[items[j]], sign * values[items[j + 1]]
-                if not (a < b if iambic else a > b):
+    # left items of the holding adjacent pairs, in sequence order
+    lefts = [k for k in range(n - 1) if holds(k, k + 1)]
+    while lefts:
+        first, i, m = len(values), 0, len(lefts)
+        while i < m:
+            group = [lefts[i], nxt[lefts[i]]]
+            i += 1
+            while i < m and lefts[i] == group[-1]:
+                i += 1  # at the cap this pair's left item is taken: skip it
+                if len(group) == cap:
                     break
-                j += 1
-            if j > i:
-                out.append(join(items[i : j + 1], j - i if iambic else 0, "w"))
-                joined = True
-            else:
-                out.append(items[i])
-            i = j + 1
-        items = out
+                group.append(nxt[group[-1]])
+            join(group, len(group) - 1 if iambic else 0, "w")
+        # new nodes lie left to right, so their pairs come out in order; a
+        # pair between two new nodes is taken once, as the left one's
+        lefts = []
+        for node in range(first, len(values)):
+            before, after = prev[node], nxt[node]
+            if 0 <= before < first and holds(before, node):
+                lefts.append(before)
+            if after >= 0 and holds(node, after):
+                lefts.append(node)
 
+    node = len(values) - 1  # the newest node is never joined, so it is current
+    while prev[node] >= 0:
+        node = prev[node]
+    items = []
+    while node >= 0:
+        items.append(node)
+        node = nxt[node]
     if len(items) == 1:
         marks[items[0]] = "r"
     else:  # several unjoinable roots: adjoin them, strongest (leftmost on ties) strong

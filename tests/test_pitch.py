@@ -472,6 +472,13 @@ class TestParameterRanges:
     def test_voicing_ratio_bounds_accepted(self, sine_200, ratio):
         assert len(estimate_f0_autocorr(sine_200, voicing_ratio=ratio)) > 0
 
+    def test_subnormal_fmin_caps_lags_at_the_frame(self, sine_200):
+        # rate / 5e-324 overflows to inf; the frame length caps the lag range first
+        tiny = estimate_f0_autocorr(sine_200, fmin=5e-324)
+        small = estimate_f0_autocorr(sine_200, fmin=1e-300)
+        assert len(tiny) == len(small) > 0
+        assert np.array_equal(tiny.f0_hz, small.f0_hz, equal_nan=True)
+
 
 # speech-frame patterns: runs of speech/silence, as (is_speech, frames) pairs
 _RUNS = st.lists(st.tuples(st.booleans(), st.integers(1, 40)), min_size=1, max_size=12)

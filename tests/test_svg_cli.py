@@ -335,6 +335,24 @@ class TestCliTimetree:
         assert len(rep["nodes"]) == 2 * n - 1
         assert (tmp_path / "chain.timetree.svg").exists()
 
+    def test_long_rising_chain_json(self, tmp_path, capsys):
+        # n rising intervals closed by one shorter: n passes of one join each
+        n = 20_000
+        rows, t = ["tier,label,start_s,end_s"], 0.0
+        for k in range(n + 1):
+            end = round(t + (0.05 + 1e-4 * k if k < n else 0.01), 6)
+            rows.append(f"syl,c{k},{t!r},{end!r}")
+            t = end
+        csv_path = tmp_path / "chain.csv"
+        csv_path.write_text("\n".join(rows) + "\n")
+        code = run(["timetree", str(csv_path), "--polarity", "lower", "--formats", "json",
+                    "--out-dir", str(tmp_path)])
+        assert code == 0
+        capsys.readouterr()
+        nodes = json.loads((tmp_path / "chain.timetree.json").read_text())["nodes"]
+        assert len(nodes) == 2 * n + 1
+        assert [node["label"] for node in nodes if "label" in node] == [f"c{k}" for k in range(n + 1)]
+
 
 class TestCliToneGen:
     def test_report_schema(self, tmp_path, capsys):
@@ -485,6 +503,15 @@ class TestCliPlumbing:
         # 5.7e17 ms is 9.1e18 samples at 16 kHz: an int64, but no array of that width fits
         assert run(["f0", str(am_wav_path), "--frame-ms", "5.7e17", "--out-dir", str(tmp_path)]) == 0
         assert capsys.readouterr().out.startswith("frames=0 voiced=0 ")
+
+    def test_subnormal_fmin_runs_like_a_tiny_one(self, am_wav_path, tmp_path, capsys):
+        outs = []
+        for fmin in ("5e-324", "1e-300"):
+            assert run(["f0", str(am_wav_path), "--fmin", fmin, "--out-dir", str(tmp_path)]) == 0
+            out, err = capsys.readouterr()
+            assert "Traceback" not in err
+            outs.append(out)
+        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("cmd", ["aems", "f0"])
     def test_nan_sample_in_float_wav_exits_one(self, cmd, tmp_path, capsys):

@@ -281,25 +281,117 @@ def _oracle_preorder(tree):
     return rows
 
 
+def _oracle_flat_induce(pairs, params):
+    """The former flat induction: every pass rescans the whole current sequence."""
+    labels = [str(label) for label, _ in pairs]
+    values = [float(value) for _, value in pairs]
+    marks = ["w"] * len(pairs)
+    kids = [()] * len(pairs)
+    sign = 1.0 if params.polarity == "higher" else -1.0
+    iambic = params.relation == "iambic"
+    cap = 2 if params.arity == "binary" else len(pairs)
+
+    def join(group, s_index, mark):
+        for k, node in enumerate(group):
+            marks[node] = "s" if k == s_index else "w"
+        labels.append(None)
+        values.append(values[group[s_index]])
+        marks.append(mark)
+        kids.append(tuple(group))
+        return len(values) - 1
+
+    items, joined = list(range(len(pairs))), True
+    while len(items) > 1 and joined:
+        out = []
+        joined, i, n = False, 0, len(items)
+        while i < n:
+            j = i
+            while j + 1 < n and j + 1 - i < cap:
+                a, b = sign * values[items[j]], sign * values[items[j + 1]]
+                if not (a < b if iambic else a > b):
+                    break
+                j += 1
+            if j > i:
+                out.append(join(items[i : j + 1], j - i if iambic else 0, "w"))
+                joined = True
+            else:
+                out.append(items[i])
+            i = j + 1
+        items = out
+
+    if len(items) == 1:
+        marks[items[0]] = "r"
+    else:
+        join(items, max(range(len(items)), key=lambda k: sign * values[items[k]]), "r")
+
+    nodes = []
+    for mark, value, label, children in zip(marks, values, labels, kids):
+        nodes.append(TimeTree(mark, value, label, tuple(nodes[k] for k in children)))
+    return nodes[-1]
+
+
+def _assert_matches_oracles(values, params):
+    pairs = [(f"u{i}", v) for i, v in enumerate(values)]
+    got = induce_time_tree(pairs, params)
+    want, flat = _oracle_induce(pairs, params), _oracle_flat_induce(pairs, params)
+    assert to_sexpr(got) == _oracle_sexpr(want) == _oracle_sexpr(got) == to_sexpr(flat)
+    rows = [(r["mark"], r["value"], r.get("label")) for r in tree_to_dict(got)["nodes"]]
+    assert rows == _oracle_preorder(want) == _oracle_preorder(flat)
+
+
+def _runs(spec):
+    """Values rising or falling by a step over each (rising, length, step) run."""
+    values, v = [], 0.0
+    for rising, length, step in spec:
+        for _ in range(length):
+            v += step if rising else -step
+            values.append(v)
+    return values
+
+
 _TIE_HEAVY = st.lists(st.sampled_from([0.5, 1.0, 1.0, 2.0, 3.0]), min_size=1, max_size=24)
 _SPREAD = st.lists(st.floats(0.01, 5.0, allow_nan=False), min_size=1, max_size=24)
+_SHORT = st.one_of(
+    st.lists(st.sampled_from([1.0, 2.0]), min_size=1, max_size=2),
+    st.builds(lambda v, n: [v] * n, st.sampled_from([0.5, 2.0]), st.integers(1, 24)),
+)
+# up to 300 items in rising and falling runs: long chains take many passes
+_RUNS = st.lists(
+    st.tuples(st.booleans(), st.integers(1, 30), st.sampled_from([0.25, 1.0, 2.5])),
+    min_size=1, max_size=10,
+).map(_runs)
+_PARAMS = st.builds(
+    TreeParams,
+    relation=st.sampled_from(["iambic", "trochaic"]),
+    polarity=st.sampled_from(["higher", "lower"]),
+    arity=st.sampled_from(["binary", "nary"]),
+)
 
 
 class TestInductionOracle:
     @settings(max_examples=300, derandomize=True, deadline=None)
-    @given(
-        values=st.one_of(_TIE_HEAVY, _SPREAD),
-        relation=st.sampled_from(["iambic", "trochaic"]),
-        polarity=st.sampled_from(["higher", "lower"]),
-        arity=st.sampled_from(["binary", "nary"]),
-    )
-    def test_matches_pass_based_induction(self, values, relation, polarity, arity):
-        params = TreeParams(relation, polarity, arity)
-        pairs = [(f"u{i}", v) for i, v in enumerate(values)]
-        got, want = induce_time_tree(pairs, params), _oracle_induce(pairs, params)
-        assert to_sexpr(got) == _oracle_sexpr(want) == _oracle_sexpr(got)
-        rows = tree_to_dict(got)["nodes"]
-        assert [(r["mark"], r["value"], r.get("label")) for r in rows] == _oracle_preorder(want)
+    @given(values=st.one_of(_TIE_HEAVY, _SPREAD), params=_PARAMS)
+    def test_matches_pass_based_induction(self, values, params):
+        _assert_matches_oracles(values, params)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(values=_SHORT, params=_PARAMS)
+    def test_short_and_all_equal_sequences(self, values, params):
+        _assert_matches_oracles(values, params)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(values=_RUNS, params=_PARAMS)
+    def test_rising_and_falling_runs(self, values, params):
+        _assert_matches_oracles(values, params)
+
+    def test_rising_chain_matches_both_oracles(self):
+        # rising durations closed by the shortest: 1 999 passes of one join each
+        n = 2000
+        pairs = [(f"c{k}", 0.001 * (k + 2)) for k in range(n - 1)] + [(f"c{n - 1}", 0.001)]
+        got = to_sexpr(induce_time_tree(pairs, IAMBIC_LOWER))
+        assert got == to_sexpr(_oracle_flat_induce(pairs, IAMBIC_LOWER))
+        assert got == to_sexpr(_oracle_induce(pairs, IAMBIC_LOWER))
+        assert got.endswith(f"(s c{n - 1})" + ")" * (n - 1))
 
 
 class TestStackSafety:
