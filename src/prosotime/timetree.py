@@ -147,8 +147,7 @@ def induce_time_tree(
     values = [float(value) for _, value in pairs]
     marks = ["w"] * n
     kids: list[tuple[int, ...]] = [()] * n
-    prev, nxt = list(range(-1, n - 1)), list(range(1, n + 1))  # -1: no neighbour
-    nxt[-1] = -1
+    prev, nxt = list(range(-1, n - 1)), [*range(1, n), -1]  # -1: no neighbour
     sign = 1.0 if params.polarity == "higher" else -1.0
     iambic = params.relation == "iambic"
     cap = 2 if params.arity == "binary" else n

@@ -335,7 +335,7 @@ class TestCliTimetree:
         assert len(rep["nodes"]) == 2 * n - 1
         assert (tmp_path / "chain.timetree.svg").exists()
 
-    def test_long_rising_chain_json(self, tmp_path, capsys):
+    def test_long_rising_chain_json(self, tmp_path):
         # n rising intervals closed by one shorter: n passes of one join each
         n = 20_000
         rows, t = ["tier,label,start_s,end_s"], 0.0
@@ -348,7 +348,6 @@ class TestCliTimetree:
         code = run(["timetree", str(csv_path), "--polarity", "lower", "--formats", "json",
                     "--out-dir", str(tmp_path)])
         assert code == 0
-        capsys.readouterr()
         nodes = json.loads((tmp_path / "chain.timetree.json").read_text())["nodes"]
         assert len(nodes) == 2 * n + 1
         assert [node["label"] for node in nodes if "label" in node] == [f"c{k}" for k in range(n + 1)]
