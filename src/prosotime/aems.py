@@ -9,6 +9,7 @@ polynomial shape-smoothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -31,6 +32,7 @@ __all__ = [
     "shape_zones",
     "zscore",
     "spectrum_to_csv",
+    "spectrum_csv_chunks",
     "spectrum_to_dict",
 ]
 
@@ -361,10 +363,14 @@ def zscore(values) -> np.ndarray:
 
 
 def spectrum_to_csv(spec: Spectrum) -> str:
-    lines = ["freq_hz,magnitude"]
+    return "".join(spectrum_csv_chunks(spec))
+
+
+def spectrum_csv_chunks(spec: Spectrum) -> Iterator[str]:
+    """`spectrum_to_csv` as text chunks, one line each."""
+    yield "freq_hz,magnitude\n"
     for f, m in zip(spec.freqs.tolist(), spec.magnitudes.tolist()):
-        lines.append(f"{f!r},{m!r}")
-    return "\n".join(lines) + "\n"
+        yield f"{f!r},{m!r}\n"
 
 
 def spectrum_to_dict(spec: Spectrum) -> dict:

@@ -19,8 +19,9 @@ import math
 import os
 import re
 import sys
+from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .errors import AnalysisError, DegenerateInputError, ParseError
 
@@ -30,6 +31,7 @@ if TYPE_CHECKING:
 
 OUT_DIR_ENV = "PROSOTIME_OUT_DIR"
 FORMATS = ("json", "csv", "svg")
+_BATCH = 4096  # chunks joined per write(); one write per chunk is markedly slower on large plots
 
 
 class _UsageError(Exception):
@@ -42,6 +44,12 @@ def _dumps(report: dict) -> str:
         return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
         raise AnalysisError(f"report holds a non-finite number ({exc})") from None
+
+
+def _json(report: dict) -> Callable[[], list[str]]:
+    """A render for _Sink.put, serialized now so that a non-finite number fails whatever --formats is."""
+    text = _dumps(report)
+    return lambda: [text]
 
 
 def _finite_float(text: str) -> float:
@@ -74,14 +82,23 @@ class _Sink:
         self.out_dir = out_dir
         self.formats = formats
 
-    def put(self, fmt: str, name: str, text: str) -> None:
+    def put(self, fmt: str, name: str, render: Callable[[], Iterable[str]]) -> None:
+        """Write render()'s text chunks to name if fmt was asked for; a render that raises leaves no file."""
         if fmt not in self.formats:
             return
         self.out_dir.mkdir(parents=True, exist_ok=True)
         target = (self.out_dir / name).resolve()
         if self.out_dir.resolve() not in target.parents:
             raise AnalysisError(f"refusing to write outside output directory: {name}")
-        target.write_text(text, encoding="utf-8")
+        out = target.open("w", encoding="utf-8")
+        try:
+            with out:
+                chunks = iter(render())
+                while batch := list(islice(chunks, _BATCH)):
+                    out.write("".join(batch))
+        except BaseException:
+            target.unlink()
+            raise
 
 
 def _zone_dicts(zones) -> list[dict]:
@@ -93,13 +110,13 @@ def _zone_dicts(zones) -> list[dict]:
 
 def _spectrum_artifacts(sink: _Sink, stem: str, spec, fit, zones) -> dict:
     """Shared spectrum emission: CSV, line plot and heatmap; returns poly info."""
-    from .aems import spectrum_to_csv
-    from .svgplot import svg_heatmap, svg_spectrum
+    from .aems import spectrum_csv_chunks
+    from .svgplot import svg_heatmap_chunks, svg_spectrum_chunks
 
-    sink.put("csv", f"{stem}.spectrum.csv", spectrum_to_csv(spec))
-    sink.put("svg", f"{stem}.spectrum.svg", svg_spectrum(spec, fit, zones))
+    sink.put("csv", f"{stem}.spectrum.csv", lambda: spectrum_csv_chunks(spec))
+    sink.put("svg", f"{stem}.spectrum.svg", lambda: svg_spectrum_chunks(spec, fit, zones))
     if len(spec) >= 2:
-        sink.put("svg", f"{stem}.heatmap.svg", svg_heatmap(spec))
+        sink.put("svg", f"{stem}.heatmap.svg", lambda: svg_heatmap_chunks(spec))
     return {"poly_degree": fit.degree, "poly_coeffs": list(fit.coeffs), "poly_rmse": fit.rmse}
 
 
@@ -164,7 +181,7 @@ def _cmd_calibrate(args, sink: _Sink) -> dict:
         "pass": bool(ok),
     }
     report.update(_spectrum_artifacts(sink, "calibrate", spec, fit, zones))
-    sink.put("json", "calibrate.json", _dumps(report))
+    sink.put("json", "calibrate.json", _json(report))
     print(f"peak_hz={peak_hz} harmonic_hz={report['harmonic_hz']} pass={str(ok).lower()}")
     return report
 
@@ -196,15 +213,15 @@ def _cmd_aems(args, sink: _Sink) -> dict:
         "dominant_hz": zones[0].center_hz if zones else None,
     }
     report.update(_spectrum_artifacts(sink, stem, spec, fit, zones))
-    sink.put("json", f"{stem}.aems.json", _dumps(report))
+    sink.put("json", f"{stem}.aems.json", _json(report))
     dom = report["dominant_hz"]
     print(f"bins={len(spec)} resolution_hz={spec.resolution_hz} dominant_hz={dom}")
     return report
 
 
 def _cmd_metrics(args, sink: _Sink) -> dict:
-    from .rhythm import metrics_report, quadrant_analysis, quadrant_to_csv
-    from .svgplot import svg_quadrants
+    from .rhythm import metrics_report, quadrant_analysis, quadrant_csv_chunks
+    from .svgplot import svg_quadrants_chunks
 
     tier, seq = _tier_durations(args)
     if len(seq) < 2:
@@ -216,8 +233,8 @@ def _cmd_metrics(args, sink: _Sink) -> dict:
     try:
         quads = quadrant_analysis(seq)
         quad_report = {"counts": quads.counts, "index": quads.index}
-        sink.put("csv", f"{stem}.quadrants.csv", quadrant_to_csv(quads))
-        sink.put("svg", f"{stem}.quadrants.svg", svg_quadrants(quads))
+        sink.put("csv", f"{stem}.quadrants.csv", lambda: quadrant_csv_chunks(quads))
+        sink.put("svg", f"{stem}.quadrants.svg", lambda: svg_quadrants_chunks(quads))
     except DegenerateInputError:
         quad_report = None
     report = {
@@ -229,7 +246,7 @@ def _cmd_metrics(args, sink: _Sink) -> dict:
         "params": flat["params"],
         "quadrants": quad_report,
     }
-    sink.put("json", f"{stem}.metrics.json", _dumps(report))
+    sink.put("json", f"{stem}.metrics.json", _json(report))
     line = " ".join(f"{k}={report['metrics'][k]:.4f}" for k in sorted(report["metrics"]))
     print(f"tier={tier.name} n={flat['n']} {line}")
     return report
@@ -243,12 +260,12 @@ def _tree_params(args) -> TreeParams:
 
 def _tree_artifacts(sink: _Sink, name: str, tree, report: dict) -> dict:
     """Shared tree emission: sexpr and node table into the JSON report, SVG drawing."""
-    from .svgplot import svg_timetree
+    from .svgplot import svg_timetree_chunks
     from .timetree import to_sexpr, tree_to_dict
 
     report.update(sexpr=to_sexpr(tree), **tree_to_dict(tree))
-    sink.put("json", f"{name}.json", _dumps(report))
-    sink.put("svg", f"{name}.svg", svg_timetree(tree))
+    sink.put("json", f"{name}.json", _json(report))
+    sink.put("svg", f"{name}.svg", lambda: svg_timetree_chunks(tree))
     print(report["sexpr"])
     return report
 
@@ -294,8 +311,8 @@ def _cmd_spectree(args, sink: _Sink) -> dict:
 
 def _cmd_tone_gen(args, sink: _Sink) -> dict:
     from .fsm import TerracingParams, realize_pitch, synthesize_contour, transduce_tones
-    from .pitch import f0_track_to_csv
-    from .svgplot import svg_f0_track
+    from .pitch import f0_track_csv_chunks
+    from .svgplot import svg_f0_track_chunks
 
     params = TerracingParams(
         **{f.name: getattr(args, f.name) for f in dataclasses.fields(TerracingParams)}
@@ -314,11 +331,11 @@ def _cmd_tone_gen(args, sink: _Sink) -> dict:
     if len(targets):
         track = synthesize_contour(targets, tone_dur_ms=args.tone_dur_ms)
         report["n_frames"] = len(track)
-        sink.put("csv", "tones.f0.csv", f0_track_to_csv(track))
-        sink.put("svg", "tones.f0.svg", svg_f0_track(track))
+        sink.put("csv", "tones.f0.csv", lambda: f0_track_csv_chunks(track))
+        sink.put("svg", "tones.f0.svg", lambda: svg_f0_track_chunks(track))
     else:
         report["n_frames"] = 0
-    sink.put("json", "tones.json", _dumps(report))
+    sink.put("json", "tones.json", _json(report))
     print(" ".join(phonetic) if phonetic else "(empty)")
     print(" ".join(f"{hz:.1f}" for _, hz in targets.items))
     return report
@@ -353,7 +370,7 @@ def _cmd_intonation(args, sink: _Sink) -> dict:
             "strings": strings,
         }
         print(f"count={len(strings)}")
-    sink.put("json", "intonation.json", _dumps(report))
+    sink.put("json", "intonation.json", _json(report))
     return report
 
 
@@ -361,8 +378,8 @@ def _cmd_f0(args, sink: _Sink) -> dict:
     import numpy as np
 
     from .audio import read_wav
-    from .pitch import estimate_f0_autocorr, f0_track_to_csv, segment_ipus
-    from .svgplot import svg_f0_track
+    from .pitch import estimate_f0_autocorr, f0_track_csv_chunks, segment_ipus
+    from .svgplot import svg_f0_track_chunks
 
     wave = read_wav(args.wav)
     params = {k: getattr(args, k) for k in ("fmin", "fmax", "frame_ms", "hop_ms", "voicing_ratio")}
@@ -380,9 +397,9 @@ def _cmd_f0(args, sink: _Sink) -> dict:
         "median_f0_hz": float(np.median(voiced)) if len(voiced) else None,
         "ipus": [{"start_s": u.start_s, "end_s": u.end_s} for u in ipus],
     }
-    sink.put("json", f"{stem}.f0.json", _dumps(report))
-    sink.put("csv", f"{stem}.f0.csv", f0_track_to_csv(track))
-    sink.put("svg", f"{stem}.f0.svg", svg_f0_track(track))
+    sink.put("json", f"{stem}.f0.json", _json(report))
+    sink.put("csv", f"{stem}.f0.csv", lambda: f0_track_csv_chunks(track))
+    sink.put("svg", f"{stem}.f0.svg", lambda: svg_f0_track_chunks(track))
     print(
         f"frames={len(track)} voiced={track.voiced_count} "
         f"median_f0_hz={report['median_f0_hz']} ipus={len(ipus)}"
@@ -392,7 +409,7 @@ def _cmd_f0(args, sink: _Sink) -> dict:
 
 def _cmd_contour_fit(args, sink: _Sink) -> dict:
     from .pitch import IPU, contour_model_to_dict, fit_contour, parse_f0_csv
-    from .svgplot import svg_f0_track
+    from .svgplot import svg_f0_track_chunks
 
     try:
         text = Path(args.f0csv).read_text(encoding="utf-8")
@@ -411,8 +428,8 @@ def _cmd_contour_fit(args, sink: _Sink) -> dict:
         "input": args.f0csv,
         "model": contour_model_to_dict(model),
     }
-    sink.put("json", f"{stem}.contour.json", _dumps(report))
-    sink.put("svg", f"{stem}.contour.svg", svg_f0_track(track, [model]))
+    sink.put("json", f"{stem}.contour.json", _json(report))
+    sink.put("svg", f"{stem}.contour.svg", lambda: svg_f0_track_chunks(track, [model]))
     coeffs = " ".join(f"{c:.4g}" for c in model.fit.coeffs)
     print(f"degree={model.fit.degree} rmse={model.fit.rmse:.4g} coeffs=[{coeffs}]")
     return report

@@ -36,6 +36,7 @@ __all__ = [
     "PitchTargetSequence",
     "TerracingParams",
     "recognize",
+    "count_strings",
     "enumerate_strings",
     "build_pierrehumbert",
     "build_terracing",
@@ -54,6 +55,11 @@ PIERREHUMBERT_ALPHABET = (
 )
 
 PITCH_ACCENTS = ("H*", "L*", "H*+L", "H+L*", "L*+H", "L+H*")
+
+# Caps checked before allocating: the intonation grammar makes 19 920 strings up
+# to length 7 (1.2e6 up to 9); 10 000 tones of 150 ms make 150 000 frames.
+MAX_STRINGS = 2_000_000
+MAX_CONTOUR_FRAMES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -143,15 +149,40 @@ def recognize(fsm: MultiTapeFSM, symbols: Iterable[str] | str, tape: int = 0) ->
     return state in fsm.finals
 
 
+def count_strings(fsm: MultiTapeFSM, max_len: int, tape: int = 0) -> int:
+    """Number of accepted strings of length <= max_len on one tape; above MAX_STRINGS, a ParameterError.
+
+    Each string is one path from the start of the deterministic machine, so
+    this counts the paths into each state, one length at a time.
+    """
+    if max_len < 0:
+        raise ParameterError(f"max_len must be >= 0, got {max_len}")
+    fsm._check_tape(tape)
+    paths, total = {fsm.start: 1}, 0  # state -> paths of the current length ending there
+    for length in range(max_len + 1):
+        total += sum(n for state, n in paths.items() if state in fsm.finals)
+        if total > MAX_STRINGS:
+            raise ParameterError(f"--max-len {max_len} gives more than {MAX_STRINGS} strings "
+                                 f"({total} up to length {length})")
+        following: dict[str, int] = {}
+        for (src, _), arc in fsm._arcs[tape].items():
+            if src in paths:
+                following[arc.dst] = following.get(arc.dst, 0) + paths[src]
+        if not following:
+            break
+        paths = following
+    return total
+
+
 def enumerate_strings(fsm: MultiTapeFSM, max_len: int, tape: int = 0) -> list[str]:
     """All accepted strings of length <= max_len on one tape, lexicographically.
 
     Symbols within a string are joined by single spaces; ordering is
     lexicographic over the symbol sequences, which a preorder walk taking
-    symbols in sorted order yields directly.
+    symbols in sorted order yields directly.  More than MAX_STRINGS strings
+    is a ParameterError, raised before any is built.
     """
-    if max_len < 0:
-        raise ParameterError(f"max_len must be >= 0, got {max_len}")
+    count_strings(fsm, max_len, tape)
     alphabet = fsm.alphabet(tape)
     table = fsm._arcs[tape]
     accepted: list[str] = []
@@ -396,7 +427,8 @@ def synthesize_contour(targets: PitchTargetSequence, tone_dur_ms: float = 150.0)
     """Piecewise-constant F0 track from pitch targets, one segment per target.
 
     Frame hop is 10 ms; each target contributes tone_dur_ms worth of voiced
-    frames at its own frequency.
+    frames at its own frequency.  More than MAX_CONTOUR_FRAMES frames is a
+    ParameterError, raised before any is built.
     """
     from .pitch import F0Track  # loads numpy, which recognition and enumeration never need
 
@@ -406,6 +438,9 @@ def synthesize_contour(targets: PitchTargetSequence, tone_dur_ms: float = 150.0)
         raise ParameterError(f"tone_dur_ms must be > 0, got {tone_dur_ms}")
     hop_s = 0.01
     per = max(1, round(tone_dur_ms / 1000.0 / hop_s))
+    if len(targets) * per > MAX_CONTOUR_FRAMES:
+        raise ParameterError(f"--tone-dur-ms {tone_dur_ms:g} makes {per:.3g} frames for each of {len(targets)} "
+                             f"targets, more than the cap of {MAX_CONTOUR_FRAMES} in all")
     f0 = [hz for _, hz in targets.items for _ in range(per)]
     times = [k * hop_s for k in range(len(f0))]
     return F0Track(times_s=times, f0_hz=f0, hop_s=hop_s)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -27,6 +28,7 @@ __all__ = [
     "segment_ipus",
     "fit_contour",
     "f0_track_to_csv",
+    "f0_track_csv_chunks",
     "parse_f0_csv",
     "contour_model_to_dict",
 ]
@@ -284,10 +286,14 @@ def fit_contour(track: F0Track, degree: int, domain: IPU | None = None) -> PolyC
 
 def f0_track_to_csv(track: F0Track) -> str:
     """CSV rendering `time_s,f0_hz`, empty f0 for unvoiced frames."""
-    lines = ["time_s,f0_hz"]
+    return "".join(f0_track_csv_chunks(track))
+
+
+def f0_track_csv_chunks(track: F0Track) -> Iterator[str]:
+    """`f0_track_to_csv` as text chunks, one line each."""
+    yield "time_s,f0_hz\n"
     for t, v in zip(track.times_s.tolist(), track.f0_hz.tolist()):
-        lines.append(f"{t!r}," + ("" if math.isnan(v) else repr(v)))
-    return "\n".join(lines) + "\n"
+        yield f"{t!r},\n" if math.isnan(v) else f"{t!r},{v!r}\n"
 
 
 def parse_f0_csv(text: str) -> F0Track:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .annot import DurationSequence
 from .errors import DegenerateInputError, ParameterError
@@ -31,6 +31,7 @@ __all__ = [
     "quadrant_analysis",
     "metrics_report",
     "quadrant_to_csv",
+    "quadrant_csv_chunks",
 ]
 
 
@@ -227,7 +228,11 @@ def metrics_report(xs: DurationSequence | Iterable[float]) -> dict:
 
 def quadrant_to_csv(stats: QuadrantStats) -> str:
     """Scatter-plot CSV of the z-score pairs: z_i,z_next,quadrant."""
-    lines = ["z_i,z_next,quadrant"]
+    return "".join(quadrant_csv_chunks(stats))
+
+
+def quadrant_csv_chunks(stats: QuadrantStats) -> Iterator[str]:
+    """`quadrant_to_csv` as text chunks, one line each."""
+    yield "z_i,z_next,quadrant\n"
     for (a, b), quadrant in zip(stats.points, stats.quadrants):
-        lines.append(f"{a!r},{b!r},{quadrant}")
-    return "\n".join(lines) + "\n"
+        yield f"{a!r},{b!r},{quadrant}\n"

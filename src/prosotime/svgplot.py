@@ -6,6 +6,9 @@ heatmap maps z-scored magnitude linearly onto a blue-to-red gradient whose
 endpoints are fixed at rgb(0,0,255) and rgb(255,0,0); the mapping is stated
 in the document's metadata.
 
+Each `svg_<plot>_chunks` yields a document as text chunks, built as they are
+consumed, so that a large plot can be streamed to disk; `svg_<plot>` joins them.
+
 The spectrum, heatmap and F0-track renderers import numpy (and the heatmap
 `aems.zscore`) only when called; the time-tree and quadrant renderers need
 only the standard library.
@@ -14,7 +17,7 @@ only the standard library.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
     from .aems import FrequencyZone, PolyFit, Spectrum
@@ -23,11 +26,11 @@ if TYPE_CHECKING:
     from .timetree import TimeTree
 
 __all__ = [
-    "svg_spectrum",
-    "svg_heatmap",
-    "svg_f0_track",
-    "svg_timetree",
-    "svg_quadrants",
+    "svg_spectrum", "svg_spectrum_chunks",
+    "svg_heatmap", "svg_heatmap_chunks",
+    "svg_f0_track", "svg_f0_track_chunks",
+    "svg_timetree", "svg_timetree_chunks",
+    "svg_quadrants", "svg_quadrants_chunks",
 ]
 
 _FG = "#222222"
@@ -77,15 +80,21 @@ def _circle(cx: str, cy: str, r: str, fill: str, extra: str = "") -> str:
     return f'<circle cx="{cx}" cy="{cy}" r="{r}" fill="{fill}"{extra}/>'
 
 
-def _document(width: float, height: float, body: list[str], description: str) -> str:
+def _document(width: float, height: float, body: Iterable[str], description: str) -> Iterator[str]:
+    """The document's chunks: head, body elements one per line, closing tag."""
     w, h = _fmt(width), _fmt(height)
-    head = (
+    yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{w}" height="{h}" viewBox="0 0 {w} {h}">\n'
         f"<desc>{_escape(description)}</desc>\n"
         f"{_rect('0', '0', w, h, '#ffffff')}\n"
     )
-    return head + "\n".join(body) + "\n</svg>\n"
+    sep = ""  # an empty body still leaves a blank line before </svg>
+    for element in body:
+        yield sep
+        yield element
+        sep = "\n"
+    yield "\n</svg>\n"
 
 
 class _Frame:
@@ -139,25 +148,33 @@ def svg_spectrum(
     Zones draw as a translucent band between their bounds plus a vertical
     line at the center; an empty zone list draws none.
     """
+    return "".join(svg_spectrum_chunks(spec, fit, zones))
+
+
+def svg_spectrum_chunks(spec: Spectrum, fit: PolyFit | None = None,
+                        zones: Sequence[FrequencyZone] = ()) -> Iterator[str]:
+    """`svg_spectrum` as text chunks."""
     import numpy as np
 
     freqs = spec.freqs.tolist()
     mags = spec.magnitudes.tolist()
     frame = _Frame(freqs[0], freqs[-1], 0.0, max(mags), 50, 20, _W - 70, _H - 70)
     top, bottom, height = _fmt(frame.py), _fmt(frame.py + frame.ph), _fmt(frame.ph)
-    body: list[str] = []
-    for z in zones:
-        x_lo, x_hi = frame.x(z.lo_hz), frame.x(z.hi_hz)
-        center = _fmt(frame.x(z.center_hz))
-        body.append(_rect(_fmt(x_lo), top, _fmt(x_hi - x_lo), height, _ZONE))
-        body.append(_line(center, top, center, bottom, "#228844", "1.5"))
-    body.append(_polyline(freqs, mags, frame, _ACCENT))
-    if fit is not None and len(freqs) > 1:
-        xs = np.linspace(freqs[0], freqs[-1], 200)
-        ys = np.clip(fit.evaluate(xs), 0.0, frame.y1)
-        body.append(_polyline(xs.tolist(), ys.tolist(), frame, _POLY, 1.2))
-    body.extend(_axes(frame, "frequency (Hz)", "magnitude"))
-    return _document(_W, _H, body, "envelope modulation spectrum")
+
+    def body() -> Iterator[str]:
+        for z in zones:
+            x_lo, x_hi = frame.x(z.lo_hz), frame.x(z.hi_hz)
+            center = _fmt(frame.x(z.center_hz))
+            yield _rect(_fmt(x_lo), top, _fmt(x_hi - x_lo), height, _ZONE)
+            yield _line(center, top, center, bottom, "#228844", "1.5")
+        yield _polyline(freqs, mags, frame, _ACCENT)
+        if fit is not None and len(freqs) > 1:
+            xs = np.linspace(freqs[0], freqs[-1], 200)
+            ys = np.clip(fit.evaluate(xs), 0.0, frame.y1)
+            yield _polyline(xs.tolist(), ys.tolist(), frame, _POLY, 1.2)
+        yield from _axes(frame, "frequency (Hz)", "magnitude")
+
+    return _document(_W, _H, body(), "envelope modulation spectrum")
 
 
 def _blue_red(t: float) -> str:
@@ -174,6 +191,11 @@ def svg_heatmap(spec: Spectrum) -> str:
     The minimum z maps to pure blue, the maximum to pure red, linearly in
     between; a constant or one-bin spectrum (no z-scores) renders entirely blue.
     """
+    return "".join(svg_heatmap_chunks(spec))
+
+
+def svg_heatmap_chunks(spec: Spectrum) -> Iterator[str]:
+    """`svg_heatmap` as text chunks."""
     from .aems import zscore
     from .errors import DegenerateInputError
 
@@ -186,24 +208,31 @@ def svg_heatmap(spec: Spectrum) -> str:
     px, py, pw, ph = 50.0, 16.0, _W - 70.0, _HEATMAP_H - 52.0
     cell_w = pw / len(z)
     y, width, height = _fmt(py), _fmt(cell_w), _fmt(ph)
-    body: list[str] = []
-    for k, zv in enumerate(z):
-        t = 0.0 if span == 0 else (zv - z_min) / span
-        body.append(_rect(_fmt(px + k * cell_w), y, width, height, _blue_red(t)))
-    body.append(_rect(_fmt(px), y, _fmt(pw), height))
-    tick_y = _fmt(py + ph + 14)
-    for label, xpos in zip(spec.freqs[[0, -1]].tolist(), (px, px + pw)):
-        body.append(_text(_fmt(xpos), tick_y, _fmt(label), 10))
-    body.append(_text(_fmt(px + pw / 2), _fmt(py + ph + 30), "frequency (Hz)"))
+
+    def body() -> Iterator[str]:
+        for k, zv in enumerate(z):
+            t = 0.0 if span == 0 else (zv - z_min) / span
+            yield _rect(_fmt(px + k * cell_w), y, width, height, _blue_red(t))
+        yield _rect(_fmt(px), y, _fmt(pw), height)
+        tick_y = _fmt(py + ph + 14)
+        for label, xpos in zip(spec.freqs[[0, -1]].tolist(), (px, px + pw)):
+            yield _text(_fmt(xpos), tick_y, _fmt(label), 10)
+        yield _text(_fmt(px + pw / 2), _fmt(py + ph + 30), "frequency (Hz)")
+
     desc = (
         "z-scored magnitude heatmap; linear gradient from rgb(0,0,255) at min z "
         "to rgb(255,0,0) at max z"
     )
-    return _document(_W, _HEATMAP_H, body, desc)
+    return _document(_W, _HEATMAP_H, body(), desc)
 
 
 def svg_f0_track(track: F0Track, models: Sequence[PolyContourModel] = ()) -> str:
     """Voiced F0 frames as dots with fitted polynomial contours on top."""
+    return "".join(svg_f0_track_chunks(track, models))
+
+
+def svg_f0_track_chunks(track: F0Track, models: Sequence[PolyContourModel] = ()) -> Iterator[str]:
+    """`svg_f0_track` as text chunks."""
     import numpy as np
 
     ts, vs = track.voiced_frames()
@@ -212,16 +241,19 @@ def svg_f0_track(track: F0Track, models: Sequence[PolyContourModel] = ()) -> str
         t_lo, t_hi = track.times_s[[0, -1]].tolist()
         v_lo, v_hi = vs.min().item() * 0.9, vs.max().item() * 1.1
     frame = _Frame(t_lo, t_hi, v_lo, v_hi, 50, 20, _W - 70, _H - 70)
-    # map(float, ...) rather than .tolist(): a track can have 10**5 frames
-    body = [_circle(_fmt(frame.x(t)), _fmt(frame.y(v)), "2", _ACCENT)
-            for t, v in zip(map(float, ts), map(float, vs))]
-    for model in models:
-        lo, hi = (t_lo, t_hi) if model.domain is None else (model.domain.start_s, model.domain.end_s)
-        xs = np.linspace(lo, hi, 100)
-        ys = model.fit.evaluate(xs - lo)
-        body.append(_polyline(xs.tolist(), ys.tolist(), frame, _POLY, 1.8))
-    body.extend(_axes(frame, "time (s)", "F0 (Hz)"))
-    return _document(_W, _H, body, "F0 track with polynomial contour models")
+
+    def body() -> Iterator[str]:
+        # map(float, ...) rather than .tolist(): a track can have 10**5 frames
+        for t, v in zip(map(float, ts), map(float, vs)):
+            yield _circle(_fmt(frame.x(t)), _fmt(frame.y(v)), "2", _ACCENT)
+        for model in models:
+            lo, hi = (t_lo, t_hi) if model.domain is None else (model.domain.start_s, model.domain.end_s)
+            xs = np.linspace(lo, hi, 100)
+            ys = model.fit.evaluate(xs - lo)
+            yield _polyline(xs.tolist(), ys.tolist(), frame, _POLY, 1.8)
+        yield from _axes(frame, "time (s)", "F0 (Hz)")
+
+    return _document(_W, _H, body(), "F0 track with polynomial contour models")
 
 
 def svg_timetree(tree: TimeTree) -> str:
@@ -230,6 +262,11 @@ def svg_timetree(tree: TimeTree) -> str:
     Nodes are drawn in postorder; an internal node sits above the mean x of
     its children.
     """
+    return "".join(svg_timetree_chunks(tree))
+
+
+def svg_timetree_chunks(tree: TimeTree) -> Iterator[str]:
+    """`svg_timetree` as text chunks."""
     leaf_levels = [level for node, level, entering in tree.walk() if entering and node.is_leaf]
     depth = max(1, max(leaf_levels))
     px, py, pw, ph = 30.0, 30.0, _W - 60.0, _H - 90.0
@@ -237,55 +274,61 @@ def svg_timetree(tree: TimeTree) -> str:
     label_y, tick_y = _fmt(py + ph + 20), _fmt(py + ph + 6)
     ring = f' stroke="{_FG}" stroke-width="1"'
 
-    body: list[str] = []
-    # (x, formatted x, formatted y) of the finished children of each open node
-    children: list[list[tuple[float, str, str]]] = [[]]
-    next_leaf = 0
-    for node, level, entering in tree.walk():
-        if entering:
-            children.append([])
-            continue
-        kids = children.pop()
-        y = py + ph * (level / depth)
-        if node.is_leaf:
-            x = px + (next_leaf + 0.5) * slot
-            next_leaf += 1
-            fx, fy = _fmt(x), _fmt(y)
-            body.append(_text(fx, label_y, _escape(node.label)))
-            body.append(_line(fx, fy, fx, tick_y, _GRID, "1"))
-        else:
-            x = sum(kid[0] for kid in kids) / len(kids)
-            fx, fy = _fmt(x), _fmt(y)
-            body.extend(_line(fx, fy, cx, cy, _FG, "1.2") for _, cx, cy in kids)
-        weight = "bold" if node.mark in ("s", "r") else "normal"
-        body.append(_circle(fx, fy, "8", "#ffffff", ring))
-        body.append(_text(fx, _fmt(y + 4), _escape(node.mark), 11, weight=weight))
-        children[-1].append((x, fx, fy))
+    def body() -> Iterator[str]:
+        # (x, formatted x, formatted y) of the finished children of each open node
+        children: list[list[tuple[float, str, str]]] = [[]]
+        next_leaf = 0
+        for node, level, entering in tree.walk():
+            if entering:
+                children.append([])
+                continue
+            kids = children.pop()
+            y = py + ph * (level / depth)
+            if node.is_leaf:
+                x = px + (next_leaf + 0.5) * slot
+                next_leaf += 1
+                fx, fy = _fmt(x), _fmt(y)
+                yield _text(fx, label_y, _escape(node.label))
+                yield _line(fx, fy, fx, tick_y, _GRID, "1")
+            else:
+                x = sum(kid[0] for kid in kids) / len(kids)
+                fx, fy = _fmt(x), _fmt(y)
+                yield from (_line(fx, fy, cx, cy, _FG, "1.2") for _, cx, cy in kids)
+            weight = "bold" if node.mark in ("s", "r") else "normal"
+            yield _circle(fx, fy, "8", "#ffffff", ring)
+            yield _text(fx, _fmt(y + 4), _escape(node.mark), 11, weight=weight)
+            children[-1].append((x, fx, fy))
 
-    return _document(_W, _H, body, "metrical time tree")
+    return _document(_W, _H, body(), "metrical time tree")
 
 
 def svg_quadrants(stats: QuadrantStats) -> str:
     """Scatter of successive z-score pairs with quadrant counts in the corners."""
+    return "".join(svg_quadrants_chunks(stats))
+
+
+def svg_quadrants_chunks(stats: QuadrantStats) -> Iterator[str]:
+    """`svg_quadrants` as text chunks."""
     pts = stats.points
     extent = max([1.0] + [max(abs(a), abs(b)) for a, b in pts]) * 1.15
     frame = _Frame(-extent, extent, -extent, extent, 50, 20, _SQUARE - 70, _SQUARE - 70)
-    x0, y0 = _fmt(frame.x(0)), _fmt(frame.y(0))
-    body = [
-        _line(x0, _fmt(frame.py), x0, _fmt(frame.py + frame.ph), _GRID, "1"),
-        _line(_fmt(frame.px), y0, _fmt(frame.px + frame.pw), y0, _GRID, "1"),
-    ]
     colors = {"LL": "#cc4400", "SS": "#0055aa", "LS": "#228844", "SL": "#886600", "origin": "#555555"}
-    for (a, b), quadrant in zip(pts, stats.quadrants):
-        body.append(_circle(_fmt(frame.x(a)), _fmt(frame.y(b)), "3", colors[quadrant], ' fill-opacity="0.8"'))
-    corners = {
-        "LL": (frame.px + frame.pw - 8, frame.py + 16, "end"),
-        "SS": (frame.px + 8, frame.py + frame.ph - 8, "start"),
-        "LS": (frame.px + frame.pw - 8, frame.py + frame.ph - 8, "end"),
-        "SL": (frame.px + 8, frame.py + 16, "start"),
-    }
-    counts = stats.counts
-    for name, (x, y, anchor) in corners.items():
-        body.append(_text(_fmt(x), _fmt(y), f"{name}={counts[name]}", anchor=anchor, fill=colors[name]))
-    body.extend(_axes(frame, "z(i)", "z(i+1)"))
-    return _document(_SQUARE, _SQUARE, body, "duration z-score quadrant scatter")
+
+    def body() -> Iterator[str]:
+        x0, y0 = _fmt(frame.x(0)), _fmt(frame.y(0))
+        yield _line(x0, _fmt(frame.py), x0, _fmt(frame.py + frame.ph), _GRID, "1")
+        yield _line(_fmt(frame.px), y0, _fmt(frame.px + frame.pw), y0, _GRID, "1")
+        for (a, b), quadrant in zip(pts, stats.quadrants):
+            yield _circle(_fmt(frame.x(a)), _fmt(frame.y(b)), "3", colors[quadrant], ' fill-opacity="0.8"')
+        corners = {
+            "LL": (frame.px + frame.pw - 8, frame.py + 16, "end"),
+            "SS": (frame.px + 8, frame.py + frame.ph - 8, "start"),
+            "LS": (frame.px + frame.pw - 8, frame.py + frame.ph - 8, "end"),
+            "SL": (frame.px + 8, frame.py + 16, "start"),
+        }
+        counts = stats.counts
+        for name, (x, y, anchor) in corners.items():
+            yield _text(_fmt(x), _fmt(y), f"{name}={counts[name]}", anchor=anchor, fill=colors[name])
+        yield from _axes(frame, "z(i)", "z(i+1)")
+
+    return _document(_SQUARE, _SQUARE, body(), "duration z-score quadrant scatter")

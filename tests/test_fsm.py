@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prosotime import (
     AlphabetError,
@@ -22,7 +23,7 @@ from prosotime import (
     synthesize_contour,
     transduce_tones,
 )
-from prosotime.fsm import PIERREHUMBERT_ALPHABET, PITCH_ACCENTS, fsm_to_dict
+from prosotime.fsm import PIERREHUMBERT_ALPHABET, PITCH_ACCENTS, count_strings, fsm_to_dict
 
 BOUNDARY_INITIAL = ("%H", "%L")
 PHRASE_ACCENTS = ("H-", "L-")
@@ -153,6 +154,34 @@ class TestCompiledMachine:
 
     def test_enumeration_count_at_seven(self):
         assert len(enumerate_strings(build_pierrehumbert(), 7)) == 19920
+
+
+@st.composite
+def single_tape_machines(draw):
+    """Deterministic acceptors over states a, b, c and symbols x, y, z, starting at a."""
+    states = ("a", "b", "c")
+    arcs = draw(st.dictionaries(st.tuples(st.sampled_from(states), st.sampled_from("xyz")),
+                                st.sampled_from(states), max_size=9))
+    return MultiTapeFSM(
+        states=frozenset(states), start="a", finals=frozenset(draw(st.sets(st.sampled_from(states)))),
+        n_tapes=1, transitions=tuple(Transition(src, dst, (sym,)) for (src, sym), dst in arcs.items()),
+    )
+
+
+class TestStringCount:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.one_of(st.just(build_pierrehumbert()), single_tape_machines()), st.integers(0, 6))
+    def test_count_equals_enumeration(self, fsm, max_len):
+        assert count_strings(fsm, max_len) == len(enumerate_strings(fsm, max_len))
+
+    def test_over_the_cap_raises_before_enumerating(self):
+        # about 5e8 strings up to length 12; the count passes the cap at length 10
+        with pytest.raises(ParameterError, match=r"--max-len 12 gives more than 2000000 strings"):
+            enumerate_strings(build_pierrehumbert(), 12)
+
+    def test_count_stops_where_paths_end(self):
+        fsm = TestCompiledMachine.machine(("a", "b", ("x", "y")))
+        assert count_strings(fsm, 10**12) == 1
 
 
 class TestMachineShape:

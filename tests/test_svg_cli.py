@@ -1,9 +1,12 @@
 """SVG renderers and the batch command-line interface."""
 
 import hashlib
+import importlib
 import json
+import math
 import re
 import struct
+import time
 from pathlib import Path
 
 import numpy as np
@@ -372,6 +375,19 @@ class TestCliToneGen:
         rep = report_from(capsys)
         assert [t["hz"] for t in rep["targets"]] == [200.0, 100.0]
 
+    def test_frames_over_the_cap_exit_one(self, tmp_path, capsys):
+        # 1e11 frames: refused before any frame is built
+        assert run(["tone-gen", "H", "--tone-dur-ms", "1e12", "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "--tone-dur-ms 1e+12 makes 1e+11 frames for each of 1 targets" in err
+        assert "cap of 10000000" in err
+        assert list(tmp_path.iterdir()) == []
+        # the largest duration over many targets: a frame count beyond the float range
+        assert run(["tone-gen", " ".join(["H"] * 2000), "--tone-dur-ms", "1.7e308",
+                    "--out-dir", str(tmp_path)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestCliIntonation:
     def test_check_accepts(self, tmp_path, capsys):
@@ -409,6 +425,16 @@ class TestCliIntonation:
     def test_enum_with_string_is_usage_error(self, tmp_path, capsys):
         assert run(["intonation", "enum", "%H H* L- L%", "--out-dir", str(tmp_path)]) == 2
         assert "symbol string" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_enum_over_the_string_cap_exits_one_quickly(self, tmp_path, capsys):
+        # about 5e8 strings up to length 12: counted, not enumerated
+        start = time.perf_counter()
+        assert run(["intonation", "enum", "--max-len", "12", "--out-dir", str(tmp_path)]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "--max-len 12 gives more than 2000000 strings" in err
         assert list(tmp_path.iterdir()) == []
 
 
@@ -593,3 +619,121 @@ class TestCliPlumbing:
         run(["metrics", str(words_csv_path), "--json", "--out-dir", str(tmp_path / "2")])
         second = capsys.readouterr().out
         assert first == second
+
+
+# every SVG renderer and CSV writer, in both its str and its chunk form
+RENDERERS = {
+    "prosotime.svgplot": [f"svg_{plot}{form}" for plot in ("spectrum", "heatmap", "f0_track", "timetree", "quadrants")
+                          for form in ("", "_chunks")],
+    "prosotime.pitch": ["f0_track_to_csv", "f0_track_csv_chunks"],
+    "prosotime.aems": ["spectrum_to_csv", "spectrum_csv_chunks"],
+    "prosotime.rhythm": ["quadrant_to_csv", "quadrant_csv_chunks"],
+}
+
+
+class TestLazyStreamedArtifacts:
+    @pytest.mark.parametrize("argv, fixture, written", [
+        (["f0"], "am_wav_path", "am.f0.json"),
+        (["tone-gen", "H L H L"], None, "tones.json"),
+        (["timetree"], "words_csv_path", "words.timetree.json"),
+        (["spectree"], "am_wav_path", "am.spectree.json"),
+        (["aems"], "am_wav_path", "am.aems.json"),
+        (["metrics"], "words_csv_path", "words.metrics.json"),
+    ], ids=lambda v: v[0] if isinstance(v, list) else None)
+    def test_json_only_renders_no_svg_or_csv(self, argv, fixture, written, request, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("rendered an artifact that --formats json drops")
+
+        for module, names in RENDERERS.items():
+            for name in names:  # by module object: prosotime.aems is also a function
+                monkeypatch.setattr(importlib.import_module(module), name, refuse)
+        if fixture is not None:
+            argv = [argv[0], str(request.getfixturevalue(fixture)), *argv[1:]]
+        out = tmp_path / "out"
+        assert run([*argv, "--formats", "json", "--out-dir", str(out)]) == 0
+        assert [p.name for p in out.iterdir()] == [written]
+
+    @pytest.mark.parametrize("formats", ["json", "csv", "svg", "csv,svg"])
+    def test_non_finite_report_exits_one_whatever_the_formats(self, formats, words_csv_path, tmp_path,
+                                                              monkeypatch, capsys):
+        from prosotime import rhythm
+
+        real = rhythm.metrics_report
+        monkeypatch.setattr(rhythm, "metrics_report", lambda seq: {**real(seq), "pim": math.inf})
+        out = tmp_path / "out"
+        assert run(["metrics", str(words_csv_path), "--formats", formats, "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "non-finite" in err
+        assert not list(out.glob("*.json"))
+
+    def test_chunks_join_to_the_public_string(self, am_wave):
+        from prosotime import F0Track
+        from prosotime.aems import shape_zones, spectrum_csv_chunks, spectrum_to_csv
+        from prosotime.pitch import f0_track_csv_chunks, f0_track_to_csv
+        from prosotime.rhythm import quadrant_csv_chunks, quadrant_to_csv
+        from prosotime.svgplot import (svg_f0_track_chunks, svg_heatmap_chunks, svg_quadrants_chunks,
+                                       svg_spectrum_chunks, svg_timetree_chunks)
+
+        spec = aems(am_wave, cutoff_hz=20.0)
+        fit, zones = shape_zones(spec)
+        track = synthesize_contour(realize_pitch(transduce_tones("H L H L H")))
+        no_frames = F0Track([], [], 0.01)
+        tree = induce_time_tree([("a", 1.0), ("b", 2.0), ("c", 0.5)])
+        stats = quadrant_analysis([1.0, 2.5, 1.5, 4.0, 0.5, 3.0])
+        cases = [
+            (svg_spectrum, svg_spectrum_chunks, (spec, fit, zones)),
+            (svg_heatmap, svg_heatmap_chunks, (spec,)),
+            (svg_f0_track, svg_f0_track_chunks, (track, [fit_contour(track, 2)])),
+            (svg_f0_track, svg_f0_track_chunks, (no_frames,)),
+            (svg_timetree, svg_timetree_chunks, (tree,)),
+            (svg_quadrants, svg_quadrants_chunks, (stats,)),
+            (f0_track_to_csv, f0_track_csv_chunks, (track,)),
+            (f0_track_to_csv, f0_track_csv_chunks, (no_frames,)),
+            (spectrum_to_csv, spectrum_csv_chunks, (spec,)),
+            (quadrant_to_csv, quadrant_csv_chunks, (stats,)),
+        ]
+        for whole, chunks, args in cases:
+            parts = list(chunks(*args))
+            assert all(isinstance(part, str) for part in parts)
+            assert "".join(parts) == whole(*args)
+        # one chunk per line: the track is never held as one string
+        assert len(list(f0_track_csv_chunks(track))) == len(track) + 1
+        assert f0_track_to_csv(no_frames) == "time_s,f0_hz\n"
+
+    def test_document_with_an_empty_body_keeps_its_blank_line(self):
+        from prosotime.svgplot import _document
+
+        head = ('<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="10.000" height="20.000" '
+                'viewBox="0 0 10.000 20.000">\n<desc>a &amp; b</desc>\n'
+                '<rect x="0" y="0" width="10.000" height="20.000" fill="#ffffff"/>\n')
+        assert "".join(_document(10, 20, [], "a & b")) == head + "\n</svg>\n"
+        assert "".join(_document(10, 20, ["<x/>", "<y/>"], "a & b")) == head + "<x/>\n<y/>\n</svg>\n"
+
+    def test_render_failing_after_its_first_batch_leaves_no_file(self, tmp_path):
+        from prosotime import DegenerateInputError
+        from prosotime.cli import _BATCH, _Sink
+
+        target = tmp_path / "plot.svg"
+
+        def render():
+            yield from ["<x/>" * 25] * _BATCH
+            assert target.stat().st_size > 0  # the first batch reached the file
+            raise DegenerateInputError("cannot draw")
+
+        with pytest.raises(DegenerateInputError, match="cannot draw"):
+            _Sink(tmp_path, {"svg"}).put("svg", "plot.svg", render)
+        assert not target.exists()
+
+    def test_render_failing_partway_exits_like_its_error(self, tmp_path, monkeypatch, capsys):
+        from prosotime import DegenerateInputError
+
+        def render(track, models=()):
+            yield from ["<circle/>"] * 10_000
+            raise DegenerateInputError("cannot draw")
+
+        monkeypatch.setattr("prosotime.svgplot.svg_f0_track_chunks", render)
+        out = tmp_path / "out"
+        assert run(["tone-gen", "H L H", "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "error: cannot draw" in err
+        assert [p.name for p in out.iterdir()] == ["tones.f0.csv"]
