@@ -430,7 +430,9 @@ def synthesize_contour(targets: PitchTargetSequence, tone_dur_ms: float = 150.0)
     frames at its own frequency.  More than MAX_CONTOUR_FRAMES frames is a
     ParameterError, raised before any is built.
     """
-    from .pitch import F0Track  # loads numpy, which recognition and enumeration never need
+    import numpy as np  # recognition and enumeration never need numpy
+
+    from .pitch import F0Track
 
     if len(targets) == 0:
         raise DegenerateInputError("cannot synthesize a contour from zero targets")
@@ -441,9 +443,8 @@ def synthesize_contour(targets: PitchTargetSequence, tone_dur_ms: float = 150.0)
     if len(targets) * per > MAX_CONTOUR_FRAMES:
         raise ParameterError(f"--tone-dur-ms {tone_dur_ms:g} makes {per:.3g} frames for each of {len(targets)} "
                              f"targets, more than the cap of {MAX_CONTOUR_FRAMES} in all")
-    f0 = [hz for _, hz in targets.items for _ in range(per)]
-    times = [k * hop_s for k in range(len(f0))]
-    return F0Track(times_s=times, f0_hz=f0, hop_s=hop_s)
+    f0 = np.repeat(targets.targets_hz, per)
+    return F0Track(times_s=np.arange(len(f0)) * hop_s, f0_hz=f0, hop_s=hop_s)
 
 
 def fsm_to_dict(fsm: MultiTapeFSM) -> dict:

@@ -267,7 +267,7 @@ def svg_timetree(tree: TimeTree) -> str:
 
 def svg_timetree_chunks(tree: TimeTree) -> Iterator[str]:
     """`svg_timetree` as text chunks."""
-    leaf_levels = [level for node, level, entering in tree.walk() if entering and node.is_leaf]
+    leaf_levels = [level for node, level, entering in tree.walk() if entering and not tree.kids[node]]
     depth = max(1, max(leaf_levels))
     px, py, pw, ph = 30.0, 30.0, _W - 60.0, _H - 90.0
     slot = pw / len(leaf_levels)
@@ -284,19 +284,19 @@ def svg_timetree_chunks(tree: TimeTree) -> Iterator[str]:
                 continue
             kids = children.pop()
             y = py + ph * (level / depth)
-            if node.is_leaf:
+            if not tree.kids[node]:
                 x = px + (next_leaf + 0.5) * slot
                 next_leaf += 1
                 fx, fy = _fmt(x), _fmt(y)
-                yield _text(fx, label_y, _escape(node.label))
+                yield _text(fx, label_y, _escape(tree.labels[node]))
                 yield _line(fx, fy, fx, tick_y, _GRID, "1")
             else:
                 x = sum(kid[0] for kid in kids) / len(kids)
                 fx, fy = _fmt(x), _fmt(y)
                 yield from (_line(fx, fy, cx, cy, _FG, "1.2") for _, cx, cy in kids)
-            weight = "bold" if node.mark in ("s", "r") else "normal"
+            weight = "bold" if tree.marks[node] in ("s", "r") else "normal"
             yield _circle(fx, fy, "8", "#ffffff", ring)
-            yield _text(fx, _fmt(y + 4), _escape(node.mark), 11, weight=weight)
+            yield _text(fx, _fmt(y + 4), _escape(tree.marks[node]), 11, weight=weight)
             children[-1].append((x, fx, fy))
 
     return _document(_W, _H, body(), "metrical time tree")

@@ -42,62 +42,63 @@ _ARITIES = ("binary", "nary")
 
 @dataclass(frozen=True)
 class TimeTree:
-    """One node of a time tree.
+    """A time tree as a node table: four parallel tuples indexed by node id.
 
-    Leaves carry a label and the item's value; internal nodes carry >= 2
-    marked children, exactly one of them strong, and the strong child's
-    value as their own.  The root is marked "r", every other node "s" or
-    "w".
+    A node lists its children's ids left to right, each below its own id,
+    and the root is the last node.  Leaves carry a label and the item's
+    value; internal nodes carry no label, >= 2 marked children, exactly one
+    of them strong, and the strong child's value as their own.  The root is
+    marked "r", every other node "s" or "w".
     """
 
-    mark: str
-    value: float
-    label: str | None = None
-    children: tuple[TimeTree, ...] = ()
+    marks: tuple[str, ...]
+    values: tuple[float, ...]
+    labels: tuple[str | None, ...]
+    kids: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "children", tuple(self.children))
-        object.__setattr__(self, "value", float(self.value))
-        if self.mark not in _MARKS:
-            raise ParameterError(f"mark must be one of {_MARKS}, got {self.mark!r}")
-        if not math.isfinite(self.value):
-            raise ParameterError(f"node value must be finite, got {self.value!r}")
-        if self.children:
-            if self.label is not None:
-                raise ParameterError("internal nodes carry no label")
-            if len(self.children) < 2:
+        columns = {"marks": tuple(self.marks), "values": tuple(map(float, self.values)),
+                   "labels": tuple(self.labels), "kids": tuple(map(tuple, self.kids))}
+        for name, column in columns.items():
+            object.__setattr__(self, name, column)
+        marks = self.marks
+        if not marks or any(len(column) != len(marks) for column in columns.values()):
+            raise ParameterError(f"tree columns need one non-zero length, got {[*map(len, columns.values())]}")
+        for node, (mark, value, label, children) in enumerate(zip(*columns.values())):
+            if mark not in _MARKS:
+                raise ParameterError(f"mark must be one of {_MARKS}, got {mark!r}")
+            if not math.isfinite(value):
+                raise ParameterError(f"node value must be finite, got {value!r}")
+            if (label is None) == (not children):  # a label on every leaf and on nothing else
+                raise ParameterError("internal nodes carry no label" if children else "leaf nodes need a label")
+            if not children:
+                continue
+            if len(children) < 2:
                 raise ParameterError("internal nodes need >= 2 children")
-            marks = [c.mark for c in self.children]
-            if marks.count("s") != 1 or any(m == "r" for m in marks):
-                raise ParameterError(
-                    f"children must contain exactly one 's' and otherwise 'w', got {marks}"
-                )
-        elif self.label is None:
-            raise ParameterError("leaf nodes need a label")
+            if not all(0 <= k < node for k in children):
+                raise ParameterError(f"node {node} has a child whose id is not below its own")
+            child_marks = [marks[k] for k in children]
+            if child_marks.count("s") != 1 or "r" in child_marks:
+                raise ParameterError(f"children must contain exactly one 's' and otherwise 'w', got {child_marks}")
+        if sorted(k for children in self.kids for k in children) != list(range(len(marks) - 1)):
+            raise ParameterError("every node but the root, the last, needs exactly one parent")
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-    def walk(self) -> Iterator[tuple[TimeTree, int, bool]]:
-        """Depth-first (node, level, entering) events, left to right.
+    def walk(self) -> Iterator[tuple[int, int, bool]]:
+        """Depth-first (node id, level, entering) events from the root, left to right.
 
         Every node is visited twice, entering before its children and leaving
         after them, so preorder and postorder consumers share one walk.  The
         walk keeps an explicit stack: tree depth is not bounded by Python's
         recursion limit.
         """
-        stack: list[tuple[TimeTree, int, bool]] = [(self, 0, True)]
+        kids = self.kids
+        stack = [(len(kids) - 1, 0, True)]
         while stack:
             node, level, entering = stack.pop()
             yield node, level, entering
             if entering:
                 stack.append((node, level, False))
-                stack.extend((c, level + 1, True) for c in reversed(node.children))
-
-    def leaves(self) -> tuple[TimeTree, ...]:
-        """The fringe of the tree, left to right."""
-        return tuple(node for node, _, entering in self.walk() if entering and node.is_leaf)
+                stack.extend((k, level + 1, True) for k in reversed(kids[node]))
 
 
 @dataclass(frozen=True)
@@ -133,10 +134,7 @@ def induce_time_tree(
     A joined node keeps its strong child's value, so after the first pass
     only the pairs beside the nodes the previous pass made can hold; each
     pass walks just those, over a doubly linked list of the current items.
-
-    Induction runs on flat per-node lists indexed by node id; children always
-    get smaller ids than their parent, so the TimeTree objects are built once
-    at the end, in id order.
+    Each join appends its node to the tree's table, so the last is the root.
     """
     pairs = list(seq.items if isinstance(seq, DurationSequence) else seq)
     if not pairs:
@@ -207,11 +205,7 @@ def induce_time_tree(
         marks[items[0]] = "r"
     else:  # several unjoinable roots: adjoin them, strongest (leftmost on ties) strong
         join(items, max(range(len(items)), key=lambda k: sign * values[items[k]]), "r")
-
-    nodes: list[TimeTree] = []
-    for mark, value, label, children in zip(marks, values, labels, kids):
-        nodes.append(TimeTree(mark, value, label, tuple(nodes[k] for k in children)))
-    return nodes[-1]  # the last join, or the lone leaf
+    return TimeTree(marks, values, labels, kids)
 
 
 def induce_spectral_hierarchy(spec: Spectrum, params: TreeParams = TreeParams()) -> TimeTree:
@@ -236,14 +230,15 @@ def to_sexpr(tree: TimeTree) -> str:
 
     A bare root leaf prints as its label alone.
     """
-    if tree.is_leaf and tree.mark == "r":
-        return tree.label
+    marks, labels, kids = tree.marks, tree.labels, tree.kids
+    if not kids[-1] and marks[-1] == "r":
+        return labels[-1]
     parts: list[str] = []
     for node, level, entering in tree.walk():
         if entering:
             gap = " " if level else ""
-            parts.append(f"{gap}({node.mark} {node.label})" if node.is_leaf else f"{gap}({node.mark}")
-        elif not node.is_leaf:
+            parts.append(f"{gap}({marks[node]}" if kids[node] else f"{gap}({marks[node]} {labels[node]})")
+        elif kids[node]:
             parts.append(")")
     return "".join(parts)
 
@@ -254,15 +249,16 @@ def tree_to_dict(tree: TimeTree) -> dict:
     Each row is {mark, value, parent} plus the label on leaves; parent is the
     row index of the parent node, None at the root.
     """
+    marks, values, labels, kids = tree.marks, tree.values, tree.labels, tree.kids
     rows: list[dict] = []
     path: list[int] = []  # row index of the current node's ancestors, by level
     for node, level, entering in tree.walk():
         if not entering:
             continue
         del path[level:]
-        row: dict = {"mark": node.mark, "value": node.value, "parent": path[-1] if path else None}
-        if node.is_leaf:
-            row["label"] = node.label
+        row: dict = {"mark": marks[node], "value": values[node], "parent": path[-1] if path else None}
+        if not kids[node]:
+            row["label"] = labels[node]
         path.append(len(rows))
         rows.append(row)
     return {"nodes": rows}

@@ -297,6 +297,18 @@ class TestContourSynthesis:
         assert track.f0_hz[0] == pytest.approx(170.0)
         assert track.f0_hz[-1] == pytest.approx(119.0)
 
+    @pytest.mark.parametrize("tone_dur_ms", [2.5, 10.0, 15.0, 150.0, 1234.5])
+    def test_frames_match_the_list_construction(self, tone_dur_ms):
+        # 2 000 targets from a long tone string; the reference is the former
+        # construction through two Python lists
+        targets = realize_pitch(transduce_tones(" ".join(["H", "L", "H", "H", "L"] * 400)))
+        track = synthesize_contour(targets, tone_dur_ms=tone_dur_ms)
+        per = max(1, round(tone_dur_ms / 1000.0 / 0.01))
+        f0 = [hz for _, hz in targets.items for _ in range(per)]
+        times = [k * 0.01 for k in range(len(f0))]
+        assert track.f0_hz.tobytes() == np.array(f0).tobytes()
+        assert track.times_s.tobytes() == np.array(times).tobytes()
+
     def test_empty_targets_rejected(self):
         from prosotime import DegenerateInputError
 

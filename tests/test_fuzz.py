@@ -1,10 +1,17 @@
-"""Parser fuzzing: random and mutated bytes end in a value or an AnalysisError.
+"""Parser and argv fuzzing.
 
-Derandomized and bounded, so that every run feeds the same cases and the
-suite stays a few seconds long.
+Random and mutated bytes end in a value or an AnalysisError, and random
+command lines end in exit 0, 1 or 2 without a traceback.  Derandomized and
+bounded, so that every run feeds the same cases and the suite stays a few
+seconds long.
 """
 
+import contextlib
+import io
+import os
 import warnings
+from datetime import timedelta
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +24,14 @@ from prosotime import (
     parse_csv_annotation,
     parse_f0_csv,
     parse_textgrid,
+    realize_pitch,
+    synthesize_am,
+    synthesize_contour,
+    transduce_tones,
+    write_wav_pcm16,
 )
+from prosotime.cli import OUT_DIR_ENV, run
+from prosotime.pitch import f0_track_to_csv
 
 TEXTGRID_LONG = """File type = "ooTextFile"
 Object class = "TextGrid"
@@ -143,3 +157,85 @@ class TestParserFuzz:
     def test_undecodable_text_after_a_bom_is_a_parse_error(self, parse, data):
         with pytest.raises(ParseError, match="not valid UTF"):
             parse(data)
+
+
+# ---------------------------------------------------------------------------
+# random argv through cli.run, in process
+# ---------------------------------------------------------------------------
+
+# flag values from the edges of each argparse type, plus a few ordinary ones
+FLOATS = ("0", "-0.0", "-1", "-1e308", "1e-300", "5e-324", "1e308", "nan", "inf", "-inf",
+          "0.5", "1", "150", "1" + "0" * 30, "x", "")
+INTS = ("0", "-1", "1", "3", "1" + "0" * 30, "-" + "9" * 30, "1.5", "1e3", "")
+STRINGS = ("", "ü", "音声", "\udcff", "-", "x y", "words", "sil")
+MISSING = ("", "no-such-file", "ü", "\udcff")
+
+# per subcommand: a tuple of tokens for each positional (None leaves it out),
+# then {flag: values}; "{wav}", "{csv}", "{grid}", "{f0}" and "{dir}" name the
+# fixture files below
+_INPUTS = ("{wav}", "{csv}", "{grid}", "{f0}", "{dir}") + MISSING
+_TREE_FLAGS = {"--relation": ("iambic", "trochaic", "spondaic", ""), "--polarity": ("higher", "lower", "ü"),
+               "--arity": ("binary", "nary", "")}
+_ANNOT_FLAGS = {"--tier": STRINGS + ("phones",), "--exclude": STRINGS}
+ARGV_GRAMMAR = {
+    "calibrate": ((), {}),
+    "aems": ((_INPUTS,), {"--cutoff-hz": FLOATS, "--window-ms": FLOATS, "--env-rate": INTS,
+                          "--smooth-ms": FLOATS, "--min-prominence": FLOATS, "--min-separation-hz": FLOATS}),
+    "metrics": ((_INPUTS,), _ANNOT_FLAGS),
+    "timetree": ((_INPUTS,), {**_ANNOT_FLAGS, **_TREE_FLAGS}),
+    "spectree": ((_INPUTS,), {"--cutoff-hz": FLOATS, **_TREE_FLAGS}),
+    "tone-gen": ((("H L H", "H", "L L H H L", "", "H X", "h l", "ü", "H L " * 40),),
+                 {flag: FLOATS for flag in ("--p-h0", "--p-l0", "--k-usw", "--k-dd", "--k-dst", "--k-ter",
+                                            "--floor-hz", "--ceiling-hz", "--tone-dur-ms")}),
+    "intonation": ((("check", "enum", "x"), ("", "%H H* L- L%", "%H H* L%", "H*", "%H ü L%", None)),
+                   {"--max-len": INTS}),
+    "f0": ((_INPUTS,), {"--fmin": FLOATS, "--fmax": FLOATS, "--frame-ms": FLOATS, "--hop-ms": FLOATS,
+                        "--voicing-ratio": FLOATS}),
+    "contour-fit": ((_INPUTS,), {"--degree": INTS, "--start-s": FLOATS, "--end-s": FLOATS}),
+}
+COMMON_FLAGS = {"--formats": ("json", "csv", "svg", "json,csv,svg", "", ",", "pdf", "ü"), "--out-dir": STRINGS}
+TAILS = ((), ("--json",), ("--help",), ("--no-such-flag",), ("--formats",), ("extra",))
+
+
+@pytest.fixture(scope="module")
+def argv_inputs(tmp_path_factory):
+    """The fixture files that "{name}" tokens stand for, and an output root."""
+    root = tmp_path_factory.mktemp("argv")
+    write_wav_pcm16(root / "am.wav", synthesize_am(200.0, 5.0, 1.0, 1.0, 16000))
+    (root / "words.csv").write_text(CSV_DOC)
+    (root / "words.TextGrid").write_text(TEXTGRID_SHORT)
+    track = synthesize_contour(realize_pitch(transduce_tones("H L H L H")))
+    (root / "t.f0.csv").write_text(f0_track_to_csv(track))
+    names = {"wav": "am.wav", "csv": "words.csv", "grid": "words.TextGrid", "f0": "t.f0.csv", "dir": "."}
+    return {"{%s}" % key: str(root / name) for key, name in names.items()}, root / "out"
+
+
+def _draw_argv(data, sub, inputs, out):
+    positionals, flags = ARGV_GRAMMAR[sub]
+    flags = {**flags, **COMMON_FLAGS}
+    argv = [sub, "--out-dir", str(out)]
+    for choices in positionals:
+        token = data.draw(st.sampled_from(choices))
+        if token is not None:
+            argv.append(inputs.get(token, token))
+    for flag in data.draw(st.lists(st.sampled_from(sorted(flags)), max_size=3)):
+        value = data.draw(st.sampled_from(flags[flag]))
+        argv += [flag, str(out / value) if flag == "--out-dir" and value else value]
+    return argv + list(data.draw(st.just(()) | st.sampled_from(TAILS)))  # half end cleanly
+
+
+class TestRandomArgv:
+    @pytest.mark.parametrize("sub", sorted(ARGV_GRAMMAR))
+    @settings(max_examples=30, derandomize=True, deadline=timedelta(seconds=5))
+    @given(data=st.data())
+    def test_exit_code_without_traceback(self, sub, data, argv_inputs):
+        inputs, out = argv_inputs
+        argv = _draw_argv(data, sub, inputs, out)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        # an empty --out-dir falls back to the environment, which points into out
+        with mock.patch.dict(os.environ, {OUT_DIR_ENV: str(out)}), warnings.catch_warnings(), \
+                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("ignore")  # dropped intervals warn; that is a result
+            code = run(argv)
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in stderr.getvalue(), argv

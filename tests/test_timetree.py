@@ -1,6 +1,8 @@
 """Metrical tree induction from labeled durations and from spectra."""
 
 import json
+import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -67,7 +69,7 @@ class TestJoinRules:
 
     def test_node_value_is_strong_childs(self):
         tree = induce_time_tree([("a", 1.0), ("b", 2.0)], TreeParams("iambic", "higher"))
-        assert tree.value == 2.0
+        assert tree.values[-1] == 2.0
 
     def test_worst_case_chain_needs_linear_passes(self):
         # strictly rising tail after a falling head: each pass joins only the
@@ -91,18 +93,23 @@ class TestNaryMode:
         assert to_sexpr(tree) == "(r (s a) (w b) (w c))"
 
 
+def _fringe(tree):
+    """Leaf labels, left to right."""
+    return [tree.labels[node] for node, _, entering in tree.walk() if entering and not tree.kids[node]]
+
+
 class TestStructuralInvariants:
     @staticmethod
-    def _check(node):
-        if node.is_leaf:
-            assert node.label is not None
-            return
-        s_children = [c for c in node.children if c.mark == "s"]
-        assert len(s_children) == 1
-        assert node.value == s_children[0].value
-        for child in node.children:
-            assert child.mark in ("s", "w")
-            TestStructuralInvariants._check(child)
+    def _check(tree):
+        for node, children in enumerate(tree.kids):
+            if not children:
+                assert tree.labels[node] is not None
+                continue
+            s_children = [k for k in children if tree.marks[k] == "s"]
+            assert len(s_children) == 1
+            assert tree.values[node] == tree.values[s_children[0]]
+            for k in children:
+                assert tree.marks[k] in ("s", "w")
 
     def test_random_trees_keep_fringe_and_marks(self):
         rng = np.random.default_rng(17)
@@ -115,13 +122,9 @@ class TestStructuralInvariants:
             arity = str(rng.choice(["binary", "nary"]))
             seq = list(zip(labels, values))
             tree = induce_time_tree(seq, TreeParams(relation, polarity, arity))
-            assert tree.mark == "r"
-            assert [leaf.label for leaf in tree.leaves()] == labels
-            if not tree.is_leaf:
-                s_children = [c for c in tree.children if c.mark == "s"]
-                assert len(s_children) == 1
-                for child in tree.children:
-                    self._check(child)
+            assert tree.marks[-1] == "r"
+            assert _fringe(tree) == labels
+            self._check(tree)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(DegenerateInputError):
@@ -131,15 +134,42 @@ class TestStructuralInvariants:
         with pytest.raises(ParameterError):
             TreeParams(relation="spondaic")
 
+    def test_hand_built_table_equals_induced(self):
+        table = TimeTree(["w", "s", "r"], [1, 2, 2], ["a", "b", None], [[], [], [0, 1]])
+        assert table == induce_time_tree([("a", 1.0), ("b", 2.0)], TreeParams("iambic", "higher"))
+        assert table.values == (1.0, 2.0, 2.0) and table.kids == ((), (), (0, 1))
+
     def test_tree_node_validation(self):
-        with pytest.raises(ParameterError):
-            TimeTree("q", 1.0, label="x")
-        with pytest.raises(ParameterError):
-            # internal node must have exactly one strong child
-            TimeTree(
-                "r", 1.0,
-                children=(TimeTree("w", 1.0, label="a"), TimeTree("w", 1.0, label="b")),
-            )
+        # malformed tables, at least one per rule, each with the words its error must carry
+        for name, table, message in _MALFORMED_TABLES:
+            with pytest.raises(ParameterError, match=message):
+                TimeTree(*table)
+                pytest.fail(f"{name} table accepted")
+
+
+# (case, (marks, values, labels, kids), error text); a valid table is
+# (("w", "s", "r"), (1.0, 2.0, 2.0), ("a", "b", None), ((), (), (0, 1)))
+_MALFORMED_TABLES = [
+    ("empty", ((), (), (), ()), "one non-zero length"),
+    ("short values", (("w", "s", "r"), (1.0, 2.0), ("a", "b", None), ((), (), (0, 1))), "one non-zero length"),
+    ("short kids", (("w", "s", "r"), (1.0, 2.0, 2.0), ("a", "b", None), ((), ())), "one non-zero length"),
+    ("bad mark", (("q",), (1.0,), ("x",), ((),)), "mark must be one of"),
+    ("nan value", (("r",), (math.nan,), ("x",), ((),)), "must be finite"),
+    ("inf value", (("w", "s", "r"), (1.0, math.inf, math.inf), ("a", "b", None), ((), (), (0, 1))), "must be finite"),
+    ("labelled internal", (("w", "s", "r"), (1.0, 2.0, 2.0), ("a", "b", "ab"), ((), (), (0, 1))), "carry no label"),
+    ("unlabelled leaf", (("w", "s", "r"), (1.0, 2.0, 2.0), ("a", None, None), ((), (), (0, 1))), "need a label"),
+    ("one child", (("s", "r"), (1.0, 1.0), ("a", None), ((), (0,))), ">= 2 children"),
+    ("own child", (("w", "s", "r"), (1.0, 2.0, 2.0), ("a", "b", None), ((), (), (0, 2))), "not below its own"),
+    ("negative child", (("w", "s", "r"), (1.0, 2.0, 2.0), ("a", "b", None), ((), (), (-1, 1))), "not below its own"),
+    ("child above", (("r", "s", "w"), (2.0, 2.0, 1.0), (None, "b", "a"), ((1, 2), (), ())), "not below its own"),
+    ("two strong", (("s", "s", "r"), (1.0, 2.0, 2.0), ("a", "b", None), ((), (), (0, 1))), "exactly one 's'"),
+    ("no strong", (("w", "w", "r"), (1.0, 2.0, 2.0), ("a", "b", None), ((), (), (0, 1))), "exactly one 's'"),
+    ("root child", (("r", "s", "r"), (1.0, 2.0, 2.0), ("a", "b", None), ((), (), (0, 1))), "exactly one 's'"),
+    ("two parents", (("s", "w", "w", "r"), (1.0, 1.0, 1.0, 1.0), ("a", "b", None, None), ((), (), (0, 1), (2, 0))),
+     "exactly one parent"),
+    ("orphan", (("w", "s", "w", "r"), (1.0, 2.0, 1.0, 2.0), ("a", "b", "c", None), ((), (), (), (0, 1))),
+     "exactly one parent"),
+]
 
 
 class TestSpectralHierarchy:
@@ -169,18 +199,7 @@ class TestSpectralHierarchy:
 
 def _strong_path_leaves(tree):
     """Labels of leaves reachable from some node by a strong-marked child."""
-    found = set()
-
-    def walk(node):
-        if node.is_leaf:
-            return
-        for child in node.children:
-            if child.mark == "s" and child.is_leaf:
-                found.add(child.label)
-            walk(child)
-
-    walk(tree)
-    return found
+    return {tree.labels[k] for children in tree.kids for k in children if tree.marks[k] == "s" and not tree.kids[k]}
 
 
 class TestSerialization:
@@ -214,8 +233,46 @@ class TestSerialization:
 
 
 # ---------------------------------------------------------------------------
-# oracle: the former pass-based induction and recursive serializers
+# oracle: the former pass-based induction and recursive serializers, over a
+# node-object tree of their own
 # ---------------------------------------------------------------------------
+
+
+class _Node(NamedTuple):
+    mark: str
+    value: float
+    label: str | None = None
+    children: tuple = ()
+
+    @property
+    def is_leaf(self):
+        return not self.children
+
+
+def _as_nodes(tree):
+    """The node objects of a table, built in id order; the root is the last."""
+    nodes = []
+    for mark, value, label, children in zip(tree.marks, tree.values, tree.labels, tree.kids):
+        nodes.append(_Node(mark, value, label, tuple(nodes[k] for k in children)))
+    return nodes[-1]
+
+
+def _as_table(root):
+    """The table of a node-object tree, children numbered first; no recursion."""
+    columns, finished, stack = ([], [], [], []), [], [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if not expanded:
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(node.children))
+            continue
+        first = len(finished) - len(node.children)
+        children = tuple(finished[first:])
+        del finished[first:]
+        for column, item in zip(columns, (node.mark, node.value, node.label, children)):
+            column.append(item)
+        finished.append(len(columns[0]) - 1)
+    return TimeTree(*columns)
 
 
 def _oracle_strength(node, polarity):
@@ -225,10 +282,10 @@ def _oracle_strength(node, polarity):
 def _oracle_join(group, relation):
     s_index = len(group) - 1 if relation == "iambic" else 0
     children = tuple(
-        TimeTree("s" if k == s_index else "w", node.value, node.label, node.children)
+        _Node("s" if k == s_index else "w", node.value, node.label, node.children)
         for k, node in enumerate(group)
     )
-    return TimeTree(mark="w", value=group[s_index].value, children=children)
+    return _Node(mark="w", value=group[s_index].value, children=children)
 
 
 def _oracle_pass(items, relation, polarity, arity):
@@ -251,21 +308,21 @@ def _oracle_pass(items, relation, polarity, arity):
 
 
 def _oracle_induce(pairs, params):
-    items = [TimeTree("w", value, str(label)) for label, value in pairs]
+    items = [_Node("w", float(value), str(label)) for label, value in pairs]
     while len(items) > 1:
         items, joined = _oracle_pass(items, params.relation, params.polarity, params.arity)
         if not joined:
             break
     if len(items) == 1:
         only = items[0]
-        return TimeTree("r", only.value, only.label, only.children)
+        return _Node("r", only.value, only.label, only.children)
     strengths = [_oracle_strength(node, params.polarity) for node in items]
     s_index = strengths.index(max(strengths))
     children = tuple(
-        TimeTree("s" if k == s_index else "w", node.value, node.label, node.children)
+        _Node("s" if k == s_index else "w", node.value, node.label, node.children)
         for k, node in enumerate(items)
     )
-    return TimeTree("r", items[s_index].value, children=children)
+    return _Node("r", items[s_index].value, children=children)
 
 
 def _oracle_sexpr(tree):
@@ -324,19 +381,17 @@ def _oracle_flat_induce(pairs, params):
     else:
         join(items, max(range(len(items)), key=lambda k: sign * values[items[k]]), "r")
 
-    nodes = []
-    for mark, value, label, children in zip(marks, values, labels, kids):
-        nodes.append(TimeTree(mark, value, label, tuple(nodes[k] for k in children)))
-    return nodes[-1]
+    return TimeTree(marks, values, labels, kids)
 
 
 def _assert_matches_oracles(values, params):
     pairs = [(f"u{i}", v) for i, v in enumerate(values)]
     got = induce_time_tree(pairs, params)
     want, flat = _oracle_induce(pairs, params), _oracle_flat_induce(pairs, params)
-    assert to_sexpr(got) == _oracle_sexpr(want) == _oracle_sexpr(got) == to_sexpr(flat)
+    assert to_sexpr(got) == _oracle_sexpr(want) == _oracle_sexpr(_as_nodes(got)) == to_sexpr(flat)
+    assert to_sexpr(_as_table(want)) == to_sexpr(got)
     rows = [(r["mark"], r["value"], r.get("label")) for r in tree_to_dict(got)["nodes"]]
-    assert rows == _oracle_preorder(want) == _oracle_preorder(flat)
+    assert rows == _oracle_preorder(want) == _oracle_preorder(_as_nodes(flat))
 
 
 def _runs(spec):
@@ -390,7 +445,7 @@ class TestInductionOracle:
         pairs = [(f"c{k}", 0.001 * (k + 2)) for k in range(n - 1)] + [(f"c{n - 1}", 0.001)]
         got = to_sexpr(induce_time_tree(pairs, IAMBIC_LOWER))
         assert got == to_sexpr(_oracle_flat_induce(pairs, IAMBIC_LOWER))
-        assert got == to_sexpr(_oracle_induce(pairs, IAMBIC_LOWER))
+        assert got == to_sexpr(_as_table(_oracle_induce(pairs, IAMBIC_LOWER)))
         assert got.endswith(f"(s c{n - 1})" + ")" * (n - 1))
 
 
@@ -398,12 +453,18 @@ class TestStackSafety:
     DEPTH = 50_000
 
     def test_deep_right_branching_tree(self):
-        node = TimeTree("s", 1.0, label=f"x{self.DEPTH}")
-        for k in range(self.DEPTH - 1, 0, -1):
-            node = TimeTree("s", 1.0, children=(TimeTree("w", 2.0, label=f"x{k}"), node))
-        tree = TimeTree("r", 1.0, children=(TimeTree("w", 2.0, label="x0"), node))
+        # leaf x{DEPTH}, then for k = DEPTH-1 .. 0 the weak leaf x{k} and its
+        # parent, which joins it to the node before; the last parent is the root
+        marks, values, labels, kids = ["s"], [1.0], [f"x{self.DEPTH}"], [()]
+        for k in range(self.DEPTH - 1, -1, -1):
+            node = len(marks)
+            marks += ["w", "s" if k else "r"]
+            values += [2.0, 1.0]
+            labels += [f"x{k}", None]
+            kids += [(), (node, node - 1)]
+        tree = TimeTree(marks, values, labels, kids)
         assert to_sexpr(tree).endswith(f"(s x{self.DEPTH})" + ")" * self.DEPTH)
-        assert len(tree.leaves()) == self.DEPTH + 1
+        assert _fringe(tree) == [f"x{k}" for k in range(self.DEPTH + 1)]
         text = json.dumps(tree_to_dict(tree), indent=2)
         assert len(json.loads(text)["nodes"]) == 2 * self.DEPTH + 1
         from prosotime.svgplot import svg_timetree
