@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it defines, in __all__ order
 _EXPORTS = {
-    "audio": ("Waveform", "read_wav", "write_wav_pcm16", "synthesize_am", "resample_linear"),
+    "audio": ("Waveform", "read_wav", "write_wav_pcm16", "synthesize_am"),
     "aems": (
         "Envelope", "Spectrum", "FrequencyZone", "PolyFit",
         "rectify_full_wave", "extract_envelope_peaks", "smooth_envelope",
@@ -36,7 +36,7 @@ _EXPORTS = {
         "to_sexpr", "tree_to_dict",
     ),
     "fsm": (
-        "Transition", "MultiTapeFSM", "ToneSequence", "PitchTargetSequence",
+        "Transition", "MultiTapeFSM", "PitchTargetSequence",
         "TerracingParams", "recognize", "enumerate_strings", "build_pierrehumbert",
         "build_terracing", "transduce_tones", "realize_pitch", "synthesize_contour",
     ),

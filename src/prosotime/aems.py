@@ -33,7 +33,6 @@ __all__ = [
     "zscore",
     "spectrum_to_csv",
     "spectrum_csv_chunks",
-    "spectrum_to_dict",
 ]
 
 
@@ -216,12 +215,12 @@ def dft_magnitude(env: Envelope, cutoff_hz, zero_mean=True) -> Spectrum:
 
 
 def aems(wave: Waveform, cutoff_hz=5.0, window_ms=20.0, env_rate=100,
-         smooth_ms=50.0, zero_mean=True) -> Spectrum:
+         smooth_ms=50.0) -> Spectrum:
     """Full pipeline: rectify, peak-pick, smooth, DFT-magnitude below cutoff."""
     rect = rectify_full_wave(wave)
     env = extract_envelope_peaks(rect, window_ms=window_ms, env_rate=env_rate)
     env = smooth_envelope(env, window_ms=smooth_ms)
-    spec = dft_magnitude(env, cutoff_hz, zero_mean=zero_mean)
+    spec = dft_magnitude(env, cutoff_hz)
     params = dict(spec.params)
     params.update(
         {
@@ -371,12 +370,3 @@ def spectrum_csv_chunks(spec: Spectrum) -> Iterator[str]:
     yield "freq_hz,magnitude\n"
     for f, m in zip(spec.freqs.tolist(), spec.magnitudes.tolist()):
         yield f"{f!r},{m!r}\n"
-
-
-def spectrum_to_dict(spec: Spectrum) -> dict:
-    return {
-        "resolution_hz": spec.resolution_hz,
-        "cutoff_hz": spec.cutoff_hz,
-        "magnitudes": [float(m) for m in spec.magnitudes],
-        "params": dict(spec.params),
-    }

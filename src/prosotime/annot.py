@@ -15,6 +15,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterator
 
 from .errors import ParameterError, ParseError
@@ -212,9 +213,10 @@ class _ValueStream:
     a single reader serves both formats.
     """
 
-    def __init__(self, text: str):
+    def __init__(self, lines: list[str], start: int):
+        """The values of lines[start:]; items carry 1-based document line numbers."""
         self._items: list[tuple[str, int]] = []
-        for idx, raw in enumerate(text.splitlines(), start=1):
+        for idx, raw in enumerate(islice(lines, start, None), start=start + 1):
             line = raw.strip()
             if not line:
                 continue
@@ -270,10 +272,8 @@ def parse_textgrid(text: str | bytes, source: str = "<textgrid>") -> AnnotationD
     skipped with an AnnotationWarning.  Raises ParseError (with a line
     number) on malformed input.
     """
-    doc_text = _decode_document(text)
-    lines = doc_text.splitlines()
-
-    header = [(ln.strip(), i) for i, ln in enumerate(lines, start=1) if ln.strip()]
+    lines = _decode_document(text).splitlines()
+    header = list(islice(((ln.strip(), i) for i, ln in enumerate(lines, start=1) if ln.strip()), 2))
     if len(header) < 2 or "ooTextFile" not in header[0][0]:
         raise ParseError(
             'not a TextGrid: first line must contain File type = "ooTextFile"', line=1
@@ -284,10 +284,7 @@ def parse_textgrid(text: str | bytes, source: str = "<textgrid>") -> AnnotationD
             line=header[1][1],
         )
 
-    # Blank-prefix padding keeps the stream's line numbers equal to the
-    # document's own 1-based numbering past the two header lines.
-    body_start = header[1][1]
-    stream = _ValueStream("\n" * body_start + "\n".join(lines[body_start:]))
+    stream = _ValueStream(lines, header[1][1])  # the body follows the second header line
 
     stream.next_number("global xmin")
     stream.next_number("global xmax")

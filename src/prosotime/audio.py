@@ -22,7 +22,6 @@ __all__ = [
     "read_wav",
     "write_wav_pcm16",
     "synthesize_am",
-    "resample_linear",
 ]
 
 
@@ -240,14 +239,3 @@ def synthesize_am(carrier_hz, mod_hz, depth, dur_s, rate) -> Waveform:
     t = np.arange(n) / rate
     modulator = (1.0 + depth * np.cos(2.0 * np.pi * mod_hz * t)) / (1.0 + depth)
     return Waveform(modulator * np.sin(2.0 * np.pi * carrier_hz * t), rate)
-
-
-def resample_linear(wave: Waveform, new_rate) -> Waveform:
-    """Resample by linear interpolation; duration kept within one period."""
-    new_rate = _positive(new_rate, "new_rate", int)
-    if new_rate == wave.rate:
-        return wave
-    n_new = max(1, int(round(len(wave) * new_rate / wave.rate)))
-    t_old = np.arange(len(wave)) / wave.rate
-    t_new = np.arange(n_new) / new_rate
-    return Waveform(np.interp(t_new, t_old, wave.samples), new_rate)

@@ -121,13 +121,12 @@ def _spectrum_artifacts(sink: _Sink, stem: str, spec, fit, zones) -> dict:
 
 
 def _load_annotation(path: str) -> AnnotationDoc:
-    from .annot import parse_csv_annotation, parse_textgrid
+    from .annot import _decode_document, parse_csv_annotation, parse_textgrid
 
-    data = Path(path).read_bytes()
-    head = data.lstrip(b"\xef\xbb\xbf\xff\xfe\x00")[:64]
-    if path.lower().endswith((".textgrid", ".grid")) or head.startswith(b"File type"):
-        return parse_textgrid(data, source=path)
-    return parse_csv_annotation(data, source=path)
+    text = _decode_document(Path(path).read_bytes())
+    if path.lower().endswith((".textgrid", ".grid")) or text.startswith("File type"):
+        return parse_textgrid(text, source=path)
+    return parse_csv_annotation(text, source=path)
 
 
 def _tier_durations(args):
@@ -318,7 +317,7 @@ def _cmd_tone_gen(args, sink: _Sink) -> dict:
         **{f.name: getattr(args, f.name) for f in dataclasses.fields(TerracingParams)}
     )
     lexical = args.tones.split()
-    phonetic = transduce_tones(args.tones)
+    phonetic = transduce_tones(lexical)
     targets = realize_pitch(phonetic, params)
     report = {
         "subcommand": "tone-gen",
@@ -412,7 +411,8 @@ def _cmd_contour_fit(args, sink: _Sink) -> dict:
     from .svgplot import svg_f0_track_chunks
 
     try:
-        text = Path(args.f0csv).read_text(encoding="utf-8")
+        # a BOM is dropped after decoding, so error offsets stay file offsets
+        text = Path(args.f0csv).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{args.f0csv}: not UTF-8 text", offset=exc.start) from None
     track = parse_f0_csv(text)

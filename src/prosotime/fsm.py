@@ -32,7 +32,6 @@ if TYPE_CHECKING:
 __all__ = [
     "Transition",
     "MultiTapeFSM",
-    "ToneSequence",
     "PitchTargetSequence",
     "TerracingParams",
     "recognize",
@@ -43,7 +42,6 @@ __all__ = [
     "transduce_tones",
     "realize_pitch",
     "synthesize_contour",
-    "fsm_to_dict",
     "PIERREHUMBERT_ALPHABET",
 ]
 
@@ -239,26 +237,6 @@ def build_pierrehumbert() -> MultiTapeFSM:
 
 
 @dataclass(frozen=True)
-class ToneSequence:
-    """A lexical tone string over {H, L}."""
-
-    symbols: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "symbols", tuple(self.symbols))
-        for s in self.symbols:
-            if s not in ("H", "L"):
-                raise AlphabetError(f"lexical tones are H or L, got {s!r}")
-
-    @classmethod
-    def parse(cls, text: str) -> "ToneSequence":
-        return cls(tuple(text.split()))
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-
-@dataclass(frozen=True)
 class TerracingParams:
     """Registers and ratios of the two-register terracing model.
 
@@ -311,10 +289,6 @@ class PitchTargetSequence:
                 )
 
     @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(lab for lab, _ in self.items)
-
-    @property
     def targets_hz(self) -> tuple[float, ...]:
         return tuple(hz for _, hz in self.items)
 
@@ -350,23 +324,22 @@ def build_terracing() -> MultiTapeFSM:
 _TERRACING = build_terracing()
 
 
-def transduce_tones(lexical: ToneSequence | str | Iterable[str]) -> tuple[str, ...]:
+def transduce_tones(lexical: str | Iterable[str]) -> tuple[str, ...]:
     """Map a lexical tone string to phonetic labels along the terracing machine.
 
     The machine is input-deterministic and complete over {H, L}, so the path
-    (and the emitted second tape) is unique.
+    (and the emitted second tape) is unique, and a tone with no arc is not
+    H or L.
     """
-    if isinstance(lexical, str):
-        tones = ToneSequence.parse(lexical)
-    elif isinstance(lexical, ToneSequence):
-        tones = lexical
-    else:
-        tones = ToneSequence(tuple(lexical))
+    tones = lexical.split() if isinstance(lexical, str) else lexical
     table = _TERRACING._arcs[0]
     state = _TERRACING.start
     out: list[str] = []
-    for tone in tones.symbols:
-        arc = table[(state, tone)]
+    for tone in tones:
+        try:
+            arc = table[(state, tone)]
+        except (KeyError, TypeError):  # TypeError: an unhashable tone
+            raise AlphabetError(f"lexical tones are H or L, got {tone!r}") from None
         out.append(arc.labels[1])
         state = arc.dst
     return tuple(out)
@@ -445,17 +418,3 @@ def synthesize_contour(targets: PitchTargetSequence, tone_dur_ms: float = 150.0)
                              f"targets, more than the cap of {MAX_CONTOUR_FRAMES} in all")
     f0 = np.repeat(targets.targets_hz, per)
     return F0Track(times_s=np.arange(len(f0)) * hop_s, f0_hz=f0, hop_s=hop_s)
-
-
-def fsm_to_dict(fsm: MultiTapeFSM) -> dict:
-    """JSON-ready machine form: states, start, finals, tapes, transitions."""
-    return {
-        "states": sorted(fsm.states),
-        "start": fsm.start,
-        "finals": sorted(fsm.finals),
-        "tapes": fsm.n_tapes,
-        "transitions": [
-            {"from": t.src, "to": t.dst, "labels": list(t.labels)}
-            for t in fsm.transitions
-        ],
-    }

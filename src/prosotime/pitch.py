@@ -160,7 +160,7 @@ def estimate_f0_autocorr(
         )
 
     x = wave.samples
-    track_rms = float(np.sqrt(np.mean(x**2))) if len(x) else 0.0
+    track_rms = float(np.sqrt(np.mean(x**2)))
     # no frames when the signal is shorter than one (x[:0] allocates nothing)
     frames = sliding_window_view(x, frame_len)[::hop_len] if len(x) >= frame_len else x[:0]
     # smallest power of two >= frame_len + lag_max + 2: no circular wrap

@@ -23,7 +23,7 @@ from prosotime import (
     synthesize_am,
     zscore,
 )
-from prosotime.aems import _window_peaks, spectrum_to_csv, spectrum_to_dict
+from prosotime.aems import _window_peaks, spectrum_to_csv
 
 
 def naive_dft_magnitudes(values, rate, cutoff_hz, zero_mean=True):
@@ -404,9 +404,3 @@ class TestSerialization:
     def test_csv_is_deterministic(self, am_wave):
         spec = aems(am_wave, cutoff_hz=5.0)
         assert spectrum_to_csv(spec) == spectrum_to_csv(spec)
-
-    def test_dict_round_trips_magnitudes(self, am_wave):
-        spec = aems(am_wave, cutoff_hz=5.0)
-        d = spectrum_to_dict(spec)
-        assert d["resolution_hz"] == spec.resolution_hz
-        assert np.allclose(d["magnitudes"], spec.magnitudes)

@@ -21,7 +21,6 @@ from prosotime import (
     Waveform,
     read_wav,
     aems,
-    resample_linear,
     synthesize_am,
     write_wav_pcm16,
 )
@@ -421,23 +420,3 @@ class TestSynthesizeAm:
     def test_depth_range(self):
         with pytest.raises(ParameterError):
             synthesize_am(200.0, 5.0, 1.5, 1.0, 8000)
-
-
-class TestResample:
-    def test_identity_rate_is_noop(self):
-        w = Waveform(np.linspace(-0.5, 0.5, 100), 8000)
-        assert resample_linear(w, 8000) is w
-
-    def test_halving_preserves_duration(self):
-        w = Waveform(np.zeros(8000), 8000)
-        r = resample_linear(w, 4000)
-        assert r.rate == 4000
-        assert r.duration_s == pytest.approx(w.duration_s, abs=1 / 4000)
-
-    def test_sine_preserved_when_oversampled(self):
-        rate = 48000
-        t = np.arange(rate // 4) / rate
-        w = Waveform(0.9 * np.sin(2 * np.pi * 100 * t), rate)
-        r = resample_linear(w, 16000)
-        t2 = np.arange(len(r)) / 16000
-        assert np.max(np.abs(r.samples - 0.9 * np.sin(2 * np.pi * 100 * t2))) < 1e-3

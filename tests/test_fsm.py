@@ -13,7 +13,6 @@ from prosotime import (
     ParameterError,
     PitchTargetSequence,
     TerracingParams,
-    ToneSequence,
     Transition,
     build_pierrehumbert,
     build_terracing,
@@ -23,7 +22,7 @@ from prosotime import (
     synthesize_contour,
     transduce_tones,
 )
-from prosotime.fsm import PIERREHUMBERT_ALPHABET, PITCH_ACCENTS, count_strings, fsm_to_dict
+from prosotime.fsm import PIERREHUMBERT_ALPHABET, PITCH_ACCENTS, count_strings
 
 BOUNDARY_INITIAL = ("%H", "%L")
 PHRASE_ACCENTS = ("H-", "L-")
@@ -186,15 +185,15 @@ class TestStringCount:
 
 class TestMachineShape:
     def test_pierrehumbert_dict(self):
-        d = fsm_to_dict(build_pierrehumbert())
-        assert d["tapes"] == 1
-        assert d["start"] in d["states"]
-        assert set(d["finals"]) <= set(d["states"])
+        fsm = build_pierrehumbert()
+        assert fsm.n_tapes == 1
+        assert fsm.start in fsm.states
+        assert fsm.finals <= fsm.states
 
     def test_terracing_dict_has_three_tapes(self):
-        d = fsm_to_dict(build_terracing())
-        assert d["tapes"] == 3
-        labels = {tuple(t["labels"]) for t in d["transitions"]}
+        fsm = build_terracing()
+        assert fsm.n_tapes == 3
+        labels = {t.labels for t in fsm.transitions}
         assert ("H", "hc", "init_high") in labels
         assert ("L", "!l", "downstep") in labels
 
@@ -210,13 +209,22 @@ class TestToneTransduction:
     def test_empty_input(self):
         assert transduce_tones("") == ()
 
-    def test_tone_sequence_wrapper(self):
-        seq = ToneSequence.parse("H L")
-        assert transduce_tones(seq) == ("hc", "!l")
-
     def test_bad_tone_rejected(self):
         with pytest.raises(AlphabetError):
             transduce_tones("H M L")
+
+    @pytest.mark.parametrize("tones, bad", [
+        (["M", "H"], "'M'"),
+        (("H", "L", "H", "h"), "'h'"),
+        (["H", ["L"]], "['L']"),
+        (iter(["L", None]), "None"),
+    ])
+    def test_bad_element_of_a_sequence_rejected(self, tones, bad):
+        with pytest.raises(AlphabetError, match=re.escape(f"lexical tones are H or L, got {bad}")):
+            transduce_tones(tones)
+
+    def test_sequence_input_matches_string_input(self):
+        assert transduce_tones(["L", "L", "H"]) == transduce_tones("L L H") == ("lc", "l", "^h")
 
 
 class TestPitchRealization:

@@ -281,6 +281,24 @@ class TestCliMetrics:
         rep = report_from(capsys)
         assert rep["n"] == 3
 
+    @pytest.mark.parametrize("encode", [
+        lambda t: t.encode("utf-8"),
+        lambda t: t.encode("utf-8-sig"),
+        lambda t: t.encode("utf-16"),
+        lambda t: "\ufeff".encode("utf-16-be") + t.encode("utf-16-be"),
+    ], ids=["utf-8", "utf-8-bom", "utf-16", "utf-16-be"])
+    def test_textgrid_recognised_by_content_in_any_encoding(self, encode, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        path.write_bytes(encode(
+            'File type = "ooTextFile"\nObject class = "TextGrid"\n\n'
+            "0\n1.2\n<exists>\n1\n"
+            '"IntervalTier"\n"words"\n0\n1.2\n3\n'
+            '0\n0.3\n"ba"\n0.3\n0.9\n"naa"\n0.9\n1.2\n"na"\n'
+        ))
+        code = run(["metrics", str(path), "--json", "--out-dir", str(tmp_path)])
+        assert code == 0, capsys.readouterr().err
+        assert report_from(capsys)["n"] == 3
+
 
 class TestCliTimetree:
     def test_prints_reference_sexpr(self, words_csv_path, tmp_path, capsys):
@@ -476,6 +494,31 @@ class TestCliF0AndContour:
         code = run(["contour-fit", str(am_wav_path), "--out-dir", str(tmp_path)])
         assert code == 1
         assert "not UTF-8" in capsys.readouterr().err
+
+    def test_contour_fit_accepts_a_byte_order_mark(self, tmp_path, capsys):
+        from prosotime.pitch import f0_track_to_csv
+
+        text = f0_track_to_csv(synthesize_contour(realize_pitch(transduce_tones("H L H"))))
+        reports = []
+        for name, prefix in (("plain", ""), ("bom", "\ufeff")):
+            path = tmp_path / f"{name}.csv"
+            path.write_text(prefix + text, encoding="utf-8")
+            code = run(["contour-fit", str(path), "--degree", "1", "--json",
+                        "--out-dir", str(tmp_path / name)])
+            assert code == 0, capsys.readouterr().err
+            rep = report_from(capsys)
+            reports.append({k: v for k, v in rep.items() if k != "input"})
+        assert reports[0] == reports[1]
+
+    def test_contour_fit_bad_byte_after_bom_names_its_file_offset(self, tmp_path, capsys):
+        path = tmp_path / "t.f0.csv"
+        data = b"\xef\xbb\xbftime_s,f0_hz\n0.0,1\xff\n"
+        path.write_bytes(data)
+        code = run(["contour-fit", str(path), "--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        bad = data.index(b"\xff")
+        assert "not UTF-8" in err and f"(byte {bad})" in err
 
 
 class TestCliPlumbing:
