@@ -124,7 +124,7 @@ def _load_annotation(path: str) -> AnnotationDoc:
     from .annot import _decode_document, parse_csv_annotation, parse_textgrid
 
     text = _decode_document(Path(path).read_bytes())
-    if path.lower().endswith((".textgrid", ".grid")) or text.startswith("File type"):
+    if path.lower().endswith((".textgrid", ".grid")) or text.lstrip().startswith("File type"):
         return parse_textgrid(text, source=path)
     return parse_csv_annotation(text, source=path)
 

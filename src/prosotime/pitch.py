@@ -95,10 +95,6 @@ class IPU:
                 f"IPU must have end_s > start_s, got [{self.start_s}, {self.end_s}]"
             )
 
-    @property
-    def duration_s(self) -> float:
-        return self.end_s - self.start_s
-
 
 @dataclass(frozen=True)
 class PolyContourModel:

@@ -54,7 +54,8 @@ def _escape(text: str) -> str:
 
 
 # The element writers take coordinates already formatted by _fmt, so that a
-# renderer formats each value once however many elements share it.
+# renderer formats each value once however many elements share it.  Each
+# returns one whole line.
 
 
 def _text(x: str, y: str, content: str, size: int = 12, anchor: str = "middle", fill: str = _FG,
@@ -63,38 +64,32 @@ def _text(x: str, y: str, content: str, size: int = 12, anchor: str = "middle", 
     weight = f' font-weight="{weight}"' if weight else ""
     transform = f' transform="{transform}"' if transform else ""
     return (f'<text x="{x}" y="{y}" font-family="sans-serif" font-size="{size}"{weight} '
-            f'text-anchor="{anchor}" fill="{fill}"{transform}>{content}</text>')
+            f'text-anchor="{anchor}" fill="{fill}"{transform}>{content}</text>\n')
 
 
 def _line(x1: str, y1: str, x2: str, y2: str, stroke: str, width: str) -> str:
-    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}" stroke-width="{width}"/>'
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}" stroke-width="{width}"/>\n'
 
 
 def _rect(x: str, y: str, width: str, height: str, fill: str | None = None) -> str:
     """A filled rectangle, or with no fill a 1-px outline in the foreground colour."""
     paint = f'fill="{fill}"' if fill else f'fill="none" stroke="{_FG}" stroke-width="1"'
-    return f'<rect x="{x}" y="{y}" width="{width}" height="{height}" {paint}/>'
+    return f'<rect x="{x}" y="{y}" width="{width}" height="{height}" {paint}/>\n'
 
 
 def _circle(cx: str, cy: str, r: str, fill: str, extra: str = "") -> str:
-    return f'<circle cx="{cx}" cy="{cy}" r="{r}" fill="{fill}"{extra}/>'
+    return f'<circle cx="{cx}" cy="{cy}" r="{r}" fill="{fill}"{extra}/>\n'
 
 
-def _document(width: float, height: float, body: Iterable[str], description: str) -> Iterator[str]:
-    """The document's chunks: head, body elements one per line, closing tag."""
+def _head(width: float, height: float, description: str) -> str:
+    """The opening tag, description and white background that start every document."""
     w, h = _fmt(width), _fmt(height)
-    yield (
+    return (
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{w}" height="{h}" viewBox="0 0 {w} {h}">\n'
         f"<desc>{_escape(description)}</desc>\n"
-        f"{_rect('0', '0', w, h, '#ffffff')}\n"
+        f"{_rect('0', '0', w, h, '#ffffff')}"
     )
-    sep = ""  # an empty body still leaves a blank line before </svg>
-    for element in body:
-        yield sep
-        yield element
-        sep = "\n"
-    yield "\n</svg>\n"
 
 
 class _Frame:
@@ -135,7 +130,7 @@ def _axes(frame: _Frame, x_label: str, y_label: str) -> list[str]:
 
 def _polyline(xs: Iterable[float], ys: Iterable[float], frame: _Frame, color: str, width: float = 1.5) -> str:
     pts = " ".join(f"{_fmt(frame.x(x))},{_fmt(frame.y(y))}" for x, y in zip(xs, ys))
-    return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="{_fmt(width)}"/>'
+    return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="{_fmt(width)}"/>\n'
 
 
 def svg_spectrum(
@@ -160,21 +155,19 @@ def svg_spectrum_chunks(spec: Spectrum, fit: PolyFit | None = None,
     mags = spec.magnitudes.tolist()
     frame = _Frame(freqs[0], freqs[-1], 0.0, max(mags), 50, 20, _W - 70, _H - 70)
     top, bottom, height = _fmt(frame.py), _fmt(frame.py + frame.ph), _fmt(frame.ph)
-
-    def body() -> Iterator[str]:
-        for z in zones:
-            x_lo, x_hi = frame.x(z.lo_hz), frame.x(z.hi_hz)
-            center = _fmt(frame.x(z.center_hz))
-            yield _rect(_fmt(x_lo), top, _fmt(x_hi - x_lo), height, _ZONE)
-            yield _line(center, top, center, bottom, "#228844", "1.5")
-        yield _polyline(freqs, mags, frame, _ACCENT)
-        if fit is not None and len(freqs) > 1:
-            xs = np.linspace(freqs[0], freqs[-1], 200)
-            ys = np.clip(fit.evaluate(xs), 0.0, frame.y1)
-            yield _polyline(xs.tolist(), ys.tolist(), frame, _POLY, 1.2)
-        yield from _axes(frame, "frequency (Hz)", "magnitude")
-
-    return _document(_W, _H, body(), "envelope modulation spectrum")
+    yield _head(_W, _H, "envelope modulation spectrum")
+    for z in zones:
+        x_lo, x_hi = frame.x(z.lo_hz), frame.x(z.hi_hz)
+        center = _fmt(frame.x(z.center_hz))
+        yield _rect(_fmt(x_lo), top, _fmt(x_hi - x_lo), height, _ZONE)
+        yield _line(center, top, center, bottom, "#228844", "1.5")
+    yield _polyline(freqs, mags, frame, _ACCENT)
+    if fit is not None and len(freqs) > 1:
+        xs = np.linspace(freqs[0], freqs[-1], 200)
+        ys = np.clip(fit.evaluate(xs), 0.0, frame.y1)
+        yield _polyline(xs.tolist(), ys.tolist(), frame, _POLY, 1.2)
+    yield from _axes(frame, "frequency (Hz)", "magnitude")
+    yield "</svg>\n"
 
 
 def _blue_red(t: float) -> str:
@@ -208,22 +201,17 @@ def svg_heatmap_chunks(spec: Spectrum) -> Iterator[str]:
     px, py, pw, ph = 50.0, 16.0, _W - 70.0, _HEATMAP_H - 52.0
     cell_w = pw / len(z)
     y, width, height = _fmt(py), _fmt(cell_w), _fmt(ph)
-
-    def body() -> Iterator[str]:
-        for k, zv in enumerate(z):
-            t = 0.0 if span == 0 else (zv - z_min) / span
-            yield _rect(_fmt(px + k * cell_w), y, width, height, _blue_red(t))
-        yield _rect(_fmt(px), y, _fmt(pw), height)
-        tick_y = _fmt(py + ph + 14)
-        for label, xpos in zip(spec.freqs[[0, -1]].tolist(), (px, px + pw)):
-            yield _text(_fmt(xpos), tick_y, _fmt(label), 10)
-        yield _text(_fmt(px + pw / 2), _fmt(py + ph + 30), "frequency (Hz)")
-
-    desc = (
-        "z-scored magnitude heatmap; linear gradient from rgb(0,0,255) at min z "
-        "to rgb(255,0,0) at max z"
-    )
-    return _document(_W, _HEATMAP_H, body(), desc)
+    yield _head(_W, _HEATMAP_H, "z-scored magnitude heatmap; linear gradient from rgb(0,0,255) "
+                "at min z to rgb(255,0,0) at max z")
+    for k, zv in enumerate(z):
+        t = 0.0 if span == 0 else (zv - z_min) / span
+        yield _rect(_fmt(px + k * cell_w), y, width, height, _blue_red(t))
+    yield _rect(_fmt(px), y, _fmt(pw), height)
+    tick_y = _fmt(py + ph + 14)
+    for label, xpos in zip(spec.freqs[[0, -1]].tolist(), (px, px + pw)):
+        yield _text(_fmt(xpos), tick_y, _fmt(label), 10)
+    yield _text(_fmt(px + pw / 2), _fmt(py + ph + 30), "frequency (Hz)")
+    yield "</svg>\n"
 
 
 def svg_f0_track(track: F0Track, models: Sequence[PolyContourModel] = ()) -> str:
@@ -241,19 +229,17 @@ def svg_f0_track_chunks(track: F0Track, models: Sequence[PolyContourModel] = ())
         t_lo, t_hi = track.times_s[[0, -1]].tolist()
         v_lo, v_hi = vs.min().item() * 0.9, vs.max().item() * 1.1
     frame = _Frame(t_lo, t_hi, v_lo, v_hi, 50, 20, _W - 70, _H - 70)
-
-    def body() -> Iterator[str]:
-        # map(float, ...) rather than .tolist(): a track can have 10**5 frames
-        for t, v in zip(map(float, ts), map(float, vs)):
-            yield _circle(_fmt(frame.x(t)), _fmt(frame.y(v)), "2", _ACCENT)
-        for model in models:
-            lo, hi = (t_lo, t_hi) if model.domain is None else (model.domain.start_s, model.domain.end_s)
-            xs = np.linspace(lo, hi, 100)
-            ys = model.fit.evaluate(xs - lo)
-            yield _polyline(xs.tolist(), ys.tolist(), frame, _POLY, 1.8)
-        yield from _axes(frame, "time (s)", "F0 (Hz)")
-
-    return _document(_W, _H, body(), "F0 track with polynomial contour models")
+    yield _head(_W, _H, "F0 track with polynomial contour models")
+    # map(float, ...) rather than .tolist(): a track can have 10**5 frames
+    for t, v in zip(map(float, ts), map(float, vs)):
+        yield _circle(_fmt(frame.x(t)), _fmt(frame.y(v)), "2", _ACCENT)
+    for model in models:
+        lo, hi = (t_lo, t_hi) if model.domain is None else (model.domain.start_s, model.domain.end_s)
+        xs = np.linspace(lo, hi, 100)
+        ys = model.fit.evaluate(xs - lo)
+        yield _polyline(xs.tolist(), ys.tolist(), frame, _POLY, 1.8)
+    yield from _axes(frame, "time (s)", "F0 (Hz)")
+    yield "</svg>\n"
 
 
 def svg_timetree(tree: TimeTree) -> str:
@@ -273,33 +259,31 @@ def svg_timetree_chunks(tree: TimeTree) -> Iterator[str]:
     slot = pw / len(leaf_levels)
     label_y, tick_y = _fmt(py + ph + 20), _fmt(py + ph + 6)
     ring = f' stroke="{_FG}" stroke-width="1"'
-
-    def body() -> Iterator[str]:
-        # (x, formatted x, formatted y) of the finished children of each open node
-        children: list[list[tuple[float, str, str]]] = [[]]
-        next_leaf = 0
-        for node, level, entering in tree.walk():
-            if entering:
-                children.append([])
-                continue
-            kids = children.pop()
-            y = py + ph * (level / depth)
-            if not tree.kids[node]:
-                x = px + (next_leaf + 0.5) * slot
-                next_leaf += 1
-                fx, fy = _fmt(x), _fmt(y)
-                yield _text(fx, label_y, _escape(tree.labels[node]))
-                yield _line(fx, fy, fx, tick_y, _GRID, "1")
-            else:
-                x = sum(kid[0] for kid in kids) / len(kids)
-                fx, fy = _fmt(x), _fmt(y)
-                yield from (_line(fx, fy, cx, cy, _FG, "1.2") for _, cx, cy in kids)
-            weight = "bold" if tree.marks[node] in ("s", "r") else "normal"
-            yield _circle(fx, fy, "8", "#ffffff", ring)
-            yield _text(fx, _fmt(y + 4), _escape(tree.marks[node]), 11, weight=weight)
-            children[-1].append((x, fx, fy))
-
-    return _document(_W, _H, body(), "metrical time tree")
+    # x, formatted x and formatted y of each node, filled in postorder
+    n = len(tree.kids)
+    xs, fxs, fys = [0.0] * n, [""] * n, [""] * n
+    next_leaf = 0
+    yield _head(_W, _H, "metrical time tree")
+    for node, level, entering in tree.walk():
+        if entering:
+            continue
+        kids = tree.kids[node]
+        y = py + ph * (level / depth)
+        if not kids:
+            x = px + (next_leaf + 0.5) * slot
+            next_leaf += 1
+            fx, fy = _fmt(x), _fmt(y)
+            yield _text(fx, label_y, _escape(tree.labels[node]))
+            yield _line(fx, fy, fx, tick_y, _GRID, "1")
+        else:
+            x = sum(xs[kid] for kid in kids) / len(kids)
+            fx, fy = _fmt(x), _fmt(y)
+            yield from (_line(fx, fy, fxs[kid], fys[kid], _FG, "1.2") for kid in kids)
+        weight = "bold" if tree.marks[node] in ("s", "r") else "normal"
+        yield _circle(fx, fy, "8", "#ffffff", ring)
+        yield _text(fx, _fmt(y + 4), _escape(tree.marks[node]), 11, weight=weight)
+        xs[node], fxs[node], fys[node] = x, fx, fy
+    yield "</svg>\n"
 
 
 def svg_quadrants(stats: QuadrantStats) -> str:
@@ -313,22 +297,20 @@ def svg_quadrants_chunks(stats: QuadrantStats) -> Iterator[str]:
     extent = max([1.0] + [max(abs(a), abs(b)) for a, b in pts]) * 1.15
     frame = _Frame(-extent, extent, -extent, extent, 50, 20, _SQUARE - 70, _SQUARE - 70)
     colors = {"LL": "#cc4400", "SS": "#0055aa", "LS": "#228844", "SL": "#886600", "origin": "#555555"}
-
-    def body() -> Iterator[str]:
-        x0, y0 = _fmt(frame.x(0)), _fmt(frame.y(0))
-        yield _line(x0, _fmt(frame.py), x0, _fmt(frame.py + frame.ph), _GRID, "1")
-        yield _line(_fmt(frame.px), y0, _fmt(frame.px + frame.pw), y0, _GRID, "1")
-        for (a, b), quadrant in zip(pts, stats.quadrants):
-            yield _circle(_fmt(frame.x(a)), _fmt(frame.y(b)), "3", colors[quadrant], ' fill-opacity="0.8"')
-        corners = {
-            "LL": (frame.px + frame.pw - 8, frame.py + 16, "end"),
-            "SS": (frame.px + 8, frame.py + frame.ph - 8, "start"),
-            "LS": (frame.px + frame.pw - 8, frame.py + frame.ph - 8, "end"),
-            "SL": (frame.px + 8, frame.py + 16, "start"),
-        }
-        counts = stats.counts
-        for name, (x, y, anchor) in corners.items():
-            yield _text(_fmt(x), _fmt(y), f"{name}={counts[name]}", anchor=anchor, fill=colors[name])
-        yield from _axes(frame, "z(i)", "z(i+1)")
-
-    return _document(_SQUARE, _SQUARE, body(), "duration z-score quadrant scatter")
+    yield _head(_SQUARE, _SQUARE, "duration z-score quadrant scatter")
+    x0, y0 = _fmt(frame.x(0)), _fmt(frame.y(0))
+    yield _line(x0, _fmt(frame.py), x0, _fmt(frame.py + frame.ph), _GRID, "1")
+    yield _line(_fmt(frame.px), y0, _fmt(frame.px + frame.pw), y0, _GRID, "1")
+    for (a, b), quadrant in zip(pts, stats.quadrants):
+        yield _circle(_fmt(frame.x(a)), _fmt(frame.y(b)), "3", colors[quadrant], ' fill-opacity="0.8"')
+    corners = {
+        "LL": (frame.px + frame.pw - 8, frame.py + 16, "end"),
+        "SS": (frame.px + 8, frame.py + frame.ph - 8, "start"),
+        "LS": (frame.px + frame.pw - 8, frame.py + frame.ph - 8, "end"),
+        "SL": (frame.px + 8, frame.py + 16, "start"),
+    }
+    counts = stats.counts
+    for name, (x, y, anchor) in corners.items():
+        yield _text(_fmt(x), _fmt(y), f"{name}={counts[name]}", anchor=anchor, fill=colors[name])
+    yield from _axes(frame, "z(i)", "z(i+1)")
+    yield "</svg>\n"

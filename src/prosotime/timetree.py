@@ -19,11 +19,11 @@ import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .annot import DurationSequence
 from .errors import DegenerateInputError, ParameterError
 
 if TYPE_CHECKING:
     from .aems import Spectrum
+    from .annot import DurationSequence
 
 __all__ = [
     "TimeTree",
@@ -136,7 +136,7 @@ def induce_time_tree(
     pass walks just those, over a doubly linked list of the current items.
     Each join appends its node to the tree's table, so the last is the root.
     """
-    pairs = list(seq.items if isinstance(seq, DurationSequence) else seq)
+    pairs = list(seq)
     if not pairs:
         raise DegenerateInputError("cannot induce a tree over an empty sequence")
 

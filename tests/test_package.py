@@ -116,6 +116,16 @@ def test_symbolic_subcommands_never_import_numpy(argv, loads, words_csv_path, tm
     assert [m for m in modules if m.split(".")[0] == "numpy"] == []
 
 
+def test_tree_induction_imports_no_annotation_reader():
+    # timetree takes any (label, value) pairs, so the TextGrid/CSV parsers stay unloaded
+    _python("-c", """
+import sys
+import prosotime.timetree
+assert "prosotime.annot" not in sys.modules
+assert "csv" not in sys.modules
+""")
+
+
 def test_numeric_subcommand_does_import_numpy(tmp_path):
     # the guard above would pass vacuously if the parse found no numpy anywhere
     proc = _python("-X", "importtime", "-m", "prosotime.cli", "calibrate",

@@ -299,6 +299,22 @@ class TestCliMetrics:
         assert code == 0, capsys.readouterr().err
         assert report_from(capsys)["n"] == 3
 
+    @pytest.mark.parametrize("subcommand", ["metrics", "timetree"])
+    @pytest.mark.parametrize("lead", ["\n", "  \n  "], ids=["blank-line", "spaces"])
+    def test_textgrid_after_leading_whitespace_read_as_by_its_extension(self, subcommand, lead, tmp_path,
+                                                                      capsys):
+        text = (lead + 'File type = "ooTextFile"\nObject class = "TextGrid"\n\n'
+                "0\n1.2\n<exists>\n1\n"
+                '"IntervalTier"\n"words"\n0\n1.2\n3\n'
+                '0\n0.3\n"ba"\n0.3\n0.9\n"naa"\n0.9\n1.2\n"na"\n')
+        reports = []
+        for name in ("lead.txt", "lead.TextGrid"):
+            (tmp_path / name).write_text(text)
+            code = run([subcommand, str(tmp_path / name), "--json", "--out-dir", str(tmp_path / name[5:])])
+            assert code == 0, capsys.readouterr().err
+            reports.append({k: v for k, v in report_from(capsys).items() if k != "input"})
+        assert reports[0] == reports[1]
+
 
 class TestCliTimetree:
     def test_prints_reference_sexpr(self, words_csv_path, tmp_path, capsys):
@@ -742,15 +758,6 @@ class TestLazyStreamedArtifacts:
         # one chunk per line: the track is never held as one string
         assert len(list(f0_track_csv_chunks(track))) == len(track) + 1
         assert f0_track_to_csv(no_frames) == "time_s,f0_hz\n"
-
-    def test_document_with_an_empty_body_keeps_its_blank_line(self):
-        from prosotime.svgplot import _document
-
-        head = ('<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="10.000" height="20.000" '
-                'viewBox="0 0 10.000 20.000">\n<desc>a &amp; b</desc>\n'
-                '<rect x="0" y="0" width="10.000" height="20.000" fill="#ffffff"/>\n')
-        assert "".join(_document(10, 20, [], "a & b")) == head + "\n</svg>\n"
-        assert "".join(_document(10, 20, ["<x/>", "<y/>"], "a & b")) == head + "<x/>\n<y/>\n</svg>\n"
 
     def test_render_failing_after_its_first_batch_leaves_no_file(self, tmp_path):
         from prosotime import DegenerateInputError
