@@ -8,6 +8,10 @@ byte-identical artifacts — and writes only beneath the output directory
 Each handler imports the modules it runs, so a process loads numpy only for
 the subcommands that need it (aems, spectree, calibrate, f0, contour-fit and
 tone-gen); metrics, timetree and intonation run on the standard library.
+
+Each handler writes its CSV and SVG and returns (json_name, report, summary);
+run() adds the subcommand, serializes the report once and writes it last (a run
+that exits 1 leaves none), then prints summary and, under --json, that text.
 """
 
 from __future__ import annotations
@@ -44,12 +48,6 @@ def _dumps(report: dict) -> str:
         return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
         raise AnalysisError(f"report holds a non-finite number ({exc})") from None
-
-
-def _json(report: dict) -> Callable[[], list[str]]:
-    """A render for _Sink.put, serialized now so that a non-finite number fails whatever --formats is."""
-    text = _dumps(report)
-    return lambda: [text]
 
 
 def _finite_float(text: str) -> float:
@@ -101,13 +99,6 @@ class _Sink:
             raise
 
 
-def _zone_dicts(zones) -> list[dict]:
-    return [
-        {"center_hz": z.center_hz, "lo_hz": z.lo_hz, "hi_hz": z.hi_hz, "prominence": z.prominence}
-        for z in zones
-    ]
-
-
 def _spectrum_artifacts(sink: _Sink, stem: str, spec, fit, zones) -> dict:
     """Shared spectrum emission: CSV, line plot and heatmap; returns poly info."""
     from .aems import spectrum_csv_chunks
@@ -153,7 +144,7 @@ def _tier_durations(args):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_calibrate(args, sink: _Sink) -> dict:
+def _cmd_calibrate(args, sink: _Sink) -> tuple[str, dict, str]:
     import numpy as np
 
     from .aems import aems as run_aems, shape_zones
@@ -169,23 +160,21 @@ def _cmd_calibrate(args, sink: _Sink) -> dict:
     peak_hz = float(spec.freqs[peak_bin])
     ok = abs(peak_hz - 5.0) <= spec.resolution_hz and mags[harmonic_bin] < mags[peak_bin]
     report = {
-        "subcommand": "calibrate",
         "params": {**params, "cutoff_hz": 20.0},
         "resolution_hz": spec.resolution_hz,
         "peak_hz": peak_hz,
         "peak_magnitude": float(mags[peak_bin]),
         "harmonic_hz": float(spec.freqs[harmonic_bin]),
         "harmonic_magnitude": float(mags[harmonic_bin]),
-        "zones": _zone_dicts(zones),
+        "zones": [dataclasses.asdict(z) for z in zones],
         "pass": bool(ok),
     }
     report.update(_spectrum_artifacts(sink, "calibrate", spec, fit, zones))
-    sink.put("json", "calibrate.json", _json(report))
-    print(f"peak_hz={peak_hz} harmonic_hz={report['harmonic_hz']} pass={str(ok).lower()}")
-    return report
+    summary = f"peak_hz={peak_hz} harmonic_hz={report['harmonic_hz']} pass={str(ok).lower()}"
+    return "calibrate.json", report, summary
 
 
-def _cmd_aems(args, sink: _Sink) -> dict:
+def _cmd_aems(args, sink: _Sink) -> tuple[str, dict, str]:
     from .aems import aems as run_aems, shape_zones
     from .audio import read_wav
 
@@ -202,23 +191,20 @@ def _cmd_aems(args, sink: _Sink) -> dict:
     )
     stem = _stem(args.wav)
     report = {
-        "subcommand": "aems",
         "input": args.wav,
         "params": dict(spec.params),
         "resolution_hz": spec.resolution_hz,
         "cutoff_hz": spec.cutoff_hz,
         "n_bins": len(spec),
-        "zones": _zone_dicts(zones),
+        "zones": [dataclasses.asdict(z) for z in zones],
         "dominant_hz": zones[0].center_hz if zones else None,
     }
     report.update(_spectrum_artifacts(sink, stem, spec, fit, zones))
-    sink.put("json", f"{stem}.aems.json", _json(report))
-    dom = report["dominant_hz"]
-    print(f"bins={len(spec)} resolution_hz={spec.resolution_hz} dominant_hz={dom}")
-    return report
+    summary = f"bins={len(spec)} resolution_hz={spec.resolution_hz} dominant_hz={report['dominant_hz']}"
+    return f"{stem}.aems.json", report, summary
 
 
-def _cmd_metrics(args, sink: _Sink) -> dict:
+def _cmd_metrics(args, sink: _Sink) -> tuple[str, dict, str]:
     from .rhythm import metrics_report, quadrant_analysis, quadrant_csv_chunks
     from .svgplot import svg_quadrants_chunks
 
@@ -237,7 +223,6 @@ def _cmd_metrics(args, sink: _Sink) -> dict:
     except DegenerateInputError:
         quad_report = None
     report = {
-        "subcommand": "metrics",
         "input": args.annot,
         "tier": tier.name,
         "n": flat["n"],
@@ -245,10 +230,8 @@ def _cmd_metrics(args, sink: _Sink) -> dict:
         "params": flat["params"],
         "quadrants": quad_report,
     }
-    sink.put("json", f"{stem}.metrics.json", _json(report))
     line = " ".join(f"{k}={report['metrics'][k]:.4f}" for k in sorted(report["metrics"]))
-    print(f"tier={tier.name} n={flat['n']} {line}")
-    return report
+    return f"{stem}.metrics.json", report, f"tier={tier.name} n={flat['n']} {line}"
 
 
 def _tree_params(args) -> TreeParams:
@@ -257,19 +240,17 @@ def _tree_params(args) -> TreeParams:
     return TreeParams(relation=args.relation, polarity=args.polarity, arity=args.arity)
 
 
-def _tree_artifacts(sink: _Sink, name: str, tree, report: dict) -> dict:
+def _tree_artifacts(sink: _Sink, name: str, tree, report: dict) -> tuple[str, dict, str]:
     """Shared tree emission: sexpr and node table into the JSON report, SVG drawing."""
     from .svgplot import svg_timetree_chunks
     from .timetree import to_sexpr, tree_to_dict
 
     report.update(sexpr=to_sexpr(tree), **tree_to_dict(tree))
-    sink.put("json", f"{name}.json", _json(report))
     sink.put("svg", f"{name}.svg", lambda: svg_timetree_chunks(tree))
-    print(report["sexpr"])
-    return report
+    return f"{name}.json", report, report["sexpr"]
 
 
-def _cmd_timetree(args, sink: _Sink) -> dict:
+def _cmd_timetree(args, sink: _Sink) -> tuple[str, dict, str]:
     from .timetree import induce_time_tree
 
     tier, seq = _tier_durations(args)
@@ -277,17 +258,16 @@ def _cmd_timetree(args, sink: _Sink) -> dict:
         raise DegenerateInputError(f"tier {tier.name!r} has no usable durations")
     params = _tree_params(args)
     report = {
-        "subcommand": "timetree",
         "input": args.annot,
         "tier": tier.name,
-        "params": {"relation": params.relation, "polarity": params.polarity, "arity": params.arity},
+        "params": dataclasses.asdict(params),
         "n": len(seq),
     }
     tree = induce_time_tree(seq, params)
     return _tree_artifacts(sink, f"{_stem(args.annot)}.timetree", tree, report)
 
 
-def _cmd_spectree(args, sink: _Sink) -> dict:
+def _cmd_spectree(args, sink: _Sink) -> tuple[str, dict, str]:
     from .aems import aems as run_aems
     from .audio import read_wav
     from .timetree import induce_spectral_hierarchy
@@ -298,17 +278,16 @@ def _cmd_spectree(args, sink: _Sink) -> dict:
     spec = run_aems(wave, cutoff_hz=args.cutoff_hz)
     params = _tree_params(args)
     report = {
-        "subcommand": "spectree",
         "input": args.wav,
         "aems_params": dict(spec.params),
-        "params": {"relation": params.relation, "polarity": "higher", "arity": params.arity},
+        "params": dataclasses.asdict(params),
         "n_bins": len(spec),
     }
     tree = induce_spectral_hierarchy(spec, params)
     return _tree_artifacts(sink, f"{_stem(args.wav)}.spectree", tree, report)
 
 
-def _cmd_tone_gen(args, sink: _Sink) -> dict:
+def _cmd_tone_gen(args, sink: _Sink) -> tuple[str, dict, str]:
     from .fsm import TerracingParams, realize_pitch, synthesize_contour, transduce_tones
     from .pitch import f0_track_csv_chunks
     from .svgplot import svg_f0_track_chunks
@@ -320,27 +299,23 @@ def _cmd_tone_gen(args, sink: _Sink) -> dict:
     phonetic = transduce_tones(lexical)
     targets = realize_pitch(phonetic, params)
     report = {
-        "subcommand": "tone-gen",
         "lexical": lexical,
         "phonetic": list(phonetic),
         "targets": [{"label": lab, "hz": hz} for lab, hz in targets.items],
         "params": dataclasses.asdict(params),
         "tone_dur_ms": args.tone_dur_ms,
+        "n_frames": 0,
     }
     if len(targets):
         track = synthesize_contour(targets, tone_dur_ms=args.tone_dur_ms)
         report["n_frames"] = len(track)
         sink.put("csv", "tones.f0.csv", lambda: f0_track_csv_chunks(track))
         sink.put("svg", "tones.f0.svg", lambda: svg_f0_track_chunks(track))
-    else:
-        report["n_frames"] = 0
-    sink.put("json", "tones.json", _json(report))
-    print(" ".join(phonetic) if phonetic else "(empty)")
-    print(" ".join(f"{hz:.1f}" for _, hz in targets.items))
-    return report
+    summary = " ".join(phonetic) if phonetic else "(empty)"
+    return "tones.json", report, summary + "\n" + " ".join(f"{hz:.1f}" for _, hz in targets.items)
 
 
-def _cmd_intonation(args, sink: _Sink) -> dict:
+def _cmd_intonation(args, sink: _Sink) -> tuple[str, dict, str]:
     from .fsm import build_pierrehumbert, enumerate_strings, recognize
 
     fsm = build_pierrehumbert()
@@ -349,12 +324,11 @@ def _cmd_intonation(args, sink: _Sink) -> dict:
             raise _UsageError("intonation check needs a symbol string")
         accepted = recognize(fsm, args.string)
         report = {
-            "subcommand": "intonation",
             "mode": "check",
             "input": args.string,
             "accepted": bool(accepted),
         }
-        print(f"accepted={str(bool(accepted)).lower()}")
+        summary = f"accepted={str(bool(accepted)).lower()}"
     else:
         if args.string is not None:
             raise _UsageError(f"intonation enum takes no symbol string, got {args.string!r}")
@@ -362,18 +336,16 @@ def _cmd_intonation(args, sink: _Sink) -> dict:
             raise _UsageError(f"--max-len must be >= 0, got {args.max_len}")
         strings = enumerate_strings(fsm, args.max_len)
         report = {
-            "subcommand": "intonation",
             "mode": "enum",
             "max_len": args.max_len,
             "count": len(strings),
             "strings": strings,
         }
-        print(f"count={len(strings)}")
-    sink.put("json", "intonation.json", _json(report))
-    return report
+        summary = f"count={len(strings)}"
+    return "intonation.json", report, summary
 
 
-def _cmd_f0(args, sink: _Sink) -> dict:
+def _cmd_f0(args, sink: _Sink) -> tuple[str, dict, str]:
     import numpy as np
 
     from .audio import read_wav
@@ -387,7 +359,6 @@ def _cmd_f0(args, sink: _Sink) -> dict:
     _, voiced = track.voiced_frames()
     stem = _stem(args.wav)
     report = {
-        "subcommand": "f0",
         "input": args.wav,
         "params": params,
         "n_frames": len(track),
@@ -396,17 +367,16 @@ def _cmd_f0(args, sink: _Sink) -> dict:
         "median_f0_hz": float(np.median(voiced)) if len(voiced) else None,
         "ipus": [{"start_s": u.start_s, "end_s": u.end_s} for u in ipus],
     }
-    sink.put("json", f"{stem}.f0.json", _json(report))
     sink.put("csv", f"{stem}.f0.csv", lambda: f0_track_csv_chunks(track))
     sink.put("svg", f"{stem}.f0.svg", lambda: svg_f0_track_chunks(track))
-    print(
+    summary = (
         f"frames={len(track)} voiced={track.voiced_count} "
         f"median_f0_hz={report['median_f0_hz']} ipus={len(ipus)}"
     )
-    return report
+    return f"{stem}.f0.json", report, summary
 
 
-def _cmd_contour_fit(args, sink: _Sink) -> dict:
+def _cmd_contour_fit(args, sink: _Sink) -> tuple[str, dict, str]:
     from .pitch import IPU, contour_model_to_dict, fit_contour, parse_f0_csv
     from .svgplot import svg_f0_track_chunks
 
@@ -423,16 +393,11 @@ def _cmd_contour_fit(args, sink: _Sink) -> dict:
         domain = IPU(start_s=args.start_s, end_s=args.end_s)
     model = fit_contour(track, args.degree, domain)
     stem = _stem(args.f0csv)
-    report = {
-        "subcommand": "contour-fit",
-        "input": args.f0csv,
-        "model": contour_model_to_dict(model),
-    }
-    sink.put("json", f"{stem}.contour.json", _json(report))
+    report = {"input": args.f0csv, "model": contour_model_to_dict(model)}
     sink.put("svg", f"{stem}.contour.svg", lambda: svg_f0_track_chunks(track, [model]))
     coeffs = " ".join(f"{c:.4g}" for c in model.fit.coeffs)
-    print(f"degree={model.fit.degree} rmse={model.fit.rmse:.4g} coeffs=[{coeffs}]")
-    return report
+    summary = f"degree={model.fit.degree} rmse={model.fit.rmse:.4g} coeffs=[{coeffs}]"
+    return f"{stem}.contour.json", report, summary
 
 
 # ---------------------------------------------------------------------------
@@ -544,9 +509,12 @@ def run(argv: list[str] | None = None) -> int:
     sink = _Sink(out_dir, formats)
 
     try:
-        report = args.func(args, sink)
+        json_name, report, summary = args.func(args, sink)
+        text = _dumps({"subcommand": args.subcommand, **report})
+        sink.put("json", json_name, lambda: [text])
+        print(summary)
         if args.json:
-            print(_dumps(report), end="")
+            print(text, end="")
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -352,7 +352,7 @@ def realize_pitch(
 
     The high and low registers start at p_h0/p_l0; initial labels pin them,
     upsweep/downdrift move a register within its own terrace, and
-    downstep/upstep derive the next target from the opposite register.
+    downstep/upstep derive the next low/high target from the high register.
     Targets and registers are clamped to [floor_hz, ceiling_hz] after every
     update.  hc/lc may only appear as the first label.
     """

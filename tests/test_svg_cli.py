@@ -54,6 +54,15 @@ def report_from(capsys):
     return json.loads(out[out.index("{\n"):])
 
 
+@pytest.fixture
+def tones_f0_csv_path(tmp_path):
+    from prosotime.pitch import f0_track_to_csv
+
+    path = tmp_path / "tones.f0.csv"
+    path.write_text(f0_track_to_csv(synthesize_contour(realize_pitch(transduce_tones("H L H L H")))))
+    return path
+
+
 class TestSvgRenderers:
     def test_spectrum_svg_marks_each_zone(self, am_wave):
         spec = aems(am_wave, cutoff_hz=20.0)
@@ -787,3 +796,45 @@ class TestLazyStreamedArtifacts:
         err = capsys.readouterr().err
         assert "Traceback" not in err and "error: cannot draw" in err
         assert [p.name for p in out.iterdir()] == ["tones.f0.csv"]
+
+    @pytest.mark.parametrize("argv, fixture, renderer", [
+        (["f0"], "am_wav_path", "svg_f0_track_chunks"),
+        (["contour-fit"], "tones_f0_csv_path", "svg_f0_track_chunks"),
+        (["timetree"], "words_csv_path", "svg_timetree_chunks"),
+        (["spectree"], "am_wav_path", "svg_timetree_chunks"),
+    ], ids=lambda v: v[0] if isinstance(v, list) else None)
+    def test_failed_render_leaves_no_report(self, argv, fixture, renderer, request, tmp_path, monkeypatch,
+                                            capsys):
+        from prosotime import DegenerateInputError
+
+        def render(*args, **kwargs):
+            yield "<svg>"
+            raise DegenerateInputError("cannot draw")
+
+        monkeypatch.setattr(f"prosotime.svgplot.{renderer}", render)
+        out = tmp_path / "out"
+        assert run([argv[0], str(request.getfixturevalue(fixture)), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "error: cannot draw" in err
+        assert not list(out.glob("*.json"))
+
+    @pytest.mark.parametrize("argv, fixture, written, summary_lines", [
+        (["calibrate"], None, "calibrate.json", 1),
+        (["aems"], "am_wav_path", "am.aems.json", 1),
+        (["metrics"], "words_csv_path", "words.metrics.json", 1),
+        (["timetree"], "words_csv_path", "words.timetree.json", 1),
+        (["spectree"], "am_wav_path", "am.spectree.json", 1),
+        (["tone-gen", "H L H L"], None, "tones.json", 2),
+        (["intonation", "check", "%H H* H- H%"], None, "intonation.json", 1),
+        (["intonation", "enum"], None, "intonation.json", 1),
+        (["f0"], "am_wav_path", "am.f0.json", 1),
+        (["contour-fit"], "tones_f0_csv_path", "tones.f0.contour.json", 1),
+    ], ids=lambda v: "-".join(v[:2]) if isinstance(v, list) else None)
+    def test_json_flag_echoes_the_written_report(self, argv, fixture, written, summary_lines, request, tmp_path,
+                                                 capsys):
+        if fixture is not None:
+            argv = [argv[0], str(request.getfixturevalue(fixture)), *argv[1:]]
+        out = tmp_path / "out"
+        assert run([*argv, "--json", "--out-dir", str(out)]) == 0
+        echoed = capsys.readouterr().out.split("\n", summary_lines)[-1]
+        assert echoed == (out / written).read_text(encoding="utf-8")
