@@ -1,9 +1,9 @@
 """Amplitude envelope demodulation and its low-frequency spectrum.
 
-The pipeline: full-wave rectification, peak-picking envelope extraction,
-moving-average smoothing, then an unwindowed DFT magnitude spectrum kept
-below a cutoff. Zone detection reads rhythm bands off the spectrum after
-polynomial shape-smoothing.
+The pipeline: full-wave rectification and peak-picking envelope extraction in
+one blockwise pass, moving-average smoothing, then an unwindowed DFT magnitude
+spectrum kept below a cutoff. Zone detection reads rhythm bands off the
+spectrum after polynomial shape-smoothing.
 """
 
 from __future__ import annotations
@@ -113,54 +113,57 @@ def rectify_full_wave(wave: Waveform) -> Waveform:
     return Waveform(rect, wave.rate)
 
 
+_PEAK_SAMPLES = 1 << 15  # samples rectified per pass of the peak picker: bounds its working set
+
+
 def _window_peaks(x, win):
-    """Distinct indices of the first maximum of each window x[k*hop : k*hop + win].
+    """Distinct indices of the first maximum of each window |x[k*hop : k*hop + win]|.
 
     hop = win // 2, so a window is blocks k and k+1 of width hop, plus the
     sample after them when win is odd. The first maximum among those parts,
     taken in that order, is the window's argmax, and every sample is read
-    once instead of twice.
+    once instead of twice. |x| is taken one range of blocks at a time.
     """
     hop = win // 2
     n_blocks = (len(x) - win) // hop + 2
-    blocks = x[: n_blocks * hop].reshape(n_blocks, hop)
-    block_max = blocks.max(axis=1)
-    # argmax would copy read-only samples; the first hit of the maximum is the same
-    block_idx = np.argmax(blocks == block_max[:, None], axis=1)
+    rows = max(1, _PEAK_SAMPLES // hop)
+    block_idx = np.empty(n_blocks, dtype=np.intp)
+    for lo in range(0, n_blocks, rows):
+        blocks = np.abs(x[lo * hop : min(lo + rows, n_blocks) * hop]).reshape(-1, hop)
+        block_idx[lo : lo + len(blocks)] = blocks.argmax(axis=1)
     block_idx += np.arange(0, n_blocks * hop, hop)
+    block_max = np.abs(x[block_idx])
     peak_idx = np.where(block_max[1:] > block_max[:-1], block_idx[1:], block_idx[:-1])
     if win % 2:
         after = np.arange(2, n_blocks + 1) * hop
-        beats = x[after] > np.maximum(block_max[:-1], block_max[1:])
+        beats = np.abs(x[after]) > np.maximum(block_max[:-1], block_max[1:])
         peak_idx = np.where(beats, after, peak_idx)
     # elected indices never decrease, and neighbouring windows may share one
     return peak_idx[np.diff(peak_idx, prepend=-1) > 0]
 
 
-def extract_envelope_peaks(rectified: Waveform, window_ms=20.0, env_rate=100) -> Envelope:
-    """Demodulate by peak-picking.
+def extract_envelope_peaks(wave: Waveform, window_ms=20.0, env_rate=100) -> Envelope:
+    """Demodulate any waveform by peak-picking its full-wave rectification.
 
-    Local maxima are collected over half-overlapping windows of window_ms
-    and linearly interpolated onto a uniform env_rate grid; leading and
-    trailing gaps take the nearest peak value.
+    Local maxima of |x|, taken block by block, are collected over half-overlapping
+    windows of window_ms and linearly interpolated onto a uniform env_rate grid;
+    leading and trailing gaps take the nearest peak value.
     """
     _positive(window_ms, "window_ms")
     _positive(env_rate, "env_rate")
-    if env_rate > rectified.rate:
-        raise ParameterError(
-            f"env_rate {env_rate} exceeds the audio rate {rectified.rate}"
-        )
-    x = rectified.samples
-    win = max(2, _ms_to_samples(window_ms, rectified.rate, "window_ms"))
+    if env_rate > wave.rate:
+        raise ParameterError(f"env_rate {env_rate} exceeds the audio rate {wave.rate}")
+    x = wave.samples
+    win = max(2, _ms_to_samples(window_ms, wave.rate, "window_ms"))
     if len(x) < win:
         raise DegenerateInputError(
             f"signal of {len(x)} samples is shorter than one {window_ms} ms window"
         )
     peak_idx = _window_peaks(x, win)
-    peak_t = peak_idx / rectified.rate
-    peak_v = x[peak_idx]
+    peak_t = peak_idx / wave.rate
+    peak_v = np.abs(x[peak_idx])
 
-    n_env = max(1, int(round(len(x) * env_rate / rectified.rate)))
+    n_env = max(1, int(round(len(x) * env_rate / wave.rate)))
     grid = np.arange(n_env) / env_rate
     values = np.interp(grid, peak_t, peak_v)  # np.interp holds edge values
     return Envelope(values, float(env_rate))
@@ -216,9 +219,8 @@ def dft_magnitude(env: Envelope, cutoff_hz, zero_mean=True) -> Spectrum:
 
 def aems(wave: Waveform, cutoff_hz=5.0, window_ms=20.0, env_rate=100,
          smooth_ms=50.0) -> Spectrum:
-    """Full pipeline: rectify, peak-pick, smooth, DFT-magnitude below cutoff."""
-    rect = rectify_full_wave(wave)
-    env = extract_envelope_peaks(rect, window_ms=window_ms, env_rate=env_rate)
+    """Full pipeline: peak-pick |x|, smooth, DFT-magnitude below cutoff."""
+    env = extract_envelope_peaks(wave, window_ms=window_ms, env_rate=env_rate)
     env = smooth_envelope(env, window_ms=smooth_ms)
     spec = dft_magnitude(env, cutoff_hz)
     params = dict(spec.params)

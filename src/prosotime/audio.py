@@ -101,6 +101,7 @@ _WAVE_PCM = 1
 _WAVE_IEEE_FLOAT = 3
 _WAVE_EXTENSIBLE = 0xFFFE
 _KSDATAFORMAT_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+_BLOCK_FRAMES = 1 << 14  # frames decoded per read: bounds the raw bytes and temporaries
 
 
 def read_wav(path) -> Waveform:
@@ -109,87 +110,98 @@ def read_wav(path) -> Waveform:
     Accepts PCM 8/16/24/32-bit and IEEE float-32 data with 1 or 2 channels,
     plain or in WAVE_FORMAT_EXTENSIBLE form. Stereo is downmixed by the
     per-sample arithmetic mean; integer samples are scaled by 1/2^(bits-1)
-    and float samples are clipped to [-1, 1].
+    and float samples are clipped to [-1, 1]. A pipe is refused with a FormatError.
     """
     with open(path, "rb") as fh:
-        data = memoryview(fh.read())
+        if not fh.seekable():  # a pipe has no size to check the chunk sizes against
+            raise FormatError(f"{path}: input is not a regular file")
+        end = fh.seek(0, 2)
 
-    if len(data) < 12:
-        raise ParseError("file too short for a RIFF header", offset=len(data))
-    if data[0:4] != b"RIFF":
-        raise FormatError("missing RIFF magic in header chunk")
-    if data[8:12] != b"WAVE":
-        raise FormatError("RIFF form type is not WAVE")
+        def read(pos, n):
+            """n bytes at pos; ParseError if the file ends before them."""
+            fh.seek(pos)
+            got = fh.read(n)
+            if len(got) < n:
+                raise ParseError("file ends before its chunk sizes say", offset=pos + len(got))
+            return got
 
-    fmt = None
-    payload = None
-    pos = 12
-    while pos + 8 <= len(data):
-        cid = bytes(data[pos : pos + 4])
-        (size,) = struct.unpack_from("<I", data, pos + 4)
-        body_start = pos + 8
-        if body_start + size > len(data):
-            raise ParseError(
-                f"chunk {cid!r} claims {size} bytes beyond end of file",
-                offset=pos,
+        if end < 12:
+            raise ParseError("file too short for a RIFF header", offset=end)
+        head = read(0, 12)
+        if head[0:4] != b"RIFF":
+            raise FormatError("missing RIFF magic in header chunk")
+        if head[8:12] != b"WAVE":
+            raise FormatError("RIFF form type is not WAVE")
+
+        fmt = data = None
+        pos = 12
+        while pos + 8 <= end:
+            cid, size = struct.unpack("<4sI", read(pos, 8))
+            body_start = pos + 8
+            if body_start + size > end:
+                raise ParseError(f"chunk {cid!r} claims {size} bytes beyond end of file", offset=pos)
+            if cid == b"fmt ":
+                if size < 16:
+                    raise ParseError("fmt chunk shorter than 16 bytes", offset=pos)
+                body = read(body_start, min(size, 40))
+                fmt = struct.unpack_from("<HHIIHH", body)
+                if fmt[0] == _WAVE_EXTENSIBLE:
+                    if size < 40:
+                        raise ParseError("extensible fmt chunk shorter than 40 bytes", offset=pos)
+                    if body[26:40] != _KSDATAFORMAT_TAIL:
+                        raise FormatError("`fmt ` chunk: unknown extensible sub-format GUID")
+                    fmt = struct.unpack_from("<H", body, 24) + fmt[1:]
+            elif cid == b"data":
+                data = (body_start, size)
+            pos = body_start + size + (size & 1)  # chunks are word-aligned
+
+        if fmt is None:
+            raise FormatError("no `fmt ` chunk found")
+        if data is None:
+            raise FormatError("no `data` chunk found")
+
+        audio_format, channels, rate, _byte_rate, _block_align, bits = fmt
+        if channels not in (1, 2):
+            raise FormatError(f"`fmt ` chunk: unsupported channel count {channels}")
+        if not (audio_format == _WAVE_PCM and bits in (8, 16, 24, 32)
+                or audio_format == _WAVE_IEEE_FLOAT and bits == 32):
+            raise FormatError(
+                f"`fmt ` chunk: unsupported codec (format tag {audio_format}, "
+                f"{bits}-bit); only PCM 8/16/24/32-bit and IEEE float-32 are read"
             )
-        if cid == b"fmt ":
-            if size < 16:
-                raise ParseError("fmt chunk shorter than 16 bytes", offset=pos)
-            fmt = struct.unpack_from("<HHIIHH", data, body_start)
-            if fmt[0] == _WAVE_EXTENSIBLE:
-                if size < 40:
-                    raise ParseError("extensible fmt chunk shorter than 40 bytes", offset=pos)
-                if data[body_start + 26 : body_start + 40] != _KSDATAFORMAT_TAIL:
-                    raise FormatError("`fmt ` chunk: unknown extensible sub-format GUID")
-                fmt = struct.unpack_from("<H", data, body_start + 24) + fmt[1:]
-        elif cid == b"data":
-            payload = data[body_start : body_start + size]
-        pos = body_start + size + (size & 1)  # chunks are word-aligned
+        start, size = data
+        frame = bits // 8 * channels
+        n = size // frame  # whole frames only
+        if n == 0:
+            raise ParseError("data chunk contains no samples", offset=end)
 
-    if fmt is None:
-        raise FormatError("no `fmt ` chunk found")
-    if payload is None:
-        raise FormatError("no `data` chunk found")
+        def channel(col, out):
+            """One channel's samples, decoded into the float64 array out."""
+            if audio_format == _WAVE_IEEE_FLOAT:
+                return np.clip(col, -1.0, 1.0, out=out)
+            np.multiply(col, 2.0 ** (1 - 8 * col.itemsize), out=out)  # a power of two: exact
+            if bits == 8:
+                out -= 1.0  # unsigned: 128 is silence
+            return out
 
-    audio_format, channels, rate, _byte_rate, _block_align, bits = fmt
-    if channels not in (1, 2):
-        raise FormatError(f"`fmt ` chunk: unsupported channel count {channels}")
-    if not (audio_format == _WAVE_PCM and bits in (8, 16, 24, 32)
-            or audio_format == _WAVE_IEEE_FLOAT and bits == 32):
-        raise FormatError(
-            f"`fmt ` chunk: unsupported codec (format tag {audio_format}, "
-            f"{bits}-bit); only PCM 8/16/24/32-bit and IEEE float-32 are read"
-        )
-    count = len(payload) // (bits // 8 * channels) * channels  # whole frames only
-    if count == 0:
-        raise ParseError("data chunk contains no samples", offset=len(data))
-    if bits == 24:
-        # widen each 3-byte sample into the top three bytes of an int32
-        wide = np.zeros((count, 4), dtype=np.uint8)
-        wide[:, 1:] = np.frombuffer(payload, np.uint8, count * 3).reshape(count, 3)
-        raw = wide.view("<i4")[:, 0]
-    elif audio_format == _WAVE_IEEE_FLOAT:
-        raw = np.frombuffer(payload, "<f4", count)
-    else:
-        raw = np.frombuffer(payload, {8: "u1", 16: "<i2", 32: "<i4"}[bits], count)
-
-    def channel(c):
-        """Channel c as a fresh float64 array within [-1, 1]."""
-        col = raw[c::channels]
-        if audio_format == _WAVE_IEEE_FLOAT:
-            return np.clip(col, -1.0, 1.0, out=np.empty(len(col)))
-        out = col * 2.0 ** (1 - 8 * col.itemsize)  # a power of two: exact
-        if bits == 8:
-            out -= 1.0  # unsigned: 128 is silence
-        return out
-
-    samples = channel(0)
-    if channels == 2:
-        # the mean sums from +0.0, so -0.0 and -0.0 give +0.0
-        samples += 0.0
-        samples += channel(1)
-        samples *= 0.5
+        samples = np.empty(n)
+        for lo in range(0, n, _BLOCK_FRAMES):
+            out = samples[lo : lo + _BLOCK_FRAMES]
+            payload = read(start + lo * frame, len(out) * frame)
+            if bits == 24:
+                # widen each 3-byte sample into the top three bytes of an int32
+                wide = np.zeros((len(payload) // 3, 4), dtype=np.uint8)
+                wide[:, 1:] = np.frombuffer(payload, np.uint8).reshape(-1, 3)
+                raw = wide.view("<i4")[:, 0]
+            elif audio_format == _WAVE_IEEE_FLOAT:
+                raw = np.frombuffer(payload, "<f4")
+            else:
+                raw = np.frombuffer(payload, {8: "u1", 16: "<i2", 32: "<i4"}[bits])
+            channel(raw[0::channels], out)
+            if channels == 2:
+                out += 0.0  # the mean sums from +0.0, so -0.0 and -0.0 give +0.0
+                out += channel(raw[1::channels], np.empty(len(out)))
+                out *= 0.5
     samples.setflags(write=False)
     return Waveform(samples, rate)
 

@@ -88,6 +88,8 @@ class _Sink:
         target = (self.out_dir / name).resolve()
         if self.out_dir.resolve() not in target.parents:
             raise AnalysisError(f"refusing to write outside output directory: {name}")
+        # a fresh file: truncating an old one in place makes ext4 flush it on close
+        target.unlink(missing_ok=True)
         out = target.open("w", encoding="utf-8")
         try:
             with out:

@@ -1,9 +1,19 @@
 """Shared fixtures: synthetic waveforms and annotation texts used across suites."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 from prosotime import Waveform, synthesize_am, write_wav_pcm16
+
+
+@pytest.fixture(params=[1, 7, 40])
+def small_blocks(request, monkeypatch):
+    """read_wav's frames per read and the peak picker's samples per pass, cut to a few."""
+    monkeypatch.setattr(importlib.import_module("prosotime.audio"), "_BLOCK_FRAMES", request.param)
+    monkeypatch.setattr(importlib.import_module("prosotime.aems"), "_PEAK_SAMPLES", request.param)
+    return request.param
 
 
 @pytest.fixture

@@ -113,6 +113,24 @@ class TestBlockPeakOracle:
             env = extract_envelope_peaks(rect, window_ms=window_ms)
             assert env.values.tobytes() == sliding_window_envelope(rect, window_ms).tobytes()
 
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(_peak_cases(), st.integers(0, 2**32 - 1))
+    def test_signed_wave_gives_the_rectified_envelope(self, case, seed):
+        x, win = case
+        rng = np.random.default_rng(seed)
+        signed = np.where(rng.integers(0, 2, len(x)) == 1, -x, x)  # -0.0 wherever x is 0
+        signed[rng.integers(0, len(x), 3)] = -0.0
+        wave = Waveform(signed, 8000)
+        window_ms = win / 8  # win samples at 8 kHz
+        env = extract_envelope_peaks(wave, window_ms=window_ms)
+        rectified = extract_envelope_peaks(rectify_full_wave(wave), window_ms=window_ms)
+        assert env.values.tobytes() == rectified.values.tobytes()
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestBlockPeakOracleInSmallPasses(TestBlockPeakOracle):
+    """The same oracles with |x| taken a few samples or blocks per pass."""
+
 
 class TestRectify:
     def test_absolute_value(self):

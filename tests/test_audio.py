@@ -1,6 +1,9 @@
 """Waveform container, RIFF reader/writer round-trips, and signal synthesis."""
 
+import importlib
+import os
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -75,6 +78,21 @@ def former_decode(payload, audio_format, channels, bits):
         samples = np.clip(raw.astype(np.float64), -1.0, 1.0)
     if channels == 2:
         samples = samples[: len(samples) // 2 * 2].reshape(-1, 2).mean(axis=1)
+    return samples
+
+
+def wide_decode(payload, audio_format, channels, bits):
+    """former_decode, extended to 24- and 32-bit PCM read as little-endian integers."""
+    if audio_format == 3 or bits < 24:
+        return former_decode(payload, audio_format, channels, bits)
+    width = bits // 8
+    whole = len(payload) // (width * channels) * width * channels
+    octets = np.frombuffer(payload[:whole], np.uint8).reshape(-1, width).astype(np.int64)
+    ints = octets @ 256 ** np.arange(width)
+    ints -= (ints >= 2 ** (bits - 1)) * 2**bits
+    samples = ints / 2.0 ** (bits - 1)
+    if channels == 2:
+        samples = samples.reshape(-1, 2).mean(axis=1)
     return samples
 
 
@@ -215,6 +233,7 @@ class TestDecodeOracle:
         raw = data.draw(arrays(dtype, st.integers(channels, 400), elements=elements))
         payload = raw.tobytes() + data.draw(st.binary(max_size=3))  # stray tail bytes
         path = tmp_path / "oracle.wav"
+        path.unlink(missing_ok=True)  # a fresh file: rewriting one in place is slow on ext4
         path.write_bytes(_wav_bytes(payload, audio_format, channels, bits=bits))
         w = read_wav(path)
         assert w.samples.tobytes() == former_decode(payload, audio_format, channels, bits).tobytes()
@@ -226,6 +245,28 @@ class TestDecodeOracle:
             path.write_bytes(_wav_bytes(vals.tobytes(), audio_format=3, channels=channels, bits=32))
             expect = former_decode(vals.tobytes(), 3, channels, 32)
             assert read_wav(path).samples.tobytes() == expect.tobytes()
+
+
+class TestBlockBoundaries:
+    """With a few frames per read, every format decodes as it does in one piece."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_decode_matches_oracle(self, small_blocks, tmp_path, data):
+        audio_format, bits = data.draw(st.sampled_from([(1, 8), (1, 16), (1, 24), (1, 32), (3, 32)]))
+        channels = data.draw(st.sampled_from([1, 2]))
+        count = channels * data.draw(st.integers(1, 3 * small_blocks + 1))
+        if audio_format == 3:
+            payload = data.draw(arrays("<f4", count, elements=st.floats(-1.5, 1.5, width=32))).tobytes()
+        else:
+            payload = data.draw(st.binary(min_size=count * bits // 8, max_size=count * bits // 8))
+        payload += data.draw(st.binary(max_size=channels * bits // 8 - 1))  # stray tail bytes
+        path = tmp_path / "blocks.wav"
+        path.unlink(missing_ok=True)
+        path.write_bytes(_wav_bytes(payload, audio_format, channels, bits=bits))
+        expect = wide_decode(payload, audio_format, channels, bits)
+        assert read_wav(path).samples.tobytes() == expect.tobytes()
 
 
 class TestWideAndExtensibleFormats:
@@ -309,6 +350,7 @@ class TestReadWavFuzz:
     @staticmethod
     def _read(tmp_path, blob):
         path = tmp_path / "fuzz.wav"
+        path.unlink(missing_ok=True)  # a fresh file: rewriting one in place is slow on ext4
         path.write_bytes(blob)
         try:
             assert isinstance(read_wav(path), Waveform)
@@ -347,6 +389,38 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 3.5 * wave.samples.nbytes
+
+
+def _traced_peak(stage):
+    """stage()'s result and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        return stage(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStageMemory:
+    """read_wav holds one float64 per sample, and aems adds a few percent of that."""
+
+    @pytest.mark.parametrize("audio_format, channels, bits", [(1, 1, 16), (1, 2, 16), (3, 1, 32), (1, 1, 24)],
+                             ids=["pcm16", "pcm16-stereo", "float32", "pcm24"])
+    def test_peak_per_stage(self, tmp_path, audio_format, channels, bits):
+        x = np.random.default_rng(120).uniform(-0.5, 0.5, 120 * 16000 * channels)
+        if audio_format == 3:
+            payload = x.astype("<f4").tobytes()
+        elif bits == 24:
+            payload = _pcm24_bytes(np.round(x * 2**23))
+        else:
+            payload = np.round(x * 2**15).astype("<i2").tobytes()
+        path = tmp_path / "long.wav"
+        path.write_bytes(_wav_bytes(payload, audio_format, channels, rate=16000, bits=bits))
+        del x, payload
+        wave, read_peak = _traced_peak(lambda: read_wav(path))
+        _, aems_peak = _traced_peak(lambda: aems(wave))
+        assert len(wave) == 120 * 16000
+        assert read_peak <= 1.1 * wave.samples.nbytes
+        assert aems_peak <= 0.15 * wave.samples.nbytes
 
 
 class TestWavErrors:
@@ -393,6 +467,56 @@ class TestWavErrors:
         path.write_bytes(_wav_bytes(b"\x00" * 12, channels=3))
         with pytest.raises(FormatError):
             read_wav(path)
+
+    def test_data_chunk_short_when_read(self, tmp_path, monkeypatch):
+        """A file that shrinks after its size was taken is a ParseError, not numpy's ValueError."""
+        path = tmp_path / "x.wav"
+        path.write_bytes(_wav_bytes(np.arange(64, dtype="<i2").tobytes()))
+
+        class ShrinksAfterSize:
+            """A file object that cuts its file to 50 bytes once its size has been asked for."""
+
+            def __init__(self, name, mode):
+                self._fh = open(name, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._fh.close()
+
+            def __getattr__(self, name):
+                return getattr(self._fh, name)
+
+            def seek(self, pos, whence=os.SEEK_SET):
+                offset = self._fh.seek(pos, whence)
+                if whence == os.SEEK_END:
+                    os.truncate(path, 50)  # inside the data chunk, which starts at byte 44
+                return offset
+
+        monkeypatch.setattr(importlib.import_module("prosotime.audio"), "open", ShrinksAfterSize, raising=False)
+        with pytest.raises(ParseError, match="byte 50") as exc:
+            read_wav(path)
+        assert exc.value.offset == 50
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+    def test_fifo_is_not_a_regular_file(self, tmp_path):
+        fifo = tmp_path / "pipe.wav"
+        os.mkfifo(fifo)
+
+        def write():
+            try:
+                with open(fifo, "wb") as fh:
+                    fh.write(_wav_bytes(np.arange(64, dtype="<i2").tobytes()))
+            except BrokenPipeError:
+                pass  # the reader gave up first
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        with pytest.raises(FormatError, match="not a regular file"):
+            read_wav(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
 
 
 class TestSynthesizeAm:

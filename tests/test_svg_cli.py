@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import json
 import math
+import os
 import re
 import struct
 import time
@@ -796,6 +797,32 @@ class TestLazyStreamedArtifacts:
         err = capsys.readouterr().err
         assert "Traceback" not in err and "error: cannot draw" in err
         assert [p.name for p in out.iterdir()] == ["tones.f0.csv"]
+
+    def test_rerun_replaces_every_artifact_with_a_new_file(self, am_wav_path, tmp_path, monkeypatch, capsys):
+        from prosotime import DegenerateInputError
+
+        out, keep = tmp_path / "out", tmp_path / "keep"
+        argv = ["f0", str(am_wav_path), "--out-dir", str(out)]
+        assert run(argv) == 0
+        keep.mkdir()
+        for artifact in out.iterdir():
+            os.link(artifact, keep / artifact.name)
+        before = {p.name: p.read_bytes() for p in keep.iterdir()}
+        assert sorted(before) == ["am.f0.csv", "am.f0.json", "am.f0.svg"]
+        assert run(argv) == 0
+        for name, data in before.items():
+            assert not (out / name).samefile(keep / name)  # replaced, not rewritten in place
+            assert (out / name).read_bytes() == data == (keep / name).read_bytes()
+
+        def render(track, models=()):
+            yield "<svg>"
+            raise DegenerateInputError("cannot draw")
+
+        monkeypatch.setattr("prosotime.svgplot.svg_f0_track_chunks", render)
+        assert run(argv) == 1
+        assert "error: cannot draw" in capsys.readouterr().err
+        assert not (out / "am.f0.svg").exists()  # a failed render still leaves no file
+        assert {p.name: p.read_bytes() for p in keep.iterdir()} == before
 
     @pytest.mark.parametrize("argv, fixture, renderer", [
         (["f0"], "am_wav_path", "svg_f0_track_chunks"),
