@@ -267,8 +267,13 @@ def fit_polynomial(xs, ys, degree) -> PolyFit:
         raise SingularityError(
             f"rank-deficient system (rank {rank} < {degree + 1}) for degree {degree}"
         )
-    fitted = basis @ sol
-    rmse = float(np.sqrt(np.mean((fitted - ys) ** 2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rmse = float(np.sqrt(np.mean((basis @ sol - ys) ** 2)))
+    if not np.isfinite(rmse):
+        raise DegenerateInputError(
+            f"degree-{degree} fit residuals overflow the float range "
+            f"over the y span [{float(np.min(ys))!r}, {float(np.max(ys))!r}]"
+        )
     if hi > lo:
         coeffs = Polynomial(sol, domain=[lo, hi]).convert().coef
         coeffs = np.pad(coeffs, (0, degree + 1 - len(coeffs)))

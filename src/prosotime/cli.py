@@ -9,9 +9,13 @@ Each handler imports the modules it runs, so a process loads numpy only for
 the subcommands that need it (aems, spectree, calibrate, f0, contour-fit and
 tone-gen); metrics, timetree and intonation run on the standard library.
 
-Each handler writes its CSV and SVG and returns (json_name, report, summary);
-run() adds the subcommand, serializes the report once and writes it last (a run
-that exits 1 leaves none), then prints summary and, under --json, that text.
+Each handler is a pure function of args returning (json_name, report, summary,
+renders): renders maps every CSV or SVG name the subcommand can write to a
+zero-argument render of its text chunks, or to None where this input has no
+such artifact.  Only run() writes: it serializes the report first (a non-finite
+one writes nothing), writes each listed format's render or removes its stale
+file for None, writes the report last (a run that exits 1 leaves none), then
+prints summary and, under --json, the report text.
 """
 
 from __future__ import annotations
@@ -73,44 +77,38 @@ def _stem(path: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "_", Path(path).stem) or "input"
 
 
-class _Sink:
-    """Writes artifacts under one directory, refusing anything outside it."""
-
-    def __init__(self, out_dir: Path, formats: set[str]):
-        self.out_dir = out_dir
-        self.formats = formats
-
-    def put(self, fmt: str, name: str, render: Callable[[], Iterable[str]]) -> None:
-        """Write render()'s text chunks to name if fmt was asked for; a render that raises leaves no file."""
-        if fmt not in self.formats:
-            return
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        target = (self.out_dir / name).resolve()
-        if self.out_dir.resolve() not in target.parents:
-            raise AnalysisError(f"refusing to write outside output directory: {name}")
-        # a fresh file: truncating an old one in place makes ext4 flush it on close
-        target.unlink(missing_ok=True)
-        out = target.open("w", encoding="utf-8")
-        try:
-            with out:
-                chunks = iter(render())
-                while batch := list(islice(chunks, _BATCH)):
-                    out.write("".join(batch))
-        except BaseException:
-            target.unlink()
-            raise
+def _write(out_dir: Path, name: str, render: Callable[[], Iterable[str]] | None) -> None:
+    """Write render()'s text chunks to out_dir/name (None removes it); a render that raises leaves no file."""
+    target = (out_dir / name).resolve()
+    if out_dir.resolve() not in target.parents:
+        raise AnalysisError(f"refusing to write outside output directory: {name}")
+    # a fresh file: truncating an old one in place makes ext4 flush it on close
+    target.unlink(missing_ok=True)
+    if render is None:
+        return
+    out_dir.mkdir(parents=True, exist_ok=True)
+    out = target.open("w", encoding="utf-8")
+    try:
+        with out:
+            chunks = iter(render())
+            while batch := list(islice(chunks, _BATCH)):
+                out.write("".join(batch))
+    except BaseException:
+        target.unlink()
+        raise
 
 
-def _spectrum_artifacts(sink: _Sink, stem: str, spec, fit, zones) -> dict:
-    """Shared spectrum emission: CSV, line plot and heatmap; returns poly info."""
+def _spectrum_artifacts(stem: str, spec, fit, zones, report: dict) -> dict:
+    """Shared spectrum emission: poly info into the report; CSV, line plot and heatmap renders."""
     from .aems import spectrum_csv_chunks
     from .svgplot import svg_heatmap_chunks, svg_spectrum_chunks
 
-    sink.put("csv", f"{stem}.spectrum.csv", lambda: spectrum_csv_chunks(spec))
-    sink.put("svg", f"{stem}.spectrum.svg", lambda: svg_spectrum_chunks(spec, fit, zones))
-    if len(spec) >= 2:
-        sink.put("svg", f"{stem}.heatmap.svg", lambda: svg_heatmap_chunks(spec))
-    return {"poly_degree": fit.degree, "poly_coeffs": list(fit.coeffs), "poly_rmse": fit.rmse}
+    report.update(poly_degree=fit.degree, poly_coeffs=list(fit.coeffs), poly_rmse=fit.rmse)
+    return {
+        f"{stem}.spectrum.csv": lambda: spectrum_csv_chunks(spec),
+        f"{stem}.spectrum.svg": lambda: svg_spectrum_chunks(spec, fit, zones),
+        f"{stem}.heatmap.svg": (lambda: svg_heatmap_chunks(spec)) if len(spec) >= 2 else None,
+    }
 
 
 def _load_annotation(path: str) -> AnnotationDoc:
@@ -146,7 +144,7 @@ def _tier_durations(args):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_calibrate(args, sink: _Sink) -> tuple[str, dict, str]:
+def _cmd_calibrate(args) -> tuple[str, dict, str, dict]:
     import numpy as np
 
     from .aems import aems as run_aems, shape_zones
@@ -171,12 +169,12 @@ def _cmd_calibrate(args, sink: _Sink) -> tuple[str, dict, str]:
         "zones": [dataclasses.asdict(z) for z in zones],
         "pass": bool(ok),
     }
-    report.update(_spectrum_artifacts(sink, "calibrate", spec, fit, zones))
+    renders = _spectrum_artifacts("calibrate", spec, fit, zones, report)
     summary = f"peak_hz={peak_hz} harmonic_hz={report['harmonic_hz']} pass={str(ok).lower()}"
-    return "calibrate.json", report, summary
+    return "calibrate.json", report, summary, renders
 
 
-def _cmd_aems(args, sink: _Sink) -> tuple[str, dict, str]:
+def _cmd_aems(args) -> tuple[str, dict, str, dict]:
     from .aems import aems as run_aems, shape_zones
     from .audio import read_wav
 
@@ -201,12 +199,12 @@ def _cmd_aems(args, sink: _Sink) -> tuple[str, dict, str]:
         "zones": [dataclasses.asdict(z) for z in zones],
         "dominant_hz": zones[0].center_hz if zones else None,
     }
-    report.update(_spectrum_artifacts(sink, stem, spec, fit, zones))
+    renders = _spectrum_artifacts(stem, spec, fit, zones, report)
     summary = f"bins={len(spec)} resolution_hz={spec.resolution_hz} dominant_hz={report['dominant_hz']}"
-    return f"{stem}.aems.json", report, summary
+    return f"{stem}.aems.json", report, summary, renders
 
 
-def _cmd_metrics(args, sink: _Sink) -> tuple[str, dict, str]:
+def _cmd_metrics(args) -> tuple[str, dict, str, dict]:
     from .rhythm import metrics_report, quadrant_analysis, quadrant_csv_chunks
     from .svgplot import svg_quadrants_chunks
 
@@ -220,10 +218,9 @@ def _cmd_metrics(args, sink: _Sink) -> tuple[str, dict, str]:
     try:
         quads = quadrant_analysis(seq)
         quad_report = {"counts": quads.counts, "index": quads.index}
-        sink.put("csv", f"{stem}.quadrants.csv", lambda: quadrant_csv_chunks(quads))
-        sink.put("svg", f"{stem}.quadrants.svg", lambda: svg_quadrants_chunks(quads))
+        csv, svg = (lambda: quadrant_csv_chunks(quads)), (lambda: svg_quadrants_chunks(quads))
     except DegenerateInputError:
-        quad_report = None
+        quad_report = csv = svg = None
     report = {
         "input": args.annot,
         "tier": tier.name,
@@ -233,7 +230,8 @@ def _cmd_metrics(args, sink: _Sink) -> tuple[str, dict, str]:
         "quadrants": quad_report,
     }
     line = " ".join(f"{k}={report['metrics'][k]:.4f}" for k in sorted(report["metrics"]))
-    return f"{stem}.metrics.json", report, f"tier={tier.name} n={flat['n']} {line}"
+    renders = {f"{stem}.quadrants.csv": csv, f"{stem}.quadrants.svg": svg}
+    return f"{stem}.metrics.json", report, f"tier={tier.name} n={flat['n']} {line}", renders
 
 
 def _tree_params(args) -> TreeParams:
@@ -242,17 +240,16 @@ def _tree_params(args) -> TreeParams:
     return TreeParams(relation=args.relation, polarity=args.polarity, arity=args.arity)
 
 
-def _tree_artifacts(sink: _Sink, name: str, tree, report: dict) -> tuple[str, dict, str]:
+def _tree_artifacts(name: str, tree, report: dict) -> tuple[str, dict, str, dict]:
     """Shared tree emission: sexpr and node table into the JSON report, SVG drawing."""
     from .svgplot import svg_timetree_chunks
     from .timetree import to_sexpr, tree_to_dict
 
     report.update(sexpr=to_sexpr(tree), **tree_to_dict(tree))
-    sink.put("svg", f"{name}.svg", lambda: svg_timetree_chunks(tree))
-    return f"{name}.json", report, report["sexpr"]
+    return f"{name}.json", report, report["sexpr"], {f"{name}.svg": lambda: svg_timetree_chunks(tree)}
 
 
-def _cmd_timetree(args, sink: _Sink) -> tuple[str, dict, str]:
+def _cmd_timetree(args) -> tuple[str, dict, str, dict]:
     from .timetree import induce_time_tree
 
     tier, seq = _tier_durations(args)
@@ -266,10 +263,10 @@ def _cmd_timetree(args, sink: _Sink) -> tuple[str, dict, str]:
         "n": len(seq),
     }
     tree = induce_time_tree(seq, params)
-    return _tree_artifacts(sink, f"{_stem(args.annot)}.timetree", tree, report)
+    return _tree_artifacts(f"{_stem(args.annot)}.timetree", tree, report)
 
 
-def _cmd_spectree(args, sink: _Sink) -> tuple[str, dict, str]:
+def _cmd_spectree(args) -> tuple[str, dict, str, dict]:
     from .aems import aems as run_aems
     from .audio import read_wav
     from .timetree import induce_spectral_hierarchy
@@ -286,10 +283,10 @@ def _cmd_spectree(args, sink: _Sink) -> tuple[str, dict, str]:
         "n_bins": len(spec),
     }
     tree = induce_spectral_hierarchy(spec, params)
-    return _tree_artifacts(sink, f"{_stem(args.wav)}.spectree", tree, report)
+    return _tree_artifacts(f"{_stem(args.wav)}.spectree", tree, report)
 
 
-def _cmd_tone_gen(args, sink: _Sink) -> tuple[str, dict, str]:
+def _cmd_tone_gen(args) -> tuple[str, dict, str, dict]:
     from .fsm import TerracingParams, realize_pitch, synthesize_contour, transduce_tones
     from .pitch import f0_track_csv_chunks
     from .svgplot import svg_f0_track_chunks
@@ -308,16 +305,16 @@ def _cmd_tone_gen(args, sink: _Sink) -> tuple[str, dict, str]:
         "tone_dur_ms": args.tone_dur_ms,
         "n_frames": 0,
     }
+    csv = svg = None
     if len(targets):
         track = synthesize_contour(targets, tone_dur_ms=args.tone_dur_ms)
         report["n_frames"] = len(track)
-        sink.put("csv", "tones.f0.csv", lambda: f0_track_csv_chunks(track))
-        sink.put("svg", "tones.f0.svg", lambda: svg_f0_track_chunks(track))
-    summary = " ".join(phonetic) if phonetic else "(empty)"
-    return "tones.json", report, summary + "\n" + " ".join(f"{hz:.1f}" for _, hz in targets.items)
+        csv, svg = (lambda: f0_track_csv_chunks(track)), (lambda: svg_f0_track_chunks(track))
+    summary = (" ".join(phonetic) or "(empty)") + "\n" + " ".join(f"{hz:.1f}" for _, hz in targets.items)
+    return "tones.json", report, summary, {"tones.f0.csv": csv, "tones.f0.svg": svg}
 
 
-def _cmd_intonation(args, sink: _Sink) -> tuple[str, dict, str]:
+def _cmd_intonation(args) -> tuple[str, dict, str, dict]:
     from .fsm import build_pierrehumbert, enumerate_strings, recognize
 
     fsm = build_pierrehumbert()
@@ -344,10 +341,10 @@ def _cmd_intonation(args, sink: _Sink) -> tuple[str, dict, str]:
             "strings": strings,
         }
         summary = f"count={len(strings)}"
-    return "intonation.json", report, summary
+    return "intonation.json", report, summary, {}
 
 
-def _cmd_f0(args, sink: _Sink) -> tuple[str, dict, str]:
+def _cmd_f0(args) -> tuple[str, dict, str, dict]:
     import numpy as np
 
     from .audio import read_wav
@@ -369,16 +366,17 @@ def _cmd_f0(args, sink: _Sink) -> tuple[str, dict, str]:
         "median_f0_hz": float(np.median(voiced)) if len(voiced) else None,
         "ipus": [{"start_s": u.start_s, "end_s": u.end_s} for u in ipus],
     }
-    sink.put("csv", f"{stem}.f0.csv", lambda: f0_track_csv_chunks(track))
-    sink.put("svg", f"{stem}.f0.svg", lambda: svg_f0_track_chunks(track))
     summary = (
         f"frames={len(track)} voiced={track.voiced_count} "
         f"median_f0_hz={report['median_f0_hz']} ipus={len(ipus)}"
     )
-    return f"{stem}.f0.json", report, summary
+    return f"{stem}.f0.json", report, summary, {
+        f"{stem}.f0.csv": lambda: f0_track_csv_chunks(track),
+        f"{stem}.f0.svg": lambda: svg_f0_track_chunks(track),
+    }
 
 
-def _cmd_contour_fit(args, sink: _Sink) -> tuple[str, dict, str]:
+def _cmd_contour_fit(args) -> tuple[str, dict, str, dict]:
     from .pitch import IPU, contour_model_to_dict, fit_contour, parse_f0_csv
     from .svgplot import svg_f0_track_chunks
 
@@ -396,10 +394,10 @@ def _cmd_contour_fit(args, sink: _Sink) -> tuple[str, dict, str]:
     model = fit_contour(track, args.degree, domain)
     stem = _stem(args.f0csv)
     report = {"input": args.f0csv, "model": contour_model_to_dict(model)}
-    sink.put("svg", f"{stem}.contour.svg", lambda: svg_f0_track_chunks(track, [model]))
     coeffs = " ".join(f"{c:.4g}" for c in model.fit.coeffs)
     summary = f"degree={model.fit.degree} rmse={model.fit.rmse:.4g} coeffs=[{coeffs}]"
-    return f"{stem}.contour.json", report, summary
+    renders = {f"{stem}.contour.svg": lambda: svg_f0_track_chunks(track, [model])}
+    return f"{stem}.contour.json", report, summary, renders
 
 
 # ---------------------------------------------------------------------------
@@ -508,12 +506,13 @@ def run(argv: list[str] | None = None) -> int:
     if unknown:
         print(f"error: unknown formats {sorted(unknown)}", file=sys.stderr)
         return 2
-    sink = _Sink(out_dir, formats)
 
     try:
-        json_name, report, summary = args.func(args, sink)
+        json_name, report, summary, renders = args.func(args)
         text = _dumps({"subcommand": args.subcommand, **report})
-        sink.put("json", json_name, lambda: [text])
+        for name, render in {**renders, json_name: lambda: [text]}.items():
+            if name.rpartition(".")[2] in formats:
+                _write(out_dir, name, render)
         print(summary)
         if args.json:
             print(text, end="")

@@ -331,6 +331,13 @@ class TestPolynomialFit:
         with pytest.raises(DegenerateInputError, match="overflow the float range"):
             fit_polynomial(xs, 100.0 + np.arange(10), 3)
 
+    @pytest.mark.parametrize("degree", [1, 3, 5, 9])
+    def test_residuals_beyond_float_range_rejected(self, degree):
+        # squared residuals overflow; from degree 5 the fitted values themselves reach inf - inf
+        ys = np.array([1.7e308, -1.7e308] * 5)
+        with pytest.raises(DegenerateInputError, match="residuals overflow the float range"):
+            fit_polynomial(np.arange(10.0), ys, degree)
+
 
 def _spectrum_with_peaks(n_bins, res, peaks):
     """Low-magnitude noise floor plus spikes at the given (bin, magnitude) pairs."""

@@ -18,10 +18,10 @@ def test_all_seven_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo, tmp_path):
-    # a copy, so that the demo's out/ directory lands in tmp_path
+    # a copy, so that the demo's out/ directory lands in tmp_path; -W error, like pytest's filterwarnings
     script = shutil.copy(demo, tmp_path)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, script], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, "-W", "error", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr

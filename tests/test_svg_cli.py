@@ -652,7 +652,10 @@ class TestCliPlumbing:
         (["contour-fit", "--degree", "3"], "tiny.f0.csv",
          "time_s,f0_hz\n" + "".join(f"{k * 1e-300!r},{100.0 + k}\n" for k in range(10)),
          "overflow the float range"),
-    ], ids=["metrics-variance-overflow", "contour-fit-coefficient-overflow"])
+        (["contour-fit", "--degree", "1"], "big.f0.csv",
+         "time_s,f0_hz\n" + "".join(f"{k / 100!r},{1e300 if k % 2 else 1e-300!r}\n" for k in range(10)),
+         "residuals overflow the float range"),
+    ], ids=["metrics-variance-overflow", "contour-fit-coefficient-overflow", "contour-fit-residual-overflow"])
     def test_non_finite_results_exit_one(self, argv, name, text, what, tmp_path, capsys):
         path = tmp_path / name
         path.write_text(text)
@@ -660,7 +663,7 @@ class TestCliPlumbing:
         assert run([argv[0], str(path), *argv[1:], "--json", "--out-dir", str(out)]) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err and what in err
-        assert not list(out.glob("*.json"))
+        assert not list(out.glob("*"))
 
     def test_non_finite_report_value_is_an_analysis_error(self):
         from prosotime import AnalysisError
@@ -733,7 +736,7 @@ class TestLazyStreamedArtifacts:
         assert run(["metrics", str(words_csv_path), "--formats", formats, "--out-dir", str(out)]) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err and "non-finite" in err
-        assert not list(out.glob("*.json"))
+        assert not list(out.glob("*"))
 
     def test_chunks_join_to_the_public_string(self, am_wave):
         from prosotime import F0Track
@@ -771,7 +774,7 @@ class TestLazyStreamedArtifacts:
 
     def test_render_failing_after_its_first_batch_leaves_no_file(self, tmp_path):
         from prosotime import DegenerateInputError
-        from prosotime.cli import _BATCH, _Sink
+        from prosotime.cli import _BATCH, _write
 
         target = tmp_path / "plot.svg"
 
@@ -781,7 +784,7 @@ class TestLazyStreamedArtifacts:
             raise DegenerateInputError("cannot draw")
 
         with pytest.raises(DegenerateInputError, match="cannot draw"):
-            _Sink(tmp_path, {"svg"}).put("svg", "plot.svg", render)
+            _write(tmp_path, "plot.svg", render)
         assert not target.exists()
 
     def test_render_failing_partway_exits_like_its_error(self, tmp_path, monkeypatch, capsys):
@@ -865,3 +868,49 @@ class TestLazyStreamedArtifacts:
         assert run([*argv, "--json", "--out-dir", str(out)]) == 0
         echoed = capsys.readouterr().out.split("\n", summary_lines)[-1]
         assert echoed == (out / written).read_text(encoding="utf-8")
+
+
+class TestStaleArtifacts:
+    """An artifact this input does not produce removes a file of that name left by an earlier run."""
+
+    @pytest.fixture
+    def two_words_csv(self, tmp_path):
+        """A words.csv of 2 intervals, too few for quadrants, in its own directory so its stem is `words`."""
+        path = tmp_path / "two" / "words.csv"
+        path.parent.mkdir()
+        path.write_text("tier,label,start_s,end_s\nwords,a,0.0,0.3\nwords,b,0.3,0.5\n")
+        return path
+
+    def test_metrics_without_quadrants_removes_old_ones(self, words_csv_path, two_words_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["metrics", str(words_csv_path), "--out-dir", str(out)]) == 0
+        assert sorted(p.name for p in out.glob("*.quadrants.*")) == ["words.quadrants.csv", "words.quadrants.svg"]
+        assert run(["metrics", str(two_words_csv), "--out-dir", str(out)]) == 0
+        assert json.loads((out / "words.metrics.json").read_text())["quadrants"] is None
+        assert [p.name for p in out.iterdir()] == ["words.metrics.json"]
+
+    def test_empty_tone_string_removes_old_track(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["tone-gen", "H L", "--out-dir", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["tones.f0.csv", "tones.f0.svg", "tones.json"]
+        assert run(["tone-gen", "", "--out-dir", str(out)]) == 0
+        assert [p.name for p in out.iterdir()] == ["tones.json"]
+
+    def test_unlisted_formats_are_left_alone(self, words_csv_path, two_words_csv, tmp_path, capsys):
+        out, keep = tmp_path / "out", tmp_path / "keep"
+        assert run(["tone-gen", "H L", "--out-dir", str(out)]) == 0
+        assert run(["metrics", str(words_csv_path), "--out-dir", str(out)]) == 0
+        keep.mkdir()
+        for artifact in out.iterdir():
+            if artifact.suffix != ".json":
+                os.link(artifact, keep / artifact.name)
+        assert len(list(keep.iterdir())) == 4
+        assert run(["tone-gen", "", "--formats", "json", "--out-dir", str(out)]) == 0
+        assert run(["metrics", str(two_words_csv), "--formats", "json", "--out-dir", str(out)]) == 0
+        for kept in keep.iterdir():
+            assert (out / kept.name).samefile(kept)  # the very same file, not rewritten
+
+    def test_removing_creates_no_output_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["tone-gen", "", "--formats", "csv,svg", "--out-dir", str(out)]) == 0
+        assert not out.exists()
