@@ -2,9 +2,10 @@
 
 Supports Praat TextGrid files in both long and short text form (UTF-8 or
 UTF-16 with a byte-order mark) and a flat CSV interchange format with header
-``tier,label,start_s,end_s``.  Point tiers carry no durations and are skipped
-with a warning.  All parse errors carry a line (TextGrid) or row (CSV)
-position.
+``tier,label,start_s,end_s``.  load_annotation reads a file and decides which
+of the two it holds.  TextGrid lines end at CR, LF or CRLF only.  Point tiers
+carry no durations and are skipped with a warning.  All parse errors carry a
+line (TextGrid) or row (CSV) position.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from itertools import islice
+from pathlib import Path
 from typing import Iterator
 
 from .errors import ParameterError, ParseError
@@ -29,6 +31,7 @@ __all__ = [
     "DEFAULT_EXCLUDE_LABELS",
     "parse_textgrid",
     "parse_csv_annotation",
+    "load_annotation",
     "annotation_to_csv",
     "durations",
 ]
@@ -179,90 +182,42 @@ def _decode_document(data: str | bytes) -> str:
 # "intervals [1]:", "points [3]:" -- they carry no value.
 _STRUCT_RE = re.compile(r"^[A-Za-z_][A-Za-z_ ]*\[\d*\]:$")
 
+# A quoted string: "" is the escape for a quote, and a lone " closes it.
+_QUOTED_RE = re.compile(r'"((?:[^"]|"")*)"(?!")')
+
+
+def _lines(text: str) -> list[str]:
+    """The lines of text; unlike str.splitlines(), U+2028, form feeds and the like end none."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
 
 def _unquote(raw: str, line_no: int) -> str:
     """Parse a double-quoted TextGrid string, with "" as the escape for a quote."""
     if not raw.startswith('"'):
         raise ParseError(f"expected a quoted string, got {raw!r}", line=line_no)
-    out: list[str] = []
-    i = 1
-    n = len(raw)
-    while i < n:
-        ch = raw[i]
-        if ch == '"':
-            if i + 1 < n and raw[i + 1] == '"':
-                out.append('"')
-                i += 2
-                continue
-            # closing quote: only whitespace may follow
-            if raw[i + 1 :].strip():
-                raise ParseError(
-                    f"unexpected text after closing quote: {raw!r}", line=line_no
-                )
-            return "".join(out)
-        out.append(ch)
-        i += 1
-    raise ParseError(f"unterminated quoted string: {raw!r}", line=line_no)
+    match = _QUOTED_RE.match(raw)
+    if match is None:
+        raise ParseError(f"unterminated quoted string: {raw!r}", line=line_no)
+    if raw[match.end() :].strip():  # only whitespace may follow the closing quote
+        raise ParseError(f"unexpected text after closing quote: {raw!r}", line=line_no)
+    return match[1].replace('""', '"')
 
 
-class _ValueStream:
-    """Sequence of semantic values shared by the long and short TextGrid forms.
+def _values(lines: list[str], start: int) -> Iterator[tuple[str, int]]:
+    """The values of lines[start:], each with its 1-based document line number.
 
-    Long form lines look like ``xmin = 0.5`` or ``text = "ba"``; short form
-    lines carry the bare payload.  Both reduce to the same value sequence, so
-    a single reader serves both formats.
+    Long-form lines look like ``xmin = 0.5`` or ``text = "ba"``; short-form
+    lines carry the bare value.  Both reduce to the same value sequence, so
+    one reader serves both forms.
     """
-
-    def __init__(self, lines: list[str], start: int):
-        """The values of lines[start:]; items carry 1-based document line numbers."""
-        self._items: list[tuple[str, int]] = []
-        for idx, raw in enumerate(islice(lines, start, None), start=start + 1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith('"'):
-                self._items.append((line, idx))
-            elif "=" in line:
-                self._items.append((line.split("=", 1)[1].strip(), idx))
-            elif _STRUCT_RE.match(line):
-                continue
-            else:
-                self._items.append((line, idx))
-        self._pos = 0
-
-    @property
-    def exhausted(self) -> bool:
-        return self._pos >= len(self._items)
-
-    @property
-    def last_line(self) -> int:
-        return self._items[-1][1] if self._items else 1
-
-    def next_raw(self, what: str) -> tuple[str, int]:
-        if self.exhausted:
-            raise ParseError(
-                f"unexpected end of document while reading {what}", line=self.last_line
-            )
-        item = self._items[self._pos]
-        self._pos += 1
-        return item
-
-    def next_number(self, what: str) -> tuple[float, int]:
-        raw, line_no = self.next_raw(what)
-        try:
-            return float(raw), line_no
-        except ValueError:
-            raise ParseError(f"expected a number for {what}, got {raw!r}", line=line_no) from None
-
-    def next_count(self, what: str) -> tuple[int, int]:
-        value, line_no = self.next_number(what)
-        if not (value >= 0 and value.is_integer()):  # NaN and inf fail too
-            raise ParseError(f"expected a count for {what}, got {value!r}", line=line_no)
-        return int(value), line_no
-
-    def next_string(self, what: str) -> tuple[str, int]:
-        raw, line_no = self.next_raw(what)
-        return _unquote(raw, line_no), line_no
+    for line_no, raw in enumerate(islice(lines, start, None), start=start + 1):
+        line = raw.strip()
+        if line.startswith('"'):
+            yield line, line_no
+        elif "=" in line:
+            yield line.split("=", 1)[1].strip(), line_no
+        elif line and not _STRUCT_RE.match(line):
+            yield line, line_no
 
 
 def parse_textgrid(text: str | bytes, source: str = "<textgrid>") -> AnnotationDoc:
@@ -272,7 +227,7 @@ def parse_textgrid(text: str | bytes, source: str = "<textgrid>") -> AnnotationD
     skipped with an AnnotationWarning.  Raises ParseError (with a line
     number) on malformed input.
     """
-    lines = _decode_document(text).splitlines()
+    lines = _lines(_decode_document(text))
     header = list(islice(((ln.strip(), i) for i, ln in enumerate(lines, start=1) if ln.strip()), 2))
     if len(header) < 2 or "ooTextFile" not in header[0][0]:
         raise ParseError(
@@ -284,30 +239,54 @@ def parse_textgrid(text: str | bytes, source: str = "<textgrid>") -> AnnotationD
             line=header[1][1],
         )
 
-    stream = _ValueStream(lines, header[1][1])  # the body follows the second header line
+    values = _values(lines, header[1][1])  # the body follows the second header line
+    line = 1  # of the last value read, for error messages
 
-    stream.next_number("global xmin")
-    stream.next_number("global xmax")
-    flag, _ = stream.next_raw("tier existence flag")
-    if "<exists>" not in flag:
+    def raw(what: str) -> str:
+        nonlocal line
+        try:
+            value, line = next(values)
+        except StopIteration:
+            raise ParseError(f"unexpected end of document while reading {what}", line=line) from None
+        return value
+
+    def number(what: str) -> float:
+        value = raw(what)
+        try:
+            return float(value)
+        except ValueError:
+            raise ParseError(f"expected a number for {what}, got {value!r}", line=line) from None
+
+    def count(what: str) -> int:
+        value = number(what)
+        if not (value >= 0 and value.is_integer()):  # NaN and inf fail too
+            raise ParseError(f"expected a count for {what}, got {value!r}", line=line)
+        return int(value)
+
+    def string(what: str) -> str:
+        return _unquote(raw(what), line)
+
+    number("global xmin")
+    number("global xmax")
+    if "<exists>" not in raw("tier existence flag"):
         return AnnotationDoc(tiers=(), source=source)
-    n_tiers, _ = stream.next_count("tier count")
+    n_tiers = count("tier count")
 
     tiers: list[Tier] = []
-    seen_names: dict[str, int] = {}
+    seen_names: set[str] = set()
     for _ in range(n_tiers):
-        tier_class, class_line = stream.next_string("tier class")
-        name, name_line = stream.next_string("tier name")
-        stream.next_number("tier xmin")
-        stream.next_number("tier xmax")
+        tier_class, class_line = string("tier class"), line
+        name, name_line = string("tier name"), line
+        number("tier xmin")
+        number("tier xmax")
 
         if tier_class == "IntervalTier":
-            n_iv, _ = stream.next_count(f"interval count of tier {name!r}")
+            n_iv = count(f"interval count of tier {name!r}")
             intervals: list[Interval] = []
             for k in range(n_iv):
-                x0, _ = stream.next_number(f"interval {k + 1} xmin")
-                x1, x1_line = stream.next_number(f"interval {k + 1} xmax")
-                label, _ = stream.next_string(f"interval {k + 1} text")
+                x0 = number(f"interval {k + 1} xmin")
+                x1, x1_line = number(f"interval {k + 1} xmax"), line
+                label = string(f"interval {k + 1} text")
                 try:
                     intervals.append(Interval(label=label, start_s=x0, end_s=x1))
                 except ParameterError as exc:
@@ -318,10 +297,10 @@ def parse_textgrid(text: str | bytes, source: str = "<textgrid>") -> AnnotationD
             except ParameterError as exc:
                 raise ParseError(str(exc), line=name_line) from None
         elif tier_class in ("TextTier", "PointTier"):
-            n_pt, _ = stream.next_count(f"point count of tier {name!r}")
+            n_pt = count(f"point count of tier {name!r}")
             for k in range(n_pt):
-                stream.next_number(f"point {k + 1} time")
-                stream.next_string(f"point {k + 1} mark")
+                number(f"point {k + 1} time")
+                string(f"point {k + 1} mark")
             warnings.warn(
                 f"skipped point tier {name!r} ({n_pt} points): durations need intervals",
                 AnnotationWarning,
@@ -333,7 +312,7 @@ def parse_textgrid(text: str | bytes, source: str = "<textgrid>") -> AnnotationD
 
         if name in seen_names:
             raise ParseError(f"duplicate tier name {name!r}", line=name_line)
-        seen_names[name] = name_line
+        seen_names.add(name)
         tiers.append(tier)
 
     return AnnotationDoc(tiers=tuple(tiers), source=source)
@@ -407,6 +386,18 @@ def parse_csv_annotation(text: str | bytes, source: str = "<csv>") -> Annotation
         tiers.append(Tier(name=tier_name, intervals=tuple(iv for iv, _ in pairs)))
 
     return AnnotationDoc(tiers=tuple(tiers), source=source)
+
+
+def load_annotation(path: str) -> AnnotationDoc:
+    """Read the annotation file at path in whichever of the two formats it holds.
+
+    It is a TextGrid if its name ends in .TextGrid or .grid (any case), or if
+    its first text after any whitespace is ``File type``; otherwise it is CSV.
+    """
+    text = _decode_document(Path(path).read_bytes())
+    if path.lower().endswith((".textgrid", ".grid")) or text.lstrip().startswith("File type"):
+        return parse_textgrid(text, source=path)
+    return parse_csv_annotation(text, source=path)
 
 
 def annotation_to_csv(doc: AnnotationDoc) -> str:

@@ -5,6 +5,9 @@ byte-identical artifacts — and writes only beneath the output directory
 (--out-dir, else $PROSOTIME_OUT_DIR, else ./prosotime_out).  Exit codes:
 0 success, 1 analysis error, 2 usage error.
 
+metrics and timetree read their annotation with annot.load_annotation, which
+decides whether the file is a TextGrid or CSV.
+
 Each handler imports the modules it runs, so a process loads numpy only for
 the subcommands that need it (aems, spectree, calibrate, f0, contour-fit and
 tone-gen); metrics, timetree and intonation run on the standard library.
@@ -34,7 +37,6 @@ from typing import TYPE_CHECKING, Callable, Iterable
 from .errors import AnalysisError, DegenerateInputError, ParseError
 
 if TYPE_CHECKING:
-    from .annot import AnnotationDoc
     from .timetree import TreeParams
 
 OUT_DIR_ENV = "PROSOTIME_OUT_DIR"
@@ -111,20 +113,11 @@ def _spectrum_artifacts(stem: str, spec, fit, zones, report: dict) -> dict:
     }
 
 
-def _load_annotation(path: str) -> AnnotationDoc:
-    from .annot import _decode_document, parse_csv_annotation, parse_textgrid
-
-    text = _decode_document(Path(path).read_bytes())
-    if path.lower().endswith((".textgrid", ".grid")) or text.lstrip().startswith("File type"):
-        return parse_textgrid(text, source=path)
-    return parse_csv_annotation(text, source=path)
-
-
 def _tier_durations(args):
     """The --tier tier (default: the first) of args.annot and its durations."""
-    from .annot import durations
+    from .annot import durations, load_annotation
 
-    doc = _load_annotation(args.annot)
+    doc = load_annotation(args.annot)
     if args.tier is None:
         if not doc.tiers:
             raise DegenerateInputError(f"{doc.source}: no interval tiers")
@@ -271,8 +264,6 @@ def _cmd_spectree(args) -> tuple[str, dict, str, dict]:
     from .audio import read_wav
     from .timetree import induce_spectral_hierarchy
 
-    if args.polarity != "higher":
-        raise _UsageError(f"spectree supports only --polarity higher, got {args.polarity!r}")
     wave = read_wav(args.wav)
     spec = run_aems(wave, cutoff_hz=args.cutoff_hz)
     params = _tree_params(args)
@@ -413,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     tree_flags = argparse.ArgumentParser(add_help=False)
     tree_flags.add_argument("--relation", choices=("iambic", "trochaic"), default="iambic")
-    tree_flags.add_argument("--polarity", choices=("higher", "lower"), default="higher")
     tree_flags.add_argument("--arity", choices=("binary", "nary"), default="binary")
 
     annot_flags = argparse.ArgumentParser(add_help=False)
@@ -448,12 +438,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("timetree", parents=[common, annot_flags, tree_flags], help="induce a metrical time tree from annotated durations")
     p.add_argument("annot")
+    p.add_argument("--polarity", choices=("higher", "lower"), default="higher")
     p.set_defaults(func=_cmd_timetree)
 
     p = sub.add_parser("spectree", parents=[common, tree_flags], help="hierarchical segmentation of a wav's modulation spectrum")
     p.add_argument("wav")
     p.add_argument("--cutoff-hz", type=_positive_float, default=5.0)
-    p.set_defaults(func=_cmd_spectree)
+    p.set_defaults(func=_cmd_spectree, polarity="higher")  # spectral trees are always higher-is-stronger
 
     p = sub.add_parser("tone-gen", parents=[common], help="terracing transduction and pitch realization of an H/L tone string")
     p.add_argument("tones", help="whitespace-separated lexical tones, e.g. 'H L H L H'")

@@ -136,25 +136,71 @@ Object class = "TextGrid"
 
     def test_unknown_tier_class_rejected(self):
         text = SHORT_FORM.replace('"IntervalTier"', '"SpectrogramTier"')
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="unknown tier class") as exc:
             parse_textgrid(text)
+        assert exc.value.line == 8
 
     def test_overlap_rejected_with_line_number(self):
         text = LONG_FORM.replace("xmax = 0.40", "xmax = 0.50", 1)
         with pytest.raises(ParseError) as exc:
             parse_textgrid(text)
         assert "line" in str(exc.value)
+        assert exc.value.line == 11  # the tier's name
+
+    def test_empty_interval_reported_at_its_xmax(self):
+        with pytest.raises(ParseError, match="end_s > start_s") as exc:
+            parse_textgrid(LONG_FORM.replace("xmax = 0.40", "xmax = 0.0", 1))
+        assert exc.value.line == 17
+
+    def test_document_without_values_reported_at_line_1(self):
+        with pytest.raises(ParseError, match="unexpected end of document while reading global xmin") as exc:
+            parse_textgrid('File type = "ooTextFile"\nObject class = "TextGrid"\n\n\n')
+        assert exc.value.line == 1
 
     def test_duplicate_tier_names_rejected(self):
         doubled = SHORT_FORM.replace("\n1\n", "\n2\n", 1) + (
             '"IntervalTier"\n"words"\n0\n1.0\n0\n'
         )
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="duplicate tier name") as exc:
             parse_textgrid(doubled)
+        assert exc.value.line == 23  # the second tier's name
 
     def test_truncated_file(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as exc:
             parse_textgrid(SHORT_FORM[: len(SHORT_FORM) // 2])
+        assert exc.value.line == 8  # the cut falls inside "IntervalTier"
+
+    @pytest.mark.parametrize("form, last_line", [(LONG_FORM, 25), (SHORT_FORM, 20)], ids=["long", "short"])
+    def test_end_of_document_reported_at_the_last_value(self, form, last_line):
+        # drop the last label; the blank lines after the cut carry no value
+        cut = "\n".join(form.split("\n")[:-2]) + "\n\n\n"
+        with pytest.raises(ParseError, match="unexpected end of document while reading interval 3 text") as exc:
+            parse_textgrid(cut)
+        assert exc.value.line == last_line
+
+
+# characters that str.splitlines() treats as line ends but a TextGrid does not
+NOT_LINE_ENDS = ("\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
+
+
+class TestTextGridLineEnds:
+    @pytest.mark.parametrize("char", NOT_LINE_ENDS, ids=[f"U+{ord(c):04X}" for c in NOT_LINE_ENDS])
+    @pytest.mark.parametrize("form, world_line", [(LONG_FORM, 26), (SHORT_FORM, 21)], ids=["long", "short"])
+    def test_only_cr_and_lf_end_a_line(self, form, world_line, char):
+        text = form.replace('"hello"', f'"hel{char}lo"')
+        assert parse_textgrid(text).tier("words").intervals[0].label == f"hel{char}lo"
+        # a line after the label keeps its number
+        with pytest.raises(ParseError, match="unterminated quoted string") as exc:
+            parse_textgrid(text.replace('"world"', '"world'))
+        assert exc.value.line == world_line
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["CRLF", "CR"])
+    @pytest.mark.parametrize("form, world_line", [(LONG_FORM, 26), (SHORT_FORM, 21)], ids=["long", "short"])
+    def test_cr_and_crlf_end_lines(self, form, world_line, end):
+        assert parse_textgrid(form.replace("\n", end)) == parse_textgrid(form)
+        with pytest.raises(ParseError, match="unterminated quoted string") as exc:
+            parse_textgrid(form.replace('"world"', '"world').replace("\n", end))
+        assert exc.value.line == world_line
 
 
 class TestIntervalAndTier:

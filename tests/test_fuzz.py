@@ -1,15 +1,17 @@
 """Parser and argv fuzzing.
 
-Random and mutated bytes end in a value or an AnalysisError, and random
-command lines end in exit 0, 1 or 2 without a traceback.  Derandomized and
-bounded, so that every run feeds the same cases and the suite stays a few
-seconds long.
+Random and mutated bytes end in a value or an AnalysisError, mutated
+TextGrids parse exactly as the former TextGrid reader (kept below as an
+oracle) parses them, and random command lines end in exit 0, 1 or 2 without
+a traceback.  Derandomized and bounded, so that every run feeds the same cases
+and the suite stays a few seconds long.
 """
 
 import contextlib
 import io
 import os
 import warnings
+from itertools import islice
 from datetime import timedelta
 from unittest import mock
 
@@ -30,7 +32,9 @@ from prosotime import (
     transduce_tones,
     write_wav_pcm16,
 )
+from prosotime.annot import _STRUCT_RE, AnnotationDoc, Interval, Tier, _decode_document, _lines, _unquote
 from prosotime.cli import OUT_DIR_ENV, run
+from prosotime.errors import ParameterError
 from prosotime.pitch import f0_track_to_csv
 
 TEXTGRID_LONG = """File type = "ooTextFile"
@@ -96,13 +100,13 @@ TOKENS = (b"\r", b"\n", b'"', b",", b"\x00", b"\xff", b"1e400", b"-1e400", b"nan
 
 
 @st.composite
-def mutated(draw, seeds):
+def mutated(draw, seeds, tokens=TOKENS):
     """A seed document after up to four splices of random bytes or tokens, behind a BOM."""
     doc = bytearray(draw(st.sampled_from(seeds)))
     for _ in range(draw(st.integers(0, 4))):
         i = draw(st.integers(0, len(doc)))
         j = draw(st.integers(i, min(len(doc), i + 12)))
-        doc[i:j] = draw(st.binary(max_size=6) | st.sampled_from(TOKENS))
+        doc[i:j] = draw(st.binary(max_size=6) | st.sampled_from(tokens))
     return draw(st.sampled_from(BOMS)) + bytes(doc)
 
 
@@ -157,6 +161,208 @@ class TestParserFuzz:
     def test_undecodable_text_after_a_bom_is_a_parse_error(self, parse, data):
         with pytest.raises(ParseError, match="not valid UTF"):
             parse(data)
+
+
+# ---------------------------------------------------------------------------
+# the former TextGrid reader, kept as an oracle for parse_textgrid
+# ---------------------------------------------------------------------------
+
+
+def _former_unquote(raw: str, line_no: int) -> str:
+    """Parse a double-quoted TextGrid string, with "" as the escape for a quote."""
+    if not raw.startswith('"'):
+        raise ParseError(f"expected a quoted string, got {raw!r}", line=line_no)
+    out: list[str] = []
+    i = 1
+    n = len(raw)
+    while i < n:
+        ch = raw[i]
+        if ch == '"':
+            if i + 1 < n and raw[i + 1] == '"':
+                out.append('"')
+                i += 2
+                continue
+            # closing quote: only whitespace may follow
+            if raw[i + 1 :].strip():
+                raise ParseError(
+                    f"unexpected text after closing quote: {raw!r}", line=line_no
+                )
+            return "".join(out)
+        out.append(ch)
+        i += 1
+    raise ParseError(f"unterminated quoted string: {raw!r}", line=line_no)
+
+
+class _FormerValueStream:
+    """Sequence of semantic values shared by the long and short TextGrid forms."""
+
+    def __init__(self, lines: list[str], start: int):
+        """The values of lines[start:]; items carry 1-based document line numbers."""
+        self._items: list[tuple[str, int]] = []
+        for idx, raw in enumerate(islice(lines, start, None), start=start + 1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith('"'):
+                self._items.append((line, idx))
+            elif "=" in line:
+                self._items.append((line.split("=", 1)[1].strip(), idx))
+            elif _STRUCT_RE.match(line):
+                continue
+            else:
+                self._items.append((line, idx))
+        self._pos = 0
+
+    @property
+    def exhausted(self) -> bool:
+        return self._pos >= len(self._items)
+
+    @property
+    def last_line(self) -> int:
+        return self._items[-1][1] if self._items else 1
+
+    def next_raw(self, what: str) -> tuple[str, int]:
+        if self.exhausted:
+            raise ParseError(
+                f"unexpected end of document while reading {what}", line=self.last_line
+            )
+        item = self._items[self._pos]
+        self._pos += 1
+        return item
+
+    def next_number(self, what: str) -> tuple[float, int]:
+        raw, line_no = self.next_raw(what)
+        try:
+            return float(raw), line_no
+        except ValueError:
+            raise ParseError(f"expected a number for {what}, got {raw!r}", line=line_no) from None
+
+    def next_count(self, what: str) -> tuple[int, int]:
+        value, line_no = self.next_number(what)
+        if not (value >= 0 and value.is_integer()):  # NaN and inf fail too
+            raise ParseError(f"expected a count for {what}, got {value!r}", line=line_no)
+        return int(value), line_no
+
+    def next_string(self, what: str) -> tuple[str, int]:
+        raw, line_no = self.next_raw(what)
+        return _former_unquote(raw, line_no), line_no
+
+
+def _former_parse_textgrid(text, source="<textgrid>"):
+    """The former parse_textgrid, splitting lines as the current one does."""
+    lines = _lines(_decode_document(text))
+    header = list(islice(((ln.strip(), i) for i, ln in enumerate(lines, start=1) if ln.strip()), 2))
+    if len(header) < 2 or "ooTextFile" not in header[0][0]:
+        raise ParseError(
+            'not a TextGrid: first line must contain File type = "ooTextFile"', line=1
+        )
+    if "TextGrid" not in header[1][0]:
+        raise ParseError(
+            'not a TextGrid: second line must contain Object class = "TextGrid"',
+            line=header[1][1],
+        )
+
+    stream = _FormerValueStream(lines, header[1][1])  # the body follows the second header line
+
+    stream.next_number("global xmin")
+    stream.next_number("global xmax")
+    flag, _ = stream.next_raw("tier existence flag")
+    if "<exists>" not in flag:
+        return AnnotationDoc(tiers=(), source=source)
+    n_tiers, _ = stream.next_count("tier count")
+
+    tiers: list[Tier] = []
+    seen_names: dict[str, int] = {}
+    for _ in range(n_tiers):
+        tier_class, class_line = stream.next_string("tier class")
+        name, name_line = stream.next_string("tier name")
+        stream.next_number("tier xmin")
+        stream.next_number("tier xmax")
+
+        if tier_class == "IntervalTier":
+            n_iv, _ = stream.next_count(f"interval count of tier {name!r}")
+            intervals: list[Interval] = []
+            for k in range(n_iv):
+                x0, _ = stream.next_number(f"interval {k + 1} xmin")
+                x1, x1_line = stream.next_number(f"interval {k + 1} xmax")
+                label, _ = stream.next_string(f"interval {k + 1} text")
+                try:
+                    intervals.append(Interval(label=label, start_s=x0, end_s=x1))
+                except ParameterError as exc:
+                    raise ParseError(str(exc), line=x1_line) from None
+            intervals.sort(key=lambda iv: iv.start_s)
+            try:
+                tier = Tier(name=name, intervals=tuple(intervals))
+            except ParameterError as exc:
+                raise ParseError(str(exc), line=name_line) from None
+        elif tier_class in ("TextTier", "PointTier"):
+            n_pt, _ = stream.next_count(f"point count of tier {name!r}")
+            for k in range(n_pt):
+                stream.next_number(f"point {k + 1} time")
+                stream.next_string(f"point {k + 1} mark")
+            warnings.warn(
+                f"skipped point tier {name!r} ({n_pt} points): durations need intervals",
+                AnnotationWarning,
+                stacklevel=2,
+            )
+            continue
+        else:
+            raise ParseError(f"unknown tier class {tier_class!r}", line=class_line)
+
+        if name in seen_names:
+            raise ParseError(f"duplicate tier name {name!r}", line=name_line)
+        seen_names[name] = name_line
+        tiers.append(tier)
+
+    return AnnotationDoc(tiers=tuple(tiers), source=source)
+
+
+def _outcome(call, *args):
+    """What call(*args) returns or raises, and the warnings it gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = ("value", call(*args))
+        except AnalysisError as exc:
+            result = (type(exc).__name__, str(exc), getattr(exc, "line", None))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+# line ends that only str.splitlines() honours
+SPLITLINES_BREAKS = "\u2028\u2029\x85\x0b\x0c\x1c\x1d\x1e"
+TEXT_TOKENS = tuple(tok.decode("utf-8", "replace") for tok in TOKENS) + tuple(SPLITLINES_BREAKS)
+
+
+@st.composite
+def mutated_text(draw, seeds):
+    """A seed text after up to four splices of random text or tokens, then encoded."""
+    doc = draw(st.sampled_from(seeds))
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(doc)))
+        j = draw(st.integers(i, min(len(doc), i + 12)))
+        doc = doc[:i] + draw(st.text(max_size=6) | st.sampled_from(TEXT_TOKENS)) + doc[j:]
+    return doc.encode(draw(st.sampled_from(("utf-8", "utf-8-sig", "utf-16"))))
+
+
+# the long and short seeds with LF and CRLF line ends; UTF-16 seeds come from _seeds and the encoder
+ORACLE_SEEDS = [form.replace("\n", end) for form in (TEXTGRID_LONG, TEXTGRID_SHORT) for end in ("\n", "\r\n")]
+ORACLE_TEXTGRIDS = st.one_of(
+    mutated(_seeds(*ORACLE_SEEDS), TOKENS + tuple(ch.encode("utf-8") for ch in SPLITLINES_BREAKS)),
+    mutated_text(ORACLE_SEEDS),
+)
+
+
+class TestTextGridOracle:
+    @settings(max_examples=600, derandomize=True, deadline=None)
+    @given(data=ORACLE_TEXTGRIDS)
+    def test_matches_former_reader(self, data):
+        assert _outcome(parse_textgrid, data) == _outcome(_former_parse_textgrid, data)
+
+    @settings(max_examples=1000, derandomize=True, deadline=None)
+    @given(raw=st.text(st.sampled_from('"ab= \t'), max_size=10).flatmap(
+        lambda s: st.sampled_from((s, '"' + s))))
+    def test_unquote_matches_former_loop(self, raw):
+        assert _outcome(_unquote, raw, 7) == _outcome(_former_unquote, raw, 7)
 
 
 # ---------------------------------------------------------------------------

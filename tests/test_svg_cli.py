@@ -10,10 +10,9 @@ import struct
 import time
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
-
-jsonschema = pytest.importorskip("jsonschema")
 
 from prosotime import (
     TreeParams,
