@@ -293,15 +293,16 @@ def fit_polynomial(xs, ys, degree) -> PolyFit:
     )
 
 
-def _local_extrema(y):
-    """Indices of strict local maxima and minima of a 1-D array."""
-    maxima, minima = [], []
-    for i in range(1, len(y) - 1):
-        if y[i] > y[i - 1] and y[i] >= y[i + 1]:
-            maxima.append(i)
-        elif y[i] < y[i - 1] and y[i] <= y[i + 1]:
-            minima.append(i)
-    return maxima, minima
+def _peaks(y):
+    """Strict local maxima of a 1-D array, each with its flanking local minima
+    (or the array's ends): (maxima, lo, hi) index arrays."""
+    # neighbours are compared slice to slice, not through np.diff, so inf compares as itself
+    left, mid, right = y[:-2], y[1:-1], y[2:]
+    maxima = np.flatnonzero((mid > left) & (mid >= right)) + 1
+    minima = np.flatnonzero((mid < left) & (mid <= right)) + 1
+    bounds = np.concatenate(([0], minima, [len(y) - 1]))
+    k = np.searchsorted(minima, maxima)
+    return maxima, bounds[k], bounds[k + 1]
 
 
 def shape_zones(spec: Spectrum, min_prominence=0.1, min_separation_hz=0.0):
@@ -318,17 +319,13 @@ def shape_zones(spec: Spectrum, min_prominence=0.1, min_separation_hz=0.0):
     mags = spec.magnitudes
     fit = fit_polynomial(freqs, mags, min(9, len(spec) - 1))
     shape = fit.evaluate(freqs)
-    maxima, minima = _local_extrema(shape)
     top = float(np.max(mags))
     if top <= 0:
         return fit, []
 
     zones = []
-    for m in maxima:
-        left_candidates = [i for i in minima if i < m]
-        right_candidates = [i for i in minima if i > m]
-        lo_i = max(left_candidates) if left_candidates else 0
-        hi_i = min(right_candidates) if right_candidates else len(shape) - 1
+    maxima, lo, hi = _peaks(shape)
+    for m, lo_i, hi_i in zip(maxima.tolist(), lo.tolist(), hi.tolist()):
         prominence = float(shape[m] - max(shape[lo_i], shape[hi_i]))
         if prominence <= 0 or prominence < min_prominence * top:
             continue

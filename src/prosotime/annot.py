@@ -1,11 +1,17 @@
 """Interval annotations: TextGrid / CSV parsing and duration extraction.
 
-Supports Praat TextGrid files in both long and short text form (UTF-8 or
-UTF-16 with a byte-order mark) and a flat CSV interchange format with header
-``tier,label,start_s,end_s``.  load_annotation reads a file and decides which
-of the two it holds.  TextGrid lines end at CR, LF or CRLF only.  Point tiers
-carry no durations and are skipped with a warning.  All parse errors carry a
-line (TextGrid) or row (CSV) position.
+Supports Praat TextGrid files in both long and short text form and a flat CSV
+interchange format with header ``tier,label,start_s,end_s``; load_annotation
+decides which of the two a file holds.  Point tiers carry no durations and are
+skipped with a warning.
+
+Every text table the toolkit reads, annotations and F0 CSVs alike, is decoded
+and split here: UTF-16 after its byte-order mark, else UTF-8 with or without
+one, a bad byte being a ParseError that names the file and its byte offset.
+TextGrid lines end at CR, LF or CRLF; CSV lines at LF or CRLF, with a CR
+elsewhere outside quotes a malformed line; no other character ends a line.  CSV
+fields may be quoted.  Other parse errors carry a line (TextGrid) or row (CSV)
+position.
 """
 
 from __future__ import annotations
@@ -159,19 +165,21 @@ class DurationSequence:
 # ---------------------------------------------------------------------------
 
 
-def _decode_document(data: str | bytes) -> str:
-    """Decode a document to text, honoring UTF-8/UTF-16 byte-order marks."""
+def _decode_document(data: str | bytes, source: str) -> str:
+    """Decode a document to text: UTF-16 after its byte-order mark, else UTF-8.
+
+    A byte that does not decode is a ParseError naming source and the byte's
+    offset in the file.
+    """
     if isinstance(data, str):
-        return data.lstrip("﻿")
-    name, codec = "UTF-8", "utf-8"
-    if data.startswith(b"\xef\xbb\xbf"):
-        codec = "utf-8-sig"
-    elif data.startswith(b"\xff\xfe") or data.startswith(b"\xfe\xff"):
-        name, codec = "UTF-16", "utf-16"
+        return data.lstrip("\ufeff")
+    codec = "utf-16" if data.startswith((b"\xff\xfe", b"\xfe\xff")) else "utf-8"
     try:
-        return data.decode(codec)
+        text = data.decode(codec)
     except UnicodeDecodeError as exc:
-        raise ParseError(f"document is not valid {name}: {exc}") from None
+        raise ParseError(f"{source}: not valid {codec.upper()} text", offset=exc.start) from None
+    # the utf-16 codec drops its mark itself; utf-8-sig would report offsets 3 bytes low
+    return text.removeprefix("\ufeff") if codec == "utf-8" else text
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +195,7 @@ _QUOTED_RE = re.compile(r'"((?:[^"]|"")*)"(?!")')
 
 
 def _lines(text: str) -> list[str]:
-    """The lines of text; unlike str.splitlines(), U+2028, form feeds and the like end none."""
+    """The lines of text, ended by CR, LF or CRLF only: U+2028, form feeds and the like end none."""
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
@@ -227,7 +235,7 @@ def parse_textgrid(text: str | bytes, source: str = "<textgrid>") -> AnnotationD
     skipped with an AnnotationWarning.  Raises ParseError (with a line
     number) on malformed input.
     """
-    lines = _lines(_decode_document(text))
+    lines = _lines(_decode_document(text, source))
     header = list(islice(((ln.strip(), i) for i, ln in enumerate(lines, start=1) if ln.strip()), 2))
     if len(header) < 2 or "ooTextFile" not in header[0][0]:
         raise ParseError(
@@ -319,17 +327,32 @@ def parse_textgrid(text: str | bytes, source: str = "<textgrid>") -> AnnotationD
 
 
 # ---------------------------------------------------------------------------
-# CSV annotation format
+# CSV tables: the annotation format here, F0 tracks in pitch
 # ---------------------------------------------------------------------------
 
 _CSV_HEADER = ("tier", "label", "start_s", "end_s")
 
 
-def _csv_rows(text: str) -> Iterator[list[str]]:
-    """The CSV records of text; a record the csv module rejects is a ParseError."""
-    reader = csv.reader(io.StringIO(text))
+def _csv_table(text: str | bytes, header: tuple[str, ...], source: str) -> Iterator[tuple[int, list[str]]]:
+    """The non-blank records of a CSV document after its header, with their row numbers.
+
+    The header is row 1 and must read header once its fields are stripped;
+    every later record must hold one field per header name.  A record the
+    csv module rejects is a ParseError at its line.
+    """
+    reader = csv.reader(io.StringIO(_decode_document(text, source)))
     try:
-        yield from reader
+        first = next(reader, None)
+        if first is None:
+            raise ParseError("empty document: missing CSV header", row=1)
+        if tuple(h.strip() for h in first) != header:
+            raise ParseError(f"bad CSV header {first!r}, expected {','.join(header)}", row=1)
+        for row_no, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue  # blank line
+            if len(row) != len(header):
+                raise ParseError(f"expected {len(header)} fields, got {len(row)}", row=row_no)
+            yield row_no, row
     except csv.Error as exc:
         raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
 
@@ -341,25 +364,9 @@ def parse_csv_annotation(text: str | bytes, source: str = "<csv>") -> Annotation
     and validated against overlap.  Raises ParseError with a 1-based row
     number (the header is row 1) on malformed rows.
     """
-    reader = _csv_rows(_decode_document(text))
-
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty document: missing CSV header", row=1) from None
-    if tuple(h.strip() for h in header) != _CSV_HEADER:
-        raise ParseError(
-            f"bad CSV header {header!r}, expected {','.join(_CSV_HEADER)}", row=1
-        )
-
     # tier name -> list of (Interval, source row)
     grouped: dict[str, list[tuple[Interval, int]]] = {}
-    for row_no, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue  # blank line
-        if len(row) != 4:
-            raise ParseError(f"expected 4 fields, got {len(row)}", row=row_no)
-        tier_name, label, start_raw, end_raw = row
+    for row_no, (tier_name, label, start_raw, end_raw) in _csv_table(text, _CSV_HEADER, source):
         try:
             start_s = float(start_raw)
             end_s = float(end_raw)
@@ -394,7 +401,7 @@ def load_annotation(path: str) -> AnnotationDoc:
     It is a TextGrid if its name ends in .TextGrid or .grid (any case), or if
     its first text after any whitespace is ``File type``; otherwise it is CSV.
     """
-    text = _decode_document(Path(path).read_bytes())
+    text = _decode_document(Path(path).read_bytes(), path)
     if path.lower().endswith((".textgrid", ".grid")) or text.lstrip().startswith("File type"):
         return parse_textgrid(text, source=path)
     return parse_csv_annotation(text, source=path)

@@ -34,7 +34,7 @@ from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from .errors import AnalysisError, DegenerateInputError, ParseError
+from .errors import AnalysisError, DegenerateInputError
 
 if TYPE_CHECKING:
     from .timetree import TreeParams
@@ -371,12 +371,7 @@ def _cmd_contour_fit(args) -> tuple[str, dict, str, dict]:
     from .pitch import IPU, contour_model_to_dict, fit_contour, parse_f0_csv
     from .svgplot import svg_f0_track_chunks
 
-    try:
-        # a BOM is dropped after decoding, so error offsets stay file offsets
-        text = Path(args.f0csv).read_text(encoding="utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{args.f0csv}: not UTF-8 text", offset=exc.start) from None
-    track = parse_f0_csv(text)
+    track = parse_f0_csv(Path(args.f0csv).read_bytes(), source=args.f0csv)
     domain = None
     if args.start_s is not None or args.end_s is not None:
         if args.start_s is None or args.end_s is None:

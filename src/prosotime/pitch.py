@@ -17,6 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .aems import PolyFit, fit_polynomial
+from .annot import _csv_table
 from .audio import Waveform, _frozen_array, _ms_to_samples, _positive
 from .errors import DegenerateInputError, ParameterError, ParseError
 
@@ -292,31 +293,26 @@ def f0_track_csv_chunks(track: F0Track) -> Iterator[str]:
         yield f"{t!r},\n" if math.isnan(v) else f"{t!r},{v!r}\n"
 
 
-def parse_f0_csv(text: str) -> F0Track:
+def parse_f0_csv(text: str | bytes, source: str = "<f0 csv>") -> F0Track:
     """Parse the `time_s,f0_hz` CSV form (as produced by f0_track_to_csv).
 
-    Accepts externally produced tracks as long as the frame times advance
-    uniformly.  Raises ParseError with a row number on malformed rows.
+    The text is read as an annotation CSV is (see annot): bytes are UTF-16
+    after a byte-order mark and UTF-8 otherwise, rows end at LF or CRLF only,
+    and fields may be quoted.  Accepts externally produced tracks as long as
+    the frame times advance uniformly.  Raises ParseError with a row number
+    on malformed rows.
     """
-    lines = text.splitlines()
-    if not lines or [p.strip() for p in lines[0].split(",")] != ["time_s", "f0_hz"]:
-        raise ParseError("expected header time_s,f0_hz", row=1)
     times: list[float] = []
     f0: list[float] = []
-    for row_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"expected 2 fields, got {len(parts)}", row=row_no)
+    for row_no, row in _csv_table(text, ("time_s", "f0_hz"), source):
         # an empty f0 marks an unvoiced frame, as NaN; no text may give NaN itself
-        f_raw = parts[1].strip()
+        f_raw = row[1].strip()
         try:
-            t, v = float(parts[0]), float(f_raw) if f_raw else math.nan
+            t, v = float(row[0]), float(f_raw) if f_raw else math.nan
         except ValueError:
             t = v = math.nan
         if not (math.isfinite(t) and (math.isfinite(v) or not f_raw)):
-            raise ParseError(f"expected a finite time and f0, got {line!r}", row=row_no)
+            raise ParseError(f"expected a finite time and f0, got {','.join(row)!r}", row=row_no)
         times.append(t)
         f0.append(v)
     hop = times[1] - times[0] if len(times) >= 2 else 0.01

@@ -23,7 +23,7 @@ from prosotime import (
     synthesize_am,
     zscore,
 )
-from prosotime.aems import _window_peaks, spectrum_to_csv
+from prosotime.aems import _peaks, _window_peaks, spectrum_to_csv
 
 
 def naive_dft_magnitudes(values, rate, cutoff_hz, zero_mean=True):
@@ -390,6 +390,37 @@ class TestZoneDetection:
             assert zones, f"no zone at {mod_hz} Hz"
             best = min(zones, key=lambda z: abs(z.center_hz - mod_hz))
             assert abs(best.center_hz - mod_hz) <= spec.resolution_hz + 1e-9
+
+
+def _former_peaks(y):
+    """The former extrema loop and flanking-minimum scans, kept as an oracle for _peaks."""
+    maxima, minima = [], []
+    for i in range(1, len(y) - 1):
+        if y[i] > y[i - 1] and y[i] >= y[i + 1]:
+            maxima.append(i)
+        elif y[i] < y[i - 1] and y[i] <= y[i + 1]:
+            minima.append(i)
+    out = []
+    for m in maxima:
+        left_candidates = [i for i in minima if i < m]
+        right_candidates = [i for i in minima if i > m]
+        lo_i = max(left_candidates) if left_candidates else 0
+        hi_i = min(right_candidates) if right_candidates else len(y) - 1
+        out.append((m, lo_i, hi_i))
+    return out
+
+
+class TestPeaksOracle:
+    def test_matches_former_loop(self):
+        # few distinct values, so plateaus are common; inf, -inf and nan among them
+        rng = np.random.default_rng(19)
+        values = np.array([-1.0, 0.0, 1.0, 2.0, np.inf, -np.inf, np.nan])
+        for _ in range(20_000):
+            n = int(rng.integers(0, 14))
+            pool = values if rng.random() < 0.5 else values[:3]
+            y = pool[rng.integers(0, len(pool), n)]
+            got = list(zip(*(a.tolist() for a in _peaks(y))))
+            assert got == _former_peaks(y), y
 
 
 def _dual_modulator_wave():

@@ -1,15 +1,17 @@
 """Parser and argv fuzzing.
 
 Random and mutated bytes end in a value or an AnalysisError, mutated
-TextGrids parse exactly as the former TextGrid reader (kept below as an
-oracle) parses them, and random command lines end in exit 0, 1 or 2 without
-a traceback.  Derandomized and bounded, so that every run feeds the same cases
+TextGrids and F0 CSVs parse as the former readers (kept below as oracles,
+splitting lines as the current ones do) parse them, and random command lines
+end in exit 0, 1 or 2 without a traceback.  Derandomized and bounded, so that every run feeds the same cases
 and the suite stays a few seconds long.
 """
 
 import contextlib
 import io
+import math
 import os
+import sys
 import warnings
 from itertools import islice
 from datetime import timedelta
@@ -35,7 +37,7 @@ from prosotime import (
 from prosotime.annot import _STRUCT_RE, AnnotationDoc, Interval, Tier, _decode_document, _lines, _unquote
 from prosotime.cli import OUT_DIR_ENV, run
 from prosotime.errors import ParameterError
-from prosotime.pitch import f0_track_to_csv
+from prosotime.pitch import F0Track, f0_track_to_csv
 
 TEXTGRID_LONG = """File type = "ooTextFile"
 Object class = "TextGrid"
@@ -146,8 +148,7 @@ class TestParserFuzz:
     @FUZZ
     @given(data=st.one_of(F0_CSVS, RANDOM))
     def test_f0_csv(self, data):
-        # parse_f0_csv takes text; latin-1 maps every byte string onto some text
-        _value_or_analysis_error(parse_f0_csv, data.decode("latin-1"))
+        _value_or_analysis_error(parse_f0_csv, data)
 
     def test_seeds_are_valid_documents(self):
         with pytest.warns(AnnotationWarning, match="point tier"):
@@ -156,7 +157,7 @@ class TestParserFuzz:
         assert len(parse_csv_annotation(b"\xef\xbb\xbf" + CSV_DOC.encode()).tiers) == 2
         assert parse_f0_csv(F0_DOC).voiced_count == 2
 
-    @pytest.mark.parametrize("parse", [parse_textgrid, parse_csv_annotation])
+    @pytest.mark.parametrize("parse", [parse_textgrid, parse_csv_annotation, parse_f0_csv])
     @pytest.mark.parametrize("data", [b"\xff\xfeA", b"\xef\xbb\xbftier\xff", b"\xfe\xff\xd8\x00"])
     def test_undecodable_text_after_a_bom_is_a_parse_error(self, parse, data):
         with pytest.raises(ParseError, match="not valid UTF"):
@@ -250,7 +251,7 @@ class _FormerValueStream:
 
 def _former_parse_textgrid(text, source="<textgrid>"):
     """The former parse_textgrid, splitting lines as the current one does."""
-    lines = _lines(_decode_document(text))
+    lines = _lines(_decode_document(text, source))
     header = list(islice(((ln.strip(), i) for i, ln in enumerate(lines, start=1) if ln.strip()), 2))
     if len(header) < 2 or "ooTextFile" not in header[0][0]:
         raise ParseError(
@@ -334,13 +335,13 @@ TEXT_TOKENS = tuple(tok.decode("utf-8", "replace") for tok in TOKENS) + tuple(SP
 
 
 @st.composite
-def mutated_text(draw, seeds):
+def mutated_text(draw, seeds, splices=st.text(max_size=6) | st.sampled_from(TEXT_TOKENS)):
     """A seed text after up to four splices of random text or tokens, then encoded."""
     doc = draw(st.sampled_from(seeds))
     for _ in range(draw(st.integers(0, 4))):
         i = draw(st.integers(0, len(doc)))
         j = draw(st.integers(i, min(len(doc), i + 12)))
-        doc = doc[:i] + draw(st.text(max_size=6) | st.sampled_from(TEXT_TOKENS)) + doc[j:]
+        doc = doc[:i] + draw(splices) + doc[j:]
     return doc.encode(draw(st.sampled_from(("utf-8", "utf-8-sig", "utf-16"))))
 
 
@@ -363,6 +364,89 @@ class TestTextGridOracle:
         lambda s: st.sampled_from((s, '"' + s))))
     def test_unquote_matches_former_loop(self, raw):
         assert _outcome(_unquote, raw, 7) == _outcome(_former_unquote, raw, 7)
+
+
+# ---------------------------------------------------------------------------
+# the former F0 CSV reader, kept as an oracle for parse_f0_csv
+# ---------------------------------------------------------------------------
+
+
+def _former_parse_f0_csv(data):
+    """The former parse_f0_csv, on text decoded and split into lines as the current one does.
+
+    The former split rows with str.splitlines(); now a row ends at LF, any CRs
+    before it dropped, and a CR left inside a line (or, before Python 3.11, a
+    NUL) is a malformed line, as csv.reader finds.
+    """
+    lines = _decode_document(data, "<f0 csv>").split("\n")
+
+    def line(k):
+        text = lines[k].rstrip("\r")
+        if "\r" in text or ("\x00" in text and sys.version_info < (3, 11)):
+            raise ParseError("malformed CSV", line=k + 1)
+        return text
+
+    if [p.strip() for p in line(0).split(",")] != ["time_s", "f0_hz"]:
+        raise ParseError("expected header time_s,f0_hz", row=1)
+    times: list[float] = []
+    f0: list[float] = []
+    for row_no in range(2, len(lines) + 1):
+        text = line(row_no - 1)
+        if not text.strip():
+            continue
+        parts = text.split(",")
+        if len(parts) != 2:
+            raise ParseError(f"expected 2 fields, got {len(parts)}", row=row_no)
+        f_raw = parts[1].strip()
+        try:
+            t, v = float(parts[0]), float(f_raw) if f_raw else math.nan
+        except ValueError:
+            t = v = math.nan
+        if not (math.isfinite(t) and (math.isfinite(v) or not f_raw)):
+            raise ParseError(f"expected a finite time and f0, got {text!r}", row=row_no)
+        times.append(t)
+        f0.append(v)
+    hop = times[1] - times[0] if len(times) >= 2 else 0.01
+    try:
+        return F0Track(times_s=times, f0_hz=f0, hop_s=hop)
+    except ParameterError as exc:
+        raise ParseError(str(exc)) from None
+
+
+def _f0_outcome(parse, data):
+    """The track parse(data) gives, bit for bit, or its error.
+
+    Header errors compare by their row alone, since the header message took
+    the annotation reader's wording, and malformed lines by their line alone.
+    """
+    try:
+        track = parse(data)
+    except ParseError as exc:
+        if exc.row == 1:
+            return ("header", 1)
+        if str(exc).startswith("malformed CSV"):
+            return ("malformed CSV", exc.line)
+        return ("ParseError", str(exc))
+    except AnalysisError as exc:
+        return (type(exc).__name__, str(exc))
+    return ("value", track.times_s.tobytes(), track.f0_hz.tobytes(), track.hop_s)
+
+
+# a longer track, so that most splices fall in rows rather than in the header
+F0_LONG = "time_s,f0_hz\n" + "".join(f"{k / 100!r},{'' if k % 4 == 3 else 100.0 + k}\n" for k in range(16))
+# quoted fields are new, so no quote enters these documents
+F0_ORACLE = mutated_text(
+    [doc.replace("\n", end) for doc in (F0_DOC, F0_LONG) for end in ("\n", "\r\n")],
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters='"'), max_size=6)
+    | st.sampled_from(tuple(tok for tok in TEXT_TOKENS if '"' not in tok)),
+)
+
+
+class TestF0CsvOracle:
+    @settings(max_examples=600, derandomize=True, deadline=None)
+    @given(data=F0_ORACLE)
+    def test_matches_former_reader(self, data):
+        assert _f0_outcome(parse_f0_csv, data) == _f0_outcome(_former_parse_f0_csv, data)
 
 
 # ---------------------------------------------------------------------------

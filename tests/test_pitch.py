@@ -275,6 +275,33 @@ class TestCsvRoundTrip:
             parse_f0_csv("time_s,f0_hz\n0.0,abc\n")
         assert "row" in str(exc.value)
 
+    # characters str.splitlines() takes for line ends; in an F0 CSV they are row text
+    @pytest.mark.parametrize("ch", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+    def test_only_lf_and_crlf_end_a_row(self, ch):
+        # float() strips the character as whitespace, so row 2 parses and row 3 fails
+        for end in ("\n", "\r\n"):
+            text = end.join(["time_s,f0_hz", f"0.0,1{ch}", "0.01,x", ""])
+            with pytest.raises(ParseError, match=r"got '0\.01,x' \(row 3\)$"):
+                parse_f0_csv(text)
+        assert parse_f0_csv(f"time_s,f0_hz\n0.0,1{ch}\n0.01,2\n").voiced_count == 2
+
+    def test_bare_cr_is_a_malformed_line(self):
+        with pytest.raises(ParseError, match=r"^malformed CSV: .* \(line 2\)$"):
+            parse_f0_csv("time_s,f0_hz\n0.0,1\r0.01,2\n")
+
+    def test_bytes_and_quoted_fields(self):
+        text = 'time_s,f0_hz\n"0.0","100"\n0.01,""\n'
+        for data in (text, text.encode("utf-8-sig"), text.encode("utf-16"),
+                     ("\ufeff" + text).encode("utf-16-be")):
+            track = parse_f0_csv(data)
+            np.testing.assert_array_equal(track.f0_hz, [100.0, np.nan])
+
+    def test_header_error_takes_the_annotation_wording(self):
+        with pytest.raises(ParseError, match=r"^empty document: missing CSV header \(row 1\)$"):
+            parse_f0_csv(b"")
+        with pytest.raises(ParseError, match=r"^bad CSV header \['time_s', 'f0'\], expected time_s,f0_hz \(row 1\)$"):
+            parse_f0_csv("time_s,f0\n0.0,100\n")
+
     def test_model_dict_shape(self):
         track = synthesize_contour(realize_pitch(transduce_tones("H L")))
         model = fit_contour(track, 1)

@@ -518,22 +518,26 @@ class TestCliF0AndContour:
     def test_contour_fit_on_binary_file_is_parse_error(self, am_wav_path, tmp_path, capsys):
         code = run(["contour-fit", str(am_wav_path), "--out-dir", str(tmp_path)])
         assert code == 1
-        assert "not UTF-8" in capsys.readouterr().err
+        with pytest.raises(UnicodeDecodeError) as exc:
+            am_wav_path.read_bytes().decode("utf-8")
+        err = capsys.readouterr().err
+        assert "not valid UTF-8" in err and f"(byte {exc.value.start})" in err
 
     def test_contour_fit_accepts_a_byte_order_mark(self, tmp_path, capsys):
         from prosotime.pitch import f0_track_to_csv
 
         text = f0_track_to_csv(synthesize_contour(realize_pitch(transduce_tones("H L H"))))
         reports = []
-        for name, prefix in (("plain", ""), ("bom", "\ufeff")):
+        for name, data in (("plain", text.encode()), ("bom", text.encode("utf-8-sig")),
+                           ("utf16", text.encode("utf-16")), ("utf16be", ("\ufeff" + text).encode("utf-16-be"))):
             path = tmp_path / f"{name}.csv"
-            path.write_text(prefix + text, encoding="utf-8")
+            path.write_bytes(data)
             code = run(["contour-fit", str(path), "--degree", "1", "--json",
                         "--out-dir", str(tmp_path / name)])
             assert code == 0, capsys.readouterr().err
             rep = report_from(capsys)
             reports.append({k: v for k, v in rep.items() if k != "input"})
-        assert reports[0] == reports[1]
+        assert reports[0] == reports[1] == reports[2] == reports[3]
 
     def test_contour_fit_bad_byte_after_bom_names_its_file_offset(self, tmp_path, capsys):
         path = tmp_path / "t.f0.csv"
@@ -543,7 +547,24 @@ class TestCliF0AndContour:
         assert code == 1
         err = capsys.readouterr().err
         bad = data.index(b"\xff")
-        assert "not UTF-8" in err and f"(byte {bad})" in err
+        assert "not valid UTF-8" in err and f"(byte {bad})" in err
+
+    # a table that ends in one undecodable unit, right after header
+    @pytest.mark.parametrize("argv, header", [
+        (["metrics"], "tier,label,start_s,end_s\nw,a,0,1\nw,"),
+        (["timetree"], "tier,label,start_s,end_s\nw,a,0,1\nw,"),
+        (["contour-fit", "--degree", "0"], "time_s,f0_hz\n0.0,100\n0.01,"),
+    ], ids=["metrics", "timetree", "contour-fit"])
+    @pytest.mark.parametrize("encoding, bad", [
+        ("utf-8", b"\xff"), ("utf-8-sig", b"\xc3("), ("utf-16", b"\x00\xdc"),
+    ], ids=["utf-8", "utf-8-bom", "utf-16"])
+    def test_undecodable_input_names_the_file_and_byte(self, argv, header, encoding, bad, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(header.encode(encoding) + bad)
+        assert run([argv[0], str(path), *argv[1:], "--out-dir", str(tmp_path / "out")]) == 1
+        name = "UTF-16" if encoding == "utf-16" else "UTF-8"
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: not valid {name} text (byte {len(header.encode(encoding))})\n"
 
 
 class TestCliPlumbing:
