@@ -332,15 +332,29 @@ def parse_textgrid(text: str | bytes, source: str = "<textgrid>") -> AnnotationD
 
 _CSV_HEADER = ("tier", "label", "start_s", "end_s")
 
+# a CR followed by something other than CR or LF: outside quotes, the csv module refuses it
+_BARE_CR_RE = re.compile("\r[^\r\n]")
+
 
 def _csv_table(text: str | bytes, header: tuple[str, ...], source: str) -> Iterator[tuple[int, list[str]]]:
     """The non-blank records of a CSV document after its header, with their row numbers.
 
     The header is row 1 and must read header once its fields are stripped;
     every later record must hold one field per header name.  A record the
-    csv module rejects is a ParseError at its line.
+    csv module rejects is a ParseError at its line, and so is a line holding
+    a NUL, on every Python, when the reader reaches it.
     """
-    reader = csv.reader(io.StringIO(_decode_document(text, source)))
+    document = io.StringIO(_decode_document(text, source))
+    line = ""  # the line the reader took last
+
+    def lines() -> Iterator[str]:
+        nonlocal line
+        for line_no, line in enumerate(document, start=1):
+            if "\0" in line:  # Python 3.11's csv module reads a NUL as text; 3.10's refuses it
+                raise ParseError("malformed CSV: line contains NUL", line=line_no)
+            yield line
+
+    reader = csv.reader(lines())
     try:
         first = next(reader, None)
         if first is None:
@@ -354,6 +368,9 @@ def _csv_table(text: str | bytes, header: tuple[str, ...], source: str) -> Itera
                 raise ParseError(f"expected {len(header)} fields, got {len(row)}", row=row_no)
             yield row_no, row
     except csv.Error as exc:
+        if _BARE_CR_RE.search(line):
+            raise ParseError("malformed CSV: a bare CR (carriage return) inside a row; rows end at LF or CRLF",
+                             line=reader.line_num) from None
         raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
 
 

@@ -32,12 +32,9 @@ import re
 import sys
 from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import Callable, Iterable
 
 from .errors import AnalysisError, DegenerateInputError
-
-if TYPE_CHECKING:
-    from .timetree import TreeParams
 
 OUT_DIR_ENV = "PROSOTIME_OUT_DIR"
 FORMATS = ("json", "csv", "svg")
@@ -48,8 +45,20 @@ class _UsageError(Exception):
     """Command-line misuse that argparse cannot express; exits with code 2."""
 
 
+class _Json(str):
+    """A top-level report value that is already JSON text, indented one level in."""
+
+
 def _dumps(report: dict) -> str:
-    """Strict JSON: a NaN or infinity in a report is an AnalysisError, not `Infinity`."""
+    """Strict JSON: a NaN or infinity in a report is an AnalysisError, not `Infinity`.
+
+    A _Json value goes in as it is, between the items that sort before and after its key.
+    """
+    for key, value in report.items():
+        if isinstance(value, _Json):
+            head = _dumps({k: v for k, v in report.items() if k < key})[2:-3]  # "{}\n" or "{\n<items>\n}\n"
+            tail = _dumps({k: v for k, v in report.items() if k > key})[2:-3]
+            return "{\n" + ",\n".join(filter(None, (head, f"  {json.dumps(key)}: {value}", tail))) + "\n}\n"
     try:
         return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
@@ -227,19 +236,16 @@ def _cmd_metrics(args) -> tuple[str, dict, str, dict]:
     return f"{stem}.metrics.json", report, f"tier={tier.name} n={flat['n']} {line}", renders
 
 
-def _tree_params(args) -> TreeParams:
-    from .timetree import TreeParams
-
-    return TreeParams(relation=args.relation, polarity=args.polarity, arity=args.arity)
-
-
-def _tree_artifacts(name: str, tree, report: dict) -> tuple[str, dict, str, dict]:
-    """Shared tree emission: sexpr and node table into the JSON report, SVG drawing."""
+def _tree_artifacts(args, name: str, report: dict, induce, data) -> tuple[str, dict, str, dict]:
+    """Shared tree emission: induce(data, params) under the tree flags; report items and SVG drawing."""
     from .svgplot import svg_timetree_chunks
-    from .timetree import to_sexpr, tree_to_dict
+    from .timetree import TreeParams, tree_texts
 
-    report.update(sexpr=to_sexpr(tree), **tree_to_dict(tree))
-    return f"{name}.json", report, report["sexpr"], {f"{name}.svg": lambda: svg_timetree_chunks(tree)}
+    params = TreeParams(relation=args.relation, polarity=args.polarity, arity=args.arity)
+    tree = induce(data, params)
+    sexpr, nodes = tree_texts(tree)
+    report.update(params=dataclasses.asdict(params), sexpr=sexpr, nodes=_Json(nodes))
+    return f"{name}.json", report, sexpr, {f"{name}.svg": lambda: svg_timetree_chunks(tree)}
 
 
 def _cmd_timetree(args) -> tuple[str, dict, str, dict]:
@@ -248,15 +254,8 @@ def _cmd_timetree(args) -> tuple[str, dict, str, dict]:
     tier, seq = _tier_durations(args)
     if len(seq) == 0:
         raise DegenerateInputError(f"tier {tier.name!r} has no usable durations")
-    params = _tree_params(args)
-    report = {
-        "input": args.annot,
-        "tier": tier.name,
-        "params": dataclasses.asdict(params),
-        "n": len(seq),
-    }
-    tree = induce_time_tree(seq, params)
-    return _tree_artifacts(f"{_stem(args.annot)}.timetree", tree, report)
+    report = {"input": args.annot, "tier": tier.name, "n": len(seq)}
+    return _tree_artifacts(args, f"{_stem(args.annot)}.timetree", report, induce_time_tree, seq)
 
 
 def _cmd_spectree(args) -> tuple[str, dict, str, dict]:
@@ -264,17 +263,9 @@ def _cmd_spectree(args) -> tuple[str, dict, str, dict]:
     from .audio import read_wav
     from .timetree import induce_spectral_hierarchy
 
-    wave = read_wav(args.wav)
-    spec = run_aems(wave, cutoff_hz=args.cutoff_hz)
-    params = _tree_params(args)
-    report = {
-        "input": args.wav,
-        "aems_params": dict(spec.params),
-        "params": dataclasses.asdict(params),
-        "n_bins": len(spec),
-    }
-    tree = induce_spectral_hierarchy(spec, params)
-    return _tree_artifacts(f"{_stem(args.wav)}.spectree", tree, report)
+    spec = run_aems(read_wav(args.wav), cutoff_hz=args.cutoff_hz)  # no samples held through induction
+    report = {"input": args.wav, "aems_params": dict(spec.params), "n_bins": len(spec)}
+    return _tree_artifacts(args, f"{_stem(args.wav)}.spectree", report, induce_spectral_hierarchy, spec)
 
 
 def _cmd_tone_gen(args) -> tuple[str, dict, str, dict]:

@@ -10,11 +10,13 @@ beside the nodes the pass before it made, and induction is linear in the
 number of items however many passes a sequence needs.
 
 The same machinery applied to z-scored spectrum magnitudes yields a
-hierarchical segmentation of a spectrum into dominance regions.
+hierarchical segmentation of a spectrum into dominance regions.  One walk
+writes a tree's s-expression and the JSON text of its report's node rows.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -32,6 +34,7 @@ __all__ = [
     "induce_spectral_hierarchy",
     "to_sexpr",
     "tree_to_dict",
+    "tree_texts",
 ]
 
 _MARKS = ("r", "s", "w")
@@ -69,8 +72,8 @@ class TimeTree:
                 raise ParameterError(f"mark must be one of {_MARKS}, got {mark!r}")
             if not math.isfinite(value):
                 raise ParameterError(f"node value must be finite, got {value!r}")
-            if (label is None) == (not children):  # a label on every leaf and on nothing else
-                raise ParameterError("internal nodes carry no label" if children else "leaf nodes need a label")
+            if (label is not None) if children else not isinstance(label, str):  # a str on every leaf, None elsewhere
+                raise ParameterError("internal nodes carry no label" if children else "leaf nodes need a label string")
             if not children:
                 continue
             if len(children) < 2:
@@ -94,11 +97,12 @@ class TimeTree:
         kids = self.kids
         stack = [(len(kids) - 1, 0, True)]
         while stack:
-            node, level, entering = stack.pop()
-            yield node, level, entering
+            node, level, entering = event = stack.pop()
+            yield event
             if entering:
                 stack.append((node, level, False))
-                stack.extend((k, level + 1, True) for k in reversed(kids[node]))
+                for k in reversed(kids[node]):
+                    stack.append((k, level + 1, True))
 
 
 @dataclass(frozen=True)
@@ -225,40 +229,44 @@ def induce_spectral_hierarchy(spec: Spectrum, params: TreeParams = TreeParams())
     return induce_time_tree(labeled, replace(params, polarity="higher"))
 
 
-def to_sexpr(tree: TimeTree) -> str:
-    """Parenthesized rendering with r/s/w marks and leaf labels, no values.
+def tree_texts(tree: TimeTree) -> tuple[str, str]:
+    """The s-expression and the JSON text of the node rows, made in one walk.
 
-    A bare root leaf prints as its label alone.
+    The s-expression marks nodes r/s/w and names leaves, without values; a
+    bare root leaf is its label alone.  Each row is {mark, value, parent}
+    plus a leaf's label, parent being the parent's row index (null at the
+    root).  The text is the rows' list as a sorted-key, two-space-indented
+    JSON report holds it; values need no NaN check, as TimeTree's are finite.
     """
-    marks, labels, kids = tree.marks, tree.labels, tree.kids
-    if not kids[-1] and marks[-1] == "r":
-        return labels[-1]
+    marks, values, labels, kids = tree.marks, tree.values, tree.labels, tree.kids
+    quote = json.encoder.encode_basestring_ascii
     parts: list[str] = []
+    rows: list[str] = []
+    path = ["null"]  # the rows of the current node's ancestors, by level, under the root's null parent
     for node, level, entering in tree.walk():
-        if entering:
-            gap = " " if level else ""
-            parts.append(f"{gap}({marks[node]}" if kids[node] else f"{gap}({marks[node]} {labels[node]})")
-        elif kids[node]:
-            parts.append(")")
-    return "".join(parts)
+        if not entering:
+            if kids[node]:
+                parts.append(")")
+            continue
+        del path[level + 1 :]
+        mark, gap = marks[node], " " if level else ""
+        row = f'"mark": "{mark}",\n      "parent": {path[-1]},\n      "value": {values[node]!r}\n    }}'
+        if kids[node]:
+            parts.append(f"{gap}({mark}")
+        else:
+            parts.append(f"{gap}({mark} {labels[node]})")
+            row = f'"label": {quote(labels[node])},\n      {row}'
+        path.append(str(len(rows)))
+        rows.append("{\n      " + row)
+    sexpr = labels[-1] if not kids[-1] and marks[-1] == "r" else "".join(parts)
+    return sexpr, "[\n    " + ",\n    ".join(rows) + "\n  ]"
+
+
+def to_sexpr(tree: TimeTree) -> str:
+    """The s-expression of tree_texts: r/s/w marks and leaf labels, no values."""
+    return tree_texts(tree)[0]
 
 
 def tree_to_dict(tree: TimeTree) -> dict:
-    """JSON-ready flat form: {"nodes": [...]}, one row per node in s-expression order.
-
-    Each row is {mark, value, parent} plus the label on leaves; parent is the
-    row index of the parent node, None at the root.
-    """
-    marks, values, labels, kids = tree.marks, tree.values, tree.labels, tree.kids
-    rows: list[dict] = []
-    path: list[int] = []  # row index of the current node's ancestors, by level
-    for node, level, entering in tree.walk():
-        if not entering:
-            continue
-        del path[level:]
-        row: dict = {"mark": marks[node], "value": values[node], "parent": path[-1] if path else None}
-        if not kids[node]:
-            row["label"] = labels[node]
-        path.append(len(rows))
-        rows.append(row)
-    return {"nodes": rows}
+    """{"nodes": [...]}, the rows of tree_texts read back: {mark, value, parent} plus leaf labels."""
+    return {"nodes": json.loads(tree_texts(tree)[1])}

@@ -273,6 +273,32 @@ class TestCsvAnnotation:
         doc = parse_csv_annotation(text)
         assert doc.tier_names == ("phones", "words")
 
+    # the csv module reads a NUL as text from Python 3.11 on, and refuses it before
+    @pytest.mark.parametrize("text, line", [
+        ("tier,label,start_s,end_s\nw,a\x00,0,1\n", 2),
+        ("tier,la\x00bel,start_s,end_s\nw,a,0,1\n", 1),
+        ('tier,label,start_s,end_s\nw,"a\nb\x00",0,1\n', 3),
+    ], ids=["row", "header", "quoted-second-line"])
+    def test_nul_is_malformed_at_its_line(self, text, line):
+        with pytest.raises(ParseError) as exc:
+            parse_csv_annotation(text)
+        assert str(exc.value) == f"malformed CSV: line contains NUL (line {line})"
+
+    def test_earlier_row_error_precedes_a_nul(self):
+        for row2 in ("w,a,0", "w,a,x,1"):
+            with pytest.raises(ParseError, match=r"\(row 2\)$"):
+                parse_csv_annotation(f"tier,label,start_s,end_s\n{row2}\nw,b\x00,1,2\n")
+
+    def test_bare_cr_is_named(self):
+        with pytest.raises(ParseError) as exc:
+            parse_csv_annotation("tier,label,start_s,end_s\nw,a\rb,0,1\n")
+        assert str(exc.value) == (
+            "malformed CSV: a bare CR (carriage return) inside a row; rows end at LF or CRLF (line 2)"
+        )
+        # inside quotes a CR is label text
+        doc = parse_csv_annotation('tier,label,start_s,end_s\nw,"a\rb",0,1\n')
+        assert doc.tier("w").intervals[0].label == "a\rb"
+
 
 class TestDurations:
     def test_silence_labels_excluded_by_default(self):

@@ -11,7 +11,6 @@ import contextlib
 import io
 import math
 import os
-import sys
 import warnings
 from itertools import islice
 from datetime import timedelta
@@ -375,14 +374,14 @@ def _former_parse_f0_csv(data):
     """The former parse_f0_csv, on text decoded and split into lines as the current one does.
 
     The former split rows with str.splitlines(); now a row ends at LF, any CRs
-    before it dropped, and a CR left inside a line (or, before Python 3.11, a
-    NUL) is a malformed line, as csv.reader finds.
+    before it dropped, and a CR left inside a line, or a NUL on any Python, is
+    a malformed line.
     """
     lines = _decode_document(data, "<f0 csv>").split("\n")
 
     def line(k):
         text = lines[k].rstrip("\r")
-        if "\r" in text or ("\x00" in text and sys.version_info < (3, 11)):
+        if "\r" in text or "\x00" in text:
             raise ParseError("malformed CSV", line=k + 1)
         return text
 

@@ -289,6 +289,16 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError, match=r"^malformed CSV: .* \(line 2\)$"):
             parse_f0_csv("time_s,f0_hz\n0.0,1\r0.01,2\n")
 
+    def test_bare_cr_and_nul_messages(self):
+        with pytest.raises(ParseError) as exc:
+            parse_f0_csv("time_s,f0_hz\n0.0,1\r0.01,2\n")
+        assert str(exc.value) == (
+            "malformed CSV: a bare CR (carriage return) inside a row; rows end at LF or CRLF (line 2)"
+        )
+        with pytest.raises(ParseError) as exc:
+            parse_f0_csv(b"time_s,f0_hz\n0.0,100\n0.01,1\x0000\n")
+        assert str(exc.value) == "malformed CSV: line contains NUL (line 3)"
+
     def test_bytes_and_quoted_fields(self):
         text = 'time_s,f0_hz\n"0.0","100"\n0.01,""\n'
         for data in (text, text.encode("utf-8-sig"), text.encode("utf-16"),

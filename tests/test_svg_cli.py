@@ -1,13 +1,17 @@
 """SVG renderers and the batch command-line interface."""
 
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import math
 import os
+import random
 import re
 import struct
 import time
+import weakref
 from pathlib import Path
 
 import jsonschema
@@ -350,6 +354,25 @@ class TestCliTimetree:
         assert "--polarity" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_spectree_frees_the_samples_before_induction(self, am_wav_path, tmp_path, monkeypatch):
+        # the decoded waveform is a spectree run's largest object: nothing may hold it past the spectrum
+        audio, timetree = importlib.import_module("prosotime.audio"), importlib.import_module("prosotime.timetree")
+        read_wav, induce = audio.read_wav, timetree.induce_spectral_hierarchy
+        refs = []
+
+        def reading(path):
+            wave = read_wav(path)
+            refs.extend((weakref.ref(wave), weakref.ref(wave.samples)))
+            return wave
+
+        def inducing(spec, params):
+            assert len(refs) == 2 and [ref() for ref in refs] == [None, None]
+            return induce(spec, params)
+
+        monkeypatch.setattr(audio, "read_wav", reading)
+        monkeypatch.setattr(timetree, "induce_spectral_hierarchy", inducing)
+        assert run(["spectree", str(am_wav_path), "--formats", "json", "--out-dir", str(tmp_path)]) == 0
+
     def test_spectree_nodes_label_every_bin(self, am_wav_path, tmp_path, capsys):
         assert run(["spectree", str(am_wav_path), "--json", "--out-dir", str(tmp_path)]) == 0
         rep = report_from(capsys)
@@ -397,6 +420,98 @@ class TestCliTimetree:
         nodes = json.loads((tmp_path / "chain.timetree.json").read_text())["nodes"]
         assert len(nodes) == 2 * n + 1
         assert [node["label"] for node in nodes if "label" in node] == [f"c{k}" for k in range(n + 1)]
+
+
+def _seeded_intervals(n, seed):
+    rng = random.Random(seed)
+    out, t = [], 0.0
+    for k in range(n):
+        end = round(t + rng.uniform(0.02, 0.4), 6)
+        out.append((f"s{k}", t, end))
+        t = end
+    return out
+
+
+# labels a JSON string must escape: non-ASCII (an astral one too), a quote, a
+# backslash, control characters, line separators and lone surrogates
+HOSTILE_LABELS = ("é", "音声", "\U0001f600", 'say "hi"', "back\\slash", "tab\tand\nnewline",
+                  "\x01\x1f\x7f", "\u2028\u2029", "\udcff", "\ud800x", "plain", "\\\"\\")
+TREE_FLAGS = [(rel, pol, ar) for rel in ("iambic", "trochaic") for pol in ("higher", "lower")
+              for ar in ("binary", "nary")]
+
+
+def _tree_report_bytes(argv, out):
+    """The JSON report bytes of one tree subcommand run; stdout goes to a string, which takes lone surrogates."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run([*argv, "--formats", "json", "--out-dir", str(out)]) == 0
+    return next(out.glob("*.json")).read_bytes()
+
+
+class TestTreeReportBytesPinned:
+    """sha256 of whole tree reports, recorded before the one-pass report writer."""
+
+    REFERENCE = [("miss", 0.0, 0.3), ("jones", 0.3, 0.5), ("came", 0.5, 0.8), ("home", 0.8, 0.9)]
+    DIGESTS = {
+        "reference-iambic-higher-binary": "c53152e04031c3fc895cacd8fa68a72dd338b296071a58dddf56971f886acdc2",
+        "reference-iambic-higher-nary": "df22f544c07e6eb44fee5f701136d2fee4c455f6f6b94964e04cbbe34cb1552c",
+        "reference-iambic-lower-binary": "e0c0564e96831759dbfd80763e0c54b398eac623183c4282f338c76519455321",
+        "reference-iambic-lower-nary": "936348bea649cf6b190dbc6cee946ed6b87ac1536cda7f60976e3aecf25a2732",
+        "reference-trochaic-higher-binary": "4ea67ad41392723636991ac9db55948e3f3af75510bb84d2bed0d4467db2b9b8",
+        "reference-trochaic-higher-nary": "3f942aaeb9eff37908a87255d796ce290ea10227d51cfc80956b85a39120ebca",
+        "reference-trochaic-lower-binary": "2bdb6d2d38aa64750547c36da6f9431b5187edc1739f833018be376e32b3dfcc",
+        "reference-trochaic-lower-nary": "f2323b9bad0aca88daf5ea37cd67bbb08c76135fa5fc68280db4fdbbaaf1ba44",
+        "seeded200-iambic-higher-binary": "0faa82c3eeae3da8ac53824c244efcfeba38f6fc1411c740532d77d985ffc542",
+        "seeded200-iambic-higher-nary": "40fc62bb40db858617616f801b42f5ca716ff2e506654df45f41864d5d1fd019",
+        "seeded200-iambic-lower-binary": "d758dd9d8986b46ed09bead3d46fd57cedeae68b7d3af118816d0acd3f957e42",
+        "seeded200-iambic-lower-nary": "9f6f2a1f8f9081ca159ab118b3c8aac3858c3f2964c811686eff98e9d3ebc0f7",
+        "seeded200-trochaic-higher-binary": "4aaf94375d1c65ef2e01e690b637c02590f85f0bba2d6faff7ce8b16e75c7e23",
+        "seeded200-trochaic-higher-nary": "494a388e2674330dce7227d1b87b9792e92727017d07e9d3cbc4bbf2b40f071b",
+        "seeded200-trochaic-lower-binary": "8fc322853dcae95bd74cb338b6881fff72309557e86d62f389f1b463c364c107",
+        "seeded200-trochaic-lower-nary": "041328ddfd7aab069ebeeb0d9d28c21a409fa5050ce07bc918b65e73203e94df",
+        "leaf": "f62b4ec632ef2b479326e52453c478fb6f7eed7d25d2cae03fd73759d3a81e46",
+        "hostile-binary": "9a34c9b48410f28c9990928a3015dfd0510778422d5a2f8af97593d35eb59223",
+        "hostile-nary": "574b7e7412c8140d9532c20f1b7b06a8575daab6747a4199e8c3ebd735a38333",
+        "spectree": "0b91cb8826b09bca93168860f9053f5bbdf9ecc9cb5548f17632694fe3996a31",
+    }
+
+    @pytest.mark.parametrize("tier", ["reference", "seeded200"])
+    @pytest.mark.parametrize("flags", TREE_FLAGS, ids="-".join)
+    def test_timetree_reports(self, tier, flags, tmp_path, monkeypatch):
+        ivs = self.REFERENCE if tier == "reference" else _seeded_intervals(200, 20)
+        monkeypatch.chdir(tmp_path)
+        rows = "".join(f"w,{lab},{a!r},{b!r}\n" for lab, a, b in ivs)
+        Path(f"{tier}.csv").write_text("tier,label,start_s,end_s\n" + rows)
+        rel, pol, ar = flags
+        argv = ["timetree", f"{tier}.csv", "--relation", rel, "--polarity", pol, "--arity", ar]
+        data = _tree_report_bytes(argv, tmp_path / "out")
+        assert hashlib.sha256(data).hexdigest() == self.DIGESTS[f"{tier}-{rel}-{pol}-{ar}"]
+
+    def test_bare_leaf_report(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("leaf.csv").write_text("tier,label,start_s,end_s\nw,solo,0.0,0.25\n")
+        data = _tree_report_bytes(["timetree", "leaf.csv"], tmp_path / "out")
+        assert hashlib.sha256(data).hexdigest() == self.DIGESTS["leaf"]
+
+    @pytest.mark.parametrize("arity", ["binary", "nary"])
+    def test_hostile_label_report(self, arity, tmp_path, monkeypatch):
+        # no file can carry a lone surrogate, so the tier is handed over in memory
+        from prosotime.annot import AnnotationDoc, Interval, Tier
+
+        durs = [0.11, 0.3, 0.2, 0.25, 0.15, 0.4, 0.05, 0.33, 0.21, 0.12, 0.5, 0.07]
+        ivs, t = [], 0.0
+        for label, d in zip(HOSTILE_LABELS, durs):
+            ivs.append(Interval(label, t, t + d))
+            t += d
+        doc = AnnotationDoc((Tier("w", ivs),), "hostile.csv")
+        monkeypatch.setattr(importlib.import_module("prosotime.annot"), "load_annotation", lambda path: doc)
+        monkeypatch.chdir(tmp_path)
+        data = _tree_report_bytes(["timetree", "hostile.csv", "--arity", arity], tmp_path / "out")
+        assert hashlib.sha256(data).hexdigest() == self.DIGESTS[f"hostile-{arity}"]
+
+    def test_spectree_report(self, am_wav_path, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        data = _tree_report_bytes(["spectree", am_wav_path.name], tmp_path / "out")
+        assert hashlib.sha256(data).hexdigest() == self.DIGESTS["spectree"]
 
 
 class TestCliToneGen:
@@ -691,6 +806,19 @@ class TestCliPlumbing:
 
         with pytest.raises(AnalysisError, match="non-finite"):
             _dumps({"variance": float("inf")})
+
+    def test_pre_rendered_value_sits_between_its_neighbours(self):
+        from prosotime import AnalysisError
+        from prosotime.cli import _dumps, _Json
+
+        rows = [{"a": 1.5, "b": None}, {"a": -0.0, "b": "\u00e9\ud800"}]
+        text = _Json(json.dumps(rows, sort_keys=True, indent=2).replace("\n", "\n  "))
+        for report in ({}, {"a": 1}, {"z": [2]}, {"a": {"x": 1}, "n": True, "z": "s"}):
+            assert _dumps({**report, "m": text}) == _dumps({**report, "m": rows})
+        # every other value is still checked
+        for report in ({"a": float("nan")}, {"z": [float("inf")]}):
+            with pytest.raises(AnalysisError, match="non-finite"):
+                _dumps({**report, "m": text})
 
     def test_env_var_sets_out_dir(self, am_wav_path, tmp_path, monkeypatch):
         target = tmp_path / "from_env"

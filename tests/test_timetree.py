@@ -21,6 +21,8 @@ from prosotime import (
     to_sexpr,
     tree_to_dict,
 )
+from prosotime.cli import _dumps, _Json
+from prosotime.timetree import tree_texts
 
 IAMBIC_LOWER = TreeParams(relation="iambic", polarity="lower")
 TROCHAIC_LOWER = TreeParams(relation="trochaic", polarity="lower")
@@ -158,6 +160,7 @@ _MALFORMED_TABLES = [
     ("inf value", (("w", "s", "r"), (1.0, math.inf, math.inf), ("a", "b", None), ((), (), (0, 1))), "must be finite"),
     ("labelled internal", (("w", "s", "r"), (1.0, 2.0, 2.0), ("a", "b", "ab"), ((), (), (0, 1))), "carry no label"),
     ("unlabelled leaf", (("w", "s", "r"), (1.0, 2.0, 2.0), ("a", None, None), ((), (), (0, 1))), "need a label"),
+    ("non-string label", (("w", "s", "r"), (1.0, 2.0, 2.0), ("a", 7, None), ((), (), (0, 1))), "need a label"),
     ("one child", (("s", "r"), (1.0, 1.0), ("a", None), ((), (0,))), ">= 2 children"),
     ("own child", (("w", "s", "r"), (1.0, 2.0, 2.0), ("a", "b", None), ((), (), (0, 2))), "not below its own"),
     ("negative child", (("w", "s", "r"), (1.0, 2.0, 2.0), ("a", "b", None), ((), (), (-1, 1))), "not below its own"),
@@ -470,3 +473,82 @@ class TestStackSafety:
         from prosotime.svgplot import svg_timetree
 
         assert svg_timetree(tree).count("<circle") == 2 * self.DEPTH + 1
+
+
+# ---------------------------------------------------------------------------
+# oracle: the former serializers, two walks and then json's encoder
+# ---------------------------------------------------------------------------
+
+
+def _former_to_sexpr(tree):
+    marks, labels, kids = tree.marks, tree.labels, tree.kids
+    if not kids[-1] and marks[-1] == "r":
+        return labels[-1]
+    parts = []
+    for node, level, entering in tree.walk():
+        if entering:
+            gap = " " if level else ""
+            parts.append(f"{gap}({marks[node]}" if kids[node] else f"{gap}({marks[node]} {labels[node]})")
+        elif kids[node]:
+            parts.append(")")
+    return "".join(parts)
+
+
+def _former_tree_to_dict(tree):
+    marks, values, labels, kids = tree.marks, tree.values, tree.labels, tree.kids
+    rows = []
+    path = []  # row index of the current node's ancestors, by level
+    for node, level, entering in tree.walk():
+        if not entering:
+            continue
+        del path[level:]
+        row = {"mark": marks[node], "value": values[node], "parent": path[-1] if path else None}
+        if not kids[node]:
+            row["label"] = labels[node]
+        path.append(len(rows))
+        rows.append(row)
+    return {"nodes": rows}
+
+
+# labels a JSON string must escape, and the characters an s-expression uses
+HOSTILE = ("é", "音声", "\U0001f600", '"', "\\", "\\u0041", "\x00", "\t\n\r", "\x1f\x7f\x80", "\u2028",
+           "\ud800", "\udfff", "\udbff\udc00x", "(s a)", " ", "", "null", "0")
+_LABELS = st.one_of(st.sampled_from(HOSTILE),
+                    st.text(st.characters(blacklist_categories=()), max_size=4))
+_VALUES = st.one_of(st.floats(1e-300, 1e300), st.floats(-1e300, -1e-300),
+                    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300, 1.7976931348623157e308, 0.1, 1.0]))
+_ONE_NODE = st.builds(lambda mark, value, label: TimeTree((mark,), (value,), (label,), ((),)),
+                      st.sampled_from("rsw"), _VALUES, _LABELS)
+REPORT = {"input": "in.csv", "n": 3, "params": {"arity": "nary"}, "subcommand": "timetree", "tier": "t"}
+
+
+class TestOnePassReport:
+    """tree_texts against the former serializers and the json encoder, byte for byte."""
+
+    @pytest.mark.parametrize("params", [TreeParams(r, p, a) for r in ("iambic", "trochaic")
+                                        for p in ("higher", "lower") for a in ("binary", "nary")],
+                             ids=lambda p: f"{p.relation}-{p.polarity}-{p.arity}")
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(pairs=st.lists(st.tuples(_LABELS, _VALUES), min_size=1, max_size=30), one=_ONE_NODE,
+           bare=st.booleans())
+    def test_matches_encoder_over_former_serializers(self, params, pairs, one, bare):
+        # a one-node table covers the bare-root-leaf rule: only a root leaf marked r prints bare
+        tree = one if bare else induce_time_tree(pairs, params)
+        sexpr, nodes = tree_texts(tree)
+        want = {"sexpr": _former_to_sexpr(tree), **_former_tree_to_dict(tree)}
+        assert _dumps({**REPORT, "sexpr": sexpr, "nodes": _Json(nodes)}) == _dumps({**REPORT, **want})
+        assert sexpr == to_sexpr(tree) == want["sexpr"]
+        # the rows read back from the text: a JSON reader joins a high and a low surrogate into one character
+        assert tree_to_dict(tree) == json.loads(json.dumps({"nodes": want["nodes"]}))
+
+    @pytest.mark.parametrize("mark, sexpr", [("r", "x y"), ("s", "(s x y)"), ("w", "(w x y)")])
+    def test_only_a_root_leaf_marked_r_prints_bare(self, mark, sexpr):
+        assert to_sexpr(TimeTree((mark,), (1.0,), ("x y",), ((),))) == sexpr
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 1000])
+    def test_chain_report(self, n):
+        pairs = [(f"c{k}", 0.05 + 1e-4 * k) for k in range(n)] + [("end", 0.01)]
+        tree = induce_time_tree(pairs, IAMBIC_LOWER)
+        sexpr, nodes = tree_texts(tree)
+        assert _dumps({"nodes": _Json(nodes), "sexpr": sexpr}) == _dumps(
+            {"sexpr": _former_to_sexpr(tree), **_former_tree_to_dict(tree)})
