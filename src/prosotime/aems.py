@@ -14,7 +14,7 @@ from typing import Iterator
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .audio import Waveform, _frozen_array, _ms_to_samples, _positive
+from .audio import Waveform, WavSource, _frozen_array, _ms_to_samples, _positive
 from .errors import DegenerateInputError, ParameterError, SingularityError
 
 __all__ = [
@@ -116,56 +116,78 @@ def rectify_full_wave(wave: Waveform) -> Waveform:
 _PEAK_SAMPLES = 1 << 15  # samples rectified per pass of the peak picker: bounds its working set
 
 
-def _window_peaks(x, win):
-    """Distinct indices of the first maximum of each window |x[k*hop : k*hop + win]|.
+def _block_peaks(blocks, n, win):
+    """Distinct indices of the first maximum of each window |x[k*hop : k*hop + win]|, and |x| there.
 
-    hop = win // 2, so a window is blocks k and k+1 of width hop, plus the
-    sample after them when win is odd. The first maximum among those parts,
-    taken in that order, is the window's argmax, and every sample is read
-    once instead of twice. |x| is taken one range of blocks at a time.
+    x comes as consecutive arrays from blocks, n samples in all. hop = win // 2,
+    so a window is hop blocks k and k+1, plus the sample after them when win is
+    odd: the first sample of hop block k+2. The first maximum among those parts,
+    taken in that order, is the window's argmax. Each hop block keeps only its
+    argmax, its |max| and |x| at its first sample, and every sample is read once.
+    Fewer than hop samples carry over from one array to the next, and |x| is
+    taken one range of hop blocks at a time.
     """
     hop = win // 2
-    n_blocks = (len(x) - win) // hop + 2
+    n_blocks = (n - win) // hop + 2
     rows = max(1, _PEAK_SAMPLES // hop)
     block_idx = np.empty(n_blocks, dtype=np.intp)
-    for lo in range(0, n_blocks, rows):
-        blocks = np.abs(x[lo * hop : min(lo + rows, n_blocks) * hop]).reshape(-1, hop)
-        block_idx[lo : lo + len(blocks)] = blocks.argmax(axis=1)
+    block_max = np.empty(n_blocks)
+    first = np.zeros(n_blocks + 1)  # the last is the sample after the last hop block
+    done, rest = 0, np.empty(0)
+    for block in blocks:
+        x = np.concatenate((rest, block)) if len(rest) else block
+        take = min(len(x) // hop, n_blocks - done)
+        for lo in range(0, take, rows):
+            a = np.abs(x[lo * hop : min(lo + rows, take) * hop]).reshape(-1, hop)
+            at = slice(done + lo, done + lo + len(a))
+            block_idx[at] = i = a.argmax(axis=1)
+            block_max[at] = a[np.arange(len(a)), i]
+            first[at] = a[:, 0]
+        done += take
+        rest = x[take * hop :]  # fewer than hop samples, or at most hop + 1 past the last block
+    if len(rest):
+        first[n_blocks] = abs(rest[0])
     block_idx += np.arange(0, n_blocks * hop, hop)
-    block_max = np.abs(x[block_idx])
-    peak_idx = np.where(block_max[1:] > block_max[:-1], block_idx[1:], block_idx[:-1])
+    later = block_max[1:] > block_max[:-1]
+    peak_idx = np.where(later, block_idx[1:], block_idx[:-1])
+    peak_v = np.where(later, block_max[1:], block_max[:-1])
     if win % 2:
-        after = np.arange(2, n_blocks + 1) * hop
-        beats = np.abs(x[after]) > np.maximum(block_max[:-1], block_max[1:])
-        peak_idx = np.where(beats, after, peak_idx)
+        beats = first[2:] > peak_v
+        peak_idx = np.where(beats, np.arange(2, n_blocks + 1) * hop, peak_idx)
+        peak_v = np.where(beats, first[2:], peak_v)
     # elected indices never decrease, and neighbouring windows may share one
-    return peak_idx[np.diff(peak_idx, prepend=-1) > 0]
+    keep = np.diff(peak_idx, prepend=-1) > 0
+    return peak_idx[keep], peak_v[keep]
 
 
-def extract_envelope_peaks(wave: Waveform, window_ms=20.0, env_rate=100) -> Envelope:
+def _window_peaks(x, win):
+    """The peak indices of one array: _block_peaks with x as its one block."""
+    return _block_peaks((x,), len(x), win)[0]
+
+
+def extract_envelope_peaks(wave: Waveform | WavSource, window_ms=20.0, env_rate=100) -> Envelope:
     """Demodulate any waveform by peak-picking its full-wave rectification.
 
     Local maxima of |x|, taken block by block, are collected over half-overlapping
     windows of window_ms and linearly interpolated onto a uniform env_rate grid;
-    leading and trailing gaps take the nearest peak value.
+    leading and trailing gaps take the nearest peak value. wave is a Waveform or
+    an open WavSource, whose samples are decoded once, a block at a time, after
+    the parameters and the length are checked.
     """
     _positive(window_ms, "window_ms")
     _positive(env_rate, "env_rate")
     if env_rate > wave.rate:
         raise ParameterError(f"env_rate {env_rate} exceeds the audio rate {wave.rate}")
-    x = wave.samples
+    n = len(wave)
     win = max(2, _ms_to_samples(window_ms, wave.rate, "window_ms"))
-    if len(x) < win:
+    if n < win:
         raise DegenerateInputError(
-            f"signal of {len(x)} samples is shorter than one {window_ms} ms window"
+            f"signal of {n} samples is shorter than one {window_ms} ms window"
         )
-    peak_idx = _window_peaks(x, win)
-    peak_t = peak_idx / wave.rate
-    peak_v = np.abs(x[peak_idx])
-
-    n_env = max(1, int(round(len(x) * env_rate / wave.rate)))
+    peak_idx, peak_v = _block_peaks(wave.blocks(), n, win)
+    n_env = max(1, int(round(n * env_rate / wave.rate)))
     grid = np.arange(n_env) / env_rate
-    values = np.interp(grid, peak_t, peak_v)  # np.interp holds edge values
+    values = np.interp(grid, peak_idx / wave.rate, peak_v)  # np.interp holds edge values
     return Envelope(values, float(env_rate))
 
 
@@ -217,9 +239,12 @@ def dft_magnitude(env: Envelope, cutoff_hz, zero_mean=True) -> Spectrum:
     )
 
 
-def aems(wave: Waveform, cutoff_hz=5.0, window_ms=20.0, env_rate=100,
+def aems(wave: Waveform | WavSource, cutoff_hz=5.0, window_ms=20.0, env_rate=100,
          smooth_ms=50.0) -> Spectrum:
-    """Full pipeline: peak-pick |x|, smooth, DFT-magnitude below cutoff."""
+    """Full pipeline: peak-pick |x|, smooth, DFT-magnitude below cutoff.
+
+    wave is a Waveform, or an open WavSource streamed through the peak picker.
+    """
     env = extract_envelope_peaks(wave, window_ms=window_ms, env_rate=env_rate)
     env = smooth_envelope(env, window_ms=smooth_ms)
     spec = dft_magnitude(env, cutoff_hz)

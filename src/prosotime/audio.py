@@ -11,7 +11,9 @@ from __future__ import annotations
 import math
 import struct
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -19,6 +21,8 @@ from .errors import DegenerateInputError, FormatError, ParameterError, ParseErro
 
 __all__ = [
     "Waveform",
+    "WavSource",
+    "open_wav",
     "read_wav",
     "write_wav_pcm16",
     "synthesize_am",
@@ -93,6 +97,10 @@ class Waveform:
     def __len__(self):
         return len(self.samples)
 
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The samples as a block source (see WavSource): one block."""
+        yield self.samples
+
 
 # WAVE format tags we accept: 1 = integer PCM, 3 = IEEE float. Tag 0xFFFE
 # (WAVE_FORMAT_EXTENSIBLE) carries the real tag in the first two bytes of its
@@ -104,13 +112,32 @@ _KSDATAFORMAT_TAIL = bytes.fromhex("000000001000800000aa00389b71")
 _BLOCK_FRAMES = 1 << 14  # frames decoded per read: bounds the raw bytes and temporaries
 
 
-def read_wav(path) -> Waveform:
-    """Read a RIFF/WAVE file into a mono Waveform.
+@dataclass(frozen=True, eq=False)
+class WavSource:
+    """A WAV file's mono samples as a block source: rate and length known, blocks() decodes them.
+
+    blocks() yields float64 arrays of up to _BLOCK_FRAMES samples each, in order, and
+    reads the file again on every call; it works while open_wav's with block is open.
+    """
+
+    rate: int
+    n: int
+    blocks: Callable[[], Iterator[np.ndarray]]
+
+    def __len__(self):
+        return self.n
+
+
+@contextmanager
+def open_wav(path) -> Iterator[WavSource]:
+    """Parse a RIFF/WAVE file's header and yield its data chunk as a WavSource.
 
     Accepts PCM 8/16/24/32-bit and IEEE float-32 data with 1 or 2 channels,
     plain or in WAVE_FORMAT_EXTENSIBLE form. Stereo is downmixed by the
     per-sample arithmetic mean; integer samples are scaled by 1/2^(bits-1)
-    and float samples are clipped to [-1, 1]. A pipe is refused with a FormatError.
+    and float samples are clipped to [-1, 1]. Each block is range-checked as a
+    Waveform is: a NaN or infinite float sample is a ParameterError naming the
+    first one. A pipe is refused with a FormatError.
     """
     with open(path, "rb") as fh:
         if not fh.seekable():  # a pipe has no size to check the chunk sizes against
@@ -175,8 +202,9 @@ def read_wav(path) -> Waveform:
         if n == 0:
             raise ParseError("data chunk contains no samples", offset=end)
 
-        def channel(col, out):
-            """One channel's samples, decoded into the float64 array out."""
+        def channel(col, count):
+            """One channel's samples, decoded into a new float64 array."""
+            out = np.empty(count)
             if audio_format == _WAVE_IEEE_FLOAT:
                 return np.clip(col, -1.0, 1.0, out=out)
             np.multiply(col, 2.0 ** (1 - 8 * col.itemsize), out=out)  # a power of two: exact
@@ -184,26 +212,43 @@ def read_wav(path) -> Waveform:
                 out -= 1.0  # unsigned: 128 is silence
             return out
 
-        samples = np.empty(n)
-        for lo in range(0, n, _BLOCK_FRAMES):
-            out = samples[lo : lo + _BLOCK_FRAMES]
-            payload = read(start + lo * frame, len(out) * frame)
-            if bits == 24:
-                # widen each 3-byte sample into the top three bytes of an int32
-                wide = np.zeros((len(payload) // 3, 4), dtype=np.uint8)
-                wide[:, 1:] = np.frombuffer(payload, np.uint8).reshape(-1, 3)
-                raw = wide.view("<i4")[:, 0]
-            elif audio_format == _WAVE_IEEE_FLOAT:
-                raw = np.frombuffer(payload, "<f4")
-            else:
-                raw = np.frombuffer(payload, {8: "u1", 16: "<i2", 32: "<i4"}[bits])
-            channel(raw[0::channels], out)
-            if channels == 2:
-                out += 0.0  # the mean sums from +0.0, so -0.0 and -0.0 give +0.0
-                out += channel(raw[1::channels], np.empty(len(out)))
-                out *= 0.5
+        def blocks():
+            for lo in range(0, n, _BLOCK_FRAMES):
+                count = min(_BLOCK_FRAMES, n - lo)
+                payload = read(start + lo * frame, count * frame)
+                if bits == 24:
+                    # widen each 3-byte sample into the top three bytes of an int32
+                    wide = np.zeros((count * channels, 4), dtype=np.uint8)
+                    wide[:, 1:] = np.frombuffer(payload, np.uint8).reshape(-1, 3)
+                    raw = wide.view("<i4")[:, 0]
+                elif audio_format == _WAVE_IEEE_FLOAT:
+                    raw = np.frombuffer(payload, "<f4")
+                    finite = np.isfinite(raw)  # integer samples always lie in [-1, 1)
+                    if not finite.all():
+                        bad = raw[np.argmin(finite)]
+                        raise ParameterError(f"waveform samples must be finite and lie within [-1, 1], got {bad}")
+                else:
+                    raw = np.frombuffer(payload, {8: "u1", 16: "<i2", 32: "<i4"}[bits])
+                out = channel(raw[0::channels], count)
+                if channels == 2:
+                    out += 0.0  # the mean sums from +0.0, so -0.0 and -0.0 give +0.0
+                    out += channel(raw[1::channels], count)
+                    out *= 0.5
+                yield out
+
+        yield WavSource(_positive(rate, "sample rate", int), n, blocks)
+
+
+def read_wav(path) -> Waveform:
+    """Read a RIFF/WAVE file into a mono Waveform: open_wav's blocks in one array."""
+    with open_wav(path) as source:
+        samples = np.empty(len(source))
+        lo = 0
+        for block in source.blocks():
+            samples[lo : lo + len(block)] = block
+            lo += len(block)
     samples.setflags(write=False)
-    return Waveform(samples, rate)
+    return Waveform(samples, source.rate)
 
 
 def write_wav_pcm16(path, wave: Waveform) -> None:

@@ -178,16 +178,16 @@ def _cmd_calibrate(args) -> tuple[str, dict, str, dict]:
 
 def _cmd_aems(args) -> tuple[str, dict, str, dict]:
     from .aems import aems as run_aems, shape_zones
-    from .audio import read_wav
+    from .audio import open_wav
 
-    wave = read_wav(args.wav)
-    spec = run_aems(
-        wave,
-        cutoff_hz=args.cutoff_hz,
-        window_ms=args.window_ms,
-        env_rate=args.env_rate,
-        smooth_ms=args.smooth_ms,
-    )
+    with open_wav(args.wav) as source:
+        spec = run_aems(
+            source,
+            cutoff_hz=args.cutoff_hz,
+            window_ms=args.window_ms,
+            env_rate=args.env_rate,
+            smooth_ms=args.smooth_ms,
+        )
     fit, zones = shape_zones(
         spec, min_prominence=args.min_prominence, min_separation_hz=args.min_separation_hz
     )
@@ -260,10 +260,11 @@ def _cmd_timetree(args) -> tuple[str, dict, str, dict]:
 
 def _cmd_spectree(args) -> tuple[str, dict, str, dict]:
     from .aems import aems as run_aems
-    from .audio import read_wav
+    from .audio import open_wav
     from .timetree import induce_spectral_hierarchy
 
-    spec = run_aems(read_wav(args.wav), cutoff_hz=args.cutoff_hz)  # no samples held through induction
+    with open_wav(args.wav) as source:
+        spec = run_aems(source, cutoff_hz=args.cutoff_hz)
     report = {"input": args.wav, "aems_params": dict(spec.params), "n_bins": len(spec)}
     return _tree_artifacts(args, f"{_stem(args.wav)}.spectree", report, induce_spectral_hierarchy, spec)
 
@@ -336,12 +337,13 @@ def _cmd_f0(args) -> tuple[str, dict, str, dict]:
     wave = read_wav(args.wav)
     params = {k: getattr(args, k) for k in ("fmin", "fmax", "frame_ms", "hop_ms", "voicing_ratio")}
     track = estimate_f0_autocorr(wave, **params)
-    ipus = segment_ipus(wave)
+    ipu_params = {"silence_db": -40.0, "min_pause_ms": 200.0, "min_ipu_ms": 100.0}
+    ipus = segment_ipus(wave, **ipu_params)
     _, voiced = track.voiced_frames()
     stem = _stem(args.wav)
     report = {
         "input": args.wav,
-        "params": params,
+        "params": {**params, **ipu_params},
         "n_frames": len(track),
         "voiced_frames": track.voiced_count,
         "hop_s": track.hop_s,

@@ -119,6 +119,22 @@ class PolyContourModel:
 
 
 _BLOCK_FRAMES = 128  # frames per batched FFT: bounds the working set to a few MB
+_LEAF = 1 << 16  # samples squared at once by _sum_of_squares and _frame_rms
+
+
+def _sum_of_squares(x, leaf=_LEAF):
+    """np.add.reduce(x**2), bit for bit, without squaring more than leaf samples at once.
+
+    numpy sums a contiguous float64 array pairwise: n > 128 elements split at
+    n // 2 rounded down to a multiple of 8, and each part is summed the same
+    way. Following that split down to parts of at most leaf (>= 128) elements
+    and reducing each part's squares gives the same additions in the same order.
+    """
+    if len(x) <= leaf:
+        return np.add.reduce(x**2)
+    half = len(x) // 2
+    half -= half % 8
+    return _sum_of_squares(x[:half], leaf) + _sum_of_squares(x[half:], leaf)
 
 
 def estimate_f0_autocorr(
@@ -157,7 +173,7 @@ def estimate_f0_autocorr(
         )
 
     x = wave.samples
-    track_rms = float(np.sqrt(np.mean(x**2)))
+    track_rms = float(np.sqrt(_sum_of_squares(x) / len(x)))  # np.mean(x**2), bit for bit
     # no frames when the signal is shorter than one (x[:0] allocates nothing)
     frames = sliding_window_view(x, frame_len)[::hop_len] if len(x) >= frame_len else x[:0]
     # smallest power of two >= frame_len + lag_max + 2: no circular wrap
@@ -210,6 +226,20 @@ def estimate_f0_autocorr(
 # ---------------------------------------------------------------------------
 
 
+def _frame_rms(x, frame_len):
+    """The RMS of each whole frame_len-sample frame of x, squared a batch of rows at a time.
+
+    Each row reduces on its own, so the batches change no bit of
+    np.sqrt(np.mean(frames**2, axis=1)).
+    """
+    frames = x[: len(x) // frame_len * frame_len].reshape(-1, frame_len)
+    rms = np.empty(len(frames))
+    rows = max(1, _LEAF // frame_len)
+    for lo in range(0, len(frames), rows):
+        rms[lo : lo + rows] = np.sqrt(np.mean(frames[lo : lo + rows] ** 2, axis=1))
+    return rms
+
+
 def segment_ipus(
     wave: Waveform,
     silence_db: float = -40.0,
@@ -223,13 +253,8 @@ def segment_ipus(
     shorter than min_ipu_ms are dropped.
     """
     frame_len = max(1, round(0.010 * wave.rate))
-    x = wave.samples
-    n_frames = len(x) // frame_len
-    if n_frames == 0:
-        return []
-    frames = x[: n_frames * frame_len].reshape(n_frames, frame_len)
-    rms = np.sqrt(np.mean(frames**2, axis=1))
-    peak = float(np.max(rms))
+    rms = _frame_rms(wave.samples, frame_len)
+    peak = float(np.max(rms, initial=0.0))
     if peak <= 0:
         return []
     with np.errstate(divide="ignore"):

@@ -85,6 +85,8 @@ class TimeTree:
                 raise ParameterError(f"children must contain exactly one 's' and otherwise 'w', got {child_marks}")
         if sorted(k for children in self.kids for k in children) != list(range(len(marks) - 1)):
             raise ParameterError("every node but the root, the last, needs exactly one parent")
+        if marks[-1] != "r":
+            raise ParameterError(f"the root, the last node, must be marked 'r', got {marks[-1]!r}")
 
     def walk(self) -> Iterator[tuple[int, int, bool]]:
         """Depth-first (node id, level, entering) events from the root, left to right.
@@ -258,7 +260,7 @@ def tree_texts(tree: TimeTree) -> tuple[str, str]:
             row = f'"label": {quote(labels[node])},\n      {row}'
         path.append(str(len(rows)))
         rows.append("{\n      " + row)
-    sexpr = labels[-1] if not kids[-1] and marks[-1] == "r" else "".join(parts)
+    sexpr = labels[-1] if not kids[-1] else "".join(parts)
     return sexpr, "[\n    " + ",\n    ".join(rows) + "\n  ]"
 
 

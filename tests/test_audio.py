@@ -1,10 +1,15 @@
 """Waveform container, RIFF reader/writer round-trips, and signal synthesis."""
 
 import importlib
+import math
 import os
+import re
 import struct
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,20 +29,26 @@ from prosotime import (
     Waveform,
     read_wav,
     aems,
+    extract_envelope_peaks,
     synthesize_am,
     write_wav_pcm16,
 )
+from prosotime.audio import open_wav
+
+
+def _wav_header(size, audio_format=1, channels=1, rate=8000, bits=16):
+    """The 44-byte header of a plain WAV file whose data chunk holds size bytes."""
+    block = channels * bits // 8
+    return struct.pack(
+        "<4sI4s4sIHHIIHH4sI",
+        b"RIFF", 36 + size, b"WAVE",
+        b"fmt ", 16, audio_format, channels, rate, rate * block, block, bits,
+        b"data", size,
+    )
 
 
 def _wav_bytes(payload, audio_format=1, channels=1, rate=8000, bits=16):
-    block = channels * bits // 8
-    header = struct.pack(
-        "<4sI4s4sIHHIIHH4sI",
-        b"RIFF", 36 + len(payload), b"WAVE",
-        b"fmt ", 16, audio_format, channels, rate, rate * block, block, bits,
-        b"data", len(payload),
-    )
-    return header + payload
+    return _wav_header(len(payload), audio_format, channels, rate, bits) + payload
 
 
 _KSDATAFORMAT_TAIL = bytes.fromhex("000000001000800000aa00389b71")
@@ -79,6 +90,30 @@ def former_decode(payload, audio_format, channels, bits):
     if channels == 2:
         samples = samples[: len(samples) // 2 * 2].reshape(-1, 2).mean(axis=1)
     return samples
+
+
+def _encode(x, audio_format, bits):
+    """Samples in [-1, 1] as the payload of a 16- or 24-bit PCM or a float-32 data chunk."""
+    if audio_format == 3:
+        return np.asarray(x, "<f4").tobytes()
+    if bits == 24:
+        return _pcm24_bytes(np.round(np.asarray(x) * (2**23 - 1)))
+    return np.round(np.asarray(x) * (2**15 - 1)).astype("<i2").tobytes()
+
+
+def _long_wav(path, seconds, audio_format, channels, bits):
+    """seconds of one seeded second of noise at 16 kHz, written a second at a time."""
+    second = _encode(np.random.default_rng(7).uniform(-0.5, 0.5, 16000 * channels), audio_format, bits)
+    with open(path, "wb") as fh:
+        fh.write(_wav_header(len(second) * seconds, audio_format, channels, 16000, bits))
+        for _ in range(seconds):
+            fh.write(second)
+
+
+# the formats the memory and streaming tests cover: (audio_format, channels, bits)
+_STREAM_FORMATS = pytest.mark.parametrize("audio_format, channels, bits",
+                                          [(1, 1, 16), (1, 2, 16), (3, 1, 32), (1, 1, 24)],
+                                          ids=["pcm16", "pcm16-stereo", "float32", "pcm24"])
 
 
 def wide_decode(payload, audio_format, channels, bits):
@@ -269,6 +304,92 @@ class TestBlockBoundaries:
         assert read_wav(path).samples.tobytes() == expect.tobytes()
 
 
+_RANGE_ERROR = "waveform samples must be finite and lie within [-1, 1], got "
+
+
+class TestSampleRangeCheck:
+    """Each decoded block is range-checked as a Waveform is: NaN and +-inf float samples are refused."""
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_non_finite_float_sample_refused(self, tmp_path, bad, channels):
+        vals = np.full(400, 0.25, "<f4")
+        vals[[3, 9]] = bad, -2.0  # the right channel of frame 1 in stereo; a finite value beyond 1 is clipped
+        path = tmp_path / "bad.wav"
+        path.write_bytes(_wav_bytes(vals.tobytes(), audio_format=3, channels=channels, bits=32))
+        with pytest.raises(ParameterError) as whole:
+            read_wav(path)
+        with pytest.raises(ParameterError) as streamed, open_wav(path) as source:
+            aems(source, window_ms=5.0)
+        with pytest.raises(ParameterError) as wave:
+            Waveform(np.array([0.5, bad]), 8000)
+        assert str(whole.value) == str(streamed.value) == str(wave.value) == _RANGE_ERROR + str(bad)
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_first_bad_sample_of_a_later_block_is_named(self, small_blocks, tmp_path, channels):
+        vals = np.linspace(-1.0, 1.0, channels * (3 * small_blocks + 2)).astype("<f4")
+        vals[-3:] = -math.inf, math.nan, math.inf  # the last three samples, past the first two blocks
+        path = tmp_path / "late.wav"
+        path.write_bytes(_wav_bytes(vals.tobytes(), audio_format=3, channels=channels, bits=32))
+        with pytest.raises(ParameterError, match=f"^{re.escape(_RANGE_ERROR)}-inf$"):
+            read_wav(path)
+
+    def test_infinite_sample_exits_one(self, tmp_path, capsys):
+        from prosotime.cli import run
+
+        vals = np.full(800, 0.1, "<f4")
+        vals[500] = math.inf
+        path = tmp_path / "inf.wav"
+        path.write_bytes(_wav_bytes(vals.tobytes(), audio_format=3, bits=32))
+        for sub in ("aems", "spectree", "f0"):
+            assert run([sub, str(path), "--out-dir", str(tmp_path / "out")]) == 1
+            assert capsys.readouterr().err == f"error: {_RANGE_ERROR}inf\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_parameters_and_length_come_before_the_samples(self, tmp_path):
+        # a stream is read only after aems has checked its parameters and the signal's length;
+        # read_wav decodes every sample first, so there a bad sample is the first error
+        vals = np.full(400, 0.1, "<f4")
+        vals[5] = math.nan
+        path = tmp_path / "nan.wav"
+        path.write_bytes(_wav_bytes(vals.tobytes(), audio_format=3, bits=32))
+        with open_wav(path) as source:
+            with pytest.raises(ParameterError, match="^env_rate must be finite and > 0, got 0$"):
+                aems(source, env_rate=0)
+            with pytest.raises(ParameterError, match="^window_ms must be finite and > 0, got -1$"):
+                aems(source, window_ms=-1)
+            with pytest.raises(DegenerateInputError, match="shorter than one 100 ms window"):
+                aems(source, window_ms=100)
+            with pytest.raises(ParameterError, match="got nan$"):
+                aems(source, window_ms=5.0)
+        with pytest.raises(ParameterError, match="got nan$"):
+            read_wav(path)
+
+    def test_header_rate_comes_before_the_samples(self, tmp_path):
+        path = tmp_path / "rate0.wav"
+        path.write_bytes(_wav_bytes(np.array([0.5, math.nan], "<f4").tobytes(), audio_format=3, rate=0, bits=32))
+        with pytest.raises(ParameterError, match="^sample rate must be finite and > 0, got 0$"):
+            read_wav(path)
+
+
+class TestStreamedEnvelope:
+    """The envelope of a file streamed a few frames per block equals that of read_wav's Waveform."""
+
+    @pytest.mark.parametrize("window_ms", [20.0, 20.0625])  # win 320 and 321 at 16 kHz
+    @_STREAM_FORMATS
+    def test_bytes_match_read_wav(self, small_blocks, tmp_path, window_ms, audio_format, channels, bits):
+        rng = np.random.default_rng(small_blocks)
+        for n in (321, 322, 479, 480, 481, 639, 640, 641, 1599, 1600, 1601):  # around multiples of hop 160
+            for x in (rng.uniform(-1, 1, n * channels), rng.integers(-2, 3, n * channels) / 2):  # the second ties
+                path = tmp_path / "stream.wav"
+                path.unlink(missing_ok=True)
+                path.write_bytes(_wav_bytes(_encode(x, audio_format, bits), audio_format, channels, 16000, bits))
+                with open_wav(path) as source:
+                    streamed = extract_envelope_peaks(source, window_ms=window_ms)
+                whole = extract_envelope_peaks(read_wav(path), window_ms=window_ms)
+                assert streamed.values.tobytes() == whole.values.tobytes(), n
+
+
 class TestWideAndExtensibleFormats:
     _INT24 = np.array([0, 1, -1, 2**23 - 1, -(2**23), 123456, -654321, 4096])
     _INT32 = np.array([0, 1, -1, 2**31 - 1, -(2**31), 1234567890, -987654321, 65536])
@@ -421,6 +542,54 @@ class TestStageMemory:
         assert len(wave) == 120 * 16000
         assert read_peak <= 1.1 * wave.samples.nbytes
         assert aems_peak <= 0.15 * wave.samples.nbytes
+
+
+class TestStreamMemory:
+    """aems on an open WAV file builds no n-sample array: its peak stays below one constant."""
+
+    PEAK = 6 * 2**20  # 60 s of float64 samples is 7.7 MB, 600 s 76.8 MB
+
+    @_STREAM_FORMATS
+    @pytest.mark.parametrize("seconds", [60, 600])
+    def test_aems_on_a_file_peaks_below_a_constant(self, tmp_path, audio_format, channels, bits, seconds):
+        path = tmp_path / "long.wav"
+        _long_wav(path, seconds, audio_format, channels, bits)
+
+        def stage():
+            with open_wav(path) as source:
+                return aems(source)
+
+        spec, peak = _traced_peak(stage)
+        assert spec.params["n_samples"] == 100 * seconds
+        assert peak < self.PEAK
+
+    @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+    def test_aems_child_rss_grows_less_than_a_quarter_of_the_signal(self, tmp_path):
+        path = tmp_path / "long.wav"
+        _long_wav(path, 300, 1, 1, 16)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        numpy_only = _child_maxrss(env, "-c", "import numpy")
+        used = _child_maxrss(env, "-m", "prosotime.cli", "aems", str(path), "--out-dir", str(tmp_path / "out"))
+        assert used - numpy_only < 0.25 * 300 * 16000 * 8
+
+
+# Starts the child from a small interpreter: Linux carries the parent's peak RSS
+# across fork and exec into the child's ru_maxrss, and the test process is large.
+_LAUNCH = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _child_maxrss(env, *args):
+    """The child's own peak RSS in bytes, for `python *args` exiting 0."""
+    out = subprocess.run([sys.executable, "-c", _LAUNCH, sys.executable, *args], env=env,
+                         capture_output=True, text=True, timeout=120, check=True).stdout
+    code, maxrss = map(int, out.split())
+    assert code == 0
+    return maxrss * (1 if sys.platform == "darwin" else 1024)  # bytes on macOS, KiB elsewhere
 
 
 class TestWavErrors:

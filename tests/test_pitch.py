@@ -1,5 +1,6 @@
 """F0 estimation, pause segmentation, and polynomial contour models."""
 
+import importlib
 import math
 import tracemalloc
 
@@ -23,7 +24,7 @@ from prosotime import (
     synthesize_contour,
     transduce_tones,
 )
-from prosotime.pitch import _BLOCK_FRAMES, contour_model_to_dict, f0_track_to_csv
+from prosotime.pitch import _BLOCK_FRAMES, _frame_rms, _sum_of_squares, contour_model_to_dict, f0_track_to_csv
 
 
 def _sine(freq, dur_s, rate=16000, amp=0.8):
@@ -497,6 +498,49 @@ class TestBatchedTrackerOracle:
             tracemalloc.stop()
         assert len(track) == 11997
         assert peak < wave.samples.nbytes + 16 * 2**20
+
+
+class TestSignalSums:
+    """track_rms and the IPU frame RMS keep numpy's bits without a signal-sized square."""
+
+    @pytest.mark.parametrize("leaf", [128, 129, 1000, 1 << 16])
+    def test_sum_of_squares_is_the_pairwise_sum(self, leaf):
+        rng = np.random.default_rng(leaf)
+        lengths, m = {1, 7, 8, 9, 127, 128, 129, 255, 256, 257}, leaf
+        while m <= 1 << 20:  # the parts of at most leaf samples split once more past each doubling
+            lengths |= {m - 9, m - 8, m - 7, m - 1, m, m + 1, m + 7, m + 8, m + 9}
+            m *= 2
+        for n in sorted(lengths):
+            x = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+            for signal in (x, x[::-2]):
+                total = _sum_of_squares(signal, leaf)
+                assert total.tobytes() == np.add.reduce(signal**2).tobytes(), (leaf, n)
+                assert np.sqrt(total / len(signal)) == np.sqrt(np.mean(signal**2))
+
+    @pytest.mark.parametrize("leaf", [1, 500, 1 << 16])
+    @pytest.mark.parametrize("frame_len", [1, 7, 160, 441])
+    def test_frame_rms_in_row_batches(self, monkeypatch, leaf, frame_len):
+        monkeypatch.setattr(importlib.import_module("prosotime.pitch"), "_LEAF", leaf)
+        rng = np.random.default_rng(frame_len)
+        for n_frames in (0, 1, 2, 99, 1000):
+            x = rng.uniform(-1, 1, n_frames * frame_len + frame_len // 2)
+            frames = x[: n_frames * frame_len].reshape(n_frames, frame_len)
+            expect = np.sqrt(np.mean(frames**2, axis=1))
+            assert _frame_rms(x, frame_len).tobytes() == expect.tobytes()
+
+    def test_f0_stages_square_no_whole_signal(self):
+        rate = 16000
+        t = np.arange(120 * rate) / rate
+        wave = Waveform(0.5 * np.sin(2 * np.pi * (120 * t + 0.2 * t**2)), rate)
+        del t
+        for stage in (estimate_f0_autocorr, segment_ipus):
+            tracemalloc.start()
+            try:
+                stage(wave)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 0.6 * wave.samples.nbytes, stage.__name__
 
 
 class TestParameterRanges:

@@ -11,7 +11,7 @@ import random
 import re
 import struct
 import time
-import weakref
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -354,24 +354,23 @@ class TestCliTimetree:
         assert "--polarity" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_spectree_frees_the_samples_before_induction(self, am_wav_path, tmp_path, monkeypatch):
-        # the decoded waveform is a spectree run's largest object: nothing may hold it past the spectrum
-        audio, timetree = importlib.import_module("prosotime.audio"), importlib.import_module("prosotime.timetree")
-        read_wav, induce = audio.read_wav, timetree.induce_spectral_hierarchy
-        refs = []
+    def test_spectree_decodes_no_whole_signal(self, tmp_path, monkeypatch):
+        # spectree streams the data chunk through the peak picker: no read_wav, no n-sample array
+        def refuse(path):
+            raise AssertionError("spectree read the whole signal")
 
-        def reading(path):
-            wave = read_wav(path)
-            refs.extend((weakref.ref(wave), weakref.ref(wave.samples)))
-            return wave
-
-        def inducing(spec, params):
-            assert len(refs) == 2 and [ref() for ref in refs] == [None, None]
-            return induce(spec, params)
-
-        monkeypatch.setattr(audio, "read_wav", reading)
-        monkeypatch.setattr(timetree, "induce_spectral_hierarchy", inducing)
-        assert run(["spectree", str(am_wav_path), "--formats", "json", "--out-dir", str(tmp_path)]) == 0
+        monkeypatch.setattr(importlib.import_module("prosotime.audio"), "read_wav", refuse)
+        path = tmp_path / "long.wav"
+        write_wav_pcm16(path, synthesize_am(200.0, 5.0, 1.0, 60.0, 16000))
+        argv = ["spectree", str(path), "--out-dir", str(tmp_path / "out")]
+        assert run(argv) == 0  # once untraced, so that the traced run imports nothing
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * 60 * 16000 * 8  # a quarter of the float64 signal
 
     def test_spectree_nodes_label_every_bin(self, am_wav_path, tmp_path, capsys):
         assert run(["spectree", str(am_wav_path), "--json", "--out-dir", str(tmp_path)]) == 0
@@ -606,6 +605,9 @@ class TestCliF0AndContour:
         jsonschema.validate(rep, load_schema("f0"))
         assert rep["median_f0_hz"] == pytest.approx(200.0, abs=2.0)
         assert len(rep["ipus"]) == 1
+        # the report names the IPU thresholds it applied
+        ipu_params = {k: rep["params"][k] for k in ("silence_db", "min_pause_ms", "min_ipu_ms")}
+        assert ipu_params == {"silence_db": -40.0, "min_pause_ms": 200.0, "min_ipu_ms": 100.0}
 
     def test_contour_fit_from_csv(self, tmp_path, capsys):
         from prosotime.pitch import f0_track_to_csv

@@ -148,6 +148,14 @@ class TestStructuralInvariants:
                 TimeTree(*table)
                 pytest.fail(f"{name} table accepted")
 
+    @pytest.mark.parametrize("mark", ["s", "w"])
+    def test_root_not_marked_r_is_refused(self, mark):
+        with pytest.raises(ParameterError, match=f"^the root, the last node, must be marked 'r', got '{mark}'$"):
+            TimeTree((mark,), (1.0,), ("x",), ((),))
+        # a well-formed table but for its root's mark
+        with pytest.raises(ParameterError, match=f"got '{mark}'$"):
+            TimeTree(("w", "s", mark), (1.0, 2.0, 2.0), ("a", "b", None), ((), (), (0, 1)))
+
 
 # (case, (marks, values, labels, kids), error text); a valid table is
 # (("w", "s", "r"), (1.0, 2.0, 2.0), ("a", "b", None), ((), (), (0, 1)))
@@ -517,8 +525,7 @@ _LABELS = st.one_of(st.sampled_from(HOSTILE),
                     st.text(st.characters(blacklist_categories=()), max_size=4))
 _VALUES = st.one_of(st.floats(1e-300, 1e300), st.floats(-1e300, -1e-300),
                     st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300, 1.7976931348623157e308, 0.1, 1.0]))
-_ONE_NODE = st.builds(lambda mark, value, label: TimeTree((mark,), (value,), (label,), ((),)),
-                      st.sampled_from("rsw"), _VALUES, _LABELS)
+_ONE_NODE = st.builds(lambda value, label: TimeTree(("r",), (value,), (label,), ((),)), _VALUES, _LABELS)
 REPORT = {"input": "in.csv", "n": 3, "params": {"arity": "nary"}, "subcommand": "timetree", "tier": "t"}
 
 
@@ -532,7 +539,7 @@ class TestOnePassReport:
     @given(pairs=st.lists(st.tuples(_LABELS, _VALUES), min_size=1, max_size=30), one=_ONE_NODE,
            bare=st.booleans())
     def test_matches_encoder_over_former_serializers(self, params, pairs, one, bare):
-        # a one-node table covers the bare-root-leaf rule: only a root leaf marked r prints bare
+        # a one-node table covers the bare-root-leaf rule: a root leaf prints bare
         tree = one if bare else induce_time_tree(pairs, params)
         sexpr, nodes = tree_texts(tree)
         want = {"sexpr": _former_to_sexpr(tree), **_former_tree_to_dict(tree)}
@@ -541,7 +548,7 @@ class TestOnePassReport:
         # the rows read back from the text: a JSON reader joins a high and a low surrogate into one character
         assert tree_to_dict(tree) == json.loads(json.dumps({"nodes": want["nodes"]}))
 
-    @pytest.mark.parametrize("mark, sexpr", [("r", "x y"), ("s", "(s x y)"), ("w", "(w x y)")])
+    @pytest.mark.parametrize("mark, sexpr", [("r", "x y")])  # a root marked s or w is refused
     def test_only_a_root_leaf_marked_r_prints_bare(self, mark, sexpr):
         assert to_sexpr(TimeTree((mark,), (1.0,), ("x y",), ((),))) == sexpr
 
