@@ -12,18 +12,23 @@ Each handler imports the modules it runs, so a process loads numpy only for
 the subcommands that need it (aems, spectree, calibrate, f0, contour-fit and
 tone-gen); metrics, timetree and intonation run on the standard library.
 
-Each handler is a pure function of args returning (json_name, report, summary,
-renders): renders maps every CSV or SVG name the subcommand can write to a
-zero-argument render of its text chunks, or to None where this input has no
-such artifact.  Only run() writes: it serializes the report first (a non-finite
-one writes nothing), writes each listed format's render or removes its stale
-file for None, writes the report last (a run that exits 1 leaves none), then
-prints summary and, under --json, the report text.
+Each subcommand names every file it can write before it runs: `outputs`
+suffixes, the first its JSON report, after the input file's stem (or a fixed
+one).  Each handler is a pure function of args returning (report, summary,
+renders): renders maps the suffix of each CSV or SVG this input has to a
+zero-argument render of its text chunks.  Only run() writes: it serializes the
+report first (a non-finite one writes nothing), writes each listed format's
+render or removes the stale file of a suffix with none, writes the report last,
+then prints summary and, under --json, the report text.  A run that exits 1
+removes every file of its names in the listed formats, so nothing an earlier
+run left there reads as this run's result; a usage error (exit 2) leaves the
+output directory as it was.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -84,7 +89,11 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _stem(path: str) -> str:
+def _stem(args) -> str:
+    """The subcommand's fixed stem, or else its input file's name, sanitized."""
+    if args.stem is not None:
+        return args.stem
+    path = next(getattr(args, k) for k in ("wav", "annot", "f0csv") if hasattr(args, k))
     return re.sub(r"[^A-Za-z0-9._-]", "_", Path(path).stem) or "input"
 
 
@@ -109,16 +118,16 @@ def _write(out_dir: Path, name: str, render: Callable[[], Iterable[str]] | None)
         raise
 
 
-def _spectrum_artifacts(stem: str, spec, fit, zones, report: dict) -> dict:
+def _spectrum_artifacts(spec, fit, zones, report: dict) -> dict:
     """Shared spectrum emission: poly info into the report; CSV, line plot and heatmap renders."""
     from .aems import spectrum_csv_chunks
     from .svgplot import svg_heatmap_chunks, svg_spectrum_chunks
 
     report.update(poly_degree=fit.degree, poly_coeffs=list(fit.coeffs), poly_rmse=fit.rmse)
     return {
-        f"{stem}.spectrum.csv": lambda: spectrum_csv_chunks(spec),
-        f"{stem}.spectrum.svg": lambda: svg_spectrum_chunks(spec, fit, zones),
-        f"{stem}.heatmap.svg": (lambda: svg_heatmap_chunks(spec)) if len(spec) >= 2 else None,
+        "spectrum.csv": lambda: spectrum_csv_chunks(spec),
+        "spectrum.svg": lambda: svg_spectrum_chunks(spec, fit, zones),
+        "heatmap.svg": (lambda: svg_heatmap_chunks(spec)) if len(spec) >= 2 else None,
     }
 
 
@@ -146,7 +155,7 @@ def _tier_durations(args):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_calibrate(args) -> tuple[str, dict, str, dict]:
+def _cmd_calibrate(args) -> tuple[dict, str, dict]:
     import numpy as np
 
     from .aems import aems as run_aems, shape_zones
@@ -171,12 +180,12 @@ def _cmd_calibrate(args) -> tuple[str, dict, str, dict]:
         "zones": [dataclasses.asdict(z) for z in zones],
         "pass": bool(ok),
     }
-    renders = _spectrum_artifacts("calibrate", spec, fit, zones, report)
+    renders = _spectrum_artifacts(spec, fit, zones, report)
     summary = f"peak_hz={peak_hz} harmonic_hz={report['harmonic_hz']} pass={str(ok).lower()}"
-    return "calibrate.json", report, summary, renders
+    return report, summary, renders
 
 
-def _cmd_aems(args) -> tuple[str, dict, str, dict]:
+def _cmd_aems(args) -> tuple[dict, str, dict]:
     from .aems import aems as run_aems, shape_zones
     from .audio import open_wav
 
@@ -191,22 +200,22 @@ def _cmd_aems(args) -> tuple[str, dict, str, dict]:
     fit, zones = shape_zones(
         spec, min_prominence=args.min_prominence, min_separation_hz=args.min_separation_hz
     )
-    stem = _stem(args.wav)
     report = {
         "input": args.wav,
-        "params": dict(spec.params),
+        "params": {**spec.params, "min_prominence": args.min_prominence,
+                   "min_separation_hz": args.min_separation_hz},
         "resolution_hz": spec.resolution_hz,
         "cutoff_hz": spec.cutoff_hz,
         "n_bins": len(spec),
         "zones": [dataclasses.asdict(z) for z in zones],
         "dominant_hz": zones[0].center_hz if zones else None,
     }
-    renders = _spectrum_artifacts(stem, spec, fit, zones, report)
+    renders = _spectrum_artifacts(spec, fit, zones, report)
     summary = f"bins={len(spec)} resolution_hz={spec.resolution_hz} dominant_hz={report['dominant_hz']}"
-    return f"{stem}.aems.json", report, summary, renders
+    return report, summary, renders
 
 
-def _cmd_metrics(args) -> tuple[str, dict, str, dict]:
+def _cmd_metrics(args) -> tuple[dict, str, dict]:
     from .rhythm import metrics_report, quadrant_analysis, quadrant_csv_chunks
     from .svgplot import svg_quadrants_chunks
 
@@ -216,13 +225,13 @@ def _cmd_metrics(args) -> tuple[str, dict, str, dict]:
             f"tier {tier.name!r} leaves {len(seq)} usable durations; need >= 2"
         )
     flat = metrics_report(seq)
-    stem = _stem(args.annot)
     try:
         quads = quadrant_analysis(seq)
         quad_report = {"counts": quads.counts, "index": quads.index}
-        csv, svg = (lambda: quadrant_csv_chunks(quads)), (lambda: svg_quadrants_chunks(quads))
+        renders = {"quadrants.csv": lambda: quadrant_csv_chunks(quads),
+                   "quadrants.svg": lambda: svg_quadrants_chunks(quads)}
     except DegenerateInputError:
-        quad_report = csv = svg = None
+        quad_report, renders = None, {}
     report = {
         "input": args.annot,
         "tier": tier.name,
@@ -232,11 +241,10 @@ def _cmd_metrics(args) -> tuple[str, dict, str, dict]:
         "quadrants": quad_report,
     }
     line = " ".join(f"{k}={report['metrics'][k]:.4f}" for k in sorted(report["metrics"]))
-    renders = {f"{stem}.quadrants.csv": csv, f"{stem}.quadrants.svg": svg}
-    return f"{stem}.metrics.json", report, f"tier={tier.name} n={flat['n']} {line}", renders
+    return report, f"tier={tier.name} n={flat['n']} {line}", renders
 
 
-def _tree_artifacts(args, name: str, report: dict, induce, data) -> tuple[str, dict, str, dict]:
+def _tree_artifacts(args, report: dict, induce, data) -> tuple[dict, str, dict]:
     """Shared tree emission: induce(data, params) under the tree flags; report items and SVG drawing."""
     from .svgplot import svg_timetree_chunks
     from .timetree import TreeParams, tree_texts
@@ -245,20 +253,20 @@ def _tree_artifacts(args, name: str, report: dict, induce, data) -> tuple[str, d
     tree = induce(data, params)
     sexpr, nodes = tree_texts(tree)
     report.update(params=dataclasses.asdict(params), sexpr=sexpr, nodes=_Json(nodes))
-    return f"{name}.json", report, sexpr, {f"{name}.svg": lambda: svg_timetree_chunks(tree)}
+    return report, sexpr, {f"{args.subcommand}.svg": lambda: svg_timetree_chunks(tree)}
 
 
-def _cmd_timetree(args) -> tuple[str, dict, str, dict]:
+def _cmd_timetree(args) -> tuple[dict, str, dict]:
     from .timetree import induce_time_tree
 
     tier, seq = _tier_durations(args)
     if len(seq) == 0:
         raise DegenerateInputError(f"tier {tier.name!r} has no usable durations")
     report = {"input": args.annot, "tier": tier.name, "n": len(seq)}
-    return _tree_artifacts(args, f"{_stem(args.annot)}.timetree", report, induce_time_tree, seq)
+    return _tree_artifacts(args, report, induce_time_tree, seq)
 
 
-def _cmd_spectree(args) -> tuple[str, dict, str, dict]:
+def _cmd_spectree(args) -> tuple[dict, str, dict]:
     from .aems import aems as run_aems
     from .audio import open_wav
     from .timetree import induce_spectral_hierarchy
@@ -266,10 +274,10 @@ def _cmd_spectree(args) -> tuple[str, dict, str, dict]:
     with open_wav(args.wav) as source:
         spec = run_aems(source, cutoff_hz=args.cutoff_hz)
     report = {"input": args.wav, "aems_params": dict(spec.params), "n_bins": len(spec)}
-    return _tree_artifacts(args, f"{_stem(args.wav)}.spectree", report, induce_spectral_hierarchy, spec)
+    return _tree_artifacts(args, report, induce_spectral_hierarchy, spec)
 
 
-def _cmd_tone_gen(args) -> tuple[str, dict, str, dict]:
+def _cmd_tone_gen(args) -> tuple[dict, str, dict]:
     from .fsm import TerracingParams, realize_pitch, synthesize_contour, transduce_tones
     from .pitch import f0_track_csv_chunks
     from .svgplot import svg_f0_track_chunks
@@ -288,16 +296,16 @@ def _cmd_tone_gen(args) -> tuple[str, dict, str, dict]:
         "tone_dur_ms": args.tone_dur_ms,
         "n_frames": 0,
     }
-    csv = svg = None
+    renders = {}
     if len(targets):
         track = synthesize_contour(targets, tone_dur_ms=args.tone_dur_ms)
         report["n_frames"] = len(track)
-        csv, svg = (lambda: f0_track_csv_chunks(track)), (lambda: svg_f0_track_chunks(track))
+        renders = {"f0.csv": lambda: f0_track_csv_chunks(track), "f0.svg": lambda: svg_f0_track_chunks(track)}
     summary = (" ".join(phonetic) or "(empty)") + "\n" + " ".join(f"{hz:.1f}" for _, hz in targets.items)
-    return "tones.json", report, summary, {"tones.f0.csv": csv, "tones.f0.svg": svg}
+    return report, summary, renders
 
 
-def _cmd_intonation(args) -> tuple[str, dict, str, dict]:
+def _cmd_intonation(args) -> tuple[dict, str, dict]:
     from .fsm import build_pierrehumbert, enumerate_strings, recognize
 
     fsm = build_pierrehumbert()
@@ -324,23 +332,22 @@ def _cmd_intonation(args) -> tuple[str, dict, str, dict]:
             "strings": strings,
         }
         summary = f"count={len(strings)}"
-    return "intonation.json", report, summary, {}
+    return report, summary, {}
 
 
-def _cmd_f0(args) -> tuple[str, dict, str, dict]:
+def _cmd_f0(args) -> tuple[dict, str, dict]:
     import numpy as np
 
-    from .audio import read_wav
+    from .audio import open_wav
     from .pitch import estimate_f0_autocorr, f0_track_csv_chunks, segment_ipus
     from .svgplot import svg_f0_track_chunks
 
-    wave = read_wav(args.wav)
     params = {k: getattr(args, k) for k in ("fmin", "fmax", "frame_ms", "hop_ms", "voicing_ratio")}
-    track = estimate_f0_autocorr(wave, **params)
     ipu_params = {"silence_db": -40.0, "min_pause_ms": 200.0, "min_ipu_ms": 100.0}
-    ipus = segment_ipus(wave, **ipu_params)
+    with open_wav(args.wav) as source:  # each stage decodes the data chunk once, a block at a time
+        track = estimate_f0_autocorr(source, **params)
+        ipus = segment_ipus(source, **ipu_params)
     _, voiced = track.voiced_frames()
-    stem = _stem(args.wav)
     report = {
         "input": args.wav,
         "params": {**params, **ipu_params},
@@ -354,13 +361,13 @@ def _cmd_f0(args) -> tuple[str, dict, str, dict]:
         f"frames={len(track)} voiced={track.voiced_count} "
         f"median_f0_hz={report['median_f0_hz']} ipus={len(ipus)}"
     )
-    return f"{stem}.f0.json", report, summary, {
-        f"{stem}.f0.csv": lambda: f0_track_csv_chunks(track),
-        f"{stem}.f0.svg": lambda: svg_f0_track_chunks(track),
+    return report, summary, {
+        "f0.csv": lambda: f0_track_csv_chunks(track),
+        "f0.svg": lambda: svg_f0_track_chunks(track),
     }
 
 
-def _cmd_contour_fit(args) -> tuple[str, dict, str, dict]:
+def _cmd_contour_fit(args) -> tuple[dict, str, dict]:
     from .pitch import IPU, contour_model_to_dict, fit_contour, parse_f0_csv
     from .svgplot import svg_f0_track_chunks
 
@@ -371,12 +378,10 @@ def _cmd_contour_fit(args) -> tuple[str, dict, str, dict]:
             raise _UsageError("--start-s and --end-s must be given together")
         domain = IPU(start_s=args.start_s, end_s=args.end_s)
     model = fit_contour(track, args.degree, domain)
-    stem = _stem(args.f0csv)
     report = {"input": args.f0csv, "model": contour_model_to_dict(model)}
     coeffs = " ".join(f"{c:.4g}" for c in model.fit.coeffs)
     summary = f"degree={model.fit.degree} rmse={model.fit.rmse:.4g} coeffs=[{coeffs}]"
-    renders = {f"{stem}.contour.svg": lambda: svg_f0_track_chunks(track, [model])}
-    return f"{stem}.contour.json", report, summary, renders
+    return report, summary, {"contour.svg": lambda: svg_f0_track_chunks(track, [model])}
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="print the JSON report to stdout")
     common.add_argument("--out-dir", default=None, help=f"output directory (default ${OUT_DIR_ENV} or ./prosotime_out)")
     common.add_argument("--formats", default="json,csv,svg", help="comma list from json,csv,svg")
+    common.set_defaults(stem=None)  # None: the input file's stem
+    spectrum = ("spectrum.csv", "spectrum.svg", "heatmap.svg")
 
     tree_flags = argparse.ArgumentParser(add_help=False)
     tree_flags.add_argument("--relation", choices=("iambic", "trochaic"), default="iambic")
@@ -408,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("calibrate", parents=[common], help="synthesize the reference AM signal and verify the pipeline")
-    p.set_defaults(func=_cmd_calibrate)
+    p.set_defaults(func=_cmd_calibrate, stem="calibrate", outputs=("json", *spectrum))
 
     p = sub.add_parser("aems", parents=[common], help="amplitude envelope modulation spectrum of a wav file")
     p.add_argument("wav")
@@ -418,21 +425,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smooth-ms", type=_positive_float, default=50.0)
     p.add_argument("--min-prominence", type=_finite_float, default=0.1)
     p.add_argument("--min-separation-hz", type=_finite_float, default=0.0)
-    p.set_defaults(func=_cmd_aems)
+    p.set_defaults(func=_cmd_aems, outputs=("aems.json", *spectrum))
 
     p = sub.add_parser("metrics", parents=[common, annot_flags], help="duration dispersion metrics over an annotation tier")
     p.add_argument("annot")
-    p.set_defaults(func=_cmd_metrics)
+    p.set_defaults(func=_cmd_metrics, outputs=("metrics.json", "quadrants.csv", "quadrants.svg"))
 
     p = sub.add_parser("timetree", parents=[common, annot_flags, tree_flags], help="induce a metrical time tree from annotated durations")
     p.add_argument("annot")
     p.add_argument("--polarity", choices=("higher", "lower"), default="higher")
-    p.set_defaults(func=_cmd_timetree)
+    p.set_defaults(func=_cmd_timetree, outputs=("timetree.json", "timetree.svg"))
 
     p = sub.add_parser("spectree", parents=[common, tree_flags], help="hierarchical segmentation of a wav's modulation spectrum")
     p.add_argument("wav")
     p.add_argument("--cutoff-hz", type=_positive_float, default=5.0)
-    p.set_defaults(func=_cmd_spectree, polarity="higher")  # spectral trees are always higher-is-stronger
+    # spectral trees are always higher-is-stronger
+    p.set_defaults(func=_cmd_spectree, polarity="higher", outputs=("spectree.json", "spectree.svg"))
 
     p = sub.add_parser("tone-gen", parents=[common], help="terracing transduction and pitch realization of an H/L tone string")
     p.add_argument("tones", help="whitespace-separated lexical tones, e.g. 'H L H L H'")
@@ -445,13 +453,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--floor-hz", type=_finite_float, default=60.0)
     p.add_argument("--ceiling-hz", type=_finite_float, default=400.0)
     p.add_argument("--tone-dur-ms", type=_positive_float, default=150.0)
-    p.set_defaults(func=_cmd_tone_gen)
+    p.set_defaults(func=_cmd_tone_gen, stem="tones", outputs=("json", "f0.csv", "f0.svg"))
 
     p = sub.add_parser("intonation", parents=[common], help="check or enumerate intonation tone strings")
     p.add_argument("mode", choices=("check", "enum"))
     p.add_argument("string", nargs="?", default=None, help="symbol string for check mode")
     p.add_argument("--max-len", type=int, default=4, help="enumeration length bound")
-    p.set_defaults(func=_cmd_intonation)
+    p.set_defaults(func=_cmd_intonation, stem="intonation", outputs=("json",))
 
     p = sub.add_parser("f0", parents=[common], help="autocorrelation F0 track of a wav file")
     p.add_argument("wav")
@@ -460,14 +468,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frame-ms", type=_positive_float, default=40.0)
     p.add_argument("--hop-ms", type=_positive_float, default=10.0)
     p.add_argument("--voicing-ratio", type=_finite_float, default=0.3)
-    p.set_defaults(func=_cmd_f0)
+    p.set_defaults(func=_cmd_f0, outputs=("f0.json", "f0.csv", "f0.svg"))
 
     p = sub.add_parser("contour-fit", parents=[common], help="polynomial contour model over an F0 CSV track")
     p.add_argument("f0csv")
     p.add_argument("--degree", type=int, default=3)
     p.add_argument("--start-s", type=_finite_float, default=None, help="domain start (with --end-s)")
     p.add_argument("--end-s", type=_finite_float, default=None, help="domain end (with --start-s)")
-    p.set_defaults(func=_cmd_contour_fit)
+    p.set_defaults(func=_cmd_contour_fit, outputs=("contour.json", "contour.svg"))
 
     return parser
 
@@ -486,12 +494,14 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: unknown formats {sorted(unknown)}", file=sys.stderr)
         return 2
 
+    stem, (report_suffix, *others) = _stem(args), args.outputs
+    listed = [s for s in (*others, report_suffix) if s.rpartition(".")[2] in formats]  # the report last
     try:
-        json_name, report, summary, renders = args.func(args)
+        report, summary, renders = args.func(args)
         text = _dumps({"subcommand": args.subcommand, **report})
-        for name, render in {**renders, json_name: lambda: [text]}.items():
-            if name.rpartition(".")[2] in formats:
-                _write(out_dir, name, render)
+        renders[report_suffix] = lambda: [text]
+        for suffix in listed:
+            _write(out_dir, f"{stem}.{suffix}", renders.get(suffix))
         print(summary)
         if args.json:
             print(text, end="")
@@ -500,6 +510,9 @@ def run(argv: list[str] | None = None) -> int:
         return 2
     except (AnalysisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        with contextlib.suppress(AnalysisError, OSError):  # the error above is the one to report
+            for suffix in listed:
+                _write(out_dir, f"{stem}.{suffix}", None)
         return 1
     return 0
 

@@ -10,16 +10,19 @@ inter-pausal unit (IPU).
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import accumulate
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .aems import PolyFit, fit_polynomial
-from .annot import _csv_table
-from .audio import Waveform, _frozen_array, _ms_to_samples, _positive
+from .audio import Waveform, WavSource, _frozen_array, _ms_to_samples, _positive
 from .errors import DegenerateInputError, ParameterError, ParseError
+
+if TYPE_CHECKING:  # the tracker runs without aems and annot: imported where they are used
+    from .aems import PolyFit
 
 __all__ = [
     "F0Track",
@@ -119,7 +122,54 @@ class PolyContourModel:
 
 
 _BLOCK_FRAMES = 128  # frames per batched FFT: bounds the working set to a few MB
-_LEAF = 1 << 16  # samples squared at once by _sum_of_squares and _frame_rms
+_LEAF = 1 << 13  # samples squared at once by the track RMS and the IPU frame RMS, frames listed by the CSV
+
+
+def _ranges(blocks, bounds):
+    """x[a:b] for each (a, b) of bounds, x coming as consecutive arrays from blocks.
+
+    bounds run in order of b. A range inside one block is a view of it, and one
+    that spans blocks is joined from them. Only the blocks that a range still to
+    come reaches are held. The blocks past the last range are read too, so every
+    sample is decoded, and range-checked, whatever the ranges cover.
+    """
+    held = deque()  # (offset, block) pairs, in order
+    end = 0
+    blocks = iter(blocks)
+    # keep[i]: the least start of bounds[i:]; blocks that end at or before it are done with
+    keep = list(accumulate(reversed([a for a, _ in bounds]), min, initial=math.inf))[::-1]
+    for i, (a, b) in enumerate(bounds):
+        while end < b:
+            block = next(blocks)
+            held.append((end, block))
+            end += len(block)
+        parts = [blk[max(a - at, 0) : b - at] for at, blk in held if at < b and a < at + len(blk)]
+        yield parts[0] if len(parts) == 1 else np.concatenate(parts or [np.empty(0)])
+        while held and held[0][0] + len(held[0][1]) <= keep[i + 1]:
+            held.popleft()
+    for _ in blocks:  # a caller that zips this generator puts it first, so that zip gets here
+        pass
+
+
+def _half(n):
+    """Where numpy's pairwise sum splits n > 128 elements: n // 2 rounded down to a multiple of 8."""
+    return n // 2 - n // 2 % 8
+
+
+def _leaves(n, leaf, lo=0):
+    """The parts [a, b) of [lo, lo + n) that numpy's pairwise split reaches at <= leaf elements, in order."""
+    if n <= leaf:
+        return [(lo, lo + n)]
+    half = _half(n)
+    return _leaves(half, leaf, lo) + _leaves(n - half, leaf, lo + half)
+
+
+def _fold(sums, n, leaf):
+    """The leaves' sums, taken in order from the iterator sums, added up as numpy pairs them."""
+    if n <= leaf:
+        return next(sums)
+    half = _half(n)
+    return _fold(sums, half, leaf) + _fold(sums, n - half, leaf)
 
 
 def _sum_of_squares(x, leaf=_LEAF):
@@ -129,16 +179,26 @@ def _sum_of_squares(x, leaf=_LEAF):
     n // 2 rounded down to a multiple of 8, and each part is summed the same
     way. Following that split down to parts of at most leaf (>= 128) elements
     and reducing each part's squares gives the same additions in the same order.
+    The tracker sums its track RMS this way, a leaf at a time as the blocks
+    come; this is the one-array case.
     """
-    if len(x) <= leaf:
-        return np.add.reduce(x**2)
-    half = len(x) // 2
-    half -= half % 8
-    return _sum_of_squares(x[:half], leaf) + _sum_of_squares(x[half:], leaf)
+    sums = (np.add.reduce(part**2) for part in _ranges((x,), _leaves(len(x), leaf)))
+    return _fold(sums, len(x), leaf)
+
+
+def _autocorrelation(frames, nfft):
+    """Each frame's circular autocorrelation at nfft points, by FFT.
+
+    The power spectrum takes the spectrum's place before the inverse
+    transform, so that no more than two batch-sized arrays are held at once.
+    """
+    spec = np.fft.rfft(frames, nfft, axis=1)
+    spec = spec * np.conj(spec)
+    return np.fft.irfft(spec, nfft, axis=1)
 
 
 def estimate_f0_autocorr(
-    wave: Waveform,
+    wave: Waveform | WavSource,
     fmin: float = 60.0,
     fmax: float = 500.0,
     frame_ms: float = 40.0,
@@ -150,8 +210,10 @@ def estimate_f0_autocorr(
     A frame is voiced when its peak normalized autocorrelation reaches
     voicing_ratio and its RMS is at least 1% of the whole track's RMS; the
     best lag is refined by parabolic interpolation and the result clamped
-    into [fmin, fmax].  Frames are processed in fixed blocks, so memory stays
-    bounded on long recordings.
+    into [fmin, fmax].  Frames are processed in fixed batches, so memory stays
+    bounded on long recordings.  wave is a Waveform, or an open WavSource
+    whose samples are decoded once, a block at a time, after the parameters
+    are checked; the voicing decision waits for the whole track's RMS.
     """
     if not 0 < fmin < fmax:
         raise ParameterError(f"need 0 < fmin < fmax, got {fmin}, {fmax}")
@@ -172,26 +234,27 @@ def estimate_f0_autocorr(
             f"frame of {frame_len} samples cannot hold lags up to {lag_max}"
         )
 
-    x = wave.samples
-    track_rms = float(np.sqrt(_sum_of_squares(x) / len(x)))  # np.mean(x**2), bit for bit
-    # no frames when the signal is shorter than one (x[:0] allocates nothing)
-    frames = sliding_window_view(x, frame_len)[::hop_len] if len(x) >= frame_len else x[:0]
+    n = len(wave)
+    # no frames when the signal is shorter than one
+    n_frames = (n - frame_len) // hop_len + 1 if n >= frame_len else 0
     # smallest power of two >= frame_len + lag_max + 2: no circular wrap
     nfft = 1 << (frame_len + lag_max + 1).bit_length()
     lags = np.arange(lag_min, lag_max + 1)
     width = len(lags)
-    f0 = np.empty(len(frames))
-    for lo in range(0, len(frames), _BLOCK_FRAMES):
-        blk = slice(lo, lo + _BLOCK_FRAMES)
-        block = frames[blk]
-        rows = np.arange(len(block))
-        sq = block**2
-        rms = np.sqrt(np.mean(sq, axis=1))
 
-        # autocorrelation numerators via FFT, energy-normalized per lag
-        spec = np.fft.rfft(block, nfft, axis=1)
-        ac = np.fft.irfft(spec * np.conj(spec), nfft, axis=1)[:, lag_min : lag_max + 1]
-        csq = np.cumsum(sq, axis=1)
+    def candidates(block):
+        """Each frame's RMS, NCC peak and F0 candidate clamped into [fmin, fmax].
+
+        A function of its own, so that one batch's arrays are freed before the
+        next is made; the largest go as soon as they are used.
+        """
+        rows = np.arange(len(block))
+
+        # autocorrelation numerators via FFT (copied out of the nfft-point rows), energy-normalized per lag
+        ac = _autocorrelation(block, nfft)[:, lag_min : lag_max + 1].copy()
+        sq = block**2
+        rms, csq = np.sqrt(np.mean(sq, axis=1)), np.cumsum(sq, axis=1)
+        del sq
         e_head = csq[:, frame_len - lags - 1]
         e_tail = csq[:, -1:] - csq[:, lags - 1]
         denom = np.sqrt(e_head * e_tail)
@@ -200,7 +263,6 @@ def estimate_f0_autocorr(
 
         best = np.argmax(ncc, axis=1)
         peak = ncc[rows, best]
-        unvoiced = (track_rms == 0.0) | (rms < 0.01 * track_rms) | (peak < voicing_ratio)
 
         # octave guard: a lag of 2T correlates nearly as well as the true
         # period T, so among near-tied local maxima the shortest lag wins
@@ -215,9 +277,27 @@ def estimate_f0_autocorr(
         refine = (best > 0) & (best < width - 1) & (curv < 0)
         with np.errstate(invalid="ignore", divide="ignore"):
             lag = lags[best] + np.where(refine, 0.5 * (y0 - y2) / curv, 0.0)
-        f0[blk] = np.where(unvoiced, np.nan, np.clip(rate / lag, fmin, fmax))
+        return rms, peak, np.clip(rate / lag, fmin, fmax)
 
-    times = (np.arange(len(frames)) * hop_len + frame_len / 2) / rate
+    rms_all, peak_all, f0 = np.empty(n_frames), np.empty(n_frames), np.empty(n_frames)
+    # one pass over the samples: the track RMS's leaves (None) and the batches of frames
+    spans = [(a, b, None) for a, b in _leaves(n, _LEAF)]
+    for lo in range(0, n_frames, _BLOCK_FRAMES):
+        hi = min(lo + _BLOCK_FRAMES, n_frames)
+        spans.append((lo * hop_len, (hi - 1) * hop_len + frame_len, slice(lo, hi)))
+    spans.sort(key=lambda span: span[1])
+    sums = []
+    for x, (_, _, blk) in zip(_ranges(wave.blocks(), [span[:2] for span in spans]), spans):
+        if blk is None:
+            sums.append(np.add.reduce(x**2))
+        else:
+            rms_all[blk], peak_all[blk], f0[blk] = candidates(sliding_window_view(x, frame_len)[::hop_len])
+
+    track_rms = float(np.sqrt(_fold(iter(sums), n, _LEAF) / n))  # np.mean(x**2), bit for bit
+    f0[(track_rms == 0.0) | (rms_all < 0.01 * track_rms) | (peak_all < voicing_ratio)] = np.nan  # unvoiced
+    times = (np.arange(n_frames) * hop_len + frame_len / 2) / rate
+    for fresh in (times, f0):  # read-only, so that F0Track need not copy them
+        fresh.setflags(write=False)
     return F0Track(times_s=times, f0_hz=f0, hop_s=hop_len / rate)
 
 
@@ -226,22 +306,30 @@ def estimate_f0_autocorr(
 # ---------------------------------------------------------------------------
 
 
-def _frame_rms(x, frame_len):
+def _block_frame_rms(blocks, n, frame_len):
     """The RMS of each whole frame_len-sample frame of x, squared a batch of rows at a time.
 
-    Each row reduces on its own, so the batches change no bit of
+    x comes as consecutive arrays from blocks, n samples in all. Each row
+    reduces on its own, so the batches change no bit of
     np.sqrt(np.mean(frames**2, axis=1)).
     """
-    frames = x[: len(x) // frame_len * frame_len].reshape(-1, frame_len)
-    rms = np.empty(len(frames))
+    n_frames = n // frame_len
     rows = max(1, _LEAF // frame_len)
-    for lo in range(0, len(frames), rows):
-        rms[lo : lo + rows] = np.sqrt(np.mean(frames[lo : lo + rows] ** 2, axis=1))
+    starts = range(0, n_frames, rows)
+    bounds = [(lo * frame_len, min(lo + rows, n_frames) * frame_len) for lo in starts]
+    rms = np.empty(n_frames)
+    for x, lo in zip(_ranges(blocks, bounds), starts):
+        rms[lo : lo + rows] = np.sqrt(np.mean(x.reshape(-1, frame_len) ** 2, axis=1))
     return rms
 
 
+def _frame_rms(x, frame_len):
+    """_block_frame_rms of one array."""
+    return _block_frame_rms((x,), len(x), frame_len)
+
+
 def segment_ipus(
-    wave: Waveform,
+    wave: Waveform | WavSource,
     silence_db: float = -40.0,
     min_pause_ms: float = 200.0,
     min_ipu_ms: float = 100.0,
@@ -250,10 +338,17 @@ def segment_ipus(
 
     10 ms frames below silence_db (relative to the loudest frame) count as
     silent; silent gaps shorter than min_pause_ms do not split, and units
-    shorter than min_ipu_ms are dropped.
+    shorter than min_ipu_ms are dropped.  wave is a Waveform, or an open
+    WavSource whose samples are decoded once, a block at a time, after the
+    parameters are checked.
     """
+    if not (math.isfinite(silence_db) and 0 <= min_pause_ms < math.inf and 0 <= min_ipu_ms < math.inf):
+        raise ParameterError(
+            "need a finite silence_db and finite min_pause_ms, min_ipu_ms >= 0, "
+            f"got {silence_db}, {min_pause_ms}, {min_ipu_ms}"
+        )
     frame_len = max(1, round(0.010 * wave.rate))
-    rms = _frame_rms(wave.samples, frame_len)
+    rms = _block_frame_rms(wave.blocks(), len(wave), frame_len)
     peak = float(np.max(rms, initial=0.0))
     if peak <= 0:
         return []
@@ -297,6 +392,8 @@ def fit_contour(track: F0Track, degree: int, domain: IPU | None = None) -> PolyC
         raise DegenerateInputError(
             f"{len(ts)} voiced frames cannot constrain a degree-{degree} fit"
         )
+    from .aems import fit_polynomial
+
     fit = fit_polynomial(ts - origin, vs, degree)
     return PolyContourModel(fit=fit, domain=domain, voiced_frame_count=int(len(ts)))
 
@@ -312,10 +409,11 @@ def f0_track_to_csv(track: F0Track) -> str:
 
 
 def f0_track_csv_chunks(track: F0Track) -> Iterator[str]:
-    """`f0_track_to_csv` as text chunks, one line each."""
+    """`f0_track_to_csv` as text chunks, one line each; frames are listed _LEAF at a time."""
     yield "time_s,f0_hz\n"
-    for t, v in zip(track.times_s.tolist(), track.f0_hz.tolist()):
-        yield f"{t!r},\n" if math.isnan(v) else f"{t!r},{v!r}\n"
+    for lo in range(0, len(track), _LEAF):
+        for t, v in zip(track.times_s[lo : lo + _LEAF].tolist(), track.f0_hz[lo : lo + _LEAF].tolist()):
+            yield f"{t!r},\n" if math.isnan(v) else f"{t!r},{v!r}\n"
 
 
 def parse_f0_csv(text: str | bytes, source: str = "<f0 csv>") -> F0Track:
@@ -327,6 +425,8 @@ def parse_f0_csv(text: str | bytes, source: str = "<f0 csv>") -> F0Track:
     the frame times advance uniformly.  Raises ParseError with a row number
     on malformed rows.
     """
+    from .annot import _csv_table
+
     times: list[float] = []
     f0: list[float] = []
     for row_no, row in _csv_table(text, ("time_s", "f0_hz"), source):

@@ -29,7 +29,9 @@ from prosotime import (
     Waveform,
     read_wav,
     aems,
+    estimate_f0_autocorr,
     extract_envelope_peaks,
+    segment_ipus,
     synthesize_am,
     write_wav_pcm16,
 )
@@ -347,8 +349,9 @@ class TestSampleRangeCheck:
         assert not (tmp_path / "out").exists()
 
     def test_parameters_and_length_come_before_the_samples(self, tmp_path):
-        # a stream is read only after aems has checked its parameters and the signal's length;
-        # read_wav decodes every sample first, so there a bad sample is the first error
+        # a stream is read only after aems, the F0 tracker and segment_ipus have checked their
+        # parameters and the signal's length; read_wav decodes every sample first, so there a
+        # bad sample is the first error
         vals = np.full(400, 0.1, "<f4")
         vals[5] = math.nan
         path = tmp_path / "nan.wav"
@@ -362,8 +365,33 @@ class TestSampleRangeCheck:
                 aems(source, window_ms=100)
             with pytest.raises(ParameterError, match="got nan$"):
                 aems(source, window_ms=5.0)
+            with pytest.raises(ParameterError, match="^need 0 < fmin < fmax, got 600.0, 500.0$"):
+                estimate_f0_autocorr(source, fmin=600.0)
+            with pytest.raises(ParameterError, match="^voicing_ratio must lie in"):
+                estimate_f0_autocorr(source, voicing_ratio=2.0)
+            with pytest.raises(ParameterError, match="^sample rate 8000 too low for fmax=3000"):
+                estimate_f0_autocorr(source, fmax=3000.0)
+            with pytest.raises(ParameterError, match=r"^frame_ms=1e\+300 ms at rate 8000 exceeds"):
+                estimate_f0_autocorr(source, frame_ms=1e300)
+            with pytest.raises(ParameterError, match="^frame of 8 samples cannot hold lags up to 6$"):
+                estimate_f0_autocorr(source, frame_ms=1.0)
+            with pytest.raises(ParameterError, match="^need a finite silence_db"):
+                segment_ipus(source, min_pause_ms=math.nan)
+            for stage in (estimate_f0_autocorr, segment_ipus):
+                with pytest.raises(ParameterError, match="got nan$"):
+                    stage(source)
         with pytest.raises(ParameterError, match="got nan$"):
             read_wav(path)
+
+    def test_a_bad_sample_past_the_last_frame_is_found(self, small_blocks, tmp_path):
+        vals = np.full(4 * 80 + 30, 0.1, "<f4")  # four whole 10 ms frames at 8 kHz, then 30 samples
+        vals[-1] = math.nan
+        path = tmp_path / "tail.wav"
+        path.write_bytes(_wav_bytes(vals.tobytes(), audio_format=3, bits=32))
+        with open_wav(path) as source:
+            for stage in (estimate_f0_autocorr, segment_ipus, aems):
+                with pytest.raises(ParameterError, match="got nan$"):
+                    stage(source)
 
     def test_header_rate_comes_before_the_samples(self, tmp_path):
         path = tmp_path / "rate0.wav"
@@ -388,6 +416,31 @@ class TestStreamedEnvelope:
                     streamed = extract_envelope_peaks(source, window_ms=window_ms)
                 whole = extract_envelope_peaks(read_wav(path), window_ms=window_ms)
                 assert streamed.values.tobytes() == whole.values.tobytes(), n
+
+
+class TestStreamedF0:
+    """The F0 track and the IPUs of a file streamed a few frames per block equal those of read_wav's Waveform."""
+
+    @_STREAM_FORMATS
+    def test_bytes_match_read_wav(self, small_blocks, tmp_path, monkeypatch, audio_format, channels, bits):
+        monkeypatch.setattr(importlib.import_module("prosotime.pitch"), "_LEAF", 1000)  # several leaves a track
+        rate = 4000  # frame 160, hop 40: a batch of 128 frames spans 5 240 samples
+        for n in (100, 159, 160, 161, 199, 200, 201, 5240, 5280):  # around the frame, a hop, one and two batches
+            t = np.arange(n) / rate
+            x = 0.6 * np.sin(2 * np.pi * (120 * t + 40 * t**2))
+            x[n // 3 : n // 3 + 1400] = 0.0  # a 350 ms pause
+            if channels == 2:
+                x = _interleave(x, x[::-1])
+            path = tmp_path / "f0.wav"
+            path.unlink(missing_ok=True)
+            path.write_bytes(_wav_bytes(_encode(x, audio_format, bits), audio_format, channels, rate, bits))
+            with open_wav(path) as source:
+                track, ipus = estimate_f0_autocorr(source), segment_ipus(source)
+            wave = read_wav(path)
+            whole = estimate_f0_autocorr(wave)
+            assert track.f0_hz.tobytes() == whole.f0_hz.tobytes(), n
+            assert track.times_s.tobytes() == whole.times_s.tobytes(), n
+            assert ipus == segment_ipus(wave), n
 
 
 class TestWideAndExtensibleFormats:
@@ -545,7 +598,7 @@ class TestStageMemory:
 
 
 class TestStreamMemory:
-    """aems on an open WAV file builds no n-sample array: its peak stays below one constant."""
+    """aems and f0 on an open WAV file build no n-sample array: their peaks stay below one constant."""
 
     PEAK = 6 * 2**20  # 60 s of float64 samples is 7.7 MB, 600 s 76.8 MB
 
@@ -563,14 +616,38 @@ class TestStreamMemory:
         assert spec.params["n_samples"] == 100 * seconds
         assert peak < self.PEAK
 
-    @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
-    def test_aems_child_rss_grows_less_than_a_quarter_of_the_signal(self, tmp_path):
+    @pytest.mark.parametrize("audio_format, channels, bits", [(1, 2, 16), (3, 1, 32)],
+                             ids=["pcm16-stereo", "float32"])
+    @pytest.mark.parametrize("seconds", [60, 600])
+    def test_f0_on_a_file_peaks_below_a_constant(self, tmp_path, audio_format, channels, bits, seconds):
+        path = tmp_path / "long.wav"
+        _long_wav(path, seconds, audio_format, channels, bits)
+
+        def stage():  # the f0 handler's analysis: the tracker and segment_ipus each read the open file
+            with open_wav(path) as source:
+                return estimate_f0_autocorr(source), segment_ipus(source)
+
+        (track, ipus), peak = _traced_peak(stage)
+        assert len(track) == 100 * seconds - 3 and len(ipus) == 1
+        assert peak < self.PEAK
+
+    @staticmethod
+    def _child_rss_over_numpy(tmp_path, subcommand):
+        """The peak RSS of `prosotime <subcommand>` on 300 s of 16 kHz PCM16, less that of importing numpy."""
         path = tmp_path / "long.wav"
         _long_wav(path, 300, 1, 1, 16)
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         numpy_only = _child_maxrss(env, "-c", "import numpy")
-        used = _child_maxrss(env, "-m", "prosotime.cli", "aems", str(path), "--out-dir", str(tmp_path / "out"))
-        assert used - numpy_only < 0.25 * 300 * 16000 * 8
+        used = _child_maxrss(env, "-m", "prosotime.cli", subcommand, str(path), "--out-dir", str(tmp_path / "out"))
+        return used - numpy_only
+
+    @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+    def test_aems_child_rss_grows_less_than_a_quarter_of_the_signal(self, tmp_path):
+        assert self._child_rss_over_numpy(tmp_path, "aems") < 0.25 * 300 * 16000 * 8
+
+    @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+    def test_f0_child_rss_grows_less_than_a_quarter_of_the_signal(self, tmp_path):
+        assert self._child_rss_over_numpy(tmp_path, "f0") < 0.25 * 300 * 16000 * 8
 
 
 # Starts the child from a small interpreter: Linux carries the parent's peak RSS

@@ -553,6 +553,12 @@ class TestParameterRanges:
     def test_voicing_ratio_bounds_accepted(self, sine_200, ratio):
         assert len(estimate_f0_autocorr(sine_200, voicing_ratio=ratio)) > 0
 
+    @pytest.mark.parametrize("params", [{"silence_db": float("nan")}, {"min_pause_ms": float("nan")},
+                                        {"min_pause_ms": float("inf")}, {"min_ipu_ms": -1.0}])
+    def test_segmentation_parameters_checked(self, sine_200, params):
+        with pytest.raises(ParameterError, match="^need a finite silence_db"):
+            segment_ipus(sine_200, **params)
+
     def test_subnormal_fmin_caps_lags_at_the_frame(self, sine_200):
         # rate / 5e-324 overflows to inf; the frame length caps the lag range first
         tiny = estimate_f0_autocorr(sine_200, fmin=5e-324)

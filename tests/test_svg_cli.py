@@ -209,6 +209,13 @@ class TestCliAems:
         jsonschema.validate(rep, load_schema("aems"))
         assert rep["dominant_hz"] == pytest.approx(5.0, abs=0.5)
 
+    def test_report_names_its_zone_picking_parameters(self, am_wav_path, tmp_path, capsys):
+        argv = ["aems", str(am_wav_path), "--min-prominence", "0.25", "--min-separation-hz", "0.5"]
+        assert run([*argv, "--json", "--out-dir", str(tmp_path)]) == 0
+        rep = report_from(capsys)
+        jsonschema.validate(rep, load_schema("aems"))
+        assert (rep["params"]["min_prominence"], rep["params"]["min_separation_hz"]) == (0.25, 0.5)
+
     def test_artifacts_written_inside_out_dir(self, am_wav_path, tmp_path):
         out = tmp_path / "results"
         assert run(["aems", str(am_wav_path), "--out-dir", str(out)]) == 0
@@ -949,7 +956,7 @@ class TestLazyStreamedArtifacts:
         assert run(["tone-gen", "H L H", "--out-dir", str(out)]) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err and "error: cannot draw" in err
-        assert [p.name for p in out.iterdir()] == ["tones.f0.csv"]
+        assert [p.name for p in out.iterdir()] == []  # the CSV written before the failure is removed too
 
     def test_rerun_replaces_every_artifact_with_a_new_file(self, am_wav_path, tmp_path, monkeypatch, capsys):
         from prosotime import DegenerateInputError
@@ -1064,3 +1071,77 @@ class TestStaleArtifacts:
         out = tmp_path / "out"
         assert run(["tone-gen", "", "--formats", "csv,svg", "--out-dir", str(out)]) == 0
         assert not out.exists()
+
+
+def _synthesis_refused(argv, monkeypatch):
+    """calibrate reads no input: make its synthesis fail."""
+    from prosotime import DegenerateInputError
+
+    def refuse(*args, **kwargs):
+        raise DegenerateInputError("no signal")
+
+    monkeypatch.setattr("prosotime.audio.synthesize_am", refuse)
+    return argv
+
+
+def _input_truncated(argv, monkeypatch):
+    Path(argv[1]).write_bytes(b"RIFF")
+    return argv
+
+
+def _last_arg(value):
+    return lambda argv, monkeypatch: [*argv[:-1], value]
+
+
+class TestFailedRunRemovesItsNames:
+    """A run that exits 1 removes every file of its names in the listed formats; exit 2 touches nothing."""
+
+    # (argv, input fixture, the flags that make the same input fail with exit 1, or a change that does)
+    CASES = [
+        (["calibrate"], None, _synthesis_refused),
+        (["aems"], "am_wav_path", ["--window-ms", "1e6"]),
+        (["spectree"], "am_wav_path", _input_truncated),
+        (["f0"], "am_wav_path", ["--frame-ms", "1e-9"]),
+        (["metrics"], "words_csv_path", ["--tier", "nosuch"]),
+        (["timetree"], "words_csv_path", ["--tier", "nosuch"]),
+        (["contour-fit"], "tones_f0_csv_path", ["--degree", "5000"]),
+        (["tone-gen", "H L H"], None, _last_arg("H M L")),
+        (["intonation", "check", "%H H* H- H%"], None, _last_arg("%H X* H- H%")),
+    ]
+
+    @staticmethod
+    def _runs(argv, fixture, fail, request, monkeypatch, out, *flags):
+        """Run argv, which succeeds, then its failing form, into out; the second run's flags come last."""
+        if fixture is not None:
+            argv = [argv[0], str(request.getfixturevalue(fixture)), *argv[1:]]
+        assert run([*argv, "--out-dir", str(out)]) == 0
+        assert list(out.iterdir())
+        bad = fail(argv, monkeypatch) if callable(fail) else [*argv, *fail]
+        return run([*bad, "--out-dir", str(out), *flags])
+
+    @pytest.mark.parametrize("argv, fixture, fail", CASES, ids=lambda v: v[0] if isinstance(v, list) else None)
+    def test_failure_after_success_leaves_none_of_its_names(self, argv, fixture, fail, request, tmp_path,
+                                                            monkeypatch, capsys):
+        out = tmp_path / "out"
+        assert self._runs(argv, fixture, fail, request, monkeypatch, out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+    def test_unlisted_formats_of_a_failed_run_are_left_alone(self, request, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        argv, fixture, fail = self.CASES[3]
+        kept = {"am.f0.csv", "am.f0.svg"}
+        assert self._runs(argv, fixture, fail, request, monkeypatch, out, "--formats", "json") == 1
+        assert {p.name for p in out.iterdir()} == kept
+
+    def test_usage_error_leaves_the_output_directory_as_it_was(self, tones_f0_csv_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["contour-fit", str(tones_f0_csv_path), "--out-dir", str(out)]
+        assert run(argv) == 0
+        before = {p.name: (p.stat().st_ino, p.read_bytes()) for p in out.iterdir()}
+        assert sorted(before) == ["tones.f0.contour.json", "tones.f0.contour.svg"]
+        assert run([*argv, "--start-s", "0.1"]) == 2  # found by the handler, after the input is read
+        assert run([*argv, "--degree", "x"]) == 2  # found by argparse
+        assert run([*argv, "--formats", "json,xlsx"]) == 2
+        assert {p.name: (p.stat().st_ino, p.read_bytes()) for p in out.iterdir()} == before
