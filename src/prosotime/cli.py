@@ -19,7 +19,8 @@ renders): renders maps the suffix of each CSV or SVG this input has to a
 zero-argument render of its text chunks.  Only run() writes: it serializes the
 report first (a non-finite one writes nothing), writes each listed format's
 render or removes the stale file of a suffix with none, writes the report last,
-then prints summary and, under --json, the report text.  A run that exits 1
+then prints summary and, under --json, the report text.  Every report
+carries the package version (`prosotime_version`).  A run that exits 1
 removes every file of its names in the listed formats, so nothing an earlier
 run left there reads as this run's result; a usage error (exit 2) leaves the
 output directory as it was.
@@ -35,15 +36,15 @@ import math
 import os
 import re
 import sys
-from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable
 
+from . import __version__
 from .errors import AnalysisError, DegenerateInputError
 
 OUT_DIR_ENV = "PROSOTIME_OUT_DIR"
 FORMATS = ("json", "csv", "svg")
-_BATCH = 4096  # chunks joined per write(); one write per chunk is markedly slower on large plots
+_WRITE_CHARS = 1 << 16  # characters joined per write(), however large the chunks; a write per chunk is slower
 
 
 class _UsageError(Exception):
@@ -110,9 +111,14 @@ def _write(out_dir: Path, name: str, render: Callable[[], Iterable[str]] | None)
     out = target.open("w", encoding="utf-8")
     try:
         with out:
-            chunks = iter(render())
-            while batch := list(islice(chunks, _BATCH)):
-                out.write("".join(batch))
+            batch, size = [], 0
+            for chunk in render():
+                batch.append(chunk)
+                size += len(chunk)
+                if size >= _WRITE_CHARS:
+                    out.write("".join(batch))
+                    batch, size = [], 0
+            out.write("".join(batch))
     except BaseException:
         target.unlink()
         raise
@@ -132,8 +138,8 @@ def _spectrum_artifacts(spec, fit, zones, report: dict) -> dict:
 
 
 def _tier_durations(args):
-    """The --tier tier (default: the first) of args.annot and its durations."""
-    from .annot import durations, load_annotation
+    """The --tier tier (default: the first) of args.annot, its durations and the sorted labels they skip."""
+    from .annot import DEFAULT_EXCLUDE_LABELS, durations, load_annotation
 
     doc = load_annotation(args.annot)
     if args.tier is None:
@@ -147,7 +153,8 @@ def _tier_durations(args):
             raise AnalysisError(
                 f"{doc.source}: no tier named {args.tier!r} (have {list(doc.tier_names)})"
             ) from None
-    return tier, durations(tier) if args.exclude is None else durations(tier, set(args.exclude))
+    exclude = DEFAULT_EXCLUDE_LABELS if args.exclude is None else set(args.exclude)
+    return tier, durations(tier, exclude), sorted(exclude)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +226,7 @@ def _cmd_metrics(args) -> tuple[dict, str, dict]:
     from .rhythm import metrics_report, quadrant_analysis, quadrant_csv_chunks
     from .svgplot import svg_quadrants_chunks
 
-    tier, seq = _tier_durations(args)
+    tier, seq, exclude = _tier_durations(args)
     if len(seq) < 2:
         raise DegenerateInputError(
             f"tier {tier.name!r} leaves {len(seq)} usable durations; need >= 2"
@@ -235,6 +242,7 @@ def _cmd_metrics(args) -> tuple[dict, str, dict]:
     report = {
         "input": args.annot,
         "tier": tier.name,
+        "exclude": exclude,
         "n": flat["n"],
         "metrics": {k: flat[k] for k in ("variance", "pim", "pfd", "rpvi", "npvi")},
         "params": flat["params"],
@@ -259,10 +267,10 @@ def _tree_artifacts(args, report: dict, induce, data) -> tuple[dict, str, dict]:
 def _cmd_timetree(args) -> tuple[dict, str, dict]:
     from .timetree import induce_time_tree
 
-    tier, seq = _tier_durations(args)
+    tier, seq, exclude = _tier_durations(args)
     if len(seq) == 0:
         raise DegenerateInputError(f"tier {tier.name!r} has no usable durations")
-    report = {"input": args.annot, "tier": tier.name, "n": len(seq)}
+    report = {"input": args.annot, "tier": tier.name, "exclude": exclude, "n": len(seq)}
     return _tree_artifacts(args, report, induce_time_tree, seq)
 
 
@@ -498,7 +506,7 @@ def run(argv: list[str] | None = None) -> int:
     listed = [s for s in (*others, report_suffix) if s.rpartition(".")[2] in formats]  # the report last
     try:
         report, summary, renders = args.func(args)
-        text = _dumps({"subcommand": args.subcommand, **report})
+        text = _dumps({"subcommand": args.subcommand, "prosotime_version": __version__, **report})
         renders[report_suffix] = lambda: [text]
         for suffix in listed:
             _write(out_dir, f"{stem}.{suffix}", renders.get(suffix))

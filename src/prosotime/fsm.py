@@ -177,23 +177,32 @@ def enumerate_strings(fsm: MultiTapeFSM, max_len: int, tape: int = 0) -> list[st
 
     Symbols within a string are joined by single spaces; ordering is
     lexicographic over the symbol sequences, which a preorder walk taking
-    symbols in sorted order yields directly.  More than MAX_STRINGS strings
-    is a ParameterError, raised before any is built.
+    symbols in sorted order yields directly.  The walk enters only prefixes
+    that can still reach a final state within max_len.  More than MAX_STRINGS
+    strings is a ParameterError, raised before any is built.
     """
     count_strings(fsm, max_len, tape)
-    alphabet = fsm.alphabet(tape)
     table = fsm._arcs[tape]
+    # need[state]: fewest symbols from state to a final state, by a backward breadth-first pass
+    need, frontier, steps = dict.fromkeys(fsm.finals, 0), set(fsm.finals), 0
+    while frontier:
+        steps += 1
+        frontier = {src for (src, _), arc in table.items() if arc.dst in frontier and src not in need}
+        need.update(dict.fromkeys(frontier, steps))
+    # per state, the (symbol, destination) arcs into states that can reach a final one, last symbol first
+    arcs: dict[str, list[tuple[str, str]]] = {state: [] for state in fsm.states}
+    for (src, sym), arc in sorted(table.items(), reverse=True):
+        if arc.dst in need:
+            arcs[src].append((sym, arc.dst))
     accepted: list[str] = []
-    stack: list[tuple[str, tuple[str, ...]]] = [(fsm.start, ())]
+    stack = [(fsm.start, "", 0)]
     while stack:
-        state, prefix = stack.pop()
+        state, text, length = stack.pop()
         if state in fsm.finals:
-            accepted.append(" ".join(prefix))
-        if len(prefix) < max_len:
-            for sym in reversed(alphabet):  # pushed last-first, popped in order
-                arc = table.get((state, sym))
-                if arc is not None:
-                    stack.append((arc.dst, prefix + (sym,)))
+            accepted.append(text)
+        for sym, dst in arcs[state]:  # pushed last-first, popped in order
+            if length + 1 + need[dst] <= max_len:
+                stack.append((dst, f"{text} {sym}" if length else sym, length + 1))
     return accepted
 
 

@@ -10,16 +10,18 @@ Each `svg_<plot>_chunks` yields a document as text chunks, built as they are
 consumed, so that a large plot can be streamed to disk; `svg_<plot>` joins them.
 
 The spectrum, heatmap and F0-track renderers import numpy (and the heatmap
-`aems.zscore`) only when called; the time-tree and quadrant renderers need
-only the standard library.
+`aems.zscore`) only when called and format their rows in batches (`_rows`);
+the time-tree and quadrant renderers need only the standard library.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .aems import FrequencyZone, PolyFit, Spectrum
     from .pitch import F0Track, PolyContourModel
     from .rhythm import QuadrantStats
@@ -41,6 +43,7 @@ _ZONE = "#22884466"  # translucent band fill
 _W, _H = 640.0, 360.0  # document size of every plot but the two below
 _HEATMAP_H = 120.0  # the heatmap is one 640-wide row
 _SQUARE = 420.0  # the quadrant scatter is square
+_ROWS = 4096  # rows per formatted batch
 
 
 def _fmt(x: float) -> str:
@@ -128,9 +131,19 @@ def _axes(frame: _Frame, x_label: str, y_label: str) -> list[str]:
     ]
 
 
-def _polyline(xs: Iterable[float], ys: Iterable[float], frame: _Frame, color: str, width: float = 1.5) -> str:
-    pts = " ".join(f"{_fmt(frame.x(x))},{_fmt(frame.y(y))}" for x, y in zip(xs, ys))
-    return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="{_fmt(width)}"/>\n'
+def _rows(row: str, n: int, columns: Callable[[int, int], tuple[np.ndarray, ...]]) -> Iterator[str]:
+    """row % each of n rows, a chunk per _ROWS rows; columns(a, b) gives rows a:b, an array per % field."""
+    import numpy as np
+
+    for a in range(0, n, _ROWS):
+        with np.errstate(all="ignore"):  # as with Python floats: the same rounding, inf and nan silently
+            cols = np.column_stack(columns(a, min(a + _ROWS, n)))
+        yield (row * len(cols)) % tuple(cols.ravel().tolist())
+
+
+def _polyline(xs: np.ndarray, ys: np.ndarray, frame: _Frame, color: str, width: float = 1.5) -> str:
+    pts = "".join(_rows("%.3f,%.3f ", len(xs), lambda a, b: (frame.x(xs[a:b]), frame.y(ys[a:b]))))
+    return f'<polyline points="{pts[:-1]}" fill="none" stroke="{color}" stroke-width="{_fmt(width)}"/>\n'
 
 
 def svg_spectrum(
@@ -151,9 +164,7 @@ def svg_spectrum_chunks(spec: Spectrum, fit: PolyFit | None = None,
     """`svg_spectrum` as text chunks."""
     import numpy as np
 
-    freqs = spec.freqs.tolist()
-    mags = spec.magnitudes.tolist()
-    frame = _Frame(freqs[0], freqs[-1], 0.0, max(mags), 50, 20, _W - 70, _H - 70)
+    frame = _Frame(*spec.freqs[[0, -1]].tolist(), 0.0, spec.magnitudes.max().item(), 50, 20, _W - 70, _H - 70)
     top, bottom, height = _fmt(frame.py), _fmt(frame.py + frame.ph), _fmt(frame.ph)
     yield _head(_W, _H, "envelope modulation spectrum")
     for z in zones:
@@ -161,51 +172,42 @@ def svg_spectrum_chunks(spec: Spectrum, fit: PolyFit | None = None,
         center = _fmt(frame.x(z.center_hz))
         yield _rect(_fmt(x_lo), top, _fmt(x_hi - x_lo), height, _ZONE)
         yield _line(center, top, center, bottom, "#228844", "1.5")
-    yield _polyline(freqs, mags, frame, _ACCENT)
-    if fit is not None and len(freqs) > 1:
-        xs = np.linspace(freqs[0], freqs[-1], 200)
-        ys = np.clip(fit.evaluate(xs), 0.0, frame.y1)
-        yield _polyline(xs.tolist(), ys.tolist(), frame, _POLY, 1.2)
+    yield _polyline(spec.freqs, spec.magnitudes, frame, _ACCENT)
+    if fit is not None and len(spec) > 1:
+        xs = np.linspace(frame.x0, frame.x1, 200)  # the frequencies rise, so x1 is the last one
+        yield _polyline(xs, np.clip(fit.evaluate(xs), 0.0, frame.y1), frame, _POLY, 1.2)
     yield from _axes(frame, "frequency (Hz)", "magnitude")
     yield "</svg>\n"
-
-
-def _blue_red(t: float) -> str:
-    """Linear blue-to-red gradient; t = 0 is rgb(0,0,255), t = 1 is rgb(255,0,0)."""
-    t = min(max(t, 0.0), 1.0)
-    r = round(255 * t)
-    b = round(255 * (1.0 - t))
-    return f"rgb({r},0,{b})"
 
 
 def svg_heatmap(spec: Spectrum) -> str:
     """One-row heatmap of the z-scored spectrum on a blue-to-red scale.
 
-    The minimum z maps to pure blue, the maximum to pure red, linearly in
-    between; a constant or one-bin spectrum (no z-scores) renders entirely blue.
+    With t from 0 at the minimum z to 1 at the maximum, a cell is rgb(r,0,b), r = 255t and
+    b = 255(1 - t) rounded half to even; a constant or one-bin spectrum (no z-scores) is all blue.
     """
     return "".join(svg_heatmap_chunks(spec))
 
 
 def svg_heatmap_chunks(spec: Spectrum) -> Iterator[str]:
     """`svg_heatmap` as text chunks."""
+    import numpy as np
+
     from .aems import zscore
     from .errors import DegenerateInputError
 
     try:
-        z = zscore(spec.magnitudes).tolist()
+        z = zscore(spec.magnitudes)
     except DegenerateInputError:
-        z = [0.0] * len(spec)
-    z_min, z_max = min(z), max(z)
-    span = z_max - z_min
+        z = np.zeros(len(spec))
+    t = np.clip((z - z.min()) / (np.ptp(z) or math.inf), 0.0, 1.0)  # all z equal: every t is 0
     px, py, pw, ph = 50.0, 16.0, _W - 70.0, _HEATMAP_H - 52.0
-    cell_w = pw / len(z)
+    cell_w = pw / len(t)
     y, width, height = _fmt(py), _fmt(cell_w), _fmt(ph)
     yield _head(_W, _HEATMAP_H, "z-scored magnitude heatmap; linear gradient from rgb(0,0,255) "
                 "at min z to rgb(255,0,0) at max z")
-    for k, zv in enumerate(z):
-        t = 0.0 if span == 0 else (zv - z_min) / span
-        yield _rect(_fmt(px + k * cell_w), y, width, height, _blue_red(t))
+    yield from _rows(_rect("%.3f", y, width, height, "rgb(%d,0,%d)"), len(t), lambda a, b: (
+        px + np.arange(a, b) * cell_w, np.rint(255 * t[a:b]), np.rint(255 * (1.0 - t[a:b]))))
     yield _rect(_fmt(px), y, _fmt(pw), height)
     tick_y = _fmt(py + ph + 14)
     for label, xpos in zip(spec.freqs[[0, -1]].tolist(), (px, px + pw)):
@@ -230,14 +232,12 @@ def svg_f0_track_chunks(track: F0Track, models: Sequence[PolyContourModel] = ())
         v_lo, v_hi = vs.min().item() * 0.9, vs.max().item() * 1.1
     frame = _Frame(t_lo, t_hi, v_lo, v_hi, 50, 20, _W - 70, _H - 70)
     yield _head(_W, _H, "F0 track with polynomial contour models")
-    # map(float, ...) rather than .tolist(): a track can have 10**5 frames
-    for t, v in zip(map(float, ts), map(float, vs)):
-        yield _circle(_fmt(frame.x(t)), _fmt(frame.y(v)), "2", _ACCENT)
+    yield from _rows(_circle("%.3f", "%.3f", "2", _ACCENT), len(ts),
+                     lambda a, b: (frame.x(ts[a:b]), frame.y(vs[a:b])))
     for model in models:
         lo, hi = (t_lo, t_hi) if model.domain is None else (model.domain.start_s, model.domain.end_s)
         xs = np.linspace(lo, hi, 100)
-        ys = model.fit.evaluate(xs - lo)
-        yield _polyline(xs.tolist(), ys.tolist(), frame, _POLY, 1.8)
+        yield _polyline(xs, model.fit.evaluate(xs - lo), frame, _POLY, 1.8)
     yield from _axes(frame, "time (s)", "F0 (Hz)")
     yield "</svg>\n"
 

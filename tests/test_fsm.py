@@ -167,6 +167,73 @@ def single_tape_machines(draw):
     )
 
 
+def enumerate_reference(fsm, max_len, tape=0):
+    """Every accepted string up to max_len by the unpruned preorder walk: each prefix is entered."""
+    arcs = {(t.src, t.labels[tape]): t.dst for t in fsm.transitions}
+    alphabet = sorted({sym for _, sym in arcs})
+    accepted, stack = [], [(fsm.start, ())]
+    while stack:
+        state, prefix = stack.pop()
+        if state in fsm.finals:
+            accepted.append(" ".join(prefix))
+        if len(prefix) < max_len:
+            for sym in reversed(alphabet):  # pushed last-first, popped in order
+                if (state, sym) in arcs:
+                    stack.append((arcs[state, sym], prefix + (sym,)))
+    return accepted
+
+
+@st.composite
+def small_machines(draw):
+    """Deterministic acceptors of one to five states: dead states, unreachable finals and a final start
+    all occur."""
+    states = [f"q{k}" for k in range(draw(st.integers(1, 5)))]
+    arcs = draw(st.dictionaries(st.tuples(st.sampled_from(states), st.sampled_from("xyz")),
+                                st.sampled_from(states), max_size=12))
+    return MultiTapeFSM(
+        states=frozenset(states), start=draw(st.sampled_from(states)),
+        finals=frozenset(draw(st.sets(st.sampled_from(states)))), n_tapes=1,
+        transitions=tuple(Transition(src, dst, (sym,)) for (src, sym), dst in arcs.items()),
+    )
+
+
+def _acceptor(start, finals, arcs):
+    states = {start, *finals, *(a for a, _, _ in arcs), *(b for _, _, b in arcs)}
+    return MultiTapeFSM(states=frozenset(states), start=start, finals=frozenset(finals), n_tapes=1,
+                        transitions=tuple(Transition(a, b, (sym,)) for a, sym, b in arcs))
+
+
+class TestPrunedEnumeration:
+    """enumerate_strings enters only prefixes that can still reach a final state; the unpruned walk is
+    its reference."""
+
+    @pytest.mark.parametrize("max_len", range(9))
+    def test_intonation_grammar(self, max_len):
+        fsm = build_pierrehumbert()
+        assert enumerate_strings(fsm, max_len) == enumerate_reference(fsm, max_len)
+
+    @pytest.mark.parametrize("tape", range(3))
+    def test_every_tape_of_the_terracing_machine(self, tape):
+        fsm = build_terracing()
+        for max_len in range(8):
+            assert enumerate_strings(fsm, max_len, tape) == enumerate_reference(fsm, max_len, tape)
+
+    @pytest.mark.parametrize("fsm", [
+        _acceptor("a", {"c"}, [("a", "x", "b"), ("b", "x", "b"), ("a", "y", "c")]),  # b is dead
+        _acceptor("a", {"c"}, [("a", "x", "b"), ("b", "y", "a")]),  # c is unreachable
+        _acceptor("a", {"a"}, [("a", "x", "a"), ("a", "y", "b")]),  # the start is final
+        _acceptor("a", {"d"}, [("a", "x", "b"), ("b", "x", "c"), ("c", "x", "d"), ("a", "y", "d")]),
+    ], ids=["dead-state", "unreachable-final", "final-start", "long-and-short-path"])
+    def test_named_shapes(self, fsm):
+        for max_len in range(7):
+            assert enumerate_strings(fsm, max_len) == enumerate_reference(fsm, max_len)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(small_machines(), st.integers(0, 6))
+    def test_small_machines(self, fsm, max_len):
+        assert enumerate_strings(fsm, max_len) == enumerate_reference(fsm, max_len)
+
+
 class TestStringCount:
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(st.one_of(st.just(build_pierrehumbert()), single_tape_machines()), st.integers(0, 6))

@@ -17,7 +17,9 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import prosotime
 from prosotime import (
     TreeParams,
     aems,
@@ -189,6 +191,46 @@ class TestSvgRenderers:
             assert render(arg) == render(arg)
 
 
+class TestRowTemplates:
+    """The batched rows rest on two equivalences with the per-element writers they replaced."""
+
+    EDGES = [-0.0, 0.0, -0.0004, 0.0004, 0.0005, -0.0005, 0.0015, 2.5e-4, 1 / 3, -2.0005, 1e15, 1e16, -1e16,
+             math.inf, -math.inf, math.nan]
+
+    def test_template_formats_as_fmt(self):
+        from prosotime.svgplot import _ROWS, _fmt, _rows
+
+        values = np.array(self.EDGES * (_ROWS // len(self.EDGES) + 2))  # over two batches
+        rows = list(_rows("%.3f;", len(values), lambda a, b: (values[a:b],)))
+        assert len(rows) == 2
+        assert "".join(rows) == "".join(f"{_fmt(v)};" for v in values.tolist())
+
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=40),
+           st.floats(allow_nan=False, allow_infinity=False), st.floats(allow_nan=False, allow_infinity=False))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_array_frame_maps_as_the_scalar_frame(self, values, lo, hi):
+        from prosotime.svgplot import _fmt, _Frame, _rows
+
+        frame = _Frame(lo, hi, lo, hi, 50, 20, 570.0, 290.0)
+        xs = np.array(values)
+        rows = "".join(_rows("%.3f,%.3f ", len(xs), lambda a, b: (frame.x(xs[a:b]), frame.y(xs[a:b]))))
+        assert rows == "".join(f"{_fmt(frame.x(v))},{_fmt(frame.y(v))} " for v in values)
+
+    def test_heatmap_rounds_half_to_even_as_round(self):
+        from prosotime import Spectrum
+        from prosotime.aems import zscore
+        from prosotime.svgplot import _fmt
+
+        spec = Spectrum(0.5, np.arange(511.0), 5.0, {})
+        z = zscore(spec.magnitudes).tolist()
+        ts = [min(max((v - min(z)) / (max(z) - min(z)), 0.0), 1.0) for v in z]
+        assert sum(255 * t % 1 == 0.5 for t in ts) > 100  # halfway values, where floor(x + 0.5) would differ
+        cell_w = 570.0 / len(z)
+        expect = [f'x="{_fmt(50.0 + k * cell_w)}" y="16.000" width="{_fmt(cell_w)}" height="68.000" '
+                  f'fill="rgb({round(255 * t)},0,{round(255 * (1.0 - t))})"' for k, t in enumerate(ts)]
+        assert re.findall(r'x="[^"]*" y="[^"]*" width="[^"]*" height="[^"]*" fill="rgb[^"]*"', svg_heatmap(spec)) == expect
+
+
 class TestCliCalibrate:
     def test_exit_zero_and_report(self, tmp_path, capsys):
         code = run(["calibrate", "--json", "--out-dir", str(tmp_path)])
@@ -336,6 +378,31 @@ class TestCliMetrics:
         assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("subcommand", ["metrics", "timetree"])
+class TestExcludedLabelsReported:
+    """metrics and timetree name the pause labels whose intervals they skipped."""
+
+    def test_default_set(self, subcommand, tmp_path, capsys):
+        path = tmp_path / "paused.csv"
+        path.write_text("tier,label,start_s,end_s\nw,a,0.0,0.2\nw,sil,0.2,0.5\nw,b,0.5,0.9\nw,<p>,0.9,1.0\n"
+                        "w,c,1.0,1.1\n")
+        assert run([subcommand, str(path), "--json", "--out-dir", str(tmp_path)]) == 0
+        rep = report_from(capsys)
+        jsonschema.validate(rep, load_schema(subcommand))
+        assert rep["exclude"] == ["", "#", "<p>", "sil"]
+        assert rep["n"] == 3
+
+    def test_given_labels_replace_the_default(self, subcommand, tmp_path, capsys):
+        path = tmp_path / "paused.csv"
+        path.write_text("tier,label,start_s,end_s\nw,a,0.0,0.2\nw,sil,0.2,0.5\nw,um,0.5,0.9\nw,b,0.9,1.0\n")
+        argv = [subcommand, str(path), "--exclude", "um", "--exclude", "a", "--exclude", "um"]
+        assert run([*argv, "--json", "--out-dir", str(tmp_path)]) == 0
+        rep = report_from(capsys)
+        jsonschema.validate(rep, load_schema(subcommand))
+        assert rep["exclude"] == ["a", "um"]
+        assert rep["n"] == 2  # sil and b
+
+
 class TestCliTimetree:
     def test_prints_reference_sexpr(self, words_csv_path, tmp_path, capsys):
         code = run(["timetree", str(words_csv_path), "--relation", "iambic",
@@ -446,11 +513,20 @@ TREE_FLAGS = [(rel, pol, ar) for rel in ("iambic", "trochaic") for pol in ("high
               for ar in ("binary", "nary")]
 
 
+# the report items added after TestTreeReportBytesPinned's digests were recorded
+ADDED_TREE_ITEMS = re.compile(rb'  "(exclude|prosotime_version)": (\[[^\]]*\]|"[^"]*"),\n')
+
+
 def _tree_report_bytes(argv, out):
-    """The JSON report bytes of one tree subcommand run; stdout goes to a string, which takes lone surrogates."""
+    """The JSON report bytes of one tree subcommand run, less ADDED_TREE_ITEMS; stdout goes to a
+    string, which takes lone surrogates."""
     with contextlib.redirect_stdout(io.StringIO()):
         assert run([*argv, "--formats", "json", "--out-dir", str(out)]) == 0
-    return next(out.glob("*.json")).read_bytes()
+    data = next(out.glob("*.json")).read_bytes()
+    added = {key: json.loads(value) for key, value in ADDED_TREE_ITEMS.findall(data)}
+    assert added == {b"prosotime_version": prosotime.__version__,
+                     **({b"exclude": ["", "#", "<p>", "sil"]} if argv[0] == "timetree" else {})}
+    return ADDED_TREE_ITEMS.sub(b"", data)
 
 
 class TestTreeReportBytesPinned:
@@ -929,14 +1005,40 @@ class TestLazyStreamedArtifacts:
         assert len(list(f0_track_csv_chunks(track))) == len(track) + 1
         assert f0_track_to_csv(no_frames) == "time_s,f0_hz\n"
 
+    @pytest.mark.parametrize("n_tones", [1_000, 10_000])
+    def test_f0_svg_write_is_bounded(self, n_tones, tmp_path, monkeypatch):
+        # from its first chunk on, the SVG (8.5 MB at 10 000 tones) takes the voiced-frame arrays
+        # (2.4 MB there), a batch of rows and a batch of writes; never the whole document
+        from prosotime import svgplot
+
+        render, base = svgplot.svg_f0_track_chunks, []
+
+        def traced(*args):
+            base.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            yield from render(*args)
+
+        monkeypatch.setattr(svgplot, "svg_f0_track_chunks", traced)
+        argv = ["tone-gen", " ".join("HL" * (n_tones // 2)), "--formats", "svg", "--out-dir", str(tmp_path)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(argv) == 0  # once untraced, so that the traced run imports nothing
+            tracemalloc.start()
+            try:
+                assert run(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (tmp_path / "tones.f0.svg").read_text().count("<circle") == 15 * n_tones
+        assert peak - base[-1] < 6 * 2**20
+
     def test_render_failing_after_its_first_batch_leaves_no_file(self, tmp_path):
         from prosotime import DegenerateInputError
-        from prosotime.cli import _BATCH, _write
+        from prosotime.cli import _WRITE_CHARS, _write
 
         target = tmp_path / "plot.svg"
 
         def render():
-            yield from ["<x/>" * 25] * _BATCH
+            yield from ["<x/>" * 25] * (_WRITE_CHARS // 100 + 1)  # 100 characters a chunk
             assert target.stat().st_size > 0  # the first batch reached the file
             raise DegenerateInputError("cannot draw")
 
@@ -1025,6 +1127,7 @@ class TestLazyStreamedArtifacts:
         assert run([*argv, "--json", "--out-dir", str(out)]) == 0
         echoed = capsys.readouterr().out.split("\n", summary_lines)[-1]
         assert echoed == (out / written).read_text(encoding="utf-8")
+        assert json.loads(echoed)["prosotime_version"] == prosotime.__version__
 
 
 class TestStaleArtifacts:
