@@ -261,6 +261,14 @@ def aems(wave: Waveform | WavSource, cutoff_hz=5.0, window_ms=20.0, env_rate=100
     return Spectrum(spec.resolution_hz, spec.magnitudes, spec.cutoff_hz, params)
 
 
+def _has_duplicates(xs) -> bool:
+    """len(np.unique(xs)) != len(xs), without the numpy.ma import that np.unique
+    makes (about 4 ms a process): two sorted neighbours are equal, or both NaN."""
+    s = np.sort(xs)
+    a, b = s[:-1], s[1:]
+    return bool(np.any((a == b) | (np.isnan(a) & np.isnan(b))))
+
+
 def fit_polynomial(xs, ys, degree) -> PolyFit:
     """Least-squares polynomial fit.
 
@@ -278,7 +286,7 @@ def fit_polynomial(xs, ys, degree) -> PolyFit:
         raise ParameterError(
             f"{len(xs)} points cannot determine a degree-{degree} polynomial"
         )
-    if len(np.unique(xs)) != len(xs):
+    if _has_duplicates(xs):
         raise ParameterError("xs must be distinct")
 
     lo, hi = float(np.min(xs)), float(np.max(xs))

@@ -343,9 +343,20 @@ def _cmd_intonation(args) -> tuple[dict, str, dict]:
     return report, summary, {}
 
 
-def _cmd_f0(args) -> tuple[dict, str, dict]:
+def _median(values) -> float:
+    """np.median of a non-empty float array, without the numpy.ma import that
+    np.median makes (about 4 ms a process): NaN if any value is NaN, else the
+    middle sorted value, or the mean of the two middle ones."""
     import numpy as np
 
+    s = np.sort(values)
+    mid = len(s) // 2
+    if math.isnan(s[-1]):  # NaN sorts last
+        return math.nan
+    return float(s[mid]) if len(s) % 2 else (float(s[mid - 1]) + float(s[mid])) / 2
+
+
+def _cmd_f0(args) -> tuple[dict, str, dict]:
     from .audio import open_wav
     from .pitch import estimate_f0_autocorr, f0_track_csv_chunks, segment_ipus
     from .svgplot import svg_f0_track_chunks
@@ -362,7 +373,7 @@ def _cmd_f0(args) -> tuple[dict, str, dict]:
         "n_frames": len(track),
         "voiced_frames": track.voiced_count,
         "hop_s": track.hop_s,
-        "median_f0_hz": float(np.median(voiced)) if len(voiced) else None,
+        "median_f0_hz": _median(voiced) if len(voiced) else None,
         "ipus": [{"start_s": u.start_s, "end_s": u.end_s} for u in ipus],
     }
     summary = (

@@ -121,7 +121,7 @@ class PolyContourModel:
 # ---------------------------------------------------------------------------
 
 
-_BLOCK_FRAMES = 128  # frames per batched FFT: bounds the working set to a few MB
+_BLOCK_FRAMES = 64  # frames per batched FFT: bounds the work arrays to about 2 MB at the defaults
 _LEAF = 1 << 13  # samples squared at once by the track RMS and the IPU frame RMS, frames listed by the CSV
 
 
@@ -186,17 +186,6 @@ def _sum_of_squares(x, leaf=_LEAF):
     return _fold(sums, len(x), leaf)
 
 
-def _autocorrelation(frames, nfft):
-    """Each frame's circular autocorrelation at nfft points, by FFT.
-
-    The power spectrum takes the spectrum's place before the inverse
-    transform, so that no more than two batch-sized arrays are held at once.
-    """
-    spec = np.fft.rfft(frames, nfft, axis=1)
-    spec = spec * np.conj(spec)
-    return np.fft.irfft(spec, nfft, axis=1)
-
-
 def estimate_f0_autocorr(
     wave: Waveform | WavSource,
     fmin: float = 60.0,
@@ -242,33 +231,46 @@ def estimate_f0_autocorr(
     lags = np.arange(lag_min, lag_max + 1)
     width = len(lags)
 
-    def candidates(block):
-        """Each frame's RMS, NCC peak and F0 candidate clamped into [fmin, fmax].
+    def candidates(block, rms, peak, f0):
+        """Each frame's RMS, NCC peak and F0 candidate clamped into [fmin, fmax], written into rms, peak and f0.
 
-        A function of its own, so that one batch's arrays are freed before the
-        next is made; the largest go as soon as they are used.
+        Every batch-sized array is a view of the work arrays, cut to the
+        batch's rows, and each stage writes into one with out=.
         """
-        rows = np.arange(len(block))
+        m = len(block)
+        pad, spec, power, csq, denom, ncc, ties, mask = (w[:m] for w in work)
+        rows = np.arange(m)
 
-        # autocorrelation numerators via FFT (copied out of the nfft-point rows), energy-normalized per lag
-        ac = _autocorrelation(block, nfft)[:, lag_min : lag_max + 1].copy()
-        sq = block**2
-        rms, csq = np.sqrt(np.mean(sq, axis=1)), np.cumsum(sq, axis=1)
-        del sq
-        e_head = csq[:, frame_len - lags - 1]
-        e_tail = csq[:, -1:] - csq[:, lags - 1]
-        denom = np.sqrt(e_head * e_tail)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ncc = np.where(denom > 0, ac / denom, 0.0)
+        # autocorrelation numerators via FFT of the zero-padded frames (a
+        # contiguous copy transforms faster than the strided frames); conj *
+        # spec, in this order, is the power spectrum; the irfft writes over pad
+        pad[:, :frame_len] = block
+        pad[:, frame_len:] = 0.0
+        np.fft.rfft(pad, axis=1, out=spec)
+        np.multiply(np.conjugate(spec, out=power), spec, out=power)
+        ac = np.fft.irfft(power, nfft, axis=1, out=pad)[:, lag_min : lag_max + 1]
+
+        # energy-normalized per lag: the squares' running sum gives the energy
+        # of the frame's head and tail at each lag
+        np.square(block, out=csq)
+        np.sqrt(np.mean(csq, axis=1), out=rms)
+        np.cumsum(csq, axis=1, out=csq)
+        e_head = csq[:, frame_len - lag_max - 1 : frame_len - lag_min][:, ::-1]
+        np.subtract(csq[:, -1:], csq[:, lag_min - 1 : lag_max], out=denom)  # e_tail
+        np.sqrt(np.multiply(e_head, denom, out=denom), out=denom)
+        ncc.fill(0.0)
+        np.divide(ac, denom, out=ncc, where=np.greater(denom, 0.0, out=mask))
 
         best = np.argmax(ncc, axis=1)
-        peak = ncc[rows, best]
+        peak[:] = ncc[rows, best]
 
         # octave guard: a lag of 2T correlates nearly as well as the true
-        # period T, so among near-tied local maxima the shortest lag wins
-        ties = np.zeros(ncc.shape, dtype=bool)
-        mid = ncc[:, 1:-1]
-        ties[:, 1:-1] = (mid > ncc[:, :-2]) & (mid >= ncc[:, 2:]) & (mid >= 0.95 * peak[:, None])
+        # period T, so among near-tied local maxima the shortest lag wins;
+        # the end columns of ties stay False
+        mid, inner = ncc[:, 1:-1], ties[:, 1:-1]
+        np.greater(mid, ncc[:, :-2], out=inner)
+        inner &= np.greater_equal(mid, ncc[:, 2:], out=mask[:, 1:-1])
+        inner &= np.greater_equal(mid, 0.95 * peak[:, None], out=mask[:, 1:-1])
         best = np.where(ties.any(axis=1), np.argmax(ties, axis=1), best)
 
         # parabolic refinement where the best lag is a proper interior maximum
@@ -277,9 +279,21 @@ def estimate_f0_autocorr(
         refine = (best > 0) & (best < width - 1) & (curv < 0)
         with np.errstate(invalid="ignore", divide="ignore"):
             lag = lags[best] + np.where(refine, 0.5 * (y0 - y2) / curv, 0.0)
-        return rms, peak, np.clip(rate / lag, fmin, fmax)
+        np.clip(rate / lag, fmin, fmax, out=f0)
 
     rms_all, peak_all, f0 = np.empty(n_frames), np.empty(n_frames), np.empty(n_frames)
+    # the batch work arrays, made once per track (none without frames) and reused by every batch
+    batch = min(_BLOCK_FRAMES, n_frames)
+    work = [
+        np.empty((batch, nfft)),  # the zero-padded frames, then their autocorrelations
+        np.empty((batch, nfft // 2 + 1), complex),  # the spectrum
+        np.empty((batch, nfft // 2 + 1), complex),  # the power spectrum
+        np.empty((batch, frame_len)),  # the squares, then their running sum
+        np.empty((batch, width)),  # the NCC denominators
+        np.empty((batch, width)),  # the NCC
+        np.zeros((batch, width), dtype=bool),  # the tie mask
+        np.empty((batch, width), dtype=bool),  # scratch mask
+    ] if batch else []
     # one pass over the samples: the track RMS's leaves (None) and the batches of frames
     spans = [(a, b, None) for a, b in _leaves(n, _LEAF)]
     for lo in range(0, n_frames, _BLOCK_FRAMES):
@@ -291,7 +305,8 @@ def estimate_f0_autocorr(
         if blk is None:
             sums.append(np.add.reduce(x**2))
         else:
-            rms_all[blk], peak_all[blk], f0[blk] = candidates(sliding_window_view(x, frame_len)[::hop_len])
+            candidates(sliding_window_view(x, frame_len)[::hop_len], rms_all[blk], peak_all[blk], f0[blk])
+    work.clear()  # freed before the track is built
 
     track_rms = float(np.sqrt(_fold(iter(sums), n, _LEAF) / n))  # np.mean(x**2), bit for bit
     f0[(track_rms == 0.0) | (rms_all < 0.01 * track_rms) | (peak_all < voicing_ratio)] = np.nan  # unvoiced

@@ -1,5 +1,7 @@
 """Envelope modulation spectrum pipeline: rectify, peak-pick, smooth, DFT, zones."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ from prosotime import (
     synthesize_am,
     zscore,
 )
-from prosotime.aems import _peaks, _window_peaks, spectrum_to_csv
+from prosotime.aems import _has_duplicates, _peaks, _window_peaks, spectrum_to_csv
 
 
 def naive_dft_magnitudes(values, rate, cutoff_hz, zero_mean=True):
@@ -330,6 +332,18 @@ class TestPolynomialFit:
         xs = np.arange(10) * 1e-300
         with pytest.raises(DegenerateInputError, match="overflow the float range"):
             fit_polynomial(xs, 100.0 + np.arange(10), 3)
+
+    def test_repeated_xs_rejected(self):
+        with pytest.raises(ParameterError, match="distinct"):
+            fit_polynomial([0.0, 1.0, -0.0], [1.0, 2.0, 3.0], 1)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]),
+                              st.floats()), max_size=12))
+    def test_distinctness_matches_np_unique(self, values):
+        # np.unique counts -0.0 as 0.0 and every NaN as one value (equal_nan)
+        xs = np.array(values, dtype=float)
+        assert _has_duplicates(xs) == (len(np.unique(xs)) != len(xs))
 
     @pytest.mark.parametrize("degree", [1, 3, 5, 9])
     def test_residuals_beyond_float_range_rejected(self, degree):

@@ -423,9 +423,11 @@ class TestStreamedF0:
 
     @_STREAM_FORMATS
     def test_bytes_match_read_wav(self, small_blocks, tmp_path, monkeypatch, audio_format, channels, bits):
-        monkeypatch.setattr(importlib.import_module("prosotime.pitch"), "_LEAF", 1000)  # several leaves a track
-        rate = 4000  # frame 160, hop 40: a batch of 128 frames spans 5 240 samples
-        for n in (100, 159, 160, 161, 199, 200, 201, 5240, 5280):  # around the frame, a hop, one and two batches
+        pitch = importlib.import_module("prosotime.pitch")
+        monkeypatch.setattr(pitch, "_LEAF", 1000)  # several leaves a track
+        rate = 4000  # frame 160, hop 40
+        batch = (pitch._BLOCK_FRAMES - 1) * 40 + 160  # the samples that one batch of frames spans
+        for n in (100, 159, 160, 161, 199, 200, 201, batch, batch + 40):  # around the frame, a hop, one and two batches
             t = np.arange(n) / rate
             x = 0.6 * np.sin(2 * np.pi * (120 * t + 40 * t**2))
             x[n // 3 : n // 3 + 1400] = 0.0  # a 350 ms pause

@@ -116,6 +116,21 @@ def test_symbolic_subcommands_never_import_numpy(argv, loads, words_csv_path, tm
     assert [m for m in modules if m.split(".")[0] == "numpy"] == []
 
 
+@pytest.mark.parametrize("argv", [["f0", "{wav}"], ["contour-fit", "{csv}"], ["aems", "{wav}"], ["spectree", "{wav}"]],
+                         ids=["f0", "contour-fit", "aems", "spectree"])
+def test_signal_subcommands_never_import_numpy_ma(argv, am_wav_path, tmp_path):
+    # np.median and np.unique import numpy.ma, which costs about 4 ms a process
+    csv = tmp_path / "track.f0.csv"
+    csv.write_text("time_s,f0_hz\n" + "".join(f"{k / 100!r},{100 + k}\n" for k in range(20)))
+    argv = [a.format(wav=am_wav_path, csv=csv) for a in argv] + ["--out-dir", str(tmp_path / "out")]
+    _python("-c", f"""
+import sys
+from prosotime.cli import run
+assert run({argv!r}) == 0
+assert "numpy" in sys.modules and "numpy.ma" not in sys.modules
+""")
+
+
 def test_tree_induction_imports_no_annotation_reader():
     # timetree takes any (label, value) pairs, so the TextGrid/CSV parsers stay unloaded
     _python("-c", """

@@ -486,6 +486,34 @@ class TestBatchedTrackerOracle:
         track = _assert_matches_loop(wave)
         assert len(track) == n_frames
 
+    def test_batch_size_changes_no_bit(self, monkeypatch):
+        # the power spectrum is conj * spec in every batch, whatever its size
+        rate = 16000
+        t = np.arange(5 * rate) / rate
+        chirp = Waveform(0.8 * np.sin(2 * np.pi * (100 * t + 25 * t**2)), rate)
+        pitch = importlib.import_module("prosotime.pitch")
+        bits = {}
+        for frames in (1, 7, 31, 32, 64, 128):
+            monkeypatch.setattr(pitch, "_BLOCK_FRAMES", frames)
+            bits[frames] = estimate_f0_autocorr(chirp).f0_hz.tobytes()
+        assert [frames for frames, b in bits.items() if b != bits[128]] == []
+
+    def test_every_batch_writes_into_the_same_work_arrays(self, monkeypatch):
+        outs = {"rfft": [], "irfft": []}
+        for name, seen in outs.items():
+            def recording(*args, out=None, _transform=getattr(np.fft, name), _seen=seen, **kwargs):
+                _seen.append(out)
+                return _transform(*args, out=out, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, recording)
+        track = estimate_f0_autocorr(_sine(200.0, 3.0))
+        batches = -(-len(track) // _BLOCK_FRAMES)
+        assert batches >= 3 and len(track) % _BLOCK_FRAMES  # the last batch is a short one
+        for name, seen in outs.items():
+            assert len(seen) == batches and all(out is not None for out in seen), name
+            bases = [out if out.base is None else out.base for out in seen]
+            assert all(base is bases[0] for base in bases), name
+
     def test_peak_memory_is_bounded(self):
         rate = 16000
         t = np.arange(120 * rate) / rate

@@ -35,7 +35,7 @@ from prosotime import (
     transduce_tones,
     write_wav_pcm16,
 )
-from prosotime.cli import run
+from prosotime.cli import _median, run
 from prosotime.svgplot import (
     svg_f0_track,
     svg_heatmap,
@@ -679,6 +679,17 @@ class TestCliIntonation:
 
 
 class TestCliF0AndContour:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e308, math.inf, -math.inf, math.nan]),
+                              st.floats()), min_size=1, max_size=12))
+    def test_median_matches_np_median(self, values):
+        xs = np.array(values, dtype=float)
+        with np.errstate(all="ignore"):  # np.median overflows (1e308 + 1e308) and meets inf - inf
+            want = float(np.median(xs))
+        got = _median(xs)
+        assert type(got) is float
+        assert got == want or (math.isnan(got) and math.isnan(want))
+
     def test_f0_report(self, tmp_path, capsys, sine_200):
         wav = tmp_path / "s.wav"
         write_wav_pcm16(wav, sine_200)
