@@ -244,7 +244,14 @@ def aems(wave: Waveform | WavSource, cutoff_hz=5.0, window_ms=20.0, env_rate=100
     """Full pipeline: peak-pick |x|, smooth, DFT-magnitude below cutoff.
 
     wave is a Waveform, or an open WavSource streamed through the peak picker.
+    The smoothing window and the cutoff are checked against env_rate before the
+    first sample is read; the window_ms and env_rate checks of the peak picker
+    follow, and then the length.
     """
+    if _ms_to_samples(_positive(smooth_ms, "smooth_ms"), _positive(env_rate, "env_rate"), "smooth_ms") < 1:
+        raise ParameterError("smoothing window shorter than one envelope sample")
+    if _positive(cutoff_hz, "cutoff_hz") > env_rate / 2 + 1e-9:
+        raise ParameterError(f"cutoff {cutoff_hz} Hz exceeds the envelope Nyquist {env_rate / 2} Hz")
     env = extract_envelope_peaks(wave, window_ms=window_ms, env_rate=env_rate)
     env = smooth_envelope(env, window_ms=smooth_ms)
     spec = dft_magnitude(env, cutoff_hz)

@@ -16,14 +16,19 @@ Each subcommand names every file it can write before it runs: `outputs`
 suffixes, the first its JSON report, after the input file's stem (or a fixed
 one).  Each handler is a pure function of args returning (report, summary,
 renders): renders maps the suffix of each CSV or SVG this input has to a
-zero-argument render of its text chunks.  Only run() writes: it serializes the
-report first (a non-finite one writes nothing), writes each listed format's
-render or removes the stale file of a suffix with none, writes the report last,
-then prints summary and, under --json, the report text.  Every report
-carries the package version (`prosotime_version`).  A run that exits 1
-removes every file of its names in the listed formats, so nothing an earlier
-run left there reads as this run's result; a usage error (exit 2) leaves the
-output directory as it was.
+zero-argument render of its text chunks, and a row-heavy report value (tree
+nodes, tone-gen targets, enumerated strings) is a lazy row source that the
+report writer reads a batch at a time.  Only run() writes: it writes each
+listed format's render or removes the stale file of a suffix with none, then
+streams the report last through _report_chunks, the one JSON writer (into
+nothing when json is not listed, so that it is still checked), then prints
+summary (a tree's is read from that render) and, under --json, renders the
+report again to stdout.  A non-finite report value is an AnalysisError while
+the report is written.  Every report carries the package version
+(`prosotime_version`).  A run that exits 1 removes every file of its names in
+the listed formats, so nothing an earlier run left there, and no part of this
+run's, reads as this run's result; a usage error (exit 2) leaves the output
+directory as it was.
 """
 
 from __future__ import annotations
@@ -31,13 +36,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import json
 import math
 import os
 import re
 import sys
+from collections.abc import Callable, Iterable, Iterator
+from itertools import islice
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterable
 
 from . import __version__
 from .errors import AnalysisError, DegenerateInputError
@@ -45,30 +51,103 @@ from .errors import AnalysisError, DegenerateInputError
 OUT_DIR_ENV = "PROSOTIME_OUT_DIR"
 FORMATS = ("json", "csv", "svg")
 _WRITE_CHARS = 1 << 16  # characters joined per write(), however large the chunks; a write per chunk is slower
+_ROWS = 256  # items a lazy row source hands the report writer at a time
 
 
 class _UsageError(Exception):
     """Command-line misuse that argparse cannot express; exits with code 2."""
 
 
-class _Json(str):
-    """A top-level report value that is already JSON text, indented one level in."""
+def _float(x: float) -> str:
+    """float.__repr__, as json writes a float; a NaN or an infinity is an AnalysisError."""
+    if x - x != 0:  # nan for nan and +-inf, 0.0 for every finite x
+        raise AnalysisError(
+            f"report holds a non-finite number (Out of range float values are not JSON compliant: {x!r})")
+    return float.__repr__(x)
 
 
-def _dumps(report: dict) -> str:
-    """Strict JSON: a NaN or infinity in a report is an AnalysisError, not `Infinity`.
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: _float,
+            bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
 
-    A _Json value goes in as it is, between the items that sort before and after its key.
+
+def _report_chunks(report: dict) -> Iterator[str]:
+    """The text of json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\\n", in chunks.
+
+    A value may be a zero-argument callable, called when the writer reaches it:
+    an iterator it returns is a list whose items are read _ROWS at a time, and
+    anything else is written as the value itself.  So a row-heavy list need not
+    be built, a value known only after such a list was read (a tree's sexpr,
+    after its nodes) can follow it, and a second render calls the callable again.
+    Keys are strings.  A non-finite float raises AnalysisError once the chunks
+    before it are out.
     """
-    for key, value in report.items():
-        if isinstance(value, _Json):
-            head = _dumps({k: v for k, v in report.items() if k < key})[2:-3]  # "{}\n" or "{\n<items>\n}\n"
-            tail = _dumps({k: v for k, v in report.items() if k > key})[2:-3]
-            return "{\n" + ",\n".join(filter(None, (head, f"  {json.dumps(key)}: {value}", tail))) + "\n}\n"
-    try:
-        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    except ValueError as exc:
-        raise AnalysisError(f"report holds a non-finite number ({exc})") from None
+    yield from _chunks(report, "\n")
+    yield "\n"
+
+
+def _chunks(value, nl: str) -> Iterator[str]:
+    """value's JSON text, its lines continued by nl (a newline and the indent of value's first line)."""
+    if callable(value):
+        value = value()
+        if isinstance(value, Iterator):
+            yield from _list(iter(lambda: list(islice(value, _ROWS)), []), nl)
+            return
+    if isinstance(value, dict):
+        inner, sep = nl + "  ", "{"
+        for key in sorted(value):
+            yield f"{sep}{inner}{encode_basestring_ascii(key)}: "
+            yield from _chunks(value[key], inner)
+            sep = ","
+        yield "{}" if sep == "{" else nl + "}"
+    elif isinstance(value, (list, tuple)):
+        yield from _list((value,), nl)
+    else:  # a subclass of str, int or float is written as its base, as json does
+        kind = next((k for k in type(value).__mro__ if k in _SCALARS), None)
+        if kind is None:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        yield _SCALARS[kind](value)
+
+
+def _list(batches, nl: str) -> Iterator[str]:
+    """A JSON list of the items of batches (lists), one chunk per batch."""
+    inner, sep = nl + "  ", "["
+    for batch in batches:
+        if batch:
+            yield sep + inner + _items(batch, inner)
+            sep = ","
+    yield "[]" if sep == "[" else nl + "]"
+
+
+def _items(batch, pad: str) -> str:
+    """The JSON texts of batch's items, joined as list items at pad.
+
+    Scalars are written a column at a time, and so are dicts that share their
+    keys: one row template per key set, filled one key's column at a time.
+    """
+    texts = [""] * len(batch)
+    groups: dict = {}  # key tuple of a non-empty dict, else None -> positions
+    for at, item in enumerate(batch):
+        groups.setdefault(tuple(item) if type(item) is dict and item else None, []).append(at)
+    for keys, where in groups.items():
+        items = [batch[at] for at in where]
+        if keys is None:
+            rows = _column(items, pad)
+        else:
+            inner = pad + "  "
+            order = sorted(keys)
+            row = "{" + ",".join(f"{inner}{encode_basestring_ascii(k).replace('%', '%%')}: %s" for k in order)
+            rows = map((row + pad + "}").__mod__, zip(*(_column([r[k] for r in items], inner) for k in order)))
+        for at, text in zip(where, rows):
+            texts[at] = text
+    return ("," + pad).join(texts)
+
+
+def _column(values: list, pad: str) -> list[str]:
+    """The JSON texts of values at pad; a column of one scalar type is one map()."""
+    kinds = set(map(type, values))
+    if len(kinds) == 1 and (kind := kinds.pop()) in _SCALARS:
+        return list(map(_SCALARS[kind], values))
+    return [enc(v) if (enc := _SCALARS.get(type(v))) else "".join(_chunks(v, pad)) for v in values]
 
 
 def _finite_float(text: str) -> float:
@@ -252,19 +331,20 @@ def _cmd_metrics(args) -> tuple[dict, str, dict]:
     return report, f"tier={tier.name} n={flat['n']} {line}", renders
 
 
-def _tree_artifacts(args, report: dict, induce, data) -> tuple[dict, str, dict]:
+def _tree_artifacts(args, report: dict, induce, data) -> tuple[dict, Callable[[], str], dict]:
     """Shared tree emission: induce(data, params) under the tree flags; report items and SVG drawing."""
     from .svgplot import svg_timetree_chunks
     from .timetree import TreeParams, tree_texts
 
     params = TreeParams(relation=args.relation, polarity=args.polarity, arity=args.arity)
     tree = induce(data, params)
-    sexpr, nodes = tree_texts(tree)
-    report.update(params=dataclasses.asdict(params), sexpr=sexpr, nodes=_Json(nodes))
-    return report, sexpr, {f"{args.subcommand}.svg": lambda: svg_timetree_chunks(tree)}
+    parts: list[str] = []  # the s-expression, written by each walk of the rows; "nodes" sorts before "sexpr"
+    report.update(params=dataclasses.asdict(params), nodes=lambda: tree_texts(tree, parts),
+                  sexpr=lambda: "".join(parts))
+    return report, lambda: "".join(parts), {f"{args.subcommand}.svg": lambda: svg_timetree_chunks(tree)}
 
 
-def _cmd_timetree(args) -> tuple[dict, str, dict]:
+def _cmd_timetree(args) -> tuple[dict, Callable[[], str], dict]:
     from .timetree import induce_time_tree
 
     tier, seq, exclude = _tier_durations(args)
@@ -274,7 +354,7 @@ def _cmd_timetree(args) -> tuple[dict, str, dict]:
     return _tree_artifacts(args, report, induce_time_tree, seq)
 
 
-def _cmd_spectree(args) -> tuple[dict, str, dict]:
+def _cmd_spectree(args) -> tuple[dict, Callable[[], str], dict]:
     from .aems import aems as run_aems
     from .audio import open_wav
     from .timetree import induce_spectral_hierarchy
@@ -299,7 +379,7 @@ def _cmd_tone_gen(args) -> tuple[dict, str, dict]:
     report = {
         "lexical": lexical,
         "phonetic": list(phonetic),
-        "targets": [{"label": lab, "hz": hz} for lab, hz in targets.items],
+        "targets": lambda: ({"label": lab, "hz": hz} for lab, hz in targets.items),
         "params": dataclasses.asdict(params),
         "tone_dur_ms": args.tone_dur_ms,
         "n_frames": 0,
@@ -314,7 +394,7 @@ def _cmd_tone_gen(args) -> tuple[dict, str, dict]:
 
 
 def _cmd_intonation(args) -> tuple[dict, str, dict]:
-    from .fsm import build_pierrehumbert, enumerate_strings, recognize
+    from .fsm import build_pierrehumbert, count_strings, iter_strings, recognize
 
     fsm = build_pierrehumbert()
     if args.mode == "check":
@@ -332,14 +412,14 @@ def _cmd_intonation(args) -> tuple[dict, str, dict]:
             raise _UsageError(f"intonation enum takes no symbol string, got {args.string!r}")
         if args.max_len < 0:
             raise _UsageError(f"--max-len must be >= 0, got {args.max_len}")
-        strings = enumerate_strings(fsm, args.max_len)
+        count = count_strings(fsm, args.max_len)  # the cap, checked before any string is made
         report = {
             "mode": "enum",
             "max_len": args.max_len,
-            "count": len(strings),
-            "strings": strings,
+            "count": count,
+            "strings": lambda: iter_strings(fsm, args.max_len),
         }
-        summary = f"count={len(strings)}"
+        summary = f"count={count}"
     return report, summary, {}
 
 
@@ -517,13 +597,16 @@ def run(argv: list[str] | None = None) -> int:
     listed = [s for s in (*others, report_suffix) if s.rpartition(".")[2] in formats]  # the report last
     try:
         report, summary, renders = args.func(args)
-        text = _dumps({"subcommand": args.subcommand, "prosotime_version": __version__, **report})
-        renders[report_suffix] = lambda: [text]
+        report = {"subcommand": args.subcommand, "prosotime_version": __version__, **report}
+        renders[report_suffix] = lambda: _report_chunks(report)
         for suffix in listed:
             _write(out_dir, f"{stem}.{suffix}", renders.get(suffix))
-        print(summary)
+        if report_suffix not in listed:  # still checked, and still read for a summary that needs it
+            for _ in _report_chunks(report):
+                pass
+        print(summary() if callable(summary) else summary)
         if args.json:
-            print(text, end="")
+            sys.stdout.writelines(_report_chunks(report))
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

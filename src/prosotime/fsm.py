@@ -22,7 +22,7 @@ it accepts any accent sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import AlphabetError, DegenerateInputError, ParameterError
 
@@ -37,6 +37,7 @@ __all__ = [
     "recognize",
     "count_strings",
     "enumerate_strings",
+    "iter_strings",
     "build_pierrehumbert",
     "build_terracing",
     "transduce_tones",
@@ -175,13 +176,23 @@ def count_strings(fsm: MultiTapeFSM, max_len: int, tape: int = 0) -> int:
 def enumerate_strings(fsm: MultiTapeFSM, max_len: int, tape: int = 0) -> list[str]:
     """All accepted strings of length <= max_len on one tape, lexicographically.
 
-    Symbols within a string are joined by single spaces; ordering is
-    lexicographic over the symbol sequences, which a preorder walk taking
-    symbols in sorted order yields directly.  The walk enters only prefixes
-    that can still reach a final state within max_len.  More than MAX_STRINGS
-    strings is a ParameterError, raised before any is built.
+    Symbols within a string are joined by single spaces.  More than
+    MAX_STRINGS strings is a ParameterError, raised before any is built.
     """
     count_strings(fsm, max_len, tape)
+    return list(iter_strings(fsm, max_len, tape))
+
+
+def iter_strings(fsm: MultiTapeFSM, max_len: int, tape: int = 0) -> Iterator[str]:
+    """The strings of enumerate_strings, one at a time and with no cap.
+
+    Ordering is lexicographic over the symbol sequences, which a preorder walk
+    taking symbols in sorted order yields directly.  The walk enters only
+    prefixes that can still reach a final state within max_len.
+    """
+    if max_len < 0:
+        raise ParameterError(f"max_len must be >= 0, got {max_len}")
+    fsm._check_tape(tape)
     table = fsm._arcs[tape]
     # need[state]: fewest symbols from state to a final state, by a backward breadth-first pass
     need, frontier, steps = dict.fromkeys(fsm.finals, 0), set(fsm.finals), 0
@@ -194,16 +205,14 @@ def enumerate_strings(fsm: MultiTapeFSM, max_len: int, tape: int = 0) -> list[st
     for (src, sym), arc in sorted(table.items(), reverse=True):
         if arc.dst in need:
             arcs[src].append((sym, arc.dst))
-    accepted: list[str] = []
     stack = [(fsm.start, "", 0)]
     while stack:
         state, text, length = stack.pop()
         if state in fsm.finals:
-            accepted.append(text)
+            yield text
         for sym, dst in arcs[state]:  # pushed last-first, popped in order
             if length + 1 + need[dst] <= max_len:
                 stack.append((dst, f"{text} {sym}" if length else sym, length + 1))
-    return accepted
 
 
 # ---------------------------------------------------------------------------
@@ -426,4 +435,8 @@ def synthesize_contour(targets: PitchTargetSequence, tone_dur_ms: float = 150.0)
         raise ParameterError(f"--tone-dur-ms {tone_dur_ms:g} makes {per:.3g} frames for each of {len(targets)} "
                              f"targets, more than the cap of {MAX_CONTOUR_FRAMES} in all")
     f0 = np.repeat(targets.targets_hz, per)
-    return F0Track(times_s=np.arange(len(f0)) * hop_s, f0_hz=f0, hop_s=hop_s)
+    times = np.arange(len(f0), dtype=np.float64)
+    times *= hop_s  # the values of np.arange(len(f0)) * hop_s, in place
+    for column in (times, f0):
+        column.setflags(write=False)  # fresh and read-only, so F0Track keeps them as they are
+    return F0Track(times_s=times, f0_hz=f0, hop_s=hop_s)

@@ -11,12 +11,11 @@ number of items however many passes a sequence needs.
 
 The same machinery applied to z-scored spectrum magnitudes yields a
 hierarchical segmentation of a spectrum into dominance regions.  One walk
-writes a tree's s-expression and the JSON text of its report's node rows.
+yields a tree's report rows and writes its s-expression.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -41,6 +40,7 @@ _MARKS = ("r", "s", "w")
 _RELATIONS = ("iambic", "trochaic")
 _POLARITIES = ("higher", "lower")
 _ARITIES = ("binary", "nary")
+_PARTS = 1024  # s-expression pieces that tree_texts holds before joining them
 
 
 @dataclass(frozen=True)
@@ -231,20 +231,21 @@ def induce_spectral_hierarchy(spec: Spectrum, params: TreeParams = TreeParams())
     return induce_time_tree(labeled, replace(params, polarity="higher"))
 
 
-def tree_texts(tree: TimeTree) -> tuple[str, str]:
-    """The s-expression and the JSON text of the node rows, made in one walk.
+def tree_texts(tree: TimeTree, sexpr: list[str]) -> Iterator[dict]:
+    """The node rows of a tree's report, one walk that also writes its s-expression.
 
-    The s-expression marks nodes r/s/w and names leaves, without values; a
-    bare root leaf is its label alone.  Each row is {mark, value, parent}
-    plus a leaf's label, parent being the parent's row index (null at the
-    root).  The text is the rows' list as a sorted-key, two-space-indented
-    JSON report holds it; values need no NaN check, as TimeTree's are finite.
+    Each row is {mark, value, parent} plus a leaf's label, its keys in sorted
+    order, parent being the parent's row index (None at the root), in the
+    order of the s-expression.  sexpr is emptied, then takes the s-expression
+    piece by piece as the rows are read; once the last row is, it holds the
+    whole s-expression as its one item.  The s-expression marks nodes r/s/w
+    and names leaves, without values; a bare root leaf is its label alone.
     """
     marks, values, labels, kids = tree.marks, tree.values, tree.labels, tree.kids
-    quote = json.encoder.encode_basestring_ascii
-    parts: list[str] = []
-    rows: list[str] = []
-    path = ["null"]  # the rows of the current node's ancestors, by level, under the root's null parent
+    sexpr.clear()
+    parts: list[str] = []  # joined into sexpr every _PARTS pieces: a str per piece would outweigh the text
+    path: list[int | None] = [None]  # the rows of the current node's ancestors, by level, under the root's None parent
+    n = 0
     for node, level, entering in tree.walk():
         if not entering:
             if kids[node]:
@@ -252,23 +253,28 @@ def tree_texts(tree: TimeTree) -> tuple[str, str]:
             continue
         del path[level + 1 :]
         mark, gap = marks[node], " " if level else ""
-        row = f'"mark": "{mark}",\n      "parent": {path[-1]},\n      "value": {values[node]!r}\n    }}'
         if kids[node]:
             parts.append(f"{gap}({mark}")
+            yield {"mark": mark, "parent": path[-1], "value": values[node]}
         else:
             parts.append(f"{gap}({mark} {labels[node]})")
-            row = f'"label": {quote(labels[node])},\n      {row}'
-        path.append(str(len(rows)))
-        rows.append("{\n      " + row)
-    sexpr = labels[-1] if not kids[-1] else "".join(parts)
-    return sexpr, "[\n    " + ",\n    ".join(rows) + "\n  ]"
+            yield {"label": labels[node], "mark": mark, "parent": path[-1], "value": values[node]}
+        path.append(n)
+        n += 1
+        if len(parts) >= _PARTS:
+            sexpr.append("".join(parts))
+            parts.clear()
+    sexpr[:] = ["".join([*sexpr, *parts]) if kids[-1] else labels[-1]]
 
 
 def to_sexpr(tree: TimeTree) -> str:
     """The s-expression of tree_texts: r/s/w marks and leaf labels, no values."""
-    return tree_texts(tree)[0]
+    parts: list[str] = []
+    for _ in tree_texts(tree, parts):
+        pass
+    return "".join(parts)
 
 
 def tree_to_dict(tree: TimeTree) -> dict:
-    """{"nodes": [...]}, the rows of tree_texts read back: {mark, value, parent} plus leaf labels."""
-    return {"nodes": json.loads(tree_texts(tree)[1])}
+    """{"nodes": [...]}, the rows of tree_texts: {mark, value, parent} plus leaf labels."""
+    return {"nodes": list(tree_texts(tree, []))}

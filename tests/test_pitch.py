@@ -24,7 +24,7 @@ from prosotime import (
     synthesize_contour,
     transduce_tones,
 )
-from prosotime.pitch import _BLOCK_FRAMES, _frame_rms, _sum_of_squares, contour_model_to_dict, f0_track_to_csv
+from prosotime.pitch import _BLOCK_FRAMES, _LEAF, _frame_rms, _sum_of_squares, contour_model_to_dict, f0_track_to_csv
 
 
 def _sine(freq, dur_s, rate=16000, amp=0.8):
@@ -155,6 +155,33 @@ class TestTrackContainer:
             assert arr.dtype == np.float64 and not arr.flags.writeable
         times[0] = f0[0] = 1.0  # the caller's arrays stay theirs
         assert track.times_s[0] == 0.0 and track.f0_hz[0] == 100.0
+
+    @pytest.mark.parametrize("at", [_LEAF - 1, _LEAF, _LEAF + 5, 2 * _LEAF + 1])
+    def test_first_bad_step_named_in_a_later_block(self, at):
+        # steps are checked _LEAF at a time: the bad step at `at` lies at the end of the
+        # first block, at the start of the second, inside it, or in the third
+        times = np.arange(3 * _LEAF) * 0.01
+        times[at + 1 :] += 0.005  # step `at` is 0.015; a later bad step is never reached
+        times[at + 3 :] += 1.0
+        with pytest.raises(ParameterError) as exc:
+            F0Track(times, np.full(len(times), 100.0), 0.01)
+        assert str(exc.value).endswith(f"got step {times[at + 1] - times[at]} at t={times[at]}")
+        F0Track(times[: at + 1], np.full(at + 1, 100.0), 0.01)  # every step before it holds
+
+    def test_synthesized_contour_arrays_are_kept(self, monkeypatch):
+        from prosotime import audio, pitch
+
+        kept = []
+
+        def frozen(values, *args, **kwargs):
+            arr = audio._frozen_array(values, *args, **kwargs)
+            kept.append(arr is values)
+            return arr
+
+        monkeypatch.setattr(pitch, "_frozen_array", frozen)
+        track = synthesize_contour(realize_pitch(transduce_tones("H L H")), tone_dur_ms=20.0)
+        assert kept == [True, True]  # times and f0, neither copied
+        assert track.times_s.tobytes() == (np.arange(6) * 0.01).tobytes()
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), None])
     def test_non_finite_frame_time_rejected(self, bad):

@@ -35,7 +35,7 @@ from prosotime import (
     transduce_tones,
     write_wav_pcm16,
 )
-from prosotime.cli import _median, run
+from prosotime.cli import _median, _report_chunks, run
 from prosotime.svgplot import (
     svg_f0_track,
     svg_heatmap,
@@ -811,7 +811,7 @@ class TestCliPlumbing:
         assert "Traceback" not in err and ("voicing_ratio" in err or "env_rate" in err)
 
     @pytest.mark.parametrize("argv, name", [
-        (["aems", "{wav}", "--smooth-ms", "1e308"], "window_ms"),
+        (["aems", "{wav}", "--smooth-ms", "1e308"], "smooth_ms"),
         (["aems", "{wav}", "--window-ms", "1e308"], "window_ms"),
         (["f0", "{wav}", "--frame-ms", "1e308"], "frame_ms"),
         (["f0", "{wav}", "--hop-ms", "1e308"], "hop_ms"),
@@ -823,6 +823,25 @@ class TestCliPlumbing:
         assert run(argv + ["--out-dir", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err and f"error: {name}=" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["aems", "--smooth-ms", "1e308"], "error: smooth_ms=1e+308 ms at rate 100.0 exceeds the largest array"),
+        (["aems", "--smooth-ms", "1"], "error: smoothing window shorter than one envelope sample"),
+        (["aems", "--cutoff-hz", "60"], "error: cutoff 60.0 Hz exceeds the envelope Nyquist 50.0 Hz"),
+        (["spectree", "--cutoff-hz", "60"], "error: cutoff 60.0 Hz exceeds the envelope Nyquist 50.0 Hz"),
+        # several bad: the smoothing window, then the cutoff, then the peak picker's window_ms
+        (["aems", "--cutoff-hz", "60", "--smooth-ms", "1e308", "--window-ms", "1e308"], "error: smooth_ms="),
+        (["aems", "--cutoff-hz", "60", "--window-ms", "1e308"], "error: cutoff 60.0 Hz"),
+    ])
+    def test_aems_parameters_checked_before_any_block_is_read(self, argv, message, am_wav_path, tmp_path,
+                                                              monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("read the data chunk before checking the parameters")
+
+        monkeypatch.setattr(importlib.import_module("prosotime.aems"), "_block_peaks", refuse)
+        assert run([argv[0], str(am_wav_path), *argv[1:], "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.startswith(message)
 
     def test_frame_longer_than_the_signal_gives_an_empty_track(self, am_wav_path, tmp_path, capsys):
         # 5.7e17 ms is 9.1e18 samples at 16 kHz: an int64, but no array of that width fits
@@ -898,23 +917,22 @@ class TestCliPlumbing:
 
     def test_non_finite_report_value_is_an_analysis_error(self):
         from prosotime import AnalysisError
-        from prosotime.cli import _dumps
 
-        with pytest.raises(AnalysisError, match="non-finite"):
-            _dumps({"variance": float("inf")})
+        for report in ({"variance": float("inf")}, {"z": [1.0, float("nan")]},
+                       {"rows": lambda: iter([{"a": 1.0}, {"a": -math.inf}])}):
+            with pytest.raises(AnalysisError, match="non-finite"):
+                "".join(_report_chunks(report))
 
-    def test_pre_rendered_value_sits_between_its_neighbours(self):
+    def test_lazy_rows_sit_between_their_neighbours(self):
         from prosotime import AnalysisError
-        from prosotime.cli import _dumps, _Json
 
         rows = [{"a": 1.5, "b": None}, {"a": -0.0, "b": "\u00e9\ud800"}]
-        text = _Json(json.dumps(rows, sort_keys=True, indent=2).replace("\n", "\n  "))
         for report in ({}, {"a": 1}, {"z": [2]}, {"a": {"x": 1}, "n": True, "z": "s"}):
-            assert _dumps({**report, "m": text}) == _dumps({**report, "m": rows})
+            assert "".join(_report_chunks({**report, "m": lambda: iter(rows)})) == _encoded({**report, "m": rows})
         # every other value is still checked
         for report in ({"a": float("nan")}, {"z": [float("inf")]}):
             with pytest.raises(AnalysisError, match="non-finite"):
-                _dumps({**report, "m": text})
+                "".join(_report_chunks({**report, "m": lambda: iter(rows)}))
 
     def test_env_var_sets_out_dir(self, am_wav_path, tmp_path, monkeypatch):
         target = tmp_path / "from_env"
@@ -1259,3 +1277,181 @@ class TestFailedRunRemovesItsNames:
         assert run([*argv, "--degree", "x"]) == 2  # found by argparse
         assert run([*argv, "--formats", "json,xlsx"]) == 2
         assert {p.name: (p.stat().st_ino, p.read_bytes()) for p in out.iterdir()} == before
+
+
+def _report_items(value):
+    """Every (key, value) of every dict in a report, at any depth."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield key, item
+            yield from _report_items(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _report_items(item)
+
+
+class TestEveryFlagInItsReport:
+    """Each flag a subcommand applies appears in its report, with the value the run used."""
+
+    IO_DESTS = {"json", "out_dir", "formats", "stem", "func", "outputs", "subcommand"}
+    # dest -> (report key, the report's form of the parsed value), for the flags the report names otherwise
+    RENAMED = {"wav": ("input", str), "annot": ("input", str), "f0csv": ("input", str), "string": ("input", str),
+               "tones": ("lexical", str.split), "exclude": ("exclude", sorted)}
+    # check recognizes one string, so no length bound applies; enum takes no string (given one, it exits 2)
+    UNUSED = {("intonation", "check"): {"max_len"}, ("intonation", "enum"): {"string"}}
+    RUNS = [
+        ["calibrate"],
+        ["aems", "{am_wav_path}", "--cutoff-hz", "20", "--window-ms", "25", "--env-rate", "80",
+         "--smooth-ms", "60", "--min-prominence", "0.2", "--min-separation-hz", "0.5"],
+        ["metrics", "{words_csv_path}", "--tier", "words", "--exclude", "sil", "--exclude", "#"],
+        ["timetree", "{words_csv_path}", "--tier", "words", "--exclude", "x", "--relation", "trochaic",
+         "--arity", "nary", "--polarity", "lower"],
+        ["spectree", "{am_wav_path}", "--cutoff-hz", "20", "--relation", "trochaic", "--arity", "nary"],
+        ["tone-gen", "H L H", "--p-h0", "180", "--p-l0", "100", "--k-usw", "1.05", "--k-dd", "0.95",
+         "--k-dst", "0.6", "--k-ter", "0.8", "--floor-hz", "50", "--ceiling-hz", "300", "--tone-dur-ms", "120"],
+        ["intonation", "check", "%H H* H- H%"],
+        ["intonation", "enum", "--max-len", "5"],
+        ["f0", "{am_wav_path}", "--fmin", "70", "--fmax", "450", "--frame-ms", "35", "--hop-ms", "12",
+         "--voicing-ratio", "0.4"],
+        ["contour-fit", "{tones_f0_csv_path}", "--degree", "2", "--start-s", "0.1", "--end-s", "0.5"],
+    ]
+
+    def test_every_subcommand_is_run(self):
+        from prosotime.cli import build_parser
+
+        sub = next(a for a in build_parser()._actions if a.dest == "subcommand")
+        assert {argv[0] for argv in self.RUNS} == set(sub.choices)
+
+    @pytest.mark.parametrize("argv", RUNS, ids=lambda argv: "-".join(argv[:2]).strip("{}"))
+    def test_flags_appear_with_their_values(self, argv, request, tmp_path, capsys):
+        from prosotime.cli import build_parser
+
+        argv = [re.sub(r"\{(\w+)\}", lambda m: str(request.getfixturevalue(m[1])), a) for a in argv]
+        args = build_parser().parse_args(argv)
+        assert run([*argv, "--json", "--out-dir", str(tmp_path)]) == 0
+        items = list(_report_items(report_from(capsys)))
+        skip = self.IO_DESTS | self.UNUSED.get(tuple(argv[:2]), set())
+        for dest, value in vars(args).items():
+            if dest in skip:
+                continue
+            key, form = self.RENAMED.get(dest, (dest, lambda v: v))
+            assert (key, form(value)) in items, f"{dest}={value!r} is not in the {argv[0]} report"
+
+
+def _encoded(report):
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(), st.sampled_from([2**63, -(2**64), 10**300, -(10**4000)]),
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([0.0, -0.0, 1e16, 1e-7, 5e-324, 1.5e300]),
+    st.text(st.characters(blacklist_categories=())),  # lone surrogates too
+    st.sampled_from(["é", "音声", "\U0001f600", '"', "\\", "\x00\x1f\x7f", "\t\n\r", " ", "\ud800",
+                     "􏰀", "%s", "%%", "", "null"]),
+)
+_KEYS = st.one_of(st.text(st.characters(blacklist_categories=()), max_size=4), st.sampled_from(["%s", "a%", "%(x)s"]))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=5), st.dictionaries(_KEYS, inner, max_size=5),
+                            # rows that share their keys, as the reports' tables do
+                            st.lists(st.fixed_dictionaries({"a": inner, "b%s": _JSON_SCALARS}), max_size=6)),
+    max_leaves=40,
+)
+
+
+class TestReportWriter:
+    """cli._report_chunks, the one report serializer, against json.dumps(sort_keys=True, indent=2, allow_nan=False)."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(report=st.dictionaries(_KEYS, _JSON_VALUES, max_size=6), rows=st.integers(1, 4))
+    def test_matches_json_dumps(self, report, rows):
+        from prosotime import cli
+
+        want = _encoded(report)
+        assert "".join(_report_chunks(report)) == want
+        # each list as a lazy row source, read a few items at a time
+        lazy = {k: (lambda v=v: iter(v)) if isinstance(v, list) else v for k, v in report.items()}
+        saved, cli._ROWS = cli._ROWS, rows
+        try:
+            assert "".join(_report_chunks(lazy)) == want
+        finally:
+            cli._ROWS = saved
+
+    def test_scalars_and_subclasses_as_json_writes_them(self):
+        class Label(str):
+            pass
+
+        report = {"f": np.float64(0.1), "i": True, "n": None, "s": Label("x"), "t": (1, 2.5), "z": -0.0,
+                  "rows": [{}, {"a": []}, {"a": {}}, {"a": [1, {"b": None}]}, [], 7]}
+        assert "".join(_report_chunks(report)) == _encoded(report)
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            "".join(_report_chunks({"a": np.int64(1)}))
+
+    def test_values_read_after_a_row_source_see_its_walk(self):
+        seen = []
+
+        def rows():
+            for k in range(5):
+                seen.append(k)
+                yield {"k": k}
+
+        report = {"a_rows": rows, "b_count": lambda: len(seen), "c": lambda: [1, 2]}
+        text = "".join(_report_chunks(report))
+        assert text == _encoded({"a_rows": [{"k": k} for k in range(5)], "b_count": 5, "c": [1, 2]})
+
+    def test_non_finite_row_leaves_the_chunks_before_it(self):
+        from prosotime import AnalysisError
+
+        out = []
+        with pytest.raises(AnalysisError, match=r"non-finite number .*: nan\)"):
+            for chunk in _report_chunks({"a": 1, "rows": lambda: iter([{"v": 1.0}] * 5000 + [{"v": math.nan}])}):
+                out.append(chunk)
+        assert "".join(out).startswith('{\n  "a": 1,\n  "rows": [\n    {\n      "v": 1.0\n    },')  # rows went out first
+
+
+class TestStreamedReportMemory:
+    """The report writer holds a batch of rows, never a whole row-heavy report."""
+
+    def test_timetree_report_never_holds_the_nodes_text(self, tmp_path, monkeypatch):
+        from prosotime import cli
+
+        path = tmp_path / "tier.csv"
+        rows = "".join(f"w,x{k},{k / 10:.2f},{k / 10 + 0.02 + (k % 7) / 100:.2f}\n" for k in range(10_000))
+        path.write_text("tier,label,start_s,end_s\n" + rows)
+        out = tmp_path / "out"
+        render, base = cli._report_chunks, []
+
+        def traced(report):
+            base.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            yield from render(report)
+
+        monkeypatch.setattr(cli, "_report_chunks", traced)
+        argv = ["timetree", str(path), "--formats", "json", "--out-dir", str(out)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(argv) == 0  # once untraced, so that the traced run imports nothing
+            tracemalloc.start()
+            try:
+                assert run(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        report = json.loads((out / "tier.timetree.json").read_text())
+        assert sum("label" in row for row in report["nodes"]) == 10_000
+        nodes_text = len(json.dumps(report["nodes"], indent=2).replace("\n", "\n  "))  # about 2 MB
+        # a batch of rows, and the s-expression (a fifteenth of the nodes text) in a few copies while it is written
+        assert peak - base[-1] < nodes_text / 2
+
+    def test_enum_max_len_9_stays_small(self, tmp_path):
+        out = tmp_path / "out"
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            tracemalloc.start()
+            try:
+                assert run(["intonation", "enum", "--max-len", "9", "--out-dir", str(out)]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert stdout.getvalue() == "count=1176528\n"
+        assert (out / "intonation.json").stat().st_size > 40 * 2**20  # 1 176 528 strings, written
+        assert peak < 8 * 2**20  # the strings and the text took about 200 MB when built whole

@@ -21,7 +21,7 @@ from prosotime import (
     to_sexpr,
     tree_to_dict,
 )
-from prosotime.cli import _dumps, _Json
+from prosotime.cli import _report_chunks
 from prosotime.timetree import tree_texts
 
 IAMBIC_LOWER = TreeParams(relation="iambic", polarity="lower")
@@ -518,6 +518,16 @@ def _former_tree_to_dict(tree):
     return {"nodes": rows}
 
 
+def _encoded(report):
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _lazy_tree_report(report, tree):
+    """The report with the tree's rows and s-expression as the CLI gives them: lazy, from one walk."""
+    parts = []
+    return "".join(_report_chunks({**report, "nodes": lambda: tree_texts(tree, parts), "sexpr": lambda: "".join(parts)}))
+
+
 # labels a JSON string must escape, and the characters an s-expression uses
 HOSTILE = ("é", "音声", "\U0001f600", '"', "\\", "\\u0041", "\x00", "\t\n\r", "\x1f\x7f\x80", "\u2028",
            "\ud800", "\udfff", "\udbff\udc00x", "(s a)", " ", "", "null", "0")
@@ -530,7 +540,7 @@ REPORT = {"input": "in.csv", "n": 3, "params": {"arity": "nary"}, "subcommand": 
 
 
 class TestOnePassReport:
-    """tree_texts against the former serializers and the json encoder, byte for byte."""
+    """tree_texts through the report writer against the former serializers and the json encoder, byte for byte."""
 
     @pytest.mark.parametrize("params", [TreeParams(r, p, a) for r in ("iambic", "trochaic")
                                         for p in ("higher", "lower") for a in ("binary", "nary")],
@@ -541,12 +551,10 @@ class TestOnePassReport:
     def test_matches_encoder_over_former_serializers(self, params, pairs, one, bare):
         # a one-node table covers the bare-root-leaf rule: a root leaf prints bare
         tree = one if bare else induce_time_tree(pairs, params)
-        sexpr, nodes = tree_texts(tree)
         want = {"sexpr": _former_to_sexpr(tree), **_former_tree_to_dict(tree)}
-        assert _dumps({**REPORT, "sexpr": sexpr, "nodes": _Json(nodes)}) == _dumps({**REPORT, **want})
-        assert sexpr == to_sexpr(tree) == want["sexpr"]
-        # the rows read back from the text: a JSON reader joins a high and a low surrogate into one character
-        assert tree_to_dict(tree) == json.loads(json.dumps({"nodes": want["nodes"]}))
+        assert _lazy_tree_report(REPORT, tree) == _encoded({**REPORT, **want})
+        assert to_sexpr(tree) == want["sexpr"]
+        assert tree_to_dict(tree) == {"nodes": want["nodes"]}
 
     @pytest.mark.parametrize("mark, sexpr", [("r", "x y")])  # a root marked s or w is refused
     def test_only_a_root_leaf_marked_r_prints_bare(self, mark, sexpr):
@@ -556,6 +564,12 @@ class TestOnePassReport:
     def test_chain_report(self, n):
         pairs = [(f"c{k}", 0.05 + 1e-4 * k) for k in range(n)] + [("end", 0.01)]
         tree = induce_time_tree(pairs, IAMBIC_LOWER)
-        sexpr, nodes = tree_texts(tree)
-        assert _dumps({"nodes": _Json(nodes), "sexpr": sexpr}) == _dumps(
-            {"sexpr": _former_to_sexpr(tree), **_former_tree_to_dict(tree)})
+        assert _lazy_tree_report({}, tree) == _encoded({"sexpr": _former_to_sexpr(tree), **_former_tree_to_dict(tree)})
+
+    def test_second_render_walks_again(self):
+        tree = induce_time_tree([("a", 1.0), ("b", 2.0), ("c", 0.5)])
+        parts = []
+        report = {"nodes": lambda: tree_texts(tree, parts), "sexpr": lambda: "".join(parts)}
+        first = "".join(_report_chunks(report))
+        assert "".join(_report_chunks(report)) == first == _encoded(
+            {"sexpr": to_sexpr(tree), **tree_to_dict(tree)})
