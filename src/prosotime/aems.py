@@ -14,7 +14,7 @@ from typing import Iterator
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .audio import Waveform, WavSource, _frozen_array, _ms_to_samples, _positive
+from .audio import Waveform, WavSource, _frozen_array, _ms_to_samples, _positive, _ranges
 from .errors import DegenerateInputError, ParameterError, SingularityError
 
 __all__ = [
@@ -124,29 +124,26 @@ def _block_peaks(blocks, n, win):
     odd: the first sample of hop block k+2. The first maximum among those parts,
     taken in that order, is the window's argmax. Each hop block keeps only its
     argmax, its |max| and |x| at its first sample, and every sample is read once.
-    Fewer than hop samples carry over from one array to the next, and |x| is
-    taken one range of hop blocks at a time.
+    |x| is taken one range of hop blocks at a time.
     """
     hop = win // 2
     n_blocks = (n - win) // hop + 2
     rows = max(1, _PEAK_SAMPLES // hop)
+    starts = range(0, n_blocks, rows)
+    bounds = [(lo * hop, min(lo + rows, n_blocks) * hop) for lo in starts]
+    bounds.append((n_blocks * hop, min(n_blocks * hop + 1, n)))  # the sample after the last hop block
     block_idx = np.empty(n_blocks, dtype=np.intp)
     block_max = np.empty(n_blocks)
     first = np.zeros(n_blocks + 1)  # the last is the sample after the last hop block
-    done, rest = 0, np.empty(0)
-    for block in blocks:
-        x = np.concatenate((rest, block)) if len(rest) else block
-        take = min(len(x) // hop, n_blocks - done)
-        for lo in range(0, take, rows):
-            a = np.abs(x[lo * hop : min(lo + rows, take) * hop]).reshape(-1, hop)
-            at = slice(done + lo, done + lo + len(a))
-            block_idx[at] = i = a.argmax(axis=1)
-            block_max[at] = a[np.arange(len(a)), i]
-            first[at] = a[:, 0]
-        done += take
-        rest = x[take * hop :]  # fewer than hop samples, or at most hop + 1 past the last block
-    if len(rest):
-        first[n_blocks] = abs(rest[0])
+    ranges = _ranges(blocks, bounds)
+    for lo, x in zip(starts, ranges):
+        a = np.abs(x).reshape(-1, hop)
+        at = slice(lo, lo + len(a))
+        block_idx[at] = i = a.argmax(axis=1)
+        block_max[at] = a[np.arange(len(a)), i]
+        first[at] = a[:, 0]
+    for x in ranges:  # that sample, if there is one; then the blocks past it are read
+        first[n_blocks : n_blocks + len(x)] = np.abs(x)
     block_idx += np.arange(0, n_blocks * hop, hop)
     later = block_max[1:] > block_max[:-1]
     peak_idx = np.where(later, block_idx[1:], block_idx[:-1])
@@ -158,11 +155,6 @@ def _block_peaks(blocks, n, win):
     # elected indices never decrease, and neighbouring windows may share one
     keep = np.diff(peak_idx, prepend=-1) > 0
     return peak_idx[keep], peak_v[keep]
-
-
-def _window_peaks(x, win):
-    """The peak indices of one array: _block_peaks with x as its one block."""
-    return _block_peaks((x,), len(x), win)[0]
 
 
 def extract_envelope_peaks(wave: Waveform | WavSource, window_ms=20.0, env_rate=100) -> Envelope:

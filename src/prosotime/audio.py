@@ -1,9 +1,10 @@
-"""Waveform container, RIFF/WAVE reading and test-signal synthesis.
+"""Waveform container, RIFF/WAVE reading, block regrouping and test-signal synthesis.
 
 All downstream analysis consumes the Waveform type defined here. The WAV
 reader is deliberately small: it honours the `fmt ` and `data` chunks of a
 little-endian RIFF file, ignores everything else, and rejects compressed
-formats outright.
+formats outright. The readers of a block source (a Waveform or a WavSource)
+regroup its blocks into the ranges they need through one generator, _ranges.
 """
 
 from __future__ import annotations
@@ -11,8 +12,10 @@ from __future__ import annotations
 import math
 import struct
 import sys
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterator
 
 import numpy as np
@@ -126,6 +129,59 @@ class WavSource:
 
     def __len__(self):
         return self.n
+
+
+def _ranges(blocks, bounds):
+    """x[a:b] for each (a, b) of bounds, x coming as consecutive arrays from blocks.
+
+    bounds run in order of b. A range inside one block is a view of it, and one
+    that spans blocks is joined from them. Only the blocks that a range still to
+    come reaches are held. The blocks past the last range are read too, so every
+    sample is decoded, and range-checked, whatever the ranges cover.
+    """
+    held = deque()  # (offset, block) pairs, in order
+    end = 0
+    blocks = iter(blocks)
+    # keep[i]: the least start of bounds[i:]; blocks that end at or before it are done with
+    keep = list(accumulate(reversed([a for a, _ in bounds]), min, initial=math.inf))[::-1]
+    for i, (a, b) in enumerate(bounds):
+        while end < b:
+            block = next(blocks)
+            held.append((end, block))
+            end += len(block)
+        parts = [blk[max(a - at, 0) : b - at] for at, blk in held if at < b and a < at + len(blk)]
+        yield parts[0] if len(parts) == 1 else np.concatenate(parts or [np.empty(0)])
+        while held and held[0][0] + len(held[0][1]) <= keep[i + 1]:
+            held.popleft()
+    for _ in blocks:  # a caller that zips this generator puts it first, so that zip gets here
+        pass
+
+
+def _half(n):
+    """Where numpy's pairwise sum splits n > 128 elements: n // 2 rounded down to a multiple of 8."""
+    return n // 2 - n // 2 % 8
+
+
+def _leaves(n, leaf, lo=0):
+    """The parts [a, b) of [lo, lo + n) that numpy's pairwise split reaches at <= leaf elements, in order."""
+    if n <= leaf:
+        return [(lo, lo + n)]
+    half = _half(n)
+    return _leaves(half, leaf, lo) + _leaves(n - half, leaf, lo + half)
+
+
+def _fold(sums, n, leaf):
+    """The leaves' sums, taken in order from the iterator sums, added up as numpy pairs them.
+
+    numpy sums a contiguous float64 array pairwise: n > 128 elements split at
+    _half(n), and each part is summed the same way. So for leaf >= 128, folding
+    np.add.reduce of each part that _leaves(n, leaf) names gives the same
+    additions in the same order as np.add.reduce of the whole.
+    """
+    if n <= leaf:
+        return next(sums)
+    half = _half(n)
+    return _fold(sums, half, leaf) + _fold(sums, n - half, leaf)
 
 
 @contextmanager

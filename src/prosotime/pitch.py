@@ -10,15 +10,13 @@ inter-pausal unit (IPU).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio import Waveform, WavSource, _frozen_array, _ms_to_samples, _positive
+from .audio import Waveform, WavSource, _fold, _frozen_array, _leaves, _ms_to_samples, _positive, _ranges
 from .errors import DegenerateInputError, ParameterError, ParseError
 
 if TYPE_CHECKING:  # the tracker runs without aems and annot: imported where they are used
@@ -124,67 +122,6 @@ class PolyContourModel:
 
 _BLOCK_FRAMES = 64  # frames per batched FFT: bounds the work arrays to about 2 MB at the defaults
 _LEAF = 1 << 13  # samples squared at once by the track and IPU frame RMS, frames listed by the CSV, hops F0Track checks
-
-
-def _ranges(blocks, bounds):
-    """x[a:b] for each (a, b) of bounds, x coming as consecutive arrays from blocks.
-
-    bounds run in order of b. A range inside one block is a view of it, and one
-    that spans blocks is joined from them. Only the blocks that a range still to
-    come reaches are held. The blocks past the last range are read too, so every
-    sample is decoded, and range-checked, whatever the ranges cover.
-    """
-    held = deque()  # (offset, block) pairs, in order
-    end = 0
-    blocks = iter(blocks)
-    # keep[i]: the least start of bounds[i:]; blocks that end at or before it are done with
-    keep = list(accumulate(reversed([a for a, _ in bounds]), min, initial=math.inf))[::-1]
-    for i, (a, b) in enumerate(bounds):
-        while end < b:
-            block = next(blocks)
-            held.append((end, block))
-            end += len(block)
-        parts = [blk[max(a - at, 0) : b - at] for at, blk in held if at < b and a < at + len(blk)]
-        yield parts[0] if len(parts) == 1 else np.concatenate(parts or [np.empty(0)])
-        while held and held[0][0] + len(held[0][1]) <= keep[i + 1]:
-            held.popleft()
-    for _ in blocks:  # a caller that zips this generator puts it first, so that zip gets here
-        pass
-
-
-def _half(n):
-    """Where numpy's pairwise sum splits n > 128 elements: n // 2 rounded down to a multiple of 8."""
-    return n // 2 - n // 2 % 8
-
-
-def _leaves(n, leaf, lo=0):
-    """The parts [a, b) of [lo, lo + n) that numpy's pairwise split reaches at <= leaf elements, in order."""
-    if n <= leaf:
-        return [(lo, lo + n)]
-    half = _half(n)
-    return _leaves(half, leaf, lo) + _leaves(n - half, leaf, lo + half)
-
-
-def _fold(sums, n, leaf):
-    """The leaves' sums, taken in order from the iterator sums, added up as numpy pairs them."""
-    if n <= leaf:
-        return next(sums)
-    half = _half(n)
-    return _fold(sums, half, leaf) + _fold(sums, n - half, leaf)
-
-
-def _sum_of_squares(x, leaf=_LEAF):
-    """np.add.reduce(x**2), bit for bit, without squaring more than leaf samples at once.
-
-    numpy sums a contiguous float64 array pairwise: n > 128 elements split at
-    n // 2 rounded down to a multiple of 8, and each part is summed the same
-    way. Following that split down to parts of at most leaf (>= 128) elements
-    and reducing each part's squares gives the same additions in the same order.
-    The tracker sums its track RMS this way, a leaf at a time as the blocks
-    come; this is the one-array case.
-    """
-    sums = (np.add.reduce(part**2) for part in _ranges((x,), _leaves(len(x), leaf)))
-    return _fold(sums, len(x), leaf)
 
 
 def estimate_f0_autocorr(
@@ -337,11 +274,6 @@ def _block_frame_rms(blocks, n, frame_len):
     for x, lo in zip(_ranges(blocks, bounds), starts):
         rms[lo : lo + rows] = np.sqrt(np.mean(x.reshape(-1, frame_len) ** 2, axis=1))
     return rms
-
-
-def _frame_rms(x, frame_len):
-    """_block_frame_rms of one array."""
-    return _block_frame_rms((x,), len(x), frame_len)
 
 
 def segment_ipus(

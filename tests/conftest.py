@@ -10,7 +10,7 @@ from prosotime import Waveform, synthesize_am, write_wav_pcm16
 
 @pytest.fixture(params=[1, 7, 40])
 def small_blocks(request, monkeypatch):
-    """read_wav's frames per read and the peak picker's samples per pass, cut to a few."""
+    """open_wav's samples per block and the peak picker's samples per pass, cut to a few."""
     monkeypatch.setattr(importlib.import_module("prosotime.audio"), "_BLOCK_FRAMES", request.param)
     monkeypatch.setattr(importlib.import_module("prosotime.aems"), "_PEAK_SAMPLES", request.param)
     return request.param

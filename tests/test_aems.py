@@ -25,7 +25,7 @@ from prosotime import (
     synthesize_am,
     zscore,
 )
-from prosotime.aems import _has_duplicates, _peaks, _window_peaks, spectrum_to_csv
+from prosotime.aems import _block_peaks, _has_duplicates, _peaks, spectrum_to_csv
 
 
 def naive_dft_magnitudes(values, rate, cutoff_hz, zero_mean=True):
@@ -91,10 +91,18 @@ class TestBlockPeakOracle:
     """Block-max peak picking elects exactly the former sliding-window argmax."""
 
     @settings(max_examples=400, derandomize=True, deadline=None)
-    @given(_peak_cases())
-    def test_same_indices_as_sliding_windows(self, case):
+    @given(_peak_cases(), st.data())
+    def test_same_indices_as_sliding_windows(self, case, data):
         x, win = case
-        assert np.array_equal(_window_peaks(x, win), sliding_window_peaks(x, win))
+        whole = _block_peaks((x,), len(x), win)
+        assert np.array_equal(whole[0], sliding_window_peaks(x, win))
+        # the same x cut anywhere, often on a hop-block edge, so that the sample
+        # after the last hop block can open a block of its own
+        hop = win // 2
+        cut = st.integers(1, len(x) - 1) | st.sampled_from(range(hop, len(x), hop))
+        cuts = sorted(set(data.draw(st.lists(cut, max_size=6), label="cuts")))
+        in_blocks = _block_peaks(np.split(x, cuts), len(x), win)
+        assert [a.tobytes() for a in in_blocks] == [a.tobytes() for a in whole]
 
     @pytest.mark.parametrize("kind", ["uniform", "coarse", "runs", "constant"])
     @pytest.mark.parametrize("win", [2, 3, 4, 5, 320, 321])
@@ -103,7 +111,7 @@ class TestBlockPeakOracle:
         rng = np.random.default_rng(win)
         for n in (win, win + hop - 1, win + hop, win + hop + 1, 7 * win + 3):
             x = _peak_signal(kind, n, win, rng)
-            assert np.array_equal(_window_peaks(x, win), sliding_window_peaks(x, win))
+            assert np.array_equal(_block_peaks((x,), len(x), win)[0], sliding_window_peaks(x, win))
 
     @pytest.mark.parametrize("window_ms", [20.0, 20.07])  # win 320 and 321 at 16 kHz
     def test_envelope_bytes_match(self, am_wave, window_ms):

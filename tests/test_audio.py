@@ -9,11 +9,12 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -35,7 +36,7 @@ from prosotime import (
     synthesize_am,
     write_wav_pcm16,
 )
-from prosotime.audio import open_wav
+from prosotime.audio import _ranges, open_wav
 
 
 def _wav_header(size, audio_format=1, channels=1, rate=8000, bits=16):
@@ -304,6 +305,47 @@ class TestBlockBoundaries:
         path.write_bytes(_wav_bytes(payload, audio_format, channels, bits=bits))
         expect = wide_decode(payload, audio_format, channels, bits)
         assert read_wav(path).samples.tobytes() == expect.tobytes()
+
+
+@st.composite
+def _block_cases(draw):
+    """Block lengths, and bounds sorted by end over their samples, often on a block edge."""
+    lengths = draw(st.lists(st.integers(1, 6), max_size=8))
+    edges = list(accumulate(lengths, initial=0))
+    point = st.integers(0, edges[-1]) | st.sampled_from(edges)
+    pairs = draw(st.lists(st.tuples(point, point), max_size=8))
+    return lengths, sorted(((min(p), max(p)) for p in pairs), key=lambda ab: ab[1])
+
+
+class TestRanges:
+    """_ranges cuts a block stream into any ranges sorted by end."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_block_cases())
+    # empty ranges, one that starts before the range before it, one across four
+    # blocks, ends on block edges; then no bounds at all
+    @example(([3, 2, 4, 1], [(0, 0), (1, 3), (4, 4), (0, 5), (2, 10), (9, 10)]))
+    @example(([5, 5], []))
+    def test_each_range_is_its_slice(self, case):
+        lengths, bounds = case
+        edges = list(accumulate(lengths, initial=0))
+        x = np.arange(float(edges[-1]))
+        blocks = [x[a:b].copy() for a, b in zip(edges, edges[1:])]
+        drawn = []
+
+        def counting():
+            for block in blocks:
+                drawn.append(block)
+                yield block
+
+        out = list(_ranges(counting(), bounds))
+        assert len(drawn) == len(blocks)
+        assert len(out) == len(bounds)
+        for (a, b), got in zip(bounds, out):
+            assert got.tobytes() == x[a:b].tobytes(), (a, b)
+            home = [blk for at, blk in zip(edges, blocks) if at <= a and b <= at + len(blk)]
+            if a < b and home:
+                assert np.shares_memory(got, home[0]), (a, b)
 
 
 _RANGE_ERROR = "waveform samples must be finite and lie within [-1, 1], got "

@@ -24,7 +24,8 @@ from prosotime import (
     synthesize_contour,
     transduce_tones,
 )
-from prosotime.pitch import _BLOCK_FRAMES, _LEAF, _frame_rms, _sum_of_squares, contour_model_to_dict, f0_track_to_csv
+from prosotime.audio import _fold, _leaves, _ranges
+from prosotime.pitch import _BLOCK_FRAMES, _LEAF, _block_frame_rms, contour_model_to_dict, f0_track_to_csv
 
 
 def _sine(freq, dur_s, rate=16000, amp=0.8):
@@ -568,7 +569,8 @@ class TestSignalSums:
         for n in sorted(lengths):
             x = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
             for signal in (x, x[::-2]):
-                total = _sum_of_squares(signal, leaf)
+                sums = (np.add.reduce(part**2) for part in _ranges((signal,), _leaves(len(signal), leaf)))
+                total = _fold(sums, len(signal), leaf)
                 assert total.tobytes() == np.add.reduce(signal**2).tobytes(), (leaf, n)
                 assert np.sqrt(total / len(signal)) == np.sqrt(np.mean(signal**2))
 
@@ -581,7 +583,7 @@ class TestSignalSums:
             x = rng.uniform(-1, 1, n_frames * frame_len + frame_len // 2)
             frames = x[: n_frames * frame_len].reshape(n_frames, frame_len)
             expect = np.sqrt(np.mean(frames**2, axis=1))
-            assert _frame_rms(x, frame_len).tobytes() == expect.tobytes()
+            assert _block_frame_rms((x,), len(x), frame_len).tobytes() == expect.tobytes()
 
     def test_f0_stages_square_no_whole_signal(self):
         rate = 16000
