@@ -21,10 +21,11 @@ import io
 import math
 import re
 import warnings
-from dataclasses import dataclass, field
-from itertools import islice
+from array import array
+from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import ParameterError, ParseError
 
@@ -77,32 +78,88 @@ class Interval:
         return self.end_s - self.start_s
 
 
-@dataclass(frozen=True)
+def _refusal(start_s: float, end_s: float) -> str:
+    """Why [start_s, end_s], which fails 0 <= start_s < end_s < inf, is no Interval: its message."""
+    try:
+        Interval("", start_s, end_s)
+    except ParameterError as exc:
+        return str(exc)
+
+
+def _overlap(starts: array, ends: array) -> int:
+    """The index of the first interval that starts before the one before it ends, or 0 if none does.
+
+    "Before" allows OVERLAP_TOLERANCE_S of slack.
+    """
+    return next((k for k, (end, start) in enumerate(zip(ends, islice(starts, 1, None)), 1)
+                 if end > start + OVERLAP_TOLERANCE_S), 0)
+
+
+def _by_start(*columns):
+    """The columns in the order of their first, the starts; equal starts keep their order.
+
+    Columns that are sorted already come back as they are.
+    """
+    starts = columns[0]
+    if all(a <= b for a, b in zip(starts, islice(starts, 1, None))):
+        return columns
+    order = sorted(range(len(starts)), key=starts.__getitem__)
+    return tuple(array(c.typecode, map(c.__getitem__, order)) if isinstance(c, array)
+                 else [*map(c.__getitem__, order)] for c in columns)
+
+
+def _tier_fault(name: str, starts: array, ends: array) -> str | None:
+    """Why the columns are no tier: the first pair out of order or overlapping, else None."""
+    for start, end, next_start, next_end in zip(starts, ends, islice(starts, 1, None), islice(ends, 1, None)):
+        if next_start < start:
+            return f"tier {name!r}: intervals not sorted by start time"
+        if end > next_start + OVERLAP_TOLERANCE_S:
+            return f"tier {name!r}: intervals [{start}, {end}] and [{next_start}, {next_end}] overlap"
+    return None
+
+
+@dataclass(frozen=True, init=False)
 class Tier:
-    """A named, ordered, non-overlapping sequence of intervals."""
+    """A named, ordered, non-overlapping sequence of intervals.
+
+    The intervals are held as three columns: `labels`, and the `starts` and
+    `ends` times in array("d"), so that a tier costs a few bytes per interval
+    beyond its label strings.  Interval objects are built only when the tier
+    is iterated or its `intervals` are asked for.
+    """
 
     name: str
-    intervals: tuple[Interval, ...]
+    labels: list[str]
+    starts: array
+    ends: array
 
-    def __post_init__(self) -> None:
-        ivs = tuple(self.intervals)
-        object.__setattr__(self, "intervals", ivs)
-        for prev, cur in zip(ivs, ivs[1:]):
-            if cur.start_s < prev.start_s:
-                raise ParameterError(
-                    f"tier {self.name!r}: intervals not sorted by start time"
-                )
-            if prev.end_s > cur.start_s + OVERLAP_TOLERANCE_S:
-                raise ParameterError(
-                    f"tier {self.name!r}: intervals [{prev.start_s}, {prev.end_s}] "
-                    f"and [{cur.start_s}, {cur.end_s}] overlap"
-                )
+    def __init__(self, name: str, intervals: Iterable[Interval]) -> None:
+        ivs = tuple(intervals)
+        starts, ends = array("d", [iv.start_s for iv in ivs]), array("d", [iv.end_s for iv in ivs])
+        fault = _tier_fault(name, starts, ends)
+        if fault:
+            raise ParameterError(fault)
+        vars(self).update(name=name, labels=[iv.label for iv in ivs], starts=starts, ends=ends)
+
+    @classmethod
+    def _of(cls, name: str, labels: list[str], starts: array, ends: array) -> Tier:
+        """The tier over columns its reader has checked."""
+        tier = cls.__new__(cls)
+        vars(tier).update(name=name, labels=labels, starts=starts, ends=ends)
+        return tier
+
+    @property
+    def intervals(self) -> tuple[Interval, ...]:
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self.intervals)
+        return len(self.labels)
 
     def __iter__(self) -> Iterator[Interval]:
-        return iter(self.intervals)
+        return map(Interval, self.labels, self.starts, self.ends)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.intervals))
 
 
 @dataclass(frozen=True)
@@ -132,32 +189,51 @@ class AnnotationDoc:
         return tuple(t.name for t in self.tiers)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DurationSequence:
-    """Ordered (label, duration) pairs extracted from a tier."""
+    """Ordered (label, duration) pairs extracted from a tier.
 
-    items: tuple[tuple[str, float], ...]
+    The pairs are held as two columns, the labels and the durations in
+    array("d"); `items`, `labels` and `values` build their tuples when asked.
+    """
 
-    def __post_init__(self) -> None:
-        items = tuple((str(lab), float(dur)) for lab, dur in self.items)
-        object.__setattr__(self, "items", items)
+    _labels: list[str]
+    _values: array
+
+    def __init__(self, items: Iterable[tuple[str, float]]) -> None:
+        items = tuple((str(lab), float(dur)) for lab, dur in items)
         for lab, dur in items:
             if not (math.isfinite(dur) and dur > 0):
                 raise ParameterError(f"duration for {lab!r} must be > 0, got {dur}")
+        vars(self).update(_labels=[lab for lab, _ in items], _values=array("d", [dur for _, dur in items]))
+
+    @classmethod
+    def _of(cls, labels: list[str], values: array) -> DurationSequence:
+        """The sequence over columns of finite, positive durations."""
+        seq = cls.__new__(cls)
+        vars(seq).update(_labels=labels, _values=values)
+        return seq
+
+    @property
+    def items(self) -> tuple[tuple[str, float], ...]:
+        return tuple(self)
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return tuple(lab for lab, _ in self.items)
+        return tuple(self._labels)
 
     @property
     def values(self) -> tuple[float, ...]:
-        return tuple(dur for _, dur in self.items)
+        return tuple(self._values)
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self._labels)
 
     def __iter__(self) -> Iterator[tuple[str, float]]:
-        return iter(self.items)
+        return zip(self._labels, self._values)
+
+    def __hash__(self) -> int:
+        return hash(self.items)
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +269,33 @@ _STRUCT_RE = re.compile(r"^[A-Za-z_][A-Za-z_ ]*\[\d*\]:$")
 # A quoted string: "" is the escape for a quote, and a lone " closes it.
 _QUOTED_RE = re.compile(r'"((?:[^"]|"")*)"(?!")')
 
+_BLOCK = 1 << 16  # characters of text that _lines and _csv_table split at a time
 
-def _lines(text: str) -> list[str]:
-    """The lines of text, ended by CR, LF or CRLF only: U+2028, form feeds and the like end none."""
-    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+def _blocks(text: str) -> Iterator[str]:
+    """text in pieces of about _BLOCK characters, each but the last ending at an LF, so that no CRLF is cut."""
+    start = 0
+    while stop := text.find("\n", start + _BLOCK) + 1:
+        yield text[start:stop]
+        start = stop
+    yield text[start:]
+
+
+class _lines:
+    """The lines of text, ended by CR, LF or CRLF only: U+2028, form feeds and the like end none.
+
+    Each iteration splits the text afresh, _BLOCK characters at a time, so no
+    list of every line is held.
+    """
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+    def __iter__(self) -> Iterator[str]:
+        for block in _blocks(self.text):
+            *lines, rest = block.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+            yield from lines
+        yield rest  # what follows the last line end: "" after every block but the last
 
 
 def _unquote(raw: str, line_no: int) -> str:
@@ -211,14 +310,14 @@ def _unquote(raw: str, line_no: int) -> str:
     return match[1].replace('""', '"')
 
 
-def _values(lines: list[str], start: int) -> Iterator[tuple[str, int]]:
-    """The values of lines[start:], each with its 1-based document line number.
+def _values(lines: Iterator[tuple[int, str]]) -> Iterator[tuple[str, int]]:
+    """The values of the (1-based document line number, line) pairs of lines, each with its number.
 
     Long-form lines look like ``xmin = 0.5`` or ``text = "ba"``; short-form
     lines carry the bare value.  Both reduce to the same value sequence, so
     one reader serves both forms.
     """
-    for line_no, raw in enumerate(islice(lines, start, None), start=start + 1):
+    for line_no, raw in lines:
         line = raw.strip()
         if line.startswith('"'):
             yield line, line_no
@@ -235,8 +334,8 @@ def parse_textgrid(text: str | bytes, source: str = "<textgrid>") -> AnnotationD
     skipped with an AnnotationWarning.  Raises ParseError (with a line
     number) on malformed input.
     """
-    lines = _lines(_decode_document(text, source))
-    header = list(islice(((ln.strip(), i) for i, ln in enumerate(lines, start=1) if ln.strip()), 2))
+    lines = enumerate(_lines(_decode_document(text, source)), start=1)
+    header = list(islice(((ln.strip(), i) for i, ln in lines if ln.strip()), 2))
     if len(header) < 2 or "ooTextFile" not in header[0][0]:
         raise ParseError(
             'not a TextGrid: first line must contain File type = "ooTextFile"', line=1
@@ -247,7 +346,7 @@ def parse_textgrid(text: str | bytes, source: str = "<textgrid>") -> AnnotationD
             line=header[1][1],
         )
 
-    values = _values(lines, header[1][1])  # the body follows the second header line
+    values = _values(lines)  # the body follows the second header line
     line = 1  # of the last value read, for error messages
 
     def raw(what: str) -> str:
@@ -290,20 +389,20 @@ def parse_textgrid(text: str | bytes, source: str = "<textgrid>") -> AnnotationD
 
         if tier_class == "IntervalTier":
             n_iv = count(f"interval count of tier {name!r}")
-            intervals: list[Interval] = []
+            labels, starts, ends = [], array("d"), array("d")
             for k in range(n_iv):
                 x0 = number(f"interval {k + 1} xmin")
                 x1, x1_line = number(f"interval {k + 1} xmax"), line
-                label = string(f"interval {k + 1} text")
-                try:
-                    intervals.append(Interval(label=label, start_s=x0, end_s=x1))
-                except ParameterError as exc:
-                    raise ParseError(str(exc), line=x1_line) from None
-            intervals.sort(key=lambda iv: iv.start_s)
-            try:
-                tier = Tier(name=name, intervals=tuple(intervals))
-            except ParameterError as exc:
-                raise ParseError(str(exc), line=name_line) from None
+                labels.append(string(f"interval {k + 1} text"))
+                if not 0.0 <= x0 < x1 < math.inf:
+                    raise ParseError(_refusal(x0, x1), line=x1_line)
+                starts.append(x0)
+                ends.append(x1)
+            starts, labels, ends = _by_start(starts, labels, ends)
+            fault = _tier_fault(name, starts, ends)
+            if fault:
+                raise ParseError(fault, line=name_line)
+            tier = Tier._of(name, labels, starts, ends)
         elif tier_class in ("TextTier", "PointTier"):
             n_pt = count(f"point count of tier {name!r}")
             for k in range(n_pt):
@@ -344,12 +443,13 @@ def _csv_table(text: str | bytes, header: tuple[str, ...], source: str) -> Itera
     csv module rejects is a ParseError at its line, and so is a line holding
     a NUL, on every Python, when the reader reaches it.
     """
-    document = io.StringIO(_decode_document(text, source))
+    document = _decode_document(text, source)
     line = ""  # the line the reader took last
 
     def lines() -> Iterator[str]:
+        """The lines of document, each with its LF; a StringIO holds 4 bytes per character, so it takes a block."""
         nonlocal line
-        for line_no, line in enumerate(document, start=1):
+        for line_no, line in enumerate(chain.from_iterable(map(io.StringIO, _blocks(document))), start=1):
             if "\0" in line:  # Python 3.11's csv module reads a NUL as text; 3.10's refuses it
                 raise ParseError("malformed CSV: line contains NUL", line=line_no)
             yield line
@@ -381,8 +481,8 @@ def parse_csv_annotation(text: str | bytes, source: str = "<csv>") -> Annotation
     and validated against overlap.  Raises ParseError with a 1-based row
     number (the header is row 1) on malformed rows.
     """
-    # tier name -> list of (Interval, source row)
-    grouped: dict[str, list[tuple[Interval, int]]] = {}
+    # tier name -> its starts, labels, ends and source rows, as columns
+    grouped: dict[str, tuple[array, list[str], array, array]] = {}
     for row_no, (tier_name, label, start_raw, end_raw) in _csv_table(text, _CSV_HEADER, source):
         try:
             start_s = float(start_raw)
@@ -391,23 +491,27 @@ def parse_csv_annotation(text: str | bytes, source: str = "<csv>") -> Annotation
             raise ParseError(
                 f"non-numeric time ({start_raw!r}, {end_raw!r})", row=row_no
             ) from None
-        try:
-            interval = Interval(label=label, start_s=start_s, end_s=end_s)
-        except ParameterError as exc:
-            raise ParseError(str(exc), row=row_no) from None
-        grouped.setdefault(tier_name, []).append((interval, row_no))
+        if not 0.0 <= start_s < end_s < math.inf:
+            raise ParseError(_refusal(start_s, end_s), row=row_no)
+        columns = grouped.get(tier_name)
+        if columns is None:
+            columns = grouped[tier_name] = (array("d"), [], array("d"), array("q"))
+        columns[0].append(start_s)
+        columns[1].append(label)
+        columns[2].append(end_s)
+        columns[3].append(row_no)
 
     tiers: list[Tier] = []
-    for tier_name, pairs in grouped.items():
-        pairs.sort(key=lambda p: p[0].start_s)
-        for (prev, prev_row), (cur, cur_row) in zip(pairs, pairs[1:]):
-            if prev.end_s > cur.start_s + OVERLAP_TOLERANCE_S:
-                raise ParseError(
-                    f"tier {tier_name!r}: rows {prev_row} and {cur_row} overlap "
-                    f"([{prev.start_s}, {prev.end_s}] vs [{cur.start_s}, {cur.end_s}])",
-                    row=cur_row,
-                )
-        tiers.append(Tier(name=tier_name, intervals=tuple(iv for iv, _ in pairs)))
+    for tier_name, columns in grouped.items():
+        starts, labels, ends, rows = _by_start(*columns)
+        k = _overlap(starts, ends)
+        if k:
+            raise ParseError(
+                f"tier {tier_name!r}: rows {rows[k - 1]} and {rows[k]} overlap "
+                f"([{starts[k - 1]}, {ends[k - 1]}] vs [{starts[k]}, {ends[k]}])",
+                row=rows[k],
+            )
+        tiers.append(Tier._of(tier_name, labels, starts, ends))
 
     return AnnotationDoc(tiers=tuple(tiers), source=source)
 
@@ -430,8 +534,8 @@ def annotation_to_csv(doc: AnnotationDoc) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_HEADER)
     for tier in doc.tiers:
-        for iv in tier.intervals:
-            writer.writerow([tier.name, iv.label, repr(iv.start_s), repr(iv.end_s)])
+        for label, start_s, end_s in zip(tier.labels, tier.starts, tier.ends):
+            writer.writerow([tier.name, label, repr(start_s), repr(end_s)])
     return buf.getvalue()
 
 
@@ -448,9 +552,9 @@ def durations(
     Order is preserved; the default exclusion set covers common pause
     conventions and is fully overridable.
     """
-    items = tuple(
-        (iv.label, iv.duration_s)
-        for iv in tier.intervals
-        if iv.label not in exclude_labels
-    )
-    return DurationSequence(items=items)
+    labels, values = [], array("d")
+    for label, start_s, end_s in zip(tier.labels, tier.starts, tier.ends):
+        if label not in exclude_labels:
+            labels.append(label)
+            values.append(end_s - start_s)  # > 0 and finite, as 0 <= start_s < end_s < inf
+    return DurationSequence._of(labels, values)

@@ -217,7 +217,10 @@ def _spectrum_artifacts(spec, fit, zones, report: dict) -> dict:
 
 
 def _tier_durations(args):
-    """The --tier tier (default: the first) of args.annot, its durations and the sorted labels they skip."""
+    """The name of the --tier tier (default: the first) of args.annot, its durations and the sorted labels they skip.
+
+    The tier itself is dropped, so that its columns are freed before the analysis.
+    """
     from .annot import DEFAULT_EXCLUDE_LABELS, durations, load_annotation
 
     doc = load_annotation(args.annot)
@@ -233,7 +236,7 @@ def _tier_durations(args):
                 f"{doc.source}: no tier named {args.tier!r} (have {list(doc.tier_names)})"
             ) from None
     exclude = DEFAULT_EXCLUDE_LABELS if args.exclude is None else set(args.exclude)
-    return tier, durations(tier, exclude), sorted(exclude)
+    return tier.name, durations(tier, exclude), sorted(exclude)
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +308,10 @@ def _cmd_metrics(args) -> tuple[dict, str, dict]:
     from .rhythm import metrics_report, quadrant_analysis, quadrant_csv_chunks
     from .svgplot import svg_quadrants_chunks
 
-    tier, seq, exclude = _tier_durations(args)
+    tier_name, seq, exclude = _tier_durations(args)
     if len(seq) < 2:
         raise DegenerateInputError(
-            f"tier {tier.name!r} leaves {len(seq)} usable durations; need >= 2"
+            f"tier {tier_name!r} leaves {len(seq)} usable durations; need >= 2"
         )
     flat = metrics_report(seq)
     try:
@@ -320,7 +323,7 @@ def _cmd_metrics(args) -> tuple[dict, str, dict]:
         quad_report, renders = None, {}
     report = {
         "input": args.annot,
-        "tier": tier.name,
+        "tier": tier_name,
         "exclude": exclude,
         "n": flat["n"],
         "metrics": {k: flat[k] for k in ("variance", "pim", "pfd", "rpvi", "npvi")},
@@ -328,7 +331,7 @@ def _cmd_metrics(args) -> tuple[dict, str, dict]:
         "quadrants": quad_report,
     }
     line = " ".join(f"{k}={report['metrics'][k]:.4f}" for k in sorted(report["metrics"]))
-    return report, f"tier={tier.name} n={flat['n']} {line}", renders
+    return report, f"tier={tier_name} n={flat['n']} {line}", renders
 
 
 def _tree_artifacts(args, report: dict, induce, data) -> tuple[dict, Callable[[], str], dict]:
@@ -347,10 +350,10 @@ def _tree_artifacts(args, report: dict, induce, data) -> tuple[dict, Callable[[]
 def _cmd_timetree(args) -> tuple[dict, Callable[[], str], dict]:
     from .timetree import induce_time_tree
 
-    tier, seq, exclude = _tier_durations(args)
+    tier_name, seq, exclude = _tier_durations(args)
     if len(seq) == 0:
-        raise DegenerateInputError(f"tier {tier.name!r} has no usable durations")
-    report = {"input": args.annot, "tier": tier.name, "exclude": exclude, "n": len(seq)}
+        raise DegenerateInputError(f"tier {tier_name!r} has no usable durations")
+    report = {"input": args.annot, "tier": tier_name, "exclude": exclude, "n": len(seq)}
     return _tree_artifacts(args, report, induce_time_tree, seq)
 
 

@@ -6,17 +6,20 @@ beyond adjacency; the quadrant analysis maps successive z-scored duration
 pairs into long/short quadrants to expose alternation patterns that the
 dispersion metrics factor out.
 
-A tier holds a few thousand durations at most, so everything here is plain
-Python over lists: `math.fsum` gives correctly rounded sums, which makes each
-metric independent of the order of its terms.
+Everything here is plain Python over one array("d") column of durations (a
+DurationSequence's own, uncopied), so a tier of 10**6 intervals costs 8 bytes
+per duration and needs no numpy: `math.fsum` gives correctly rounded sums,
+which makes each metric independent of the order of its terms.  The quadrant
+analysis keeps its z-scores as one column too, tallies their quadrants once,
+and yields its points and their quadrants as they are read.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from array import array
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 from .annot import DurationSequence
 from .errors import DegenerateInputError, ParameterError
@@ -35,13 +38,18 @@ __all__ = [
 ]
 
 
-def _as_values(xs: DurationSequence | Iterable[float]) -> list[float]:
-    """Coerce a DurationSequence or plain iterable of numbers to a list of floats."""
-    items = xs.values if isinstance(xs, DurationSequence) else xs
-    try:
-        values = [float(x) for x in items]
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"expected a 1-D sequence of numbers: {exc}") from None
+def _as_values(xs: DurationSequence | Iterable[float]) -> array:
+    """Coerce a DurationSequence or plain iterable of numbers to an array("d").
+
+    A DurationSequence gives its own column and an array("d") is itself:
+    neither is copied.
+    """
+    values = xs._values if isinstance(xs, DurationSequence) else xs
+    if not (isinstance(values, array) and values.typecode == "d"):
+        try:
+            values = array("d", map(float, values))
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"expected a 1-D sequence of numbers: {exc}") from None
     if not all(map(math.isfinite, values)):
         raise ParameterError("durations must be finite")
     return values
@@ -133,24 +141,23 @@ def npvi(xs: DurationSequence | Iterable[float]) -> float:
 _QUADRANT_NAMES = ("LL", "SS", "LS", "SL", "origin")
 
 
-def _classify(z_i: float, z_next: float) -> str:
-    """Quadrant of one successive z-score pair; exact zeros land on the origin axes."""
+def _classify(z_i: float, z_next: float) -> int:
+    """Quadrant of one successive z-score pair as an index into _QUADRANT_NAMES; exact zeros are "origin"."""
     if z_i == 0.0 or z_next == 0.0:
-        return "origin"
+        return 4
     if z_i > 0 and z_next > 0:
-        return "LL"
+        return 0
     if z_i < 0 and z_next < 0:
-        return "SS"
+        return 1
     if z_i > 0 and z_next < 0:
-        return "LS"
-    return "SL"
+        return 2
+    return 3
 
 
 def _count(name: str) -> property:
     return property(lambda self: self.counts[name], doc=f"Number of {name} pairs.")
 
 
-@dataclass(frozen=True)
 class QuadrantStats:
     """Successive z-scored duration pairs and the quadrant of each.
 
@@ -158,22 +165,48 @@ class QuadrantStats:
     SL = short then long; pairs with a coordinate exactly at zero are
     counted separately as `origin`.  The alternation index LL/SS is
     present only when SS > 0.
+
+    The points are held as two columns, `z_i` and `z_next`, and their
+    quadrants are classified once, into a byte each; `points` and `quadrants`
+    build their tuples when asked, and `rows()` yields each point with its
+    quadrant as read.
     """
 
-    points: tuple[tuple[float, float], ...]
-    quadrants: tuple[str, ...] = field(init=False)
+    __slots__ = ("z_i", "z_next", "_quadrants")
 
-    def __post_init__(self) -> None:
-        points = tuple((float(a), float(b)) for a, b in self.points)
-        if not all(math.isfinite(a) and math.isfinite(b) for a, b in points):
+    def __init__(self, points: Iterable[tuple[float, float]]) -> None:
+        points = tuple((float(a), float(b)) for a, b in points)
+        self._fill(array("d", [a for a, _ in points]), array("d", [b for _, b in points]))
+
+    @classmethod
+    def _successive(cls, z: array) -> QuadrantStats:
+        """The stats of the successive pairs of one z-score column: both point columns are views of it."""
+        stats = cls.__new__(cls)
+        view = memoryview(z)
+        stats._fill(view[:-1], view[1:])
+        return stats
+
+    def _fill(self, z_i: Sequence[float], z_next: Sequence[float]) -> None:
+        if not all(map(math.isfinite, chain(z_i, z_next))):
             raise ParameterError("quadrant points must be finite")
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "quadrants", tuple(_classify(a, b) for a, b in points))
+        self.z_i, self.z_next = z_i, z_next
+        self._quadrants = bytes(map(_classify, z_i, z_next))  # indices into _QUADRANT_NAMES
+
+    @property
+    def points(self) -> tuple[tuple[float, float], ...]:
+        return tuple(zip(self.z_i, self.z_next))
+
+    @property
+    def quadrants(self) -> tuple[str, ...]:
+        return tuple(map(_QUADRANT_NAMES.__getitem__, self._quadrants))
+
+    def rows(self) -> Iterator[tuple[float, float, str]]:
+        """(z_i, z_next, quadrant) of each point, in order."""
+        return zip(self.z_i, self.z_next, map(_QUADRANT_NAMES.__getitem__, self._quadrants))
 
     @property
     def counts(self) -> dict[str, int]:
-        tally = Counter(self.quadrants)
-        return {name: tally[name] for name in _QUADRANT_NAMES}
+        return {name: self._quadrants.count(k) for k, name in enumerate(_QUADRANT_NAMES)}
 
     @property
     def index(self) -> float | None:
@@ -181,6 +214,15 @@ class QuadrantStats:
         return counts["LL"] / counts["SS"] if counts["SS"] else None
 
     ll, ss, ls, sl, origin = map(_count, _QUADRANT_NAMES)
+
+    def __eq__(self, other: object) -> bool:
+        return self.points == other.points if isinstance(other, QuadrantStats) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.points)
+
+    def __repr__(self) -> str:
+        return f"QuadrantStats(points={self.points!r})"
 
 
 def quadrant_analysis(xs: DurationSequence | Iterable[float]) -> QuadrantStats:
@@ -198,8 +240,7 @@ def quadrant_analysis(xs: DurationSequence | Iterable[float]) -> QuadrantStats:
     if sd == 0.0:
         raise DegenerateInputError("z-scoring needs nonzero variance")
     mean = _total(values) / len(values)
-    z = [(x - mean) / sd for x in values]
-    return QuadrantStats(tuple(zip(z, z[1:])))
+    return QuadrantStats._successive(array("d", ((x - mean) / sd for x in values)))
 
 
 # ---------------------------------------------------------------------------
@@ -234,5 +275,5 @@ def quadrant_to_csv(stats: QuadrantStats) -> str:
 def quadrant_csv_chunks(stats: QuadrantStats) -> Iterator[str]:
     """`quadrant_to_csv` as text chunks, one line each."""
     yield "z_i,z_next,quadrant\n"
-    for (a, b), quadrant in zip(stats.points, stats.quadrants):
+    for a, b, quadrant in stats.rows():
         yield f"{a!r},{b!r},{quadrant}\n"

@@ -17,6 +17,7 @@ the time-tree and quadrant renderers need only the standard library.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 if TYPE_CHECKING:
@@ -253,15 +254,14 @@ def svg_timetree(tree: TimeTree) -> str:
 
 def svg_timetree_chunks(tree: TimeTree) -> Iterator[str]:
     """`svg_timetree` as text chunks."""
-    leaf_levels = [level for node, level, entering in tree.walk() if entering and not tree.kids[node]]
-    depth = max(1, max(leaf_levels))
+    depth = max(1, max(level for _, level, _ in tree.walk()))  # the deepest node is a leaf
     px, py, pw, ph = 30.0, 30.0, _W - 60.0, _H - 90.0
-    slot = pw / len(leaf_levels)
+    slot = pw / sum(not kids for kids in tree.kids)
     label_y, tick_y = _fmt(py + ph + 20), _fmt(py + ph + 6)
     ring = f' stroke="{_FG}" stroke-width="1"'
-    # x, formatted x and formatted y of each node, filled in postorder
-    n = len(tree.kids)
-    xs, fxs, fys = [0.0] * n, [""] * n, [""] * n
+    # x, formatted x and formatted y of each node drawn whose parent is not yet: in
+    # postorder a parent's children are the last of them, and it takes their place
+    drawn: list[tuple[float, str, str]] = []
     next_leaf = 0
     yield _head(_W, _H, "metrical time tree")
     for node, level, entering in tree.walk():
@@ -276,13 +276,15 @@ def svg_timetree_chunks(tree: TimeTree) -> Iterator[str]:
             yield _text(fx, label_y, _escape(tree.labels[node]))
             yield _line(fx, fy, fx, tick_y, _GRID, "1")
         else:
-            x = sum(xs[kid] for kid in kids) / len(kids)
+            children = drawn[-len(kids):]
+            del drawn[-len(kids):]
+            x = sum(kid[0] for kid in children) / len(kids)
             fx, fy = _fmt(x), _fmt(y)
-            yield from (_line(fx, fy, fxs[kid], fys[kid], _FG, "1.2") for kid in kids)
+            yield from (_line(fx, fy, kfx, kfy, _FG, "1.2") for _, kfx, kfy in children)
         weight = "bold" if tree.marks[node] in ("s", "r") else "normal"
         yield _circle(fx, fy, "8", "#ffffff", ring)
         yield _text(fx, _fmt(y + 4), _escape(tree.marks[node]), 11, weight=weight)
-        xs[node], fxs[node], fys[node] = x, fx, fy
+        drawn.append((x, fx, fy))
     yield "</svg>\n"
 
 
@@ -293,15 +295,14 @@ def svg_quadrants(stats: QuadrantStats) -> str:
 
 def svg_quadrants_chunks(stats: QuadrantStats) -> Iterator[str]:
     """`svg_quadrants` as text chunks."""
-    pts = stats.points
-    extent = max([1.0] + [max(abs(a), abs(b)) for a, b in pts]) * 1.15
+    extent = max(chain([1.0], map(abs, stats.z_i), map(abs, stats.z_next))) * 1.15
     frame = _Frame(-extent, extent, -extent, extent, 50, 20, _SQUARE - 70, _SQUARE - 70)
     colors = {"LL": "#cc4400", "SS": "#0055aa", "LS": "#228844", "SL": "#886600", "origin": "#555555"}
     yield _head(_SQUARE, _SQUARE, "duration z-score quadrant scatter")
     x0, y0 = _fmt(frame.x(0)), _fmt(frame.y(0))
     yield _line(x0, _fmt(frame.py), x0, _fmt(frame.py + frame.ph), _GRID, "1")
     yield _line(_fmt(frame.px), y0, _fmt(frame.px + frame.pw), y0, _GRID, "1")
-    for (a, b), quadrant in zip(pts, stats.quadrants):
+    for a, b, quadrant in stats.rows():
         yield _circle(_fmt(frame.x(a)), _fmt(frame.y(b)), "3", colors[quadrant], ' fill-opacity="0.8"')
     corners = {
         "LL": (frame.px + frame.pw - 8, frame.py + 16, "end"),

@@ -17,7 +17,9 @@ yields a tree's report rows and writes its s-expression.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import DegenerateInputError, ParameterError
@@ -43,6 +45,13 @@ _ARITIES = ("binary", "nary")
 _PARTS = 1024  # s-expression pieces that tree_texts holds before joining them
 
 
+def _tuple_of(kind: type, column) -> tuple:
+    """column as a tuple of kind items: itself if it is one, so that a large table is not copied."""
+    if type(column) is tuple and set(map(type, column)) <= {kind}:
+        return column
+    return tuple(map(kind, column))
+
+
 @dataclass(frozen=True)
 class TimeTree:
     """A time tree as a node table: four parallel tuples indexed by node id.
@@ -60,8 +69,8 @@ class TimeTree:
     kids: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        columns = {"marks": tuple(self.marks), "values": tuple(map(float, self.values)),
-                   "labels": tuple(self.labels), "kids": tuple(map(tuple, self.kids))}
+        columns = {"marks": tuple(self.marks), "values": _tuple_of(float, self.values),
+                   "labels": tuple(self.labels), "kids": _tuple_of(tuple, self.kids)}
         for name, column in columns.items():
             object.__setattr__(self, name, column)
         marks = self.marks
@@ -83,7 +92,12 @@ class TimeTree:
             child_marks = [marks[k] for k in children]
             if child_marks.count("s") != 1 or "r" in child_marks:
                 raise ParameterError(f"children must contain exactly one 's' and otherwise 'w', got {child_marks}")
-        if sorted(k for children in self.kids for k in children) != list(range(len(marks) - 1)):
+        parents = bytearray(len(marks))  # 1 for each node seen as a child so far
+        for k in chain.from_iterable(self.kids):
+            if parents[k]:
+                raise ParameterError("every node but the root, the last, needs exactly one parent")
+            parents[k] = 1
+        if parents.count(0) != 1:  # the root is no child (ids run below their parents'), so every other node is
             raise ParameterError("every node but the root, the last, needs exactly one parent")
         if marks[-1] != "r":
             raise ParameterError(f"the root, the last node, must be marked 'r', got {marks[-1]!r}")
@@ -142,16 +156,19 @@ def induce_time_tree(
     pass walks just those, over a doubly linked list of the current items.
     Each join appends its node to the tree's table, so the last is the root.
     """
-    pairs = list(seq)
-    if not pairs:
+    labels: list[str | None] = []
+    values: list[float] = []
+    for label, value in seq:  # a pair at a time: a DurationSequence builds each as it is read
+        labels.append(str(label))
+        values.append(float(value))
+    if not values:
         raise DegenerateInputError("cannot induce a tree over an empty sequence")
 
-    n = len(pairs)
-    labels: list[str | None] = [str(label) for label, _ in pairs]
-    values = [float(value) for _, value in pairs]
+    n = len(values)
     marks = ["w"] * n
     kids: list[tuple[int, ...]] = [()] * n
-    prev, nxt = list(range(-1, n - 1)), [*range(1, n), -1]  # -1: no neighbour
+    prev, nxt = array("q", range(-1, n - 1)), array("q", range(1, n + 1))  # -1: no neighbour
+    nxt[-1] = -1
     sign = 1.0 if params.polarity == "higher" else -1.0
     iambic = params.relation == "iambic"
     cap = 2 if params.arity == "binary" else n
@@ -211,6 +228,11 @@ def induce_time_tree(
         marks[items[0]] = "r"
     else:  # several unjoinable roots: adjoin them, strongest (leftmost on ties) strong
         join(items, max(range(len(items)), key=lambda k: sign * values[items[k]]), "r")
+    del prev, nxt, items  # freed before the table becomes the tree's tuples, a list at a time,
+    marks = tuple(marks)  # which TimeTree keeps uncopied
+    values = tuple(values)
+    labels = tuple(labels)
+    kids = tuple(kids)
     return TimeTree(marks, values, labels, kids)
 
 
