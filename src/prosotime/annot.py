@@ -118,20 +118,26 @@ def _tier_fault(name: str, starts: array, ends: array) -> str | None:
     return None
 
 
+def _readonly(column: array) -> memoryview:
+    """A read-only view of column."""
+    return memoryview(column).toreadonly()
+
+
 @dataclass(frozen=True, init=False)
 class Tier:
     """A named, ordered, non-overlapping sequence of intervals.
 
-    The intervals are held as three columns: `labels`, and the `starts` and
-    `ends` times in array("d"), so that a tier costs a few bytes per interval
-    beyond its label strings.  Interval objects are built only when the tier
-    is iterated or its `intervals` are asked for.
+    The intervals are held as three columns: the `labels` tuple, and the
+    `starts` and `ends` times as read-only views of array("d"), so that a tier
+    costs a few bytes per interval beyond its label strings.  Interval objects
+    are built only when the tier is iterated, its `intervals` are asked for or
+    it is pickled.
     """
 
     name: str
-    labels: list[str]
-    starts: array
-    ends: array
+    labels: tuple[str, ...]
+    starts: memoryview
+    ends: memoryview
 
     def __init__(self, name: str, intervals: Iterable[Interval]) -> None:
         ivs = tuple(intervals)
@@ -139,13 +145,14 @@ class Tier:
         fault = _tier_fault(name, starts, ends)
         if fault:
             raise ParameterError(fault)
-        vars(self).update(name=name, labels=[iv.label for iv in ivs], starts=starts, ends=ends)
+        vars(self).update(name=name, labels=tuple(iv.label for iv in ivs),
+                          starts=_readonly(starts), ends=_readonly(ends))
 
     @classmethod
     def _of(cls, name: str, labels: list[str], starts: array, ends: array) -> Tier:
         """The tier over columns its reader has checked."""
         tier = cls.__new__(cls)
-        vars(tier).update(name=name, labels=labels, starts=starts, ends=ends)
+        vars(tier).update(name=name, labels=tuple(labels), starts=_readonly(starts), ends=_readonly(ends))
         return tier
 
     @property
@@ -160,6 +167,12 @@ class Tier:
 
     def __hash__(self) -> int:
         return hash((self.name, self.intervals))
+
+    def __repr__(self) -> str:
+        return f"Tier(name={self.name!r}, intervals={self.intervals!r})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self.name, self.intervals)
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import math
 from array import array
+from dataclasses import FrozenInstanceError
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
-from .annot import DurationSequence
+from .annot import DurationSequence, _readonly
 from .errors import DegenerateInputError, ParameterError
 
 __all__ = [
@@ -166,31 +167,42 @@ class QuadrantStats:
     counted separately as `origin`.  The alternation index LL/SS is
     present only when SS > 0.
 
-    The points are held as two columns, `z_i` and `z_next`, and their
-    quadrants are classified once, into a byte each; `points` and `quadrants`
-    build their tuples when asked, and `rows()` yields each point with its
-    quadrant as read.
+    The points are held as two read-only columns, `z_i` and `z_next`, and
+    their quadrants are classified once, into a byte each; `points` and
+    `quadrants` build their tuples when asked, and `rows()` yields each point
+    with its quadrant as read.  The stats are immutable, and pickle and copy
+    as their points.
     """
 
     __slots__ = ("z_i", "z_next", "_quadrants")
 
     def __init__(self, points: Iterable[tuple[float, float]]) -> None:
         points = tuple((float(a), float(b)) for a, b in points)
-        self._fill(array("d", [a for a, _ in points]), array("d", [b for _, b in points]))
+        self._fill(_readonly(array("d", [a for a, _ in points])), _readonly(array("d", [b for _, b in points])))
 
     @classmethod
     def _successive(cls, z: array) -> QuadrantStats:
         """The stats of the successive pairs of one z-score column: both point columns are views of it."""
         stats = cls.__new__(cls)
-        view = memoryview(z)
+        view = _readonly(z)
         stats._fill(view[:-1], view[1:])
         return stats
 
-    def _fill(self, z_i: Sequence[float], z_next: Sequence[float]) -> None:
+    def _fill(self, z_i: memoryview, z_next: memoryview) -> None:
         if not all(map(math.isfinite, chain(z_i, z_next))):
             raise ParameterError("quadrant points must be finite")
-        self.z_i, self.z_next = z_i, z_next
-        self._quadrants = bytes(map(_classify, z_i, z_next))  # indices into _QUADRANT_NAMES
+        quadrants = bytes(map(_classify, z_i, z_next))  # indices into _QUADRANT_NAMES
+        for name, value in (("z_i", z_i), ("z_next", z_next), ("_quadrants", quadrants)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self.points,)
 
     @property
     def points(self) -> tuple[tuple[float, float], ...]:

@@ -7,14 +7,15 @@ coordinate list per node.  The memory tests bound what metrics and timetree
 cost per interval.
 """
 
+import copy
 import importlib.util
 import math
 import os
-import subprocess
-import sys
+import pickle
 import tracemalloc
 from array import array
 from collections import Counter
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
@@ -132,12 +133,29 @@ class TestTierColumns:
 
     def test_columns_and_views(self):
         tier = Tier("w", (Interval("a", 0.0, 0.5), Interval("b", 0.5, 1.25)))
-        assert tier.labels == ["a", "b"]
+        assert tier.labels == ("a", "b")
         assert tier.starts == array("d", [0.0, 0.5]) and tier.ends == array("d", [0.5, 1.25])
+        assert tier.starts.readonly and tier.ends.readonly
         assert list(tier) == list(tier.intervals) == [Interval("a", 0.0, 0.5), Interval("b", 0.5, 1.25)]
         assert len(tier) == 2
         assert tier == Tier("w", iter(tier)) and hash(tier) == hash(Tier("w", tier.intervals))
         assert tier != Tier("v", tier.intervals)
+        assert repr(tier) == f"Tier(name='w', intervals={tier.intervals!r})"
+
+    def test_columns_are_immutable(self):
+        tier = parse_csv_annotation("tier,label,start_s,end_s\nw,a,0.0,0.5\nw,b,0.5,1.0\n").tier("w")
+        with pytest.raises(TypeError):
+            tier.ends[0] = tier.starts[0]
+        with pytest.raises(TypeError):
+            tier.labels[0] = "b"
+        with pytest.raises(AttributeError):
+            tier.ends = array("d", [0.0, 0.0])
+        assert durations(tier).values == (0.5, 0.5)
+
+    def test_pickles_and_copies(self):
+        tier = parse_csv_annotation("tier,label,start_s,end_s\nw,a,0.0,0.5\nw,b,0.5,1.0\n").tier("w")
+        for clone in (pickle.loads(pickle.dumps(tier)), copy.deepcopy(tier), copy.copy(tier)):
+            assert clone == tier and hash(clone) == hash(tier) and clone.intervals == tier.intervals
 
     @pytest.mark.parametrize("text", [
         "tier,label,start_s,end_s\nw,b,0.5,1.0\nw,a,0.0,0.5\n",
@@ -147,7 +165,7 @@ class TestTierColumns:
     def test_readers_fill_sorted_columns(self, text):
         parse = parse_textgrid if text.startswith("File") else parse_csv_annotation
         tier = parse(text).tier("w")
-        assert (tier.labels, tier.starts, tier.ends) == (["a", "b"], array("d", [0.0, 0.5]), array("d", [0.5, 1.0]))
+        assert (tier.labels, tier.starts, tier.ends) == (("a", "b"), array("d", [0.0, 0.5]), array("d", [0.5, 1.0]))
         assert tier == Tier("w", (Interval("a", 0.0, 0.5), Interval("b", 0.5, 1.0)))
 
     def test_durations_are_columns(self):
@@ -186,6 +204,11 @@ def _former_quadrants(xs):
     return points, quadrants, {name: tally[name] for name in ("LL", "SS", "LS", "SL", "origin")}, csv
 
 
+# stats from quadrant_analysis (views of one z column) and from the public constructor
+BOTH_PATHS = pytest.mark.parametrize("stats", [quadrant_analysis([0.1, 0.3, 0.2, 0.4]),
+                                               QuadrantStats(((1.0, -1.0), (0.0, 2.0)))], ids=["analysis", "points"])
+
+
 class TestQuadrantColumns:
     @ORACLE
     @given(xs=st.lists(st.sampled_from((0.1, 0.2, 0.3, 0.25, 0.4)), min_size=3, max_size=12))
@@ -201,6 +224,25 @@ class TestQuadrantColumns:
         stats = quadrant_analysis([0.1, 0.3, 0.2, 0.4])
         assert isinstance(stats.z_i, memoryview) and stats.z_i.obj is stats.z_next.obj
         assert len(stats.z_i) == len(stats.z_next) == 3
+
+    @BOTH_PATHS
+    def test_immutable(self, stats):
+        counts = stats.counts
+        assert stats.z_i.readonly and stats.z_next.readonly
+        with pytest.raises(TypeError):
+            stats.z_i[0] = 5.0
+        for name in ("z_i", "points", "_quadrants"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(stats, name, ())
+        with pytest.raises(FrozenInstanceError):
+            del stats.z_next
+        assert stats.counts == counts
+
+    @BOTH_PATHS
+    def test_pickles_and_copies(self, stats):
+        for clone in (pickle.loads(pickle.dumps(stats)), copy.deepcopy(stats), copy.copy(stats)):
+            assert clone == stats and hash(clone) == hash(stats)
+            assert (clone.quadrants, clone.counts, clone.index) == (stats.quadrants, stats.counts, stats.index)
 
 
 # ---------------------------------------------------------------------------
@@ -363,16 +405,7 @@ class TestAnnotationMemory:
         Interval objects kept alive through induction, as the former CLI kept it, 56.9 MB.
         """
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        base = _child_maxrss(env, "-c", "import prosotime.cli")
-        used = _child_maxrss(env, "-m", "prosotime.cli", "timetree", str(tiers[100_000]),
-                             "--out-dir", str(tmp_path))
-        assert used - base <= 450 * 100_000, f"{(used - base) / 1e6:.1f} MB over the import"
-
-
-def _child_maxrss(env, *args):
-    """The child's own peak RSS in bytes, for `python *args` exiting 0, started from a small launcher."""
-    out = subprocess.run([sys.executable, "-c", annotation_memory._LAUNCH, sys.executable, *args], env=env,
-                         capture_output=True, text=True, timeout=120, check=True).stdout
-    code, maxrss = map(int, out.split())
-    assert code == 0
-    return maxrss * (1 if sys.platform == "darwin" else 1024)  # bytes on macOS, KiB elsewhere
+        base = annotation_memory.child_maxrss(env, ["-c", "import prosotime.cli"])
+        used = annotation_memory.child_maxrss(env, ["-m", "prosotime.cli", "timetree", str(tiers[100_000]),
+                                                    "--out-dir", str(tmp_path)])
+        assert (used - base) * (1 << 20) <= 450 * 100_000, f"{used - base:.1f} MiB over the import"

@@ -39,9 +39,9 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
-def intervals(n: int, seed: int = 1):
+def intervals(n: int):
     """n (label, start, end) triples drawn like benchmark/workloads.py's tiers, with the standard library's random."""
-    rng, t = random.Random(seed), 0.0
+    rng, t = random.Random(1), 0.0
     for i in range(n):
         if rng.random() < 0.05:
             label, dur = PAUSES[rng.randrange(len(PAUSES))], rng.lognormvariate(-1.204, 0.3)
@@ -135,7 +135,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[10_000, 100_000])
     parser.add_argument("--forms", nargs="+", choices=("csv", "long"), default=["csv"])
-    parser.add_argument("--subcommands", nargs="+", choices=("metrics", "timetree"), default=["metrics", "timetree"])
     parser.add_argument("--formats", nargs="+", choices=("default", "json"), default=["default"])
     parser.add_argument("--stages", action="store_true", help="also trace cli.run and each stage with tracemalloc")
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
@@ -155,7 +154,7 @@ def main() -> None:
             for form in args.forms:
                 path = Path(tmp) / (f"tier{n}.csv" if form == "csv" else f"tier{n}.TextGrid")
                 write_tier(path, n, form)
-                for sub in args.subcommands:
+                for sub in ("metrics", "timetree"):
                     for fmt in args.formats:
                         formats = "json,csv,svg" if fmt == "default" else "json"
                         argv = ["-m", "prosotime.cli", sub, str(path), "--out-dir", str(Path(tmp) / "out"),
