@@ -14,6 +14,7 @@ from typing import Iterator
 import numpy as np
 from numpy.polynomial import Polynomial
 
+from . import audio
 from .audio import Waveform, WavSource, _frozen_array, _ms_to_samples, _positive, _ranges
 from .errors import DegenerateInputError, ParameterError, SingularityError
 
@@ -113,9 +114,6 @@ def rectify_full_wave(wave: Waveform) -> Waveform:
     return Waveform(rect, wave.rate)
 
 
-_PEAK_SAMPLES = 1 << 15  # samples rectified per pass of the peak picker: bounds its working set
-
-
 def _block_peaks(blocks, n, win):
     """Distinct indices of the first maximum of each window |x[k*hop : k*hop + win]|, and |x| there.
 
@@ -124,11 +122,11 @@ def _block_peaks(blocks, n, win):
     odd: the first sample of hop block k+2. The first maximum among those parts,
     taken in that order, is the window's argmax. Each hop block keeps only its
     argmax, its |max| and |x| at its first sample, and every sample is read once.
-    |x| is taken one range of hop blocks at a time.
+    |x| is taken one range of hop blocks at a time, an audio block's worth.
     """
     hop = win // 2
     n_blocks = (n - win) // hop + 2
-    rows = max(1, _PEAK_SAMPLES // hop)
+    rows = max(1, audio._BLOCK_FRAMES // hop)
     starts = range(0, n_blocks, rows)
     bounds = [(lo * hop, min(lo + rows, n_blocks) * hop) for lo in starts]
     bounds.append((n_blocks * hop, min(n_blocks * hop + 1, n)))  # the sample after the last hop block

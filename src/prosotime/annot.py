@@ -257,11 +257,12 @@ class DurationSequence:
 def _decode_document(data: str | bytes, source: str) -> str:
     """Decode a document to text: UTF-16 after its byte-order mark, else UTF-8.
 
-    A byte that does not decode is a ParseError naming source and the byte's
-    offset in the file.
+    One byte-order mark is dropped, and so is one leading U+FEFF of a str; a
+    second is text.  A byte that does not decode is a ParseError naming source
+    and the byte's offset in the file.
     """
     if isinstance(data, str):
-        return data.lstrip("\ufeff")
+        return data.removeprefix("\ufeff")
     codec = "utf-16" if data.startswith((b"\xff\xfe", b"\xfe\xff")) else "utf-8"
     try:
         text = data.decode(codec)
@@ -282,7 +283,7 @@ _STRUCT_RE = re.compile(r"^[A-Za-z_][A-Za-z_ ]*\[\d*\]:$")
 # A quoted string: "" is the escape for a quote, and a lone " closes it.
 _QUOTED_RE = re.compile(r'"((?:[^"]|"")*)"(?!")')
 
-_BLOCK = 1 << 16  # characters of text that _lines and _csv_table split at a time
+_BLOCK = 1 << 16  # characters per StringIO of _lines: a StringIO holds 4 bytes per character
 
 
 def _blocks(text: str) -> Iterator[str]:
@@ -294,21 +295,14 @@ def _blocks(text: str) -> Iterator[str]:
     yield text[start:]
 
 
-class _lines:
-    """The lines of text, ended by CR, LF or CRLF only: U+2028, form feeds and the like end none.
+def _lines(text: str, newline: str | None) -> Iterator[str]:
+    """The lines of text, each with its end, read through one StringIO per block of _blocks(text).
 
-    Each iteration splits the text afresh, _BLOCK characters at a time, so no
-    list of every line is held.
+    With newline None a line ends at CR, LF or CRLF, each read as LF; with an
+    LF, at LF alone, and every CR is kept.  No other character ends a line,
+    neither U+2028 nor a form feed.
     """
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-
-    def __iter__(self) -> Iterator[str]:
-        for block in _blocks(self.text):
-            *lines, rest = block.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-            yield from lines
-        yield rest  # what follows the last line end: "" after every block but the last
+    return chain.from_iterable(io.StringIO(block, newline=newline) for block in _blocks(text))
 
 
 def _unquote(raw: str, line_no: int) -> str:
@@ -347,7 +341,12 @@ def parse_textgrid(text: str | bytes, source: str = "<textgrid>") -> AnnotationD
     skipped with an AnnotationWarning.  Raises ParseError (with a line
     number) on malformed input.
     """
-    lines = enumerate(_lines(_decode_document(text, source)), start=1)
+    return _textgrid(_decode_document(text, source), source)
+
+
+def _textgrid(document: str, source: str) -> AnnotationDoc:
+    """parse_textgrid of a decoded document."""
+    lines = enumerate(_lines(document, None), start=1)
     header = list(islice(((ln.strip(), i) for i, ln in lines if ln.strip()), 2))
     if len(header) < 2 or "ooTextFile" not in header[0][0]:
         raise ParseError(
@@ -424,7 +423,7 @@ def parse_textgrid(text: str | bytes, source: str = "<textgrid>") -> AnnotationD
             warnings.warn(
                 f"skipped point tier {name!r} ({n_pt} points): durations need intervals",
                 AnnotationWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
             continue
         else:
@@ -448,21 +447,19 @@ _CSV_HEADER = ("tier", "label", "start_s", "end_s")
 _BARE_CR_RE = re.compile("\r[^\r\n]")
 
 
-def _csv_table(text: str | bytes, header: tuple[str, ...], source: str) -> Iterator[tuple[int, list[str]]]:
-    """The non-blank records of a CSV document after its header, with their row numbers.
+def _csv_table(document: str, header: tuple[str, ...], source: str) -> Iterator[tuple[int, list[str]]]:
+    """The non-blank records of a decoded CSV document after its header, with their row numbers.
 
     The header is row 1 and must read header once its fields are stripped;
     every later record must hold one field per header name.  A record the
     csv module rejects is a ParseError at its line, and so is a line holding
     a NUL, on every Python, when the reader reaches it.
     """
-    document = _decode_document(text, source)
     line = ""  # the line the reader took last
 
     def lines() -> Iterator[str]:
-        """The lines of document, each with its LF; a StringIO holds 4 bytes per character, so it takes a block."""
         nonlocal line
-        for line_no, line in enumerate(chain.from_iterable(map(io.StringIO, _blocks(document))), start=1):
+        for line_no, line in enumerate(_lines(document, "\n"), start=1):
             if "\0" in line:  # Python 3.11's csv module reads a NUL as text; 3.10's refuses it
                 raise ParseError("malformed CSV: line contains NUL", line=line_no)
             yield line
@@ -494,9 +491,14 @@ def parse_csv_annotation(text: str | bytes, source: str = "<csv>") -> Annotation
     and validated against overlap.  Raises ParseError with a 1-based row
     number (the header is row 1) on malformed rows.
     """
+    return _csv_annotation(_decode_document(text, source), source)
+
+
+def _csv_annotation(document: str, source: str) -> AnnotationDoc:
+    """parse_csv_annotation of a decoded document."""
     # tier name -> its starts, labels, ends and source rows, as columns
     grouped: dict[str, tuple[array, list[str], array, array]] = {}
-    for row_no, (tier_name, label, start_raw, end_raw) in _csv_table(text, _CSV_HEADER, source):
+    for row_no, (tier_name, label, start_raw, end_raw) in _csv_table(document, _CSV_HEADER, source):
         try:
             start_s = float(start_raw)
             end_s = float(end_raw)
@@ -537,8 +539,8 @@ def load_annotation(path: str) -> AnnotationDoc:
     """
     text = _decode_document(Path(path).read_bytes(), path)
     if path.lower().endswith((".textgrid", ".grid")) or text.lstrip().startswith("File type"):
-        return parse_textgrid(text, source=path)
-    return parse_csv_annotation(text, source=path)
+        return _textgrid(text, path)
+    return _csv_annotation(text, path)
 
 
 def annotation_to_csv(doc: AnnotationDoc) -> str:

@@ -308,7 +308,7 @@ def read_wav(path) -> Waveform:
 
 
 def write_wav_pcm16(path, wave: Waveform) -> None:
-    """Write 16-bit PCM mono. Exists for fixtures and demos only."""
+    """Write 16-bit PCM mono. Exists for test fixtures only."""
     ints = np.clip(np.rint(wave.samples * 32768.0), -32768, 32767).astype("<i2")
     payload = ints.tobytes()
     header = struct.pack(

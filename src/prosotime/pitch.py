@@ -373,11 +373,11 @@ def parse_f0_csv(text: str | bytes, source: str = "<f0 csv>") -> F0Track:
     the frame times advance uniformly.  Raises ParseError with a row number
     on malformed rows.
     """
-    from .annot import _csv_table
+    from .annot import _csv_table, _decode_document
 
     times: list[float] = []
     f0: list[float] = []
-    for row_no, row in _csv_table(text, ("time_s", "f0_hz"), source):
+    for row_no, row in _csv_table(_decode_document(text, source), ("time_s", "f0_hz"), source):
         # an empty f0 marks an unvoiced frame, as NaN; no text may give NaN itself
         f_raw = row[1].strip()
         try:

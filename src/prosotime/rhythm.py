@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import FrozenInstanceError
+from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator
 
@@ -159,6 +159,7 @@ def _count(name: str) -> property:
     return property(lambda self: self.counts[name], doc=f"Number of {name} pairs.")
 
 
+@dataclass(frozen=True, init=False, eq=False)
 class QuadrantStats:
     """Successive z-scored duration pairs and the quadrant of each.
 
@@ -170,11 +171,12 @@ class QuadrantStats:
     The points are held as two read-only columns, `z_i` and `z_next`, and
     their quadrants are classified once, into a byte each; `points` and
     `quadrants` build their tuples when asked, and `rows()` yields each point
-    with its quadrant as read.  The stats are immutable, and pickle and copy
-    as their points.
+    with its quadrant as read.  The stats are immutable, and hash, pickle and
+    copy as their points: a memoryview of floats does neither.
     """
 
-    __slots__ = ("z_i", "z_next", "_quadrants")
+    z_i: memoryview
+    z_next: memoryview
 
     def __init__(self, points: Iterable[tuple[float, float]]) -> None:
         points = tuple((float(a), float(b)) for a, b in points)
@@ -192,14 +194,7 @@ class QuadrantStats:
         if not all(map(math.isfinite, chain(z_i, z_next))):
             raise ParameterError("quadrant points must be finite")
         quadrants = bytes(map(_classify, z_i, z_next))  # indices into _QUADRANT_NAMES
-        for name, value in (("z_i", z_i), ("z_next", z_next), ("_quadrants", quadrants)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        vars(self).update(z_i=z_i, z_next=z_next, _quadrants=quadrants)
 
     def __reduce__(self) -> tuple:
         return type(self), (self.points,)

@@ -1,6 +1,8 @@
 """Shared fixtures: synthetic waveforms and annotation texts used across suites."""
 
 import importlib
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +12,19 @@ from prosotime import Waveform, synthesize_am, write_wav_pcm16
 
 @pytest.fixture(params=[1, 7, 40])
 def small_blocks(request, monkeypatch):
-    """open_wav's samples per block and the peak picker's samples per pass, cut to a few."""
+    """open_wav's samples per block, which the peak picker's passes follow, cut to a few."""
     monkeypatch.setattr(importlib.import_module("prosotime.audio"), "_BLOCK_FRAMES", request.param)
-    monkeypatch.setattr(importlib.import_module("prosotime.aems"), "_PEAK_SAMPLES", request.param)
     return request.param
+
+
+@pytest.fixture(scope="session")
+def annotation_memory():
+    """tools/annotation_memory.py, loaded once: its tier writer and its child-RSS launcher."""
+    spec = importlib.util.spec_from_file_location(
+        "annotation_memory", Path(__file__).resolve().parents[1] / "tools" / "annotation_memory.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

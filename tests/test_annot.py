@@ -12,6 +12,7 @@ from prosotime import (
     annotation_to_csv,
     durations,
     parse_csv_annotation,
+    parse_f0_csv,
     parse_textgrid,
 )
 
@@ -227,6 +228,15 @@ class TestCsvAnnotation:
         assert doc.tier_names == ("words",)
         again = parse_csv_annotation(annotation_to_csv(doc))
         assert again.tier("words").intervals == doc.tier("words").intervals
+
+    @pytest.mark.parametrize("parse, text", [
+        (parse_csv_annotation, "tier,label,start_s,end_s\nw,a,0,1\n"),
+        (parse_f0_csv, "time_s,f0_hz\n0.0,100\n0.01,110\n"),
+    ], ids=["annotation", "f0"])
+    def test_a_str_loses_one_leading_byte_order_mark(self, parse, text):
+        parse("\ufeff" + text)
+        with pytest.raises(ParseError, match="bad CSV header"):
+            parse("\ufeff\ufeff" + text)
 
     def test_header_required(self):
         with pytest.raises(ParseError):

@@ -5,8 +5,6 @@ import math
 import os
 import re
 import struct
-import subprocess
-import sys
 import threading
 import tracemalloc
 from itertools import accumulate
@@ -676,41 +674,23 @@ class TestStreamMemory:
         assert peak < self.PEAK
 
     @staticmethod
-    def _child_rss_over_numpy(tmp_path, subcommand):
-        """The peak RSS of `prosotime <subcommand>` on 300 s of 16 kHz PCM16, less that of importing numpy."""
+    def _child_rss_over_numpy(tmp_path, annotation_memory, subcommand):
+        """The peak RSS of `prosotime <subcommand>` on 300 s of 16 kHz PCM16, less that of importing numpy, in bytes."""
         path = tmp_path / "long.wav"
         _long_wav(path, 300, 1, 1, 16)
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        numpy_only = _child_maxrss(env, "-c", "import numpy")
-        used = _child_maxrss(env, "-m", "prosotime.cli", subcommand, str(path), "--out-dir", str(tmp_path / "out"))
-        return used - numpy_only
+        numpy_only = annotation_memory.child_maxrss(env, ["-c", "import numpy"])
+        used = annotation_memory.child_maxrss(env, ["-m", "prosotime.cli", subcommand, str(path),
+                                                    "--out-dir", str(tmp_path / "out")])
+        return (used - numpy_only) * 2**20
 
     @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
-    def test_aems_child_rss_grows_less_than_a_quarter_of_the_signal(self, tmp_path):
-        assert self._child_rss_over_numpy(tmp_path, "aems") < 0.25 * 300 * 16000 * 8
+    def test_aems_child_rss_grows_less_than_a_quarter_of_the_signal(self, tmp_path, annotation_memory):
+        assert self._child_rss_over_numpy(tmp_path, annotation_memory, "aems") < 0.25 * 300 * 16000 * 8
 
     @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
-    def test_f0_child_rss_grows_less_than_a_quarter_of_the_signal(self, tmp_path):
-        assert self._child_rss_over_numpy(tmp_path, "f0") < 0.25 * 300 * 16000 * 8
-
-
-# Starts the child from a small interpreter: Linux carries the parent's peak RSS
-# across fork and exec into the child's ru_maxrss, and the test process is large.
-_LAUNCH = """
-import os, subprocess, sys
-proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
-_, status, usage = os.wait4(proc.pid, 0)
-print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
-"""
-
-
-def _child_maxrss(env, *args):
-    """The child's own peak RSS in bytes, for `python *args` exiting 0."""
-    out = subprocess.run([sys.executable, "-c", _LAUNCH, sys.executable, *args], env=env,
-                         capture_output=True, text=True, timeout=120, check=True).stdout
-    code, maxrss = map(int, out.split())
-    assert code == 0
-    return maxrss * (1 if sys.platform == "darwin" else 1024)  # bytes on macOS, KiB elsewhere
+    def test_f0_child_rss_grows_less_than_a_quarter_of_the_signal(self, tmp_path, annotation_memory):
+        assert self._child_rss_over_numpy(tmp_path, annotation_memory, "f0") < 0.25 * 300 * 16000 * 8
 
 
 class TestWavErrors:

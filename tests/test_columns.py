@@ -8,7 +8,6 @@ cost per interval.
 """
 
 import copy
-import importlib.util
 import math
 import os
 import pickle
@@ -348,11 +347,6 @@ class TestTimeTreeSvg:
 # memory per interval
 # ---------------------------------------------------------------------------
 
-_SPEC = importlib.util.spec_from_file_location(
-    "annotation_memory", Path(__file__).resolve().parents[1] / "tools" / "annotation_memory.py")
-annotation_memory = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(annotation_memory)
-
 # Traced bytes per interval that cli.run may peak at, the same at 10**4 and 10**5
 # intervals.  Measured on CPython 3.11: metrics 126-129 and timetree 318-332.  The
 # former code peaked at 480 and 700; a Tier of Interval objects, at 280 and (kept
@@ -361,7 +355,7 @@ BYTES_PER_INTERVAL = {"metrics": 200, "timetree": 400}
 
 
 @pytest.fixture(scope="module")
-def tiers(tmp_path_factory):
+def tiers(tmp_path_factory, annotation_memory):
     root = tmp_path_factory.mktemp("tiers")
     paths = {}
     for n in (10_000, 100_000):
@@ -398,7 +392,7 @@ class TestAnnotationMemory:
         assert peak <= 180 * 100_000, f"{peak / 100_000:.0f} bytes per interval"
 
     @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
-    def test_timetree_child_rss_per_interval(self, tiers, tmp_path):
+    def test_timetree_child_rss_per_interval(self, tiers, tmp_path, annotation_memory):
         """The peak RSS of `prosotime timetree` on 10**5 intervals, less that of importing the CLI.
 
         About 38.6 MB on CPython 3.11; the former code took about 80 MB, and a Tier of

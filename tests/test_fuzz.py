@@ -163,6 +163,34 @@ class TestParserFuzz:
             parse(data)
 
 
+# _lines cuts its text into blocks of _BLOCK characters that end at an LF; at 1-8
+# characters most lines cross a block, and the lines must be those of the whole text.
+LINE_TEXTS = st.text(alphabet="a\u00e9\r\n\u2028\x0c\x85", max_size=60)
+LINE_ORACLE = settings(max_examples=500, derandomize=True, deadline=None)
+
+
+def _lf_pieces(text):
+    """The LF-terminated pieces of text, then what follows its last LF, if anything does."""
+    *ended, rest = text.split("\n")
+    return [piece + "\n" for piece in ended] + ([rest] if rest else [])
+
+
+class TestLineReader:
+    @LINE_ORACLE
+    @given(text=LINE_TEXTS, block=st.integers(1, 8))
+    def test_cr_lf_and_crlf_end_lines_read_as_lf(self, text, block):
+        with mock.patch("prosotime.annot._BLOCK", block):
+            lines = list(_lines(text, None))
+        assert lines == _lf_pieces(text.replace("\r\n", "\n").replace("\r", "\n"))
+
+    @LINE_ORACLE
+    @given(text=LINE_TEXTS, block=st.integers(1, 8))
+    def test_lf_alone_ends_lines_and_every_cr_is_kept(self, text, block):
+        with mock.patch("prosotime.annot._BLOCK", block):
+            lines = list(_lines(text, "\n"))
+        assert lines == _lf_pieces(text)
+
+
 # ---------------------------------------------------------------------------
 # the former TextGrid reader, kept as an oracle for parse_textgrid
 # ---------------------------------------------------------------------------
@@ -250,7 +278,7 @@ class _FormerValueStream:
 
 def _former_parse_textgrid(text, source="<textgrid>"):
     """The former parse_textgrid, splitting lines as the current one does."""
-    lines = _lines(_decode_document(text, source))
+    lines = list(_lines(_decode_document(text, source), None))
     header = list(islice(((ln.strip(), i) for i, ln in enumerate(lines, start=1) if ln.strip()), 2))
     if len(header) < 2 or "ooTextFile" not in header[0][0]:
         raise ParseError(

@@ -324,6 +324,15 @@ class TestCliMetrics:
         assert rep["quadrants"] is None
         assert rep["metrics"]["variance"] == 0.0
 
+    @pytest.mark.parametrize("marks, code", [(1, 0), (2, 1)])
+    def test_one_byte_order_mark_is_dropped_and_a_second_is_text(self, words_csv_path, tmp_path, capsys,
+                                                                  marks, code):
+        path = tmp_path / "marked.csv"
+        path.write_bytes(b"\xef\xbb\xbf" * marks + words_csv_path.read_bytes())
+        assert run(["metrics", str(path), "--out-dir", str(tmp_path / "out")]) == code
+        refusal = "bad CSV header ['\\ufefftier', 'label', 'start_s', 'end_s']"
+        assert (refusal in capsys.readouterr().err) == (marks == 2)
+
     def test_missing_tier_exits_one(self, words_csv_path, tmp_path, capsys):
         code = run(["metrics", str(words_csv_path), "--tier", "nope",
                     "--out-dir", str(tmp_path)])

@@ -30,7 +30,9 @@ from pathlib import Path
 
 PAUSES = ("", "sil", "#", "<p>")
 
-# Runs argv as a child and prints its exit code and ru_maxrss.
+# Runs argv as a child and prints its exit code and ru_maxrss.  Started as a small
+# interpreter of its own: Linux carries the parent's peak RSS across fork and exec
+# into the child's ru_maxrss, and the parent may be large.
 _LAUNCH = """
 import os, subprocess, sys
 proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
@@ -72,7 +74,7 @@ def write_tier(path: Path, n: int, form: str) -> None:
 def child_maxrss(env: dict, argv: list[str]) -> float:
     """The peak RSS of `python argv` in MiB (ru_maxrss / 1024, as the benchmark reports it), which must exit 0."""
     out = subprocess.run([sys.executable, "-c", _LAUNCH, sys.executable, *argv], env=env,
-                         capture_output=True, text=True, check=True).stdout
+                         capture_output=True, text=True, timeout=120, check=True).stdout
     code, maxrss = map(int, out.split())
     if code != 0:
         raise SystemExit(f"exit {code}: {' '.join(argv)}")
