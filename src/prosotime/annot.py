@@ -2,16 +2,17 @@
 
 Supports Praat TextGrid files in both long and short text form and a flat CSV
 interchange format with header ``tier,label,start_s,end_s``; load_annotation
-decides which of the two a file holds.  Point tiers carry no durations and are
-skipped with a warning.
+decides which of the two a file holds, by the TextGrid reader's own header
+rule (_ootextfile).  Point tiers carry no durations and are skipped with a
+warning.
 
-Every text table the toolkit reads, annotations and F0 CSVs alike, is decoded
-and split here: UTF-16 after its byte-order mark, else UTF-8 with or without
-one, a bad byte being a ParseError that names the file and its byte offset.
-TextGrid lines end at CR, LF or CRLF; CSV lines at LF or CRLF, with a CR
-elsewhere outside quotes a malformed line; no other character ends a line.  CSV
-fields may be quoted.  Other parse errors carry a line (TextGrid) or row (CSV)
-position.
+Every text table the toolkit reads, annotations and F0 CSVs alike, is read
+here as a stream through one io.TextIOWrapper (_read): UTF-16 after its
+byte-order mark, else UTF-8 with or without one, a bad byte anywhere being a
+ParseError that names the file and its byte offset.  TextGrid lines end at
+CR, LF or CRLF; CSV lines at LF or CRLF, with a CR elsewhere outside quotes a
+malformed line; no other character ends a line.  CSV fields may be quoted.
+Other parse errors carry a line (TextGrid) or row (CSV) position.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ import re
 import warnings
 from array import array
 from dataclasses import dataclass
-from itertools import chain, islice
-from pathlib import Path
-from typing import Iterable, Iterator
+from collections import deque
+from itertools import islice
+from typing import BinaryIO, Callable, Iterable, Iterator, TextIO, TypeVar
 
 from .errors import ParameterError, ParseError
 
@@ -50,6 +51,8 @@ DEFAULT_EXCLUDE_LABELS = frozenset({"", "sil", "#", "<p>"})
 #: Overlap slack between consecutive intervals, in seconds.  Absorbs the
 #: floating-point jitter found in real annotation files.
 OVERLAP_TOLERANCE_S = 1e-3
+
+T = TypeVar("T")
 
 
 class AnnotationWarning(UserWarning):
@@ -250,26 +253,42 @@ class DurationSequence:
 
 
 # ---------------------------------------------------------------------------
-# text decoding
+# text streams
 # ---------------------------------------------------------------------------
 
 
-def _decode_document(data: str | bytes, source: str) -> str:
-    """Decode a document to text: UTF-16 after its byte-order mark, else UTF-8.
+def _read(data: str | bytes | BinaryIO, source: str, newline: str | None, read: Callable[[TextIO], T]) -> T:
+    """read(text), text being data as a stream whose lines end as newline says (see io.TextIOWrapper).
 
-    One byte-order mark is dropped, and so is one leading U+FEFF of a str; a
-    second is text.  A byte that does not decode is a ParseError naming source
-    and the byte's offset in the file.
+    Bytes, or a binary file from its start, are UTF-16 after a byte-order mark
+    and UTF-8 otherwise.  One mark, or one leading U+FEFF of a str, is dropped.
+    The bytes must decode to their end, past what read takes: a byte that does
+    not is the ParseError, naming source and its offset, even after another.
     """
     if isinstance(data, str):
-        return data.removeprefix("\ufeff")
-    codec = "utf-16" if data.startswith((b"\xff\xfe", b"\xfe\xff")) else "utf-8"
-    try:
-        text = data.decode(codec)
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{source}: not valid {codec.upper()} text", offset=exc.start) from None
-    # the utf-16 codec drops its mark itself; utf-8-sig would report offsets 3 bytes low
-    return text.removeprefix("\ufeff") if codec == "utf-8" else text
+        return read(io.StringIO(data.removeprefix("\ufeff"), newline=newline))
+    raw = io.BytesIO(data) if isinstance(data, bytes) else data
+    head = raw.read(3)
+    codec = "utf-16" if head.startswith((b"\xff\xfe", b"\xfe\xff")) else "utf-8"
+    raw.seek(3 if head == b"\xef\xbb\xbf" else 0)  # the utf-16 codec drops its mark itself
+    with io.TextIOWrapper(raw, codec, newline=newline) as text:
+        try:
+            try:
+                return read(text)
+            finally:
+                deque(text, 0)
+        except UnicodeDecodeError:
+            raw.seek(0)  # the error counts from its chunk: decode the file whole for the byte's offset
+            try:
+                raw.read().decode(codec)
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{source}: not valid {codec.upper()} text", offset=exc.start) from None
+            raise
+
+
+def _ootextfile(lines: Iterable[str]) -> bool:
+    """Whether the first non-blank line of lines, read up to it, names the ooTextFile type: what makes a TextGrid."""
+    return "ooTextFile" in next((line for line in lines if line.strip()), "")
 
 
 # ---------------------------------------------------------------------------
@@ -282,27 +301,6 @@ _STRUCT_RE = re.compile(r"^[A-Za-z_][A-Za-z_ ]*\[\d*\]:$")
 
 # A quoted string: "" is the escape for a quote, and a lone " closes it.
 _QUOTED_RE = re.compile(r'"((?:[^"]|"")*)"(?!")')
-
-_BLOCK = 1 << 16  # characters per StringIO of _lines: a StringIO holds 4 bytes per character
-
-
-def _blocks(text: str) -> Iterator[str]:
-    """text in pieces of about _BLOCK characters, each but the last ending at an LF, so that no CRLF is cut."""
-    start = 0
-    while stop := text.find("\n", start + _BLOCK) + 1:
-        yield text[start:stop]
-        start = stop
-    yield text[start:]
-
-
-def _lines(text: str, newline: str | None) -> Iterator[str]:
-    """The lines of text, each with its end, read through one StringIO per block of _blocks(text).
-
-    With newline None a line ends at CR, LF or CRLF, each read as LF; with an
-    LF, at LF alone, and every CR is kept.  No other character ends a line,
-    neither U+2028 nor a form feed.
-    """
-    return chain.from_iterable(io.StringIO(block, newline=newline) for block in _blocks(text))
 
 
 def _unquote(raw: str, line_no: int) -> str:
@@ -341,22 +339,17 @@ def parse_textgrid(text: str | bytes, source: str = "<textgrid>") -> AnnotationD
     skipped with an AnnotationWarning.  Raises ParseError (with a line
     number) on malformed input.
     """
-    return _textgrid(_decode_document(text, source), source)
+    return _read(text, source, None, lambda lines: _textgrid(lines, source))
 
 
-def _textgrid(document: str, source: str) -> AnnotationDoc:
-    """parse_textgrid of a decoded document."""
-    lines = enumerate(_lines(document, None), start=1)
-    header = list(islice(((ln.strip(), i) for i, ln in lines if ln.strip()), 2))
-    if len(header) < 2 or "ooTextFile" not in header[0][0]:
-        raise ParseError(
-            'not a TextGrid: first line must contain File type = "ooTextFile"', line=1
-        )
-    if "TextGrid" not in header[1][0]:
-        raise ParseError(
-            'not a TextGrid: second line must contain Object class = "TextGrid"',
-            line=header[1][1],
-        )
+def _textgrid(text: Iterable[str], source: str) -> AnnotationDoc:
+    """parse_textgrid of the lines of text, which end at CR, LF or CRLF, each read as LF."""
+    lines = enumerate(text, start=1)
+    second = _ootextfile(line for _, line in lines) and next(((ln, i) for i, ln in lines if ln.strip()), None)
+    if not second:
+        raise ParseError('not a TextGrid: first line must contain File type = "ooTextFile"', line=1)
+    if "TextGrid" not in second[0]:
+        raise ParseError('not a TextGrid: second line must contain Object class = "TextGrid"', line=second[1])
 
     values = _values(lines)  # the body follows the second header line
     line = 1  # of the last value read, for error messages
@@ -423,7 +416,7 @@ def _textgrid(document: str, source: str) -> AnnotationDoc:
             warnings.warn(
                 f"skipped point tier {name!r} ({n_pt} points): durations need intervals",
                 AnnotationWarning,
-                stacklevel=3,
+                stacklevel=5,  # the caller of parse_textgrid or load_annotation, past _read and its read function
             )
             continue
         else:
@@ -447,8 +440,8 @@ _CSV_HEADER = ("tier", "label", "start_s", "end_s")
 _BARE_CR_RE = re.compile("\r[^\r\n]")
 
 
-def _csv_table(document: str, header: tuple[str, ...], source: str) -> Iterator[tuple[int, list[str]]]:
-    """The non-blank records of a decoded CSV document after its header, with their row numbers.
+def _csv_table(text: Iterable[str], header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """The non-blank records of the CSV lines of text (split at LF) after its header, with their row numbers.
 
     The header is row 1 and must read header once its fields are stripped;
     every later record must hold one field per header name.  A record the
@@ -459,7 +452,7 @@ def _csv_table(document: str, header: tuple[str, ...], source: str) -> Iterator[
 
     def lines() -> Iterator[str]:
         nonlocal line
-        for line_no, line in enumerate(_lines(document, "\n"), start=1):
+        for line_no, line in enumerate(text, start=1):
             if "\0" in line:  # Python 3.11's csv module reads a NUL as text; 3.10's refuses it
                 raise ParseError("malformed CSV: line contains NUL", line=line_no)
             yield line
@@ -491,14 +484,14 @@ def parse_csv_annotation(text: str | bytes, source: str = "<csv>") -> Annotation
     and validated against overlap.  Raises ParseError with a 1-based row
     number (the header is row 1) on malformed rows.
     """
-    return _csv_annotation(_decode_document(text, source), source)
+    return _read(text, source, "\n", lambda lines: _csv_annotation(lines, source))
 
 
-def _csv_annotation(document: str, source: str) -> AnnotationDoc:
-    """parse_csv_annotation of a decoded document."""
+def _csv_annotation(text: Iterable[str], source: str) -> AnnotationDoc:
+    """parse_csv_annotation of the lines of text, which end at LF."""
     # tier name -> its starts, labels, ends and source rows, as columns
     grouped: dict[str, tuple[array, list[str], array, array]] = {}
-    for row_no, (tier_name, label, start_raw, end_raw) in _csv_table(document, _CSV_HEADER, source):
+    for row_no, (tier_name, label, start_raw, end_raw) in _csv_table(text, _CSV_HEADER):
         try:
             start_s = float(start_raw)
             end_s = float(end_raw)
@@ -532,15 +525,22 @@ def _csv_annotation(document: str, source: str) -> AnnotationDoc:
 
 
 def load_annotation(path: str) -> AnnotationDoc:
-    """Read the annotation file at path in whichever of the two formats it holds.
+    """Read the annotation file at path, as a stream, in whichever of the two formats it holds.
 
-    It is a TextGrid if its name ends in .TextGrid or .grid (any case), or if
-    its first text after any whitespace is ``File type``; otherwise it is CSV.
+    It is a TextGrid if its name ends in .TextGrid or .grid (any case) or if
+    _ootextfile, the TextGrid reader's own header rule, says so; else CSV.
     """
-    text = _decode_document(Path(path).read_bytes(), path)
-    if path.lower().endswith((".textgrid", ".grid")) or text.lstrip().startswith("File type"):
-        return _textgrid(text, path)
-    return _csv_annotation(text, path)
+    def parse(text: io.TextIOWrapper) -> AnnotationDoc:
+        start = text.tell()  # past a UTF-8 mark
+        if path.lower().endswith((".textgrid", ".grid")) or _ootextfile(text):
+            text.seek(start)
+            return _textgrid(text, path)
+        text.seek(start)  # drops what the sniff decoded, so that the line ends may change
+        text.reconfigure(newline="\n")
+        return _csv_annotation(text, path)
+
+    with open(path, "rb") as raw:
+        return _read(raw, path, None, parse)
 
 
 def annotation_to_csv(doc: AnnotationDoc) -> str:

@@ -494,10 +494,12 @@ def _cmd_f0(args) -> tuple[dict, str, dict]:
 
 
 def _cmd_contour_fit(args) -> tuple[dict, str, dict]:
-    from .pitch import IPU, contour_model_to_dict, fit_contour, parse_f0_csv
+    from .annot import _read
+    from .pitch import IPU, _f0_track, contour_model_to_dict, fit_contour
     from .svgplot import svg_f0_track_chunks
 
-    track = parse_f0_csv(Path(args.f0csv).read_bytes(), source=args.f0csv)
+    with open(args.f0csv, "rb") as raw:  # opened once and read as a stream, by parse_f0_csv's reader
+        track = _read(raw, args.f0csv, "\n", _f0_track)
     domain = None
     if args.start_s is not None or args.end_s is not None:
         if args.start_s is None or args.end_s is None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -367,17 +367,24 @@ def f0_track_csv_chunks(track: F0Track) -> Iterator[str]:
 def parse_f0_csv(text: str | bytes, source: str = "<f0 csv>") -> F0Track:
     """Parse the `time_s,f0_hz` CSV form (as produced by f0_track_to_csv).
 
-    The text is read as an annotation CSV is (see annot): bytes are UTF-16
-    after a byte-order mark and UTF-8 otherwise, rows end at LF or CRLF only,
-    and fields may be quoted.  Accepts externally produced tracks as long as
-    the frame times advance uniformly.  Raises ParseError with a row number
-    on malformed rows.
+    The text is read as an annotation CSV is, as a stream (see annot._read):
+    bytes are UTF-16 after a byte-order mark and UTF-8 otherwise, rows end at
+    LF or CRLF only, and fields may be quoted.  Accepts externally produced
+    tracks as long as the frame times advance uniformly.  Raises ParseError
+    with a row number on malformed rows.
     """
-    from .annot import _csv_table, _decode_document
+    from .annot import _read
+
+    return _read(text, source, "\n", _f0_track)
+
+
+def _f0_track(lines: Iterable[str]) -> F0Track:
+    """parse_f0_csv of the lines of a table, which end at LF; contour-fit reads its file through it."""
+    from .annot import _csv_table
 
     times: list[float] = []
     f0: list[float] = []
-    for row_no, row in _csv_table(_decode_document(text, source), ("time_s", "f0_hz"), source):
+    for row_no, row in _csv_table(lines, ("time_s", "f0_hz")):
         # an empty f0 marks an unvoiced frame, as NaN; no text may give NaN itself
         f_raw = row[1].strip()
         try:

@@ -15,6 +15,7 @@ from prosotime import (
     parse_f0_csv,
     parse_textgrid,
 )
+from prosotime.annot import load_annotation
 
 LONG_FORM = """File type = "ooTextFile"
 Object class = "TextGrid"
@@ -109,7 +110,7 @@ class TestTextGridErrors:
         with pytest.raises(ParseError):
             parse_textgrid('File type = "chronology"\n')
 
-    def test_point_tier_warns_and_is_skipped(self):
+    def test_point_tier_warns_and_is_skipped(self, tmp_path):
         text = LONG_FORM.replace('"IntervalTier"', '"TextTier"').replace(
             "intervals: size = 3", "points: size = 1"
         )
@@ -131,9 +132,13 @@ Object class = "TextGrid"
 0.75
 "L-"
 """
-        with pytest.warns(AnnotationWarning):
+        with pytest.warns(AnnotationWarning) as caught:
             doc = parse_textgrid(text)
         assert doc.tier_names == ()
+        (tmp_path / "marks.TextGrid").write_text(text)
+        with pytest.warns(AnnotationWarning) as caught_too:
+            assert load_annotation(str(tmp_path / "marks.TextGrid")).tier_names == ()
+        assert caught[0].filename == caught_too[0].filename == __file__  # the warning names its caller's line
 
     def test_unknown_tier_class_rejected(self):
         text = SHORT_FORM.replace('"IntervalTier"', '"SpectrogramTier"')

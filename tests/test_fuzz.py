@@ -2,7 +2,7 @@
 
 Random and mutated bytes end in a value or an AnalysisError, mutated
 TextGrids and F0 CSVs parse as the former readers (kept below as oracles,
-splitting lines as the current ones do) parse them, and random command lines
+which decode whole and split lines with their own calls) parse them, and random command lines
 end in exit 0, 1 or 2 without a traceback.  Derandomized and bounded, so that every run feeds the same cases
 and the suite stays a few seconds long.
 """
@@ -33,7 +33,7 @@ from prosotime import (
     transduce_tones,
     write_wav_pcm16,
 )
-from prosotime.annot import _STRUCT_RE, AnnotationDoc, Interval, Tier, _decode_document, _lines, _unquote
+from prosotime.annot import _STRUCT_RE, AnnotationDoc, Interval, Tier, _read, _unquote
 from prosotime.cli import OUT_DIR_ENV, run
 from prosotime.errors import ParameterError
 from prosotime.pitch import F0Track, f0_track_to_csv
@@ -163,9 +163,11 @@ class TestParserFuzz:
             parse(data)
 
 
-# _lines cuts its text into blocks of _BLOCK characters that end at an LF; at 1-8
-# characters most lines cross a block, and the lines must be those of the whole text.
+# annot._read gives a file's lines through one io.TextIOWrapper, which decodes 8192
+# bytes at a time; a run of "a" puts the text's line ends across that boundary.
 LINE_TEXTS = st.text(alphabet="a\u00e9\r\n\u2028\x0c\x85", max_size=60)
+LINE_PADS = st.sampled_from((0, 4080, 8170))
+LINE_CODECS = ("utf-8", "utf-8-sig", "utf-16", None)  # None: the text as a str
 LINE_ORACLE = settings(max_examples=500, derandomize=True, deadline=None)
 
 
@@ -175,20 +177,37 @@ def _lf_pieces(text):
     return [piece + "\n" for piece in ended] + ([rest] if rest else [])
 
 
-class TestLineReader:
-    @LINE_ORACLE
-    @given(text=LINE_TEXTS, block=st.integers(1, 8))
-    def test_cr_lf_and_crlf_end_lines_read_as_lf(self, text, block):
-        with mock.patch("prosotime.annot._BLOCK", block):
-            lines = list(_lines(text, None))
-        assert lines == _lf_pieces(text.replace("\r\n", "\n").replace("\r", "\n"))
+def _line_source(text, codec, newline):
+    """The lines annot._read gives of text, encoded with codec."""
+    return _read(text if codec is None else text.encode(codec), "<lines>", newline, list)
 
+
+class TestLineReader:
+    @pytest.mark.parametrize("codec", LINE_CODECS)
     @LINE_ORACLE
-    @given(text=LINE_TEXTS, block=st.integers(1, 8))
-    def test_lf_alone_ends_lines_and_every_cr_is_kept(self, text, block):
-        with mock.patch("prosotime.annot._BLOCK", block):
-            lines = list(_lines(text, "\n"))
-        assert lines == _lf_pieces(text)
+    @given(text=LINE_TEXTS, pad=LINE_PADS)
+    def test_cr_lf_and_crlf_end_lines_read_as_lf(self, codec, text, pad):
+        text = "a" * pad + text
+        assert _line_source(text, codec, None) == _lf_pieces(text.replace("\r\n", "\n").replace("\r", "\n"))
+
+    @pytest.mark.parametrize("codec", LINE_CODECS)
+    @LINE_ORACLE
+    @given(text=LINE_TEXTS, pad=LINE_PADS)
+    def test_lf_alone_ends_lines_and_every_cr_is_kept(self, codec, text, pad):
+        text = "a" * pad + text
+        assert _line_source(text, codec, "\n") == _lf_pieces(text)
+
+
+def _former_text(data, source):
+    """data decoded whole, as the former readers did: UTF-16 after its mark, else UTF-8; one mark is dropped."""
+    if isinstance(data, str):
+        return data.removeprefix("\ufeff")
+    codec = "utf-16" if data.startswith((b"\xff\xfe", b"\xfe\xff")) else "utf-8"
+    try:
+        text = data.decode(codec)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{source}: not valid {codec.upper()} text", offset=exc.start) from None
+    return text.removeprefix("\ufeff") if codec == "utf-8" else text
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +296,8 @@ class _FormerValueStream:
 
 
 def _former_parse_textgrid(text, source="<textgrid>"):
-    """The former parse_textgrid, splitting lines as the current one does."""
-    lines = list(_lines(_decode_document(text, source), None))
+    """The former parse_textgrid, on text decoded whole and split at CR, LF or CRLF by io.StringIO."""
+    lines = list(io.StringIO(_former_text(text, source), newline=None))
     header = list(islice(((ln.strip(), i) for i, ln in enumerate(lines, start=1) if ln.strip()), 2))
     if len(header) < 2 or "ooTextFile" not in header[0][0]:
         raise ParseError(
@@ -399,13 +418,13 @@ class TestTextGridOracle:
 
 
 def _former_parse_f0_csv(data):
-    """The former parse_f0_csv, on text decoded and split into lines as the current one does.
+    """The former parse_f0_csv, on text decoded whole and split into lines at LF.
 
     The former split rows with str.splitlines(); now a row ends at LF, any CRs
     before it dropped, and a CR left inside a line, or a NUL on any Python, is
     a malformed line.
     """
-    lines = _decode_document(data, "<f0 csv>").split("\n")
+    lines = _former_text(data, "<f0 csv>").split("\n")
 
     def line(k):
         text = lines[k].rstrip("\r")

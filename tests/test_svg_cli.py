@@ -386,6 +386,24 @@ class TestCliMetrics:
             reports.append({k: v for k, v in report_from(capsys).items() if k != "input"})
         assert reports[0] == reports[1]
 
+    # one sniff rule: a first non-blank line naming the ooTextFile type makes a TextGrid under any
+    # name, as the TextGrid reader's own header check; a .txt without it is read as CSV
+    @pytest.mark.parametrize("name", ["g.txt", "g.TextGrid"])
+    @pytest.mark.parametrize("head, code, refusal", [
+        ('\ufeff\ufeffFile type = "ooTextFile"\nObject class = "TextGrid"\n', 0, None),
+        ('File type = "chronology"\nObject class = "TextGrid"\n', 1,
+         {"g.txt": "bad CSV header", "g.TextGrid": "not a TextGrid: first line"}),
+    ], ids=["two-marks", "chronology"])
+    def test_the_header_rule_decides_under_either_name(self, name, head, code, refusal, tmp_path, capsys):
+        path = tmp_path / name
+        path.write_text(head + '\n0\n1.2\n<exists>\n1\n"IntervalTier"\n"words"\n0\n1.2\n3\n'
+                               '0\n0.3\n"ba"\n0.3\n0.9\n"naa"\n0.9\n1.2\n"na"\n', encoding="utf-8")
+        assert run(["metrics", str(path), "--json", "--out-dir", str(tmp_path / "out")]) == code
+        if refusal is None:
+            assert report_from(capsys)["n"] == 3
+        else:
+            assert f"error: {refusal[name]}" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("subcommand", ["metrics", "timetree"])
 class TestExcludedLabelsReported:
@@ -785,6 +803,56 @@ class TestCliF0AndContour:
         name = "UTF-16" if encoding == "utf-16" else "UTF-8"
         err = capsys.readouterr().err
         assert err == f"error: {path}: not valid {name} text (byte {len(header.encode(encoding))})\n"
+
+    # A text file is decoded 8192 bytes at a time: a bad byte at the end of the first chunk, at the
+    # start of the second and far later must still be named by its offset in the file.  A UTF-8 lead
+    # byte with no continuation; in UTF-16, a high surrogate with no low one, named by its unit's
+    # first byte.
+    @pytest.mark.parametrize("offset", [8191, 8192, 70_001])
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-16"])
+    @pytest.mark.parametrize("name", ["tier.csv", "tier.TextGrid", "tier.txt", "track.f0.csv"])
+    def test_a_bad_byte_past_the_first_chunk_names_its_file_offset(self, name, encoding, offset, tmp_path,
+                                                                   capsys):
+        if name == "track.f0.csv":
+            argv = ["contour-fit", "--degree", "1"]
+            text = "time_s,f0_hz\n" + "".join(f"{k / 100!r},{100 + k % 7}\n" for k in range(8000))
+        elif name == "tier.csv":
+            argv = ["metrics"]
+            text = "tier,label,start_s,end_s\n" + "".join(f"w,s{k},{k},{k + 1}\n" for k in range(5000))
+        else:
+            argv = ["metrics"]
+            text = ('File type = "ooTextFile"\nObject class = "TextGrid"\n\nxmin = 0\nxmax = 2000\n'
+                    'tiers? <exists>\nsize = 1\nitem []:\n    item [1]:\n        class = "IntervalTier"\n'
+                    '        name = "w"\n        xmin = 0\n        xmax = 2000\n        intervals: size = 2000\n'
+                    + "".join(f"        intervals [{k + 1}]:\n            xmin = {k}\n            xmax = {k + 1}\n"
+                              f'            text = "s{k}"\n' for k in range(2000)))
+        data = bytearray(text.encode(encoding))
+        assert len(data) > 75_000
+        if encoding == "utf-8":
+            data[offset], bad = 0xE2, offset
+        else:
+            bad = offset - offset % 2
+            data[bad + 1] = 0xD8  # the BOM is b"\xff\xfe": units are little-endian
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert run([argv[0], str(path), *argv[1:], "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: not valid {encoding.upper()} text (byte {bad})\n"
+
+    # as when a file was decoded whole, a bad byte outranks a parse error met before it, and the
+    # bytes after a TextGrid's last tier, which its reader leaves unread, must decode too
+    @pytest.mark.parametrize("argv, text", [
+        (["metrics"], "tier,label\n"),
+        (["contour-fit"], "time_s\n"),
+        (["metrics"], 'File type = "ooTextFile"\nObject class = "TextGrid"\n0\n1.2\n<exists>\n1\n"IntervalTier"\n'
+                      '"words"\n0\n1.2\n3\n0\n0.3\n"ba"\n0.3\n0.9\n"naa"\n0.9\n1.2\n"na"\n'),
+    ], ids=["csv-header", "f0-header", "textgrid"])
+    def test_a_bad_byte_after_what_the_parser_reads_is_the_error(self, argv, text, tmp_path, capsys):
+        path = tmp_path / "late.txt"
+        data = text.encode() + b"\n" * 70_000 + b"\xff\n"
+        path.write_bytes(data)
+        assert run([argv[0], str(path), "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {path}: not valid UTF-8 text (byte {len(data) - 2})\n"
 
 
 class TestCliPlumbing:

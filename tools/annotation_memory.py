@@ -3,12 +3,14 @@
 For each size, file form (CSV or long-form TextGrid), subcommand and format
 set, the script writes a synthetic tier (lognormal durations, about 5 % of
 them pause labels, as the benchmark's annotation tiers), runs the subcommand
-as a child process and prints a Markdown table row: the child's peak RSS
-(`ru_maxrss` from `os.wait4`, started from a small launcher so that the
-parent's own peak does not carry into it) and, with --stages, the
-tracemalloc figures of a second child: the traced peak of the whole `cli.run`
-and, stage by stage, the memory each stage leaves held and the peak it
-reaches (MiB).  Generated files and outputs go to a temporary directory.
+as a child process three times and prints a Markdown table row: the median
+of the children's peak RSS (`ru_maxrss` from `os.wait4`, each started from a
+small launcher so that the parent's own peak does not carry into it; one
+reading swings by about 3 MiB with the state of the bytecode cache) and,
+with --stages, the tracemalloc figures of one more child: the traced peak of
+the whole `cli.run` and, stage by stage, the memory each stage leaves held
+and the peak it reaches (MiB).  Generated files and outputs go to a
+temporary directory.
 
     python tools/annotation_memory.py --sizes 10000 100000
     python tools/annotation_memory.py --sizes 1000000 --forms csv long --formats default json --stages
@@ -23,6 +25,7 @@ import argparse
 import json
 import os
 import random
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -148,7 +151,7 @@ def main() -> None:
         return
 
     env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()))
-    print("| intervals | form | subcommand | formats | child ru_maxrss (MiB) |"
+    print("| intervals | form | subcommand | formats | child ru_maxrss, median of 3 (MiB) |"
           + (" traced (MiB): cli.run peak; stage held/peak |" if args.stages else ""))
     print("| --- | --- | --- | --- | --- |" + (" --- |" if args.stages else ""))
     with tempfile.TemporaryDirectory() as tmp:
@@ -161,7 +164,8 @@ def main() -> None:
                         formats = "json,csv,svg" if fmt == "default" else "json"
                         argv = ["-m", "prosotime.cli", sub, str(path), "--out-dir", str(Path(tmp) / "out"),
                                 "--formats", formats]
-                        row = f"| {n} | {form} | {sub} | {fmt} | {child_maxrss(env, argv):.1f} |"
+                        rss = statistics.median(child_maxrss(env, argv) for _ in range(3))
+                        row = f"| {n} | {form} | {sub} | {fmt} | {rss:.1f} |"
                         if args.stages:
                             out = subprocess.run([sys.executable, __file__, "--stage-child", sub, str(path),
                                                   str(Path(tmp) / "out"), formats], env=env, check=True,
