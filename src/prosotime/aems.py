@@ -8,13 +8,13 @@ spectrum after polynomial shape-smoothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
 from . import audio
+from ._record import Record
 from .audio import Waveform, WavSource, _frozen_array, _ms_to_samples, _positive, _ranges
 from .errors import DegenerateInputError, ParameterError, SingularityError
 
@@ -37,37 +37,39 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class Envelope:
+class Envelope(Record, eq=False):
     """Non-negative amplitude envelope on a uniform time grid."""
 
     values: np.ndarray
     rate: float
 
-    def __post_init__(self):
-        values = _frozen_array(self.values, "envelope values", "finite and non-negative",
+    def __init__(self, values: np.ndarray, rate: float) -> None:
+        values = _frozen_array(values, "envelope values", "finite and non-negative",
                                0.0, np.inf, 1e-12)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "rate", _positive(self.rate, "envelope rate"))
+        vars(self).update(values=values, rate=_positive(rate, "envelope rate"))
 
     def __len__(self):
         return len(self.values)
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Magnitude spectrum truncated at cutoff_hz; bin k sits at k*resolution_hz."""
+class Spectrum(Record, eq=False):
+    """Magnitude spectrum truncated at cutoff_hz; bin k sits at k*resolution_hz.
+
+    params, the analysis parameters that made it, is a new empty dict when not given.
+    """
 
     resolution_hz: float
     magnitudes: np.ndarray
     cutoff_hz: float
-    params: dict = field(default_factory=dict)
+    params: dict
 
-    def __post_init__(self):
-        magnitudes = _frozen_array(self.magnitudes, "spectrum magnitudes",
+    def __init__(self, resolution_hz: float, magnitudes: np.ndarray, cutoff_hz: float,
+                 params: dict | None = None) -> None:
+        magnitudes = _frozen_array(magnitudes, "spectrum magnitudes",
                                    "finite and non-negative", 0.0)
-        object.__setattr__(self, "magnitudes", magnitudes)
-        object.__setattr__(self, "resolution_hz", _positive(self.resolution_hz, "resolution_hz"))
+        resolution_hz = _positive(resolution_hz, "resolution_hz")
+        vars(self).update(resolution_hz=resolution_hz, magnitudes=magnitudes, cutoff_hz=cutoff_hz,
+                          params={} if params is None else params)
 
     @property
     def freqs(self) -> np.ndarray:
@@ -77,8 +79,7 @@ class Spectrum:
         return len(self.magnitudes)
 
 
-@dataclass(frozen=True)
-class FrequencyZone:
+class FrequencyZone(Record):
     """One fuzzy rhythm band of the spectrum."""
 
     center_hz: float
@@ -86,16 +87,25 @@ class FrequencyZone:
     hi_hz: float
     prominence: float
 
+    def __init__(self, center_hz: float, lo_hz: float, hi_hz: float, prominence: float) -> None:
+        vars(self).update(center_hz=center_hz, lo_hz=lo_hz, hi_hz=hi_hz, prominence=prominence)
 
-@dataclass(frozen=True)
-class PolyFit:
-    """Least-squares polynomial with coefficients in ascending powers of x."""
+
+class PolyFit(Record):
+    """Least-squares polynomial with coefficients in ascending powers of x.
+
+    scaled_coeffs, the coefficients over the domain mapped onto [-1, 1] that
+    evaluate() uses, is no field: repr and == leave it out.
+    """
 
     degree: int
     coeffs: tuple
     domain: tuple
     rmse: float
-    scaled_coeffs: tuple = field(repr=False, compare=False, default=())
+
+    def __init__(self, degree: int, coeffs: tuple, domain: tuple, rmse: float,
+                 scaled_coeffs: tuple = ()) -> None:
+        vars(self).update(degree=degree, coeffs=coeffs, domain=domain, rmse=rmse, scaled_coeffs=scaled_coeffs)
 
     def evaluate(self, xs) -> np.ndarray:
         """Evaluate via the internally scaled basis for stability."""

@@ -23,11 +23,11 @@ import math
 import re
 import warnings
 from array import array
-from dataclasses import dataclass
 from collections import deque
 from itertools import islice
 from typing import BinaryIO, Callable, Iterable, Iterator, TextIO, TypeVar
 
+from ._record import Record
 from .errors import ParameterError, ParseError
 
 __all__ = [
@@ -59,22 +59,17 @@ class AnnotationWarning(UserWarning):
     """Non-fatal annotation issues (e.g. point tiers being skipped)."""
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """A labeled span of time."""
 
     label: str
     start_s: float
     end_s: float
 
-    def __post_init__(self) -> None:
-        for name, t in (("start_s", self.start_s), ("end_s", self.end_s)):
-            if not math.isfinite(t) or t < 0:
-                raise ParameterError(f"{name} must be finite and >= 0, got {t!r}")
-        if not self.end_s > self.start_s:
-            raise ParameterError(
-                f"interval must have end_s > start_s, got [{self.start_s}, {self.end_s}]"
-            )
+    def __init__(self, label: str, start_s: float, end_s: float) -> None:
+        if not 0 <= start_s < end_s < math.inf:
+            raise ParameterError(_refusal(start_s, end_s))
+        vars(self).update(label=label, start_s=start_s, end_s=end_s)
 
     @property
     def duration_s(self) -> float:
@@ -83,10 +78,10 @@ class Interval:
 
 def _refusal(start_s: float, end_s: float) -> str:
     """Why [start_s, end_s], which fails 0 <= start_s < end_s < inf, is no Interval: its message."""
-    try:
-        Interval("", start_s, end_s)
-    except ParameterError as exc:
-        return str(exc)
+    for name, t in (("start_s", start_s), ("end_s", end_s)):
+        if not math.isfinite(t) or t < 0:
+            return f"{name} must be finite and >= 0, got {t!r}"
+    return f"interval must have end_s > start_s, got [{start_s}, {end_s}]"
 
 
 def _overlap(starts: array, ends: array) -> int:
@@ -126,8 +121,7 @@ def _readonly(column: array) -> memoryview:
     return memoryview(column).toreadonly()
 
 
-@dataclass(frozen=True, init=False)
-class Tier:
+class Tier(Record):
     """A named, ordered, non-overlapping sequence of intervals.
 
     The intervals are held as three columns: the `labels` tuple, and the
@@ -178,15 +172,14 @@ class Tier:
         return type(self), (self.name, self.intervals)
 
 
-@dataclass(frozen=True)
-class AnnotationDoc:
+class AnnotationDoc(Record):
     """A set of tiers parsed from one annotation document."""
 
     tiers: tuple[Tier, ...]
-    source: str = "<unknown>"
+    source: str
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tiers", tuple(self.tiers))
+    def __init__(self, tiers: Iterable[Tier], source: str = "<unknown>") -> None:
+        vars(self).update(tiers=tuple(tiers), source=source)
         seen: set[str] = set()
         for tier in self.tiers:
             if tier.name in seen:
@@ -205,8 +198,7 @@ class AnnotationDoc:
         return tuple(t.name for t in self.tiers)
 
 
-@dataclass(frozen=True, init=False)
-class DurationSequence:
+class DurationSequence(Record):
     """Ordered (label, duration) pairs extracted from a tier.
 
     The pairs are held as two columns, the labels and the durations in
@@ -261,17 +253,20 @@ def _read(data: str | bytes | BinaryIO, source: str, newline: str | None, read: 
     """read(text), text being data as a stream whose lines end as newline says (see io.TextIOWrapper).
 
     Bytes, or a binary file from its start, are UTF-16 after a byte-order mark
-    and UTF-8 otherwise.  One mark, or one leading U+FEFF of a str, is dropped.
-    The bytes must decode to their end, past what read takes: a byte that does
-    not is the ParseError, naming source and its offset, even after another.
+    and UTF-8 otherwise; one mark is dropped.  The bytes must decode to their
+    end, past what read takes: a byte that does not is the ParseError, naming
+    source and its offset, even after another.  A str is read as its UTF-8
+    bytes, lone surrogates and all, which hold a byte or so per character where
+    an io.StringIO holds four: so one leading U+FEFF of a str is dropped too.
     """
+    errors = "strict"
     if isinstance(data, str):
-        return read(io.StringIO(data.removeprefix("\ufeff"), newline=newline))
+        data, errors = data.encode("utf-8", "surrogatepass"), "surrogatepass"
     raw = io.BytesIO(data) if isinstance(data, bytes) else data
     head = raw.read(3)
     codec = "utf-16" if head.startswith((b"\xff\xfe", b"\xfe\xff")) else "utf-8"
     raw.seek(3 if head == b"\xef\xbb\xbf" else 0)  # the utf-16 codec drops its mark itself
-    with io.TextIOWrapper(raw, codec, newline=newline) as text:
+    with io.TextIOWrapper(raw, codec, errors, newline=newline) as text:
         try:
             try:
                 return read(text)

@@ -14,12 +14,12 @@ import struct
 import sys
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Iterator
 
 import numpy as np
 
+from ._record import Record
 from .errors import DegenerateInputError, FormatError, ParameterError, ParseError
 
 __all__ = [
@@ -77,8 +77,7 @@ def _frozen_array(values, what, rule, lo=-np.inf, hi=np.inf, slack=0.0, *,
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class Waveform:
+class Waveform(Record, eq=False):
     """Mono sampled signal with finite amplitudes in [-1, 1], held read-only.
 
     Samples up to 1e-12 outside [-1, 1] are taken as rounding error and clipped.
@@ -87,11 +86,10 @@ class Waveform:
     samples: np.ndarray
     rate: int
 
-    def __post_init__(self):
-        samples = _frozen_array(self.samples, "waveform samples",
+    def __init__(self, samples: np.ndarray, rate: int) -> None:
+        samples = _frozen_array(samples, "waveform samples",
                                 "finite and lie within [-1, 1]", -1.0, 1.0, 1e-12)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "rate", _positive(self.rate, "sample rate", int))
+        vars(self).update(samples=samples, rate=_positive(rate, "sample rate", int))
 
     @property
     def duration_s(self) -> float:
@@ -115,8 +113,7 @@ _KSDATAFORMAT_TAIL = bytes.fromhex("000000001000800000aa00389b71")
 _BLOCK_FRAMES = 1 << 14  # frames decoded per read: bounds the raw bytes and temporaries
 
 
-@dataclass(frozen=True, eq=False)
-class WavSource:
+class WavSource(Record, eq=False):
     """A WAV file's mono samples as a block source: rate and length known, blocks() decodes them.
 
     blocks() yields float64 arrays of up to _BLOCK_FRAMES samples each, in order, and
@@ -126,6 +123,9 @@ class WavSource:
     rate: int
     n: int
     blocks: Callable[[], Iterator[np.ndarray]]
+
+    def __init__(self, rate: int, n: int, blocks: Callable[[], Iterator[np.ndarray]]) -> None:
+        vars(self).update(rate=rate, n=n, blocks=blocks)
 
     def __len__(self):
         return self.n

@@ -45,7 +45,6 @@ from __future__ import annotations
 import argparse
 import atexit
 import contextlib
-import dataclasses
 import math
 import os
 import re
@@ -290,7 +289,7 @@ def _cmd_calibrate(args) -> tuple[dict, str, dict]:
         "peak_magnitude": float(mags[peak_bin]),
         "harmonic_hz": float(spec.freqs[harmonic_bin]),
         "harmonic_magnitude": float(mags[harmonic_bin]),
-        "zones": [dataclasses.asdict(z) for z in zones],
+        "zones": [z._asdict() for z in zones],
         "pass": bool(ok),
     }
     renders = _spectrum_artifacts(spec, fit, zones, report)
@@ -320,7 +319,7 @@ def _cmd_aems(args) -> tuple[dict, str, dict]:
         "resolution_hz": spec.resolution_hz,
         "cutoff_hz": spec.cutoff_hz,
         "n_bins": len(spec),
-        "zones": [dataclasses.asdict(z) for z in zones],
+        "zones": [z._asdict() for z in zones],
         "dominant_hz": zones[0].center_hz if zones else None,
     }
     renders = _spectrum_artifacts(spec, fit, zones, report)
@@ -366,7 +365,7 @@ def _tree_artifacts(args, report: dict, induce, data) -> tuple[dict, Callable[[]
     params = TreeParams(relation=args.relation, polarity=args.polarity, arity=args.arity)
     tree = induce(data, params)
     parts: list[str] = []  # the s-expression, written by each walk of the rows; "nodes" sorts before "sexpr"
-    report.update(params=dataclasses.asdict(params), nodes=lambda: tree_texts(tree, parts),
+    report.update(params=params._asdict(), nodes=lambda: tree_texts(tree, parts),
                   sexpr=lambda: "".join(parts))
     return report, lambda: "".join(parts), {f"{args.subcommand}.svg": lambda: svg_timetree_chunks(tree)}
 
@@ -397,9 +396,7 @@ def _cmd_tone_gen(args) -> tuple[dict, str, dict]:
     from .pitch import f0_track_csv_chunks
     from .svgplot import svg_f0_track_chunks
 
-    params = TerracingParams(
-        **{f.name: getattr(args, f.name) for f in dataclasses.fields(TerracingParams)}
-    )
+    params = TerracingParams(**{name: getattr(args, name) for name in TerracingParams._fields})
     lexical = args.tones.split()
     phonetic = transduce_tones(lexical)
     targets = realize_pitch(phonetic, params)
@@ -407,7 +404,7 @@ def _cmd_tone_gen(args) -> tuple[dict, str, dict]:
         "lexical": lexical,
         "phonetic": list(phonetic),
         "targets": lambda: ({"label": lab, "hz": hz} for lab, hz in targets.items),
-        "params": dataclasses.asdict(params),
+        "params": params._asdict(),
         "tone_dur_ms": args.tone_dur_ms,
         "n_frames": 0,
     }

@@ -21,9 +21,9 @@ it accepts any accent sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator
 
+from ._record import Record
 from .errors import AlphabetError, DegenerateInputError, ParameterError
 
 if TYPE_CHECKING:
@@ -61,35 +61,34 @@ MAX_STRINGS = 2_000_000
 MAX_CONTOUR_FRAMES = 10_000_000
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(Record):
     """One arc with one label per tape."""
 
     src: str
     dst: str
     labels: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(self.labels))
+    def __init__(self, src: str, dst: str, labels: Iterable[str]) -> None:
+        vars(self).update(src=src, dst=dst, labels=tuple(labels))
 
 
-@dataclass(frozen=True)
-class MultiTapeFSM:
-    """A deterministic finite-state machine reading/writing a fixed number of tapes."""
+class MultiTapeFSM(Record):
+    """A deterministic finite-state machine reading/writing a fixed number of tapes.
+
+    Besides its fields it holds, per tape, the (state, symbol) -> arc table
+    (_arcs) and the sorted symbols (_alphabets).
+    """
 
     states: frozenset[str]
     start: str
     finals: frozenset[str]
     n_tapes: int
     transitions: tuple[Transition, ...]
-    # per tape: (state, symbol) -> arc, and the sorted symbols
-    _arcs: tuple[dict[tuple[str, str], Transition], ...] = field(init=False, repr=False, compare=False)
-    _alphabets: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "states", frozenset(self.states))
-        object.__setattr__(self, "finals", frozenset(self.finals))
-        object.__setattr__(self, "transitions", tuple(self.transitions))
+    def __init__(self, states: Iterable[str], start: str, finals: Iterable[str], n_tapes: int,
+                 transitions: Iterable[Transition]) -> None:
+        vars(self).update(states=frozenset(states), start=start, finals=frozenset(finals), n_tapes=n_tapes,
+                          transitions=tuple(transitions))
         if self.start not in self.states:
             raise ParameterError(f"start state {self.start!r} not among states")
         if not self.finals <= self.states:
@@ -112,10 +111,7 @@ class MultiTapeFSM:
                         f"transition {t} makes tape {tape} nondeterministic at {t.src!r}"
                     )
                 arcs[tape][(t.src, label)] = t
-        object.__setattr__(self, "_arcs", arcs)
-        object.__setattr__(
-            self, "_alphabets", tuple(tuple(sorted({s for _, s in a})) for a in arcs)
-        )
+        vars(self).update(_arcs=arcs, _alphabets=tuple(tuple(sorted({s for _, s in a})) for a in arcs))
 
     def alphabet(self, tape: int = 0) -> tuple[str, ...]:
         """Sorted distinct symbols on one tape."""
@@ -254,8 +250,7 @@ def build_pierrehumbert() -> MultiTapeFSM:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TerracingParams:
+class TerracingParams(Record):
     """Registers and ratios of the two-register terracing model.
 
     The four ratios correspond to the four pitch actions: upsweep raises the
@@ -265,16 +260,20 @@ class TerracingParams:
     (k_ter < 1).  All targets are clamped to [floor_hz, ceiling_hz].
     """
 
-    p_h0: float = 170.0
-    p_l0: float = 110.0
-    k_usw: float = 1.02
-    k_dd: float = 0.98
-    k_dst: float = 0.70
-    k_ter: float = 0.90
-    floor_hz: float = 60.0
-    ceiling_hz: float = 400.0
+    p_h0: float
+    p_l0: float
+    k_usw: float
+    k_dd: float
+    k_dst: float
+    k_ter: float
+    floor_hz: float
+    ceiling_hz: float
 
-    def __post_init__(self) -> None:
+    def __init__(self, p_h0: float = 170.0, p_l0: float = 110.0, k_usw: float = 1.02,
+                 k_dd: float = 0.98, k_dst: float = 0.70, k_ter: float = 0.90,
+                 floor_hz: float = 60.0, ceiling_hz: float = 400.0) -> None:
+        vars(self).update(p_h0=p_h0, p_l0=p_l0, k_usw=k_usw, k_dd=k_dd, k_dst=k_dst, k_ter=k_ter,
+                          floor_hz=floor_hz, ceiling_hz=ceiling_hz)
         if not self.k_usw > 1:
             raise ParameterError(f"k_usw must be > 1, got {self.k_usw}")
         for name in ("k_dd", "k_dst", "k_ter"):
@@ -288,18 +287,17 @@ class TerracingParams:
             )
 
 
-@dataclass(frozen=True)
-class PitchTargetSequence:
+class PitchTargetSequence(Record):
     """Ordered (phonetic label, target Hz) pairs within the model's range."""
 
     items: tuple[tuple[str, float], ...]
-    floor_hz: float = 60.0
-    ceiling_hz: float = 400.0
+    floor_hz: float
+    ceiling_hz: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "items", tuple((str(lab), float(hz)) for lab, hz in self.items)
-        )
+    def __init__(self, items: Iterable[tuple[str, float]], floor_hz: float = 60.0,
+                 ceiling_hz: float = 400.0) -> None:
+        vars(self).update(items=tuple((str(lab), float(hz)) for lab, hz in items), floor_hz=floor_hz,
+                          ceiling_hz=ceiling_hz)
         for lab, hz in self.items:
             if not self.floor_hz <= hz <= self.ceiling_hz:
                 raise ParameterError(

@@ -10,12 +10,12 @@ inter-pausal unit (IPU).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ._record import Record
 from .audio import Waveform, WavSource, _fold, _frozen_array, _leaves, _ms_to_samples, _positive, _ranges
 from .errors import DegenerateInputError, ParameterError, ParseError
 
@@ -36,8 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class F0Track:
+class F0Track(Record, eq=False):
     """Uniformly hopped F0 frames as read-only float64 arrays; NaN (or None
     on input) marks an unvoiced frame."""
 
@@ -45,14 +44,14 @@ class F0Track:
     f0_hz: np.ndarray
     hop_s: float
 
-    def __post_init__(self) -> None:
-        times = _frozen_array(self.times_s, "frame times", "finite", empty_ok=True)
+    def __init__(self, times_s: np.ndarray, f0_hz: np.ndarray, hop_s: float) -> None:
+        times = _frozen_array(times_s, "frame times", "finite", empty_ok=True)
         # f0 >= the least positive float is f0 > 0
-        f0 = _frozen_array(self.f0_hz, "voiced f0", "finite and > 0",
+        f0 = _frozen_array(f0_hz, "voiced f0", "finite and > 0",
                            np.finfo(float).smallest_subnormal, empty_ok=True, nan_ok=True)
         if len(times) != len(f0):
             raise ParameterError(f"{len(times)} times vs {len(f0)} f0 values")
-        h = _positive(self.hop_s, "hop_s")
+        h = _positive(hop_s, "hop_s")
         # math.isclose(step, h, rel_tol=1e-6, abs_tol=1e-9) for _LEAF steps at
         # a time; like isclose, no infinite step is close to a finite h
         for lo in range(0, len(times) - 1, _LEAF):
@@ -66,9 +65,7 @@ class F0Track:
                     f"frame times must advance uniformly by hop_s={h}, "
                     f"got step {float(step[i])} at t={float(times[lo + i])}"
                 )
-        object.__setattr__(self, "times_s", times)
-        object.__setattr__(self, "f0_hz", f0)
-        object.__setattr__(self, "hop_s", h)
+        vars(self).update(times_s=times, f0_hz=f0, hop_s=h)
 
     def __len__(self) -> int:
         return len(self.times_s)
@@ -83,36 +80,31 @@ class F0Track:
         return self.times_s[voiced], self.f0_hz[voiced]
 
 
-@dataclass(frozen=True)
-class IPU:
+class IPU(Record):
     """One inter-pausal unit: a stretch of speech between pauses."""
 
     start_s: float
     end_s: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.start_s) and math.isfinite(self.end_s)):
-            raise ParameterError("IPU bounds must be finite")
-        if not self.end_s > self.start_s:
-            raise ParameterError(
-                f"IPU must have end_s > start_s, got [{self.start_s}, {self.end_s}]"
-            )
+    def __init__(self, start_s: float, end_s: float) -> None:
+        if not -math.inf < start_s < end_s < math.inf:
+            if not (math.isfinite(start_s) and math.isfinite(end_s)):
+                raise ParameterError("IPU bounds must be finite")
+            raise ParameterError(f"IPU must have end_s > start_s, got [{start_s}, {end_s}]")
+        vars(self).update(start_s=start_s, end_s=end_s)
 
 
-@dataclass(frozen=True)
-class PolyContourModel:
+class PolyContourModel(Record):
     """A polynomial fit over the voiced frames of a track (or one IPU of it)."""
 
     fit: PolyFit
     domain: IPU | None
     voiced_frame_count: int
 
-    def __post_init__(self) -> None:
-        if self.voiced_frame_count < self.fit.degree + 1:
-            raise ParameterError(
-                f"{self.voiced_frame_count} voiced frames cannot constrain "
-                f"a degree-{self.fit.degree} fit"
-            )
+    def __init__(self, fit: PolyFit, domain: IPU | None, voiced_frame_count: int) -> None:
+        if voiced_frame_count < fit.degree + 1:
+            raise ParameterError(f"{voiced_frame_count} voiced frames cannot constrain a degree-{fit.degree} fit")
+        vars(self).update(fit=fit, domain=domain, voiced_frame_count=voiced_frame_count)
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator
 
+from ._record import Record
 from .annot import DurationSequence, _readonly
 from .errors import DegenerateInputError, ParameterError
 
@@ -159,8 +159,7 @@ def _count(name: str) -> property:
     return property(lambda self: self.counts[name], doc=f"Number of {name} pairs.")
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class QuadrantStats:
+class QuadrantStats(Record):
     """Successive z-scored duration pairs and the quadrant of each.
 
     LL = both long (z > 0), SS = both short, LS = long then short,

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, replace
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator
 
+from ._record import Record
 from .errors import DegenerateInputError, ParameterError
 
 if TYPE_CHECKING:
@@ -52,8 +52,7 @@ def _tuple_of(kind: type, column) -> tuple:
     return tuple(map(kind, column))
 
 
-@dataclass(frozen=True)
-class TimeTree:
+class TimeTree(Record):
     """A time tree as a node table: four parallel tuples indexed by node id.
 
     A node lists its children's ids left to right, each below its own id,
@@ -68,11 +67,11 @@ class TimeTree:
     labels: tuple[str | None, ...]
     kids: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        columns = {"marks": tuple(self.marks), "values": _tuple_of(float, self.values),
-                   "labels": tuple(self.labels), "kids": _tuple_of(tuple, self.kids)}
-        for name, column in columns.items():
-            object.__setattr__(self, name, column)
+    def __init__(self, marks: Iterable[str], values: Iterable[float], labels: Iterable[str | None],
+                 kids: Iterable[Iterable[int]]) -> None:
+        columns = {"marks": tuple(marks), "values": _tuple_of(float, values),
+                   "labels": tuple(labels), "kids": _tuple_of(tuple, kids)}
+        vars(self).update(columns)
         marks = self.marks
         if not marks or any(len(column) != len(marks) for column in columns.values()):
             raise ParameterError(f"tree columns need one non-zero length, got {[*map(len, columns.values())]}")
@@ -121,15 +120,15 @@ class TimeTree:
                     stack.append((k, level + 1, True))
 
 
-@dataclass(frozen=True)
-class TreeParams:
+class TreeParams(Record):
     """Induction parameters: relation direction, value polarity and arity."""
 
-    relation: str = "iambic"
-    polarity: str = "higher"
-    arity: str = "binary"
+    relation: str
+    polarity: str
+    arity: str
 
-    def __post_init__(self) -> None:
+    def __init__(self, relation: str = "iambic", polarity: str = "higher", arity: str = "binary") -> None:
+        vars(self).update(relation=relation, polarity=polarity, arity=arity)
         if self.relation not in _RELATIONS:
             raise ParameterError(f"relation must be one of {_RELATIONS}, got {self.relation!r}")
         if self.polarity not in _POLARITIES:
@@ -250,7 +249,7 @@ def induce_spectral_hierarchy(spec: Spectrum, params: TreeParams = TreeParams())
         raise DegenerateInputError("empty spectrum")
     z = zscore(spec.magnitudes)
     labeled = [(f"{f:g}Hz", float(v)) for f, v in zip(spec.freqs, z)]
-    return induce_time_tree(labeled, replace(params, polarity="higher"))
+    return induce_time_tree(labeled, TreeParams(**{**params._asdict(), "polarity": "higher"}))
 
 
 def tree_texts(tree: TimeTree, sexpr: list[str]) -> Iterator[dict]:
