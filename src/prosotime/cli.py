@@ -15,20 +15,21 @@ tone-gen); metrics, timetree and intonation run on the standard library.
 Each subcommand names every file it can write before it runs: `outputs`
 suffixes, the first its JSON report, after the input file's stem (or a fixed
 one).  Each handler is a pure function of args returning (report, summary,
-renders): renders maps the suffix of each CSV or SVG this input has to a
+renders): summary is a str, or a zero-argument callable giving the pieces it
+joins; renders maps the suffix of each CSV or SVG this input has to a
 zero-argument render of its text chunks, and a row-heavy report value (tree
 nodes, tone-gen targets, enumerated strings) is a lazy row source that the
 report writer reads a batch at a time.  Only run() writes: it writes each
 listed format's render or removes the stale file of a suffix with none, then
 streams the report last through _report_chunks, the one JSON writer (into
 nothing when json is not listed, so that it is still checked), then prints
-summary (a tree's is read from that render) and, under --json, renders the
-report again to stdout.  A non-finite report value is an AnalysisError while
-the report is written.  Every report carries the package version
-(`prosotime_version`).  A run that exits 1 removes every file of its names in
-the listed formats, so nothing an earlier run left there, and no part of this
-run's, reads as this run's result; a usage error (exit 2) leaves the output
-directory as it was.
+summary (a tree's, the pieces of its s-expression, is read from that render)
+and, under --json, renders the report again to stdout.  A non-finite report
+value is an AnalysisError while the report is written.  Every report carries
+the package version (`prosotime_version`).  A run that exits 1 removes every
+file of its names in the listed formats, so nothing an earlier run left
+there, and no part of this run's, reads as this run's result; a usage error
+(exit 2) leaves the output directory as it was.
 
 run() flushes stdout before it returns, so a stdout that cannot be written
 (a full device, a closed pipe) is an OSError of the run: one `error:` line,
@@ -89,6 +90,10 @@ def _float(x: float) -> str:
     return float.__repr__(x)
 
 
+class _Text(tuple):
+    """A str given as the pieces it joins, which the report writer escapes one at a time and never joins."""
+
+
 _SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: _float,
             bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
 
@@ -122,6 +127,11 @@ def _chunks(value, nl: str) -> Iterator[str]:
             yield from _chunks(value[key], inner)
             sep = ","
         yield "{}" if sep == "{" else nl + "}"
+    elif type(value) is _Text:  # JSON escapes each character alone, so piece by piece is the same text
+        yield '"'
+        for piece in value:
+            yield encode_basestring_ascii(piece)[1:-1]
+        yield '"'
     elif isinstance(value, (list, tuple)):
         yield from _list((value,), nl)
     else:  # a subclass of str, int or float is written as its base, as json does
@@ -166,9 +176,15 @@ def _items(batch, pad: str) -> str:
 
 
 def _column(values: list, pad: str) -> list[str]:
-    """The JSON texts of values at pad; a column of one scalar type is one map()."""
+    """The JSON texts of values at pad; a column of one scalar type is one map().
+
+    A float column is checked once and written by float.__repr__; one that
+    holds a NaN or an infinity is written by _float, which raises.
+    """
     kinds = set(map(type, values))
     if len(kinds) == 1 and (kind := kinds.pop()) in _SCALARS:
+        if kind is float and all(map(math.isfinite, values)):
+            return list(map(float.__repr__, values))
         return list(map(_SCALARS[kind], values))
     return [enc(v) if (enc := _SCALARS.get(type(v))) else "".join(_chunks(v, pad)) for v in values]
 
@@ -357,20 +373,19 @@ def _cmd_metrics(args) -> tuple[dict, str, dict]:
     return report, f"tier={tier_name} n={flat['n']} {line}", renders
 
 
-def _tree_artifacts(args, report: dict, induce, data) -> tuple[dict, Callable[[], str], dict]:
+def _tree_artifacts(args, report: dict, induce, data) -> tuple[dict, Callable[[], list[str]], dict]:
     """Shared tree emission: induce(data, params) under the tree flags; report items and SVG drawing."""
     from .svgplot import svg_timetree_chunks
     from .timetree import TreeParams, tree_texts
 
     params = TreeParams(relation=args.relation, polarity=args.polarity, arity=args.arity)
     tree = induce(data, params)
-    parts: list[str] = []  # the s-expression, written by each walk of the rows; "nodes" sorts before "sexpr"
-    report.update(params=params._asdict(), nodes=lambda: tree_texts(tree, parts),
-                  sexpr=lambda: "".join(parts))
-    return report, lambda: "".join(parts), {f"{args.subcommand}.svg": lambda: svg_timetree_chunks(tree)}
+    parts: list[str] = []  # the s-expression, written by each pass over the rows; "nodes" sorts before "sexpr"
+    report.update(params=params._asdict(), nodes=lambda: tree_texts(tree, parts), sexpr=lambda: _Text(parts))
+    return report, lambda: parts, {f"{args.subcommand}.svg": lambda: svg_timetree_chunks(tree)}
 
 
-def _cmd_timetree(args) -> tuple[dict, Callable[[], str], dict]:
+def _cmd_timetree(args) -> tuple[dict, Callable[[], list[str]], dict]:
     from .timetree import induce_time_tree
 
     tier_name, seq, exclude = _tier_durations(args)
@@ -380,7 +395,7 @@ def _cmd_timetree(args) -> tuple[dict, Callable[[], str], dict]:
     return _tree_artifacts(args, report, induce_time_tree, seq)
 
 
-def _cmd_spectree(args) -> tuple[dict, Callable[[], str], dict]:
+def _cmd_spectree(args) -> tuple[dict, Callable[[], list[str]], dict]:
     from .aems import aems as run_aems
     from .audio import open_wav
     from .timetree import induce_spectral_hierarchy
@@ -633,7 +648,7 @@ def run(argv: list[str] | None = None) -> int:
         if report_suffix not in listed:  # still checked, and still read for a summary that needs it
             for _ in _report_chunks(report):
                 pass
-        print(summary() if callable(summary) else summary)
+        print(*(summary() if callable(summary) else [summary]), sep="")
         if args.json and sys.stdout is not None:  # None without fd 1, where print() writes nothing too
             sys.stdout.writelines(_report_chunks(report))
         _flush_stdout()

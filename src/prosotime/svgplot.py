@@ -45,6 +45,7 @@ _W, _H = 640.0, 360.0  # document size of every plot but the two below
 _HEATMAP_H = 120.0  # the heatmap is one 640-wide row
 _SQUARE = 420.0  # the quadrant scatter is square
 _ROWS = 4096  # rows per formatted batch
+_NODES = 128  # time-tree nodes per formatted chunk
 
 
 def _fmt(x: float) -> str:
@@ -223,18 +224,21 @@ def svg_f0_track(track: F0Track, models: Sequence[PolyContourModel] = ()) -> str
 
 
 def svg_f0_track_chunks(track: F0Track, models: Sequence[PolyContourModel] = ()) -> Iterator[str]:
-    """`svg_f0_track` as text chunks."""
+    """`svg_f0_track` as text chunks; the voiced frames are read _ROWS frames at a time, never copied whole."""
     import numpy as np
 
-    ts, vs = track.voiced_frames()
+    times, f0 = track.times_s, track.f0_hz
     t_lo, t_hi, v_lo, v_hi = 0.0, 1.0, 0.0, 1.0
-    if len(ts):
-        t_lo, t_hi = track.times_s[[0, -1]].tolist()
-        v_lo, v_hi = vs.min().item() * 0.9, vs.max().item() * 1.1
+    if len(f0) and not math.isnan(f0_min := np.fmin.reduce(f0).item()):  # fmin skips the unvoiced NaNs
+        t_lo, t_hi = times[[0, -1]].tolist()
+        v_lo, v_hi = f0_min * 0.9, np.fmax.reduce(f0).item() * 1.1
     frame = _Frame(t_lo, t_hi, v_lo, v_hi, 50, 20, _W - 70, _H - 70)
+    dot = _circle("%.3f", "%.3f", "2", _ACCENT)
     yield _head(_W, _H, "F0 track with polynomial contour models")
-    yield from _rows(_circle("%.3f", "%.3f", "2", _ACCENT), len(ts),
-                     lambda a, b: (frame.x(ts[a:b]), frame.y(vs[a:b])))
+    for a in range(0, len(f0), _ROWS):
+        voiced = ~np.isnan(f0[a:a + _ROWS])
+        ts, vs = times[a:a + _ROWS][voiced], f0[a:a + _ROWS][voiced]
+        yield from _rows(dot, len(ts), lambda c, d: (frame.x(ts[c:d]), frame.y(vs[c:d])))
     for model in models:
         lo, hi = (t_lo, t_hi) if model.domain is None else (model.domain.start_s, model.domain.end_s)
         xs = np.linspace(lo, hi, 100)
@@ -253,38 +257,60 @@ def svg_timetree(tree: TimeTree) -> str:
 
 
 def svg_timetree_chunks(tree: TimeTree) -> Iterator[str]:
-    """`svg_timetree` as text chunks."""
-    depth = max(1, max(level for _, level, _ in tree.walk()))  # the deepest node is a leaf
+    """`svg_timetree` as text chunks, one per _NODES nodes in postorder.
+
+    A chunk is one % of the templates of its nodes' shapes (a leaf, or an
+    internal node of so many children, and its mark) over their fields: each
+    node's x, formatted once, its label, and the y of its level and of its
+    children's, each level's formatted once per chunk.  In postorder a node's
+    children are the last of the nodes drawn whose parent is not yet, and it
+    takes their place.
+    """
+    from .timetree import _order
+
+    order, levels = _order(tree, preorder=False)
+    marks, labels, offsets = tree._marks, tree.labels, tree._offsets
+    depth = max(1, max(levels))  # the deepest node is a leaf
     px, py, pw, ph = 30.0, 30.0, _W - 60.0, _H - 90.0
-    slot = pw / sum(not kids for kids in tree.kids)
+    slot = pw / (len(labels) - labels.count(None))  # leaves, which alone have labels
     label_y, tick_y = _fmt(py + ph + 20), _fmt(py + ph + 6)
     ring = f' stroke="{_FG}" stroke-width="1"'
-    # x, formatted x and formatted y of each node drawn whose parent is not yet: in
-    # postorder a parent's children are the last of them, and it takes their place
-    drawn: list[tuple[float, str, str]] = []
+    leaf = _text("%s", label_y, "%s") + _line("%s", "%s", "%s", tick_y, _GRID, "1")
+    edge = _line("%s", "%s", "%s", "%s", _FG, "1.2")
+    templates = {}  # (children, mark) -> the node's template
+    xs, fxs = [], []  # x and formatted x of each node drawn whose parent is not yet
     next_leaf = 0
     yield _head(_W, _H, "metrical time tree")
-    for node, level, entering in tree.walk():
-        if entering:
-            continue
-        kids = tree.kids[node]
-        y = py + ph * (level / depth)
-        if not kids:
-            x = px + (next_leaf + 0.5) * slot
-            next_leaf += 1
-            fx, fy = _fmt(x), _fmt(y)
-            yield _text(fx, label_y, _escape(tree.labels[node]))
-            yield _line(fx, fy, fx, tick_y, _GRID, "1")
-        else:
-            children = drawn[-len(kids):]
-            del drawn[-len(kids):]
-            x = sum(kid[0] for kid in children) / len(kids)
-            fx, fy = _fmt(x), _fmt(y)
-            yield from (_line(fx, fy, kfx, kfy, _FG, "1.2") for _, kfx, kfy in children)
-        weight = "bold" if tree.marks[node] in ("s", "r") else "normal"
-        yield _circle(fx, fy, "8", "#ffffff", ring)
-        yield _text(fx, _fmt(y + 4), _escape(tree.marks[node]), 11, weight=weight)
-        drawn.append((x, fx, fy))
+    for start in range(0, len(order), _NODES):
+        block = order[start:start + _NODES]
+        ys = {}  # level -> formatted y, y + 4 and the y of the level below
+        for level in set(map(levels.__getitem__, block)):
+            y = py + ph * (level / depth)
+            ys[level] = _fmt(y), _fmt(y + 4), _fmt(py + ph * ((level + 1) / depth))
+        shapes, fields = [], []
+        for node in block:
+            fy, fy4, kid_fy = ys[levels[node]]
+            kids = offsets[node + 1] - offsets[node]
+            if not kids:
+                x = px + (next_leaf + 0.5) * slot
+                fx = "%.3f" % x  # _fmt(x), without the call
+                next_leaf += 1
+                fields += (fx, _escape(labels[node]), fx, fy, fx)
+            else:
+                x = sum(xs[-kids:]) / kids
+                fx = "%.3f" % x
+                for kid_fx in fxs[-kids:]:
+                    fields += (fx, fy, kid_fx, kid_fy)
+                del xs[-kids:], fxs[-kids:]
+            fields += (fx, fy, fx, fy4)
+            xs.append(x)
+            fxs.append(fx)
+            shapes.append((kids, marks[node]))
+        for kids, mark in set(shapes).difference(templates):
+            weight = "bold" if mark in ("s", "r") else "normal"
+            templates[kids, mark] = (edge * kids if kids else leaf) + _circle("%s", "%s", "8", "#ffffff", ring) \
+                + _text("%s", "%s", mark, 11, weight=weight)
+        yield "".join(map(templates.__getitem__, shapes)) % tuple(fields)
     yield "</svg>\n"
 
 

@@ -10,16 +10,20 @@ beside the nodes the pass before it made, and induction is linear in the
 number of items however many passes a sequence needs.
 
 The same machinery applied to z-scored spectrum magnitudes yields a
-hierarchical segmentation of a spectrum into dominance regions.  One walk
-yields a tree's report rows and writes its s-expression.
+hierarchical segmentation of a spectrum into dominance regions.  A tree is
+held as flat columns; one depth-first pass (_order) lists its nodes in
+preorder or postorder with each node's level, and the report rows, the
+s-expression and the SVG read that list a block of nodes at a time.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from itertools import chain
-from typing import TYPE_CHECKING, Iterable, Iterator
+from collections.abc import Sequence
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import not_
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from ._record import Record
 from .errors import DegenerateInputError, ParameterError
@@ -39,27 +43,56 @@ __all__ = [
 ]
 
 _MARKS = ("r", "s", "w")
+_R, _S, _W = b"rsw"
 _RELATIONS = ("iambic", "trochaic")
 _POLARITIES = ("higher", "lower")
 _ARITIES = ("binary", "nary")
-_PARTS = 1024  # s-expression pieces that tree_texts holds before joining them
+_BLOCK = 256  # nodes whose report rows and s-expression are formatted together
 
 
-def _tuple_of(kind: type, column) -> tuple:
-    """column as a tuple of kind items: itself if it is one, so that a large table is not copied."""
-    if type(column) is tuple and set(map(type, column)) <= {kind}:
-        return column
-    return tuple(map(kind, column))
+class _View(Sequence):
+    """A read-only view of a tree column: item i is get(i); it equals, hashes and prints as the tuple of its items."""
+
+    __slots__ = ("_get", "_n")
+
+    def __init__(self, get: Callable[[int], object], n: int) -> None:
+        self._get, self._n = get, n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._get, range(self._n)[i]))
+        return self._get(range(self._n)[i])
+
+    def __iter__(self) -> Iterator:
+        return map(self._get, range(self._n))
+
+    def __eq__(self, other: object) -> bool:
+        return tuple(self) == (tuple(other) if isinstance(other, _View) else other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 class TimeTree(Record):
-    """A time tree as a node table: four parallel tuples indexed by node id.
+    """A time tree as a node table, indexed by node id, in flat columns.
 
     A node lists its children's ids left to right, each below its own id,
     and the root is the last node.  Leaves carry a label and the item's
     value; internal nodes carry no label, >= 2 marked children, exactly one
     of them strong, and the strong child's value as their own.  The root is
     marked "r", every other node "s" or "w".
+
+    The columns are a str of one mark per node, the values in array("d"),
+    the `labels` tuple (None on internal nodes), and the children of node i
+    as `_children[_offsets[i]:_offsets[i + 1]]`, two arrays of ids.
+    `marks`, `values` and `kids` are read-only views that index, iterate,
+    compare, hash and print as the tuples the table was built from.
     """
 
     marks: tuple[str, ...]
@@ -69,37 +102,45 @@ class TimeTree(Record):
 
     def __init__(self, marks: Iterable[str], values: Iterable[float], labels: Iterable[str | None],
                  kids: Iterable[Iterable[int]]) -> None:
-        columns = {"marks": tuple(marks), "values": _tuple_of(float, values),
-                   "labels": tuple(labels), "kids": _tuple_of(tuple, kids)}
-        vars(self).update(columns)
-        marks = self.marks
-        if not marks or any(len(column) != len(marks) for column in columns.values()):
-            raise ParameterError(f"tree columns need one non-zero length, got {[*map(len, columns.values())]}")
-        for node, (mark, value, label, children) in enumerate(zip(*columns.values())):
+        marks, values, labels, kids = tuple(marks), array("d", map(float, values)), tuple(labels), [*map(tuple, kids)]
+        lengths = [*map(len, (marks, values, labels, kids))]
+        if not marks or lengths.count(len(marks)) != 4:
+            raise ParameterError(f"tree columns need one non-zero length, got {lengths}")
+        for mark in marks:
             if mark not in _MARKS:
                 raise ParameterError(f"mark must be one of {_MARKS}, got {mark!r}")
-            if not math.isfinite(value):
-                raise ParameterError(f"node value must be finite, got {value!r}")
-            if (label is not None) if children else not isinstance(label, str):  # a str on every leaf, None elsewhere
-                raise ParameterError("internal nodes carry no label" if children else "leaf nodes need a label string")
-            if not children:
-                continue
-            if len(children) < 2:
-                raise ParameterError("internal nodes need >= 2 children")
-            if not all(0 <= k < node for k in children):
-                raise ParameterError(f"node {node} has a child whose id is not below its own")
-            child_marks = [marks[k] for k in children]
-            if child_marks.count("s") != 1 or "r" in child_marks:
-                raise ParameterError(f"children must contain exactly one 's' and otherwise 'w', got {child_marks}")
-        parents = bytearray(len(marks))  # 1 for each node seen as a child so far
-        for k in chain.from_iterable(self.kids):
-            if parents[k]:
-                raise ParameterError("every node but the root, the last, needs exactly one parent")
-            parents[k] = 1
-        if parents.count(0) != 1:  # the root is no child (ids run below their parents'), so every other node is
-            raise ParameterError("every node but the root, the last, needs exactly one parent")
-        if marks[-1] != "r":
-            raise ParameterError(f"the root, the last node, must be marked 'r', got {marks[-1]!r}")
+        try:
+            children = array("i", chain.from_iterable(kids))
+        except OverflowError:  # an id no node has
+            node = next(node for node, ks in enumerate(kids) if not all(0 <= k < node for k in ks))
+            raise ParameterError(f"node {node} has a child whose id is not below its own") from None
+        self._fill("".join(marks), values, labels, array("i", accumulate(map(len, kids), initial=0)), children)
+
+    @classmethod
+    def _of(cls, marks: str, values: array, labels: tuple, offsets: array, children: array) -> TimeTree:
+        """The tree over columns, checked as the constructor checks them."""
+        tree = cls.__new__(cls)
+        tree._fill(marks, values, labels, offsets, children)
+        return tree
+
+    def _fill(self, marks: str, values: array, labels: tuple, offsets: array, children: array) -> None:
+        fault = _fault(marks, values, labels, offsets, children)
+        if fault:
+            raise ParameterError(fault)
+        vars(self).update(_marks=marks, _values=values, labels=labels, _offsets=offsets, _children=children)
+
+    @property
+    def marks(self) -> _View:
+        return _View(self._marks.__getitem__, len(self._marks))
+
+    @property
+    def values(self) -> _View:
+        return _View(self._values.__getitem__, len(self._values))
+
+    @property
+    def kids(self) -> _View:
+        offsets, children = self._offsets, self._children
+        return _View(lambda i: tuple(children[offsets[i]:offsets[i + 1]]), len(offsets) - 1)
 
     def walk(self) -> Iterator[tuple[int, int, bool]]:
         """Depth-first (node id, level, entering) events from the root, left to right.
@@ -109,15 +150,85 @@ class TimeTree(Record):
         walk keeps an explicit stack: tree depth is not bounded by Python's
         recursion limit.
         """
-        kids = self.kids
-        stack = [(len(kids) - 1, 0, True)]
+        offsets, children = self._offsets, self._children
+        stack = [(len(offsets) - 2, 0, True)]
         while stack:
             node, level, entering = event = stack.pop()
             yield event
             if entering:
                 stack.append((node, level, False))
-                for k in reversed(kids[node]):
-                    stack.append((k, level + 1, True))
+                stack.extend((k, level + 1, True) for k in reversed(children[offsets[node]:offsets[node + 1]]))
+
+
+def _fault(marks: str, values: array, labels: tuple, offsets: array, children: array) -> str | None:
+    """Why the columns are no tree, or None; marks are r, s or w, and there are as many of them as values and labels.
+
+    The values are checked first, then each node in id order (its label, then
+    its children: at least two, ids below its own, exactly one marked 's' and
+    the rest 'w'), then the parents and the root's mark.
+    """
+    node = next(compress(count(), map(not_, map(math.isfinite, values))), None)
+    if node is not None:
+        return f"node value must be finite, got {values[node]!r}"
+    for node, (label, a, b) in enumerate(zip(labels, offsets, islice(offsets, 1, None))):
+        if a == b:
+            if not isinstance(label, str):
+                return "leaf nodes need a label string"
+            continue
+        if label is not None:
+            return "internal nodes carry no label"
+        if b - a < 2:
+            return "internal nodes need >= 2 children"
+        if b - a == 2:  # a pair, the usual node: read without a slice
+            k, j = children[a], children[a + 1]
+            below = 0 <= k < node and 0 <= j < node
+        else:
+            kids = children[a:b]
+            below = 0 <= min(kids) and max(kids) < node
+        if not below:
+            return f"node {node} has a child whose id is not below its own"
+        got = marks[k] + marks[j] if b - a == 2 else "".join(map(marks.__getitem__, kids))
+        if got.count("s") != 1 or "r" in got:
+            return f"children must contain exactly one 's' and otherwise 'w', got {[*got]}"
+    n = len(marks)
+    parents = bytearray(n)  # 1 for each node seen as a child so far
+    for k in children:
+        if parents[k]:
+            return "every node but the root, the last, needs exactly one parent"
+        parents[k] = 1
+    if parents.count(0) != 1:  # the root is no child (ids run below their parents'), so every other node is
+        return "every node but the root, the last, needs exactly one parent"
+    if marks[-1] != "r":
+        return f"the root, the last node, must be marked 'r', got {marks[-1]!r}"
+    return None
+
+
+def _order(tree: TimeTree, preorder: bool) -> tuple[array, array]:
+    """The tree's node ids in preorder (else postorder), and each node's level by id.
+
+    One depth-first pass from the root.  For the postorder it visits each
+    node's children right to left and reverses what it listed: a node then
+    follows its subtree, the subtrees left to right.
+    """
+    offsets, children = tree._offsets, tree._children
+    n = len(offsets) - 1
+    order, levels = array("i"), array("i", bytes(4 * n))
+    stack = [n - 1]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        a, b = offsets[node], offsets[node + 1]
+        if a != b:
+            kids = children[a:b]
+            level = levels[node] + 1
+            for k in kids:
+                levels[k] = level
+            if preorder:
+                kids.reverse()  # the leftmost child is popped first
+            stack.extend(kids)
+    if not preorder:
+        order.reverse()
+    return order, levels
 
 
 class TreeParams(Record):
@@ -153,10 +264,10 @@ def induce_time_tree(
     A joined node keeps its strong child's value, so after the first pass
     only the pairs beside the nodes the previous pass made can hold; each
     pass walks just those, over a doubly linked list of the current items.
-    Each join appends its node to the tree's table, so the last is the root.
+    Each join appends its node to the tree's columns, so the last is the root.
     """
-    labels: list[str | None] = []
-    values: list[float] = []
+    labels: list[str] = []
+    values = array("d")
     for label, value in seq:  # a pair at a time: a DurationSequence builds each as it is read
         labels.append(str(label))
         values.append(float(value))
@@ -164,9 +275,9 @@ def induce_time_tree(
         raise DegenerateInputError("cannot induce a tree over an empty sequence")
 
     n = len(values)
-    marks = ["w"] * n
-    kids: list[tuple[int, ...]] = [()] * n
-    prev, nxt = array("q", range(-1, n - 1)), array("q", range(1, n + 1))  # -1: no neighbour
+    marks = bytearray(b"w") * n  # a node is 'w' until it is joined as the strong child or is the root
+    offsets, children = array("i", bytes(4 * (n + 1))), array("i")
+    prev, nxt = array("i", range(-1, n - 1)), array("i", range(1, n + 1))  # -1: no neighbour
     nxt[-1] = -1
     sign = 1.0 if params.polarity == "higher" else -1.0
     iambic = params.relation == "iambic"
@@ -176,14 +287,13 @@ def induce_time_tree(
         a, b = sign * values[left], sign * values[right]
         return a < b if iambic else a > b
 
-    def join(group: list[int], s_index: int, mark: str) -> int:
-        """Add a node in place of group (marking its children) and return its id."""
-        for k, node in enumerate(group):
-            marks[node] = "s" if k == s_index else "w"
-        labels.append(None)
+    def join(group: list[int], s_index: int, mark: int) -> int:
+        """Add a node in place of group (marking its strong child) and return its id."""
+        marks[group[s_index]] = _S
         values.append(values[group[s_index]])
         marks.append(mark)
-        kids.append(tuple(group))
+        children.extend(group)
+        offsets.append(len(children))
         node, before, after = len(values) - 1, prev[group[0]], nxt[group[-1]]
         prev.append(before)
         nxt.append(after)
@@ -194,7 +304,7 @@ def induce_time_tree(
         return node
 
     # left items of the holding adjacent pairs, in sequence order
-    lefts = [k for k in range(n - 1) if holds(k, k + 1)]
+    lefts = array("i", [k for k in range(n - 1) if holds(k, k + 1)])
     while lefts:
         first, i, m = len(values), 0, len(lefts)
         while i < m:
@@ -205,10 +315,10 @@ def induce_time_tree(
                 if len(group) == cap:
                     break
                 group.append(nxt[group[-1]])
-            join(group, len(group) - 1 if iambic else 0, "w")
+            join(group, len(group) - 1 if iambic else 0, _W)
         # new nodes lie left to right, so their pairs come out in order; a
         # pair between two new nodes is taken once, as the left one's
-        lefts = []
+        lefts = array("i")
         for node in range(first, len(values)):
             before, after = prev[node], nxt[node]
             if 0 <= before < first and holds(before, node):
@@ -224,15 +334,12 @@ def induce_time_tree(
         items.append(node)
         node = nxt[node]
     if len(items) == 1:
-        marks[items[0]] = "r"
+        marks[items[0]] = _R
     else:  # several unjoinable roots: adjoin them, strongest (leftmost on ties) strong
-        join(items, max(range(len(items)), key=lambda k: sign * values[items[k]]), "r")
-    del prev, nxt, items  # freed before the table becomes the tree's tuples, a list at a time,
-    marks = tuple(marks)  # which TimeTree keeps uncopied
-    values = tuple(values)
-    labels = tuple(labels)
-    kids = tuple(kids)
-    return TimeTree(marks, values, labels, kids)
+        join(items, max(range(len(items)), key=lambda k: sign * values[items[k]]), _R)
+    del prev, nxt, items
+    labels = tuple(chain(labels, repeat(None, len(values) - n)))  # the leaves come first
+    return TimeTree._of(marks.decode(), values, labels, offsets, children)
 
 
 def induce_spectral_hierarchy(spec: Spectrum, params: TreeParams = TreeParams()) -> TimeTree:
@@ -253,39 +360,46 @@ def induce_spectral_hierarchy(spec: Spectrum, params: TreeParams = TreeParams())
 
 
 def tree_texts(tree: TimeTree, sexpr: list[str]) -> Iterator[dict]:
-    """The node rows of a tree's report, one walk that also writes its s-expression.
+    """The node rows of a tree's report, read in preorder, that also write its s-expression.
 
     Each row is {mark, value, parent} plus a leaf's label, its keys in sorted
     order, parent being the parent's row index (None at the root), in the
     order of the s-expression.  sexpr is emptied, then takes the s-expression
-    piece by piece as the rows are read; once the last row is, it holds the
-    whole s-expression as its one item.  The s-expression marks nodes r/s/w
-    and names leaves, without values; a bare root leaf is its label alone.
+    a piece per block of rows, before the block's rows are read; once the rows
+    are exhausted, its pieces joined are the whole s-expression.  The
+    s-expression marks nodes r/s/w and names leaves, without values; a bare
+    root leaf is its label alone.
     """
-    marks, values, labels, kids = tree.marks, tree.values, tree.labels, tree.kids
+    order, levels = _order(tree, preorder=True)
+    marks, values, labels = tree._marks, tree._values, tree.labels
     sexpr.clear()
-    parts: list[str] = []  # joined into sexpr every _PARTS pieces: a str per piece would outweigh the text
-    path: list[int | None] = [None]  # the rows of the current node's ancestors, by level, under the root's None parent
-    n = 0
-    for node, level, entering in tree.walk():
-        if not entering:
-            if kids[node]:
-                parts.append(")")
-            continue
-        del path[level + 1 :]
-        mark, gap = marks[node], " " if level else ""
-        if kids[node]:
-            parts.append(f"{gap}({mark}")
-            yield {"mark": mark, "parent": path[-1], "value": values[node]}
-        else:
-            parts.append(f"{gap}({mark} {labels[node]})")
-            yield {"label": labels[node], "mark": mark, "parent": path[-1], "value": values[node]}
-        path.append(n)
-        n += 1
-        if len(parts) >= _PARTS:
-            sexpr.append("".join(parts))
-            parts.clear()
-    sexpr[:] = ["".join([*sexpr, *parts]) if kids[-1] else labels[-1]]
+    if len(order) == 1:
+        sexpr.append(labels[0])
+        yield {"label": labels[0], "mark": marks[0], "parent": None, "value": values[0]}
+        return
+    path = array("i", bytes(4 * (max(levels) + 1)))  # the row of the current node's ancestor at each level
+    level = row = 0  # the level of the node before, and the next row
+    for start in range(0, len(order), _BLOCK):
+        block = order[start:start + _BLOCK]
+        rows, shapes, fields = [], [], []
+        for node, node_level in zip(block, map(levels.__getitem__, block)):
+            closes, level = ")" * (level - node_level), node_level  # the subtrees that end before node
+            path[level] = row
+            parent = path[level - 1] if level else None
+            row += 1
+            label, mark = labels[node], marks[node]
+            if label is None:
+                rows.append({"mark": mark, "parent": parent, "value": values[node]})
+                shapes.append("%s (%s")
+                fields += (closes, mark)
+            else:
+                rows.append({"label": label, "mark": mark, "parent": parent, "value": values[node]})
+                shapes.append("%s (%s %s)")
+                fields += (closes, mark, label)
+        piece = "".join(shapes) % tuple(fields)
+        sexpr.append(piece if start else piece[1:])  # the root's opening takes no space before it
+        yield from rows
+    sexpr.append(")" * level)
 
 
 def to_sexpr(tree: TimeTree) -> str:

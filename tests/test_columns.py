@@ -3,8 +3,9 @@
 The former object-per-row code is kept below as oracles: the CSV reader with an
 Interval per row, Tier's pairwise check, the tuple-of-points QuadrantStats,
 TimeTree's sorted-list parent check and the time-tree SVG renderer with a
-coordinate list per node.  The memory tests bound what metrics and timetree
-cost per interval.
+coordinate list per node.  A TimeTree built from tuples, and test_timetree's
+former serializers, are the oracles of the columnar tree.  The memory tests
+bound what metrics and timetree cost per interval.
 """
 
 import copy
@@ -17,6 +18,7 @@ from array import array
 from collections import Counter
 from dataclasses import FrozenInstanceError
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -38,9 +40,13 @@ from prosotime import (
     quadrant_analysis,
 )
 from prosotime.annot import _CSV_HEADER, OVERLAP_TOLERANCE_S, _csv_table, load_annotation
+from prosotime.cli import _report_chunks, _Text
 from prosotime.errors import AnalysisError
 from prosotime.rhythm import quadrant_to_csv
+from prosotime import svgplot, timetree
 from prosotime.svgplot import _FG, _GRID, _H, _W, _circle, _escape, _fmt, _head, _line, _text, svg_timetree
+from prosotime.timetree import tree_texts
+from test_timetree import REPORT, _encoded, _former_to_sexpr, _former_tree_to_dict
 
 ORACLE = settings(max_examples=400, derandomize=True, deadline=None)
 
@@ -345,14 +351,60 @@ class TestTimeTreeSvg:
 
 
 # ---------------------------------------------------------------------------
+# the columnar tree against a table of tuples and the former renderers
+# ---------------------------------------------------------------------------
+
+ALL_PARAMS = [TreeParams(r, p, a) for r in ("iambic", "trochaic") for p in ("higher", "lower")
+              for a in ("binary", "nary")]
+# labels that SVG and JSON escape, non-ASCII text, % (the templates' own sign) and the empty string
+TREE_LABELS = st.one_of(st.sampled_from(("", "&", "<", ">", '"', "a&b<c>\"d", "é", "音声", "\U0001f600", "%s", "%")),
+                        st.text(max_size=3))
+
+
+class TestColumnarTree:
+    @pytest.mark.parametrize("params", ALL_PARAMS, ids=lambda p: f"{p.relation}-{p.polarity}-{p.arity}")
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(pairs=st.lists(st.tuples(TREE_LABELS, st.sampled_from((0.1, 0.2, 0.3, 0.2 + 1e-9, 2.5))),
+                          min_size=1, max_size=30))
+    def test_matches_tuple_table_and_former_renderers(self, params, pairs):
+        tree = induce_time_tree(pairs, params)
+        columns = tuple(tree.marks), tuple(tree.values), tree.labels, tuple(tree.kids)
+        assert repr(tree) == "TimeTree(marks=%r, values=%r, labels=%r, kids=%r)" % columns
+        for twin in (TimeTree(*columns), pickle.loads(pickle.dumps(tree)), copy.copy(tree), copy.deepcopy(tree)):
+            assert repr(twin) == repr(tree) and twin == tree and tree == twin and hash(twin) == hash(tree)
+        svg = _former_svg_timetree(tree)
+        report = _encoded({**REPORT, "sexpr": _former_to_sexpr(tree), **_former_tree_to_dict(tree)})
+        # the default blocks, and blocks of 3 nodes, which split all but the smallest trees
+        for nodes, block in ((svgplot._NODES, timetree._BLOCK), (3, 3)):
+            with patch.object(svgplot, "_NODES", nodes), patch.object(timetree, "_BLOCK", block):
+                assert svg_timetree(tree) == svg
+                # the report as the CLI writes it: the rows, then the s-expression escaped piece by piece
+                parts = []
+                rows = {**REPORT, "nodes": lambda: tree_texts(tree, parts), "sexpr": lambda: _Text(parts)}
+                assert "".join(_report_chunks(rows)) == report
+
+    def test_views_read_as_tuples(self):
+        tree = TimeTree(["w", "s", "r"], [1, 2, 2], ["a", "b", None], [[], [], [0, 1]])
+        assert (tree.marks[-1], tree.values[1], tree.kids[2], tree.kids[-3]) == ("r", 2.0, (0, 1), ())
+        assert tree.marks[:2] == ("w", "s") and list(tree.kids) == [(), (), (0, 1)] and len(tree.values) == 3
+        assert tree.values == (1.0, 2.0, 2.0) and tree.values != [1.0, 2.0, 2.0] and "s" in tree.marks
+        with pytest.raises(IndexError):
+            tree.kids[3]
+        with pytest.raises(TypeError):
+            tree.values[0] = 5.0
+
+
+# ---------------------------------------------------------------------------
 # memory per interval
 # ---------------------------------------------------------------------------
 
 # Traced bytes per interval that cli.run may peak at, the same at 10**4 and 10**5
-# intervals.  Measured on CPython 3.11: metrics 126-129 and timetree 318-332.  The
-# former code peaked at 480 and 700; a Tier of Interval objects, at 280 and (kept
-# alive through induction, as the former CLI kept it) 458.
-BYTES_PER_INTERVAL = {"metrics": 200, "timetree": 400}
+# intervals.  Measured on CPython 3.11: metrics 126-129 and timetree 140 (10**5) to
+# 247 (10**4), with the tree in flat columns; 318-332 with a tuple per column and a
+# tuple of child ids per node.  The former code peaked at 480 and 700; a Tier of
+# Interval objects, at 280 and (kept alive through induction, as the former CLI kept
+# it) 458.
+BYTES_PER_INTERVAL = {"metrics": 200, "timetree": 300}
 
 
 @pytest.fixture(scope="module")
