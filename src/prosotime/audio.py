@@ -20,7 +20,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from ._record import Record
-from .errors import DegenerateInputError, FormatError, ParameterError, ParseError
+from .errors import DegenerateInputError, FormatError, ParameterError, ParseError, _positive
 
 __all__ = [
     "Waveform",
@@ -30,18 +30,6 @@ __all__ = [
     "write_wav_pcm16",
     "synthesize_am",
 ]
-
-
-def _positive(value, what, kind=float):
-    """kind(value), when that is finite and > 0; ParameterError otherwise."""
-    try:
-        v = kind(value)
-        ok = v > 0 and math.isfinite(v)
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
-        raise ParameterError(f"{what} must be finite and > 0, got {value}")
-    return v
 
 
 def _ms_to_samples(ms, rate, what) -> int:

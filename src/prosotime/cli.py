@@ -9,8 +9,8 @@ metrics and timetree read their annotation with annot.load_annotation, which
 decides whether the file is a TextGrid or CSV.
 
 Each handler imports the modules it runs, so a process loads numpy only for
-the subcommands that need it (aems, spectree, calibrate, f0, contour-fit and
-tone-gen); metrics, timetree and intonation run on the standard library.
+the subcommands that need it (aems, spectree, calibrate, f0 and contour-fit);
+metrics, timetree, intonation and tone-gen run on the standard library.
 
 Each subcommand names every file it can write before it runs: `outputs`
 suffixes, the first its JSON report, after the input file's stem (or a fixed
@@ -33,12 +33,14 @@ there, and no part of this run's, reads as this run's result; a usage error
 
 run() flushes stdout before it returns, so a stdout that cannot be written
 (a full device, a closed pipe) is an OSError of the run: one `error:` line,
-exit 1 and the listed files removed.  run() never exits the process, so
-embedders and tests call it.  main(), the console script, runs the atexit
-callbacks, flushes stdout and stderr and ends through os._exit, skipping the
-interpreter's teardown; nothing is left for it, as run() closes every file it
-writes and the CLI starts no threads.  Under a profiler or tracer main()
-exits through sys.exit, so that the interpreter's own exit can report.
+exit 1 and the listed files removed.  A summary that stdout's encoding
+cannot encode (a non-ASCII label under PYTHONIOENCODING=ascii) ends the same
+way.  run() never exits the process, so embedders and tests call it.
+main(), the console script, runs the atexit callbacks, flushes stdout and
+stderr and ends through os._exit, skipping the interpreter's teardown;
+nothing is left for it, as run() closes every file it writes and the CLI
+starts no threads.  Under a profiler or tracer main() exits through
+sys.exit, so that the interpreter's own exit can report.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from __future__ import annotations
 import argparse
 import atexit
 import contextlib
+import functools
 import math
 import os
 import re
@@ -407,7 +410,7 @@ def _cmd_spectree(args) -> tuple[dict, Callable[[], list[str]], dict]:
 
 
 def _cmd_tone_gen(args) -> tuple[dict, str, dict]:
-    from .fsm import TerracingParams, realize_pitch, synthesize_contour, transduce_tones
+    from .fsm import TerracingParams, _frames_per_target, realize_pitch, synthesize_contour, transduce_tones
     from .pitch import f0_track_csv_chunks
     from .svgplot import svg_f0_track_chunks
 
@@ -424,10 +427,10 @@ def _cmd_tone_gen(args) -> tuple[dict, str, dict]:
         "n_frames": 0,
     }
     renders = {}
-    if len(targets):
-        track = synthesize_contour(targets, tone_dur_ms=args.tone_dur_ms)
-        report["n_frames"] = len(track)
-        renders = {"f0.csv": lambda: f0_track_csv_chunks(track), "f0.svg": lambda: svg_f0_track_chunks(track)}
+    if len(targets):  # the refusals come now; the contour, only when a render asks for it
+        report["n_frames"] = len(targets) * _frames_per_target(targets, args.tone_dur_ms)
+        track = functools.cache(lambda: synthesize_contour(targets, tone_dur_ms=args.tone_dur_ms))
+        renders = {"f0.csv": lambda: f0_track_csv_chunks(track()), "f0.svg": lambda: svg_f0_track_chunks(track())}
     summary = (" ".join(phonetic) or "(empty)") + "\n" + " ".join(f"{hz:.1f}" for _, hz in targets.items)
     return report, summary, renders
 
@@ -655,7 +658,7 @@ def run(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (AnalysisError, OSError) as exc:
+    except (AnalysisError, OSError, UnicodeEncodeError) as exc:  # the last, a summary stdout cannot encode
         print(f"error: {exc}", file=sys.stderr)
         with contextlib.suppress(AnalysisError, OSError):  # the error above is the one to report
             for suffix in listed:

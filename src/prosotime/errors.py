@@ -5,6 +5,8 @@ CLI) can distinguish "your data/parameters made this impossible" from plain
 bugs.
 """
 
+import math
+
 
 class AnalysisError(Exception):
     """Base class for all toolkit errors."""
@@ -47,3 +49,15 @@ class ParseError(FormatError):
 
 class AlphabetError(ParameterError):
     """A symbol is not in the machine's alphabet for the given tape."""
+
+
+def _positive(value, what, kind=float):
+    """kind(value), when that is finite and > 0; ParameterError otherwise."""
+    try:
+        v = kind(value)
+        ok = v > 0 and math.isfinite(v)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ParameterError(f"{what} must be finite and > 0, got {value}")
+    return v

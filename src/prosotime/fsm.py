@@ -21,6 +21,9 @@ it accepts any accent sequence.
 
 from __future__ import annotations
 
+from array import array
+from itertools import chain, repeat
+from operator import mul
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ._record import Record
@@ -59,6 +62,7 @@ PITCH_ACCENTS = ("H*", "L*", "H*+L", "H+L*", "L*+H", "L+H*")
 # to length 7 (1.2e6 up to 9); 10 000 tones of 150 ms make 150 000 frames.
 MAX_STRINGS = 2_000_000
 MAX_CONTOUR_FRAMES = 10_000_000
+_HOP_S = 0.01  # the frame hop of a synthesized contour
 
 
 class Transition(Record):
@@ -417,24 +421,25 @@ def synthesize_contour(targets: PitchTargetSequence, tone_dur_ms: float = 150.0)
 
     Frame hop is 10 ms; each target contributes tone_dur_ms worth of voiced
     frames at its own frequency.  More than MAX_CONTOUR_FRAMES frames is a
-    ParameterError, raised before any is built.
+    ParameterError, raised before any is built.  The columns are the values
+    of np.repeat(targets_hz, per) and np.arange(n) * hop_s, built without numpy.
     """
-    import numpy as np  # recognition and enumeration never need numpy
-
     from .pitch import F0Track
 
+    per = _frames_per_target(targets, tone_dur_ms)
+    f0 = array("d", chain.from_iterable(map(repeat, targets.targets_hz, repeat(per))))
+    times = array("d", map(mul, range(len(f0)), repeat(_HOP_S)))  # k * hop_s, k converted to float exactly
+    return F0Track._of(times, f0, _HOP_S)
+
+
+def _frames_per_target(targets: PitchTargetSequence, tone_dur_ms: float) -> int:
+    """The frames each target of synthesize_contour holds, after its refusals."""
     if len(targets) == 0:
         raise DegenerateInputError("cannot synthesize a contour from zero targets")
     if tone_dur_ms <= 0:
         raise ParameterError(f"tone_dur_ms must be > 0, got {tone_dur_ms}")
-    hop_s = 0.01
-    per = max(1, round(tone_dur_ms / 1000.0 / hop_s))
+    per = max(1, round(tone_dur_ms / 1000.0 / _HOP_S))
     if len(targets) * per > MAX_CONTOUR_FRAMES:
         raise ParameterError(f"--tone-dur-ms {tone_dur_ms:g} makes {per:.3g} frames for each of {len(targets)} "
                              f"targets, more than the cap of {MAX_CONTOUR_FRAMES} in all")
-    f0 = np.repeat(targets.targets_hz, per)
-    times = np.arange(len(f0), dtype=np.float64)
-    times *= hop_s  # the values of np.arange(len(f0)) * hop_s, in place
-    for column in (times, f0):
-        column.setflags(write=False)  # fresh and read-only, so F0Track keeps them as they are
-    return F0Track(times_s=times, f0_hz=f0, hop_s=hop_s)
+    return per

@@ -10,17 +10,19 @@ inter-pausal unit (IPU).
 from __future__ import annotations
 
 import math
+from array import array
+from itertools import islice
+from operator import sub
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-
 from ._record import Record
-from .audio import Waveform, WavSource, _fold, _frozen_array, _leaves, _ms_to_samples, _positive, _ranges
-from .errors import DegenerateInputError, ParameterError, ParseError
+from .errors import DegenerateInputError, ParameterError, ParseError, _positive
 
-if TYPE_CHECKING:  # the tracker runs without aems and annot: imported where they are used
+if TYPE_CHECKING:  # numpy, audio and aems are imported where arrays are computed
+    import numpy as np
+
     from .aems import PolyFit
+    from .audio import Waveform, WavSource
 
 __all__ = [
     "F0Track",
@@ -37,47 +39,116 @@ __all__ = [
 
 
 class F0Track(Record, eq=False):
-    """Uniformly hopped F0 frames as read-only float64 arrays; NaN (or None
-    on input) marks an unvoiced frame."""
+    """Uniformly hopped F0 frames; NaN (or None on input) marks an unvoiced frame.
+
+    The frame times and F0 are held as two array("d") columns (_times and
+    _f0), so that a track is built, checked and written without numpy.
+    `times_s` and `f0_hz` give them as read-only float64 arrays: zero-copy
+    views, made on each access.
+    """
 
     times_s: np.ndarray
     f0_hz: np.ndarray
     hop_s: float
 
     def __init__(self, times_s: np.ndarray, f0_hz: np.ndarray, hop_s: float) -> None:
-        times = _frozen_array(times_s, "frame times", "finite", empty_ok=True)
-        # f0 >= the least positive float is f0 > 0
-        f0 = _frozen_array(f0_hz, "voiced f0", "finite and > 0",
-                           np.finfo(float).smallest_subnormal, empty_ok=True, nan_ok=True)
+        self._fill(_column(times_s, "frame times"), _column(f0_hz, "voiced f0"), hop_s)
+
+    @classmethod
+    def _of(cls, times: array, f0: array, hop_s: float) -> F0Track:
+        """The track over fresh columns, checked and kept without a copy."""
+        track = cls.__new__(cls)
+        track._fill(times, f0, hop_s)
+        return track
+
+    def _fill(self, times: array, f0: array, hop_s: float) -> None:
+        """Check the columns as the constructor does, then hold them.
+
+        Builtins over the columns decide; the exact rule of each check runs
+        only to name the first bad value.
+        """
+        if not math.isfinite(sum(times)):  # a NaN or an infinity, or a sum that overflows
+            bad = next((t for t in times if not math.isfinite(t)), None)
+            if bad is not None:
+                raise ParameterError(f"frame times must be finite, got {bad}")
+        voiced = _f0_range(f0)
+        if voiced and not (0.0 < voiced[0] and voiced[1] < math.inf):
+            bad = next(v for v in f0 if not (0.0 < v < math.inf or v != v))
+            raise ParameterError(f"voiced f0 must be finite and > 0, got {bad}")
         if len(times) != len(f0):
             raise ParameterError(f"{len(times)} times vs {len(f0)} f0 values")
         h = _positive(hop_s, "hop_s")
-        # math.isclose(step, h, rel_tol=1e-6, abs_tol=1e-9) for _LEAF steps at
-        # a time; like isclose, no infinite step is close to a finite h
-        for lo in range(0, len(times) - 1, _LEAF):
-            with np.errstate(over="ignore"):
-                step = np.diff(times[lo : lo + _LEAF + 1])
-            close = np.abs(step - h) <= np.maximum(1e-6 * np.maximum(np.abs(step), h), 1e-9)
-            close &= np.isfinite(step)
-            if not close.all():
-                i = int(np.argmin(close))
-                raise ParameterError(
-                    f"frame times must advance uniformly by hop_s={h}, "
-                    f"got step {float(step[i])} at t={float(times[lo + i])}"
-                )
-        vars(self).update(times_s=times, f0_hz=f0, hop_s=h)
+
+        def close(step: float) -> bool:  # like isclose, no infinite step is close to a finite h
+            return math.isclose(step, h, rel_tol=1e-6, abs_tol=1e-9)
+
+        # the steps close to h form one interval, so the least and the greatest step decide;
+        # the times are finite, so a step is finite or, where it overflows, infinite
+        if len(times) > 1:
+            view = memoryview(times)
+            if not (close(min(map(sub, view[1:], view))) and close(max(map(sub, view[1:], view)))):
+                bad = next(((k, step) for k, step in enumerate(map(sub, view[1:], view)) if not close(step)), None)
+                if bad is not None:
+                    raise ParameterError(f"frame times must advance uniformly by hop_s={h}, "
+                                         f"got step {bad[1]} at t={times[bad[0]]}")
+        vars(self).update(_times=times, _f0=f0, hop_s=h)
+
+    @property
+    def times_s(self) -> np.ndarray:
+        return _ndarray(self._times)
+
+    @property
+    def f0_hz(self) -> np.ndarray:
+        return _ndarray(self._f0)
 
     def __len__(self) -> int:
-        return len(self.times_s)
+        return len(self._times)
 
     @property
     def voiced_count(self) -> int:
-        return int(np.count_nonzero(~np.isnan(self.f0_hz)))
+        return len(self._f0) - sum(map(math.isnan, self._f0))
 
     def voiced_frames(self) -> tuple[np.ndarray, np.ndarray]:
         """(times, f0) arrays of the voiced frames only."""
-        voiced = ~np.isnan(self.f0_hz)
-        return self.times_s[voiced], self.f0_hz[voiced]
+        import numpy as np
+
+        times, f0 = self.times_s, self.f0_hz
+        voiced = ~np.isnan(f0)
+        return times[voiced], f0[voiced]
+
+
+def _column(values, what: str) -> array:
+    """values as a new array("d"), None read as NaN; an ndarray is converted as numpy converts it."""
+    if hasattr(values, "__array__"):  # numpy is loaded already
+        import numpy as np
+
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim == 1:
+            return array("d", values.tobytes())
+    else:
+        try:
+            return array("d", [math.nan if v is None else v for v in values])
+        except TypeError:  # no sequence of numbers
+            pass
+    raise DegenerateInputError(f"{what} must form a non-empty 1-D array")
+
+
+def _ndarray(column: array) -> np.ndarray:
+    """A read-only float64 array over column, sharing its memory."""
+    import numpy as np
+
+    return np.frombuffer(memoryview(column).toreadonly(), dtype=np.float64)
+
+
+def _f0_range(f0: array) -> tuple[float, float] | None:
+    """The least and the greatest voiced F0, or None when no frame is voiced.
+
+    min and max pass over a NaN after their first value, so they start at the first voiced frame.
+    """
+    first = next((k for k, v in enumerate(f0) if v == v), len(f0))
+    if first == len(f0):
+        return None
+    return min(islice(f0, first, None)), max(islice(f0, first, None))
 
 
 class IPU(Record):
@@ -113,7 +184,7 @@ class PolyContourModel(Record):
 
 
 _BLOCK_FRAMES = 64  # frames per batched FFT: bounds the work arrays to about 2 MB at the defaults
-_LEAF = 1 << 13  # samples squared at once by the track and IPU frame RMS, frames listed by the CSV, hops F0Track checks
+_LEAF = 1 << 13  # samples squared at once by the track and IPU frame RMS
 
 
 def estimate_f0_autocorr(
@@ -134,6 +205,11 @@ def estimate_f0_autocorr(
     whose samples are decoded once, a block at a time, after the parameters
     are checked; the voicing decision waits for the whole track's RMS.
     """
+    import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    from .audio import _fold, _leaves, _ms_to_samples, _ranges
+
     if not 0 < fmin < fmax:
         raise ParameterError(f"need 0 < fmin < fmax, got {fmin}, {fmax}")
     if not 0.0 <= voicing_ratio <= 1.0:
@@ -241,8 +317,6 @@ def estimate_f0_autocorr(
     track_rms = float(np.sqrt(_fold(iter(sums), n, _LEAF) / n))  # np.mean(x**2), bit for bit
     f0[(track_rms == 0.0) | (rms_all < 0.01 * track_rms) | (peak_all < voicing_ratio)] = np.nan  # unvoiced
     times = (np.arange(n_frames) * hop_len + frame_len / 2) / rate
-    for fresh in (times, f0):  # read-only, so that F0Track need not copy them
-        fresh.setflags(write=False)
     return F0Track(times_s=times, f0_hz=f0, hop_s=hop_len / rate)
 
 
@@ -258,6 +332,10 @@ def _block_frame_rms(blocks, n, frame_len):
     reduces on its own, so the batches change no bit of
     np.sqrt(np.mean(frames**2, axis=1)).
     """
+    import numpy as np
+
+    from .audio import _ranges
+
     n_frames = n // frame_len
     rows = max(1, _LEAF // frame_len)
     starts = range(0, n_frames, rows)
@@ -287,6 +365,8 @@ def segment_ipus(
             "need a finite silence_db and finite min_pause_ms, min_ipu_ms >= 0, "
             f"got {silence_db}, {min_pause_ms}, {min_ipu_ms}"
         )
+    import numpy as np
+
     frame_len = max(1, round(0.010 * wave.rate))
     rms = _block_frame_rms(wave.blocks(), len(wave), frame_len)
     peak = float(np.max(rms, initial=0.0))
@@ -327,7 +407,7 @@ def fit_contour(track: F0Track, degree: int, domain: IPU | None = None) -> PolyC
         ts, vs = ts[keep], vs[keep]
         origin = domain.start_s
     else:
-        origin = track.times_s[0] if len(track) else 0.0
+        origin = track._times[0] if len(track) else 0.0
     if len(ts) < degree + 1:
         raise DegenerateInputError(
             f"{len(ts)} voiced frames cannot constrain a degree-{degree} fit"
@@ -349,11 +429,16 @@ def f0_track_to_csv(track: F0Track) -> str:
 
 
 def f0_track_csv_chunks(track: F0Track) -> Iterator[str]:
-    """`f0_track_to_csv` as text chunks, one line each; frames are listed _LEAF at a time."""
+    """`f0_track_to_csv` as text chunks, one line each; a run of equal F0 values is formatted once.
+
+    Equal voiced F0 values, which are positive, have equal bits and so equal reprs.
+    """
     yield "time_s,f0_hz\n"
-    for lo in range(0, len(track), _LEAF):
-        for t, v in zip(track.times_s[lo : lo + _LEAF].tolist(), track.f0_hz[lo : lo + _LEAF].tolist()):
-            yield f"{t!r},\n" if math.isnan(v) else f"{t!r},{v!r}\n"
+    last, tail = None, ""
+    for t, v in zip(track._times, track._f0):
+        if v != last:  # and at every NaN
+            last, tail = v, ",\n" if v != v else f",{v!r}\n"
+        yield f"{t!r}{tail}"
 
 
 def parse_f0_csv(text: str | bytes, source: str = "<f0 csv>") -> F0Track:
@@ -374,8 +459,7 @@ def _f0_track(lines: Iterable[str]) -> F0Track:
     """parse_f0_csv of the lines of a table, which end at LF; contour-fit reads its file through it."""
     from .annot import _csv_table
 
-    times: list[float] = []
-    f0: list[float] = []
+    times, f0 = array("d"), array("d")
     for row_no, row in _csv_table(lines, ("time_s", "f0_hz")):
         # an empty f0 marks an unvoiced frame, as NaN; no text may give NaN itself
         f_raw = row[1].strip()
@@ -389,7 +473,7 @@ def _f0_track(lines: Iterable[str]) -> F0Track:
         f0.append(v)
     hop = times[1] - times[0] if len(times) >= 2 else 0.01
     try:
-        return F0Track(times_s=times, f0_hz=f0, hop_s=hop)
+        return F0Track._of(times, f0, hop)
     except ParameterError as exc:
         raise ParseError(str(exc)) from None
 

@@ -9,15 +9,17 @@ in the document's metadata.
 Each `svg_<plot>_chunks` yields a document as text chunks, built as they are
 consumed, so that a large plot can be streamed to disk; `svg_<plot>` joins them.
 
-The spectrum, heatmap and F0-track renderers import numpy (and the heatmap
+The spectrum and heatmap renderers import numpy (and the heatmap
 `aems.zscore`) only when called and format their rows in batches (`_rows`);
-the time-tree and quadrant renderers need only the standard library.
+the F0-track renderer imports it only to draw contour models, and the
+time-tree and quadrant renderers need only the standard library.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
+from itertools import chain, compress, islice
+from operator import eq, ne
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 if TYPE_CHECKING:
@@ -224,25 +226,49 @@ def svg_f0_track(track: F0Track, models: Sequence[PolyContourModel] = ()) -> str
 
 
 def svg_f0_track_chunks(track: F0Track, models: Sequence[PolyContourModel] = ()) -> Iterator[str]:
-    """`svg_f0_track` as text chunks; the voiced frames are read _ROWS frames at a time, never copied whole."""
-    import numpy as np
+    """`svg_f0_track` as text chunks, one per _ROWS frames.
 
-    times, f0 = track.times_s, track.f0_hz
+    The dots are computed from the track's columns a block at a time, with
+    Python floats and the operations of _Frame.x and _Frame.y.  In a block
+    made mostly of runs of equal F0 values, which have equal bits, each
+    value's y is formatted once.  numpy is imported only for the model
+    polylines.
+    """
+    from .pitch import _f0_range
+
+    times, f0 = track._times, track._f0
     t_lo, t_hi, v_lo, v_hi = 0.0, 1.0, 0.0, 1.0
-    if len(f0) and not math.isnan(f0_min := np.fmin.reduce(f0).item()):  # fmin skips the unvoiced NaNs
-        t_lo, t_hi = times[[0, -1]].tolist()
-        v_lo, v_hi = f0_min * 0.9, np.fmax.reduce(f0).item() * 1.1
+    if voiced := _f0_range(f0):
+        t_lo, t_hi = times[0], times[-1]
+        v_lo, v_hi = voiced[0] * 0.9, voiced[1] * 1.1
     frame = _Frame(t_lo, t_hi, v_lo, v_hi, 50, 20, _W - 70, _H - 70)
-    dot = _circle("%.3f", "%.3f", "2", _ACCENT)
+    px, x0, x_span, pw = frame.px, frame.x0, frame.x_span, frame.pw
+    bottom, y0, y_span, ph = frame.py + frame.ph, frame.y0, frame.y_span, frame.ph
+    dot, run_dot = _circle("%.3f", "%.3f", "2", _ACCENT), _circle("%.3f", "%s", "2", _ACCENT)
     yield _head(_W, _H, "F0 track with polynomial contour models")
     for a in range(0, len(f0), _ROWS):
-        voiced = ~np.isnan(f0[a:a + _ROWS])
-        ts, vs = times[a:a + _ROWS][voiced], f0[a:a + _ROWS][voiced]
-        yield from _rows(dot, len(ts), lambda c, d: (frame.x(ts[c:d]), frame.y(vs[c:d])))
-    for model in models:
-        lo, hi = (t_lo, t_hi) if model.domain is None else (model.domain.start_s, model.domain.end_s)
-        xs = np.linspace(lo, hi, 100)
-        yield _polyline(xs, model.fit.evaluate(xs - lo), frame, _POLY, 1.8)
+        ts, vs = times[a:a + _ROWS], f0[a:a + _ROWS]
+        if math.isnan(sum(vs)):  # an unvoiced frame: the voiced ones alone are drawn
+            voiced = [*map(eq, vs, vs)]  # False at a NaN
+            ts, vs = compress(ts, voiced), [*compress(vs, voiced)]
+            if not vs:
+                continue
+        fields = [None] * (2 * len(vs))
+        fields[::2] = [px + (t - x0) / x_span * pw for t in ts]  # frame.x(t), without the call
+        if 2 * sum(map(ne, vs, islice(vs, 1, None))) < len(vs):  # mostly runs of equal values
+            fy = {v: "%.3f" % (bottom - (v - y0) / y_span * ph) for v in set(vs)}  # frame.y(v), once a value
+            fields[1::2] = map(fy.__getitem__, vs)
+            yield (run_dot * len(vs)) % tuple(fields)
+        else:
+            fields[1::2] = [bottom - (v - y0) / y_span * ph for v in vs]
+            yield (dot * len(vs)) % tuple(fields)
+    if models:
+        import numpy as np
+
+        for model in models:
+            lo, hi = (t_lo, t_hi) if model.domain is None else (model.domain.start_s, model.domain.end_s)
+            xs = np.linspace(lo, hi, 100)
+            yield _polyline(xs, model.fit.evaluate(xs - lo), frame, _POLY, 1.8)
     yield from _axes(frame, "time (s)", "F0 (Hz)")
     yield "</svg>\n"
 

@@ -86,6 +86,22 @@ class TestStdoutFailure:
         assert _files(out) == {}
 
 
+@pytest.mark.parametrize("subcommand, rows", [
+    ("timetree", ["words,café,0.0,0.5", "words,b,0.5,0.8"]),  # a leaf label in the s-expression
+    ("metrics", ["wörter,a,0.0,0.5", "wörter,b,0.5,0.8"]),  # the tier name
+])
+def test_summary_stdout_cannot_encode(subcommand, rows, tmp_path):
+    # a summary that stdout's encoding cannot encode ends as an unwritable stdout does
+    csv, out = tmp_path / "tier.csv", tmp_path / "out"
+    csv.write_text("\n".join(["tier,label,start_s,end_s", *rows, ""]), encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "prosotime.cli", subcommand, str(csv), "--out-dir", str(out)],
+                          env=dict(_env(), PYTHONIOENCODING="ascii"), capture_output=True, timeout=120)
+    assert proc.returncode == 1
+    _assert_one_error_line(proc.stderr)
+    assert "'ascii' codec can't encode" in proc.stderr.decode()
+    assert _files(out) == {}  # the report and the SVG written before the summary are removed
+
+
 @pytest.mark.parametrize("extra", [[], ["--json"]], ids=["summary", "json"])
 def test_process_without_stdout_writes_its_files(extra, tmp_path):
     # started with fd 1 closed, Python sets sys.stdout to None and print() writes nothing

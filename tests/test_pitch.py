@@ -170,19 +170,27 @@ class TestTrackContainer:
         F0Track(times[: at + 1], np.full(at + 1, 100.0), 0.01)  # every step before it holds
 
     def test_synthesized_contour_arrays_are_kept(self, monkeypatch):
-        from prosotime import audio, pitch
+        from prosotime import pitch
 
-        kept = []
+        given, of = [], pitch.F0Track._of.__func__
 
-        def frozen(values, *args, **kwargs):
-            arr = audio._frozen_array(values, *args, **kwargs)
-            kept.append(arr is values)
-            return arr
+        def kept(cls, times, f0, hop_s):
+            given.append((times, f0))
+            return of(cls, times, f0, hop_s)
 
-        monkeypatch.setattr(pitch, "_frozen_array", frozen)
+        monkeypatch.setattr(pitch.F0Track, "_of", classmethod(kept))
         track = synthesize_contour(realize_pitch(transduce_tones("H L H")), tone_dur_ms=20.0)
-        assert kept == [True, True]  # times and f0, neither copied
+        (times, f0), = given
+        assert track._times is times and track._f0 is f0  # the fresh columns, neither copied
         assert track.times_s.tobytes() == (np.arange(6) * 0.01).tobytes()
+
+    def test_given_columns_are_copied(self):
+        from array import array
+
+        times, f0 = array("d", [0.0, 0.01]), array("d", [100.0, 120.0])
+        track = F0Track(times, f0, 0.01)
+        times[0] = f0[0] = 1.0  # the caller's columns stay theirs
+        assert track.times_s.tolist() == [0.0, 0.01] and track.f0_hz.tolist() == [100.0, 120.0]
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), None])
     def test_non_finite_frame_time_rejected(self, bad):
