@@ -14,6 +14,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from . import audio
+from ._polyfit import PolyFit
 from ._record import Record
 from .audio import Waveform, WavSource, _frozen_array, _ms_to_samples, _positive, _ranges
 from .errors import DegenerateInputError, ParameterError, SingularityError
@@ -89,32 +90,6 @@ class FrequencyZone(Record):
 
     def __init__(self, center_hz: float, lo_hz: float, hi_hz: float, prominence: float) -> None:
         vars(self).update(center_hz=center_hz, lo_hz=lo_hz, hi_hz=hi_hz, prominence=prominence)
-
-
-class PolyFit(Record):
-    """Least-squares polynomial with coefficients in ascending powers of x.
-
-    scaled_coeffs, the coefficients over the domain mapped onto [-1, 1] that
-    evaluate() uses, is no field: repr and == leave it out.
-    """
-
-    degree: int
-    coeffs: tuple
-    domain: tuple
-    rmse: float
-
-    def __init__(self, degree: int, coeffs: tuple, domain: tuple, rmse: float,
-                 scaled_coeffs: tuple = ()) -> None:
-        vars(self).update(degree=degree, coeffs=coeffs, domain=domain, rmse=rmse, scaled_coeffs=scaled_coeffs)
-
-    def evaluate(self, xs) -> np.ndarray:
-        """Evaluate via the internally scaled basis for stability."""
-        xs = np.asarray(xs, dtype=np.float64)
-        lo, hi = self.domain
-        if hi > lo:
-            p = Polynomial(np.asarray(self.scaled_coeffs), domain=[lo, hi])
-            return p(xs)
-        return np.full_like(xs, self.coeffs[0], dtype=np.float64)
 
 
 def rectify_full_wave(wave: Waveform) -> Waveform:

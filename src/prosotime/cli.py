@@ -9,8 +9,9 @@ metrics and timetree read their annotation with annot.load_annotation, which
 decides whether the file is a TextGrid or CSV.
 
 Each handler imports the modules it runs, so a process loads numpy only for
-the subcommands that need it (aems, spectree, calibrate, f0 and contour-fit);
-metrics, timetree, intonation and tone-gen run on the standard library.
+the subcommands that need it (aems, spectree, calibrate and f0); metrics,
+timetree, intonation and tone-gen run on the standard library, and so does
+contour-fit unless it hands a system it cannot certify to aems.fit_polynomial.
 
 Each subcommand names every file it can write before it runs: `outputs`
 suffixes, the first its JSON report, after the input file's stem (or a fixed
@@ -513,6 +514,8 @@ def _cmd_contour_fit(args) -> tuple[dict, str, dict]:
     from .pitch import IPU, _f0_track, contour_model_to_dict, fit_contour
     from .svgplot import svg_f0_track_chunks
 
+    if args.degree < 0:
+        raise _UsageError(f"--degree must be >= 0, got {args.degree}")
     with open(args.f0csv, "rb") as raw:  # opened once and read as a stream, by parse_f0_csv's reader
         track = _read(raw, args.f0csv, "\n", _f0_track)
     domain = None

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from itertools import islice
+from itertools import compress, islice
 from operator import sub
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -21,7 +21,7 @@ from .errors import DegenerateInputError, ParameterError, ParseError, _positive
 if TYPE_CHECKING:  # numpy, audio and aems are imported where arrays are computed
     import numpy as np
 
-    from .aems import PolyFit
+    from ._polyfit import PolyFit
     from .audio import Waveform, WavSource
 
 __all__ = [
@@ -400,22 +400,33 @@ def fit_contour(track: F0Track, degree: int, domain: IPU | None = None) -> PolyC
     Unvoiced frames never enter the fit.  With a domain, only frames inside
     [start_s, end_s] are used and the time axis is measured from the domain
     start; otherwise from the first frame.
-    """
-    ts, vs = track.voiced_frames()
-    if domain is not None:
-        keep = (ts >= domain.start_s) & (ts <= domain.end_s)
-        ts, vs = ts[keep], vs[keep]
-        origin = domain.start_s
-    else:
-        origin = track._times[0] if len(track) else 0.0
-    if len(ts) < degree + 1:
-        raise DegenerateInputError(
-            f"{len(ts)} voiced frames cannot constrain a degree-{degree} fit"
-        )
-    from .aems import fit_polynomial
 
-    fit = fit_polynomial(ts - origin, vs, degree)
-    return PolyContourModel(fit=fit, domain=domain, voiced_frame_count=int(len(ts)))
+    The columns are read and the system solved with the standard library
+    (_polyfit.fit_legendre).  A system whose full rank, or whose agreement with
+    aems.fit_polynomial, that solver cannot certify is handed to
+    fit_polynomial, whose result or exception is then the fit's.
+    """
+    times, f0 = track._times, track._f0
+    if domain is None:
+        origin, lo, hi = times[0] if len(times) else 0.0, -math.inf, math.inf
+    else:
+        origin, lo, hi = domain.start_s, domain.start_s, domain.end_s
+    keep = [v == v and lo <= t <= hi for t, v in zip(times, f0)]  # voiced, in the domain
+    xs, ys = [t - origin for t in compress(times, keep)], [*compress(f0, keep)]
+    if len(xs) < degree + 1:
+        raise DegenerateInputError(
+            f"{len(xs)} voiced frames cannot constrain a degree-{degree} fit"
+        )
+    from ._polyfit import fit_legendre
+
+    fit = fit_legendre(xs, ys, degree)
+    if fit is None:
+        import numpy as np
+
+        from .aems import fit_polynomial
+
+        fit = fit_polynomial(np.array(xs), np.array(ys), degree)
+    return PolyContourModel(fit=fit, domain=domain, voiced_frame_count=len(xs))
 
 
 # ---------------------------------------------------------------------------

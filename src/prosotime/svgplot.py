@@ -11,8 +11,8 @@ consumed, so that a large plot can be streamed to disk; `svg_<plot>` joins them.
 
 The spectrum and heatmap renderers import numpy (and the heatmap
 `aems.zscore`) only when called and format their rows in batches (`_rows`);
-the F0-track renderer imports it only to draw contour models, and the
-time-tree and quadrant renderers need only the standard library.
+the F0-track renderer, contour models included, and the time-tree and
+quadrant renderers need only the standard library.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 if TYPE_CHECKING:
     import numpy as np
 
-    from .aems import FrequencyZone, PolyFit, Spectrum
+    from ._polyfit import PolyFit
+    from .aems import FrequencyZone, Spectrum
     from .pitch import F0Track, PolyContourModel
     from .rhythm import QuadrantStats
     from .timetree import TimeTree
@@ -145,9 +146,23 @@ def _rows(row: str, n: int, columns: Callable[[int, int], tuple[np.ndarray, ...]
         yield (row * len(cols)) % tuple(cols.ravel().tolist())
 
 
-def _polyline(xs: np.ndarray, ys: np.ndarray, frame: _Frame, color: str, width: float = 1.5) -> str:
-    pts = "".join(_rows("%.3f,%.3f ", len(xs), lambda a, b: (frame.x(xs[a:b]), frame.y(ys[a:b]))))
-    return f'<polyline points="{pts[:-1]}" fill="none" stroke="{color}" stroke-width="{_fmt(width)}"/>\n'
+def _points(xs: np.ndarray, ys: np.ndarray, frame: _Frame) -> str:
+    """The "x,y " pairs of a polyline through arrays of data coordinates."""
+    return "".join(_rows("%.3f,%.3f ", len(xs), lambda a, b: (frame.x(xs[a:b]), frame.y(ys[a:b]))))
+
+
+def _polyline(points: str, color: str, width: float = 1.5) -> str:
+    """A polyline through points, "x,y " pairs (the last space is dropped)."""
+    return f'<polyline points="{points[:-1]}" fill="none" stroke="{color}" stroke-width="{_fmt(width)}"/>\n'
+
+
+def _linspace(lo: float, hi: float, num: int) -> list[float]:
+    """np.linspace(lo, hi, num), num > 1, as Python floats by its operations."""
+    div, delta = num - 1, hi - lo
+    step = delta / div
+    if step:
+        return [*(k * step + lo for k in range(div)), hi]
+    return [*(k / div * delta + lo for k in range(div)), hi]  # numpy's way for a step that underflows
 
 
 def svg_spectrum(
@@ -176,10 +191,10 @@ def svg_spectrum_chunks(spec: Spectrum, fit: PolyFit | None = None,
         center = _fmt(frame.x(z.center_hz))
         yield _rect(_fmt(x_lo), top, _fmt(x_hi - x_lo), height, _ZONE)
         yield _line(center, top, center, bottom, "#228844", "1.5")
-    yield _polyline(spec.freqs, spec.magnitudes, frame, _ACCENT)
+    yield _polyline(_points(spec.freqs, spec.magnitudes, frame), _ACCENT)
     if fit is not None and len(spec) > 1:
         xs = np.linspace(frame.x0, frame.x1, 200)  # the frequencies rise, so x1 is the last one
-        yield _polyline(xs, np.clip(fit.evaluate(xs), 0.0, frame.y1), frame, _POLY, 1.2)
+        yield _polyline(_points(xs, np.clip(fit.evaluate(xs), 0.0, frame.y1), frame), _POLY, 1.2)
     yield from _axes(frame, "frequency (Hz)", "magnitude")
     yield "</svg>\n"
 
@@ -231,8 +246,10 @@ def svg_f0_track_chunks(track: F0Track, models: Sequence[PolyContourModel] = ())
     The dots are computed from the track's columns a block at a time, with
     Python floats and the operations of _Frame.x and _Frame.y.  In a block
     made mostly of runs of equal F0 values, which have equal bits, each
-    value's y is formatted once.  numpy is imported only for the model
-    polylines.
+    value's y is formatted once.  Each model's polyline is computed with
+    Python floats too, by the operations of the numpy code it replaced: 100
+    times placed as np.linspace places them, valued as PolyFit.evaluate
+    values them (PolyFit._at), so the bytes are those numpy gave.
     """
     from .pitch import _f0_range
 
@@ -262,13 +279,11 @@ def svg_f0_track_chunks(track: F0Track, models: Sequence[PolyContourModel] = ())
         else:
             fields[1::2] = [bottom - (v - y0) / y_span * ph for v in vs]
             yield (dot * len(vs)) % tuple(fields)
-    if models:
-        import numpy as np
-
-        for model in models:
-            lo, hi = (t_lo, t_hi) if model.domain is None else (model.domain.start_s, model.domain.end_s)
-            xs = np.linspace(lo, hi, 100)
-            yield _polyline(xs, model.fit.evaluate(xs - lo), frame, _POLY, 1.8)
+    for model in models:  # 100 points each, as np.linspace places them and PolyFit.evaluate values them
+        lo, hi = (t_lo, t_hi) if model.domain is None else (model.domain.start_s, model.domain.end_s)
+        at = model.fit._at
+        pts = [(frame.x(x), frame.y(at(x - lo))) for x in _linspace(lo, hi, 100)]
+        yield _polyline(("%.3f,%.3f " * len(pts)) % tuple(chain.from_iterable(pts)), _POLY, 1.8)
     yield from _axes(frame, "time (s)", "F0 (Hz)")
     yield "</svg>\n"
 

@@ -113,9 +113,16 @@ SYMBOLIC_UNLOADED = ("dataclasses", "inspect", "ast")
       "--out-dir", "{out}"], "prosotime.timetree"),
     (["metrics", "{csv}", "--out-dir", "{out}"], "prosotime.rhythm"),
     (["tone-gen", "H L H L H", "--out-dir", "{out}"], "prosotime.fsm"),
-], ids=["help", "intonation-check", "intonation-enum", "timetree", "timetree-nary", "metrics", "tone-gen"])
+    (["contour-fit", "{f0csv}", "--out-dir", "{out}"], "prosotime._polyfit"),
+    (["contour-fit", "{f0csv}", "--degree", "1", "--start-s", "0.05", "--end-s", "0.15", "--out-dir", "{out}"],
+     "prosotime.svgplot"),
+], ids=["help", "intonation-check", "intonation-enum", "timetree", "timetree-nary", "metrics", "tone-gen",
+        "contour-fit", "contour-fit-domain"])
 def test_symbolic_subcommands_never_import_numpy(argv, loads, words_csv_path, tmp_path):
-    argv = [a.format(csv=words_csv_path, out=tmp_path / "out") for a in argv]
+    # contour-fit solves a system it can certify with the standard library, as this one
+    f0csv = tmp_path / "track.f0.csv"
+    f0csv.write_text("time_s,f0_hz\n" + "".join(f"{k / 100!r},{100 + k % 7}\n" for k in range(20)))
+    argv = [a.format(csv=words_csv_path, f0csv=f0csv, out=tmp_path / "out") for a in argv]
     proc = _python("-X", "importtime", "-m", "prosotime.cli", *argv)
     modules = _imported_modules(proc.stderr)
     assert loads in modules
@@ -123,13 +130,11 @@ def test_symbolic_subcommands_never_import_numpy(argv, loads, words_csv_path, tm
     assert [m for m in modules if m in SYMBOLIC_UNLOADED] == []
 
 
-@pytest.mark.parametrize("argv", [["f0", "{wav}"], ["contour-fit", "{csv}"], ["aems", "{wav}"], ["spectree", "{wav}"]],
-                         ids=["f0", "contour-fit", "aems", "spectree"])
+@pytest.mark.parametrize("argv", [["f0", "{wav}"], ["aems", "{wav}"], ["spectree", "{wav}"]],
+                         ids=["f0", "aems", "spectree"])
 def test_signal_subcommands_never_import_numpy_ma(argv, am_wav_path, tmp_path):
     # np.median and np.unique import numpy.ma, which costs about 4 ms a process
-    csv = tmp_path / "track.f0.csv"
-    csv.write_text("time_s,f0_hz\n" + "".join(f"{k / 100!r},{100 + k}\n" for k in range(20)))
-    argv = [a.format(wav=am_wav_path, csv=csv) for a in argv] + ["--out-dir", str(tmp_path / "out")]
+    argv = [a.format(wav=am_wav_path) for a in argv] + ["--out-dir", str(tmp_path / "out")]
     _python("-c", f"""
 import sys
 from prosotime.cli import run

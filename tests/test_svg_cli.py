@@ -167,6 +167,18 @@ class TestSvgRenderers:
             "one_frame_far": "084b5fb464e3ef73dd582231e595ad484d79619b18a521f57f323850ec5f3cb4",
         }
 
+    @pytest.mark.parametrize("flags, digest", [
+        ([], "8ec908bb55ca1e6a15019405024135123085609130e2828d6b28d5dca7c478be"),
+        (["--degree", "2"], "1679d4db869c80b57cfcbeae23adf1b1a49922001a4a79ca579be146a96f05cb"),
+        (["--degree", "2", "--start-s", "0.1", "--end-s", "0.5"],
+         "e75aec874a941676d8b7e90a0ac39ada87c64254665110fdb59ebcc77cc47aea"),
+    ], ids=["whole", "degree-2", "domain"])
+    def test_contour_fit_svg_bytes_pinned(self, flags, digest, tones_f0_csv_path, tmp_path, capsys):
+        # recorded with the numpy fit and polyline, before the contour was fitted and drawn in Python
+        out = tmp_path / "out"
+        assert run(["contour-fit", str(tones_f0_csv_path), *flags, "--out-dir", str(out)]) == 0
+        assert hashlib.sha256((out / "tones.f0.contour.svg").read_bytes()).hexdigest() == digest
+
     def test_quadrant_svg_bytes_pinned(self):
         svg = svg_quadrants(quadrant_analysis([1.0, 2.5, 1.5, 4.0, 0.5, 3.0, 2.0, 2.0, 6.0]))
         assert _sha(svg) == "d4e6073f7519841c6e5ae14942c3e5f00dc1f82f7d2657b192615f280ae0f9ab"
@@ -716,6 +728,12 @@ class TestCliF0AndContour:
         got = _median(xs)
         assert type(got) is float
         assert got == want or (math.isnan(got) and math.isnan(want))
+
+    def test_negative_degree_is_usage_error(self, tones_f0_csv_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["contour-fit", str(tones_f0_csv_path), "--degree", "-1", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --degree must be >= 0, got -1\n"
+        assert not out.exists()
 
     def test_f0_report(self, tmp_path, capsys, sine_200):
         wav = tmp_path / "s.wav"
@@ -1351,6 +1369,7 @@ class TestFailedRunRemovesItsNames:
         before = {p.name: (p.stat().st_ino, p.read_bytes()) for p in out.iterdir()}
         assert sorted(before) == ["tones.f0.contour.json", "tones.f0.contour.svg"]
         assert run([*argv, "--start-s", "0.1"]) == 2  # found by the handler, after the input is read
+        assert run([*argv, "--degree", "-1"]) == 2  # found by the handler, before the input is read
         assert run([*argv, "--degree", "x"]) == 2  # found by argparse
         assert run([*argv, "--formats", "json,xlsx"]) == 2
         assert {p.name: (p.stat().st_ino, p.read_bytes()) for p in out.iterdir()} == before
