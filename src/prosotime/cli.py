@@ -18,9 +18,9 @@ suffixes, the first its JSON report, after the input file's stem (or a fixed
 one).  Each handler is a pure function of args returning (report, summary,
 renders): summary is a str, or a zero-argument callable giving the pieces it
 joins; renders maps the suffix of each CSV or SVG this input has to a
-zero-argument render of its text chunks, and a row-heavy report value (tree
-nodes, tone-gen targets, enumerated strings) is a lazy row source that the
-report writer reads a batch at a time.  Only run() writes: it writes each
+zero-argument render of its text chunks, and a row-heavy report value is a
+lazy row source that the report writer reads a batch at a time, tree nodes and
+tone-gen targets as column blocks, not dicts.  Only run() writes: it writes each
 listed format's render or removes the stale file of a suffix with none, then
 streams the report last through _report_chunks, the one JSON writer (into
 nothing when json is not listed, so that it is still checked), then prints
@@ -55,7 +55,7 @@ import os
 import re
 import sys
 from collections.abc import Callable, Iterable, Iterator
-from itertools import islice
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -98,6 +98,11 @@ class _Text(tuple):
     """A str given as the pieces it joins, which the report writer escapes one at a time and never joins."""
 
 
+class _Blocks(functools.partial):
+    """A lazy list of dicts whose call gives its column blocks: (shapes, columns) pairs, shapes the sorted key tuple
+    of each row and columns each key's values, of the rows that have that key, in row order."""
+
+
 _SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: _float,
             bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
 
@@ -109,9 +114,9 @@ def _report_chunks(report: dict) -> Iterator[str]:
     an iterator it returns is a list whose items are read _ROWS at a time, and
     anything else is written as the value itself.  So a row-heavy list need not
     be built, a value known only after such a list was read (a tree's sexpr,
-    after its nodes) can follow it, and a second render calls the callable again.
-    Keys are strings.  A non-finite float raises AnalysisError once the chunks
-    before it are out.
+    after its nodes) can follow it, and a second render calls the callable again;
+    a _Blocks value is such a list, read a column block at a time.  Keys are
+    strings.  A non-finite float raises AnalysisError after the chunks before it.
     """
     yield from _chunks(report, "\n")
     yield "\n"
@@ -119,10 +124,10 @@ def _report_chunks(report: dict) -> Iterator[str]:
 
 def _chunks(value, nl: str) -> Iterator[str]:
     """value's JSON text, its lines continued by nl (a newline and the indent of value's first line)."""
-    if callable(value):
+    if callable(value) and type(value) is not _Blocks:
         value = value()
         if isinstance(value, Iterator):
-            yield from _list(iter(lambda: list(islice(value, _ROWS)), []), nl)
+            yield from _list(iter(lambda: list(islice(value, _ROWS)), []), _items, nl)
             return
     if isinstance(value, dict):
         inner, sep = nl + "  ", "{"
@@ -136,8 +141,10 @@ def _chunks(value, nl: str) -> Iterator[str]:
         for piece in value:
             yield encode_basestring_ascii(piece)[1:-1]
         yield '"'
+    elif type(value) is _Blocks:
+        yield from _list(value(), _block, nl)
     elif isinstance(value, (list, tuple)):
-        yield from _list((value,), nl)
+        yield from _list((value,), _items, nl)
     else:  # a subclass of str, int or float is written as its base, as json does
         kind = next((k for k in type(value).__mro__ if k in _SCALARS), None)
         if kind is None:
@@ -145,38 +152,31 @@ def _chunks(value, nl: str) -> Iterator[str]:
         yield _SCALARS[kind](value)
 
 
-def _list(batches, nl: str) -> Iterator[str]:
-    """A JSON list of the items of batches (lists), one chunk per batch."""
+def _list(batches, text: Callable[[object, str], str], nl: str) -> Iterator[str]:
+    """A JSON list of the items of batches, one chunk per batch of items; text(batch, pad) joins their texts at pad."""
     inner, sep = nl + "  ", "["
     for batch in batches:
-        if batch:
-            yield sep + inner + _items(batch, inner)
+        if items := text(batch, inner):
+            yield sep + inner + items
             sep = ","
     yield "[]" if sep == "[" else nl + "]"
 
 
-def _items(batch, pad: str) -> str:
-    """The JSON texts of batch's items, joined as list items at pad.
+def _items(batch: list, pad: str) -> str:
+    """The JSON texts of batch's items, joined as list items at pad."""
+    return ("," + pad).join(_column(batch, pad))
 
-    Scalars are written a column at a time, and so are dicts that share their
-    keys: one row template per key set, filled one key's column at a time.
-    """
-    texts = [""] * len(batch)
-    groups: dict = {}  # key tuple of a non-empty dict, else None -> positions
-    for at, item in enumerate(batch):
-        groups.setdefault(tuple(item) if type(item) is dict and item else None, []).append(at)
-    for keys, where in groups.items():
-        items = [batch[at] for at in where]
-        if keys is None:
-            rows = _column(items, pad)
-        else:
-            inner = pad + "  "
-            order = sorted(keys)
-            row = "{" + ",".join(f"{inner}{encode_basestring_ascii(k).replace('%', '%%')}: %s" for k in order)
-            rows = map((row + pad + "}").__mod__, zip(*(_column([r[k] for r in items], inner) for k in order)))
-        for at, text in zip(where, rows):
-            texts[at] = text
-    return ("," + pad).join(texts)
+
+def _block(block: tuple[list[tuple], dict[str, list]], pad: str) -> str:
+    """A column block's rows as list items at pad: each column written once, one % over its shapes' row templates."""
+    shapes, columns = block
+    inner = pad + "  "
+    texts = {key: iter(_column(values, inner)) for key, values in columns.items()}
+    rows = {shape: "{" + ",".join(f"{inner}{encode_basestring_ascii(k).replace('%', '%%')}: %s" for k in shape)
+            + pad + "}" for shape in dict.fromkeys(shapes)}
+    rows[()] = "{}"  # the row of an empty dict
+    fields = map(next, map(texts.__getitem__, chain.from_iterable(shapes)))  # each row's texts, in its keys' order
+    return ("," + pad).join(map(rows.__getitem__, shapes)) % tuple(fields)
 
 
 def _column(values: list, pad: str) -> list[str]:
@@ -247,11 +247,12 @@ def _write(out_dir: Path, name: str, render: Callable[[], Iterable[str]] | None)
 
 
 def _spectrum_artifacts(spec, fit, zones, report: dict) -> dict:
-    """Shared spectrum emission: poly info into the report; CSV, line plot and heatmap renders."""
+    """Shared spectrum emission: poly info and zones into the report; CSV, line plot and heatmap renders."""
     from .aems import spectrum_csv_chunks
     from .svgplot import svg_heatmap_chunks, svg_spectrum_chunks
 
-    report.update(poly_degree=fit.degree, poly_coeffs=list(fit.coeffs), poly_rmse=fit.rmse)
+    report.update(poly_degree=fit.degree, poly_coeffs=list(fit.coeffs), poly_rmse=fit.rmse,
+                  zones=[z._asdict() for z in zones])
     return {
         "spectrum.csv": lambda: spectrum_csv_chunks(spec),
         "spectrum.svg": lambda: svg_spectrum_chunks(spec, fit, zones),
@@ -309,7 +310,6 @@ def _cmd_calibrate(args) -> tuple[dict, str, dict]:
         "peak_magnitude": float(mags[peak_bin]),
         "harmonic_hz": float(spec.freqs[harmonic_bin]),
         "harmonic_magnitude": float(mags[harmonic_bin]),
-        "zones": [z._asdict() for z in zones],
         "pass": bool(ok),
     }
     renders = _spectrum_artifacts(spec, fit, zones, report)
@@ -339,7 +339,6 @@ def _cmd_aems(args) -> tuple[dict, str, dict]:
         "resolution_hz": spec.resolution_hz,
         "cutoff_hz": spec.cutoff_hz,
         "n_bins": len(spec),
-        "zones": [z._asdict() for z in zones],
         "dominant_hz": zones[0].center_hz if zones else None,
     }
     renders = _spectrum_artifacts(spec, fit, zones, report)
@@ -385,7 +384,7 @@ def _tree_artifacts(args, report: dict, induce, data) -> tuple[dict, Callable[[]
     params = TreeParams(relation=args.relation, polarity=args.polarity, arity=args.arity)
     tree = induce(data, params)
     parts: list[str] = []  # the s-expression, written by each pass over the rows; "nodes" sorts before "sexpr"
-    report.update(params=params._asdict(), nodes=lambda: tree_texts(tree, parts), sexpr=lambda: _Text(parts))
+    report.update(params=params._asdict(), nodes=_Blocks(tree_texts, tree, parts), sexpr=lambda: _Text(parts))
     return report, lambda: parts, {f"{args.subcommand}.svg": lambda: svg_timetree_chunks(tree)}
 
 
@@ -419,10 +418,11 @@ def _cmd_tone_gen(args) -> tuple[dict, str, dict]:
     lexical = args.tones.split()
     phonetic = transduce_tones(lexical)
     targets = realize_pitch(phonetic, params)
+    rows = [targets.items[a:a + _ROWS] for a in range(0, len(targets), _ROWS)]  # (label, hz) pairs, _ROWS at a time
     report = {
         "lexical": lexical,
         "phonetic": list(phonetic),
-        "targets": lambda: ({"label": lab, "hz": hz} for lab, hz in targets.items),
+        "targets": _Blocks(map, lambda r: ([("hz", "label")] * len(r), dict(zip(("label", "hz"), zip(*r)))), rows),
         "params": params._asdict(),
         "tone_dur_ms": args.tone_dur_ms,
         "n_frames": 0,

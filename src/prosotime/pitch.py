@@ -79,18 +79,17 @@ class F0Track(Record, eq=False):
             raise ParameterError(f"{len(times)} times vs {len(f0)} f0 values")
         h = _positive(hop_s, "hop_s")
 
-        def close(step: float) -> bool:  # like isclose, no infinite step is close to a finite h
-            return math.isclose(step, h, rel_tol=1e-6, abs_tol=1e-9)
+        def close(step: float) -> bool:  # a positive step, and like isclose; no infinite step is close to a finite h
+            return step > 0 and math.isclose(step, h, rel_tol=1e-6, abs_tol=1e-9)
 
         # the steps close to h form one interval, so the least and the greatest step decide;
         # the times are finite, so a step is finite or, where it overflows, infinite
         if len(times) > 1:
             view = memoryview(times)
             if not (close(min(map(sub, view[1:], view))) and close(max(map(sub, view[1:], view)))):
-                bad = next(((k, step) for k, step in enumerate(map(sub, view[1:], view)) if not close(step)), None)
-                if bad is not None:
-                    raise ParameterError(f"frame times must advance uniformly by hop_s={h}, "
-                                         f"got step {bad[1]} at t={times[bad[0]]}")
+                k, step = next((k, step) for k, step in enumerate(map(sub, view[1:], view)) if not close(step))
+                raise ParameterError(f"frame times must advance uniformly by hop_s={h}, "
+                                     f"got step {step} at t={times[k]}")
         vars(self).update(_times=times, _f0=f0, hop_s=h)
 
     @property
@@ -425,7 +424,8 @@ def fit_contour(track: F0Track, degree: int, domain: IPU | None = None) -> PolyC
 
         from .aems import fit_polynomial
 
-        fit = fit_polynomial(np.array(xs), np.array(ys), degree)
+        keep, xs, ys = None, np.array(xs), np.array(ys)  # no list of the voiced frames is held while numpy fits
+        fit = fit_polynomial(xs, ys, degree)
     return PolyContourModel(fit=fit, domain=domain, voiced_frame_count=len(xs))
 
 

@@ -48,6 +48,8 @@ _RELATIONS = ("iambic", "trochaic")
 _POLARITIES = ("higher", "lower")
 _ARITIES = ("binary", "nary")
 _BLOCK = 256  # nodes whose report rows and s-expression are formatted together
+_NODE, _LEAF = ("mark", "parent", "value"), ("label", "mark", "parent", "value")  # the sorted keys of a report row
+_SEXPR = {_NODE: "%s (%s", _LEAF: "%s (%s %s)"}  # a row's s-expression: the subtrees closed before it, then its own
 
 
 class _View(Sequence):
@@ -240,12 +242,9 @@ class TreeParams(Record):
 
     def __init__(self, relation: str = "iambic", polarity: str = "higher", arity: str = "binary") -> None:
         vars(self).update(relation=relation, polarity=polarity, arity=arity)
-        if self.relation not in _RELATIONS:
-            raise ParameterError(f"relation must be one of {_RELATIONS}, got {self.relation!r}")
-        if self.polarity not in _POLARITIES:
-            raise ParameterError(f"polarity must be one of {_POLARITIES}, got {self.polarity!r}")
-        if self.arity not in _ARITIES:
-            raise ParameterError(f"arity must be one of {_ARITIES}, got {self.arity!r}")
+        for name, value, allowed in zip(self._fields, self._astuple(), (_RELATIONS, _POLARITIES, _ARITIES)):
+            if value not in allowed:
+                raise ParameterError(f"{name} must be one of {allowed}, got {value!r}")
 
 
 def induce_time_tree(
@@ -359,46 +358,41 @@ def induce_spectral_hierarchy(spec: Spectrum, params: TreeParams = TreeParams())
     return induce_time_tree(labeled, TreeParams(**{**params._asdict(), "polarity": "higher"}))
 
 
-def tree_texts(tree: TimeTree, sexpr: list[str]) -> Iterator[dict]:
-    """The node rows of a tree's report, read in preorder, that also write its s-expression.
+def tree_texts(tree: TimeTree, sexpr: list[str]) -> Iterator[tuple[list[tuple[str, ...]], dict[str, list]]]:
+    """The node rows of a tree's report as column blocks, read in preorder, that also write its s-expression.
 
-    Each row is {mark, value, parent} plus a leaf's label, its keys in sorted
-    order, parent being the parent's row index (None at the root), in the
-    order of the s-expression.  sexpr is emptied, then takes the s-expression
-    a piece per block of rows, before the block's rows are read; once the rows
-    are exhausted, its pieces joined are the whole s-expression.  The
-    s-expression marks nodes r/s/w and names leaves, without values; a bare
-    root leaf is its label alone.
+    Each block of up to _BLOCK rows is (shapes, columns): each row's sorted
+    keys, {mark, parent, value} plus a leaf's label, and each key's values, of
+    the rows that have it, in row order.  Rows follow the s-expression; parent
+    is the parent's row index, None at the root.  sexpr is emptied, then takes a
+    piece of the s-expression per block before the block is read; all pieces
+    joined are the s-expression: r/s/w marks and leaf labels, no values; a bare
+    root leaf is its label.
     """
     order, levels = _order(tree, preorder=True)
     marks, values, labels = tree._marks, tree._values, tree.labels
     sexpr.clear()
-    if len(order) == 1:
-        sexpr.append(labels[0])
-        yield {"label": labels[0], "mark": marks[0], "parent": None, "value": values[0]}
-        return
     path = array("i", bytes(4 * (max(levels) + 1)))  # the row of the current node's ancestor at each level
-    level = row = 0  # the level of the node before, and the next row
+    level = 0  # the level of the node before
     for start in range(0, len(order), _BLOCK):
         block = order[start:start + _BLOCK]
-        rows, shapes, fields = [], [], []
-        for node, node_level in zip(block, map(levels.__getitem__, block)):
+        shapes, leaves, parents, fields = [], [], [], []
+        for row, node, node_level in zip(count(start), block, map(levels.__getitem__, block)):
             closes, level = ")" * (level - node_level), node_level  # the subtrees that end before node
             path[level] = row
-            parent = path[level - 1] if level else None
-            row += 1
-            label, mark = labels[node], marks[node]
-            if label is None:
-                rows.append({"mark": mark, "parent": parent, "value": values[node]})
-                shapes.append("%s (%s")
-                fields += (closes, mark)
+            parents.append(path[level - 1] if level else None)
+            if (label := labels[node]) is None:
+                shapes.append(_NODE)
+                fields += (closes, marks[node])
             else:
-                rows.append({"label": label, "mark": mark, "parent": parent, "value": values[node]})
-                shapes.append("%s (%s %s)")
-                fields += (closes, mark, label)
-        piece = "".join(shapes) % tuple(fields)
-        sexpr.append(piece if start else piece[1:])  # the root's opening takes no space before it
-        yield from rows
+                shapes.append(_LEAF)
+                leaves.append(label)
+                fields += (closes, marks[node], label)
+        piece = "".join(map(_SEXPR.__getitem__, shapes)) % tuple(fields)
+        # the root's opening takes no space before it, and a root leaf is its label alone
+        sexpr.append(piece if start else piece[1:] if len(order) > 1 else labels[0])
+        yield shapes, {"label": leaves, "mark": [*map(marks.__getitem__, block)], "parent": parents,
+                       "value": [*map(values.__getitem__, block)]}
     sexpr.append(")" * level)
 
 
@@ -411,5 +405,10 @@ def to_sexpr(tree: TimeTree) -> str:
 
 
 def tree_to_dict(tree: TimeTree) -> dict:
-    """{"nodes": [...]}, the rows of tree_texts: {mark, value, parent} plus leaf labels."""
-    return {"nodes": list(tree_texts(tree, []))}
+    """{"nodes": [...]}, the rows of tree_texts as dicts: {mark, value, parent} plus leaf labels."""
+    nodes = []
+    for shapes, columns in tree_texts(tree, []):
+        labels, rows = iter(columns["label"]), zip(shapes, columns["mark"], columns["parent"], columns["value"])
+        nodes += [{"label": next(labels), "mark": m, "parent": p, "value": v} if shape is _LEAF else
+                  {"mark": m, "parent": p, "value": v} for shape, m, p, v in rows]
+    return {"nodes": nodes}

@@ -40,7 +40,7 @@ from prosotime import (
     quadrant_analysis,
 )
 from prosotime.annot import _CSV_HEADER, OVERLAP_TOLERANCE_S, _csv_table, load_annotation
-from prosotime.cli import _report_chunks, _Text
+from prosotime.cli import _Blocks, _report_chunks, _Text
 from prosotime.errors import AnalysisError
 from prosotime.rhythm import quadrant_to_csv
 from prosotime import svgplot, timetree
@@ -380,7 +380,7 @@ class TestColumnarTree:
                 assert svg_timetree(tree) == svg
                 # the report as the CLI writes it: the rows, then the s-expression escaped piece by piece
                 parts = []
-                rows = {**REPORT, "nodes": lambda: tree_texts(tree, parts), "sexpr": lambda: _Text(parts)}
+                rows = {**REPORT, "nodes": _Blocks(tree_texts, tree, parts), "sexpr": lambda: _Text(parts)}
                 assert "".join(_report_chunks(rows)) == report
 
     def test_views_read_as_tuples(self):

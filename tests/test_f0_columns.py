@@ -38,7 +38,8 @@ def _former_frozen_array(values, what, rule, lo=-np.inf, *, nan_ok=False):
 
 
 def _former_check(times_s, f0_hz, hop_s):
-    """The former F0Track constructor's checks: its (times, f0, hop_s), or its error."""
+    """The former F0Track constructor's checks, with the later rule that a step is positive: its (times, f0,
+    hop_s), or its error."""
     times = _former_frozen_array(times_s, "frame times", "finite")
     f0 = _former_frozen_array(f0_hz, "voiced f0", "finite and > 0", np.finfo(float).smallest_subnormal,
                               nan_ok=True)
@@ -49,7 +50,7 @@ def _former_check(times_s, f0_hz, hop_s):
         with np.errstate(over="ignore"):
             step = np.diff(times[lo : lo + _LEAF + 1])
         close = np.abs(step - h) <= np.maximum(1e-6 * np.maximum(np.abs(step), h), 1e-9)
-        close &= np.isfinite(step)
+        close &= np.isfinite(step) & (step > 0)  # a step that is not positive is refused too
         if not close.all():
             i = int(np.argmin(close))
             raise ParameterError(
@@ -186,7 +187,8 @@ class TestColumns:
         assert track.times_s.tolist() == [0.0, 2.0, 4.0]
 
     def test_overflowing_sum_of_finite_times_is_accepted(self):
-        track = F0Track([1e308, 1e308], [100.0, 100.0], 1e-9)  # the sum is inf, every time finite
+        times = [1e308, math.nextafter(1e308, math.inf)]  # one positive step, of the float spacing at 1e308
+        track = F0Track(times, [100.0, 100.0], times[1] - times[0])  # the sum is inf, every time finite
         assert len(track) == 2
 
 

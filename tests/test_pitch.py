@@ -97,6 +97,13 @@ class TestTrackContainer:
     def test_uniform_hop_enforced(self):
         with pytest.raises(ParameterError):
             F0Track((0.0, 0.01, 0.05), (100.0, 100.0, 100.0), 0.01)
+        # within isclose's abs_tol of a tiny hop, a step that stands still or goes back is still refused
+        with pytest.raises(ParameterError, match=r"got step -5e-10 at t=0.0$"):
+            F0Track([0.0, -5e-10, 1e-12], [100.0, 110.0, 120.0], 1e-12)
+        with pytest.raises(ParameterError, match=r"got step 0.0 at t=1e-12$"):
+            F0Track([0.0, 1e-12, 1e-12], [100.0, 110.0, 120.0], 1e-12)
+        with pytest.raises(ParseError, match=r"got step -5e-13 at t=1e-12$"):
+            parse_f0_csv("time_s,f0_hz\n0,100\n1e-12,110\n5e-13,120\n")
 
     def test_nonpositive_f0_rejected(self):
         with pytest.raises(ParameterError):

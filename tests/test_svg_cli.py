@@ -35,7 +35,7 @@ from prosotime import (
     transduce_tones,
     write_wav_pcm16,
 )
-from prosotime.cli import _median, _report_chunks, run
+from prosotime.cli import _Blocks, _median, _report_chunks, run
 from prosotime.svgplot import (
     svg_f0_track,
     svg_heatmap,
@@ -1451,9 +1451,34 @@ _JSON_VALUES = st.recursive(
     _JSON_SCALARS,
     lambda inner: st.one_of(st.lists(inner, max_size=5), st.dictionaries(_KEYS, inner, max_size=5),
                             # rows that share their keys, as the reports' tables do
-                            st.lists(st.fixed_dictionaries({"a": inner, "b%s": _JSON_SCALARS}), max_size=6)),
+                            st.lists(st.fixed_dictionaries({"a": inner, "b%s": _JSON_SCALARS}), max_size=6),
+                            # rows of two shapes, as a tree's nodes and leaves are
+                            st.lists(st.one_of(st.fixed_dictionaries({"a": inner, "b%s": _JSON_SCALARS}),
+                                               st.fixed_dictionaries({"b%s": inner})), max_size=6)),
     max_leaves=40,
 )
+
+
+def _column_blocks(rows, size):
+    """rows (dicts) as column blocks of size rows: each row's sorted keys, and each key's values in row order."""
+    blocks = []
+    for a in range(0, len(rows), size):
+        columns = {}
+        for row in rows[a:a + size]:
+            for key, value in row.items():
+                columns.setdefault(key, []).append(value)
+        blocks.append(([tuple(sorted(row)) for row in rows[a:a + size]], columns))
+    return blocks
+
+
+def _as_blocks(value, size):
+    """value with every list of dicts in it, at any depth, given as _Blocks of size rows."""
+    if isinstance(value, dict):
+        return {key: _as_blocks(item, size) for key, item in value.items()}
+    if not isinstance(value, list):
+        return value
+    items = [_as_blocks(item, size) for item in value]
+    return _Blocks(iter, _column_blocks(items, size)) if all(type(item) is dict for item in items) else items
 
 
 class TestReportWriter:
@@ -1473,6 +1498,11 @@ class TestReportWriter:
             assert "".join(_report_chunks(lazy)) == want
         finally:
             cli._ROWS = saved
+        # each list of dicts, at any depth, as column blocks of a few rows, and of every row in one block
+        for size in (rows, 10):
+            blocked = _as_blocks(report, size)
+            assert "".join(_report_chunks(blocked)) == want
+            assert "".join(_report_chunks(blocked)) == want  # a second render calls the blocks again
 
     def test_scalars_and_subclasses_as_json_writes_them(self):
         class Label(str):
@@ -1499,11 +1529,16 @@ class TestReportWriter:
     def test_non_finite_row_leaves_the_chunks_before_it(self):
         from prosotime import AnalysisError
 
-        out = []
-        with pytest.raises(AnalysisError, match=r"non-finite number .*: nan\)"):
-            for chunk in _report_chunks({"a": 1, "rows": lambda: iter([{"v": 1.0}] * 5000 + [{"v": math.nan}])}):
-                out.append(chunk)
-        assert "".join(out).startswith('{\n  "a": 1,\n  "rows": [\n    {\n      "v": 1.0\n    },')  # rows went out first
+        rows = [{"v": 1.0}] * 5000 + [{"v": math.nan}]
+        # the rows as items, and as column blocks whose last holds the NaN in its float column
+        for given in (lambda: iter(rows), _Blocks(iter, _column_blocks(rows, 256))):
+            out = []
+            with pytest.raises(AnalysisError, match=r"non-finite number .*: nan\)"):
+                for chunk in _report_chunks({"a": 1, "rows": given}):
+                    out.append(chunk)
+            text = "".join(out)
+            assert text.startswith('{\n  "a": 1,\n  "rows": [\n    {\n      "v": 1.0\n    },')  # rows went out first
+            assert text.count('"v": 1.0') == 4864  # all but the block of the NaN, whose rows are written together
 
 
 class TestStreamedReportMemory:

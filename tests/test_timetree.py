@@ -21,7 +21,7 @@ from prosotime import (
     to_sexpr,
     tree_to_dict,
 )
-from prosotime.cli import _report_chunks
+from prosotime.cli import _Blocks, _report_chunks
 from prosotime.timetree import tree_texts
 
 IAMBIC_LOWER = TreeParams(relation="iambic", polarity="lower")
@@ -525,7 +525,8 @@ def _encoded(report):
 def _lazy_tree_report(report, tree):
     """The report with the tree's rows and s-expression as the CLI gives them: lazy, from one walk."""
     parts = []
-    return "".join(_report_chunks({**report, "nodes": lambda: tree_texts(tree, parts), "sexpr": lambda: "".join(parts)}))
+    return "".join(_report_chunks({**report, "nodes": _Blocks(tree_texts, tree, parts),
+                                   "sexpr": lambda: "".join(parts)}))
 
 
 # labels a JSON string must escape, and the characters an s-expression uses
@@ -569,7 +570,7 @@ class TestOnePassReport:
     def test_second_render_walks_again(self):
         tree = induce_time_tree([("a", 1.0), ("b", 2.0), ("c", 0.5)])
         parts = []
-        report = {"nodes": lambda: tree_texts(tree, parts), "sexpr": lambda: "".join(parts)}
+        report = {"nodes": _Blocks(tree_texts, tree, parts), "sexpr": lambda: "".join(parts)}
         first = "".join(_report_chunks(report))
         assert "".join(_report_chunks(report)) == first == _encoded(
             {"sexpr": to_sexpr(tree), **tree_to_dict(tree)})

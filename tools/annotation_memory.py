@@ -5,8 +5,9 @@ set, the script writes a synthetic tier (lognormal durations, about 5 % of
 them pause labels, as the benchmark's annotation tiers), runs the subcommand
 as a child process three times and prints a Markdown table row: the median
 of the children's peak RSS (`ru_maxrss` from `os.wait4`, each started from a
-small launcher so that the parent's own peak does not carry into it; one
-reading swings by about 3 MiB with the state of the bytecode cache) and,
+small launcher so that the parent's own peak does not carry into it; the
+children cache bytecode in the temporary directory, so that only the first
+start compiles the modules it imports) and,
 with --stages, the tracemalloc figures of one more child: the traced peak of
 the whole `cli.run` and, stage by stage, the memory each stage leaves held
 and the peak it reaches (MiB).  Generated files and outputs go to a
@@ -150,11 +151,13 @@ def main() -> None:
         print(json.dumps(stages(*args.stage_child)))
         return
 
-    env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()))
     print("| intervals | form | subcommand | formats | child ru_maxrss, median of 3 (MiB) |"
           + (" traced (MiB): cli.run peak; stage held/peak |" if args.stages else ""))
     print("| --- | --- | --- | --- | --- |" + (" --- |" if args.stages else ""))
     with tempfile.TemporaryDirectory() as tmp:
+        # children cache bytecode under tmp whatever the caller's PYTHONDONTWRITEBYTECODE, as benchmark/run.py's do
+        env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()), PYTHONPYCACHEPREFIX=f"{tmp}/pycache")
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
         for n in args.sizes:
             for form in args.forms:
                 path = Path(tmp) / (f"tier{n}.csv" if form == "csv" else f"tier{n}.TextGrid")
