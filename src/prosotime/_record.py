@@ -2,9 +2,13 @@
 
 A record class derives from Record and annotates its fields, in order, in its own body:
 repr shows them, and == and hash compare them as a tuple or, for a class declared with
-eq=False (one that holds numpy arrays or a callable), by identity.  Each class writes its
-own __init__, which checks its arguments and stores them with vars(self).update(...); an
-attribute stored there without an annotation is no field, but is pickled and copied.
+eq=False (one that holds numpy arrays or a callable), by identity.  A field may be a
+property over attributes that are no fields.  Each class writes its own __init__, which
+checks its arguments and stores them with vars(self).update(...); an attribute stored
+there without an annotation is no field, but is pickled and copied.  A column record,
+which holds its data as columns, stores them in one method, _fill, after the checks that
+every builder needs: its __init__ converts its public input and calls _fill, and a builder
+that made the columns itself calls Record._of(*columns), which skips __init__.
 Assigning or deleting any attribute raises dataclasses.FrozenInstanceError, as for a frozen
 dataclass; that module, whose import with inspect, ast and dis costs milliseconds a
 process, is imported only then.
@@ -23,6 +27,13 @@ class Record:
         cls._fields = tuple(cls.__annotations__)  # the class's own annotations, not its bases'
         if not eq:
             cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    @classmethod
+    def _of(cls, *columns):
+        """The column record over columns, held by cls._fill without a copy; __init__ is not called."""
+        record = cls.__new__(cls)
+        record._fill(*columns)
+        return record
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

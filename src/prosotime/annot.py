@@ -126,15 +126,14 @@ class Tier(Record):
 
     The intervals are held as three columns: the `labels` tuple, and the
     `starts` and `ends` times as read-only views of array("d"), so that a tier
-    costs a few bytes per interval beyond its label strings.  Interval objects
-    are built only when the tier is iterated, its `intervals` are asked for or
-    it is pickled.
+    costs a few bytes per interval beyond its label strings.  A reader that
+    has checked its columns builds the tier with Tier._of(name, labels,
+    starts, ends).  Interval objects are built only when the tier is
+    iterated, compared, hashed, printed, pickled or its `intervals` are asked for.
     """
 
     name: str
-    labels: tuple[str, ...]
-    starts: memoryview
-    ends: memoryview
+    intervals: tuple[Interval, ...]
 
     def __init__(self, name: str, intervals: Iterable[Interval]) -> None:
         ivs = tuple(intervals)
@@ -142,15 +141,11 @@ class Tier(Record):
         fault = _tier_fault(name, starts, ends)
         if fault:
             raise ParameterError(fault)
-        vars(self).update(name=name, labels=tuple(iv.label for iv in ivs),
-                          starts=_readonly(starts), ends=_readonly(ends))
+        self._fill(name, [iv.label for iv in ivs], starts, ends)
 
-    @classmethod
-    def _of(cls, name: str, labels: list[str], starts: array, ends: array) -> Tier:
-        """The tier over columns its reader has checked."""
-        tier = cls.__new__(cls)
-        vars(tier).update(name=name, labels=tuple(labels), starts=_readonly(starts), ends=_readonly(ends))
-        return tier
+    def _fill(self, name: str, labels: list[str], starts: array, ends: array) -> None:
+        """Hold the columns; the intervals are sorted by start and do not overlap."""
+        vars(self).update(name=name, labels=tuple(labels), starts=_readonly(starts), ends=_readonly(ends))
 
     @property
     def intervals(self) -> tuple[Interval, ...]:
@@ -161,12 +156,6 @@ class Tier(Record):
 
     def __iter__(self) -> Iterator[Interval]:
         return map(Interval, self.labels, self.starts, self.ends)
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.intervals))
-
-    def __repr__(self) -> str:
-        return f"Tier(name={self.name!r}, intervals={self.intervals!r})"
 
     def __reduce__(self) -> tuple:
         return type(self), (self.name, self.intervals)
@@ -213,14 +202,11 @@ class DurationSequence(Record):
         for lab, dur in items:
             if not (math.isfinite(dur) and dur > 0):
                 raise ParameterError(f"duration for {lab!r} must be > 0, got {dur}")
-        vars(self).update(_labels=[lab for lab, _ in items], _values=array("d", [dur for _, dur in items]))
+        self._fill([lab for lab, _ in items], array("d", [dur for _, dur in items]))
 
-    @classmethod
-    def _of(cls, labels: list[str], values: array) -> DurationSequence:
-        """The sequence over columns of finite, positive durations."""
-        seq = cls.__new__(cls)
-        vars(seq).update(_labels=labels, _values=values)
-        return seq
+    def _fill(self, labels: list[str], values: array) -> None:
+        """Hold the columns; the durations are finite and positive."""
+        vars(self).update(_labels=labels, _values=values)
 
     @property
     def items(self) -> tuple[tuple[str, float], ...]:

@@ -40,22 +40,20 @@ def _ms_to_samples(ms, rate, what) -> int:
     return round(n)
 
 
-def _frozen_array(values, what, rule, lo=-np.inf, hi=np.inf, slack=0.0, *,
-                  empty_ok=False, nan_ok=False) -> np.ndarray:
-    """values as a read-only 1-D float64 array, finite and within [lo, hi].
+def _frozen_array(values, what, rule, lo=-np.inf, hi=np.inf, slack=0.0) -> np.ndarray:
+    """values as a read-only non-empty 1-D float64 array, finite and within [lo, hi].
 
-    One min() and one max() test the range; NaN fails it unless nan_ok.
+    One min() and one max() test the range; NaN fails it.
     Values within slack outside [lo, hi] are clipped into a new array;
     otherwise a writeable array is copied, so that no caller can change the
     result, and a read-only one is kept. A failure names the first bad value.
     """
     arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or not (arr.size or empty_ok):
+    if arr.ndim != 1 or not arr.size:
         raise DegenerateInputError(f"{what} must form a non-empty 1-D array")
-    least, most = (np.fmin, np.fmax) if nan_ok else (np.minimum, np.maximum)
-    a, b = least.reduce(arr, initial=np.inf), most.reduce(arr, initial=-np.inf)
+    a, b = arr.min(), arr.max()
     if not (lo - slack <= a and b <= hi + slack and -np.inf < a and b < np.inf):
-        ok = (lo - slack <= arr) & (arr <= hi + slack) & np.isfinite(arr) | nan_ok & np.isnan(arr)
+        ok = (lo - slack <= arr) & (arr <= hi + slack) & np.isfinite(arr)
         raise ParameterError(f"{what} must be {rule}, got {arr[np.argmin(ok)]}")
     if a < lo or b > hi:
         arr = np.clip(arr, lo, hi)

@@ -418,11 +418,15 @@ def _cmd_tone_gen(args) -> tuple[dict, str, dict]:
     lexical = args.tones.split()
     phonetic = transduce_tones(lexical)
     targets = realize_pitch(phonetic, params)
-    rows = [targets.items[a:a + _ROWS] for a in range(0, len(targets), _ROWS)]  # (label, hz) pairs, _ROWS at a time
+
+    def block(a: int) -> tuple[list[tuple], dict[str, object]]:  # targets a to a + _ROWS, sliced from the columns
+        labels = targets.labels[a:a + _ROWS]
+        return [("hz", "label")] * len(labels), {"label": labels, "hz": targets._hz[a:a + _ROWS]}
+
     report = {
         "lexical": lexical,
         "phonetic": list(phonetic),
-        "targets": _Blocks(map, lambda r: ([("hz", "label")] * len(r), dict(zip(("label", "hz"), zip(*r)))), rows),
+        "targets": _Blocks(map, block, range(0, len(targets), _ROWS)),
         "params": params._asdict(),
         "tone_dur_ms": args.tone_dur_ms,
         "n_frames": 0,
@@ -432,7 +436,7 @@ def _cmd_tone_gen(args) -> tuple[dict, str, dict]:
         report["n_frames"] = len(targets) * _frames_per_target(targets, args.tone_dur_ms)
         track = functools.cache(lambda: synthesize_contour(targets, tone_dur_ms=args.tone_dur_ms))
         renders = {"f0.csv": lambda: f0_track_csv_chunks(track()), "f0.svg": lambda: svg_f0_track_chunks(track())}
-    summary = (" ".join(phonetic) or "(empty)") + "\n" + " ".join(f"{hz:.1f}" for _, hz in targets.items)
+    summary = (" ".join(phonetic) or "(empty)") + "\n" + " ".join(f"{hz:.1f}" for hz in targets._hz)
     return report, summary, renders
 
 
@@ -510,14 +514,13 @@ def _cmd_f0(args) -> tuple[dict, str, dict]:
 
 
 def _cmd_contour_fit(args) -> tuple[dict, str, dict]:
-    from .annot import _read
-    from .pitch import IPU, _f0_track, contour_model_to_dict, fit_contour
+    from .pitch import IPU, contour_model_to_dict, fit_contour, parse_f0_csv
     from .svgplot import svg_f0_track_chunks
 
     if args.degree < 0:
         raise _UsageError(f"--degree must be >= 0, got {args.degree}")
-    with open(args.f0csv, "rb") as raw:  # opened once and read as a stream, by parse_f0_csv's reader
-        track = _read(raw, args.f0csv, "\n", _f0_track)
+    with open(args.f0csv, "rb") as raw:  # opened once and read as a stream
+        track = parse_f0_csv(raw, args.f0csv)
     domain = None
     if args.start_s is not None or args.end_s is not None:
         if args.start_s is None or args.end_s is None:

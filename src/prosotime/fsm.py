@@ -292,7 +292,13 @@ class TerracingParams(Record):
 
 
 class PitchTargetSequence(Record):
-    """Ordered (phonetic label, target Hz) pairs within the model's range."""
+    """Ordered (phonetic label, target Hz) pairs within the model's range.
+
+    The pairs are held as two columns, the `labels` tuple and the Hz in
+    array("d"); `items` and `targets_hz` build their tuples when asked.
+    realize_pitch builds the sequence over its own columns with
+    PitchTargetSequence._of(labels, hz, floor_hz, ceiling_hz).
+    """
 
     items: tuple[tuple[str, float], ...]
     floor_hz: float
@@ -300,20 +306,25 @@ class PitchTargetSequence(Record):
 
     def __init__(self, items: Iterable[tuple[str, float]], floor_hz: float = 60.0,
                  ceiling_hz: float = 400.0) -> None:
-        vars(self).update(items=tuple((str(lab), float(hz)) for lab, hz in items), floor_hz=floor_hz,
-                          ceiling_hz=ceiling_hz)
-        for lab, hz in self.items:
-            if not self.floor_hz <= hz <= self.ceiling_hz:
-                raise ParameterError(
-                    f"target {hz} Hz for {lab!r} outside [{self.floor_hz}, {self.ceiling_hz}]"
-                )
+        items = tuple((str(lab), float(hz)) for lab, hz in items)
+        self._fill(tuple(lab for lab, _ in items), array("d", [hz for _, hz in items]), floor_hz, ceiling_hz)
+
+    def _fill(self, labels: tuple[str, ...], hz: array, floor_hz: float, ceiling_hz: float) -> None:
+        bad = next((k for k, v in enumerate(hz) if not floor_hz <= v <= ceiling_hz), None)  # NaN is never inside
+        if bad is not None:
+            raise ParameterError(f"target {hz[bad]} Hz for {labels[bad]!r} outside [{floor_hz}, {ceiling_hz}]")
+        vars(self).update(labels=labels, _hz=hz, floor_hz=floor_hz, ceiling_hz=ceiling_hz)
+
+    @property
+    def items(self) -> tuple[tuple[str, float], ...]:
+        return tuple(zip(self.labels, self._hz))
 
     @property
     def targets_hz(self) -> tuple[float, ...]:
-        return tuple(hz for _, hz in self.items)
+        return tuple(self._hz)
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.labels)
 
 
 def build_terracing() -> MultiTapeFSM:
@@ -386,7 +397,7 @@ def realize_pitch(
 
     r_h = params.p_h0
     r_l = params.p_l0
-    items: list[tuple[str, float]] = []
+    hz = array("d")
     for k, lab in enumerate(seq):
         if lab in ("hc", "lc") and k != 0:
             raise ParameterError(
@@ -410,10 +421,8 @@ def realize_pitch(
         else:  # ^h
             p = clamp(r_h * params.k_ter)
             r_h = p
-        items.append((lab, p))
-    return PitchTargetSequence(
-        items=tuple(items), floor_hz=params.floor_hz, ceiling_hz=params.ceiling_hz
-    )
+        hz.append(p)
+    return PitchTargetSequence._of(tuple(seq), hz, params.floor_hz, params.ceiling_hz)
 
 
 def synthesize_contour(targets: PitchTargetSequence, tone_dur_ms: float = 150.0) -> F0Track:
@@ -427,7 +436,7 @@ def synthesize_contour(targets: PitchTargetSequence, tone_dur_ms: float = 150.0)
     from .pitch import F0Track
 
     per = _frames_per_target(targets, tone_dur_ms)
-    f0 = array("d", chain.from_iterable(map(repeat, targets.targets_hz, repeat(per))))
+    f0 = array("d", chain.from_iterable(map(repeat, targets._hz, repeat(per))))
     times = array("d", map(mul, range(len(f0)), repeat(_HOP_S)))  # k * hop_s, k converted to float exactly
     return F0Track._of(times, f0, _HOP_S)
 

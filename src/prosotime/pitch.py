@@ -13,7 +13,7 @@ import math
 from array import array
 from itertools import compress, islice
 from operator import sub
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator
 
 from ._record import Record
 from .errors import DegenerateInputError, ParameterError, ParseError, _positive
@@ -53,13 +53,6 @@ class F0Track(Record, eq=False):
 
     def __init__(self, times_s: np.ndarray, f0_hz: np.ndarray, hop_s: float) -> None:
         self._fill(_column(times_s, "frame times"), _column(f0_hz, "voiced f0"), hop_s)
-
-    @classmethod
-    def _of(cls, times: array, f0: array, hop_s: float) -> F0Track:
-        """The track over fresh columns, checked and kept without a copy."""
-        track = cls.__new__(cls)
-        track._fill(times, f0, hop_s)
-        return track
 
     def _fill(self, times: array, f0: array, hop_s: float) -> None:
         """Check the columns as the constructor does, then hold them.
@@ -452,14 +445,14 @@ def f0_track_csv_chunks(track: F0Track) -> Iterator[str]:
         yield f"{t!r}{tail}"
 
 
-def parse_f0_csv(text: str | bytes, source: str = "<f0 csv>") -> F0Track:
+def parse_f0_csv(text: str | bytes | BinaryIO, source: str = "<f0 csv>") -> F0Track:
     """Parse the `time_s,f0_hz` CSV form (as produced by f0_track_to_csv).
 
-    The text is read as an annotation CSV is, as a stream (see annot._read):
-    bytes are UTF-16 after a byte-order mark and UTF-8 otherwise, rows end at
-    LF or CRLF only, and fields may be quoted.  Accepts externally produced
-    tracks as long as the frame times advance uniformly.  Raises ParseError
-    with a row number on malformed rows.
+    The text, or an open binary file from its start, is read as an annotation
+    CSV is, as a stream (see annot._read): bytes are UTF-16 after a byte-order
+    mark and UTF-8 otherwise, rows end at LF or CRLF only, and fields may be
+    quoted.  Accepts externally produced tracks as long as the frame times
+    advance uniformly.  Raises ParseError with a row number on malformed rows.
     """
     from .annot import _read
 
@@ -467,7 +460,7 @@ def parse_f0_csv(text: str | bytes, source: str = "<f0 csv>") -> F0Track:
 
 
 def _f0_track(lines: Iterable[str]) -> F0Track:
-    """parse_f0_csv of the lines of a table, which end at LF; contour-fit reads its file through it."""
+    """parse_f0_csv of the lines of a table, which end at LF."""
     from .annot import _csv_table
 
     times, f0 = array("d"), array("d")
@@ -483,6 +476,8 @@ def _f0_track(lines: Iterable[str]) -> F0Track:
         times.append(t)
         f0.append(v)
     hop = times[1] - times[0] if len(times) >= 2 else 0.01
+    if not 0 < hop < math.inf:  # the first step sets hop_s: name it, as F0Track names a later one
+        raise ParseError(f"frame times must advance by a finite step, got step {hop} at t={times[0]}")
     try:
         return F0Track._of(times, f0, hop)
     except ParameterError as exc:

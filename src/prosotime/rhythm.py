@@ -170,24 +170,17 @@ class QuadrantStats(Record):
     The points are held as two read-only columns, `z_i` and `z_next`, and
     their quadrants are classified once, into a byte each; `points` and
     `quadrants` build their tuples when asked, and `rows()` yields each point
-    with its quadrant as read.  The stats are immutable, and hash, pickle and
-    copy as their points: a memoryview of floats does neither.
+    with its quadrant as read.  quadrant_analysis builds the stats with
+    QuadrantStats._of over two views of one z-score column.  The stats are
+    immutable, and compare, hash, print, pickle and copy as their points: a
+    memoryview of floats does not pickle.
     """
 
-    z_i: memoryview
-    z_next: memoryview
+    points: tuple[tuple[float, float], ...]
 
     def __init__(self, points: Iterable[tuple[float, float]]) -> None:
         points = tuple((float(a), float(b)) for a, b in points)
         self._fill(_readonly(array("d", [a for a, _ in points])), _readonly(array("d", [b for _, b in points])))
-
-    @classmethod
-    def _successive(cls, z: array) -> QuadrantStats:
-        """The stats of the successive pairs of one z-score column: both point columns are views of it."""
-        stats = cls.__new__(cls)
-        view = _readonly(z)
-        stats._fill(view[:-1], view[1:])
-        return stats
 
     def _fill(self, z_i: memoryview, z_next: memoryview) -> None:
         if not all(map(math.isfinite, chain(z_i, z_next))):
@@ -221,15 +214,6 @@ class QuadrantStats(Record):
 
     ll, ss, ls, sl, origin = map(_count, _QUADRANT_NAMES)
 
-    def __eq__(self, other: object) -> bool:
-        return self.points == other.points if isinstance(other, QuadrantStats) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.points)
-
-    def __repr__(self) -> str:
-        return f"QuadrantStats(points={self.points!r})"
-
 
 def quadrant_analysis(xs: DurationSequence | Iterable[float]) -> QuadrantStats:
     """Classify successive z-scored duration pairs into quadrants.
@@ -246,7 +230,8 @@ def quadrant_analysis(xs: DurationSequence | Iterable[float]) -> QuadrantStats:
     if sd == 0.0:
         raise DegenerateInputError("z-scoring needs nonzero variance")
     mean = _total(values) / len(values)
-    return QuadrantStats._successive(array("d", ((x - mean) / sd for x in values)))
+    z = _readonly(array("d", ((x - mean) / sd for x in values)))
+    return QuadrantStats._of(z[:-1], z[1:])  # the successive pairs: both point columns are views of z
 
 
 # ---------------------------------------------------------------------------

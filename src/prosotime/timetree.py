@@ -118,13 +118,6 @@ class TimeTree(Record):
             raise ParameterError(f"node {node} has a child whose id is not below its own") from None
         self._fill("".join(marks), values, labels, array("i", accumulate(map(len, kids), initial=0)), children)
 
-    @classmethod
-    def _of(cls, marks: str, values: array, labels: tuple, offsets: array, children: array) -> TimeTree:
-        """The tree over columns, checked as the constructor checks them."""
-        tree = cls.__new__(cls)
-        tree._fill(marks, values, labels, offsets, children)
-        return tree
-
     def _fill(self, marks: str, values: array, labels: tuple, offsets: array, children: array) -> None:
         fault = _fault(marks, values, labels, offsets, children)
         if fault:

@@ -349,6 +349,16 @@ class TestPitchRealization:
         targets = realize_pitch(transduce_tones("H L"), p).targets_hz
         assert targets == pytest.approx((200.0, 100.0))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_non_finite_target_refused_anywhere(self, bad, position):
+        # min and max pass over a NaN after their first value: the range check must not
+        items = [("H", 100.0), ("L", 90.0), ("H", 110.0)]
+        label = items[position][0]
+        items[position] = (label, bad)
+        with pytest.raises(ParameterError, match=re.escape(f"target {bad} Hz for {label!r} outside [60.0, 400.0]")):
+            PitchTargetSequence(items)
+
     def test_param_validation(self):
         with pytest.raises(ParameterError):
             TerracingParams(k_dd=1.1)  # downdrift must lower the register

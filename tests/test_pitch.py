@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -104,6 +105,11 @@ class TestTrackContainer:
             F0Track([0.0, 1e-12, 1e-12], [100.0, 110.0, 120.0], 1e-12)
         with pytest.raises(ParseError, match=r"got step -5e-13 at t=1e-12$"):
             parse_f0_csv("time_s,f0_hz\n0,100\n1e-12,110\n5e-13,120\n")
+        # the first step sets the hop: one that goes back, stands still or overflows is named as a later one is
+        for text, step in (("0.0,100\n-5e-10,110\n", "-5e-10 at t=0.0"), ("0.0,100\n0.0,110\n0.01,120\n", "0.0 at t=0.0"),
+                           ("-1e308,100\n1e308,110\n", "inf at t=-1e+308")):
+            with pytest.raises(ParseError, match=rf"^frame times must advance by a finite step, got step {re.escape(step)}$"):
+                parse_f0_csv("time_s,f0_hz\n" + text)
 
     def test_nonpositive_f0_rejected(self):
         with pytest.raises(ParameterError):
