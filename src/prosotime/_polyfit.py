@@ -94,9 +94,12 @@ def fit_legendre(xs: list[float], ys: list[float], degree: int) -> PolyFit | Non
     if not 0 < p <= n or not all(map(lt, xs, islice(xs, 1, None))):
         return None
     to_mono, from_mono = _legendre_monomial(p)
-    cond_a = math.sqrt(fsum(c * c for row in to_mono for c in row) * fsum(c * c for row in from_mono for c in row))
+    try:
+        cond_a = math.sqrt(fsum(c * c for row in to_mono for c in row) * fsum(c * c for row in from_mono for c in row))
+    except OverflowError:  # a bound past the float range is past the limit too
+        return None
     limit = _RANK_MARGIN / (_EPS * max(n, p))
-    if p * cond_a >= limit:  # ||W||_F ||W^+||_F is at least p
+    if not p * cond_a < limit:  # ||W||_F ||W^+||_F is at least p
         return None
     lo, hi = xs[0], xs[-1]
     if not (max(abs(lo), abs(hi)) < 2.0 ** 1000 and 2.0 ** -400 <= max(map(abs, ys)) <= 2.0 ** 400):
@@ -137,10 +140,11 @@ def fit_legendre(xs: list[float], ys: list[float], degree: int) -> PolyFit | Non
         coeffs = scaled[-1:]
         for c in reversed(scaled[:-1]):
             coeffs = [c + off * coeffs[0], *(off * q + scl * r for q, r in zip(coeffs[1:], coeffs)), scl * coeffs[-1]]
-    fitted = [legendre[0]] * n
-    for b, col in zip(legendre[1:], cols[1:]):
+    fitted = [legendre[0]] * n  # then the residuals, in the pass that adds the last column
+    for b, col in zip(legendre[1:-1], cols[1:-1]):
         fitted = [f + b * v for f, v in zip(fitted, col)]
-    residuals = [*map(sub, fitted, ys)]
+    b = legendre[-1]
+    residuals = [f + b * v - y for f, v, y in zip(fitted, cols[-1], ys)] if p > 1 else [*map(sub, fitted, ys)]
     return PolyFit(degree=int(degree), coeffs=tuple(coeffs), domain=(lo, hi),
                    rmse=math.sqrt(fsum(map(mul, residuals, residuals)) / n), scaled_coeffs=tuple(scaled))
 

@@ -24,8 +24,8 @@ import re
 import warnings
 from array import array
 from collections import deque
-from itertools import islice
-from typing import BinaryIO, Callable, Iterable, Iterator, TextIO, TypeVar
+from itertools import chain, islice
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
 
 from ._record import Record
 from .errors import ParameterError, ParseError
@@ -419,43 +419,81 @@ _CSV_HEADER = ("tier", "label", "start_s", "end_s")
 
 # a CR followed by something other than CR or LF: outside quotes, the csv module refuses it
 _BARE_CR_RE = re.compile("\r[^\r\n]")
+_BLOCK_CHARS = 1 << 13  # characters of whole lines a CSV table takes from its text at a time
 
 
-def _csv_table(text: Iterable[str], header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
-    """The non-blank records of the CSV lines of text (split at LF) after its header, with their row numbers.
+def _csv_table(text: TextIO, header: tuple[str, ...]) -> Iterator[tuple[Sequence[int], list[list[str]]]]:
+    """The non-blank records of the CSV lines of text (split at LF) after its header, in blocks.
 
-    The header is row 1 and must read header once its fields are stripped;
-    every later record must hold one field per header name.  A record the
-    csv module rejects is a ParseError at its line, and so is a line holding
-    a NUL, on every Python, when the reader reaches it.
+    A block is (rows, records), records[k] being row rows[k].  The header is
+    row 1 and must read header once its fields are stripped; every later
+    record must hold one field per header name.  A record the csv module
+    rejects is a ParseError at its line, and so is a line holding a NUL, on
+    every Python, when the reader reaches it: after the block of the records
+    before it, so that the caller checks those first.
+
+    Lines are taken from text a block at a time (readlines).  A block with no
+    NUL and no quote, all of whose lines the csv module reads as records of
+    one field per header name, passes whole.  The header, and any block that
+    fails a check, is read again record by record, past the block's end while
+    a quoted record runs on; those records pass in one block, up to a fault.
     """
-    line = ""  # the line the reader took last
+    width = len(header)
+    row_no = line_no = 0  # the rows and lines read so far
+    line = ""  # the line the record-by-record reader took last
 
-    def lines() -> Iterator[str]:
-        nonlocal line
-        for line_no, line in enumerate(text, start=1):
+    def checked(lines: Iterable[str]) -> Iterator[str]:
+        nonlocal line_no, line
+        for line in lines:
+            line_no += 1
             if "\0" in line:  # Python 3.11's csv module reads a NUL as text; 3.10's refuses it
                 raise ParseError("malformed CSV: line contains NUL", line=line_no)
             yield line
 
-    reader = csv.reader(lines())
-    try:
-        first = next(reader, None)
-        if first is None:
-            raise ParseError("empty document: missing CSV header", row=1)
-        if tuple(h.strip() for h in first) != header:
-            raise ParseError(f"bad CSV header {first!r}, expected {','.join(header)}", row=1)
-        for row_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue  # blank line
-            if len(row) != len(header):
-                raise ParseError(f"expected {len(header)} fields, got {len(row)}", row=row_no)
-            yield row_no, row
-    except csv.Error as exc:
-        if _BARE_CR_RE.search(line):
-            raise ParseError("malformed CSV: a bare CR (carriage return) inside a row; rows end at LF or CRLF",
-                             line=reader.line_num) from None
-        raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
+    lines: list[str] = []
+    while lines or (lines := text.readlines(_BLOCK_CHARS)):
+        if row_no and "\0" not in (block := "".join(lines)) and '"' not in block:
+            try:
+                records = list(csv.reader(lines))  # a line a record, as no quote is open
+            except csv.Error:
+                records = []
+            if {*map(len, records)} == {width}:
+                yield range(row_no + 1, row_no + 1 + len(records)), records
+                row_no += len(records)
+                line_no += len(lines)
+                lines = []
+                continue
+        end, rows, records, fault = line_no + len(lines), [], [], None
+        reader = csv.reader(checked(chain(lines, text)))
+        try:
+            for record in reader:
+                row_no += 1
+                if row_no == 1:
+                    if tuple(h.strip() for h in record) != header:
+                        raise ParseError(f"bad CSV header {record!r}, expected {','.join(header)}", row=1)
+                    break  # the rest of the block may pass whole
+                if record and (len(record) > 1 or record[0].strip()):  # else a blank line
+                    if len(record) != width:
+                        raise ParseError(f"expected {width} fields, got {len(record)}", row=row_no)
+                    rows.append(row_no)
+                    records.append(record)
+                if line_no >= end:
+                    break
+        except csv.Error as exc:
+            if _BARE_CR_RE.search(line):
+                fault = ParseError("malformed CSV: a bare CR (carriage return) inside a row; rows end at LF or CRLF",
+                                   line=line_no)
+            else:
+                fault = ParseError(f"malformed CSV: {exc}", line=line_no)
+        except ParseError as exc:
+            fault = exc
+        if records:
+            yield rows, records
+        if fault:
+            raise fault
+        lines = lines[len(lines) - (end - line_no):] if end > line_no else []
+    if not row_no:
+        raise ParseError("empty document: missing CSV header", row=1)
 
 
 def parse_csv_annotation(text: str | bytes, source: str = "<csv>") -> AnnotationDoc:
@@ -468,27 +506,28 @@ def parse_csv_annotation(text: str | bytes, source: str = "<csv>") -> Annotation
     return _read(text, source, "\n", lambda lines: _csv_annotation(lines, source))
 
 
-def _csv_annotation(text: Iterable[str], source: str) -> AnnotationDoc:
-    """parse_csv_annotation of the lines of text, which end at LF."""
+def _csv_annotation(text: TextIO, source: str) -> AnnotationDoc:
+    """parse_csv_annotation of text, whose lines end at LF."""
     # tier name -> its starts, labels, ends and source rows, as columns
     grouped: dict[str, tuple[array, list[str], array, array]] = {}
-    for row_no, (tier_name, label, start_raw, end_raw) in _csv_table(text, _CSV_HEADER):
-        try:
-            start_s = float(start_raw)
-            end_s = float(end_raw)
-        except ValueError:
-            raise ParseError(
-                f"non-numeric time ({start_raw!r}, {end_raw!r})", row=row_no
-            ) from None
-        if not 0.0 <= start_s < end_s < math.inf:
-            raise ParseError(_refusal(start_s, end_s), row=row_no)
-        columns = grouped.get(tier_name)
-        if columns is None:
-            columns = grouped[tier_name] = (array("d"), [], array("d"), array("q"))
-        columns[0].append(start_s)
-        columns[1].append(label)
-        columns[2].append(end_s)
-        columns[3].append(row_no)
+    for row_nos, records in _csv_table(text, _CSV_HEADER):
+        for row_no, (tier_name, label, start_raw, end_raw) in zip(row_nos, records):
+            try:
+                start_s = float(start_raw)
+                end_s = float(end_raw)
+            except ValueError:
+                raise ParseError(
+                    f"non-numeric time ({start_raw!r}, {end_raw!r})", row=row_no
+                ) from None
+            if not 0.0 <= start_s < end_s < math.inf:
+                raise ParseError(_refusal(start_s, end_s), row=row_no)
+            columns = grouped.get(tier_name)
+            if columns is None:
+                columns = grouped[tier_name] = (array("d"), [], array("d"), array("q"))
+            columns[0].append(start_s)
+            columns[1].append(label)
+            columns[2].append(end_s)
+            columns[3].append(row_no)
 
     tiers: list[Tier] = []
     for tier_name, columns in grouped.items():

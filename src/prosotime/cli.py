@@ -54,9 +54,9 @@ import math
 import os
 import re
 import sys
+from _json import encode_basestring_ascii  # json.encoder's own, without the json package and its regexes
 from collections.abc import Callable, Iterable, Iterator
 from itertools import chain, islice
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__

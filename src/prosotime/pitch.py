@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left, bisect_right
 from itertools import compress, islice
 from operator import sub
-from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator
+from typing import TYPE_CHECKING, BinaryIO, Iterator, TextIO
 
 from ._record import Record
 from .errors import DegenerateInputError, ParameterError, ParseError, _positive
@@ -403,8 +404,12 @@ def fit_contour(track: F0Track, degree: int, domain: IPU | None = None) -> PolyC
         origin, lo, hi = times[0] if len(times) else 0.0, -math.inf, math.inf
     else:
         origin, lo, hi = domain.start_s, domain.start_s, domain.end_s
-    keep = [v == v and lo <= t <= hi for t, v in zip(times, f0)]  # voiced, in the domain
-    xs, ys = [t - origin for t in compress(times, keep)], [*compress(f0, keep)]
+    i, j = bisect_left(times, lo), bisect_right(times, hi)  # the frames in the domain, as the times rise
+    xs, ys = [], []
+    for t, v in zip(times[i:j], f0[i:j]):
+        if v == v:  # voiced
+            xs.append(t - origin)
+            ys.append(v)
     if len(xs) < degree + 1:
         raise DegenerateInputError(
             f"{len(xs)} voiced frames cannot constrain a degree-{degree} fit"
@@ -417,7 +422,7 @@ def fit_contour(track: F0Track, degree: int, domain: IPU | None = None) -> PolyC
 
         from .aems import fit_polynomial
 
-        keep, xs, ys = None, np.array(xs), np.array(ys)  # no list of the voiced frames is held while numpy fits
+        xs, ys = np.array(xs), np.array(ys)  # no list of the voiced frames is held while numpy fits
         fit = fit_polynomial(xs, ys, degree)
     return PolyContourModel(fit=fit, domain=domain, voiced_frame_count=len(xs))
 
@@ -445,6 +450,9 @@ def f0_track_csv_chunks(track: F0Track) -> Iterator[str]:
         yield f"{t!r}{tail}"
 
 
+_UNVOICED = {"": math.nan}  # .get(f, f): an empty f0 field as NaN, any other as itself
+
+
 def parse_f0_csv(text: str | bytes | BinaryIO, source: str = "<f0 csv>") -> F0Track:
     """Parse the `time_s,f0_hz` CSV form (as produced by f0_track_to_csv).
 
@@ -453,28 +461,44 @@ def parse_f0_csv(text: str | bytes | BinaryIO, source: str = "<f0 csv>") -> F0Tr
     mark and UTF-8 otherwise, rows end at LF or CRLF only, and fields may be
     quoted.  Accepts externally produced tracks as long as the frame times
     advance uniformly.  Raises ParseError with a row number on malformed rows.
+
+    The rows come in blocks (annot._csv_table), and each block's columns are
+    converted by float() and tested for finiteness whole.  A block that fails
+    is read again row by row, so that the error names its first bad row, and
+    does so before any fault of the table that follows that row.
     """
     from .annot import _read
 
     return _read(text, source, "\n", _f0_track)
 
 
-def _f0_track(lines: Iterable[str]) -> F0Track:
-    """parse_f0_csv of the lines of a table, which end at LF."""
+def _f0_track(text: TextIO) -> F0Track:
+    """parse_f0_csv of text, whose lines end at LF."""
     from .annot import _csv_table
 
     times, f0 = array("d"), array("d")
-    for row_no, row in _csv_table(lines, ("time_s", "f0_hz")):
-        # an empty f0 marks an unvoiced frame, as NaN; no text may give NaN itself
-        f_raw = row[1].strip()
-        try:
-            t, v = float(row[0]), float(f_raw) if f_raw else math.nan
+    for row_nos, records in _csv_table(text, ("time_s", "f0_hz")):
+        t_col, f_col = zip(*records)
+        try:  # the block whole: float() strips what strip() strips, and an empty f0 is NaN
+            ts = array("d", map(float, t_col))
+            fs = array("d", map(float, map(_UNVOICED.get, f_col, f_col)))
         except ValueError:
-            t = v = math.nan
-        if not (math.isfinite(t) and (math.isfinite(v) or not f_raw)):
-            raise ParseError(f"expected a finite time and f0, got {','.join(row)!r}", row=row_no)
-        times.append(t)
-        f0.append(v)
+            ts = fs = None
+        if ts is not None and math.isfinite(sum(ts)) and math.isfinite(sum(compress(fs, f_col))):
+            times += ts  # a sum is finite only where its terms are; one that overflows reads the block again
+            f0 += fs
+            continue
+        for row_no, row in zip(row_nos, records):  # row by row, for the first fault
+            # an empty f0 marks an unvoiced frame, as NaN; no text may give NaN itself
+            f_raw = row[1].strip()
+            try:
+                t, v = float(row[0]), float(f_raw) if f_raw else math.nan
+            except ValueError:
+                t = v = math.nan
+            if not (math.isfinite(t) and (math.isfinite(v) or not f_raw)):
+                raise ParseError(f"expected a finite time and f0, got {','.join(row)!r}", row=row_no)
+            times.append(t)
+            f0.append(v)
     hop = times[1] - times[0] if len(times) >= 2 else 0.01
     if not 0 < hop < math.inf:  # the first step sets hop_s: name it, as F0Track names a later one
         raise ParseError(f"frame times must advance by a finite step, got step {hop} at t={times[0]}")

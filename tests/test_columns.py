@@ -39,13 +39,14 @@ from prosotime import (
     parse_textgrid,
     quadrant_analysis,
 )
-from prosotime.annot import _CSV_HEADER, OVERLAP_TOLERANCE_S, _csv_table, load_annotation
+from prosotime.annot import _BLOCK_CHARS, _CSV_HEADER, OVERLAP_TOLERANCE_S, _csv_table, load_annotation
 from prosotime.cli import _Blocks, _report_chunks, _Text
 from prosotime.errors import AnalysisError
 from prosotime.rhythm import quadrant_to_csv
 from prosotime import svgplot, timetree
 from prosotime.svgplot import _FG, _GRID, _H, _W, _circle, _escape, _fmt, _head, _line, _text, svg_timetree
 from prosotime.timetree import tree_texts
+from test_fuzz import EDGES, _block_ends, placed
 from test_timetree import REPORT, _encoded, _former_to_sexpr, _former_tree_to_dict
 
 ORACLE = settings(max_examples=400, derandomize=True, deadline=None)
@@ -79,7 +80,8 @@ def _former_tier_check(name, ivs):
 def _former_parse_csv(text):
     """The former parse_csv_annotation, an (Interval, row) pair per row, as (name, intervals) pairs."""
     grouped = {}
-    for row_no, (tier_name, label, start_raw, end_raw) in _csv_table(io.StringIO(text, newline="\n"), _CSV_HEADER):
+    blocks = _csv_table(io.StringIO(text, newline="\n"), _CSV_HEADER)
+    for row_no, (tier_name, label, start_raw, end_raw) in ((r, row) for rows, rs in blocks for r, row in zip(rows, rs)):
         try:
             start_s = float(start_raw)
             end_s = float(end_raw)
@@ -115,12 +117,40 @@ INTERVALS = st.lists(st.tuples(st.sampled_from(("p", "q")), st.sampled_from((0.0
                                st.sampled_from((0.25, 0.5, 0.75, 1.0))).filter(lambda t: t[2] > t[1]), max_size=6)
 
 
+def _csv_line(k):
+    start, end = repr(k / 100), repr((k + 1) / 100)
+    return f"syl,{f'i{k}':<{25 - len(start) - len(end)}},{start},{end}\n"
+
+
+def _fields(line, **change):
+    tier, label, start, end = line[:-1].split(",")
+    return ",".join({"tier": tier, "label": label, "start": start, "end": end, **change}.values()) + "\n"
+
+
+# lines of 32 characters, which divides the block size; each interval ends where the next starts
+CSV_BLOCKS = ["tier,label,start_s,end_s       \n", *map(_csv_line, range(_BLOCK_CHARS // 8))]  # four blocks
+CSV_FAULTS = {
+    "non-numeric-time": lambda line: _fields(line, start="x"),
+    "refused-interval": lambda line: _fields(line, start=line.split(",")[3][:-1], end=line.split(",")[2]),
+    "overlap": lambda line: _fields(line, start=repr(float(line.split(",")[2]) - 0.005)),
+    "blank-line-then-overlap": lambda line: "\n" + _fields(line, start=repr(float(line.split(",")[2]) - 0.005)),
+}
+
+
 class TestCsvOracle:
     @ORACLE
     @given(rows=ROWS)
     def test_matches_former_reader(self, rows):
         text = "tier,label,start_s,end_s\n" + "".join(f"{t},{lab},{a},{b}\n" for t, lab, a, b in rows)
         assert _outcome(_new_parse_csv, text) == _outcome(_former_parse_csv, text)
+
+    @pytest.mark.parametrize("where", EDGES)
+    @pytest.mark.parametrize("fault", sorted(CSV_FAULTS))
+    def test_faults_at_block_edges_match_former_reader(self, fault, where):
+        assert {*map(len, CSV_BLOCKS)} == {32} and len(_block_ends("".join(CSV_BLOCKS))) > 3
+        text = placed(CSV_BLOCKS, CSV_FAULTS[fault], where)
+        outcome = _outcome(_new_parse_csv, text)
+        assert outcome[0] == "ParseError" and outcome == _outcome(_former_parse_csv, text)
 
     def test_unsorted_rows_report_their_own_rows(self):
         text = "tier,label,start_s,end_s\nw,c,0.9,1.0\nv,x,0,1\nw,a,0.0,0.6\nw,b,0.5,0.9\n"

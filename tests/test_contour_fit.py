@@ -181,6 +181,23 @@ def test_rank_deficient_system_is_not_certified():
         fit_polynomial(np.array(xs), np.array(ys), 5)
 
 
+@pytest.mark.parametrize("degree", [409, 1500])
+def test_a_condition_bound_past_the_float_range_is_not_certified(degree):
+    # from degree 409 the squares of the Legendre-to-monomial coefficients overflow the bound's sums
+    xs = [k / 100 for k in range(2000)]
+    ys = [150.0 + 20.0 * math.sin(x) for x in xs]
+    assert fit_legendre(xs, ys, degree) is None
+
+
+def test_degree_409_exits_1_without_a_traceback(tmp_path):
+    path = tmp_path / "track.f0.csv"
+    path.write_text("time_s,f0_hz\n" + "".join(f"{k / 100!r},{100 + k % 7}\n" for k in range(500)))
+    proc = subprocess.run([sys.executable, "-m", "prosotime.cli", "contour-fit", str(path), "--degree", "409",
+                           "--out-dir", str(tmp_path)], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: rank-deficient system")
+
+
 @pytest.mark.parametrize("xs, ys, degree", [
     ([0.0, 1.0, 1.0], [1.0, 2.0, 3.0], 1),  # not distinct
     ([1.0, 0.0, 2.0], [1.0, 2.0, 3.0], 1),  # not rising

@@ -12,7 +12,7 @@ import io
 import math
 import os
 import warnings
-from itertools import islice
+from itertools import accumulate, islice
 from datetime import timedelta
 from unittest import mock
 
@@ -33,7 +33,7 @@ from prosotime import (
     transduce_tones,
     write_wav_pcm16,
 )
-from prosotime.annot import _STRUCT_RE, AnnotationDoc, Interval, Tier, _read, _unquote
+from prosotime.annot import _BLOCK_CHARS, _STRUCT_RE, AnnotationDoc, Interval, Tier, _read, _unquote
 from prosotime.cli import OUT_DIR_ENV, run
 from prosotime.errors import ParameterError
 from prosotime.pitch import F0Track, f0_track_to_csv
@@ -488,11 +488,71 @@ F0_ORACLE = mutated_text(
 )
 
 
+def _block_ends(doc):
+    """The line count after each block of lines the CSV table reader takes from doc."""
+    text = io.StringIO(doc, newline="\n")
+    return [*accumulate(map(len, iter(lambda: text.readlines(_BLOCK_CHARS), [])))]
+
+
+# where a fault goes: the first row, or a side of the edge after the given block
+EDGES = ("first-row", "last-of-block-1", "first-of-block-2", "last-of-block-2", "first-of-block-3")
+
+
+def placed(lines, fault, where):
+    """The document of lines (each ending in LF, the header first) with the line at some k replaced by
+    fault(that line), k chosen so that the fault's first line falls where says in the reader's blocks."""
+    def doc(k):
+        return "".join([*lines[:k], fault(lines[k]), *lines[k + 1:]])
+
+    if where == "first-row":
+        return doc(1)
+    side, block = where.split("-of-block-")
+    n = int(block)
+
+    def at(ends):  # the index of the line that falls where, given the line count after each block
+        return ends[n - 1] - 1 if side == "last" else ends[n - 2]
+
+    edge = at(_block_ends("".join(lines)))
+    for k in range(edge - 4, edge + 5):  # a fault of another length may move the edge by a line or two
+        if at(_block_ends(doc(k))) == k:
+            return doc(k)
+    raise AssertionError(f"no line falls {where}")
+
+
+def _f0_line(k):
+    f0 = "" if k % 9 == 4 else repr(120.0 + k % 50 / 4)
+    return f"{k / 100!r:>{14 - len(f0)}},{f0}\n"
+
+
+# lines of 16 characters, which divides the block size, so that even a blank line can end a block
+F0_BLOCKS = ["time_s,f0_hz   \n", *map(_f0_line, range(_BLOCK_CHARS // 4))]  # four blocks
+F0_FAULTS = {
+    "non-numeric-time": lambda line: "x" + line,
+    "nan-f0": lambda line: line.split(",")[0] + ",nan\n",
+    "inf-f0": lambda line: line.split(",")[0] + ",inf\n",
+    "blank-f0": lambda line: line.split(",")[0] + ", \t \n",
+    "three-fields": lambda line: line[:-1] + ",1\n",
+    "blank-line": lambda line: "\n" + line,
+    "nul": lambda line: line[:-1] + "\0\n",
+    "bare-cr": lambda line: line[:-3] + "\r" + line[-3:],
+    # a bad value, then a line the csv module refuses, or a NUL, later in the same block
+    "bad-value-then-csv-error": lambda line: "x" + line + line + "1\r2,3\n",
+    "bad-value-then-nul": lambda line: "x" + line + line + "1,2\0\n",
+}
+
+
 class TestF0CsvOracle:
     @settings(max_examples=600, derandomize=True, deadline=None)
     @given(data=F0_ORACLE)
     def test_matches_former_reader(self, data):
         assert _f0_outcome(parse_f0_csv, data) == _f0_outcome(_former_parse_f0_csv, data)
+
+    @pytest.mark.parametrize("where", EDGES)
+    @pytest.mark.parametrize("fault", sorted(F0_FAULTS))
+    def test_faults_at_block_edges_match_former_reader(self, fault, where):
+        assert {*map(len, F0_BLOCKS)} == {16} and len(_block_ends("".join(F0_BLOCKS))) > 3
+        doc = placed(F0_BLOCKS, F0_FAULTS[fault], where)
+        assert _f0_outcome(parse_f0_csv, doc) == _f0_outcome(_former_parse_f0_csv, doc)
 
 
 # ---------------------------------------------------------------------------

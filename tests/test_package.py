@@ -101,7 +101,9 @@ def _imported_modules(importtime_stderr: str) -> list[str]:
 
 # The records are built without dataclasses, whose import costs about 3 ms a process, most
 # of it in inspect, ast and dis; numpy imports inspect itself, the symbolic subcommands never.
-SYMBOLIC_UNLOADED = ("dataclasses", "inspect", "ast")
+# The JSON writer takes its string escape from _json, not from json.encoder, whose package
+# loads json.decoder and json.scanner with their regexes.
+SYMBOLIC_UNLOADED = ("dataclasses", "inspect", "ast", "json.decoder", "json.scanner")
 
 
 @pytest.mark.parametrize("argv, loads", [
