@@ -6,9 +6,11 @@ eq=False (one that holds numpy arrays or a callable), by identity.  A field may 
 property over attributes that are no fields.  Each class writes its own __init__, which
 checks its arguments and stores them with vars(self).update(...); an attribute stored
 there without an annotation is no field, but is pickled and copied.  A column record,
-which holds its data as columns, stores them in one method, _fill, after the checks that
-every builder needs: its __init__ converts its public input and calls _fill, and a builder
-that made the columns itself calls Record._of(*columns), which skips __init__.
+which holds its data as columns, stores them, and what it derives from them, in one
+method, _fill, which checks nothing.  Its __init__ converts and checks its public input,
+then calls _fill.  A reader of outside input checks what it read by the constructor's rule
+and calls Record._of(*columns), which skips __init__; so does, checking nothing, a builder
+whose construction guarantees that rule.
 Assigning or deleting any attribute raises dataclasses.FrozenInstanceError, as for a frozen
 dataclass; that module, whose import with inspect, ast and dis costs milliseconds a
 process, is imported only then.

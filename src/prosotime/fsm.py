@@ -21,6 +21,7 @@ it accepts any accent sequence.
 
 from __future__ import annotations
 
+import math
 from array import array
 from itertools import chain, repeat
 from operator import mul
@@ -296,8 +297,8 @@ class PitchTargetSequence(Record):
 
     The pairs are held as two columns, the `labels` tuple and the Hz in
     array("d"); `items` and `targets_hz` build their tuples when asked.
-    realize_pitch builds the sequence over its own columns with
-    PitchTargetSequence._of(labels, hz, floor_hz, ceiling_hz).
+    realize_pitch clamps its targets into the range and builds the sequence
+    over them with PitchTargetSequence._of(labels, hz, floor_hz, ceiling_hz).
     """
 
     items: tuple[tuple[str, float], ...]
@@ -307,12 +308,12 @@ class PitchTargetSequence(Record):
     def __init__(self, items: Iterable[tuple[str, float]], floor_hz: float = 60.0,
                  ceiling_hz: float = 400.0) -> None:
         items = tuple((str(lab), float(hz)) for lab, hz in items)
+        for lab, hz in items:
+            if not floor_hz <= hz <= ceiling_hz:  # NaN is never inside
+                raise ParameterError(f"target {hz} Hz for {lab!r} outside [{floor_hz}, {ceiling_hz}]")
         self._fill(tuple(lab for lab, _ in items), array("d", [hz for _, hz in items]), floor_hz, ceiling_hz)
 
     def _fill(self, labels: tuple[str, ...], hz: array, floor_hz: float, ceiling_hz: float) -> None:
-        bad = next((k for k, v in enumerate(hz) if not floor_hz <= v <= ceiling_hz), None)  # NaN is never inside
-        if bad is not None:
-            raise ParameterError(f"target {hz[bad]} Hz for {labels[bad]!r} outside [{floor_hz}, {ceiling_hz}]")
         vars(self).update(labels=labels, _hz=hz, floor_hz=floor_hz, ceiling_hz=ceiling_hz)
 
     @property
@@ -422,6 +423,9 @@ def realize_pitch(
             p = clamp(r_h * params.k_ter)
             r_h = p
         hz.append(p)
+    # clamp keeps each target in range but a NaN, which 0 * inf makes (k_usw = inf on a 0 Hz register)
+    if any(map(math.isnan, hz)):
+        return PitchTargetSequence(zip(seq, hz), params.floor_hz, params.ceiling_hz)  # whose check refuses it
     return PitchTargetSequence._of(tuple(seq), hz, params.floor_hz, params.ceiling_hz)
 
 
@@ -429,13 +433,17 @@ def synthesize_contour(targets: PitchTargetSequence, tone_dur_ms: float = 150.0)
     """Piecewise-constant F0 track from pitch targets, one segment per target.
 
     Frame hop is 10 ms; each target contributes tone_dur_ms worth of voiced
-    frames at its own frequency.  More than MAX_CONTOUR_FRAMES frames is a
-    ParameterError, raised before any is built.  The columns are the values
-    of np.repeat(targets_hz, per) and np.arange(n) * hop_s, built without numpy.
+    frames at its own frequency.  More than MAX_CONTOUR_FRAMES frames, or a
+    target outside 0 < hz < inf, is a ParameterError, raised before any frame
+    is built.  The columns are the values of np.repeat(targets_hz, per) and
+    np.arange(n) * hop_s, built without numpy; below the cap the times step uniformly.
     """
     from .pitch import F0Track
 
     per = _frames_per_target(targets, tone_dur_ms)
+    bad = next((hz for hz in targets._hz if not 0.0 < hz < math.inf), None)
+    if bad is not None:  # a floor_hz <= 0 or an infinite ceiling_hz lets a target leave the range
+        raise ParameterError(f"voiced f0 must be finite and > 0, got {bad}")
     f0 = array("d", chain.from_iterable(map(repeat, targets._hz, repeat(per))))
     times = array("d", map(mul, range(len(f0)), repeat(_HOP_S)))  # k * hop_s, k converted to float exactly
     return F0Track._of(times, f0, _HOP_S)

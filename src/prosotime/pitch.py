@@ -53,38 +53,11 @@ class F0Track(Record, eq=False):
     hop_s: float
 
     def __init__(self, times_s: np.ndarray, f0_hz: np.ndarray, hop_s: float) -> None:
-        self._fill(_column(times_s, "frame times"), _column(f0_hz, "voiced f0"), hop_s)
+        self._fill(*_checked(_column(times_s, "frame times"), _column(f0_hz, "voiced f0"), hop_s))
 
     def _fill(self, times: array, f0: array, hop_s: float) -> None:
-        """Check the columns as the constructor does, then hold them.
-
-        Builtins over the columns decide; the exact rule of each check runs
-        only to name the first bad value.
-        """
-        if not math.isfinite(sum(times)):  # a NaN or an infinity, or a sum that overflows
-            bad = next((t for t in times if not math.isfinite(t)), None)
-            if bad is not None:
-                raise ParameterError(f"frame times must be finite, got {bad}")
-        voiced = _f0_range(f0)
-        if voiced and not (0.0 < voiced[0] and voiced[1] < math.inf):
-            bad = next(v for v in f0 if not (0.0 < v < math.inf or v != v))
-            raise ParameterError(f"voiced f0 must be finite and > 0, got {bad}")
-        if len(times) != len(f0):
-            raise ParameterError(f"{len(times)} times vs {len(f0)} f0 values")
-        h = _positive(hop_s, "hop_s")
-
-        def close(step: float) -> bool:  # a positive step, and like isclose; no infinite step is close to a finite h
-            return step > 0 and math.isclose(step, h, rel_tol=1e-6, abs_tol=1e-9)
-
-        # the steps close to h form one interval, so the least and the greatest step decide;
-        # the times are finite, so a step is finite or, where it overflows, infinite
-        if len(times) > 1:
-            view = memoryview(times)
-            if not (close(min(map(sub, view[1:], view))) and close(max(map(sub, view[1:], view)))):
-                k, step = next((k, step) for k, step in enumerate(map(sub, view[1:], view)) if not close(step))
-                raise ParameterError(f"frame times must advance uniformly by hop_s={h}, "
-                                     f"got step {step} at t={times[k]}")
-        vars(self).update(_times=times, _f0=f0, hop_s=h)
+        """Hold the columns: the times advance uniformly by hop_s, and every voiced F0 is finite and > 0."""
+        vars(self).update(_times=times, _f0=f0, hop_s=hop_s)
 
     @property
     def times_s(self) -> np.ndarray:
@@ -108,6 +81,36 @@ class F0Track(Record, eq=False):
         times, f0 = self.times_s, self.f0_hz
         voiced = ~np.isnan(f0)
         return times[voiced], f0[voiced]
+
+
+def _checked(times: array, f0: array, hop_s: float) -> tuple[array, array, float]:
+    """(times, f0, float(hop_s)), once they pass F0Track's checks; else a ParameterError naming the first fault.
+
+    Builtins over the columns decide; the exact rule of each check runs only to name the first bad value."""
+    if not math.isfinite(sum(times)):  # a NaN or an infinity, or a sum that overflows
+        bad = next((t for t in times if not math.isfinite(t)), None)
+        if bad is not None:
+            raise ParameterError(f"frame times must be finite, got {bad}")
+    voiced = _f0_range(f0)
+    if voiced and not (0.0 < voiced[0] and voiced[1] < math.inf):
+        bad = next(v for v in f0 if not (0.0 < v < math.inf or v != v))
+        raise ParameterError(f"voiced f0 must be finite and > 0, got {bad}")
+    if len(times) != len(f0):
+        raise ParameterError(f"{len(times)} times vs {len(f0)} f0 values")
+    h = _positive(hop_s, "hop_s")
+
+    def close(step: float) -> bool:  # a positive step, and like isclose; no infinite step is close to a finite h
+        return step > 0 and math.isclose(step, h, rel_tol=1e-6, abs_tol=1e-9)
+
+    # the steps close to h form one interval, so the least and the greatest step decide;
+    # the times are finite, so a step is finite or, where it overflows, infinite
+    if len(times) > 1:
+        view = memoryview(times)
+        if not (close(min(map(sub, view[1:], view))) and close(max(map(sub, view[1:], view)))):
+            k, step = next((k, step) for k, step in enumerate(map(sub, view[1:], view)) if not close(step))
+            raise ParameterError(f"frame times must advance uniformly by hop_s={h}, "
+                                 f"got step {step} at t={times[k]}")
+    return times, f0, h
 
 
 def _column(values, what: str) -> array:
@@ -310,7 +313,8 @@ def estimate_f0_autocorr(
     track_rms = float(np.sqrt(_fold(iter(sums), n, _LEAF) / n))  # np.mean(x**2), bit for bit
     f0[(track_rms == 0.0) | (rms_all < 0.01 * track_rms) | (peak_all < voicing_ratio)] = np.nan  # unvoiced
     times = (np.arange(n_frames) * hop_len + frame_len / 2) / rate
-    return F0Track(times_s=times, f0_hz=f0, hop_s=hop_len / rate)
+    # valid by construction: the times step by hop_len / rate, and each F0 is NaN or clipped into [fmin, fmax]
+    return F0Track._of(array("d", times.tobytes()), array("d", f0.tobytes()), hop_len / rate)
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +506,8 @@ def _f0_track(text: TextIO) -> F0Track:
     hop = times[1] - times[0] if len(times) >= 2 else 0.01
     if not 0 < hop < math.inf:  # the first step sets hop_s: name it, as F0Track names a later one
         raise ParseError(f"frame times must advance by a finite step, got step {hop} at t={times[0]}")
-    try:
-        return F0Track._of(times, f0, hop)
+    try:  # the constructor's checks, under the reader's error type
+        return F0Track._of(*_checked(times, f0, hop))
     except ParameterError as exc:
         raise ParseError(str(exc)) from None
 

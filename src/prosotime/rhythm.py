@@ -180,11 +180,11 @@ class QuadrantStats(Record):
 
     def __init__(self, points: Iterable[tuple[float, float]]) -> None:
         points = tuple((float(a), float(b)) for a, b in points)
+        if not all(map(math.isfinite, chain.from_iterable(points))):
+            raise ParameterError("quadrant points must be finite")
         self._fill(_readonly(array("d", [a for a, _ in points])), _readonly(array("d", [b for _, b in points])))
 
     def _fill(self, z_i: memoryview, z_next: memoryview) -> None:
-        if not all(map(math.isfinite, chain(z_i, z_next))):
-            raise ParameterError("quadrant points must be finite")
         quadrants = bytes(map(_classify, z_i, z_next))  # indices into _QUADRANT_NAMES
         vars(self).update(z_i=z_i, z_next=z_next, _quadrants=quadrants)
 
@@ -230,6 +230,7 @@ def quadrant_analysis(xs: DurationSequence | Iterable[float]) -> QuadrantStats:
     if sd == 0.0:
         raise DegenerateInputError("z-scoring needs nonzero variance")
     mean = _total(values) / len(values)
+    # finite: variance() refused any deviation whose square overflows, and as sd > 0 no |z| exceeds 1e8 * sqrt(n)
     z = _readonly(array("d", ((x - mean) / sd for x in values)))
     return QuadrantStats._of(z[:-1], z[1:])  # the successive pairs: both point columns are views of z
 

@@ -116,12 +116,12 @@ class TimeTree(Record):
         except OverflowError:  # an id no node has
             node = next(node for node, ks in enumerate(kids) if not all(0 <= k < node for k in ks))
             raise ParameterError(f"node {node} has a child whose id is not below its own") from None
-        self._fill("".join(marks), values, labels, array("i", accumulate(map(len, kids), initial=0)), children)
+        columns = ("".join(marks), values, labels, array("i", accumulate(map(len, kids), initial=0)), children)
+        if fault := _fault(*columns):
+            raise ParameterError(fault)
+        self._fill(*columns)
 
     def _fill(self, marks: str, values: array, labels: tuple, offsets: array, children: array) -> None:
-        fault = _fault(marks, values, labels, offsets, children)
-        if fault:
-            raise ParameterError(fault)
         vars(self).update(_marks=marks, _values=values, labels=labels, _offsets=offsets, _children=children)
 
     @property
@@ -174,15 +174,10 @@ def _fault(marks: str, values: array, labels: tuple, offsets: array, children: a
             return "internal nodes carry no label"
         if b - a < 2:
             return "internal nodes need >= 2 children"
-        if b - a == 2:  # a pair, the usual node: read without a slice
-            k, j = children[a], children[a + 1]
-            below = 0 <= k < node and 0 <= j < node
-        else:
-            kids = children[a:b]
-            below = 0 <= min(kids) and max(kids) < node
-        if not below:
+        kids = children[a:b]
+        if not (0 <= min(kids) and max(kids) < node):
             return f"node {node} has a child whose id is not below its own"
-        got = marks[k] + marks[j] if b - a == 2 else "".join(map(marks.__getitem__, kids))
+        got = "".join(map(marks.__getitem__, kids))
         if got.count("s") != 1 or "r" in got:
             return f"children must contain exactly one 's' and otherwise 'w', got {[*got]}"
     n = len(marks)
@@ -256,7 +251,8 @@ def induce_time_tree(
     A joined node keeps its strong child's value, so after the first pass
     only the pairs beside the nodes the previous pass made can hold; each
     pass walks just those, over a doubly linked list of the current items.
-    Each join appends its node to the tree's columns, so the last is the root.
+    Each join appends its node to the tree's columns, so the last is the root,
+    and the tree is valid by construction once its values are finite.
     """
     labels: list[str] = []
     values = array("d")
@@ -265,6 +261,9 @@ def induce_time_tree(
         values.append(float(value))
     if not values:
         raise DegenerateInputError("cannot induce a tree over an empty sequence")
+    bad = next(compress(values, map(not_, map(math.isfinite, values))), None)
+    if bad is not None:  # the one rule of a tree that induction does not guarantee
+        raise ParameterError(f"node value must be finite, got {bad!r}")
 
     n = len(values)
     marks = bytearray(b"w") * n  # a node is 'w' until it is joined as the strong child or is the root

@@ -164,6 +164,7 @@ class TestFormerOracles:
         assert track.f0_hz.tobytes() == f0.tobytes() and track.times_s.tobytes() == times.tobytes()
         assert f0_track_to_csv(track) == _former_csv(times, f0)
         assert svg_f0_track(track) == _former_svg(times, f0)
+        assert len(F0Track(track.times_s, track.f0_hz, track.hop_s)) == len(track)  # built unchecked, it passes the checks
 
 
 class TestColumns:

@@ -334,6 +334,8 @@ class TestPitchRealization:
         assert max(long_high.targets_hz) == 400.0
         for t in long_low.targets_hz + long_high.targets_hz:
             assert 60.0 <= t <= 400.0
+        for seq in (long_low, long_high):  # built unchecked, the targets pass the constructor's range test
+            assert PitchTargetSequence(seq.items, seq.floor_hz, seq.ceiling_hz) == seq
 
     def test_upstep_after_low_register(self):
         targets = realize_pitch(("lc", "^h")).targets_hz
@@ -343,6 +345,12 @@ class TestPitchRealization:
     def test_initials_only_at_start(self):
         with pytest.raises(ParameterError):
             realize_pitch(("hc", "lc"))
+
+    def test_an_upsweep_of_a_zero_register_by_an_infinite_ratio_is_refused(self):
+        # 0 * inf is NaN, the one target that clamping does not bring into range
+        p = TerracingParams(p_h0=0.0, p_l0=-10.0, k_usw=float("inf"), floor_hz=-20.0)
+        with pytest.raises(ParameterError, match=re.escape("target nan Hz for 'h' outside [-20.0, 400.0]")):
+            realize_pitch(("hc", "h", "h"), p)
 
     def test_custom_params(self):
         p = TerracingParams(p_h0=200.0, k_dst=0.5)
@@ -399,3 +407,13 @@ class TestContourSynthesis:
 
         with pytest.raises(DegenerateInputError):
             synthesize_contour(PitchTargetSequence(()))
+
+    @pytest.mark.parametrize("params, labels, bad", [
+        (TerracingParams(p_l0=-50.0, floor_hz=-100.0), ("lc", "l", "^h"), -50.0),
+        (TerracingParams(p_l0=0.0, floor_hz=-100.0), ("lc", "^h"), 0.0),
+        (TerracingParams(p_h0=1e308, k_usw=2.0, ceiling_hz=float("inf")), ("hc", "h"), float("inf")),  # it overflows
+    ], ids=["negative", "zero", "infinite"])
+    def test_a_target_outside_the_voiced_range_is_refused(self, params, labels, bad):
+        targets = realize_pitch(labels, params)
+        with pytest.raises(ParameterError, match=re.escape(f"voiced f0 must be finite and > 0, got {bad}")):
+            synthesize_contour(targets)

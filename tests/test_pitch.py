@@ -473,6 +473,7 @@ def _assert_matches_loop(wave, **params):
     np.testing.assert_array_equal(np.isnan(track.f0_hz), np.isnan(want))
     diffs = np.abs(track.f0_hz - want)[~np.isnan(want)]
     assert diffs.max(initial=0.0) <= 1e-9
+    assert len(F0Track(track.times_s, track.f0_hz, track.hop_s)) == len(track)  # built unchecked, it passes the checks
     return track
 
 

@@ -96,6 +96,7 @@ def test_matches_numpy_reference(xs, form):
     assert list(stats.quadrants) == labels
     assert stats.counts == {q: labels.count(q) for q in ("LL", "SS", "LS", "SL", "origin")}
     assert stats.index == (labels.count("LL") / labels.count("SS") if "SS" in labels else None)
+    assert QuadrantStats(stats.points) == stats  # built unchecked, its z-scores pass the finiteness test
 
 
 class TestVariance:

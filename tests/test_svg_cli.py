@@ -667,6 +667,12 @@ class TestCliToneGen:
                     "--out-dir", str(tmp_path)]) == 1
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_a_target_at_or_below_zero_hz_exits_one(self, tmp_path, capsys):
+        # a floor below zero lets the low register start below zero: the contour refuses it, and no artifact stays
+        assert run(["tone-gen", "L L H", "--floor-hz", "-100", "--p-l0", "-50", "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: voiced f0 must be finite and > 0, got -50.0\n"
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith("tones.")] == []
+
 
 class TestCliIntonation:
     def test_check_accepts(self, tmp_path, capsys):

@@ -22,9 +22,10 @@ from prosotime import (
     tree_to_dict,
 )
 from prosotime.cli import _Blocks, _report_chunks
-from prosotime.timetree import tree_texts
+from prosotime.timetree import _fault, tree_texts
 
 IAMBIC_LOWER = TreeParams(relation="iambic", polarity="lower")
+_ALL_PARAMS = [TreeParams(r, p, a) for r in ("iambic", "trochaic") for p in ("higher", "lower") for a in ("binary", "nary")]
 TROCHAIC_LOWER = TreeParams(relation="trochaic", polarity="lower")
 
 
@@ -131,6 +132,12 @@ class TestStructuralInvariants:
     def test_empty_sequence_rejected(self):
         with pytest.raises(DegenerateInputError):
             induce_time_tree([])
+
+    @pytest.mark.parametrize("values, bad", [([1.0, math.nan, 2.0], "nan"), ([math.inf, 1.0], "inf"),
+                                             ([1.0, 2.0, -math.inf, math.nan], "-inf")])
+    def test_a_value_that_is_not_finite_is_refused(self, values, bad):
+        with pytest.raises(ParameterError, match=f"^node value must be finite, got {bad}$"):
+            induce_time_tree([(f"u{k}", v) for k, v in enumerate(values)])
 
     def test_bad_relation_rejected(self):
         with pytest.raises(ParameterError):
@@ -403,6 +410,11 @@ def _assert_matches_oracles(values, params):
     assert to_sexpr(_as_table(want)) == to_sexpr(got)
     rows = [(r["mark"], r["value"], r.get("label")) for r in tree_to_dict(got)["nodes"]]
     assert rows == _oracle_preorder(want) == _oracle_preorder(_as_nodes(flat))
+    # induction builds its trees unchecked: each one, under every parameter set and over a spectrum, is a valid table
+    trees = [induce_time_tree(pairs, p) for p in _ALL_PARAMS]
+    if len(set(values)) > 1:  # a spectrum of constant magnitudes has no z-scores
+        trees.append(induce_spectral_hierarchy(Spectrum(1.0, np.array(values) - min(values), 1.0), params))
+    assert [_fault(t._marks, t._values, t.labels, t._offsets, t._children) for t in trees] == [None] * len(trees)
 
 
 def _runs(spec):
