@@ -84,13 +84,13 @@ def _refusal(start_s: float, end_s: float) -> str:
     return f"interval must have end_s > start_s, got [{start_s}, {end_s}]"
 
 
-def _overlap(starts: array, ends: array) -> int:
-    """The index of the first interval that starts before the one before it ends, or 0 if none does.
+def _bad_pair(starts: array, ends: array) -> int:
+    """The index of the first interval that starts before the one before it, or before that one ends; else 0.
 
-    "Before" allows OVERLAP_TOLERANCE_S of slack.
+    "Before it ends" allows OVERLAP_TOLERANCE_S of slack.
     """
-    return next((k for k, (end, start) in enumerate(zip(ends, islice(starts, 1, None)), 1)
-                 if end > start + OVERLAP_TOLERANCE_S), 0)
+    return next((k for k, (start, end, next_start) in enumerate(zip(starts, ends, islice(starts, 1, None)), 1)
+                 if next_start < start or end > next_start + OVERLAP_TOLERANCE_S), 0)
 
 
 def _by_start(*columns):
@@ -108,12 +108,12 @@ def _by_start(*columns):
 
 def _tier_fault(name: str, starts: array, ends: array) -> str | None:
     """Why the columns are no tier: the first pair out of order or overlapping, else None."""
-    for start, end, next_start, next_end in zip(starts, ends, islice(starts, 1, None), islice(ends, 1, None)):
-        if next_start < start:
-            return f"tier {name!r}: intervals not sorted by start time"
-        if end > next_start + OVERLAP_TOLERANCE_S:
-            return f"tier {name!r}: intervals [{start}, {end}] and [{next_start}, {next_end}] overlap"
-    return None
+    k = _bad_pair(starts, ends)
+    if not k:
+        return None
+    if starts[k] < starts[k - 1]:
+        return f"tier {name!r}: intervals not sorted by start time"
+    return f"tier {name!r}: intervals [{starts[k - 1]}, {ends[k - 1]}] and [{starts[k]}, {ends[k]}] overlap"
 
 
 def _readonly(column: array) -> memoryview:
@@ -138,8 +138,7 @@ class Tier(Record):
     def __init__(self, name: str, intervals: Iterable[Interval]) -> None:
         ivs = tuple(intervals)
         starts, ends = array("d", [iv.start_s for iv in ivs]), array("d", [iv.end_s for iv in ivs])
-        fault = _tier_fault(name, starts, ends)
-        if fault:
+        if fault := _tier_fault(name, starts, ends):
             raise ParameterError(fault)
         self._fill(name, [iv.label for iv in ivs], starts, ends)
 
@@ -385,8 +384,7 @@ def _textgrid(text: Iterable[str], source: str) -> AnnotationDoc:
                 starts.append(x0)
                 ends.append(x1)
             starts, labels, ends = _by_start(starts, labels, ends)
-            fault = _tier_fault(name, starts, ends)
-            if fault:
+            if fault := _tier_fault(name, starts, ends):  # an overlap, as the intervals are sorted
                 raise ParseError(fault, line=name_line)
             tier = Tier._of(name, labels, starts, ends)
         elif tier_class in ("TextTier", "PointTier"):
@@ -532,8 +530,7 @@ def _csv_annotation(text: TextIO, source: str) -> AnnotationDoc:
     tiers: list[Tier] = []
     for tier_name, columns in grouped.items():
         starts, labels, ends, rows = _by_start(*columns)
-        k = _overlap(starts, ends)
-        if k:
+        if k := _bad_pair(starts, ends):  # an overlap, as the rows are sorted
             raise ParseError(
                 f"tier {tier_name!r}: rows {rows[k - 1]} and {rows[k]} overlap "
                 f"([{starts[k - 1]}, {ends[k - 1]}] vs [{starts[k]}, {ends[k]}])",

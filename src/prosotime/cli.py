@@ -471,15 +471,13 @@ def _cmd_intonation(args) -> tuple[dict, str, dict]:
 
 
 def _median(values) -> float:
-    """np.median of a non-empty float array, without the numpy.ma import that
-    np.median makes (about 4 ms a process): NaN if any value is NaN, else the
-    middle sorted value, or the mean of the two middle ones."""
+    """np.median of a non-empty float array holding no NaN, without the
+    numpy.ma import that np.median makes (about 4 ms a process): the middle
+    sorted value, or the mean of the two middle ones."""
     import numpy as np
 
     s = np.sort(values)
     mid = len(s) // 2
-    if math.isnan(s[-1]):  # NaN sorts last
-        return math.nan
     return float(s[mid]) if len(s) % 2 else (float(s[mid - 1]) + float(s[mid])) / 2
 
 

@@ -389,8 +389,9 @@ def realize_pitch(
     update.  hc/lc may only appear as the first label.
     """
     seq = labels.split() if isinstance(labels, str) else list(labels)
+    alphabet = _TERRACING.alphabet(1)
     for lab in seq:
-        if lab not in _TERRACING.alphabet(1):
+        if lab not in alphabet:
             raise AlphabetError(f"unknown phonetic label {lab!r}")
 
     def clamp(x: float) -> float:
@@ -401,9 +402,7 @@ def realize_pitch(
     hz = array("d")
     for k, lab in enumerate(seq):
         if lab in ("hc", "lc") and k != 0:
-            raise ParameterError(
-                f"malformed sequence: initial label {lab!r} at position {k}"
-            )
+            raise ParameterError(f"malformed sequence: initial label {lab!r} at position {k}")
         if lab == "hc":
             p = clamp(params.p_h0)
             r_h = p
@@ -438,12 +437,10 @@ def synthesize_contour(targets: PitchTargetSequence, tone_dur_ms: float = 150.0)
     is built.  The columns are the values of np.repeat(targets_hz, per) and
     np.arange(n) * hop_s, built without numpy; below the cap the times step uniformly.
     """
-    from .pitch import F0Track
+    from .pitch import F0Track, _voiced_range
 
     per = _frames_per_target(targets, tone_dur_ms)
-    bad = next((hz for hz in targets._hz if not 0.0 < hz < math.inf), None)
-    if bad is not None:  # a floor_hz <= 0 or an infinite ceiling_hz lets a target leave the range
-        raise ParameterError(f"voiced f0 must be finite and > 0, got {bad}")
+    _voiced_range(targets._hz)  # refuses a target a floor_hz <= 0 or an infinite ceiling_hz let through; none is NaN
     f0 = array("d", chain.from_iterable(map(repeat, targets._hz, repeat(per))))
     times = array("d", map(mul, range(len(f0)), repeat(_HOP_S)))  # k * hop_s, k converted to float exactly
     return F0Track._of(times, f0, _HOP_S)

@@ -91,10 +91,7 @@ def _checked(times: array, f0: array, hop_s: float) -> tuple[array, array, float
         bad = next((t for t in times if not math.isfinite(t)), None)
         if bad is not None:
             raise ParameterError(f"frame times must be finite, got {bad}")
-    voiced = _f0_range(f0)
-    if voiced and not (0.0 < voiced[0] and voiced[1] < math.inf):
-        bad = next(v for v in f0 if not (0.0 < v < math.inf or v != v))
-        raise ParameterError(f"voiced f0 must be finite and > 0, got {bad}")
+    _voiced_range(f0)  # refuses a voiced F0 outside 0 < hz < inf
     if len(times) != len(f0):
         raise ParameterError(f"{len(times)} times vs {len(f0)} f0 values")
     h = _positive(hop_s, "hop_s")
@@ -136,15 +133,20 @@ def _ndarray(column: array) -> np.ndarray:
     return np.frombuffer(memoryview(column).toreadonly(), dtype=np.float64)
 
 
-def _f0_range(f0: array) -> tuple[float, float] | None:
-    """The least and the greatest voiced F0, or None when no frame is voiced.
+def _voiced_range(f0: array) -> tuple[float, float] | None:
+    """The least and the greatest voiced F0, or None when no frame is voiced; they must lie in 0 < hz < inf.
 
-    min and max pass over a NaN after their first value, so they start at the first voiced frame.
+    min and max pass over a NaN after their first value, so they start at the first voiced frame.  Only when
+    they leave the range does the exact rule run, to name the first voiced F0 outside it in a ParameterError.
     """
     first = next((k for k, v in enumerate(f0) if v == v), len(f0))
     if first == len(f0):
         return None
-    return min(islice(f0, first, None)), max(islice(f0, first, None))
+    lo, hi = min(islice(f0, first, None)), max(islice(f0, first, None))
+    if not (0.0 < lo and hi < math.inf):
+        bad = next(v for v in f0 if not (0.0 < v < math.inf or v != v))
+        raise ParameterError(f"voiced f0 must be finite and > 0, got {bad}")
+    return lo, hi
 
 
 class IPU(Record):

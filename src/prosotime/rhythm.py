@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 from array import array
+from functools import wraps
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from ._record import Record
-from .annot import DurationSequence, _readonly
+from .annot import DurationSequence, T, _readonly
 from .errors import DegenerateInputError, ParameterError
 
 __all__ = [
@@ -39,21 +40,24 @@ __all__ = [
 ]
 
 
-def _as_values(xs: DurationSequence | Iterable[float]) -> array:
-    """Coerce a DurationSequence or plain iterable of numbers to an array("d").
+def _on_durations(body: Callable[[array], T]) -> Callable[[DurationSequence | Iterable[float]], T]:
+    """body, a function of finite durations in an array("d"), as one of a DurationSequence or of numbers.
 
-    A DurationSequence gives its own column and an array("d") is itself:
-    neither is copied.
+    A DurationSequence gives its own column unscanned, its durations being finite and > 0; other input is
+    coerced (an array("d") is not copied) and scanned once.  body stays callable as `__wrapped__`.
     """
-    values = xs._values if isinstance(xs, DurationSequence) else xs
-    if not (isinstance(values, array) and values.typecode == "d"):
+    @wraps(body)
+    def public(xs: DurationSequence | Iterable[float]) -> T:
+        if isinstance(xs, DurationSequence):
+            return body(xs._values)
         try:
-            values = array("d", map(float, values))
+            values = xs if isinstance(xs, array) and xs.typecode == "d" else array("d", map(float, xs))
         except (TypeError, ValueError) as exc:
             raise ParameterError(f"expected a 1-D sequence of numbers: {exc}") from None
-    if not all(map(math.isfinite, values)):
-        raise ParameterError("durations must be finite")
-    return values
+        if not all(map(math.isfinite, values)):
+            raise ParameterError("durations must be finite")
+        return body(values)
+    return public
 
 
 def _total(values: Iterable[float], what: str = "durations") -> float:
@@ -66,20 +70,25 @@ def _total(values: Iterable[float], what: str = "durations") -> float:
     return total
 
 
-def variance(xs: DurationSequence | Iterable[float]) -> float:
-    """Sample variance (n-1 denominator) of the durations."""
-    values = _as_values(xs)
+def _moments(values: array) -> tuple[float, float]:
+    """(mean, sample variance) of the durations; constant durations give (values[0], 0.0)."""
     if len(values) < 2:
         raise DegenerateInputError(f"variance needs >= 2 items, got {len(values)}")
-    if max(values) == min(values):
-        # constant input is exactly zero; a rounded mean could leak an ulp
-        return 0.0
+    if max(values) == min(values):  # constant input is exactly zero; a rounded mean could leak an ulp
+        return values[0], 0.0
     mean = _total(values) / len(values)
     squares = _total(((x - mean) * (x - mean) for x in values), "squared deviations of the durations")
-    return squares / (len(values) - 1)
+    return mean, squares / (len(values) - 1)
 
 
-def pim(xs: DurationSequence | Iterable[float]) -> float:
+@_on_durations
+def variance(values: array) -> float:
+    """Sample variance (n-1 denominator) of the durations."""
+    return _moments(values)[1]
+
+
+@_on_durations
+def pim(values: array) -> float:
     """Pairwise Irregularity Measure: sum of |ln(x_i/x_j)| over ordered pairs i != j.
 
     Natural logarithm; a different base would only rescale the measure.
@@ -87,7 +96,6 @@ def pim(xs: DurationSequence | Iterable[float]) -> float:
     (k+1)-th smallest (k = 1..n-1) lies between k * (n - k) unordered pairs.
     Summing non-negative gaps keeps constant input at exactly zero.
     """
-    values = _as_values(xs)
     n = len(values)
     if n < 2:
         raise DegenerateInputError(f"pim needs >= 2 items, got {n}")
@@ -98,9 +106,9 @@ def pim(xs: DurationSequence | Iterable[float]) -> float:
     return 2.0 * math.fsum(gaps)  # both orders counted
 
 
-def pfd(xs: DurationSequence | Iterable[float]) -> float:
+@_on_durations
+def pfd(values: array) -> float:
     """Percentage Foot Deviation: 100 * sum |x_i - mean| / sum x_j."""
-    values = _as_values(xs)
     if len(values) == 0:
         raise DegenerateInputError("pfd needs a non-empty sequence")
     total = _total(values)
@@ -112,21 +120,21 @@ def pfd(xs: DurationSequence | Iterable[float]) -> float:
     return 100.0 * math.fsum(abs(x - mean) for x in values) / total
 
 
-def rpvi(xs: DurationSequence | Iterable[float]) -> float:
+@_on_durations
+def rpvi(values: array) -> float:
     """Raw Pairwise Variability Index: mean absolute successive difference."""
-    values = _as_values(xs)
     if len(values) < 2:
         raise DegenerateInputError(f"rpvi needs >= 2 items, got {len(values)}")
     return math.fsum(abs(a - b) for a, b in zip(values, values[1:])) / (len(values) - 1)
 
 
-def npvi(xs: DurationSequence | Iterable[float]) -> float:
+@_on_durations
+def npvi(values: array) -> float:
     """Normalised Pairwise Variability Index, as a percentage.
 
     Each successive difference is normalised by the pair mean, which cancels
     any common scale factor (and with it, tempo).
     """
-    values = _as_values(xs)
     if len(values) < 2:
         raise DegenerateInputError(f"npvi needs >= 2 items, got {len(values)}")
     if min(values) <= 0:
@@ -215,22 +223,20 @@ class QuadrantStats(Record):
     ll, ss, ls, sl, origin = map(_count, _QUADRANT_NAMES)
 
 
-def quadrant_analysis(xs: DurationSequence | Iterable[float]) -> QuadrantStats:
+@_on_durations
+def quadrant_analysis(values: array) -> QuadrantStats:
     """Classify successive z-scored duration pairs into quadrants.
 
     Needs at least 3 items and nonzero variance (the z-scores are undefined
     otherwise).  The counts always partition the n-1 successive pairs.
     """
-    values = _as_values(xs)
     if len(values) < 3:
-        raise DegenerateInputError(
-            f"quadrant analysis needs >= 3 items, got {len(values)}"
-        )
-    sd = math.sqrt(variance(values))
+        raise DegenerateInputError(f"quadrant analysis needs >= 3 items, got {len(values)}")
+    mean, var = _moments(values)
+    sd = math.sqrt(var)
     if sd == 0.0:
         raise DegenerateInputError("z-scoring needs nonzero variance")
-    mean = _total(values) / len(values)
-    # finite: variance() refused any deviation whose square overflows, and as sd > 0 no |z| exceeds 1e8 * sqrt(n)
+    # finite: _moments refused any deviation whose square overflows, and as sd > 0 no |z| exceeds 1e8 * sqrt(n)
     z = _readonly(array("d", ((x - mean) / sd for x in values)))
     return QuadrantStats._of(z[:-1], z[1:])  # the successive pairs: both point columns are views of z
 
@@ -240,15 +246,11 @@ def quadrant_analysis(xs: DurationSequence | Iterable[float]) -> QuadrantStats:
 # ---------------------------------------------------------------------------
 
 
-def metrics_report(xs: DurationSequence | Iterable[float]) -> dict:
+@_on_durations
+def metrics_report(values: array) -> dict:
     """All five dispersion metrics plus the parameters they were computed under."""
-    values = _as_values(xs)
     return {
-        "variance": variance(values),
-        "pim": pim(values),
-        "pfd": pfd(values),
-        "rpvi": rpvi(values),
-        "npvi": npvi(values),
+        **{metric.__name__: metric.__wrapped__(values) for metric in (variance, pim, pfd, rpvi, npvi)},
         "n": len(values),
         "params": {
             "variance_ddof": 1,

@@ -251,11 +251,11 @@ def svg_f0_track_chunks(track: F0Track, models: Sequence[PolyContourModel] = ())
     times placed as np.linspace places them, valued as PolyFit.evaluate
     values them (PolyFit._at), so the bytes are those numpy gave.
     """
-    from .pitch import _f0_range
+    from .pitch import _voiced_range
 
     times, f0 = track._times, track._f0
     t_lo, t_hi, v_lo, v_hi = 0.0, 1.0, 0.0, 1.0
-    if voiced := _f0_range(f0):
+    if voiced := _voiced_range(f0):
         t_lo, t_hi = times[0], times[-1]
         v_lo, v_hi = voiced[0] * 0.9, voiced[1] * 1.1
     frame = _Frame(t_lo, t_hi, v_lo, v_hi, 50, 20, _W - 70, _H - 70)

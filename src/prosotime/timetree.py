@@ -22,7 +22,7 @@ import math
 from array import array
 from collections.abc import Sequence
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import not_
+from operator import index, not_
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from ._record import Record
@@ -111,15 +111,11 @@ class TimeTree(Record):
         for mark in marks:
             if mark not in _MARKS:
                 raise ParameterError(f"mark must be one of {_MARKS}, got {mark!r}")
-        try:
-            children = array("i", chain.from_iterable(kids))
-        except OverflowError:  # an id no node has
-            node = next(node for node, ks in enumerate(kids) if not all(0 <= k < node for k in ks))
-            raise ParameterError(f"node {node} has a child whose id is not below its own") from None
-        columns = ("".join(marks), values, labels, array("i", accumulate(map(len, kids), initial=0)), children)
-        if fault := _fault(*columns):
+        children = [*map(index, chain.from_iterable(kids))]  # in an array("i") once _fault has bounded every id
+        columns = ("".join(marks), values, labels, array("i", accumulate(map(len, kids), initial=0)))
+        if fault := _fault(*columns, children):
             raise ParameterError(fault)
-        self._fill(*columns)
+        self._fill(*columns, array("i", children))
 
     def _fill(self, marks: str, values: array, labels: tuple, offsets: array, children: array) -> None:
         vars(self).update(_marks=marks, _values=values, labels=labels, _offsets=offsets, _children=children)
@@ -155,16 +151,21 @@ class TimeTree(Record):
                 stack.extend((k, level + 1, True) for k in reversed(children[offsets[node]:offsets[node + 1]]))
 
 
-def _fault(marks: str, values: array, labels: tuple, offsets: array, children: array) -> str | None:
+def _nonfinite(values: array) -> str | None:
+    """Why values are no node values: the first that is not finite, else None."""
+    bad = next(compress(values, map(not_, map(math.isfinite, values))), None)
+    return None if bad is None else f"node value must be finite, got {bad!r}"
+
+
+def _fault(marks: str, values: array, labels: tuple, offsets: array, children: Sequence[int]) -> str | None:
     """Why the columns are no tree, or None; marks are r, s or w, and there are as many of them as values and labels.
 
     The values are checked first, then each node in id order (its label, then
     its children: at least two, ids below its own, exactly one marked 's' and
     the rest 'w'), then the parents and the root's mark.
     """
-    node = next(compress(count(), map(not_, map(math.isfinite, values))), None)
-    if node is not None:
-        return f"node value must be finite, got {values[node]!r}"
+    if fault := _nonfinite(values):
+        return fault
     for node, (label, a, b) in enumerate(zip(labels, offsets, islice(offsets, 1, None))):
         if a == b:
             if not isinstance(label, str):
@@ -261,9 +262,8 @@ def induce_time_tree(
         values.append(float(value))
     if not values:
         raise DegenerateInputError("cannot induce a tree over an empty sequence")
-    bad = next(compress(values, map(not_, map(math.isfinite, values))), None)
-    if bad is not None:  # the one rule of a tree that induction does not guarantee
-        raise ParameterError(f"node value must be finite, got {bad!r}")
+    if fault := _nonfinite(values):  # the one rule of a tree that induction does not guarantee
+        raise ParameterError(fault)
 
     n = len(values)
     marks = bytearray(b"w") * n  # a node is 'w' until it is joined as the strong child or is the root

@@ -21,7 +21,7 @@ from pathlib import Path
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prosotime import (
@@ -162,6 +162,8 @@ class TestCsvOracle:
 class TestTierColumns:
     @ORACLE
     @given(ivs=INTERVALS)
+    @example(ivs=[("p", 0.0, 0.5), ("q", 0.25, 0.75), ("p", 0.0, 0.25)])  # an overlap, then a pair out of order
+    @example(ivs=[("p", 0.5, 0.75), ("q", 0.0, 0.5), ("p", 0.25, 1.0)])  # a pair out of order, then an overlap
     def test_check_matches_former_pairwise_check(self, ivs):
         intervals = tuple(Interval(*iv) for iv in ivs)
         assert (_outcome(lambda: Tier("t", intervals).intervals)

@@ -261,13 +261,13 @@ class TestQuadrants:
 class TestInput:
     @pytest.mark.parametrize("xs", [[[1.0, 2.0], [3.0, 4.0]], np.ones((3, 2)), ["a", "b"]])
     def test_not_a_sequence_of_numbers(self, xs):
-        for fn in (variance, pim, pfd, rpvi, npvi, quadrant_analysis):
+        for fn in (variance, pim, pfd, rpvi, npvi, quadrant_analysis, metrics_report):
             with pytest.raises(ParameterError):
                 fn(xs)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_rejected(self, bad):
-        for fn in (variance, pim, pfd, rpvi, npvi, quadrant_analysis):
+        for fn in (variance, pim, pfd, rpvi, npvi, quadrant_analysis, metrics_report):
             with pytest.raises(ParameterError):
                 fn([1.0, bad, 2.0])
 

@@ -725,9 +725,9 @@ class TestCliIntonation:
 
 class TestCliF0AndContour:
     @settings(max_examples=300, derandomize=True, deadline=None)
-    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e308, math.inf, -math.inf, math.nan]),
-                              st.floats()), min_size=1, max_size=12))
-    def test_median_matches_np_median(self, values):
+    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e308, math.inf, -math.inf]),
+                              st.floats(allow_nan=False)), min_size=1, max_size=12))
+    def test_median_matches_np_median(self, values):  # of voiced frames, which hold no NaN
         xs = np.array(values, dtype=float)
         with np.errstate(all="ignore"):  # np.median overflows (1e308 + 1e308) and meets inf - inf
             want = float(np.median(xs))
