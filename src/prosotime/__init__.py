@@ -17,11 +17,11 @@ __version__ = "0.1.0"
 # submodule -> the public names it defines, in __all__ order
 _EXPORTS = {
     "audio": ("Waveform", "read_wav", "write_wav_pcm16", "synthesize_am"),
-    "_polyfit": ("PolyFit",),
+    "_polyfit": ("PolyFit", "fit_polynomial"),
     "aems": (
         "Envelope", "Spectrum", "FrequencyZone",
         "rectify_full_wave", "extract_envelope_peaks", "smooth_envelope",
-        "dft_magnitude", "aems", "fit_polynomial", "detect_zones", "zscore",
+        "dft_magnitude", "aems", "detect_zones", "zscore",
     ),
     "annot": (
         "Interval", "Tier", "AnnotationDoc", "DurationSequence",

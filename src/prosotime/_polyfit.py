@@ -1,11 +1,11 @@
-"""Least-squares polynomials: the PolyFit record and a fit on the standard library.
+"""Least-squares polynomials: the PolyFit record and its two fits.
 
-aems.fit_polynomial, numpy's lstsq over the scaled Vandermonde, is the
-reference fit and serves the spectra.  fit_legendre is the same fit in
-Python, for the F0 contours of pitch.fit_contour: it returns None for any
-system whose agreement with the reference it cannot certify, and the caller
-then hands that system to fit_polynomial.  This module imports no numpy, so
-that a contour-fit process need not load it.
+fit_polynomial, numpy's lstsq over the scaled Vandermonde, is the reference
+fit and serves the spectra.  fit_legendre is the same fit in Python, for the
+F0 contours of pitch.fit_contour: it returns None for any system whose
+agreement with the reference it cannot certify, and the caller then hands
+that system to fit_polynomial.  numpy is imported inside the functions that
+use it, so that a contour-fit process need not load it.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from operator import lt, mul, sub
 from typing import TYPE_CHECKING
 
 from ._record import Record
+from .errors import DegenerateInputError, ParameterError, SingularityError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -57,12 +58,87 @@ class PolyFit(Record):
         lo, hi = self.domain
         if not hi > lo:
             return self.coeffs[0]
-        u = (-hi - lo) / (hi - lo) + 2.0 / (hi - lo) * x
+        off, scl = _mapparms(lo, hi)
+        u = off + scl * x
         *rest, value = self.scaled_coeffs
         value = value + u * 0
         for c in reversed(rest):
             value = c + value * u
         return value
+
+
+def _mapparms(lo: float, hi: float) -> tuple[float, float]:
+    """off and scl of the map u = off + scl * x of [lo, hi] onto [-1, 1], as numpy's mapparms computes them."""
+    return (-hi - lo) / (hi - lo), 2.0 / (hi - lo)
+
+
+def _powers_of_x(scaled: list[float], off: float, scl: float) -> list[float]:
+    """scaled(off + scl * x) in powers of x by Horner's rule, in the operations of numpy's Polynomial.convert."""
+    coeffs = scaled[-1:]
+    for c in reversed(scaled[:-1]):
+        coeffs = [c + off * coeffs[0], *(off * q + scl * r for q, r in zip(coeffs[1:], coeffs)), scl * coeffs[-1]]
+    return coeffs
+
+
+def _has_duplicates(xs) -> bool:
+    """len(np.unique(xs)) != len(xs), without the numpy.ma import that np.unique
+    makes (about 4 ms a process): two sorted neighbours are equal, or both NaN."""
+    import numpy as np
+
+    s = np.sort(xs)
+    a, b = s[:-1], s[1:]
+    return bool(np.any((a == b) | (np.isnan(a) & np.isnan(b))))
+
+
+def fit_polynomial(xs, ys, degree) -> PolyFit:
+    """Least-squares polynomial fit.
+
+    xs are internally shifted/scaled to [-1, 1] before solving the
+    Vandermonde system; the reported coefficients are converted back to
+    ascending powers of the original x.
+    """
+    import numpy as np
+
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    if degree < 0:
+        raise ParameterError("degree must be non-negative")
+    if xs.ndim != 1 or xs.shape != ys.shape:
+        raise ParameterError("xs and ys must be 1-D arrays of equal length")
+    if len(xs) < degree + 1:
+        raise ParameterError(
+            f"{len(xs)} points cannot determine a degree-{degree} polynomial"
+        )
+    if _has_duplicates(xs):
+        raise ParameterError("xs must be distinct")
+
+    lo, hi = float(np.min(xs)), float(np.max(xs))
+    with np.errstate(over="ignore", invalid="ignore"):  # hi == lo: a single point, degree 0 only
+        u = (2.0 * xs - (lo + hi)) / (hi - lo) if hi > lo else np.zeros_like(xs)
+    if not np.isfinite(u).all():
+        raise DegenerateInputError(f"the x span [{lo!r}, {hi!r}] cannot be mapped onto [-1, 1] in the float range")
+    basis = np.vander(u, degree + 1, increasing=True)
+    sol, _res, rank, _sv = np.linalg.lstsq(basis, ys, rcond=None)
+    if rank < degree + 1:
+        raise SingularityError(
+            f"rank-deficient system (rank {rank} < {degree + 1}) for degree {degree}"
+        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        rmse = float(np.sqrt(np.mean((basis @ sol - ys) ** 2)))
+    if not np.isfinite(rmse):
+        raise DegenerateInputError(
+            f"degree-{degree} fit residuals overflow the float range "
+            f"over the y span [{float(np.min(ys))!r}, {float(np.max(ys))!r}]"
+        )
+    scaled = sol.tolist()
+    # + 0.0: Polynomial.convert, whose bits these are, never gives a -0.0
+    coeffs = [c + 0.0 for c in _powers_of_x(scaled, *_mapparms(lo, hi))] if hi > lo else scaled
+    if not all(map(math.isfinite, coeffs)):
+        raise DegenerateInputError(
+            f"degree-{degree} coefficients in powers of x overflow the float range "
+            f"over the x span [{lo!r}, {hi!r}]"
+        )
+    return PolyFit(degree=int(degree), coeffs=tuple(coeffs), domain=(lo, hi), rmse=rmse, scaled_coeffs=tuple(scaled))
 
 
 _EPS = sys.float_info.epsilon
@@ -74,12 +150,12 @@ _GRAM_ERROR = 1e-12
 
 
 def fit_legendre(xs: list[float], ys: list[float], degree: int) -> PolyFit | None:
-    """aems.fit_polynomial(xs, ys, degree) on the standard library, or None where it cannot certify the result.
+    """fit_polynomial(xs, ys, degree) on the standard library, or None where it cannot certify the result.
 
     xs is mapped onto u in [-1, 1] as fit_polynomial maps it.  The least
     squares is solved in the Legendre basis over u, W: its normal equations,
     summed with math.fsum, by Cholesky.  The coefficients are then changed to
-    powers of u (scaled_coeffs) and of x, the latter as Polynomial.convert does.
+    powers of u (scaled_coeffs) and of x, the latter by _powers_of_x.
 
     fit_polynomial ranks V, the monomial Vandermonde over u.  V = W A^-1, with
     A the change from Legendre to monomial coefficients, so cond(V) is at most
@@ -132,14 +208,12 @@ def fit_legendre(xs: list[float], ys: list[float], degree: int) -> PolyFit | Non
         legendre[j] = (z[j] - fsum(chol[k][j] * legendre[k] for k in range(j + 1, p))) / chol[j][j]
     scaled = [fsum(b * poly[m] for b, poly in zip(legendre, to_mono) if m < len(poly)) for m in range(p)]
     coeffs = scaled
-    if hi > lo:  # scaled(off + scl * x) by Horner's rule, each step a product with off + scl * x
-        off, scl = (-hi - lo) / (hi - lo), 2.0 / (hi - lo)
+    if hi > lo:
+        off, scl = _mapparms(lo, hi)
         top = max(map(abs, scaled))
         if top and math.log2(top * p) + degree * math.log2(1.0 + abs(off) + abs(scl)) >= 1000.0:
             return None  # a partial sum could overflow
-        coeffs = scaled[-1:]
-        for c in reversed(scaled[:-1]):
-            coeffs = [c + off * coeffs[0], *(off * q + scl * r for q, r in zip(coeffs[1:], coeffs)), scl * coeffs[-1]]
+        coeffs = _powers_of_x(scaled, off, scl)
     fitted = [legendre[0]] * n  # then the residuals, in the pass that adds the last column
     for b, col in zip(legendre[1:-1], cols[1:-1]):
         fitted = [f + b * v for f, v in zip(fitted, col)]

@@ -3,7 +3,7 @@
 The pipeline: full-wave rectification and peak-picking envelope extraction in
 one blockwise pass, moving-average smoothing, then an unwindowed DFT magnitude
 spectrum kept below a cutoff. Zone detection reads rhythm bands off the
-spectrum after polynomial shape-smoothing.
+spectrum after shape-smoothing by _polyfit.fit_polynomial, re-exported here.
 """
 
 from __future__ import annotations
@@ -11,13 +11,12 @@ from __future__ import annotations
 from typing import Iterator
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from . import audio
-from ._polyfit import PolyFit
+from ._polyfit import PolyFit, fit_polynomial
 from ._record import Record
 from .audio import Waveform, WavSource, _frozen_array, _ms_to_samples, _positive, _ranges
-from .errors import DegenerateInputError, ParameterError, SingularityError
+from .errors import DegenerateInputError, ParameterError
 
 __all__ = [
     "Envelope",
@@ -241,71 +240,6 @@ def aems(wave: Waveform | WavSource, cutoff_hz=5.0, window_ms=20.0, env_rate=100
         }
     )
     return Spectrum(spec.resolution_hz, spec.magnitudes, spec.cutoff_hz, params)
-
-
-def _has_duplicates(xs) -> bool:
-    """len(np.unique(xs)) != len(xs), without the numpy.ma import that np.unique
-    makes (about 4 ms a process): two sorted neighbours are equal, or both NaN."""
-    s = np.sort(xs)
-    a, b = s[:-1], s[1:]
-    return bool(np.any((a == b) | (np.isnan(a) & np.isnan(b))))
-
-
-def fit_polynomial(xs, ys, degree) -> PolyFit:
-    """Least-squares polynomial fit.
-
-    xs are internally shifted/scaled to [-1, 1] before solving the
-    Vandermonde system; the reported coefficients are converted back to
-    ascending powers of the original x.
-    """
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    if degree < 0:
-        raise ParameterError("degree must be non-negative")
-    if xs.ndim != 1 or xs.shape != ys.shape:
-        raise ParameterError("xs and ys must be 1-D arrays of equal length")
-    if len(xs) < degree + 1:
-        raise ParameterError(
-            f"{len(xs)} points cannot determine a degree-{degree} polynomial"
-        )
-    if _has_duplicates(xs):
-        raise ParameterError("xs must be distinct")
-
-    lo, hi = float(np.min(xs)), float(np.max(xs))
-    if hi > lo:
-        u = (2.0 * xs - (lo + hi)) / (hi - lo)
-    else:
-        u = np.zeros_like(xs)  # single point, degree 0 only
-    basis = np.vander(u, degree + 1, increasing=True)
-    sol, _res, rank, _sv = np.linalg.lstsq(basis, ys, rcond=None)
-    if rank < degree + 1:
-        raise SingularityError(
-            f"rank-deficient system (rank {rank} < {degree + 1}) for degree {degree}"
-        )
-    with np.errstate(over="ignore", invalid="ignore"):
-        rmse = float(np.sqrt(np.mean((basis @ sol - ys) ** 2)))
-    if not np.isfinite(rmse):
-        raise DegenerateInputError(
-            f"degree-{degree} fit residuals overflow the float range "
-            f"over the y span [{float(np.min(ys))!r}, {float(np.max(ys))!r}]"
-        )
-    if hi > lo:
-        coeffs = Polynomial(sol, domain=[lo, hi]).convert().coef
-        coeffs = np.pad(coeffs, (0, degree + 1 - len(coeffs)))
-    else:
-        coeffs = sol
-    if not np.isfinite(coeffs).all():
-        raise DegenerateInputError(
-            f"degree-{degree} coefficients in powers of x overflow the float range "
-            f"over the x span [{lo!r}, {hi!r}]"
-        )
-    return PolyFit(
-        degree=int(degree),
-        coeffs=tuple(float(c) for c in coeffs),
-        domain=(lo, hi),
-        rmse=rmse,
-        scaled_coeffs=tuple(float(c) for c in sol),
-    )
 
 
 def _peaks(y):

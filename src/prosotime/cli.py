@@ -11,7 +11,7 @@ decides whether the file is a TextGrid or CSV.
 Each handler imports the modules it runs, so a process loads numpy only for
 the subcommands that need it (aems, spectree, calibrate and f0); metrics,
 timetree, intonation and tone-gen run on the standard library, and so does
-contour-fit unless it hands a system it cannot certify to aems.fit_polynomial.
+contour-fit unless it hands a system it cannot certify to _polyfit.fit_polynomial.
 
 Each subcommand names every file it can write before it runs: `outputs`
 suffixes, the first its JSON report, after the input file's stem (or a fixed
@@ -496,13 +496,13 @@ def _cmd_f0(args) -> tuple[dict, str, dict]:
         "input": args.wav,
         "params": {**params, **ipu_params},
         "n_frames": len(track),
-        "voiced_frames": track.voiced_count,
+        "voiced_frames": len(voiced),
         "hop_s": track.hop_s,
         "median_f0_hz": _median(voiced) if len(voiced) else None,
         "ipus": [{"start_s": u.start_s, "end_s": u.end_s} for u in ipus],
     }
     summary = (
-        f"frames={len(track)} voiced={track.voiced_count} "
+        f"frames={len(track)} voiced={len(voiced)} "
         f"median_f0_hz={report['median_f0_hz']} ipus={len(ipus)}"
     )
     return report, summary, {

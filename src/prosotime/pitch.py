@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, BinaryIO, Iterator, TextIO
 from ._record import Record
 from .errors import DegenerateInputError, ParameterError, ParseError, _positive
 
-if TYPE_CHECKING:  # numpy, audio and aems are imported where arrays are computed
+if TYPE_CHECKING:  # numpy and audio are imported where arrays are computed
     import numpy as np
 
     from ._polyfit import PolyFit
@@ -402,7 +402,7 @@ def fit_contour(track: F0Track, degree: int, domain: IPU | None = None) -> PolyC
 
     The columns are read and the system solved with the standard library
     (_polyfit.fit_legendre).  A system whose full rank, or whose agreement with
-    aems.fit_polynomial, that solver cannot certify is handed to
+    _polyfit.fit_polynomial, that solver cannot certify is handed to
     fit_polynomial, whose result or exception is then the fit's.
     """
     times, f0 = track._times, track._f0
@@ -420,13 +420,11 @@ def fit_contour(track: F0Track, degree: int, domain: IPU | None = None) -> PolyC
         raise DegenerateInputError(
             f"{len(xs)} voiced frames cannot constrain a degree-{degree} fit"
         )
-    from ._polyfit import fit_legendre
+    from ._polyfit import fit_legendre, fit_polynomial
 
     fit = fit_legendre(xs, ys, degree)
     if fit is None:
         import numpy as np
-
-        from .aems import fit_polynomial
 
         xs, ys = np.array(xs), np.array(ys)  # no list of the voiced frames is held while numpy fits
         fit = fit_polynomial(xs, ys, degree)

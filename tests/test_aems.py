@@ -25,7 +25,8 @@ from prosotime import (
     synthesize_am,
     zscore,
 )
-from prosotime.aems import _block_peaks, _has_duplicates, _peaks, spectrum_to_csv
+from prosotime._polyfit import _has_duplicates
+from prosotime.aems import _block_peaks, _peaks, spectrum_to_csv
 
 
 def naive_dft_magnitudes(values, rate, cutoff_hz, zero_mean=True):
@@ -340,6 +341,12 @@ class TestPolynomialFit:
         xs = np.arange(10) * 1e-300
         with pytest.raises(DegenerateInputError, match="overflow the float range"):
             fit_polynomial(xs, 100.0 + np.arange(10), 3)
+
+    @pytest.mark.parametrize("xs", [[0.0, math.inf, 2.0], [0.0, 1e308, 1.5e308]])
+    def test_x_span_beyond_float_range_rejected(self, xs):
+        # x cannot be mapped onto [-1, 1]: refused before lstsq sees a NaN
+        with pytest.raises(DegenerateInputError, match=r"the x span \[0\.0, "):
+            fit_polynomial(xs, [1.0, 2.0, 3.0], 1)
 
     def test_repeated_xs_rejected(self):
         with pytest.raises(ParameterError, match="distinct"):

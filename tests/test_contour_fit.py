@@ -1,7 +1,7 @@
-"""The F0 contour fit on the standard library, against aems.fit_polynomial.
+"""The F0 contour fit on the standard library, against _polyfit.fit_polynomial.
 
 pitch.fit_contour solves its least squares in Python (_polyfit.fit_legendre)
-and hands a system it cannot certify to aems.fit_polynomial.  The former
+and hands a system it cannot certify to _polyfit.fit_polynomial.  The former
 fit_contour, which always called fit_polynomial, is kept below as the oracle:
 the two must raise the same error, or agree in every fitted value within
 1e-9 of the largest F0 and in the rmse within 1e-9 relative.  The contour
@@ -9,14 +9,16 @@ polyline is drawn with Python floats by the operations of np.linspace and
 numpy.polynomial, which the oracles below check bit for bit.
 """
 
+import json
 import math
 import random
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
@@ -41,7 +43,7 @@ def _former_frames(track, domain):
 
 
 def _former_fit_contour(track, degree, domain=None):
-    """fit_contour as it was: numpy's voiced frames, then aems.fit_polynomial."""
+    """fit_contour as it was: numpy's voiced frames, then fit_polynomial."""
     ts, vs, origin = _former_frames(track, domain)
     if len(ts) < degree + 1:
         raise DegenerateInputError(f"{len(ts)} voiced frames cannot constrain a degree-{degree} fit")
@@ -146,7 +148,7 @@ def test_speech_like_tracks_are_fitted_without_fit_polynomial(seconds, seed, mon
     def refuse(*args):
         raise AssertionError("handed to fit_polynomial")
 
-    monkeypatch.setattr(sys.modules["prosotime.aems"], "fit_polynomial", refuse)
+    monkeypatch.setattr(sys.modules["prosotime._polyfit"], "fit_polynomial", refuse)  # where fit_contour looks
     for (degree, domain), ref in zip(cases, refs):
         got = fit_contour(track, degree, domain)
         assert got.fit.domain == ref.fit.domain
@@ -198,6 +200,29 @@ def test_degree_409_exits_1_without_a_traceback(tmp_path):
     assert proc.stderr.startswith("error: rank-deficient system")
 
 
+@pytest.mark.parametrize("rows, span", [
+    ("0,100\n1e308,110\n", "[0.0, 1e+308]"),  # 2x past the float range
+    ("-8e307,100\n0,110\n8e307,120\n", "[0.0, 1.6e+308]"),  # the same, times measured from the first frame
+    ("0,100\n1e-320,110\n2e-320,120\n", "[0.0, 2e-320]"),  # 2 / (hi - lo) past the float range
+])
+def test_x_spans_past_the_float_range_exit_1_with_one_error_line(rows, span, tmp_path, capfd):
+    # numpy's LAPACK printed to stdout before the traceback, so the file descriptors are read
+    path = tmp_path / "far.f0.csv"
+    path.write_text("time_s,f0_hz\n" + rows)
+    assert run(["contour-fit", str(path), "--degree", "1", "--out-dir", str(tmp_path)]) == 1
+    out, err = capfd.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and f"x span {span}" in err
+
+
+def test_fit_legendre_keeps_a_negative_zero(tmp_path):
+    # only fit_polynomial adds 0.0 to its coefficients, as numpy's convert gives no -0.0
+    path = tmp_path / "far.f0.csv"
+    path.write_text("time_s,f0_hz\n1e300,100\n1.0000000000000002e300,110\n1.0000000000000004e300,120\n")
+    assert run(["contour-fit", str(path), "--degree", "2", "--formats", "json", "--out-dir", str(tmp_path)]) == 0
+    coeffs = json.loads((tmp_path / "far.f0.contour.json").read_text())["model"]["coeffs"]
+    assert coeffs == [100.00000000000001, 6.724873095247297e-284, 0.0] and math.copysign(1.0, coeffs[2]) == -1.0
+
+
 @pytest.mark.parametrize("xs, ys, degree", [
     ([0.0, 1.0, 1.0], [1.0, 2.0, 3.0], 1),  # not distinct
     ([1.0, 0.0, 2.0], [1.0, 2.0, 3.0], 1),  # not rising
@@ -213,6 +238,7 @@ def test_systems_beyond_the_checks_are_left_to_fit_polynomial(xs, ys, degree):
 
 def test_poly_fit_is_one_class_and_loads_no_numpy():
     assert sys.modules["prosotime.aems"].PolyFit is PolyFit is sys.modules["prosotime._polyfit"].PolyFit
+    assert fit_polynomial is sys.modules["prosotime._polyfit"].fit_polynomial
     code = "import sys, prosotime; prosotime.PolyFit; assert 'numpy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
 
@@ -225,6 +251,42 @@ def test_polyfit_at_a_float_is_numpy_polynomial_bit_for_bit(scaled, lo, span, xs
     fit = PolyFit(len(scaled) - 1, tuple(scaled), (lo, lo + span), 0.0, tuple(scaled))
     want = Polynomial(np.asarray(scaled), domain=[lo, lo + span])(np.asarray(xs)).tolist()
     assert [fit._at(x) for x in xs] == want == fit.evaluate(xs).tolist()
+
+
+# from 1e-300 to 1e300 in magnitude
+_MAGNITUDES = st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10.0, 10.0), st.integers(-300, 300))
+
+
+@st.composite
+def _domains(draw):
+    """lo < hi: two ends drawn alone, or a drawn span of 64 ulps at least above lo."""
+    a, b, span = draw(_MAGNITUDES), draw(_MAGNITUDES), draw(_MAGNITUDES)
+    lo, hi = draw(st.sampled_from([(min(a, b), max(a, b)), (a, a + max(abs(span), 64 * math.ulp(a)))]))
+    assume(hi > lo)
+    return lo, hi
+
+
+@settings(max_examples=1500, derandomize=True, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from([0.0, -0.0]), _MAGNITUDES), min_size=1, max_size=12), _domains())
+def test_fit_polynomial_converts_as_numpy_polynomial_bit_for_bit(scaled, domain):
+    # lstsq returns the drawn coefficients over [-1, 1], and a zero basis leaves zero residuals
+    lo, hi = domain
+    p = len(scaled)
+    xs = np.linspace(lo, hi, p) if p > 1 else np.array([lo, hi])
+    assume(len(set(xs.tolist())) == len(xs))
+    with np.errstate(all="ignore"):
+        want = Polynomial(np.array(scaled), domain=[lo, hi]).convert().coef
+    if len(want) > p:  # 2 / (hi - lo) past the float range gives numpy's series a NaN term, which np.pad refused
+        want = np.array(scaled) + 0.0 if p == 1 else np.full(p, np.nan)  # a constant needs no change of basis
+    want = np.pad(want, (0, p - len(want)))
+    with mock.patch("numpy.linalg.lstsq", return_value=(np.array(scaled), None, p, None)), \
+            mock.patch("numpy.vander", return_value=np.zeros((len(xs), p))):
+        got = _outcome(fit_polynomial, xs, np.zeros(len(xs)), p - 1)
+    event(type(got).__name__)
+    if np.isfinite(want).all():
+        assert np.array(got.coeffs).tobytes() == want.tobytes() and got.scaled_coeffs == tuple(scaled)
+    else:
+        assert isinstance(got, DegenerateInputError) and "powers of x overflow" in str(got)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)

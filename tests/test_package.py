@@ -132,16 +132,26 @@ def test_symbolic_subcommands_never_import_numpy(argv, loads, words_csv_path, tm
     assert [m for m in modules if m in SYMBOLIC_UNLOADED] == []
 
 
-@pytest.mark.parametrize("argv", [["f0", "{wav}"], ["aems", "{wav}"], ["spectree", "{wav}"]],
-                         ids=["f0", "aems", "spectree"])
-def test_signal_subcommands_never_import_numpy_ma(argv, am_wav_path, tmp_path):
-    # np.median and np.unique import numpy.ma, which costs about 4 ms a process
-    argv = [a.format(wav=am_wav_path) for a in argv] + ["--out-dir", str(tmp_path / "out")]
+@pytest.mark.parametrize("argv, unloaded", [
+    (["f0", "{wav}"], ()),
+    (["aems", "{wav}"], ()),
+    (["spectree", "{wav}"], ()),
+    (["calibrate"], ()),
+    # fit_legendre defers this ramp to fit_polynomial from degree 22 on: numpy loads, the audio modules do not
+    (["contour-fit", "{ramp}", "--degree", "30"], ("prosotime.aems", "prosotime.audio")),
+], ids=["f0", "aems", "spectree", "calibrate", "contour-fit-deferred"])
+def test_signal_subcommands_never_import_numpy_ma(argv, unloaded, am_wav_path, tmp_path):
+    # np.median and np.unique import numpy.ma, which costs about 4 ms a process; numpy.polynomial about 2.5 ms
+    ramp = tmp_path / "ramp.f0.csv"
+    ramp.write_text("time_s,f0_hz\n" + "".join(f"{k / 100:.2f},{100 + k % 7}\n" for k in range(500)))
+    argv = [a.format(wav=am_wav_path, ramp=ramp) for a in argv] + ["--out-dir", str(tmp_path / "out")]
     _python("-c", f"""
 import sys
 from prosotime.cli import run
 assert run({argv!r}) == 0
-assert "numpy" in sys.modules and "numpy.ma" not in sys.modules and "dataclasses" not in sys.modules
+assert "numpy" in sys.modules
+loaded = [m for m in ("numpy.ma", "numpy.polynomial", "dataclasses", *{unloaded!r}) if m in sys.modules]
+assert loaded == [], loaded
 """)
 
 
