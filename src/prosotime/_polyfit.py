@@ -109,6 +109,9 @@ def fit_polynomial(xs, ys, degree) -> PolyFit:
         raise ParameterError(
             f"{len(xs)} points cannot determine a degree-{degree} polynomial"
         )
+    for name, values in (("xs", xs), ("ys", ys)):
+        if (nan := np.isnan(values)).any():
+            raise ParameterError(f"{name} must not be NaN, got NaN at index {int(nan.argmax())}")
     if _has_duplicates(xs):
         raise ParameterError("xs must be distinct")
 

@@ -165,6 +165,19 @@ def extract_envelope_peaks(wave: Waveform | WavSource, window_ms=20.0, env_rate=
     return Envelope(values, float(env_rate))
 
 
+def _smooth_len(ms, rate, what) -> int:
+    """round(ms * rate / 1000) samples; ParameterError unless ms, then rate, is > 0 and that is >= 1."""
+    if (win := _ms_to_samples(_positive(ms, what), _positive(rate, "env_rate"), what)) < 1:
+        raise ParameterError("smoothing window shorter than one envelope sample")
+    return win
+
+
+def _below_nyquist(cutoff_hz, rate) -> None:
+    """ParameterError unless 0 < cutoff_hz <= rate / 2, to 1e-9 Hz."""
+    if _positive(cutoff_hz, "cutoff_hz") > rate / 2 + 1e-9:
+        raise ParameterError(f"cutoff {cutoff_hz} Hz exceeds the envelope Nyquist {rate / 2} Hz")
+
+
 def smooth_envelope(env: Envelope, window_ms=50.0) -> Envelope:
     """Centered moving average.
 
@@ -172,10 +185,7 @@ def smooth_envelope(env: Envelope, window_ms=50.0) -> Envelope:
     half-sample mirroring, which keeps the kernel doubly stochastic: the mean
     of the envelope is preserved to rounding error.
     """
-    win = _ms_to_samples(_positive(window_ms, "window_ms"), env.rate, "window_ms")
-    if win < 1:
-        raise ParameterError("smoothing window shorter than one envelope sample")
-    win = min(win, len(env))
+    win = min(_smooth_len(window_ms, env.rate, "window_ms"), len(env))
     if win % 2 == 0:
         win -= 1
     if win <= 1:
@@ -195,11 +205,7 @@ def dft_magnitude(env: Envelope, cutoff_hz, zero_mean=True) -> Spectrum:
     n = len(env)
     if n < 2:
         raise DegenerateInputError("need at least 2 envelope samples for a DFT")
-    _positive(cutoff_hz, "cutoff_hz")
-    if cutoff_hz > env.rate / 2 + 1e-9:
-        raise ParameterError(
-            f"cutoff {cutoff_hz} Hz exceeds the envelope Nyquist {env.rate / 2} Hz"
-        )
+    _below_nyquist(cutoff_hz, env.rate)
     x = env.values - env.values.mean() if zero_mean else env.values
     spec = np.abs(np.fft.rfft(x))
     resolution = env.rate / n
@@ -215,31 +221,21 @@ def dft_magnitude(env: Envelope, cutoff_hz, zero_mean=True) -> Spectrum:
 
 def aems(wave: Waveform | WavSource, cutoff_hz=5.0, window_ms=20.0, env_rate=100,
          smooth_ms=50.0) -> Spectrum:
-    """Full pipeline: peak-pick |x|, smooth, DFT-magnitude below cutoff.
+    """Full pipeline: peak-pick |x|, smooth, DFT-magnitude below cutoff; the DFT's Spectrum, params added.
 
     wave is a Waveform, or an open WavSource streamed through the peak picker.
-    The smoothing window and the cutoff are checked against env_rate before the
-    first sample is read; the window_ms and env_rate checks of the peak picker
-    follow, and then the length.
+    smooth_ms, env_rate and the smoothing width, then cutoff_hz against the
+    Nyquist of env_rate, are checked by the stages' rules before the first
+    sample is read; the peak picker's window_ms, env_rate and length follow.
     """
-    if _ms_to_samples(_positive(smooth_ms, "smooth_ms"), _positive(env_rate, "env_rate"), "smooth_ms") < 1:
-        raise ParameterError("smoothing window shorter than one envelope sample")
-    if _positive(cutoff_hz, "cutoff_hz") > env_rate / 2 + 1e-9:
-        raise ParameterError(f"cutoff {cutoff_hz} Hz exceeds the envelope Nyquist {env_rate / 2} Hz")
+    _smooth_len(smooth_ms, env_rate, "smooth_ms")
+    _below_nyquist(cutoff_hz, env_rate)
     env = extract_envelope_peaks(wave, window_ms=window_ms, env_rate=env_rate)
     env = smooth_envelope(env, window_ms=smooth_ms)
     spec = dft_magnitude(env, cutoff_hz)
-    params = dict(spec.params)
-    params.update(
-        {
-            "window_ms": float(window_ms),
-            "env_rate": float(env_rate),
-            "smooth_ms": float(smooth_ms),
-            "cutoff_hz": float(cutoff_hz),
-            "source_rate": wave.rate,
-        }
-    )
-    return Spectrum(spec.resolution_hz, spec.magnitudes, spec.cutoff_hz, params)
+    spec.params.update(window_ms=float(window_ms), env_rate=float(env_rate), smooth_ms=float(smooth_ms),
+                       cutoff_hz=float(cutoff_hz), source_rate=wave.rate)
+    return spec
 
 
 def _peaks(y):

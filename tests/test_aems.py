@@ -23,10 +23,12 @@ from prosotime import (
     rectify_full_wave,
     smooth_envelope,
     synthesize_am,
+    write_wav_pcm16,
     zscore,
 )
 from prosotime._polyfit import _has_duplicates
 from prosotime.aems import _block_peaks, _peaks, spectrum_to_csv
+from prosotime.audio import open_wav
 
 
 def naive_dft_magnitudes(values, rate, cutoff_hz, zero_mean=True):
@@ -290,11 +292,21 @@ class TestFullPipeline:
         k10 = int(round(10.0 / spec.resolution_hz))
         assert spec.magnitudes[k10] < spec.magnitudes[k5]
 
-    def test_params_recorded(self, am_wave):
-        spec = aems(am_wave, cutoff_hz=20.0)
-        assert spec.params["cutoff_hz"] == 20.0
-        assert spec.params["env_rate"] == 100.0
-        assert spec.params["source_rate"] == 16000
+    @pytest.mark.parametrize("source", ["waveform", "open_wav"])
+    def test_params_recorded(self, am_wave, tmp_path, source):
+        # int arguments are recorded as floats; the DFT's keys come first, env_rate among them
+        want = [("zero_mean", True, bool), ("n_samples", 200, int), ("env_rate", 100.0, float),
+                ("window_ms", 20.0, float), ("smooth_ms", 50.0, float), ("cutoff_hz", 20.0, float),
+                ("source_rate", 16000, int)]
+        kwargs = dict(cutoff_hz=20, window_ms=20, env_rate=100, smooth_ms=50)
+        if source == "waveform":
+            spec, again = aems(am_wave, **kwargs), aems(am_wave, **kwargs)
+        else:
+            write_wav_pcm16(tmp_path / "am.wav", am_wave)
+            with open_wav(tmp_path / "am.wav") as wav:
+                spec, again = aems(wav, **kwargs), aems(wav, **kwargs)
+        assert [(k, v, type(v)) for k, v in spec.params.items()] == want
+        assert again.params == spec.params and again.params is not spec.params
 
     def test_default_cutoff_is_5hz(self, am_wave):
         spec = aems(am_wave)
@@ -347,6 +359,16 @@ class TestPolynomialFit:
         # x cannot be mapped onto [-1, 1]: refused before lstsq sees a NaN
         with pytest.raises(DegenerateInputError, match=r"the x span \[0\.0, "):
             fit_polynomial(xs, [1.0, 2.0, 3.0], 1)
+
+    @pytest.mark.parametrize("xs, ys, degree, message", [
+        ([0.0, math.nan], [1.0, 2.0], 0, "xs must not be NaN, got NaN at index 1"),
+        ([0.0, math.nan, 2.0], [1.0, 2.0, 3.0], 1, "xs must not be NaN, got NaN at index 1"),
+        ([0.0, 1.0, 2.0], [1.0, math.nan, 3.0], 1, "ys must not be NaN, got NaN at index 1"),
+        ([math.nan, 1.0, math.nan], [1.0, 2.0, 3.0], 1, "xs must not be NaN, got NaN at index 0"),
+    ], ids=["xs-degree-0", "xs-degree-1", "ys", "two-nan-xs"])
+    def test_nan_rejected_naming_its_array_and_index(self, xs, ys, degree, message):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            fit_polynomial(xs, ys, degree)
 
     def test_repeated_xs_rejected(self):
         with pytest.raises(ParameterError, match="distinct"):
