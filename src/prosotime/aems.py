@@ -148,21 +148,20 @@ def extract_envelope_peaks(wave: Waveform | WavSource, window_ms=20.0, env_rate=
     an open WavSource, whose samples are decoded once, a block at a time, after
     the parameters and the length are checked.
     """
-    _positive(window_ms, "window_ms")
-    _positive(env_rate, "env_rate")
-    if env_rate > wave.rate:
+    ms, rate = _positive(window_ms, "window_ms"), _positive(env_rate, "env_rate")
+    if rate > wave.rate:
         raise ParameterError(f"env_rate {env_rate} exceeds the audio rate {wave.rate}")
     n = len(wave)
-    win = max(2, _ms_to_samples(window_ms, wave.rate, "window_ms"))
+    win = max(2, _ms_to_samples(ms, wave.rate, "window_ms"))
     if n < win:
         raise DegenerateInputError(
             f"signal of {n} samples is shorter than one {window_ms} ms window"
         )
     peak_idx, peak_v = _block_peaks(wave.blocks(), n, win)
-    n_env = max(1, int(round(n * env_rate / wave.rate)))
-    grid = np.arange(n_env) / env_rate
+    n_env = max(1, int(round(n * rate / wave.rate)))
+    grid = np.arange(n_env) / rate
     values = np.interp(grid, peak_idx / wave.rate, peak_v)  # np.interp holds edge values
-    return Envelope(values, float(env_rate))
+    return Envelope(values, rate)
 
 
 def _smooth_len(ms, rate, what) -> int:
@@ -172,10 +171,11 @@ def _smooth_len(ms, rate, what) -> int:
     return win
 
 
-def _below_nyquist(cutoff_hz, rate) -> None:
-    """ParameterError unless 0 < cutoff_hz <= rate / 2, to 1e-9 Hz."""
-    if _positive(cutoff_hz, "cutoff_hz") > rate / 2 + 1e-9:
+def _below_nyquist(cutoff_hz, rate) -> float:
+    """float(cutoff_hz); ParameterError unless 0 < cutoff_hz <= rate / 2, to 1e-9 Hz."""
+    if (cutoff := _positive(cutoff_hz, "cutoff_hz")) > rate / 2 + 1e-9:
         raise ParameterError(f"cutoff {cutoff_hz} Hz exceeds the envelope Nyquist {rate / 2} Hz")
+    return cutoff
 
 
 def smooth_envelope(env: Envelope, window_ms=50.0) -> Envelope:
@@ -205,16 +205,16 @@ def dft_magnitude(env: Envelope, cutoff_hz, zero_mean=True) -> Spectrum:
     n = len(env)
     if n < 2:
         raise DegenerateInputError("need at least 2 envelope samples for a DFT")
-    _below_nyquist(cutoff_hz, env.rate)
+    cutoff = _below_nyquist(cutoff_hz, env.rate)
     x = env.values - env.values.mean() if zero_mean else env.values
     spec = np.abs(np.fft.rfft(x))
     resolution = env.rate / n
-    k_max = int(np.floor(cutoff_hz / resolution + 1e-9))
+    k_max = int(np.floor(cutoff / resolution + 1e-9))
     k_max = min(k_max, len(spec) - 1)
     return Spectrum(
         resolution_hz=resolution,
         magnitudes=spec[: k_max + 1],
-        cutoff_hz=float(cutoff_hz),
+        cutoff_hz=cutoff,
         params={"zero_mean": bool(zero_mean), "n_samples": n, "env_rate": env.rate},
     )
 
@@ -229,7 +229,7 @@ def aems(wave: Waveform | WavSource, cutoff_hz=5.0, window_ms=20.0, env_rate=100
     sample is read; the peak picker's window_ms, env_rate and length follow.
     """
     _smooth_len(smooth_ms, env_rate, "smooth_ms")
-    _below_nyquist(cutoff_hz, env_rate)
+    _below_nyquist(cutoff_hz, float(env_rate))  # env_rate is a number float() takes: _smooth_len checked it
     env = extract_envelope_peaks(wave, window_ms=window_ms, env_rate=env_rate)
     env = smooth_envelope(env, window_ms=smooth_ms)
     spec = dft_magnitude(env, cutoff_hz)

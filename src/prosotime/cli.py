@@ -434,7 +434,7 @@ def _cmd_tone_gen(args) -> tuple[dict, str, dict]:
     renders = {}
     if len(targets):  # the refusals come now; the contour, only when a render asks for it
         report["n_frames"] = len(targets) * _frames_per_target(targets, args.tone_dur_ms)
-        track = functools.cache(lambda: synthesize_contour(targets, tone_dur_ms=args.tone_dur_ms))
+        track = functools.partial(synthesize_contour, targets, tone_dur_ms=args.tone_dur_ms)
         renders = {"f0.csv": lambda: f0_track_csv_chunks(track()), "f0.svg": lambda: svg_f0_track_chunks(track())}
     summary = (" ".join(phonetic) or "(empty)") + "\n" + " ".join(f"{hz:.1f}" for hz in targets._hz)
     return report, summary, renders
@@ -680,11 +680,16 @@ def _flush_stdout() -> None:
 def main() -> None:
     """The console script: run(), then end the process without interpreter teardown.
 
-    Teardown frees every object only to exit, about 10 ms a numpy op.  The
-    atexit callbacks run before stdout and stderr are flushed, as at the
-    interpreter's own exit, so that what a callback prints is not lost.  run()
-    has reported a stdout it could not write, so a second flush error is dropped.
+    BLAS runs on one thread unless the environment names a count, set before numpy
+    loads: the one BLAS call is a small lstsq, and OpenBLAS's thread start-up
+    costs each numpy op.  Teardown frees every object only to exit, about 10 ms
+    a numpy op.  The atexit callbacks run before stdout and stderr are flushed,
+    as at the interpreter's own exit, so that what a callback prints is not
+    lost.  run() has reported a stdout it could not write, so a second flush
+    error is dropped.
     """
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(name, "1")
     code = run()
     if sys.getprofile() is not None or sys.gettrace() is not None:
         sys.exit(code)

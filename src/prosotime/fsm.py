@@ -22,9 +22,10 @@ it accepts any accent sequence.
 from __future__ import annotations
 
 import math
+import re
 from array import array
-from itertools import chain, repeat
-from operator import mul
+from itertools import chain, islice, repeat
+from operator import floordiv, mul
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ._record import Record
@@ -64,6 +65,7 @@ PITCH_ACCENTS = ("H*", "L*", "H*+L", "H+L*", "L*+H", "L+H*")
 MAX_STRINGS = 2_000_000
 MAX_CONTOUR_FRAMES = 10_000_000
 _HOP_S = 0.01  # the frame hop of a synthesized contour
+_WINDOW = 4096  # characters of a str that recognize splits at once, with the rest of the symbol they end in
 
 
 class Transition(Record):
@@ -131,19 +133,23 @@ class MultiTapeFSM(Record):
 def recognize(fsm: MultiTapeFSM, symbols: Iterable[str] | str, tape: int = 0) -> bool:
     """True iff the start-to-final path spells the input on the given tape.
 
-    Unknown symbols raise AlphabetError.
+    A str is split a window at a time and an iterable read once; an unknown
+    symbol anywhere, even past a rejection, raises AlphabetError naming the first.
     """
     alphabet = fsm.alphabet(tape)
-    seq = symbols.split() if isinstance(symbols, str) else list(symbols)
-    known = set(alphabet)
-    for sym in seq:
-        if sym not in known:
-            raise AlphabetError(f"symbol {sym!r} not in tape-{tape} alphabet {list(alphabet)}")
+    if isinstance(symbols, str):  # str.split() of windows of about _WINDOW characters, each ended where a symbol ends
+        windows = re.finditer(rf".{{1,{_WINDOW}}}\S*", symbols, re.DOTALL)
+        symbols = chain.from_iterable(window[0].split() for window in windows)
+    seq = iter(symbols)
     table = fsm._arcs[tape]
     state = fsm.start
     for sym in seq:
         arc = table.get((state, sym))
-        if arc is None:
+        if arc is None:  # rejected, unless sym is no symbol at all; the rest is read for an unknown one
+            known = set(alphabet)
+            for sym in chain((sym,), seq):
+                if sym not in known:
+                    raise AlphabetError(f"symbol {sym!r} not in tape-{tape} alphabet {list(alphabet)}")
             return False
         state = arc.dst
     return state in fsm.finals
@@ -433,17 +439,50 @@ def synthesize_contour(targets: PitchTargetSequence, tone_dur_ms: float = 150.0)
 
     Frame hop is 10 ms; each target contributes tone_dur_ms worth of voiced
     frames at its own frequency.  More than MAX_CONTOUR_FRAMES frames, or a
-    target outside 0 < hz < inf, is a ParameterError, raised before any frame
-    is built.  The columns are the values of np.repeat(targets_hz, per) and
-    np.arange(n) * hop_s, built without numpy; below the cap the times step uniformly.
+    target outside 0 < hz < inf, is a ParameterError.  The track holds the
+    targets, not the frames: its columns compute the values of
+    np.arange(n) * hop_s and np.repeat(targets_hz, per) as they are read,
+    without numpy; below the cap the times step uniformly.
     """
     from .pitch import F0Track, _voiced_range
 
     per = _frames_per_target(targets, tone_dur_ms)
     _voiced_range(targets._hz)  # refuses a target a floor_hz <= 0 or an infinite ceiling_hz let through; none is NaN
-    f0 = array("d", chain.from_iterable(map(repeat, targets._hz, repeat(per))))
-    times = array("d", map(mul, range(len(f0)), repeat(_HOP_S)))  # k * hop_s, k converted to float exactly
-    return F0Track._of(times, f0, _HOP_S)
+    n = len(targets) * per
+    return F0Track._of(_Frames(n), _Frames(n, targets._hz, per), _HOP_S)
+
+
+class _Frames:
+    """A read-only column of a synthesized contour's n frames, computed as it is read: each of the targets hz
+    repeated per times (its F0), or without hz, k * _HOP_S at frame k (its times).
+
+    It answers len, int indexing (negative too), slices, as array("d"), and
+    iteration: what F0Track's readers use of an array("d") column.
+    """
+
+    def __init__(self, n: int, hz: array | None = None, per: int = 1) -> None:
+        self._n, self._hz, self._per = n, hz, per
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __iter__(self) -> Iterator[float]:
+        return self._values(range(self._n))
+
+    def __getitem__(self, k: int | slice) -> float | array:
+        frames = range(self._n)[k]  # IndexError past either end
+        if isinstance(frames, range):
+            return array("d", self._values(frames))
+        return next(self._values(range(frames, frames + 1)))
+
+    def _values(self, frames: range) -> Iterator[float]:
+        if self._hz is None:
+            return map(mul, frames, repeat(_HOP_S))  # k * hop_s, k converted to float exactly
+        if frames.step != 1:
+            return map(self._hz.__getitem__, map(floordiv, frames, repeat(self._per)))
+        first, skip = divmod(frames.start, self._per)  # the target of the first frame, and its frames before it
+        targets = memoryview(self._hz)[first:-(-frames.stop // self._per)]  # those of the frames, not copied
+        return islice(chain.from_iterable(map(repeat, targets, repeat(self._per))), skip, skip + len(frames))
 
 
 def _frames_per_target(targets: PitchTargetSequence, tone_dur_ms: float) -> int:

@@ -43,9 +43,10 @@ class F0Track(Record, eq=False):
     """Uniformly hopped F0 frames; NaN (or None on input) marks an unvoiced frame.
 
     The frame times and F0 are held as two array("d") columns (_times and
-    _f0), so that a track is built, checked and written without numpy.
-    `times_s` and `f0_hz` give them as read-only float64 arrays: zero-copy
-    views, made on each access.
+    _f0), so that a track is built, checked and written without numpy; a
+    synthesized contour's columns compute its frames from its targets as they
+    are read (fsm._Frames).  `times_s` and `f0_hz` give them as
+    read-only float64 arrays, made on each access: zero-copy views of an array.
     """
 
     times_s: np.ndarray
@@ -126,11 +127,11 @@ def _column(values, what: str) -> array:
     raise DegenerateInputError(f"{what} must form a non-empty 1-D array")
 
 
-def _ndarray(column: array) -> np.ndarray:
-    """A read-only float64 array over column, sharing its memory."""
+def _ndarray(column) -> np.ndarray:
+    """A read-only float64 array over column, sharing the memory of an array("d")."""
     import numpy as np
 
-    return np.frombuffer(memoryview(column).toreadonly(), dtype=np.float64)
+    return np.frombuffer(memoryview(column if isinstance(column, array) else column[:]).toreadonly(), dtype=np.float64)
 
 
 def _voiced_range(f0: array) -> tuple[float, float] | None:

@@ -48,6 +48,7 @@ _W, _H = 640.0, 360.0  # document size of every plot but the two below
 _HEATMAP_H = 120.0  # the heatmap is one 640-wide row
 _SQUARE = 420.0  # the quadrant scatter is square
 _ROWS = 4096  # rows per formatted batch
+_DOTS = 1024  # F0 frames per formatted chunk
 _NODES = 128  # time-tree nodes per formatted chunk
 
 
@@ -241,10 +242,11 @@ def svg_f0_track(track: F0Track, models: Sequence[PolyContourModel] = ()) -> str
 
 
 def svg_f0_track_chunks(track: F0Track, models: Sequence[PolyContourModel] = ()) -> Iterator[str]:
-    """`svg_f0_track` as text chunks, one per _ROWS frames.
+    """`svg_f0_track` as text chunks, one per _DOTS frames.
 
-    The dots are computed from the track's columns a block at a time, with
-    Python floats and the operations of _Frame.x and _Frame.y.  In a block
+    The dots are computed a block at a time, from lists read off the track's
+    columns, with Python floats and the operations of _Frame.x and _Frame.y;
+    a synthesized contour's F0 range is that of its targets.  In a block
     made mostly of runs of equal F0 values, which have equal bits, each
     value's y is formatted once.  Each model's polyline is computed with
     Python floats too, by the operations of the numpy code it replaced: 100
@@ -255,7 +257,7 @@ def svg_f0_track_chunks(track: F0Track, models: Sequence[PolyContourModel] = ())
 
     times, f0 = track._times, track._f0
     t_lo, t_hi, v_lo, v_hi = 0.0, 1.0, 0.0, 1.0
-    if voiced := _voiced_range(f0):
+    if voiced := _voiced_range(getattr(f0, "_hz", f0)):  # the targets of a synthesized F0 column
         t_lo, t_hi = times[0], times[-1]
         v_lo, v_hi = voiced[0] * 0.9, voiced[1] * 1.1
     frame = _Frame(t_lo, t_hi, v_lo, v_hi, 50, 20, _W - 70, _H - 70)
@@ -263,8 +265,9 @@ def svg_f0_track_chunks(track: F0Track, models: Sequence[PolyContourModel] = ())
     bottom, y0, y_span, ph = frame.py + frame.ph, frame.y0, frame.y_span, frame.ph
     dot, run_dot = _circle("%.3f", "%.3f", "2", _ACCENT), _circle("%.3f", "%s", "2", _ACCENT)
     yield _head(_W, _H, "F0 track with polynomial contour models")
-    for a in range(0, len(f0), _ROWS):
-        ts, vs = times[a:a + _ROWS], f0[a:a + _ROWS]
+    all_ts, all_vs = iter(times), iter(f0)
+    while vs := [*islice(all_vs, _DOTS)]:
+        ts = [*islice(all_ts, _DOTS)]
         if math.isnan(sum(vs)):  # an unvoiced frame: the voiced ones alone are drawn
             voiced = [*map(eq, vs, vs)]  # False at a NaN
             ts, vs = compress(ts, voiced), [*compress(vs, voiced)]

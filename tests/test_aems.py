@@ -1,5 +1,6 @@
 """Envelope modulation spectrum pipeline: rectify, peak-pick, smooth, DFT, zones."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -299,12 +300,22 @@ class TestFullPipeline:
                 ("window_ms", 20.0, float), ("smooth_ms", 50.0, float), ("cutoff_hz", 20.0, float),
                 ("source_rate", 16000, int)]
         kwargs = dict(cutoff_hz=20, window_ms=20, env_rate=100, smooth_ms=50)
-        if source == "waveform":
-            spec, again = aems(am_wave, **kwargs), aems(am_wave, **kwargs)
-        else:
-            write_wav_pcm16(tmp_path / "am.wav", am_wave)
-            with open_wav(tmp_path / "am.wav") as wav:
-                spec, again = aems(wav, **kwargs), aems(wav, **kwargs)
+        # a str that float() takes gives its float's result (each of these raised a TypeError)
+        as_str = [(aems, "cutoff_hz", "3"), (aems, "env_rate", "100"), (extract_envelope_peaks, "window_ms", "5")]
+        with contextlib.ExitStack() as stack:
+            if source == "waveform":
+                wave = am_wave
+            else:
+                write_wav_pcm16(tmp_path / "am.wav", am_wave)
+                wave = stack.enter_context(open_wav(tmp_path / "am.wav"))
+            spec, again = aems(wave, **kwargs), aems(wave, **kwargs)
+            for call, name, text in as_str:
+                got, want_float = call(wave, **{name: text}), call(wave, **{name: float(text)})
+                if call is aems:
+                    assert got.magnitudes.tobytes() == want_float.magnitudes.tobytes()
+                    assert got.cutoff_hz == want_float.cutoff_hz and got.params == want_float.params
+                else:
+                    assert got.values.tobytes() == want_float.values.tobytes() and got.rate == want_float.rate
         assert [(k, v, type(v)) for k, v in spec.params.items()] == want
         assert again.params == spec.params and again.params is not spec.params
 

@@ -214,3 +214,29 @@ def test_profiled_cli_prints_its_table(tmp_path):
     assert proc.stdout.startswith("accepted=true\n")
     assert "function calls" in proc.stdout and "Ordered by" in proc.stdout
     assert (tmp_path / "intonation.json").exists()
+
+
+_BLAS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_BLAS_CHILD = f"""
+import atexit, os, sys
+from prosotime import cli
+
+atexit.register(lambda: print(*map(os.environ.get, {_BLAS!r})))
+if sys.argv.pop(1) == "main":
+    cli.main()
+sys.exit(cli.run())
+"""
+
+
+@pytest.mark.parametrize("entry, given, seen", [
+    ("main", {}, "1 1 1"),
+    ("main", {"OPENBLAS_NUM_THREADS": "4"}, "4 1 1"),
+    ("run", {}, "None None None"),
+], ids=["main-unset", "main-given", "run"])
+def test_console_script_runs_blas_on_one_thread_unless_told(entry, given, seen, tmp_path):
+    # main() sets what the environment leaves unset before numpy is imported; run() sets nothing
+    env = {k: v for k, v in _env().items() if k not in _BLAS} | given
+    proc = subprocess.run([sys.executable, "-c", _BLAS_CHILD, entry, *CHECK, "--out-dir", str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["accepted=true", seen]

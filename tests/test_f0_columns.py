@@ -7,15 +7,21 @@ of a fixed 200-tone string are pinned by their sha256, as the numpy code
 wrote them.
 """
 
+import contextlib
 import hashlib
+import io
 import math
+import random
+import tracemalloc
+from array import array
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prosotime import F0Track, PitchTargetSequence, synthesize_contour
+from prosotime import F0Track, PitchTargetSequence, build_pierrehumbert, recognize, synthesize_contour
 from prosotime.cli import run
 from prosotime.errors import AnalysisError, DegenerateInputError, ParameterError, _positive
 from prosotime.pitch import f0_track_to_csv
@@ -191,6 +197,89 @@ class TestColumns:
         times = [1e308, math.nextafter(1e308, math.inf)]  # one positive step, of the float spacing at 1e308
         track = F0Track(times, [100.0, 100.0], times[1] - times[0])  # the sum is inf, every time finite
         assert len(track) == 2
+
+
+INDEX = st.one_of(st.none(), st.integers(-70, 70))
+
+
+class TestSynthesizedColumns:
+    """A synthesized contour's columns, computed from its targets, read as the arrays they stand for."""
+
+    @staticmethod
+    def columns(hz, per):
+        track = synthesize_contour(PitchTargetSequence([("h", v) for v in hz]), per * 10.0)
+        return track, (np.arange(len(hz) * per) * 0.01).tolist(), np.repeat(hz, per).tolist()
+
+    @ORACLE
+    @given(hz=st.lists(st.floats(60.0, 400.0), min_size=1, max_size=8), per=st.integers(1, 6),
+           start=INDEX, stop=INDEX, step=st.one_of(st.none(), st.integers(-7, 7).filter(bool)))
+    def test_slices_are_arrays_of_the_frames(self, hz, per, start, stop, step):
+        track, times, f0 = self.columns(hz, per)
+        for column, frames in ((track._times, times), (track._f0, f0)):
+            got = column[start:stop:step]
+            assert type(got) is array and got.typecode == "d"
+            assert got.tolist() == frames[start:stop:step]
+
+    @pytest.mark.parametrize("per", [1, 3, 15])
+    def test_slices_at_target_edges(self, per):
+        hz = [100.0 + k for k in range(7)]
+        track, times, f0 = self.columns(hz, per)
+        n = len(f0)
+        edges = sorted({min(max(k * per + d, 0), n) for k in range(len(hz) + 1) for d in (-1, 0, 1)})
+        for a in edges:
+            for b in edges:
+                assert track._f0[a:b].tolist() == f0[a:b] and track._times[a:b].tolist() == times[a:b]
+        assert track._f0[n:].tolist() == track._f0[5:2].tolist() == track._times[-1:0].tolist() == []
+
+    def test_items_iteration_and_bisect(self):
+        track, times, f0 = self.columns([170.0, 119.0, 200.5], 4)
+        assert len(track._times) == len(track._f0) == 12
+        assert [*track._times] == times and [*track._f0] == f0
+        assert [track._f0[k] for k in range(-12, 12)] == f0[-12:] + f0
+        assert [track._times[k] for k in range(-12, 12)] == times[-12:] + times
+        for bad in (12, -13):
+            with pytest.raises(IndexError):
+                track._f0[bad]
+            with pytest.raises(IndexError):
+                track._times[bad]
+        for t in (-1.0, 0.0, 0.035, 0.04, 0.0400001, 0.11, 0.2):
+            assert bisect_left(track._times, t) == bisect_left(times, t)
+            assert bisect_right(track._times, t) == bisect_right(times, t)
+
+    def test_arrays_are_built_on_access(self):
+        track, times, f0 = self.columns([170.0, 119.0], 3)
+        for arr, frames in ((track.times_s, times), (track.f0_hz, f0)):
+            assert arr.dtype == np.float64 and not arr.flags.writeable and arr.tolist() == frames
+        assert [v.tolist() for v in track.voiced_frames()] == [times, f0] and track.voiced_count == 6
+
+
+def _traced_peak(call) -> float:
+    """The traced peak of call(), in MB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_tone_gen_frames_take_no_memory_beyond_the_report(tmp_path):
+    # 10**5 tones make 1.5e6 frames: the CSV and SVG writers hold a block of them, the report the targets
+    tones = " ".join(random.Random(5).choice("HL") for _ in range(100_000))
+
+    def tone_gen(*formats):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(["tone-gen", tones, *formats, "--out-dir", str(tmp_path)]) == 0
+
+    tone_gen("--formats", "json")  # once untraced, so that the traced runs import nothing
+    full = _traced_peak(tone_gen)
+    assert full - _traced_peak(lambda: tone_gen("--formats", "json")) < 1.0  # 24.1 MB with the frames as arrays
+
+
+def test_recognize_reads_its_symbols_in_windows():
+    fsm, tune = build_pierrehumbert(), " ".join(["%H", *["H*", "L-"] * 49_999, "L%"])
+    recognize(fsm, "%H H* L- L%")
+    assert _traced_peak(lambda: recognize(fsm, tune)) < 0.5  # 5.6 MB for the list of the 10**5 symbols
 
 
 def _sha(path) -> str:

@@ -2,6 +2,7 @@
 
 import itertools
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -115,6 +116,95 @@ class TestIntonationGrammar:
             assert got == oracle_accepts(tokens), tokens
             hits += got
         assert hits > 0  # the accepting region was actually sampled
+
+
+SPACES = "".join(c for c in map(chr, range(0x110000)) if c.isspace())  # what str.split() splits at
+UNKNOWN = ("Q", "H", "%", "L*+", "h*", "H\u200b*")  # no symbol of the grammar; U+200B is no space
+
+
+def _any(symbols):
+    return "(" + "|".join(map(re.escape, symbols)) + ")"
+
+
+_TUNE = f"{_any(BOUNDARY_INITIAL)}(( {_any(PITCH_ACCENTS)})+ {_any(PHRASE_ACCENTS)})+ {_any(BOUNDARY_FINAL)}"
+ITERATED_RE = re.compile(f"{_TUNE}( {_TUNE})*")  # the pattern one or more times, over space-joined symbols
+
+
+def split_outcome(fsm, text):
+    """recognize(fsm, text) as it was: text.split() listed, every symbol tested, then the machine run."""
+    tokens = text.split()
+    unknown = [t for t in tokens if t not in PIERREHUMBERT_ALPHABET]
+    if unknown:
+        return "AlphabetError", f"symbol {unknown[0]!r} not in tape-0 alphabet {list(fsm.alphabet())}"
+    return "value", ITERATED_RE.fullmatch(" ".join(tokens)) is not None
+
+
+def outcome(fsm, symbols):
+    try:
+        return "value", recognize(fsm, symbols)
+    except AlphabetError as exc:
+        return "AlphabetError", str(exc)
+
+
+@st.composite
+def spaced_tunes(draw):
+    """A tune, often accepted, now and then spoiled or given an unknown symbol, joined by any whitespace."""
+    tokens = draw(st.sampled_from(ENUMERATED)).split() * draw(st.integers(1, 3))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        symbol = draw(st.sampled_from(PIERREHUMBERT_ALPHABET + UNKNOWN * draw(st.sampled_from([0, 1]))))
+        tokens.insert(draw(st.integers(0, len(tokens))), symbol)
+    space = st.text(st.sampled_from(SPACES), min_size=1, max_size=3)
+    edges = st.one_of(st.just(""), space)
+    return draw(edges) + "".join(t + draw(space) for t in tokens[:-1]) + tokens[-1] + draw(edges)
+
+
+ENUMERATED = enumerate_strings(build_pierrehumbert(), 7)
+
+
+class TestStreamedRecognition:
+    """recognize reads a str in windows and an iterable once; the outcome is that of the split-based code."""
+
+    def test_windows_end_where_split_ends_a_symbol(self):
+        # a window runs on through the characters of r"\S", which are those str.split() keeps
+        assert "".join(c for c in map(chr, range(0x110000)) if not re.fullmatch(r"\S", c)) == SPACES
+
+    @pytest.mark.parametrize("window", [1, 2, 7, 4096])
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(text=spaced_tunes())
+    def test_windows_match_the_split_oracle(self, window, text):
+        from prosotime import fsm as fsm_module
+
+        fsm = build_pierrehumbert()
+        with mock.patch.object(fsm_module, "_WINDOW", window):
+            assert outcome(fsm, text) == split_outcome(fsm, text)
+        assert outcome(fsm, (t for t in text.split())) == split_outcome(fsm, text)  # a generator, read once
+
+    @pytest.mark.parametrize("window", [1, 2, 7, 4096])
+    @pytest.mark.parametrize("text, bad", [
+        ("L% H* Q", "Q"),  # rejected at its first symbol
+        ("%H H* L- L% H%\u3000H*\tX Y", "X"),  # rejected at the H% after a whole tune
+        ("%H H*\x1cL-\u2028L%\x85Q", "Q"),
+    ])
+    def test_unknown_symbol_after_a_rejecting_prefix(self, window, text, bad):
+        from prosotime import fsm as fsm_module
+
+        fsm = build_pierrehumbert()
+        with mock.patch.object(fsm_module, "_WINDOW", window):
+            with pytest.raises(AlphabetError, match=f"symbol '{bad}' not in"):
+                recognize(fsm, text)
+        with pytest.raises(AlphabetError, match=f"symbol '{bad}' not in"):
+            recognize(fsm, iter(text.split()))
+
+    def test_generator_is_read_once_to_its_end(self):
+        fsm, read = build_pierrehumbert(), []
+
+        def symbols():
+            for s in ("%H", "H*", "L-", "L%", "L%", "H*"):  # rejected at the second L%
+                read.append(s)
+                yield s
+
+        assert recognize(fsm, symbols()) is False
+        assert read == ["%H", "H*", "L-", "L%", "L%", "H*"]
 
 
 class TestCompiledMachine:
