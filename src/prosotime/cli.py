@@ -5,6 +5,10 @@ byte-identical artifacts — and writes only beneath the output directory
 (--out-dir, else $PROSOTIME_OUT_DIR, else ./prosotime_out).  Exit codes:
 0 success, 1 analysis error, 2 usage error.
 
+run() parses a plain command line by _SUBCOMMANDS, the one table of every
+subcommand's arguments, without argparse; --help, usage errors and any other
+argv go to the argparse parser that build_parser() makes from that table.
+
 metrics and timetree read their annotation with annot.load_annotation, which
 decides whether the file is a TextGrid or CSV.
 
@@ -46,7 +50,6 @@ sys.exit, so that the interpreter's own exit can report.
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import contextlib
 import functools
@@ -58,6 +61,7 @@ from _json import encode_basestring_ascii  # json.encoder's own, without the jso
 from collections.abc import Callable, Iterable, Iterator
 from itertools import chain, islice
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
 from .errors import AnalysisError, DegenerateInputError
@@ -70,20 +74,6 @@ _ROWS = 256  # items a lazy row source hands the report writer at a time
 
 class _UsageError(Exception):
     """Command-line misuse that argparse cannot express; exits with code 2."""
-
-
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser (and, by type, its subparsers) whose --help raises the
-    OSError of a stdout that cannot be written: argparse drops a failed write,
-    and a buffered one would fail only at the process's exit."""
-
-    def print_help(self, file=None) -> None:
-        if (file := file or sys.stdout) is not None:
-            file.write(self.format_help())
-
-    def exit(self, status=0, message=None):
-        _flush_stdout()
-        super().exit(status, message)
 
 
 def _float(x: float) -> str:
@@ -193,14 +183,21 @@ def _column(values: list, pad: str) -> list[str]:
     return [enc(v) if (enc := _SCALARS.get(type(v))) else "".join(_chunks(v, pad)) for v in values]
 
 
+def _type_error(message: str) -> Exception:
+    """argparse's ArgumentTypeError, whose message argparse prints as given; argparse loads only on this path."""
+    from argparse import ArgumentTypeError
+
+    return ArgumentTypeError(message)
+
+
 def _finite_float(text: str) -> float:
     """argparse type: a float other than nan and +-inf."""
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        raise _type_error(f"not a number: {text!r}") from None
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+        raise _type_error(f"must be finite, got {text!r}")
     return value
 
 
@@ -208,7 +205,7 @@ def _positive_float(text: str) -> float:
     """argparse type: a finite float > 0."""
     value = _finite_float(text)
     if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+        raise _type_error(f"must be > 0, got {text!r}")
     return value
 
 
@@ -532,110 +529,149 @@ def _cmd_contour_fit(args) -> tuple[dict, str, dict]:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# command line
 # ---------------------------------------------------------------------------
 
+# each argument's add_argument keywords; _fast_args reads their type, default (else None), choices, action, nargs
+_COMMON = {"--json": dict(action="store_true", default=False, help="print the JSON report to stdout"),
+           "--out-dir": dict(help=f"output directory (default ${OUT_DIR_ENV} or ./prosotime_out)"),
+           "--formats": dict(default="json,csv,svg", help="comma list from json,csv,svg")}
+_ANNOT = {"--tier": dict(help="tier name (default: first tier)"),
+          "--exclude": dict(action="append", metavar="LABEL",
+                            help="pause label to skip (repeatable; default: '', sil, #, <p>)")}
+_TREE = {"--relation": dict(choices=("iambic", "trochaic"), default="iambic"),
+         "--arity": dict(choices=("binary", "nary"), default="binary")}
+_SPECTRUM = ("spectrum.csv", "spectrum.svg", "heatmap.svg")
+# subcommand: (help, its arguments in order, set_defaults); a stem of None is the input file's
+_SUBCOMMANDS = {
+    "calibrate": ("synthesize the reference AM signal and verify the pipeline", _COMMON,
+                  dict(func=_cmd_calibrate, stem="calibrate", outputs=("json", *_SPECTRUM))),
+    "aems": ("amplitude envelope modulation spectrum of a wav file", {
+        **_COMMON, "wav": {},
+        "--cutoff-hz": dict(type=_positive_float, default=5.0, help="spectrum cutoff; 5, 20 and 1 are the usual presets"),
+        "--window-ms": dict(type=_positive_float, default=20.0),
+        "--env-rate": dict(type=int, default=100),
+        "--smooth-ms": dict(type=_positive_float, default=50.0),
+        "--min-prominence": dict(type=_finite_float, default=0.1),
+        "--min-separation-hz": dict(type=_finite_float, default=0.0),
+    }, dict(func=_cmd_aems, stem=None, outputs=("aems.json", *_SPECTRUM))),
+    "metrics": ("duration dispersion metrics over an annotation tier", {**_COMMON, **_ANNOT, "annot": {}},
+                dict(func=_cmd_metrics, stem=None, outputs=("metrics.json", "quadrants.csv", "quadrants.svg"))),
+    "timetree": ("induce a metrical time tree from annotated durations", {
+        **_COMMON, **_ANNOT, **_TREE, "annot": {},
+        "--polarity": dict(choices=("higher", "lower"), default="higher"),
+    }, dict(func=_cmd_timetree, stem=None, outputs=("timetree.json", "timetree.svg"))),
+    "spectree": ("hierarchical segmentation of a wav's modulation spectrum", {
+        **_COMMON, **_TREE, "wav": {}, "--cutoff-hz": dict(type=_positive_float, default=5.0),
+    }, dict(func=_cmd_spectree, stem=None, outputs=("spectree.json", "spectree.svg"),
+            polarity="higher")),  # spectral trees are always higher-is-stronger
+    "tone-gen": ("terracing transduction and pitch realization of an H/L tone string", {
+        **_COMMON, "tones": dict(help="whitespace-separated lexical tones, e.g. 'H L H L H'"),
+        **{flag: dict(type=_finite_float, default=default) for flag, default in (
+            ("--p-h0", 170.0), ("--p-l0", 110.0), ("--k-usw", 1.02), ("--k-dd", 0.98), ("--k-dst", 0.70),
+            ("--k-ter", 0.90), ("--floor-hz", 60.0), ("--ceiling-hz", 400.0))},
+        "--tone-dur-ms": dict(type=_positive_float, default=150.0),
+    }, dict(func=_cmd_tone_gen, stem="tones", outputs=("json", "f0.csv", "f0.svg"))),
+    "intonation": ("check or enumerate intonation tone strings", {
+        **_COMMON, "mode": dict(choices=("check", "enum")),
+        "string": dict(nargs="?", help="symbol string for check mode"),
+        "--max-len": dict(type=int, default=4, help="enumeration length bound"),
+    }, dict(func=_cmd_intonation, stem="intonation", outputs=("json",))),
+    "f0": ("autocorrelation F0 track of a wav file", {
+        **_COMMON, "wav": {},
+        "--fmin": dict(type=_positive_float, default=60.0),
+        "--fmax": dict(type=_positive_float, default=500.0),
+        "--frame-ms": dict(type=_positive_float, default=40.0),
+        "--hop-ms": dict(type=_positive_float, default=10.0),
+        "--voicing-ratio": dict(type=_finite_float, default=0.3),
+    }, dict(func=_cmd_f0, stem=None, outputs=("f0.json", "f0.csv", "f0.svg"))),
+    "contour-fit": ("polynomial contour model over an F0 CSV track", {
+        **_COMMON, "f0csv": {},
+        "--degree": dict(type=int, default=3),
+        "--start-s": dict(type=_finite_float, help="domain start (with --end-s)"),
+        "--end-s": dict(type=_finite_float, help="domain end (with --start-s)"),
+    }, dict(func=_cmd_contour_fit, stem=None, outputs=("contour.json", "contour.svg"))),
+}
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="print the JSON report to stdout")
-    common.add_argument("--out-dir", default=None, help=f"output directory (default ${OUT_DIR_ENV} or ./prosotime_out)")
-    common.add_argument("--formats", default="json,csv,svg", help="comma list from json,csv,svg")
-    common.set_defaults(stem=None)  # None: the input file's stem
-    spectrum = ("spectrum.csv", "spectrum.svg", "heatmap.svg")
 
-    tree_flags = argparse.ArgumentParser(add_help=False)
-    tree_flags.add_argument("--relation", choices=("iambic", "trochaic"), default="iambic")
-    tree_flags.add_argument("--arity", choices=("binary", "nary"), default="binary")
+def _fast_args(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives a plain argv, without argparse; None for any other argv, left to argparse.
 
-    annot_flags = argparse.ArgumentParser(add_help=False)
-    annot_flags.add_argument("--tier", default=None, help="tier name (default: first tier)")
-    annot_flags.add_argument(
-        "--exclude", action="append", default=None, metavar="LABEL",
-        help="pause label to skip (repeatable; default: '', sil, #, <p>)",
-    )
+    Plain: a subcommand, its positionals in order, then only full flag names,
+    each with one value (--json with none) that passes the flag's type and
+    choices; no value or positional starts with "-".  A repeated flag's last
+    value wins, and --exclude appends.
+    """
+    if not argv or (spec := _SUBCOMMANDS.get(argv[0])) is None:
+        return None
+    _, arguments, defaults = spec
+    positionals = [name for name in arguments if name[0] != "-"]
+    end = next((k for k, token in enumerate(argv) if token[:1] == "-"), len(argv))  # the first flag
+    if end - 1 > len(positionals) or any(arguments[p].get("nargs") != "?" for p in positionals[end - 1:]):
+        return None  # a positional too many, or a required one missing
+    given = list(zip(positionals, argv[1:end]))  # (argument, its text: None for --json), in argv order
+    flags = iter(argv[end:])
+    for flag in flags:
+        if flag[:2] != "--" or flag not in arguments:
+            return None
+        text = None if arguments[flag].get("action") == "store_true" else next(flags, "-")
+        if text is not None and text[:1] == "-":  # no value, or one argparse may read otherwise
+            return None
+        given.append((flag, text))
+    values = {name: keywords.get("default") for name, keywords in arguments.items()}
+    for name, text in given:
+        keywords = arguments[name]
+        try:
+            value = True if text is None else keywords.get("type", str)(text)
+        except Exception:  # a failed type, ArgumentTypeError too: argparse reports it, or raises it as before
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        values[name] = [*(values[name] or ()), value] if keywords.get("action") == "append" else value
+    dests = {name.lstrip("-").replace("-", "_"): value for name, value in values.items()}
+    return SimpleNamespace(subcommand=argv[0], **defaults, **dests)
 
-    parser = _Parser(
+
+def build_parser():
+    """argparse's parser of _SUBCOMMANDS, which run() builds for --help, usage errors and argv _fast_args leaves."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        """An ArgumentParser (and, by type, its subparsers) whose --help raises the
+        OSError of a stdout that cannot be written: argparse drops a failed write,
+        and a buffered one would fail only at the process's exit."""
+
+        def print_help(self, file=None) -> None:
+            if (file := file or sys.stdout) is not None:
+                file.write(self.format_help())
+
+        def exit(self, status=0, message=None):
+            _flush_stdout()
+            super().exit(status, message)
+
+    parser = Parser(
         prog="prosotime",
         description="Time-domain prosody analysis: envelope spectra, rhythm metrics, time trees, tone grammars.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("calibrate", parents=[common], help="synthesize the reference AM signal and verify the pipeline")
-    p.set_defaults(func=_cmd_calibrate, stem="calibrate", outputs=("json", *spectrum))
-
-    p = sub.add_parser("aems", parents=[common], help="amplitude envelope modulation spectrum of a wav file")
-    p.add_argument("wav")
-    p.add_argument("--cutoff-hz", type=_positive_float, default=5.0, help="spectrum cutoff; 5, 20 and 1 are the usual presets")
-    p.add_argument("--window-ms", type=_positive_float, default=20.0)
-    p.add_argument("--env-rate", type=int, default=100)
-    p.add_argument("--smooth-ms", type=_positive_float, default=50.0)
-    p.add_argument("--min-prominence", type=_finite_float, default=0.1)
-    p.add_argument("--min-separation-hz", type=_finite_float, default=0.0)
-    p.set_defaults(func=_cmd_aems, outputs=("aems.json", *spectrum))
-
-    p = sub.add_parser("metrics", parents=[common, annot_flags], help="duration dispersion metrics over an annotation tier")
-    p.add_argument("annot")
-    p.set_defaults(func=_cmd_metrics, outputs=("metrics.json", "quadrants.csv", "quadrants.svg"))
-
-    p = sub.add_parser("timetree", parents=[common, annot_flags, tree_flags], help="induce a metrical time tree from annotated durations")
-    p.add_argument("annot")
-    p.add_argument("--polarity", choices=("higher", "lower"), default="higher")
-    p.set_defaults(func=_cmd_timetree, outputs=("timetree.json", "timetree.svg"))
-
-    p = sub.add_parser("spectree", parents=[common, tree_flags], help="hierarchical segmentation of a wav's modulation spectrum")
-    p.add_argument("wav")
-    p.add_argument("--cutoff-hz", type=_positive_float, default=5.0)
-    # spectral trees are always higher-is-stronger
-    p.set_defaults(func=_cmd_spectree, polarity="higher", outputs=("spectree.json", "spectree.svg"))
-
-    p = sub.add_parser("tone-gen", parents=[common], help="terracing transduction and pitch realization of an H/L tone string")
-    p.add_argument("tones", help="whitespace-separated lexical tones, e.g. 'H L H L H'")
-    p.add_argument("--p-h0", type=_finite_float, default=170.0)
-    p.add_argument("--p-l0", type=_finite_float, default=110.0)
-    p.add_argument("--k-usw", type=_finite_float, default=1.02)
-    p.add_argument("--k-dd", type=_finite_float, default=0.98)
-    p.add_argument("--k-dst", type=_finite_float, default=0.70)
-    p.add_argument("--k-ter", type=_finite_float, default=0.90)
-    p.add_argument("--floor-hz", type=_finite_float, default=60.0)
-    p.add_argument("--ceiling-hz", type=_finite_float, default=400.0)
-    p.add_argument("--tone-dur-ms", type=_positive_float, default=150.0)
-    p.set_defaults(func=_cmd_tone_gen, stem="tones", outputs=("json", "f0.csv", "f0.svg"))
-
-    p = sub.add_parser("intonation", parents=[common], help="check or enumerate intonation tone strings")
-    p.add_argument("mode", choices=("check", "enum"))
-    p.add_argument("string", nargs="?", default=None, help="symbol string for check mode")
-    p.add_argument("--max-len", type=int, default=4, help="enumeration length bound")
-    p.set_defaults(func=_cmd_intonation, stem="intonation", outputs=("json",))
-
-    p = sub.add_parser("f0", parents=[common], help="autocorrelation F0 track of a wav file")
-    p.add_argument("wav")
-    p.add_argument("--fmin", type=_positive_float, default=60.0)
-    p.add_argument("--fmax", type=_positive_float, default=500.0)
-    p.add_argument("--frame-ms", type=_positive_float, default=40.0)
-    p.add_argument("--hop-ms", type=_positive_float, default=10.0)
-    p.add_argument("--voicing-ratio", type=_finite_float, default=0.3)
-    p.set_defaults(func=_cmd_f0, outputs=("f0.json", "f0.csv", "f0.svg"))
-
-    p = sub.add_parser("contour-fit", parents=[common], help="polynomial contour model over an F0 CSV track")
-    p.add_argument("f0csv")
-    p.add_argument("--degree", type=int, default=3)
-    p.add_argument("--start-s", type=_finite_float, default=None, help="domain start (with --end-s)")
-    p.add_argument("--end-s", type=_finite_float, default=None, help="domain end (with --start-s)")
-    p.set_defaults(func=_cmd_contour_fit, outputs=("contour.json", "contour.svg"))
-
+    for subcommand, (text, arguments, defaults) in _SUBCOMMANDS.items():
+        p = sub.add_parser(subcommand, help=text)
+        for name, keywords in arguments.items():
+            p.add_argument(name, **keywords)
+        p.set_defaults(**defaults)
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
-        return int(exc.code or 0)
-    except OSError as exc:  # --help, to a stdout that cannot be written
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    """The CLI on argv (default sys.argv[1:]): its exit code."""
+    if (args := _fast_args(sys.argv[1:] if argv is None else argv)) is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
+            return int(exc.code or 0)
+        except OSError as exc:  # --help, to a stdout that cannot be written
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
     out_dir = Path(args.out_dir or os.environ.get(OUT_DIR_ENV) or "prosotime_out")
     formats = {f.strip() for f in args.formats.split(",") if f.strip()}

@@ -34,7 +34,7 @@ from prosotime import (
     write_wav_pcm16,
 )
 from prosotime.annot import _BLOCK_CHARS, _STRUCT_RE, AnnotationDoc, Interval, Tier, _read, _unquote
-from prosotime.cli import OUT_DIR_ENV, run
+from prosotime.cli import OUT_DIR_ENV, _fast_args, build_parser, run
 from prosotime.errors import ParameterError
 from prosotime.pitch import F0Track, f0_track_to_csv
 
@@ -591,6 +591,9 @@ ARGV_GRAMMAR = {
 }
 COMMON_FLAGS = {"--formats": ("json", "csv", "svg", "json,csv,svg", "", ",", "pdf", "ü"), "--out-dir": STRINGS}
 TAILS = ((), ("--json",), ("--help",), ("--no-such-flag",), ("--formats",), ("extra",))
+# how a drawn argv departs from the plain form: one flag as --flag=value or abbreviated, the positionals
+# after the first flag, or a "--" anywhere
+SHAPES = ("plain", "plain", "=", "abbreviated", "positional-after-flag", "--")
 
 
 @pytest.fixture(scope="module")
@@ -609,14 +612,24 @@ def argv_inputs(tmp_path_factory):
 def _draw_argv(data, sub, inputs, out):
     positionals, flags = ARGV_GRAMMAR[sub]
     flags = {**flags, **COMMON_FLAGS}
-    argv = [sub, "--out-dir", str(out)]
+    heads = []
     for choices in positionals:
         token = data.draw(st.sampled_from(choices))
         if token is not None:
-            argv.append(inputs.get(token, token))
-    for flag in data.draw(st.lists(st.sampled_from(sorted(flags)), max_size=3)):
+            heads.append(inputs.get(token, token))
+    pairs = [["--out-dir", str(out)]]
+    for flag in data.draw(st.lists(st.sampled_from(sorted(flags)), max_size=3)):  # a flag may repeat
         value = data.draw(st.sampled_from(flags[flag]))
-        argv += [flag, str(out / value) if flag == "--out-dir" and value else value]
+        pairs.append([flag, str(out / value) if flag == "--out-dir" and value else value])
+    shape, k = data.draw(st.sampled_from(SHAPES)), data.draw(st.integers(0, len(pairs) - 1))
+    if shape == "=":
+        pairs[k] = ["=".join(pairs[k])]
+    elif shape == "abbreviated":
+        pairs[k][0] = pairs[k][0][:data.draw(st.integers(3, len(pairs[k][0]) - 1))]
+    rest = [token for pair in pairs for token in pair]
+    argv = [sub, *rest[:2], *heads, *rest[2:]] if shape == "positional-after-flag" else [sub, *heads, *rest]
+    if shape == "--":
+        argv.insert(data.draw(st.integers(1, len(argv))), "--")
     return argv + list(data.draw(st.just(()) | st.sampled_from(TAILS)))  # half end cleanly
 
 
@@ -635,3 +648,74 @@ class TestRandomArgv:
             code = run(argv)
         assert code in (0, 1, 2), (argv, code)
         assert "Traceback" not in stderr.getvalue(), argv
+
+
+# the argv shapes of the benchmark's ops (benchmark/workloads.py), each run with --out-dir appended
+BENCHMARK_ARGVS = [
+    ["f0", "speech_00.wav"],
+    ["contour-fit", "f0-speech_00/speech_00.f0.csv"],
+    ["contour-fit", "f0-speech_00/speech_00.f0.csv", "--start-s", "1.234", "--end-s", "5.678"],
+    ["aems", "long_pcm16.wav", "--cutoff-hz", "20"],
+    ["aems", "long_pcm16.wav"],
+    ["spectree", "long_pcm16.wav", "--cutoff-hz", "20"],
+    ["metrics", "tier100_csv.csv"],
+    *(["timetree", "tier1000_long.TextGrid", "--relation", relation, "--polarity", polarity, "--arity", arity]
+      for relation in ("iambic", "trochaic") for polarity in ("higher", "lower") for arity in ("binary", "nary")),
+    ["timetree", "chain1000.csv", "--polarity", "lower"],
+    ["intonation", "enum", "--max-len", "7"],
+    ["intonation", "check", "%H H* L- L% %L L+H* H- H%"],
+    ["tone-gen", "H L L H " * 250],
+]
+
+
+def _argparse_args(argv) -> dict | None:
+    """vars() of argparse's namespace for argv, or None where argparse exits (a usage error, or --help)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+class TestFastPath:
+    """run() parses a plain argv without argparse: wherever it does, it gives argparse's namespace."""
+
+    @pytest.mark.parametrize("sub", sorted(ARGV_GRAMMAR))
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_taken_argv_parses_as_argparse_parses_it(self, sub, data, argv_inputs):
+        argv = _draw_argv(data, sub, *argv_inputs)
+        fast = _fast_args(argv)
+        assert fast is None or vars(fast) == _argparse_args(argv), argv  # never an argv argparse refuses
+
+    @pytest.mark.parametrize("argv", BENCHMARK_ARGVS + [
+        ["metrics", "words.csv", "--exclude", "sil", "--tier", "a", "--exclude", "", "--tier", "b", "--json"],
+        ["tone-gen", "H L", "--k-dd", "0.5", "--json", "--k-dd", "1e3", "--formats", "", "--json"],
+        ["intonation", "check", "", "--max-len", "0"],
+    ], ids=lambda argv: " ".join(argv)[:40])
+    def test_takes_plain_argv(self, argv, tmp_path):
+        argv = [*argv, "--out-dir", str(tmp_path)]
+        fast = _fast_args(argv)
+        assert fast is not None and vars(fast) == _argparse_args(argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["metrics", "words.csv", "--out", "x"],  # an abbreviation
+        ["metrics", "words.csv", "--out-dir=x"],
+        ["metrics", "--", "words.csv"],
+        ["metrics", "words.csv", "--", "--json"],
+        ["metrics", "--json", "words.csv"],  # a positional after a flag
+        ["contour-fit", "t.f0.csv", "--degree", "-1"],  # a negative number as a value
+        ["intonation", "check", "-1"],
+        ["intonation", "check", "--max-len", "3", "H*"],
+        ["metrics"],
+        ["metrics", "a.csv", "b.csv"],
+        ["metrics", "words.csv", "--tier"],
+        ["metrics", "words.csv", "--cutoff-hz", "5"],
+        ["aems", "am.wav", "--cutoff-hz", "nan"],
+        ["timetree", "words.csv", "--relation", "x"],
+        ["intonation", "check", "--help"],
+        ["--help"],
+        [],
+    ], ids=lambda argv: " ".join(argv) or "(empty)")
+    def test_leaves_the_rest_to_argparse(self, argv):
+        assert _fast_args(argv) is None

@@ -1131,8 +1131,11 @@ class TestLazyStreamedArtifacts:
             parts = list(chunks(*args))
             assert all(isinstance(part, str) for part in parts)
             assert "".join(parts) == whole(*args)
-        # one chunk per line: the track is never held as one string
-        assert len(list(f0_track_csv_chunks(track))) == len(track) + 1
+        # no chunk holds more than 1 024 lines, so a long track (3 000 frames here) is never held as one string
+        long_track = synthesize_contour(realize_pitch(transduce_tones("H L " * 100)))
+        parts = list(f0_track_csv_chunks(long_track))
+        assert "".join(parts) == f0_track_to_csv(long_track)
+        assert max(part.count("\n") for part in parts) <= 1024 and len(parts) > 1 + len(long_track) // 1024
         assert f0_track_to_csv(no_frames) == "time_s,f0_hz\n"
 
     @pytest.mark.parametrize("n_tones", [1_000, 10_000])
