@@ -12,6 +12,14 @@ they have no record and skip.  To record the running version (COLUMNS=80 is
 set here)::
 
     PYTHONPATH=src python tests/test_cli_texts.py
+
+On every version, the parser's arguments are also compared with
+cli_actions.json, a description of each action (option strings, dest,
+default, type, choices, nargs, help, metavar, ...) and each subcommand's
+defaults, recorded from the parser that the table replaced; its texts depend
+on no Python version.  To record it::
+
+    PYTHONPATH=src python tests/test_cli_texts.py actions
 """
 
 import contextlib
@@ -25,9 +33,10 @@ from unittest import mock
 
 import pytest
 
-from prosotime.cli import OUT_DIR_ENV, run
+from prosotime.cli import OUT_DIR_ENV, build_parser, run
 
 TEXTS = Path(__file__).with_name("cli_texts.json")
+ACTIONS = Path(__file__).with_name("cli_actions.json")
 _VERSION = "%d.%d" % sys.version_info[:2]
 SUBCOMMANDS = ("calibrate", "aems", "metrics", "timetree", "spectree", "tone-gen", "intonation", "f0", "contour-fit")
 HELP = [["--help"], *([sub, "--help"] for sub in SUBCOMMANDS)]
@@ -61,6 +70,33 @@ def _outcome(argv: list[str], root: Path) -> list:
     return [code, stdout.getvalue(), stderr.getvalue()]
 
 
+def _plain(value):
+    """value as JSON data: a callable by its name, a tuple as a list."""
+    if callable(value):
+        return value.__name__
+    return list(value) if isinstance(value, tuple) else value
+
+
+def _actions(parser) -> dict:
+    """Each parser's actions and defaults, the top-level parser's under "", as JSON data."""
+    (sub,) = [a for a in parser._actions if a.choices is not None and not a.option_strings]
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    described = {}
+    for name, p in [("", parser), *sub.choices.items()]:
+        described[name] = {
+            "help": helps.get(name),
+            "defaults": {key: _plain(value) for key, value in sorted(p._defaults.items())},
+            "actions": [[type(a).__name__, a.option_strings, a.dest, _plain(a.default), _plain(a.type),
+                         _plain(a.choices) if name else None, a.nargs, a.help, a.metavar, a.required]
+                        for a in p._actions],
+        }
+    return described
+
+
+def test_parser_matches_the_recorded_actions():
+    assert _actions(build_parser()) == json.loads(ACTIONS.read_text(encoding="utf-8"))
+
+
 def _recorded() -> dict:
     texts = json.loads(TEXTS.read_text(encoding="utf-8")) if TEXTS.exists() else {}
     return texts.get(_VERSION, {})
@@ -82,7 +118,15 @@ def test_the_record_names_every_case():
         assert {code for code, _, _ in texts.values()} == {0, 2}
 
 
-if __name__ == "__main__":
+if __name__ == "__main__" and sys.argv[1:] == ["actions"]:
+    lines = []  # one action to a line
+    for name, described in _actions(build_parser()).items():
+        actions = ",\n   ".join(json.dumps(action, ensure_ascii=False) for action in described["actions"])
+        lines.append(f' {json.dumps(name)}: {{"help": {json.dumps(described["help"])},'
+                     f' "defaults": {json.dumps(described["defaults"])},\n  "actions": [\n   {actions}]}}')
+    ACTIONS.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
+    print(f"recorded the parser's actions in {ACTIONS}", file=sys.stderr)
+elif __name__ == "__main__":
     texts = json.loads(TEXTS.read_text(encoding="utf-8")) if TEXTS.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         texts[_VERSION] = {json.dumps(argv): _outcome(argv, Path(tmp)) for argv in HELP + USAGE}
