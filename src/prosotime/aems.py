@@ -315,7 +315,9 @@ def spectrum_to_csv(spec: Spectrum) -> str:
 
 
 def spectrum_csv_chunks(spec: Spectrum) -> Iterator[str]:
-    """`spectrum_to_csv` as text chunks, one line each."""
+    """`spectrum_to_csv` as text chunks: the header, then blocks of up to svgplot._ROWS lines."""
+    from .svgplot import _rows
+
+    res, mags = spec.resolution_hz, spec.magnitudes
     yield "freq_hz,magnitude\n"
-    for f, m in zip(spec.freqs.tolist(), spec.magnitudes.tolist()):
-        yield f"{f!r},{m!r}\n"
+    yield from _rows("%r,%r\n", len(mags), lambda a, b: (np.arange(a, b) * res, mags[a:b]))  # spec.freqs[a:b]

@@ -443,22 +443,23 @@ def f0_track_to_csv(track: F0Track) -> str:
 
 
 def f0_track_csv_chunks(track: F0Track) -> Iterator[str]:
-    """`f0_track_to_csv` as text chunks of up to _CSV_LINES lines; a run of equal F0 values is formatted once.
+    """`f0_track_to_csv` as text chunks of up to svgplot._ROWS lines; a run of equal F0 values is formatted once.
 
     Equal voiced F0 values, which are positive, have equal bits and so equal reprs.
     """
+    from .svgplot import _ROWS
+
     yield "time_s,f0_hz\n"
     frames, last, tail = zip(track._times, track._f0), None, ""
-    for _ in range(0, len(track), _CSV_LINES):
+    for _ in range(0, len(track), _ROWS):
         lines = []
-        for t, v in islice(frames, _CSV_LINES):
+        for t, v in islice(frames, _ROWS):
             if v != last:  # and at every NaN
                 last, tail = v, ",\n" if v != v else f",{v!r}\n"
             lines.append(f"{t!r}{tail}")
         yield "".join(lines)
 
 
-_CSV_LINES = 1024  # lines per chunk of f0_track_csv_chunks: fewer chunks for the writer, never the whole track
 _UNVOICED = {"": math.nan}  # .get(f, f): an empty f0 field as NaN, any other as itself
 
 

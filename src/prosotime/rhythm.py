@@ -267,7 +267,8 @@ def quadrant_to_csv(stats: QuadrantStats) -> str:
 
 
 def quadrant_csv_chunks(stats: QuadrantStats) -> Iterator[str]:
-    """`quadrant_to_csv` as text chunks, one line each."""
+    """`quadrant_to_csv` as text chunks: the header, then blocks of up to svgplot._ROWS lines."""
+    from .svgplot import _blocks
+
     yield "z_i,z_next,quadrant\n"
-    for a, b, quadrant in stats.rows():
-        yield f"{a!r},{b!r},{quadrant}\n"
+    yield from _blocks("%r,%r,%s\n", stats.rows())

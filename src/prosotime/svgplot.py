@@ -10,9 +10,9 @@ Each `svg_<plot>_chunks` yields a document as text chunks, built as they are
 consumed, so that a large plot can be streamed to disk; `svg_<plot>` joins them.
 
 The spectrum and heatmap renderers import numpy (and the heatmap
-`aems.zscore`) only when called and format their rows in batches (`_rows`);
-the F0-track renderer, contour models included, and the time-tree and
-quadrant renderers need only the standard library.
+`aems.zscore`) only when called; the F0-track renderer, contour models
+included, and the time-tree and quadrant renderers need only the standard
+library.  Every row writer, CSV or SVG, formats at most _ROWS rows at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from itertools import chain, compress, islice
 from operator import eq, ne
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -47,8 +47,7 @@ _ZONE = "#22884466"  # translucent band fill
 _W, _H = 640.0, 360.0  # document size of every plot but the two below
 _HEATMAP_H = 120.0  # the heatmap is one 640-wide row
 _SQUARE = 420.0  # the quadrant scatter is square
-_ROWS = 4096  # rows per formatted batch
-_DOTS = 1024  # F0 frames per formatted chunk
+_ROWS = 1024  # rows per formatted chunk, of every row writer (the CSV writers' too)
 _NODES = 128  # time-tree nodes per formatted chunk
 
 
@@ -147,6 +146,13 @@ def _rows(row: str, n: int, columns: Callable[[int, int], tuple[np.ndarray, ...]
         yield (row * len(cols)) % tuple(cols.ravel().tolist())
 
 
+def _blocks(row: str, rows: Iterable[tuple]) -> Iterator[str]:
+    """row % each of rows, a chunk per _ROWS rows: `_rows` over tuples of Python values, without numpy."""
+    rows = iter(rows)
+    while block := [*islice(rows, _ROWS)]:
+        yield (row * len(block)) % tuple(chain.from_iterable(block))
+
+
 def _points(xs: np.ndarray, ys: np.ndarray, frame: _Frame) -> str:
     """The "x,y " pairs of a polyline through arrays of data coordinates."""
     return "".join(_rows("%.3f,%.3f ", len(xs), lambda a, b: (frame.x(xs[a:b]), frame.y(ys[a:b]))))
@@ -242,7 +248,7 @@ def svg_f0_track(track: F0Track, models: Sequence[PolyContourModel] = ()) -> str
 
 
 def svg_f0_track_chunks(track: F0Track, models: Sequence[PolyContourModel] = ()) -> Iterator[str]:
-    """`svg_f0_track` as text chunks, one per _DOTS frames.
+    """`svg_f0_track` as text chunks, one per _ROWS frames.
 
     The dots are computed a block at a time, from lists read off the track's
     columns, with Python floats and the operations of _Frame.x and _Frame.y;
@@ -266,8 +272,8 @@ def svg_f0_track_chunks(track: F0Track, models: Sequence[PolyContourModel] = ())
     dot, run_dot = _circle("%.3f", "%.3f", "2", _ACCENT), _circle("%.3f", "%s", "2", _ACCENT)
     yield _head(_W, _H, "F0 track with polynomial contour models")
     all_ts, all_vs = iter(times), iter(f0)
-    while vs := [*islice(all_vs, _DOTS)]:
-        ts = [*islice(all_ts, _DOTS)]
+    while vs := [*islice(all_vs, _ROWS)]:
+        ts = [*islice(all_ts, _ROWS)]
         if math.isnan(sum(vs)):  # an unvoiced frame: the voiced ones alone are drawn
             voiced = [*map(eq, vs, vs)]  # False at a NaN
             ts, vs = compress(ts, voiced), [*compress(vs, voiced)]
@@ -364,7 +370,7 @@ def svg_quadrants(stats: QuadrantStats) -> str:
 
 
 def svg_quadrants_chunks(stats: QuadrantStats) -> Iterator[str]:
-    """`svg_quadrants` as text chunks."""
+    """`svg_quadrants` as text chunks, the dots a block of _ROWS at a time."""
     extent = max(chain([1.0], map(abs, stats.z_i), map(abs, stats.z_next))) * 1.15
     frame = _Frame(-extent, extent, -extent, extent, 50, 20, _SQUARE - 70, _SQUARE - 70)
     colors = {"LL": "#cc4400", "SS": "#0055aa", "LS": "#228844", "SL": "#886600", "origin": "#555555"}
@@ -372,8 +378,8 @@ def svg_quadrants_chunks(stats: QuadrantStats) -> Iterator[str]:
     x0, y0 = _fmt(frame.x(0)), _fmt(frame.y(0))
     yield _line(x0, _fmt(frame.py), x0, _fmt(frame.py + frame.ph), _GRID, "1")
     yield _line(_fmt(frame.px), y0, _fmt(frame.px + frame.pw), y0, _GRID, "1")
-    for a, b, quadrant in stats.rows():
-        yield _circle(_fmt(frame.x(a)), _fmt(frame.y(b)), "3", colors[quadrant], ' fill-opacity="0.8"')
+    yield from _blocks(_circle("%.3f", "%.3f", "3", "%s", ' fill-opacity="0.8"'),
+                       ((frame.x(a), frame.y(b), colors[quadrant]) for a, b, quadrant in stats.rows()))
     corners = {
         "LL": (frame.px + frame.pw - 8, frame.py + 16, "end"),
         "SS": (frame.px + 8, frame.py + frame.ph - 8, "start"),

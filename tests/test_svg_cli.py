@@ -243,6 +243,127 @@ class TestRowTemplates:
         assert re.findall(r'x="[^"]*" y="[^"]*" width="[^"]*" height="[^"]*" fill="rgb[^"]*"', svg_heatmap(spec)) == expect
 
 
+def _block_spectrum(n):
+    """A spectrum of n bins with exact integer magnitudes 0..1008, in no order."""
+    from prosotime import Spectrum
+
+    return Spectrum(0.05, np.array([float(k * 7919 % 1009) for k in range(n)]), n * 0.05, {})
+
+
+def _block_stats(n):
+    """Quadrant stats of n exact z-score pairs, in every quadrant and at the origin."""
+    from prosotime.rhythm import QuadrantStats
+
+    return QuadrantStats([((k * 37 % 41 - 20) / 8, (k * 53 % 43 - 21) / 8) for k in range(n)])
+
+
+def _block_writers():
+    """(name, chunks, public string) of each row writer a block size reaches, over a spectrum, stats or track."""
+    from prosotime.aems import spectrum_csv_chunks, spectrum_to_csv
+    from prosotime.pitch import f0_track_csv_chunks, f0_track_to_csv
+    from prosotime.rhythm import quadrant_csv_chunks, quadrant_to_csv
+    from prosotime.svgplot import svg_f0_track_chunks, svg_heatmap_chunks, svg_quadrants_chunks, svg_spectrum_chunks
+
+    zones = (prosotime.FrequencyZone(4.0, 3.5, 4.5, 0.9), prosotime.FrequencyZone(10.0, 9.0, 11.25, 0.4))
+    return {
+        "spectrum": [("heatmap", svg_heatmap_chunks, svg_heatmap),
+                     ("spectrum_svg", lambda spec: svg_spectrum_chunks(spec, zones=zones),
+                      lambda spec: svg_spectrum(spec, zones=zones)),
+                     ("spectrum_csv", spectrum_csv_chunks, spectrum_to_csv)],
+        "stats": [("quadrant_csv", quadrant_csv_chunks, quadrant_to_csv),
+                  ("quadrant_svg", svg_quadrants_chunks, svg_quadrants)],
+        "track": [("f0_csv", f0_track_csv_chunks, f0_track_to_csv),
+                  ("f0_svg", svg_f0_track_chunks, svg_f0_track)],
+    }
+
+
+def _magnitudes(n, seed, kind):
+    rng = np.random.default_rng(seed)
+    return {"random": rng.random(n) * 1e3, "integers": rng.integers(0, 4, n).astype(float),
+            "constant": np.full(n, 2.5), "zero": np.zeros(n)}[kind]
+
+
+class TestRowBlocks:
+    """Every row writer formats at most svgplot._ROWS rows a chunk, and the block size never shows in the text."""
+
+    # sha256 of each render, recorded before the writers formatted their rows in blocks of 1 024
+    DIGESTS = {
+        1023: {"heatmap": "7942e8f97ba7d9def3f11ea58c690fcd6ac26e5b55ec83afb177ec0764282f89",
+               "spectrum_svg": "8e6da3bcf5a37bd4c9913058ec395389c1ee9135674f10149229dcadf095ed08",
+               "spectrum_csv": "03993518865bfdf91338b74c409110e1ecc600f2c7d5dcd5cf84f8f4f0155292",
+               "quadrant_csv": "ac6dc37e4fac23a695a3401887c4a8d22e2ee05591d30781bed96854a562ea21",
+               "quadrant_svg": "ad7a6984d9cdb774bb8f9bcb0a1ba7227ce8de95bf47c39f5d983904d220e3d9"},
+        1024: {"heatmap": "e9c4d8a9a7294d278024a734a25a1309604e96b4f0ae4d0aa3357f268b64eb9b",
+               "spectrum_svg": "43c9a1504d24754c4fd9df7705e30f707c6c81b0345aafac26a15b48dddf52ee",
+               "spectrum_csv": "be9c3259740f04b1b22ce1079b68df9924b52515e6bf43ab2e071f615064632c",
+               "quadrant_csv": "9370266d7e80a53dd39c68260e421978289264a551469c301392edc618aafee5",
+               "quadrant_svg": "f773afcf6c95b4dd055147aec65510fc440e49a4d7406b7c811cd0de6a8da744"},
+        1025: {"heatmap": "016f0e7af041f754d56eb7e3bf237b8547c43bae5fb7a06e4837015c3424dc65",
+               "spectrum_svg": "be29ce4c8f7151873534326762c77f15e8e272fd426188f7ab47be07ea122a7c",
+               "spectrum_csv": "673c7afa6642a23edc0ad833d780277fba3ef03321792cf6497ca0de22b5c0c8",
+               "quadrant_csv": "6e1d4327decd499557d1a7b94910b14e2f50ccd6e978a0b68375ed46283cbfcf",
+               "quadrant_svg": "d1a8e33410563c9870f2682ac643e905394668ec018015432d71a177bdc07f52"},
+        3000: {"quadrant_csv": "5bc226dc0b3707870120f1f47f271fe5862ed71870098bc604fc059bcea72d0f",
+               "quadrant_svg": "bd125cfcd61dcadc1629b9871900a7ae63a570061b226f6267edbfb38e71dfc4"},
+        6001: {"heatmap": "3426a80d1e1875b478cb726cd341371652ff2271ece90ea314596558348b2c1a",
+               "spectrum_svg": "b6c33832508a65a7b86a67641e2f8567b9602dd823c631727b2dd7ce11caec3f",
+               "spectrum_csv": "165ebdb3cba7b9249dc987b9ba395b173d6e08f460a4e3d6415f61fe54e0c18c"},
+    }
+
+    @pytest.mark.parametrize("n", sorted(DIGESTS))
+    def test_bytes_pinned_at_the_block_edges(self, n):
+        writers = _block_writers()
+        digests = self.DIGESTS[n]
+        for kind, build in (("spectrum", _block_spectrum), ("stats", _block_stats)):
+            for name, chunks, whole in writers[kind]:
+                if name in digests:
+                    arg = build(n)
+                    assert _sha(whole(arg)) == digests[name], name
+                    assert _sha("".join(chunks(arg))) == digests[name], name
+
+    def test_spectrum_renders_take_a_block_not_the_spectrum(self):
+        # 6 001 bins, as aems --cutoff-hz 20 gives: each render, read a chunk at a time, holds one
+        # block of 1 024 rows; a batch of 4 096 heatmap rows took 1.25 MB
+        spec = _block_spectrum(6001)
+        for name, chunks, _ in _block_writers()["spectrum"]:
+            assert len(list(chunks(spec))) > 2  # once untraced, so that the traced read imports nothing
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                for _ in chunks(spec):
+                    pass
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - base < 0.6 * 2**20, name
+
+    @given(spectrum=st.builds(_magnitudes, st.integers(2, 3000), st.integers(0, 2**32 - 1),
+                              st.sampled_from(["random", "integers", "constant", "zero"])),
+           resolution=st.sampled_from([0.05, 0.5, 1 / 3]),
+           points=st.one_of(
+               st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), min_size=1, max_size=40),
+               st.builds(lambda n, seed: np.random.default_rng(seed).integers(-3, 4, (n, 2)) / 2,
+                         st.integers(1, 3000), st.integers(0, 2**32 - 1)).map(np.ndarray.tolist)),
+           f0=st.lists(st.one_of(st.floats(60.0, 400.0), st.just(150.0), st.just(math.nan)), max_size=60))
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_block_size_never_shows_in_the_text(self, spectrum, resolution, points, f0):
+        from unittest import mock
+
+        from prosotime import F0Track, Spectrum, svgplot
+        from prosotime.rhythm import QuadrantStats
+
+        args = {"spectrum": Spectrum(resolution, spectrum, len(spectrum) * resolution, {}),
+                "stats": QuadrantStats(points),
+                "track": F0Track([k * 0.01 for k in range(len(f0))], f0, 0.01)}
+        writers = [(name, chunks, args[kind]) for kind, group in _block_writers().items()
+                   for name, chunks, _ in group]
+        want = {name: "".join(chunks(arg)) for name, chunks, arg in writers}
+        for size in (1, 2, 7, 1024):
+            with mock.patch.object(svgplot, "_ROWS", size):
+                for name, chunks, arg in writers:
+                    assert "".join(chunks(arg)) == want[name], (name, size)
+
+
 class TestCliCalibrate:
     def test_exit_zero_and_report(self, tmp_path, capsys):
         code = run(["calibrate", "--json", "--out-dir", str(tmp_path)])
@@ -1136,6 +1257,16 @@ class TestLazyStreamedArtifacts:
         parts = list(f0_track_csv_chunks(long_track))
         assert "".join(parts) == f0_track_to_csv(long_track)
         assert max(part.count("\n") for part in parts) <= 1024 and len(parts) > 1 + len(long_track) // 1024
+        # the spectrum CSV, quadrant CSV and quadrant SVG come in blocks too: 3 000 rows in 3 chunks
+        # (the CSVs' header in a fourth), none of more than 1 024 rows, none a chunk per row
+        rows = {"spectrum_csv": "\n", "quadrant_csv": "\n", "quadrant_svg": "<circle"}
+        for kind, arg in (("spectrum", _block_spectrum(3000)), ("stats", _block_stats(3000))):
+            for name, chunks, whole in _block_writers()[kind]:
+                if name in rows:
+                    parts = list(chunks(arg))
+                    assert "".join(parts) == whole(arg)
+                    counts = [part.count(rows[name]) for part in parts]
+                    assert max(counts) <= 1024 and 2 < sum(c > 0 for c in counts) <= 4, name
         assert f0_track_to_csv(no_frames) == "time_s,f0_hz\n"
 
     @pytest.mark.parametrize("n_tones", [1_000, 10_000])
